@@ -432,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--sampling", type=int)
     parser.add_argument("--threads", type=int)
     parser.add_argument("--strict", action="store_true",
-                        help="exit 4 when any R-hat >= 1.05")
+                        help="fit: exit 4 when any R-hat >= 1.05")
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 

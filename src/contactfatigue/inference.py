@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
-from .models.params import Layout, ParamVector
+from .models.params import Layout
 
 logger = logging.getLogger(__name__)
 
@@ -70,6 +70,7 @@ class PosteriorDraws:
     draws: np.ndarray                    # (chains, iterations, dim)
     divergent: np.ndarray                # (chains, iterations) bool
     step_sizes: np.ndarray               # (chains,)
+    grad_evals: np.ndarray               # (chains,) logp_grad calls
     pointwise_loglik: np.ndarray | None  # (chains * iterations, n_obs)
     parameter_names: list[str] = field(default_factory=list)
 
@@ -190,96 +191,102 @@ def _kinetic(r, inv_mass):
 
 
 class _TreeState:
+    """A trajectory segment: its two edges, the multinomial sample drawn
+    from it, the log of its total weight, and acceptance statistics."""
+
     __slots__ = ("theta_minus", "r_minus", "grad_minus", "theta_plus",
                  "r_plus", "grad_plus", "theta", "logp", "grad", "log_w",
-                 "r_sum", "alpha", "n_alpha", "divergent", "ok")
+                 "alpha", "n_alpha", "divergent", "ok")
 
-    def __init__(self):
-        self.ok = True
-        self.divergent = False
+    def __init__(self, theta, r, grad, logp, log_w, alpha, n_alpha,
+                 divergent=False):
+        self.theta_minus = self.theta_plus = self.theta = theta
+        self.r_minus = self.r_plus = r
+        self.grad_minus = self.grad_plus = self.grad = grad
+        self.logp = logp
+        self.log_w = log_w
+        self.alpha = alpha
+        self.n_alpha = n_alpha
+        self.divergent = divergent
+        self.ok = not divergent
+
+    def edge(self, direction):
+        if direction == 1:
+            return self.theta_plus, self.r_plus, self.grad_plus
+        return self.theta_minus, self.r_minus, self.grad_minus
 
 
 def _find_reasonable_epsilon(target, theta, logp, grad, inv_mass, rng):
-    eps = 1.0
     r = rng.standard_normal(theta.size) / np.sqrt(inv_mass)
     h0 = logp - _kinetic(r, inv_mass)
-    _, r1, logp1, _ = _leapfrog(target, theta, r, grad, eps, inv_mass)
-    h1 = logp1 - _kinetic(r1, inv_mass)
-    if not np.isfinite(h1):
-        h1 = -np.inf
-    direction = 1.0 if (h1 - h0) > np.log(0.5) else -1.0
-    for _ in range(50):
-        eps *= 2.0 ** direction
+
+    def delta_h(eps):
         _, r1, logp1, _ = _leapfrog(target, theta, r, grad, eps, inv_mass)
         h1 = logp1 - _kinetic(r1, inv_mass)
-        if not np.isfinite(h1):
-            h1 = -np.inf
-        if direction * (h1 - h0) <= direction * np.log(0.5):
+        return (h1 if np.isfinite(h1) else -np.inf) - h0
+
+    eps = 1.0
+    direction = 1.0 if delta_h(eps) > np.log(0.5) else -1.0
+    for _ in range(50):
+        eps *= 2.0 ** direction
+        if direction * delta_h(eps) <= direction * np.log(0.5):
             break
     return max(min(eps, 10.0), 1e-10)
 
 
+def _merge(tree, sub, direction, inv_mass, rng, biased):
+    """Extend ``tree`` by the adjacent subtree ``sub`` on the ``direction``
+    side, in place.
+
+    The multinomial sample moves to the subtree's sample with probability
+    w_sub / w_tree when ``biased`` (progressive sampling at the top level of
+    the trajectory, which favours the newer half) and w_sub / (w_tree +
+    w_sub) otherwise (uniform sampling inside subtrees). Clears ``tree.ok``
+    when the subtree diverged or turned, or when the merged trajectory makes
+    a U-turn.
+    """
+    tree.alpha += sub.alpha
+    tree.n_alpha += sub.n_alpha
+    tree.divergent |= sub.divergent
+    if not sub.ok:
+        tree.ok = False
+        return
+    total = np.logaddexp(tree.log_w, sub.log_w)
+    if np.log(rng.uniform()) < sub.log_w - (tree.log_w if biased else total):
+        tree.theta, tree.logp, tree.grad = sub.theta, sub.logp, sub.grad
+    tree.log_w = total
+    if direction == 1:
+        tree.theta_plus, tree.r_plus, tree.grad_plus = sub.edge(1)
+    else:
+        tree.theta_minus, tree.r_minus, tree.grad_minus = sub.edge(-1)
+    span = tree.theta_plus - tree.theta_minus
+    if (span @ (inv_mass * tree.r_minus)) < 0 or \
+            (span @ (inv_mass * tree.r_plus)) < 0:
+        tree.ok = False
+
+
 def _build_tree(target, state_point, depth, direction, eps, inv_mass, h0,
-                rng, max_depth_leaves):
+                rng):
     """Recursively double the trajectory; multinomial weight per subtree."""
-    theta, r, grad = state_point
-    out = _TreeState()
     if depth == 0:
+        theta, r, grad = state_point
         theta1, r1, logp1, grad1 = _leapfrog(target, theta, r, grad,
                                              direction * eps, inv_mass)
         h1 = logp1 - _kinetic(r1, inv_mass) if np.isfinite(logp1) else -np.inf
         delta = h1 - h0
         if not np.isfinite(delta):
             delta = -np.inf
-        out.theta_minus = out.theta_plus = out.theta = theta1
-        out.r_minus = out.r_plus = r1
-        out.grad_minus = out.grad_plus = out.grad = grad1
-        out.logp = logp1
-        out.log_w = delta
-        out.r_sum = r1.copy()
-        out.alpha = min(1.0, float(np.exp(min(delta, 0.0))))
-        out.n_alpha = 1
-        out.divergent = -delta > DIVERGENCE_THRESHOLD
-        out.ok = not out.divergent
-        return out
+        return _TreeState(theta1, r1, grad1, logp1, delta,
+                          min(1.0, float(np.exp(min(delta, 0.0)))), 1,
+                          divergent=-delta > DIVERGENCE_THRESHOLD)
 
-    first = _build_tree(target, state_point, depth - 1, direction, eps,
-                        inv_mass, h0, rng, max_depth_leaves)
-    if not first.ok:
-        return first
-    if direction == 1:
-        edge = (first.theta_plus, first.r_plus, first.grad_plus)
-    else:
-        edge = (first.theta_minus, first.r_minus, first.grad_minus)
-    second = _build_tree(target, edge, depth - 1, direction, eps, inv_mass,
-                         h0, rng, max_depth_leaves)
-
-    first.alpha += second.alpha
-    first.n_alpha += second.n_alpha
-    first.divergent |= second.divergent
-    if not second.ok:
-        first.ok = False
-        return first
-
-    total = np.logaddexp(first.log_w, second.log_w)
-    if np.log(rng.uniform()) < second.log_w - total:
-        first.theta, first.logp, first.grad = (second.theta, second.logp,
-                                               second.grad)
-    first.log_w = total
-    if direction == 1:
-        first.theta_plus = second.theta_plus
-        first.r_plus = second.r_plus
-        first.grad_plus = second.grad_plus
-    else:
-        first.theta_minus = second.theta_minus
-        first.r_minus = second.r_minus
-        first.grad_minus = second.grad_minus
-    first.r_sum = first.r_sum + second.r_sum
-    span = first.theta_plus - first.theta_minus
-    if (span @ (inv_mass * first.r_minus)) < 0 or \
-            (span @ (inv_mass * first.r_plus)) < 0:
-        first.ok = False
-    return first
+    tree = _build_tree(target, state_point, depth - 1, direction, eps,
+                       inv_mass, h0, rng)
+    if tree.ok:
+        sub = _build_tree(target, tree.edge(direction), depth - 1, direction,
+                          eps, inv_mass, h0, rng)
+        _merge(tree, sub, direction, inv_mass, rng, biased=False)
+    return tree
 
 
 def _run_chain(logp_grad, dim, cfg: SamplerConfig, chain_idx: int,
@@ -332,47 +339,13 @@ def _run_chain(logp_grad, dim, cfg: SamplerConfig, chain_idx: int,
         r0 = rng.standard_normal(dim) / np.sqrt(inv_mass)
         h0 = logp - _kinetic(r0, inv_mass)
 
-        state = _TreeState()
-        state.theta_minus = state.theta_plus = state.theta = theta
-        state.r_minus = state.r_plus = r0
-        state.grad_minus = state.grad_plus = state.grad = grad
-        state.logp = logp
-        state.log_w = 0.0
-        state.r_sum = r0.copy()
-        state.alpha = 0.0
-        state.n_alpha = 0
-        state.divergent = False
-
+        state = _TreeState(theta, r0, grad, logp, 0.0, 0.0, 0)
         for depth in range(cfg.max_tree_depth):
             direction = 1 if rng.uniform() < 0.5 else -1
-            if direction == 1:
-                edge = (state.theta_plus, state.r_plus, state.grad_plus)
-            else:
-                edge = (state.theta_minus, state.r_minus, state.grad_minus)
-            sub = _build_tree(target, edge, depth, direction, eps, inv_mass,
-                              h0, rng, cfg.max_tree_depth)
-            state.alpha += sub.alpha
-            state.n_alpha += sub.n_alpha
-            state.divergent |= sub.divergent
-            if not sub.ok:
-                break
-            total_w = np.logaddexp(state.log_w, sub.log_w)
-            if np.log(rng.uniform()) < sub.log_w - state.log_w:
-                state.theta, state.logp, state.grad = (sub.theta, sub.logp,
-                                                       sub.grad)
-            state.log_w = total_w
-            if direction == 1:
-                state.theta_plus = sub.theta_plus
-                state.r_plus = sub.r_plus
-                state.grad_plus = sub.grad_plus
-            else:
-                state.theta_minus = sub.theta_minus
-                state.r_minus = sub.r_minus
-                state.grad_minus = sub.grad_minus
-            state.r_sum = state.r_sum + sub.r_sum
-            span = state.theta_plus - state.theta_minus
-            if (span @ (inv_mass * state.r_minus)) < 0 or \
-                    (span @ (inv_mass * state.r_plus)) < 0:
+            sub = _build_tree(target, state.edge(direction), depth,
+                              direction, eps, inv_mass, h0, rng)
+            _merge(state, sub, direction, inv_mass, rng, biased=True)
+            if not state.ok:
                 break
 
         theta, logp, grad = state.theta, state.logp, state.grad
@@ -385,7 +358,7 @@ def _run_chain(logp_grad, dim, cfg: SamplerConfig, chain_idx: int,
             if in_slow:
                 welford.push(theta)
                 if (it + 1) in window_ends:
-                    inv_mass = 1.0 / welford.variance()
+                    inv_mass = welford.variance()
                     welford = _Welford(dim)
                     # restart dual averaging anchored at the matured
                     # running average, which is stable against the
@@ -430,6 +403,7 @@ def sample_model(model, cfg: SamplerConfig,
     draws = np.stack([r[0] for r in results])
     divergent = np.stack([r[1] for r in results])
     step_sizes = np.array([r[2] for r in results])
+    grad_evals = np.array([r[3] for r in results])
 
     n_div = int(divergent.sum())
     if n_div > 0.10 * divergent.size:
@@ -445,7 +419,8 @@ def sample_model(model, cfg: SamplerConfig,
     names = (layout.parameter_names() if layout is not None
              else [f"theta[{i}]" for i in range(dim)])
     post = PosteriorDraws(layout=layout, draws=draws, divergent=divergent,
-                          step_sizes=step_sizes, pointwise_loglik=pointwise,
+                          step_sizes=step_sizes, grad_evals=grad_evals,
+                          pointwise_loglik=pointwise,
                           parameter_names=names)
     if cfg.chains >= 2 and cfg.sampling >= 4:
         diag = rhat_ess(post)
@@ -489,13 +464,12 @@ def warm_start_point(model, seed: int = 0) -> np.ndarray | None:
     """Best-effort posterior-mode search used to initialize chains."""
     layout = getattr(model, "layout", None)
     dim = layout.size if layout is not None else model.dim
-    res = _lbfgs(model, np.zeros(dim), max_iter=500)
-    if np.isfinite(res.fun) and res.fun < 1e29:
-        return res.x
     rng = np.random.default_rng(seed)
-    res = _lbfgs(model, rng.uniform(-1, 1, size=dim), max_iter=500)
-    if np.isfinite(res.fun) and res.fun < 1e29:
-        return res.x
+    for attempt in range(2):
+        x0 = np.zeros(dim) if attempt == 0 else rng.uniform(-1, 1, size=dim)
+        res = _lbfgs(model, x0, max_iter=500)
+        if np.isfinite(res.fun) and res.fun < 1e29:
+            return res.x
     return None
 
 
@@ -513,34 +487,6 @@ def _diag_curvature(model, mode: np.ndarray, h: float = 1e-3) -> np.ndarray:
         diag[j] = -(gu - gd) / (2 * h)
     diag = np.where(np.isfinite(diag) & (diag > 0), diag, 1.0)
     return np.clip(diag, 1e-8, 1e12)
-
-
-def map_fit(model, restarts: int = 3, seed: int = 0,
-            grad_tol: float = 1e-6, max_iter: int = 2000) -> ParamVector:
-    """Quasi-Newton ascent of the log posterior; best of several restarts."""
-    layout = getattr(model, "layout", None)
-    dim = layout.size if layout is not None else model.dim
-    rng = np.random.default_rng(seed)
-
-    best = None
-    best_val = np.inf
-    best_gnorm = np.inf
-    for k in range(max(restarts, 1)):
-        x0 = (np.zeros(dim) if k == 0
-              else rng.uniform(-1.5, 1.5, size=dim))
-        res = _lbfgs(model, x0, max_iter)
-        gnorm = float(np.max(np.abs(res.jac)))
-        if res.fun < best_val and gnorm < grad_tol:
-            best, best_val = res, res.fun
-        best_gnorm = min(best_gnorm, gnorm)
-    if best is None:
-        raise RuntimeError(
-            "MAP optimization failed to reach gradient tolerance "
-            f"{grad_tol} (best gradient norm {best_gnorm:.2e})")
-    if layout is None:
-        layout = Layout([])
-        layout.size = dim
-    return ParamVector(layout=layout, theta=best.x)
 
 
 # ---------------------------------------------------------------------------

@@ -3,23 +3,21 @@
 from .assemble import (AggregatedBrcModel, BrcData, HsgpConfig,
                        IndividualGamModel, LongitudinalNbModel, Model,
                        ModelSpec, Stage1PoissonModel, Stage2PoissonModel,
-                       brc_surface_config, build_model, fatigue_variant_term,
-                       gam_spec, make_brc_data, predict_intensity,
-                       stage1_spec, variant_gp_config)
+                       brc_surface_config, build_model, make_brc_data,
+                       predict_intensity, variant_gp_config)
 from .fatigue import (FatigueSpec, HillCurve, HillPriors, hill, hill_grad,
                       no_fatigue)
 from .likelihoods import (nb1_agg_loglik, nb1_loglik, nb1_rvs, nb2_loglik,
-                          nb2_rvs, nb_logpmf, poisson_loglik)
-from .params import Block, GradAccumulator, Layout, ParamVector
+                          nb2_rvs, poisson_loglik)
+from .params import Block, GradAccumulator, Layout
 
 __all__ = [
     "AggregatedBrcModel", "Block", "BrcData", "FatigueSpec",
     "GradAccumulator", "HillCurve", "HillPriors", "HsgpConfig",
     "IndividualGamModel", "Layout", "LongitudinalNbModel", "Model",
-    "ModelSpec", "ParamVector", "Stage1PoissonModel", "Stage2PoissonModel",
-    "brc_surface_config", "build_model", "fatigue_variant_term", "gam_spec",
-    "hill", "hill_grad", "make_brc_data", "nb1_agg_loglik", "nb1_loglik",
-    "nb1_rvs", "nb2_loglik", "nb2_rvs", "nb_logpmf", "no_fatigue",
-    "poisson_loglik", "predict_intensity", "stage1_spec",
+    "ModelSpec", "Stage1PoissonModel", "Stage2PoissonModel",
+    "brc_surface_config", "build_model", "hill", "hill_grad",
+    "make_brc_data", "nb1_agg_loglik", "nb1_loglik", "nb1_rvs", "nb2_loglik",
+    "nb2_rvs", "no_fatigue", "poisson_loglik", "predict_intensity",
     "variant_gp_config",
 ]

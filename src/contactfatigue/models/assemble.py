@@ -32,7 +32,8 @@ import numpy as np
 from .. import kernels
 from ..domain import AGE_MAX, CoarseBandSet, DesignMatrix, PopulationTable
 from ..kernels import HsgpBasis, KernelSpec
-from ..priors import PriorSpec, RhsSpec, log_prior, rhs_coefficients
+from ..priors import (PriorSpec, RhsSpec, log_prior, rhs_coefficients,
+                      rhs_log_prior)
 from .fatigue import FatigueSpec, HillPriors, hill_grad, HillCurve, no_fatigue
 from .likelihoods import (CountCache, nb1_agg_loglik, nb1_rvs,
                           nb2_group_loglik, nb2_loglik, nb2_rvs,
@@ -53,11 +54,16 @@ def _positive(*values: float) -> None:
 
 
 def _guarded(fn):
+    """Make ``logp_grad`` total: a rejected state, a Python-float overflow
+    in the kernels, or a non-finite result gives -inf and a zero gradient."""
     def wrapper(self, theta):
         try:
-            return fn(self, theta)
-        except _RejectState:
-            return -np.inf, np.zeros(self.layout.size)
+            logp, grad = fn(self, theta)
+        except (_RejectState, OverflowError):
+            logp = -np.inf
+        if np.isfinite(logp) and np.all(np.isfinite(grad)):
+            return logp, grad
+        return -np.inf, np.zeros(self.layout.size)
     wrapper.__name__ = fn.__name__
     wrapper.__doc__ = fn.__doc__
     return wrapper
@@ -126,14 +132,6 @@ class ModelSpec:
             object.__setattr__(self, "observation", expected)
 
 
-def stage1_spec(rhs: RhsSpec | None) -> ModelSpec:
-    return ModelSpec(family="stage1_poisson", rhs=rhs, beta0_scale=100.0)
-
-
-def gam_spec(fatigue: FatigueSpec, **kwargs) -> ModelSpec:
-    return ModelSpec(family="individual_gam", fatigue=fatigue, **kwargs)
-
-
 # ---------------------------------------------------------------------------
 # Shared assembly helpers
 # ---------------------------------------------------------------------------
@@ -158,6 +156,71 @@ def _std_normal_logp(acc: GradAccumulator, name: str, value: np.ndarray
                      ) -> float:
     acc.add(name, -value)
     return float(-0.5 * np.sum(value**2) - 0.5 * value.size * LOG_2PI)
+
+
+def _dispersion_logp(acc: GradAccumulator, layout: Layout, theta: np.ndarray,
+                     name: str, d_value: float) -> float:
+    """Likelihood gradient ``d_value`` of a log-scale dispersion block plus
+    its prior 1/value ~ Exponential(1); in u = log(value) the prior density
+    is exp(-e^-u) e^-u."""
+    u = layout.raw(theta, name)[0]
+    acc.add(name, d_value * np.exp(u) + (np.exp(-u) - 1.0))
+    return float(-np.exp(-u) - u)
+
+
+class _RhsTerm:
+    """Regularized-horseshoe coefficients, non-centered, as four blocks.
+
+    ``{prefix}_z`` holds the latents: standard normal, or for the
+    negative-sign prior half-normal carried on the log scale.
+    ``{prefix}_zeta`` (local scales), ``rhs_c2`` (slab) and ``rhs_eps``
+    (global scale) are log-scale blocks.
+    """
+
+    def __init__(self, prefix: str, spec: RhsSpec):
+        self.spec = spec
+        self.z_name = f"{prefix}_z"
+        self.zeta_name = f"{prefix}_zeta"
+        self.negative = spec.sign == "negative"
+
+    def blocks(self) -> list[Block]:
+        k = self.spec.n_coef
+        return [Block(self.z_name, k, "log" if self.negative else "identity"),
+                Block(self.zeta_name, k, "log"),
+                Block("rhs_c2", 1, "log"), Block("rhs_eps", 1, "log")]
+
+    def coefficients(self, layout: Layout, theta: np.ndarray):
+        """Coefficients plus the backprop cache."""
+        z = layout.raw(theta, self.z_name)
+        if self.negative:
+            z = np.exp(z)
+            _positive(*z)
+        zeta = np.exp(layout.raw(theta, self.zeta_name))
+        c2 = float(np.exp(layout.raw(theta, "rhs_c2")[0]))
+        eps = float(np.exp(layout.raw(theta, "rhs_eps")[0]))
+        _positive(*zeta, c2, eps)
+        beta, partials = rhs_coefficients(self.spec, z, zeta, c2, eps)
+        return beta, (z, zeta, c2, eps, partials)
+
+    def logp_grad(self, acc: GradAccumulator, layout: Layout,
+                  theta: np.ndarray, g_beta: np.ndarray, cache) -> float:
+        """Push d(logp)/d(coefficients) into the blocks; add the prior with
+        the log-scale Jacobians."""
+        z, zeta, c2, eps, partials = cache
+        lp, g = rhs_log_prior(self.spec, z, zeta, c2, eps)
+        d_z = g_beta * partials["z"] + g["z"]
+        on_log_scale = [
+            (self.zeta_name, zeta, g_beta * partials["zeta"] + g["zeta"]),
+            ("rhs_c2", c2, float(g_beta @ partials["c2"]) + g["c2"]),
+            ("rhs_eps", eps, float(g_beta @ partials["eps"]) + g["eps"])]
+        if self.negative:
+            on_log_scale.append((self.z_name, z, d_z))
+        else:
+            acc.add(self.z_name, d_z)
+        for name, value, d in on_log_scale:
+            acc.add(name, d * value + 1.0)
+            lp += float(np.sum(layout.raw(theta, name)))
+        return lp
 
 
 class _HsgpTerm:
@@ -257,10 +320,14 @@ class _HsgpTerm:
 
 
 class _HillTerm:
-    """Hill fatigue curves: one curve (Q=1) or one per fatigue covariate."""
+    """Hill fatigue curves: one curve (Q=1) or one per fatigue covariate.
 
-    def __init__(self, n_curves: int, priors: tuple[HillPriors, ...]):
-        self.q = n_curves
+    With ``weights`` (n, Q) the term is sum_q weights[:, q] rho_q(r);
+    without, it is the single curve rho(r).
+    """
+
+    def __init__(self, priors: tuple[HillPriors, ...]):
+        self.q = len(priors)
         self.priors = priors
 
     def blocks(self) -> list[Block]:
@@ -268,37 +335,52 @@ class _HillTerm:
                 Block("hill_zeta", self.q),
                 Block("hill_eta", self.q, "log")]
 
-    def curves(self, layout: Layout, theta: np.ndarray) -> list[HillCurve]:
+    def values(self, layout: Layout, theta: np.ndarray, repeat,
+               weights: np.ndarray | None = None) -> tuple[np.ndarray, tuple]:
+        """The term at repeat counts ``repeat`` plus a backprop cache."""
         gam = np.exp(layout.raw(theta, "hill_gamma"))
         zet = layout.raw(theta, "hill_zeta")
         eta = np.exp(layout.raw(theta, "hill_eta"))
         _positive(*gam, *eta)
-        return [HillCurve(gam[q], zet[q], eta[q]) for q in range(self.q)]
+        curves = [HillCurve(gam[q], zet[q], eta[q]) for q in range(self.q)]
+        per_q = [(c, *hill_grad(c, repeat)) for c in curves]
+        if weights is None:
+            return per_q[0][1], (per_q, None)
+        total = np.zeros(weights.shape[0])
+        for q, (_, value, _) in enumerate(per_q):
+            total += weights[:, q] * value
+        return total, (per_q, weights)
 
-    def prior_logp(self, acc: GradAccumulator, layout: Layout,
-                   theta: np.ndarray) -> float:
-        gam = np.exp(layout.raw(theta, "hill_gamma"))
-        zet = layout.raw(theta, "hill_zeta")
-        eta = np.exp(layout.raw(theta, "hill_eta"))
+    def logp_grad(self, acc: GradAccumulator, layout: Layout,
+                  theta: np.ndarray, d_term: np.ndarray, cache) -> float:
+        """Push d(logp)/d(term) into the curve parameters; add the priors
+        with the log-scale Jacobians of gamma and eta."""
+        per_q, weights = cache
+        gam_sl = layout.sl("hill_gamma")
+        zet_sl = layout.sl("hill_zeta")
+        eta_sl = layout.sl("hill_eta")
+        raw_gam = layout.raw(theta, "hill_gamma")
+        raw_eta = layout.raw(theta, "hill_eta")
         lp = 0.0
-        for q, pr in enumerate(self.priors):
+        for q, ((curve, _, grads), pr) in enumerate(zip(per_q, self.priors)):
+            d = d_term if weights is None else weights[:, q] * d_term
             lp_g, g_g = log_prior(
                 PriorSpec("halfnormal_pos", (pr.gamma_loc, pr.gamma_scale)),
-                gam[q])
+                curve.gamma)
             lp_z, g_z = log_prior(
-                PriorSpec("normal", (pr.zeta_loc, pr.zeta_scale)), zet[q])
+                PriorSpec("normal", (pr.zeta_loc, pr.zeta_scale)), curve.zeta)
             if pr.eta_kind == "exponential":
                 eta_prior = PriorSpec("exponential", (pr.eta_loc,))
             else:
-                eta_prior = PriorSpec("halfnormal_pos", (pr.eta_loc, pr.eta_scale))
-            lp_e, g_e = log_prior(eta_prior, eta[q])
-            # log transforms on gamma and eta add their Jacobians
-            lp += float(lp_g + lp_z + lp_e
-                        + layout.raw(theta, "hill_gamma")[q]
-                        + layout.raw(theta, "hill_eta")[q])
-            acc.grad[layout.sl("hill_gamma")][q] += float(g_g) * gam[q] + 1.0
-            acc.grad[layout.sl("hill_zeta")][q] += float(g_z)
-            acc.grad[layout.sl("hill_eta")][q] += float(g_e) * eta[q] + 1.0
+                eta_prior = PriorSpec("halfnormal_pos",
+                                      (pr.eta_loc, pr.eta_scale))
+            lp_e, g_e = log_prior(eta_prior, curve.eta)
+            lp += float(lp_g + lp_z + lp_e + raw_gam[q] + raw_eta[q])
+            acc.grad[gam_sl][q] += (float(d @ grads["gamma"]) * curve.gamma
+                                    + (float(g_g) * curve.gamma + 1.0))
+            acc.grad[zet_sl][q] += float(d @ grads["zeta"]) + float(g_z)
+            acc.grad[eta_sl][q] += (float(d @ grads["eta"]) * curve.eta
+                                    + (float(g_e) * curve.eta + 1.0))
         return lp
 
 
@@ -337,25 +419,19 @@ class Stage1PoissonModel:
         blocks = [Block("beta0", 1),
                   Block("alpha_raw", self.u.shape[1]),
                   Block("sigma_alpha", 1, "log")]
-        if spec.rhs is None:
+        self.rhs = None if spec.rhs is None else _RhsTerm("beta", spec.rhs)
+        if self.rhs is None:
             blocks.append(Block("beta", k))
         else:
-            blocks += [Block("beta_z", k), Block("beta_zeta", k, "log"),
-                       Block("rhs_c2", 1, "log"), Block("rhs_eps", 1, "log")]
+            blocks += self.rhs.blocks()
         self.layout = Layout(blocks)
 
     def _beta(self, theta):
-        if self.spec.rhs is None:
-            if "beta" not in self.layout:
-                return np.zeros(self.v.shape[1]), None
-            return self.layout.raw(theta, "beta"), None
-        z = self.layout.raw(theta, "beta_z")
-        zeta = np.exp(self.layout.raw(theta, "beta_zeta"))
-        c2 = float(np.exp(self.layout.raw(theta, "rhs_c2")[0]))
-        eps = float(np.exp(self.layout.raw(theta, "rhs_eps")[0]))
-        _positive(*zeta, c2, eps)
-        beta, partials = rhs_coefficients(self.spec.rhs, z, zeta, c2, eps)
-        return beta, (z, zeta, c2, eps, partials)
+        if self.rhs is not None:
+            return self.rhs.coefficients(self.layout, theta)
+        if "beta" not in self.layout:
+            return np.zeros(self.v.shape[1]), None
+        return self.layout.raw(theta, "beta"), None
 
     def _eta(self, theta):
         beta, rhs_cache = self._beta(theta)
@@ -394,27 +470,12 @@ class Stage1PoissonModel:
                             PriorSpec("cauchy_pos", (1.0,)), "log",
                             self.layout.raw(theta, "sigma_alpha"))
 
-        if self.spec.rhs is None:
-            if "beta" in self.layout:
-                acc.add("beta", g_beta)
-                logp += _std_normal_logp(acc, "beta", beta)
-            return logp, acc.grad
-        z, zeta, c2, eps, partials = rhs_cache
-        rhs = self.spec.rhs
-        acc.add("beta_z", g_beta * partials["z"])
-        acc.add("beta_zeta", g_beta * partials["zeta"] * zeta)
-        acc.add("rhs_c2", float(g_beta @ partials["c2"]) * c2)
-        acc.add("rhs_eps", float(g_beta @ partials["eps"]) * eps)
-
-        logp += _std_normal_logp(acc, "beta_z", z)
-        logp += _prior_logp(acc, "beta_zeta", zeta, rhs.zeta_prior_spec(),
-                            "log", self.layout.raw(theta, "beta_zeta"))
-        logp += _prior_logp(acc, "rhs_c2", np.array([c2]),
-                            rhs.c2_prior_spec(), "log",
-                            self.layout.raw(theta, "rhs_c2"))
-        logp += _prior_logp(acc, "rhs_eps", np.array([eps]),
-                            rhs.eps_prior_spec(), "log",
-                            self.layout.raw(theta, "rhs_eps"))
+        if self.rhs is not None:
+            logp += self.rhs.logp_grad(acc, self.layout, theta, g_beta,
+                                       rhs_cache)
+        elif "beta" in self.layout:
+            acc.add("beta", g_beta)
+            logp += _std_normal_logp(acc, "beta", beta)
         return logp, acc.grad
 
     def pointwise_loglik(self, theta: np.ndarray) -> np.ndarray:
@@ -459,18 +520,11 @@ class Stage2PoissonModel:
         k = self.w.shape[1]
         if spec.rhs.n_coef != k:
             raise ValueError(f"rhs.n_coef must equal {k}")
-        self.layout = Layout([
-            Block("gamma_z", k, "log"), Block("gamma_zeta", k, "log"),
-            Block("rhs_c2", 1, "log"), Block("rhs_eps", 1, "log")])
+        self.rhs = _RhsTerm("gamma", spec.rhs)
+        self.layout = Layout(self.rhs.blocks())
 
     def _gamma(self, theta):
-        z = np.exp(self.layout.raw(theta, "gamma_z"))
-        zeta = np.exp(self.layout.raw(theta, "gamma_zeta"))
-        c2 = float(np.exp(self.layout.raw(theta, "rhs_c2")[0]))
-        eps = float(np.exp(self.layout.raw(theta, "rhs_eps")[0]))
-        _positive(*z, *zeta, c2, eps)
-        gamma, partials = rhs_coefficients(self.spec.rhs, z, zeta, c2, eps)
-        return gamma, (z, zeta, c2, eps, partials)
+        return self.rhs.coefficients(self.layout, theta)
 
     def coefficients(self, theta) -> np.ndarray:
         return self._gamma(theta)[0]
@@ -484,29 +538,11 @@ class Stage2PoissonModel:
     @_guarded
     def logp_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         acc = GradAccumulator(self.layout)
-        eta, gamma, (z, zeta, c2, eps, partials) = self._eta(theta)
+        eta, _gamma, cache = self._eta(theta)
         ll, dll = poisson_loglik(self.y, eta, self._ycache)
         logp = float(ll.sum())
-        g_gamma = self.w.T @ dll
-        rhs = self.spec.rhs
-
-        acc.add("gamma_z", g_gamma * partials["z"] * z)
-        acc.add("gamma_zeta", g_gamma * partials["zeta"] * zeta)
-        acc.add("rhs_c2", float(g_gamma @ partials["c2"]) * c2)
-        acc.add("rhs_eps", float(g_gamma @ partials["eps"]) * eps)
-
-        # z ~ half-normal(0,1) on the log scale
-        lp_z, g_z = log_prior(PriorSpec("halfnormal_pos", (0.0, 1.0)), z)
-        acc.add("gamma_z", g_z * z + 1.0)
-        logp += float(lp_z.sum() + self.layout.raw(theta, "gamma_z").sum())
-        logp += _prior_logp(acc, "gamma_zeta", zeta, rhs.zeta_prior_spec(),
-                            "log", self.layout.raw(theta, "gamma_zeta"))
-        logp += _prior_logp(acc, "rhs_c2", np.array([c2]),
-                            rhs.c2_prior_spec(), "log",
-                            self.layout.raw(theta, "rhs_c2"))
-        logp += _prior_logp(acc, "rhs_eps", np.array([eps]),
-                            rhs.eps_prior_spec(), "log",
-                            self.layout.raw(theta, "rhs_eps"))
+        logp += self.rhs.logp_grad(acc, self.layout, theta, self.w.T @ dll,
+                                   cache)
         return logp, acc.grad
 
     def pointwise_loglik(self, theta: np.ndarray) -> np.ndarray:
@@ -535,7 +571,8 @@ class LongitudinalNbModel:
     Rows sharing (covariates, date, repeat, offset) share a linear
     predictor, so the likelihood and its gradient are evaluated on group
     sufficient statistics (size, count sum) plus a global count histogram,
-    which is exact and much faster than row-level evaluation.
+    which is exact and much faster than row-level evaluation. Row-level
+    quantities are gathered from the groups.
     """
 
     def __init__(self, spec: ModelSpec, data: DesignMatrix):
@@ -580,93 +617,77 @@ class LongitudinalNbModel:
                 spec.fatigue.gp_m, 1.5), HsgpConfig(kernel="se"))
             blocks += self.rho_gp.blocks()
         elif fk == "hill":
-            self.hill = _HillTerm(1, spec.fatigue.hill_priors_for(1))
+            self.hill = _HillTerm(spec.fatigue.hill_priors_for(1))
             blocks += self.hill.blocks()
         elif fk != "none":
             raise ValueError(f"unsupported fatigue kind {fk!r} for "
                              "the longitudinal model")
         blocks.append(Block("phi", 1, "log"))
         self.layout = Layout(blocks)
-        self._r_pos = self.repeat >= 1
-        self._r_clip = np.clip(self.repeat, 1, max(spec.fatigue.max_repeat, 1)) - 1
 
         key = np.column_stack([self.x, self.time_idx, self.repeat,
                                data.offsets])
-        _, first_idx, group_of = np.unique(key, axis=0, return_index=True,
-                                           return_inverse=True)
+        _, first_idx, self.group_of = np.unique(
+            key, axis=0, return_index=True, return_inverse=True)
         g = first_idx.size
         self.g_x = self.x[first_idx]
         self.g_time_idx = self.time_idx[first_idx]
         self.g_repeat = self.repeat[first_idx]
         self.g_offsets = data.offsets[first_idx]
-        self.g_n = np.bincount(group_of, minlength=g).astype(float)
-        self.g_sum_y = np.bincount(group_of, weights=self.y, minlength=g)
-        self._g_r_pos = self.g_repeat >= 1
-        self._g_r_clip = np.clip(self.g_repeat, 1,
-                                 max(spec.fatigue.max_repeat, 1)) - 1
+        self.g_n = np.bincount(self.group_of, minlength=g).astype(float)
+        self.g_sum_y = np.bincount(self.group_of, weights=self.y, minlength=g)
         self.y_hist_vals = self._ycache.unique
         self.y_hist_counts = np.bincount(
             self._ycache.inverse,
             minlength=self.y_hist_vals.size).astype(float)
 
-    def _fatigue_values(self, theta, groups: bool = False
-                        ) -> tuple[np.ndarray, dict]:
-        fk = self.spec.fatigue.kind
-        n = self.g_n.size if groups else self.n_obs
-        rep = self.g_repeat if groups else self.repeat
-        r_pos = self._g_r_pos if groups else self._r_pos
-        r_clip = self._g_r_clip if groups else self._r_clip
-        if fk == "none":
-            return np.zeros(n), {}
-        if fk in ("independent", "identical"):
-            rho = self.layout.raw(theta, "rho")
-            idx = r_clip if fk == "independent" else np.zeros(n, dtype=int)
-            return np.where(r_pos, rho[idx], 0.0), \
-                {"idx": idx, "r_pos": r_pos}
-        if fk == "gp":
-            f_grid, cache = self.rho_gp.values(self.layout, theta)
-            return np.where(r_pos, f_grid[r_clip], 0.0), \
-                {"cache": cache, "r_pos": r_pos, "r_clip": r_clip}
-        curve = self.hill.curves(self.layout, theta)[0]
-        value, grads = hill_grad(curve, rep)
-        return value, {"curve": curve, "grads": grads}
+    def _fatigue(self, theta, repeat: np.ndarray):
+        """rho(r) at repeat counts ``repeat`` plus a backprop cache.
 
-    def _eta(self, theta):
-        beta_raw = self.layout.raw(theta, "beta_raw")
-        sigma_b = float(np.exp(self.layout.raw(theta, "sigma_beta")[0]))
-        _positive(sigma_b)
-        f_time, tau_cache = self.tau.values(self.layout, theta)
-        rho_vals, rho_cache = self._fatigue_values(theta)
-        eta = (self.layout.raw(theta, "beta0")[0]
-               + self.x @ (sigma_b * beta_raw) + f_time[self.time_idx]
-               + rho_vals + self.data.offsets)
-        _check_finite_predictor(eta)
-        return eta, (beta_raw, sigma_b, f_time, tau_cache, rho_vals, rho_cache)
+        Tabulated kinds (independent, identical, gp) hold rho(1), rho(2),
+        ...; repeats beyond the table take its last value, and rho(0) = 0.
+        """
+        fk = self.spec.fatigue.kind
+        if fk == "none":
+            return np.zeros(repeat.size), None
+        if fk == "hill":
+            return self.hill.values(self.layout, theta, repeat)
+        if fk == "gp":
+            table, cache = self.rho_gp.values(self.layout, theta)
+        else:
+            table, cache = self.layout.raw(theta, "rho"), None
+        idx = np.clip(repeat, 1, table.size) - 1
+        r_pos = repeat >= 1
+        return np.where(r_pos, table[idx], 0.0), (table.size, idx, r_pos,
+                                                  cache)
 
     def _eta_groups(self, theta):
         beta_raw = self.layout.raw(theta, "beta_raw")
         sigma_b = float(np.exp(self.layout.raw(theta, "sigma_beta")[0]))
         _positive(sigma_b)
         f_time, tau_cache = self.tau.values(self.layout, theta)
-        rho_vals, rho_cache = self._fatigue_values(theta, groups=True)
+        rho_vals, rho_cache = self._fatigue(theta, self.g_repeat)
         eta = (self.layout.raw(theta, "beta0")[0]
                + self.g_x @ (sigma_b * beta_raw) + f_time[self.g_time_idx]
                + rho_vals + self.g_offsets)
         _check_finite_predictor(eta)
-        return eta, (beta_raw, sigma_b, f_time, tau_cache, rho_vals, rho_cache)
+        return eta, (beta_raw, sigma_b, tau_cache, rho_vals, rho_cache)
+
+    def _eta(self, theta) -> tuple[np.ndarray, np.ndarray]:
+        """Row-level predictor and fatigue term."""
+        eta, parts = self._eta_groups(theta)
+        return eta[self.group_of], parts[3][self.group_of]
 
     @_guarded
     def logp_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         acc = GradAccumulator(self.layout)
-        eta, (beta_raw, sigma_b, _f, tau_cache, _rho, rho_cache) = \
+        eta, (beta_raw, sigma_b, tau_cache, _rho, rho_cache) = \
             self._eta_groups(theta)
         phi = float(np.exp(self.layout.raw(theta, "phi")[0]))
         _positive(phi)
         logp, dll, dphi = nb2_group_loglik(self.g_n, self.g_sum_y, eta, phi,
                                            self.y_hist_vals,
                                            self.y_hist_counts)
-        if not np.isfinite(logp):
-            return -np.inf, np.zeros(self.layout.size)
 
         acc.add("beta0", dll.sum())
         xt_dll = self.g_x.T @ dll
@@ -677,35 +698,23 @@ class LongitudinalNbModel:
         self.tau.backprop(acc, g_time, tau_cache)
 
         fk = self.spec.fatigue.kind
-        if fk in ("independent", "identical"):
-            rho = self.layout.raw(theta, "rho")
-            r_pos = rho_cache["r_pos"]
-            g = np.bincount(rho_cache["idx"][r_pos],
-                            weights=dll[r_pos], minlength=rho.size)
-            acc.add("rho", g)
-            logp += _std_normal_logp(acc, "rho", rho)
-        elif fk == "gp":
-            r_pos = rho_cache["r_pos"]
-            g_grid = np.bincount(rho_cache["r_clip"][r_pos],
-                                 weights=dll[r_pos],
-                                 minlength=self.r_grid_scaled.size)
-            self.rho_gp.backprop(acc, g_grid, rho_cache["cache"])
-            logp += self.rho_gp.prior_logp(acc, self.layout, theta,
-                                           rho_cache["cache"])
-        elif fk == "hill":
-            curve = rho_cache["curve"]
-            grads = rho_cache["grads"]
-            acc.add("hill_gamma", float(dll @ grads["gamma"]) * curve.gamma)
-            acc.add("hill_zeta", float(dll @ grads["zeta"]))
-            acc.add("hill_eta", float(dll @ grads["eta"]) * curve.eta)
-            logp += self.hill.prior_logp(acc, self.layout, theta)
+        if fk == "hill":
+            logp += self.hill.logp_grad(acc, self.layout, theta, dll,
+                                        rho_cache)
+        elif fk != "none":
+            size, idx, r_pos, gp_cache = rho_cache
+            g_table = np.bincount(idx[r_pos], weights=dll[r_pos],
+                                  minlength=size)
+            if fk == "gp":
+                self.rho_gp.backprop(acc, g_table, gp_cache)
+                logp += self.rho_gp.prior_logp(acc, self.layout, theta,
+                                               gp_cache)
+            else:
+                acc.add("rho", g_table)
+                logp += _std_normal_logp(acc, "rho",
+                                         self.layout.raw(theta, "rho"))
 
-        # dispersion: 1/phi ~ Exponential(1); in u = log(phi) the density is
-        # exp(-e^-u) e^-u
-        u_phi = self.layout.raw(theta, "phi")[0]
-        acc.add("phi", dphi * phi + (np.exp(-u_phi) - 1.0))
-        logp += float(-np.exp(-u_phi) - u_phi)
-
+        logp += _dispersion_logp(acc, self.layout, theta, "phi", dphi)
         logp += _prior_logp(acc, "beta0", self.layout.raw(theta, "beta0"),
                             PriorSpec("normal", (self.spec.beta0_loc,
                                                  self.spec.beta0_scale)))
@@ -723,27 +732,13 @@ class LongitudinalNbModel:
 
     def fatigue_curve(self, theta, r_grid: np.ndarray) -> np.ndarray:
         """rho(r) on a grid of repeat counts for one draw."""
-        fk = self.spec.fatigue.kind
-        r_grid = np.asarray(r_grid, dtype=int)
-        if fk == "none":
-            return np.zeros(r_grid.size)
-        if fk in ("independent", "identical"):
-            rho = self.layout.raw(theta, "rho")
-            idx = (np.clip(r_grid, 1, rho.size) - 1 if fk == "independent"
-                   else np.zeros(r_grid.size, dtype=int))
-            return np.where(r_grid >= 1, rho[idx], 0.0)
-        if fk == "gp":
-            f_grid = self.rho_gp.values(self.layout, theta)[0]
-            idx = np.clip(r_grid, 1, f_grid.size) - 1
-            return np.where(r_grid >= 1, f_grid[idx], 0.0)
-        curve = self.hill.curves(self.layout, theta)[0]
-        return hill_grad(curve, r_grid)[0]
+        return self._fatigue(theta, np.asarray(r_grid, dtype=int))[0]
 
     def predict_log_intensity(self, theta, newdata=None, debias=False
                               ) -> np.ndarray:
         if newdata is None:
-            eta, parts = self._eta(theta)
-            return eta - self.data.offsets - (parts[4] if debias else 0.0)
+            eta, rho = self._eta(theta)
+            return eta - self.data.offsets - (rho if debias else 0.0)
         beta = (float(np.exp(self.layout.raw(theta, "sigma_beta")[0]))
                 * self.layout.raw(theta, "beta_raw"))
         f_time = self.tau.values_at(self.layout, theta,
@@ -751,8 +746,7 @@ class LongitudinalNbModel:
         eta = (self.layout.raw(theta, "beta0")[0] + newdata["x"] @ beta
                + f_time)
         if not debias:
-            eta = eta + self.fatigue_curve(
-                theta, np.asarray(newdata["repeat"], dtype=int))
+            eta = eta + self.fatigue_curve(theta, newdata["repeat"])
         return eta
 
     def replicate(self, theta, rng: np.random.Generator) -> np.ndarray:
@@ -802,20 +796,15 @@ class IndividualGamModel:
             q = self.w.shape[1]
             if q == 0:
                 raise ValueError("hill_per_covariate requires a w block")
-            self.hill = _HillTerm(q, spec.fatigue.hill_priors_for(q))
+            self.hill = _HillTerm(spec.fatigue.hill_priors_for(q))
             blocks += self.hill.blocks()
         blocks.append(Block("phi", 1, "log"))
         self.layout = Layout(blocks)
 
-    def _fatigue(self, theta) -> tuple[np.ndarray, list | None]:
+    def _fatigue(self, theta) -> tuple[np.ndarray, tuple | None]:
         if self.hill is None:
             return np.zeros(self.n_obs), None
-        curves = self.hill.curves(self.layout, theta)
-        per_q = [hill_grad(c, self.repeat) for c in curves]
-        total = np.zeros(self.n_obs)
-        for q, (value, _) in enumerate(per_q):
-            total += self.w[:, q] * value
-        return total, per_q
+        return self.hill.values(self.layout, theta, self.repeat, self.w)
 
     def _eta(self, theta):
         beta = self.layout.raw(theta, "beta")
@@ -842,23 +831,9 @@ class IndividualGamModel:
         self.f_age.backprop(acc, g_age, age_cache)
 
         if self.hill is not None:
-            curves = self.hill.curves(self.layout, theta)
-            gam_sl = self.layout.sl("hill_gamma")
-            zet_sl = self.layout.sl("hill_zeta")
-            eta_sl = self.layout.sl("hill_eta")
-            for q, (_, grads) in enumerate(hill_cache):
-                wq_dll = self.w[:, q] * dll
-                acc.grad[gam_sl][q] += float(wq_dll @ grads["gamma"]) \
-                    * curves[q].gamma
-                acc.grad[zet_sl][q] += float(wq_dll @ grads["zeta"])
-                acc.grad[eta_sl][q] += float(wq_dll @ grads["eta"]) \
-                    * curves[q].eta
-            logp += self.hill.prior_logp(acc, self.layout, theta)
-
-        u_phi = self.layout.raw(theta, "phi")[0]
-        acc.add("phi", dphi.sum() * phi + (np.exp(-u_phi) - 1.0))
-        logp += float(-np.exp(-u_phi) - u_phi)
-
+            logp += self.hill.logp_grad(acc, self.layout, theta, dll,
+                                        hill_cache)
+        logp += _dispersion_logp(acc, self.layout, theta, "phi", dphi.sum())
         logp += _prior_logp(acc, "beta0", self.layout.raw(theta, "beta0"),
                             PriorSpec("normal", (self.spec.beta0_loc,
                                                  self.spec.beta0_scale)))
@@ -890,11 +865,9 @@ class IndividualGamModel:
                                  np.asarray(newdata["age"], float))
         eta = self.layout.raw(theta, "beta0")[0] + newdata["u"] @ beta + f
         if not debias and self.hill is not None:
-            curves = self.hill.curves(self.layout, theta)
-            r = np.asarray(newdata["repeat"], dtype=int)
-            w = np.asarray(newdata["w"], dtype=float)
-            for q, c in enumerate(curves):
-                eta = eta + w[:, q] * hill_grad(c, r)[0]
+            eta = eta + self.hill.values(
+                self.layout, theta, np.asarray(newdata["repeat"], dtype=int),
+                np.asarray(newdata["w"], dtype=float))[0]
         return eta
 
     def replicate(self, theta, rng: np.random.Generator) -> np.ndarray:
@@ -1046,9 +1019,6 @@ class AggregatedBrcModel:
         for _, term, _ in self.surfaces:
             blocks += term.blocks()
         fk = spec.fatigue.kind
-        self.fa_term: _HsgpTerm | None = None
-        self.fc_term: _HsgpTerm | None = None
-        self.fac_term: _HsgpTerm | None = None
         r_max = max(data.max_repeat, 1)
         if fk != "none":
             blocks.append(Block("rho", r_max))
@@ -1060,25 +1030,29 @@ class AggregatedBrcModel:
                             minlength=ages_obs.size).astype(float)
         band_w = np.bincount(data.cell_band,
                              minlength=len(data.bands)).astype(float)
+        # smooths added to the log fatigue scale of the variants, each with
+        # the basis row of every cell
+        self.smooths: list[tuple[_HsgpTerm, np.ndarray]] = []
         if fk in ("variant_a", "variant_b"):
-            self.fa_term = _HsgpTerm("fa", kernels.build_hsgp_1d(
+            self.smooths.append((_HsgpTerm("fa", kernels.build_hsgp_1d(
                 KernelSpec("se", 1.0, 1.0), ages_obs / AGE_SD,
                 min(vcfg.m, max(4, ages_obs.size)), vcfg.c), vcfg,
-                input_sd=AGE_SD, center_weights=age_w)
-            blocks += self.fa_term.blocks()
+                input_sd=AGE_SD, center_weights=age_w), self.cell_age_idx))
         if fk == "variant_b":
-            self.fc_term = _HsgpTerm("fc", kernels.build_hsgp_1d(
+            self.smooths.append((_HsgpTerm("fc", kernels.build_hsgp_1d(
                 KernelSpec("se", 1.0, 1.0), mids / AGE_SD,
                 min(vcfg.m, mids.size), vcfg.c), vcfg,
-                input_sd=AGE_SD, center_weights=band_w)
-            blocks += self.fc_term.blocks()
+                input_sd=AGE_SD, center_weights=band_w), data.cell_band))
         if fk == "variant_c":
             basis = kernels.build_hsgp_2d(
                 data.cell_age.astype(float) / AGE_SD,
                 mids[data.cell_band] / AGE_SD, min(vcfg.m, 12), vcfg.c)
-            self.fac_term = _HsgpTerm("fac", basis, vcfg, input_sd=AGE_SD,
-                                      center_weights=np.ones(data.n_cells))
-            blocks += self.fac_term.blocks()
+            self.smooths.append((_HsgpTerm(
+                "fac", basis, vcfg, input_sd=AGE_SD,
+                center_weights=np.ones(data.n_cells)),
+                np.arange(data.n_cells)))
+        for term, _ in self.smooths:
+            blocks += term.blocks()
         blocks.append(Block("nu", 1, "log"))
         self.layout = Layout(blocks)
         self._cell_r_pos = data.cell_repeat >= 1
@@ -1096,28 +1070,17 @@ class AggregatedBrcModel:
         n_cells = self.data.n_cells
         if fk == "none":
             return np.zeros(n_cells), {}
-        rho = self.layout.raw(theta, "rho")
-        base = rho[self._cell_r_idx]
-        cache: dict = {}
+        s = self.layout.raw(theta, "rho")[self._cell_r_idx]
         if fk == "independent":
-            term = np.where(self._cell_r_pos, base, 0.0)
-            return term, cache
-        s = base.copy()
-        if self.fa_term is not None:
-            fa_vals, fa_cache = self.fa_term.values(self.layout, theta)
-            s = s + fa_vals[self.cell_age_idx]
-            cache["fa"] = fa_cache
-        if self.fc_term is not None:
-            fc_vals, fc_cache = self.fc_term.values(self.layout, theta)
-            s = s + fc_vals[self.data.cell_band]
-            cache["fc"] = fc_cache
-        if self.fac_term is not None:
-            fac_vals, fac_cache = self.fac_term.values(self.layout, theta)
-            s = s + fac_vals
-            cache["fac"] = fac_cache
+            return np.where(self._cell_r_pos, s, 0.0), {}
+        caches = []
+        for term, rows in self.smooths:
+            vals, cache = term.values(self.layout, theta)
+            s = s + vals[rows]
+            caches.append(cache)
         term = np.where(self._cell_r_pos, -np.exp(s), 0.0)
-        cache["dterm_ds"] = term  # d(-exp(s))/ds = -exp(s)
-        return term, cache
+        # d(-exp(s))/ds = -exp(s)
+        return term, {"smooths": caches, "dterm_ds": term}
 
     def _surface_rows(self, theta):
         f_rows = np.zeros(self.data.row_cell.size)
@@ -1175,30 +1138,15 @@ class AggregatedBrcModel:
                                        weights=d_s[self._cell_r_pos],
                                        minlength=rho.size))
             logp += _std_normal_logp(acc, "rho", rho)
-            if self.fa_term is not None:
-                g_ages = np.bincount(self.cell_age_idx[self._cell_r_pos],
+            for (term, rows), cache in zip(self.smooths,
+                                           fat_cache.get("smooths", ())):
+                g_rows = np.bincount(rows[self._cell_r_pos],
                                      weights=d_s[self._cell_r_pos],
-                                     minlength=self.fa_term.basis.phi.shape[0])
-                self.fa_term.backprop(acc, g_ages, fat_cache["fa"])
-                logp += self.fa_term.prior_logp(acc, self.layout, theta,
-                                                fat_cache["fa"])
-            if self.fc_term is not None:
-                g_bands = np.bincount(self.data.cell_band[self._cell_r_pos],
-                                      weights=d_s[self._cell_r_pos],
-                                      minlength=len(self.data.bands))
-                self.fc_term.backprop(acc, g_bands, fat_cache["fc"])
-                logp += self.fc_term.prior_logp(acc, self.layout, theta,
-                                                fat_cache["fc"])
-            if self.fac_term is not None:
-                self.fac_term.backprop(acc, np.where(self._cell_r_pos, d_s,
-                                                     0.0), fat_cache["fac"])
-                logp += self.fac_term.prior_logp(acc, self.layout, theta,
-                                                 fat_cache["fac"])
+                                     minlength=term.phi.shape[0])
+                term.backprop(acc, g_rows, cache)
+                logp += term.prior_logp(acc, self.layout, theta, cache)
 
-        acc.add("nu", d_nu * nu + (np.exp(-self.layout.raw(theta, "nu")[0])
-                                   - 1.0))
-        logp += float(-np.exp(-self.layout.raw(theta, "nu")[0])
-                      - self.layout.raw(theta, "nu")[0])
+        logp += _dispersion_logp(acc, self.layout, theta, "nu", d_nu)
         logp += _prior_logp(acc, "beta0", self.layout.raw(theta, "beta0"),
                             PriorSpec("normal", (self.spec.beta0_loc,
                                                  self.spec.beta0_scale)))
@@ -1262,20 +1210,6 @@ def build_model(spec: ModelSpec, data) -> Model:
     if spec.family == "individual_gam":
         return IndividualGamModel(spec, data)
     return AggregatedBrcModel(spec, data)
-
-
-def fatigue_variant_term(spec: FatigueSpec, r: int, rho_r: float,
-                         f_age: float = 0.0, f_band: float = 0.0) -> float:
-    """Scalar fatigue contribution for one (repeat, age, band) combination.
-
-    Original form returns rho_r itself; variants return -exp(rho_r + smooth
-    terms), which is strictly negative for r >= 1 and zero at r = 0.
-    """
-    if r == 0:
-        return 0.0
-    if spec.kind in ("independent", "identical", "none"):
-        return rho_r
-    return float(-np.exp(rho_r + f_age + f_band))
 
 
 def predict_intensity(model: Model, draws: np.ndarray, newdata=None,

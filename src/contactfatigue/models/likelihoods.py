@@ -154,23 +154,6 @@ def nb1_agg_loglik(y_cell: np.ndarray, mu_rows: np.ndarray,
     return ll, d_mu_rows, float(d_nu_cells.sum())
 
 
-def nb_logpmf(y, mu, dispersion: float, kind: str
-              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Log pmf with gradients w.r.t. (mu, dispersion) for NB1 or NB2."""
-    y = np.asarray(y, dtype=float)
-    mu = np.asarray(mu, dtype=float)
-    if np.any(y < 0):
-        raise ValueError("counts must be non-negative")
-    if np.any(mu <= 0) or dispersion <= 0:
-        raise ValueError("mu and dispersion must be positive")
-    if kind == "nb2":
-        ll, d_logmu, d_phi = nb2_loglik(y, np.log(mu), dispersion)
-        return ll, d_logmu / mu, d_phi
-    if kind == "nb1":
-        return nb1_loglik(y, mu, dispersion)
-    raise ValueError(f"unknown negative-binomial kind {kind!r}")
-
-
 def nb2_rvs(rng: np.random.Generator, mu: np.ndarray, phi: float
             ) -> np.ndarray:
     """Draw NB2 counts (gamma-Poisson mixture)."""

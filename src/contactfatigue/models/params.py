@@ -77,20 +77,6 @@ class Layout:
         return names
 
 
-@dataclass
-class ParamVector:
-    """A point in parameter space tied to its layout."""
-
-    layout: Layout
-    theta: np.ndarray    # unconstrained
-
-    def constrained(self) -> dict[str, np.ndarray]:
-        return self.layout.constrained(self.theta)
-
-    def get(self, name: str) -> np.ndarray:
-        return self.constrained()[name]
-
-
 class GradAccumulator:
     """Mutable gradient buffer with named-slice addition."""
 

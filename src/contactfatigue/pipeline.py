@@ -51,10 +51,9 @@ class PopulationEstimate:
             raise ValueError("interval must bracket the point estimate")
 
 
-def _propagated_spec(base: ModelSpec, means: dict[str, np.ndarray],
-                     propagate: str = "mean") -> ModelSpec:
+def _propagated_spec(base: ModelSpec, means: dict[str, np.ndarray]
+                     ) -> ModelSpec:
     """Informative priors centered at the previous wave's posterior."""
-    del propagate
     beta_loc = tuple(float(v) for v in means["beta"])
     n_q = means["hill_gamma"].size
     hill_priors = tuple(
@@ -102,7 +101,7 @@ def fit_sequence(waves: list[list[SurveyRecord]], feature_spec: FeatureSpec,
         fits.append(fit)
         center = (fit.posterior_means if propagate == "mean"
                   else fit.posterior_medians)
-        current = _propagated_spec(spec, center, propagate)
+        current = _propagated_spec(spec, center)
     return fits
 
 

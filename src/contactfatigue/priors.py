@@ -237,19 +237,3 @@ def rhs_log_prior(spec: RhsSpec, z: np.ndarray, zeta: np.ndarray,
     logp = float(lp_z.sum() + lp_zeta.sum() + lp_c2 + lp_eps)
     grads = {"z": g_z, "zeta": g_zeta, "c2": float(g_c2), "eps": float(g_eps)}
     return logp, grads
-
-
-def half_rhs_neg(spec: RhsSpec, z: np.ndarray, zeta: np.ndarray,
-                 c2: float, eps: float
-                 ) -> tuple[np.ndarray, float, dict[str, np.ndarray]]:
-    """Negatively-truncated RHS: coefficients, joint log prior, gradients.
-
-    The conditional variance of each coefficient equals eps^2 zeta_tilde^2,
-    matching the unconstrained prior, because the half-normal latent is
-    scaled by sqrt((1 - 2/pi)^-1).
-    """
-    if spec.sign != "negative":
-        raise ValueError("half_rhs_neg requires sign='negative'")
-    gamma, partials = rhs_coefficients(spec, z, zeta, c2, eps)
-    logp, grads = rhs_log_prior(spec, z, zeta, c2, eps)
-    return gamma, logp, {"coef": partials, "prior": grads}

@@ -126,11 +126,7 @@ def replace_offsets(design: DesignMatrix, offsets: np.ndarray) -> DesignMatrix:
     offsets = np.asarray(offsets, dtype=float)
     if offsets.shape != (design.n,):
         raise ValueError("offset length must match the design")
-    return dataclass_replace(design, offsets=offsets)
-
-
-def dataclass_replace(design: DesignMatrix, **kwargs) -> DesignMatrix:
-    return replace(design, **kwargs)
+    return replace(design, offsets=offsets)
 
 
 def subset_v_block(design: DesignMatrix, keep: tuple[str, ...]
@@ -151,20 +147,6 @@ def subset_v_block(design: DesignMatrix, keep: tuple[str, ...]
         column_names=tuple(design.column_names[c] for c in cols),
         blocks={"u": slice(0, n_u), "v": slice(n_u, n_u + n_v),
                 "w": slice(n_u + n_v, n_u + n_v + n_w)})
-
-
-def union_across_waves(results: list[SelectionResult]) -> tuple[str, ...]:
-    """Union of selected feature sets over per-wave runs."""
-    if not results:
-        return ()
-    universe = results[0].feature_names
-    for res in results[1:]:
-        if res.feature_names != universe:
-            raise ValueError("selection results must share a feature universe")
-    chosen: set[str] = set()
-    for res in results:
-        chosen.update(res.selected_features())
-    return tuple(n for n in universe if n in chosen)
 
 
 def two_stage_select(design_first: DesignMatrix, design_repeat: DesignMatrix,

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import stats
 
 from contactfatigue.domain import (FeatureBlock, FeatureSpec,
                                    PopulationTable, SurveyRecord,
                                    build_design, default_coarse_bands)
 from contactfatigue.models import (FatigueSpec, HillCurve, ModelSpec,
-                                   build_model, fatigue_variant_term,
-                                   hill, hill_grad, make_brc_data,
+                                   build_model, hill, hill_grad,
+                                   make_brc_data,
                                    predict_intensity)
 from contactfatigue.models.assemble import brc_surface_config
 from contactfatigue.models.params import Block, Layout
@@ -217,13 +218,6 @@ class TestLogPosteriorContracts:
 
 
 class TestFatigueVariants:
-    def test_variant_scalar_contract(self):
-        spec = FatigueSpec(kind="variant_a", max_repeat=2)
-        assert fatigue_variant_term(spec, 1, rho_r=0.0) == pytest.approx(-1.0)
-        assert fatigue_variant_term(spec, 0, rho_r=2.0) == 0.0
-        assert fatigue_variant_term(FatigueSpec(kind="independent",
-                                                max_repeat=2), 1, -0.3) == -0.3
-
     def test_band_midpoint_lookup(self):
         bands = default_coarse_bands()
         k = bands.index_of_age(29)
@@ -239,6 +233,68 @@ class TestFatigueVariants:
             r = model.data.cell_repeat
             assert np.all(term[r >= 1] < 0.0)
             assert np.all(term[r == 0] == 0.0)
+
+
+def _every_family_and_fatigue_kind():
+    design = build_design(make_records(), SMALL_FEATURES)
+    repeaters = dataclasses.replace(
+        build_design(make_records(30, seed=2, min_repeat=1), SMALL_FEATURES),
+        offsets=np.full(30, 1.1))
+    models = {
+        "stage1-rhs": build_model(ModelSpec(
+            family="stage1_poisson", beta0_scale=100.0,
+            rhs=RhsSpec(n_coef=2, p0=1.0, n_obs=design.n)), design),
+        "stage1-plain": build_model(ModelSpec(
+            family="stage1_poisson", beta0_scale=100.0), design),
+        "stage2-rhs": build_model(ModelSpec(
+            family="stage2_poisson",
+            rhs=RhsSpec(n_coef=3, p0=1.5, n_obs=30, sign="negative")),
+            repeaters),
+    }
+    for kind, kw in [("none", {}), ("independent", {"max_repeat": 3}),
+                     ("identical", {}), ("gp", {"max_repeat": 3}),
+                     ("hill", {})]:
+        models[f"longitudinal-{kind}"] = build_model(ModelSpec(
+            family="longitudinal_nb", fatigue=FatigueSpec(kind=kind, **kw)),
+            design)
+    for kind in ("none", "hill_per_covariate"):
+        models[f"gam-{kind}"] = build_model(ModelSpec(
+            family="individual_gam", fatigue=FatigueSpec(kind=kind)), design)
+    for kind in ("none", "independent", "variant_a", "variant_b",
+                 "variant_c"):
+        models[f"brc-{kind}"] = _brc_model(kind)[0]
+    return models
+
+
+MODELS = _every_family_and_fatigue_kind()
+
+
+class TestLogpGradIsTotal:
+    """For any finite theta, logp_grad returns a finite value or -inf with
+    a finite gradient, and never raises."""
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_finite_or_rejected(self, name, data):
+        model = MODELS[name]
+        theta = data.draw(arrays(np.float64, model.layout.size,
+                                 elements=st.floats(-50.0, 50.0)))
+        logp, grad = model.logp_grad(theta)
+        assert np.isfinite(logp) or logp == -np.inf
+        assert grad.shape == (model.layout.size,)
+        assert np.all(np.isfinite(grad))
+
+    @pytest.mark.parametrize("name,block", [
+        ("gam-hill_per_covariate", "age_ell"), ("longitudinal-hill", "tau_ell")])
+    def test_kernel_overflow_is_a_rejected_state(self, name, block):
+        # a lengthscale of e^400 overflows ell**2 in Python floats
+        model = MODELS[name]
+        theta = np.zeros(model.layout.size)
+        theta[model.layout.sl(block)] = 400.0
+        logp, grad = model.logp_grad(theta)
+        assert logp == -np.inf
+        np.testing.assert_array_equal(grad, 0.0)
 
 
 class TestFlowIdentity:

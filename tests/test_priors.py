@@ -3,7 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from contactfatigue.priors import (HALF_NORMAL_VAR_ADJUST, PriorSpec,
-                                   RhsSpec, half_rhs_neg, log_prior,
+                                   RhsSpec, log_prior,
                                    regularized_scale, rhs_coefficients,
                                    rhs_log_prior)
 
@@ -195,8 +195,8 @@ class TestHalfRhsNeg:
         rng = np.random.default_rng(1)
         for _ in range(50):
             z = np.abs(rng.standard_normal(4))
-            gamma, _, _ = half_rhs_neg(spec, z, rng.uniform(0.2, 2, 4),
-                                       1.5, 0.3)
+            gamma, _ = rhs_coefficients(spec, z, rng.uniform(0.2, 2, 4),
+                                        1.5, 0.3)
             assert np.all(gamma <= 0.0)
 
     def test_mean_shrinks_with_global_scale(self):
@@ -210,8 +210,3 @@ class TestHalfRhsNeg:
             means.append(abs(float(gamma[0])))
         assert means[0] > means[1] > means[2]
         assert means[2] < 1e-2
-
-    def test_wrong_sign_rejected(self):
-        spec = RhsSpec(n_coef=2, p0=1.0, n_obs=10)
-        with pytest.raises(ValueError):
-            half_rhs_neg(spec, np.ones(2), np.ones(2), 1.0, 0.1)
