@@ -15,15 +15,14 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import replace
 
 import numpy as np
 
 from .domain import (DataError, CsvSchema, FeatureBlock, FeatureSpec,
-                     load_survey_csv)
+                     build_design, load_survey_csv)
 from .evaluation import interval_coverage, mape
-from .inference import SamplerConfig, sample_model, summarize
-from .models import FatigueSpec, HillPriors, ModelSpec, build_model
+from .inference import SamplerConfig, summarize
+from .models import FatigueSpec, ModelSpec
 from .pipeline import (bootstrap_mean, cell_weights, fit_independent,
                        fit_sequence, fit_wave, incremental_inclusion_study,
                        poststratified_mean)
@@ -298,16 +297,22 @@ def cmd_fit(args, values: dict) -> int:
     return EXIT_OK
 
 
+def selection_groups(records, wave: int | None = None):
+    """First-timers and repeaters of ``wave``; by default of the first wave
+    that has both (a panel's first wave holds first-timers only)."""
+    for t in [wave] if wave else sorted({r.wave for r in records}):
+        first = [r for r in records if r.wave == t and r.repeat == 0]
+        repeat = [r for r in records if r.wave == t and r.repeat >= 1]
+        if first and repeat:
+            return first, repeat
+    raise DataError(f"wave {wave} lacks first-timers or repeaters" if wave
+                    else "no wave has both first-timers and repeaters")
+
+
 def cmd_select(args, values: dict) -> int:
     records = _load_records(args.data, values["seed"])
-    wave = args.wave or min(r.wave for r in records)
-    in_wave = [r for r in records if r.wave == wave]
-    first = [r for r in in_wave if r.repeat == 0]
-    repeat = [r for r in in_wave if r.repeat >= 1]
-    if not first or not repeat:
-        raise DataError(f"wave {wave} lacks first-timers or repeaters")
+    first, repeat = selection_groups(records, args.wave)
     fs = scenario_feature_spec()
-    from .domain import build_design
     design_first = build_design(first, fs)
     design_repeat = build_design(repeat, fs)
     cfg = sampler_config(values)

@@ -21,26 +21,29 @@ Families:
 * ``aggregated_brc``  -- coarse-band NB1 counts tied to a latent single-year
   contact surface through rate consistency; the surface is a symmetrized 2D
   GP so that population flows balance exactly.
+
+Every parameter block declares its natural-scale prior (``Block.prior``).
+When a model is built its layout's priors are grouped into one table, and
+each ``logp_grad`` ends with a single pass over that table, which adds the
+log-scale Jacobians too; the model code itself holds likelihood and
+backprop only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .. import kernels
 from ..domain import AGE_MAX, CoarseBandSet, DesignMatrix, PopulationTable
 from ..kernels import HsgpBasis, KernelSpec
-from ..priors import (PriorSpec, RhsSpec, log_prior, rhs_coefficients,
-                      rhs_log_prior)
+from ..priors import PriorSpec, RhsSpec, log_prior, rhs_coefficients
 from .fatigue import FatigueSpec, HillPriors, hill_grad, HillCurve, no_fatigue
 from .likelihoods import (CountCache, nb1_agg_loglik, nb1_rvs,
                           nb2_group_loglik, nb2_loglik, nb2_rvs,
                           poisson_loglik)
 from .params import Block, GradAccumulator, Layout
-
-LOG_2PI = np.log(2.0 * np.pi)
 
 
 class _RejectState(Exception):
@@ -99,9 +102,7 @@ def brc_surface_config(m: int = 40) -> HsgpConfig:
 
 
 def variant_gp_config(m: int = 20) -> HsgpConfig:
-    return HsgpConfig(kernel="se", m=m,
-                      magnitude_prior=PriorSpec("cauchy_pos", (1.0,)),
-                      lengthscale_prior=PriorSpec("invgamma", (5.0, 5.0)))
+    return replace(brc_surface_config(m), kernel="se")
 
 
 @dataclass(frozen=True)
@@ -136,36 +137,62 @@ class ModelSpec:
 # Shared assembly helpers
 # ---------------------------------------------------------------------------
 
-def _prior_logp(acc: GradAccumulator, name: str, value: np.ndarray,
-                prior: PriorSpec, transform: str = "identity",
-                raw: np.ndarray | None = None) -> float:
-    """Accumulate a prior's gradient for one block; return its log density.
+STD_NORMAL = PriorSpec("normal", (0.0, 1.0))
+HALF_CAUCHY = PriorSpec("cauchy_pos", (1.0,))
+#: 1/value ~ Exponential(1) for the NB dispersions; in u = log(value) the
+#: density with its Jacobian is exp(-u - e^-u)
+DISPERSION_PRIOR = PriorSpec("invgamma", (1.0, 1.0))
 
-    For log-transformed blocks the change-of-variables Jacobian is included
-    and the gradient is taken w.r.t. the unconstrained value.
+
+def _intercept(spec: ModelSpec) -> Block:
+    return Block("beta0", 1,
+                 prior=PriorSpec("normal", (spec.beta0_loc, spec.beta0_scale)))
+
+
+class _PriorPass:
+    """Every block prior of a layout, evaluated in one pass.
+
+    Blocks are grouped by (prior family, transform); a group holds the flat
+    indices of its elements and its prior with the parameters broadcast to
+    them, so one ``log_prior`` call covers the group. Log-scale elements
+    take the prior at value = exp(raw) plus the change-of-variables
+    Jacobian: ``raw`` in the log density, ``g * value + 1`` in the gradient
+    with respect to raw.
     """
-    lp, g = log_prior(prior, value)
-    if transform == "log":
-        acc.add(name, g * value + 1.0)
-        return float(np.sum(lp) + np.sum(raw))
-    acc.add(name, g)
-    return float(np.sum(lp))
 
+    def __init__(self, layout: Layout):
+        members: dict[tuple[str, str], list[Block]] = {}
+        for b in layout.blocks:
+            if b.prior is None:
+                raise ValueError(f"block {b.name!r} declares no prior")
+            members.setdefault((b.prior.family, b.transform), []).append(b)
+        flat = np.arange(layout.size)
+        self.groups = []
+        for (family, transform), blocks in members.items():
+            idx = np.concatenate([flat[layout.sl(b.name)] for b in blocks])
+            params = tuple(
+                np.concatenate([np.broadcast_to(np.asarray(p, dtype=float),
+                                                b.size)
+                                for p, b in zip(column, blocks)])
+                for column in zip(*(b.prior.params for b in blocks)))
+            self.groups.append((idx, PriorSpec(family, params),
+                                transform == "log"))
 
-def _std_normal_logp(acc: GradAccumulator, name: str, value: np.ndarray
-                     ) -> float:
-    acc.add(name, -value)
-    return float(-0.5 * np.sum(value**2) - 0.5 * value.size * LOG_2PI)
-
-
-def _dispersion_logp(acc: GradAccumulator, layout: Layout, theta: np.ndarray,
-                     name: str, d_value: float) -> float:
-    """Likelihood gradient ``d_value`` of a log-scale dispersion block plus
-    its prior 1/value ~ Exponential(1); in u = log(value) the prior density
-    is exp(-e^-u) e^-u."""
-    u = layout.raw(theta, name)[0]
-    acc.add(name, d_value * np.exp(u) + (np.exp(-u) - 1.0))
-    return float(-np.exp(-u) - u)
+    def __call__(self, theta: np.ndarray, grad: np.ndarray) -> float:
+        """Add the priors' gradients into ``grad``; return their log
+        density. Non-finite results are left to ``_guarded``."""
+        logp = 0.0
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            for idx, prior, on_log_scale in self.groups:
+                raw = theta[idx]
+                value = np.exp(raw) if on_log_scale else raw
+                lp, g = log_prior(prior, value)
+                if on_log_scale:
+                    lp = lp + raw
+                    g = g * value + 1.0
+                grad[idx] += g
+                logp += float(np.sum(lp))
+        return logp
 
 
 class _RhsTerm:
@@ -185,9 +212,13 @@ class _RhsTerm:
 
     def blocks(self) -> list[Block]:
         k = self.spec.n_coef
-        return [Block(self.z_name, k, "log" if self.negative else "identity"),
-                Block(self.zeta_name, k, "log"),
-                Block("rhs_c2", 1, "log"), Block("rhs_eps", 1, "log")]
+        z = (Block(self.z_name, k, "log", PriorSpec("halfnormal_pos",
+                                                    (0.0, 1.0)))
+             if self.negative else Block(self.z_name, k, prior=STD_NORMAL))
+        return [z, Block(self.zeta_name, k, "log",
+                         self.spec.zeta_prior_spec()),
+                Block("rhs_c2", 1, "log", self.spec.c2_prior_spec()),
+                Block("rhs_eps", 1, "log", self.spec.eps_prior_spec())]
 
     def coefficients(self, layout: Layout, theta: np.ndarray):
         """Coefficients plus the backprop cache."""
@@ -202,25 +233,16 @@ class _RhsTerm:
         beta, partials = rhs_coefficients(self.spec, z, zeta, c2, eps)
         return beta, (z, zeta, c2, eps, partials)
 
-    def logp_grad(self, acc: GradAccumulator, layout: Layout,
-                  theta: np.ndarray, g_beta: np.ndarray, cache) -> float:
-        """Push d(logp)/d(coefficients) into the blocks; add the prior with
-        the log-scale Jacobians."""
+    def backprop(self, acc: GradAccumulator, g_beta: np.ndarray,
+                 cache) -> None:
+        """Push d(logp)/d(coefficients) into the blocks, on the log scale
+        where a block is."""
         z, zeta, c2, eps, partials = cache
-        lp, g = rhs_log_prior(self.spec, z, zeta, c2, eps)
-        d_z = g_beta * partials["z"] + g["z"]
-        on_log_scale = [
-            (self.zeta_name, zeta, g_beta * partials["zeta"] + g["zeta"]),
-            ("rhs_c2", c2, float(g_beta @ partials["c2"]) + g["c2"]),
-            ("rhs_eps", eps, float(g_beta @ partials["eps"]) + g["eps"])]
-        if self.negative:
-            on_log_scale.append((self.z_name, z, d_z))
-        else:
-            acc.add(self.z_name, d_z)
-        for name, value, d in on_log_scale:
-            acc.add(name, d * value + 1.0)
-            lp += float(np.sum(layout.raw(theta, name)))
-        return lp
+        d_z = g_beta * partials["z"]
+        acc.add(self.z_name, d_z * z if self.negative else d_z)
+        acc.add(self.zeta_name, g_beta * partials["zeta"] * zeta)
+        acc.add("rhs_c2", float(g_beta @ partials["c2"]) * c2)
+        acc.add("rhs_eps", float(g_beta @ partials["eps"]) * eps)
 
 
 class _HsgpTerm:
@@ -235,7 +257,6 @@ class _HsgpTerm:
     def __init__(self, name: str, basis: HsgpBasis, config: HsgpConfig,
                  input_sd: float = 1.0,
                  center_weights: np.ndarray | None = None):
-        self.name = name
         self.basis = basis
         self.config = config
         self.input_sd = float(input_sd)
@@ -246,24 +267,36 @@ class _HsgpTerm:
         else:
             self.col_means = None
             self.phi = basis.phi
-        self.n_hyper = 2 * basis.dim
         hyper_names = (["sigma", "ell"] if basis.dim == 1
                        else ["sigma1", "ell1", "sigma2", "ell2"])
         self.block_names = [f"{name}_w"] + [f"{name}_{h}" for h in hyper_names]
 
+    @classmethod
+    def on_axis(cls, name: str, inputs: np.ndarray, config: HsgpConfig,
+                m: int, input_sd: float = 1.0,
+                center_weights: np.ndarray | None = None) -> _HsgpTerm:
+        """A 1D term on the basis of ``inputs / input_sd``."""
+        basis = kernels.build_hsgp_1d(KernelSpec(config.kernel, 1.0, 1.0),
+                                      inputs / input_sd, m, config.c)
+        return cls(name, basis, config, input_sd, center_weights)
+
     def blocks(self) -> list[Block]:
-        out = [Block(self.block_names[0], self.basis.n_basis)]
-        out += [Block(nm, 1, "log") for nm in self.block_names[1:]]
+        hyper_priors = [self.config.magnitude_prior,
+                        self.config.lengthscale_prior] * self.basis.dim
+        out = [Block(self.block_names[0], self.basis.n_basis,
+                     prior=STD_NORMAL)]
+        out += [Block(nm, 1, "log", prior)
+                for nm, prior in zip(self.block_names[1:], hyper_priors)]
         return out
 
     def _specs(self, layout: Layout, theta: np.ndarray):
+        """Kernel spec (one per axis in 2D) and the positive hypers."""
         hypers = [float(np.exp(layout.raw(theta, nm)[0]))
                   for nm in self.block_names[1:]]
         _positive(*hypers)
-        if self.basis.dim == 1:
-            return (KernelSpec(self.config.kernel, hypers[0], hypers[1]),), hypers
-        return (KernelSpec(self.config.kernel, hypers[0], hypers[1]),
-                KernelSpec(self.config.kernel, hypers[2], hypers[3])), hypers
+        specs = tuple(KernelSpec(self.config.kernel, hypers[i], hypers[i + 1])
+                      for i in range(0, len(hypers), 2))
+        return (specs[0] if self.basis.dim == 1 else specs), hypers
 
     def values(self, layout: Layout, theta: np.ndarray
                ) -> tuple[np.ndarray, dict]:
@@ -271,14 +304,12 @@ class _HsgpTerm:
         specs, hypers = self._specs(layout, theta)
         w = layout.raw(theta, self.block_names[0])
         with np.errstate(over="ignore", invalid="ignore"):
-            s, ds = self.basis.spectral_weights_grad(
-                specs[0] if self.basis.dim == 1 else specs)
+            s, ds = self.basis.spectral_weights_grad(specs)
             sqrt_s = np.sqrt(s)
             f = self.phi @ (sqrt_s * w)
         if not (np.all(np.isfinite(s)) and np.all(np.isfinite(f))):
             raise _RejectState
-        return f, {"w": w, "s": s, "sqrt_s": sqrt_s, "ds": ds,
-                   "hypers": hypers, "specs": specs}
+        return f, {"w": w, "sqrt_s": sqrt_s, "ds": ds, "hypers": hypers}
 
     def backprop(self, acc: GradAccumulator, g_inputs: np.ndarray,
                  cache: dict) -> None:
@@ -293,24 +324,11 @@ class _HsgpTerm:
             nat = float(phi_t_g @ (d_sqrt * cache["w"]))
             acc.add(nm, nat * cache["hypers"][i])
 
-    def prior_logp(self, acc: GradAccumulator, layout: Layout,
-                   theta: np.ndarray, cache: dict) -> float:
-        lp = _std_normal_logp(acc, self.block_names[0], cache["w"])
-        priors = [self.config.magnitude_prior, self.config.lengthscale_prior]
-        if self.basis.dim == 2:
-            priors = priors * 2
-        for nm, prior, value in zip(self.block_names[1:], priors,
-                                    cache["hypers"]):
-            lp += _prior_logp(acc, nm, np.array([value]), prior, "log",
-                              layout.raw(theta, nm))
-        return lp
-
     def values_at(self, layout: Layout, theta: np.ndarray, a, b=None
                   ) -> np.ndarray:
         specs, _ = self._specs(layout, theta)
         w = layout.raw(theta, self.block_names[0])
-        s = self.basis.spectral_weights(
-            specs[0] if self.basis.dim == 1 else specs)
+        s = self.basis.spectral_weights(specs)
         a = np.asarray(a, dtype=float) / self.input_sd
         b = None if b is None else np.asarray(b, dtype=float) / self.input_sd
         phi = kernels.basis_at(self.basis, a, b)
@@ -327,13 +345,25 @@ class _HillTerm:
     """
 
     def __init__(self, priors: tuple[HillPriors, ...]):
+        if len({pr.eta_kind for pr in priors}) > 1:
+            raise ValueError("Hill curves must share one eta prior kind")
         self.q = len(priors)
         self.priors = priors
 
     def blocks(self) -> list[Block]:
-        return [Block("hill_gamma", self.q, "log"),
-                Block("hill_zeta", self.q),
-                Block("hill_eta", self.q, "log")]
+        def per_curve(family: str, *attrs: str) -> PriorSpec:
+            return PriorSpec(family, tuple(
+                np.array([getattr(pr, a) for pr in self.priors])
+                for a in attrs))
+
+        eta = (per_curve("exponential", "eta_loc")
+               if self.priors[0].eta_kind == "exponential"
+               else per_curve("halfnormal_pos", "eta_loc", "eta_scale"))
+        return [Block("hill_gamma", self.q, "log", per_curve(
+                    "halfnormal_pos", "gamma_loc", "gamma_scale")),
+                Block("hill_zeta", self.q,
+                      prior=per_curve("normal", "zeta_loc", "zeta_scale")),
+                Block("hill_eta", self.q, "log", eta)]
 
     def values(self, layout: Layout, theta: np.ndarray, repeat,
                weights: np.ndarray | None = None) -> tuple[np.ndarray, tuple]:
@@ -351,37 +381,20 @@ class _HillTerm:
             total += weights[:, q] * value
         return total, (per_q, weights)
 
-    def logp_grad(self, acc: GradAccumulator, layout: Layout,
-                  theta: np.ndarray, d_term: np.ndarray, cache) -> float:
-        """Push d(logp)/d(term) into the curve parameters; add the priors
-        with the log-scale Jacobians of gamma and eta."""
+    def backprop(self, acc: GradAccumulator, d_term: np.ndarray,
+                 cache) -> None:
+        """Push d(logp)/d(term) into the curve parameters, on the log scale
+        for gamma and eta."""
         per_q, weights = cache
-        gam_sl = layout.sl("hill_gamma")
-        zet_sl = layout.sl("hill_zeta")
-        eta_sl = layout.sl("hill_eta")
-        raw_gam = layout.raw(theta, "hill_gamma")
-        raw_eta = layout.raw(theta, "hill_eta")
-        lp = 0.0
-        for q, ((curve, _, grads), pr) in enumerate(zip(per_q, self.priors)):
+        rows = []
+        for q, (curve, _, grads) in enumerate(per_q):
             d = d_term if weights is None else weights[:, q] * d_term
-            lp_g, g_g = log_prior(
-                PriorSpec("halfnormal_pos", (pr.gamma_loc, pr.gamma_scale)),
-                curve.gamma)
-            lp_z, g_z = log_prior(
-                PriorSpec("normal", (pr.zeta_loc, pr.zeta_scale)), curve.zeta)
-            if pr.eta_kind == "exponential":
-                eta_prior = PriorSpec("exponential", (pr.eta_loc,))
-            else:
-                eta_prior = PriorSpec("halfnormal_pos",
-                                      (pr.eta_loc, pr.eta_scale))
-            lp_e, g_e = log_prior(eta_prior, curve.eta)
-            lp += float(lp_g + lp_z + lp_e + raw_gam[q] + raw_eta[q])
-            acc.grad[gam_sl][q] += (float(d @ grads["gamma"]) * curve.gamma
-                                    + (float(g_g) * curve.gamma + 1.0))
-            acc.grad[zet_sl][q] += float(d @ grads["zeta"]) + float(g_z)
-            acc.grad[eta_sl][q] += (float(d @ grads["eta"]) * curve.eta
-                                    + (float(g_e) * curve.eta + 1.0))
-        return lp
+            rows.append((float(d @ grads["gamma"]) * curve.gamma,
+                         float(d @ grads["zeta"]),
+                         float(d @ grads["eta"]) * curve.eta))
+        for name, g in zip(("hill_gamma", "hill_zeta", "hill_eta"),
+                           np.array(rows).T):
+            acc.add(name, g)
 
 
 def _check_finite_predictor(eta: np.ndarray) -> None:
@@ -392,11 +405,35 @@ def _check_finite_predictor(eta: np.ndarray) -> None:
         raise FloatingPointError(f"non-finite linear predictor at row {bad}")
 
 
+class _PoissonRows:
+    """Row-level Poisson log likelihood and replicates from ``_eta``."""
+
+    def pointwise_loglik(self, theta: np.ndarray) -> np.ndarray:
+        return poisson_loglik(self.y, self._eta(theta)[0], self._ycache)[0]
+
+    def replicate(self, theta, rng: np.random.Generator) -> np.ndarray:
+        return rng.poisson(np.exp(self._eta(theta)[0]))
+
+
+class _Nb2Rows:
+    """Row-level NB2 log likelihood and replicates from ``_eta``."""
+
+    def pointwise_loglik(self, theta: np.ndarray) -> np.ndarray:
+        eta = self._eta(theta)[0]
+        phi = float(np.exp(self.layout.raw(theta, "phi")[0]))
+        return nb2_loglik(self.y, eta, phi, self._ycache)[0]
+
+    def replicate(self, theta, rng: np.random.Generator) -> np.ndarray:
+        eta = self._eta(theta)[0]
+        phi = float(np.exp(self.layout.raw(theta, "phi")[0]))
+        return nb2_rvs(rng, np.exp(eta), phi)
+
+
 # ---------------------------------------------------------------------------
 # Stage 1: Poisson regression on first-time participants
 # ---------------------------------------------------------------------------
 
-class Stage1PoissonModel:
+class Stage1PoissonModel(_PoissonRows):
     """log(lambda) = beta0 + u' alpha + v' beta, Poisson counts.
 
     The baseline block gets a hierarchical normal prior with a half-Cauchy
@@ -416,15 +453,16 @@ class Stage1PoissonModel:
         k = self.v.shape[1]
         if spec.rhs is not None and spec.rhs.n_coef != k:
             raise ValueError(f"rhs.n_coef must equal {k}")
-        blocks = [Block("beta0", 1),
-                  Block("alpha_raw", self.u.shape[1]),
-                  Block("sigma_alpha", 1, "log")]
+        blocks = [_intercept(spec),
+                  Block("alpha_raw", self.u.shape[1], prior=STD_NORMAL),
+                  Block("sigma_alpha", 1, "log", HALF_CAUCHY)]
         self.rhs = None if spec.rhs is None else _RhsTerm("beta", spec.rhs)
         if self.rhs is None:
-            blocks.append(Block("beta", k))
+            blocks.append(Block("beta", k, prior=STD_NORMAL))
         else:
             blocks += self.rhs.blocks()
         self.layout = Layout(blocks)
+        self.prior = _PriorPass(self.layout)
 
     def _beta(self, theta):
         if self.rhs is not None:
@@ -441,7 +479,7 @@ class Stage1PoissonModel:
         eta = (self.layout.raw(theta, "beta0")[0] + self.u @ alpha
                + self.v @ beta + self.data.offsets)
         _check_finite_predictor(eta)
-        return eta, beta, rhs_cache, sigma_a
+        return eta, rhs_cache, sigma_a
 
     def coefficients(self, theta) -> np.ndarray:
         return self._beta(theta)[0]
@@ -449,7 +487,7 @@ class Stage1PoissonModel:
     @_guarded
     def logp_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         acc = GradAccumulator(self.layout)
-        eta, beta, rhs_cache, sigma_a = self._eta(theta)
+        eta, rhs_cache, sigma_a = self._eta(theta)
         ll, dll = poisson_loglik(self.y, eta, self._ycache)
         logp = float(ll.sum())
 
@@ -459,28 +497,12 @@ class Stage1PoissonModel:
         acc.add("alpha_raw", sigma_a * ut_dll)
         acc.add("sigma_alpha", float(a_raw @ ut_dll) * sigma_a)
         g_beta = self.v.T @ dll
-
-        # priors
-        logp += _prior_logp(acc, "beta0",
-                            self.layout.raw(theta, "beta0"),
-                            PriorSpec("normal", (self.spec.beta0_loc,
-                                                 self.spec.beta0_scale)))
-        logp += _std_normal_logp(acc, "alpha_raw", a_raw)
-        logp += _prior_logp(acc, "sigma_alpha", np.array([sigma_a]),
-                            PriorSpec("cauchy_pos", (1.0,)), "log",
-                            self.layout.raw(theta, "sigma_alpha"))
-
         if self.rhs is not None:
-            logp += self.rhs.logp_grad(acc, self.layout, theta, g_beta,
-                                       rhs_cache)
+            self.rhs.backprop(acc, g_beta, rhs_cache)
         elif "beta" in self.layout:
             acc.add("beta", g_beta)
-            logp += _std_normal_logp(acc, "beta", beta)
+        logp += self.prior(theta, acc.grad)
         return logp, acc.grad
-
-    def pointwise_loglik(self, theta: np.ndarray) -> np.ndarray:
-        eta = self._eta(theta)[0]
-        return poisson_loglik(self.y, eta, self._ycache)[0]
 
     def predict_log_intensity(self, theta, newdata=None, debias=False
                               ) -> np.ndarray:
@@ -493,15 +515,12 @@ class Stage1PoissonModel:
         return (self.layout.raw(theta, "beta0")[0]
                 + newdata["u"] @ alpha + newdata["v"] @ beta)
 
-    def replicate(self, theta, rng: np.random.Generator) -> np.ndarray:
-        return rng.poisson(np.exp(self._eta(theta)[0]))
-
 
 # ---------------------------------------------------------------------------
 # Stage 2: fatigue-candidate Poisson regression with fixed stage-1 offsets
 # ---------------------------------------------------------------------------
 
-class Stage2PoissonModel:
+class Stage2PoissonModel(_PoissonRows):
     """log(lambda) = offset_i + w' gamma with gamma <= 0 via half-RHS.
 
     ``data.offsets`` must hold the frozen stage-1 predictor beta0_hat +
@@ -522,50 +541,42 @@ class Stage2PoissonModel:
             raise ValueError(f"rhs.n_coef must equal {k}")
         self.rhs = _RhsTerm("gamma", spec.rhs)
         self.layout = Layout(self.rhs.blocks())
-
-    def _gamma(self, theta):
-        return self.rhs.coefficients(self.layout, theta)
+        self.prior = _PriorPass(self.layout)
 
     def coefficients(self, theta) -> np.ndarray:
-        return self._gamma(theta)[0]
+        return self.rhs.coefficients(self.layout, theta)[0]
 
     def _eta(self, theta):
-        gamma, cache = self._gamma(theta)
+        gamma, cache = self.rhs.coefficients(self.layout, theta)
         eta = self.data.offsets + self.w @ gamma
         _check_finite_predictor(eta)
-        return eta, gamma, cache
+        return eta, cache
 
     @_guarded
     def logp_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         acc = GradAccumulator(self.layout)
-        eta, _gamma, cache = self._eta(theta)
+        eta, cache = self._eta(theta)
         ll, dll = poisson_loglik(self.y, eta, self._ycache)
         logp = float(ll.sum())
-        logp += self.rhs.logp_grad(acc, self.layout, theta, self.w.T @ dll,
-                                   cache)
+        self.rhs.backprop(acc, self.w.T @ dll, cache)
+        logp += self.prior(theta, acc.grad)
         return logp, acc.grad
-
-    def pointwise_loglik(self, theta: np.ndarray) -> np.ndarray:
-        return poisson_loglik(self.y, self._eta(theta)[0], self._ycache)[0]
 
     def predict_log_intensity(self, theta, newdata=None, debias=False
                               ) -> np.ndarray:
-        gamma = self._gamma(theta)[0]
+        gamma = self.coefficients(theta)
         offsets = self.data.offsets if newdata is None else newdata["offset"]
         w = self.w if newdata is None else newdata["w"]
         if debias:
             return np.asarray(offsets, dtype=float).copy()
         return offsets + w @ gamma
 
-    def replicate(self, theta, rng: np.random.Generator) -> np.ndarray:
-        return rng.poisson(np.exp(self._eta(theta)[0]))
-
 
 # ---------------------------------------------------------------------------
 # Longitudinal NB2 model with calendar-time GP and fatigue term
 # ---------------------------------------------------------------------------
 
-class LongitudinalNbModel:
+class LongitudinalNbModel(_Nb2Rows):
     """log(lambda) = beta0 + x' beta + tau(t) + rho(r), NB2 counts.
 
     Rows sharing (covariates, date, repeat, offset) share a linear
@@ -591,30 +602,28 @@ class LongitudinalNbModel:
         time_sd = float(max(self.times.std(), 1e-8))
         time_weights = np.bincount(self.time_idx,
                                    minlength=self.times.size).astype(float)
-        self.tau = _HsgpTerm("tau", kernels.build_hsgp_1d(
-            KernelSpec(spec.hsgp_time.kernel, 1.0, 1.0),
-            self.times / time_sd, spec.hsgp_time.m, spec.hsgp_time.c),
-            spec.hsgp_time, input_sd=time_sd, center_weights=time_weights)
+        self.tau = _HsgpTerm.on_axis("tau", self.times, spec.hsgp_time,
+                                     spec.hsgp_time.m, time_sd, time_weights)
 
         fk = spec.fatigue.kind
-        blocks = [Block("beta0", 1), Block("beta_raw", self.x.shape[1]),
-                  Block("sigma_beta", 1, "log")]
+        blocks = [_intercept(spec),
+                  Block("beta_raw", self.x.shape[1], prior=STD_NORMAL),
+                  Block("sigma_beta", 1, "log", HALF_CAUCHY)]
         blocks += self.tau.blocks()
         self.rho_gp: _HsgpTerm | None = None
         self.hill: _HillTerm | None = None
         if fk == "independent":
-            blocks.append(Block("rho", spec.fatigue.max_repeat))
+            blocks.append(Block("rho", spec.fatigue.max_repeat,
+                                prior=STD_NORMAL))
         elif fk == "identical":
-            blocks.append(Block("rho", 1))
+            blocks.append(Block("rho", 1, prior=STD_NORMAL))
         elif fk == "gp":
-            r_obs = self.repeat
-            self.r_mean = float(r_obs.mean())
-            self.r_sd = float(max(r_obs.std(), 1e-8))
+            # the table rho(1..max_repeat) on standardized repeat counts
             grid = np.arange(1, spec.fatigue.max_repeat + 1)
-            self.r_grid_scaled = (grid - self.r_mean) / self.r_sd
-            self.rho_gp = _HsgpTerm("rho_gp", kernels.build_hsgp_1d(
-                KernelSpec("se", 1.0, 1.0), self.r_grid_scaled,
-                spec.fatigue.gp_m, 1.5), HsgpConfig(kernel="se"))
+            self.rho_gp = _HsgpTerm.on_axis(
+                "rho_gp", (grid - self.repeat.mean())
+                / max(self.repeat.std(), 1e-8), HsgpConfig(kernel="se"),
+                spec.fatigue.gp_m)
             blocks += self.rho_gp.blocks()
         elif fk == "hill":
             self.hill = _HillTerm(spec.fatigue.hill_priors_for(1))
@@ -622,8 +631,9 @@ class LongitudinalNbModel:
         elif fk != "none":
             raise ValueError(f"unsupported fatigue kind {fk!r} for "
                              "the longitudinal model")
-        blocks.append(Block("phi", 1, "log"))
+        blocks.append(Block("phi", 1, "log", DISPERSION_PRIOR))
         self.layout = Layout(blocks)
+        self.prior = _PriorPass(self.layout)
 
         key = np.column_stack([self.x, self.time_idx, self.repeat,
                                data.offsets])
@@ -699,36 +709,18 @@ class LongitudinalNbModel:
 
         fk = self.spec.fatigue.kind
         if fk == "hill":
-            logp += self.hill.logp_grad(acc, self.layout, theta, dll,
-                                        rho_cache)
+            self.hill.backprop(acc, dll, rho_cache)
         elif fk != "none":
             size, idx, r_pos, gp_cache = rho_cache
             g_table = np.bincount(idx[r_pos], weights=dll[r_pos],
                                   minlength=size)
             if fk == "gp":
                 self.rho_gp.backprop(acc, g_table, gp_cache)
-                logp += self.rho_gp.prior_logp(acc, self.layout, theta,
-                                               gp_cache)
             else:
                 acc.add("rho", g_table)
-                logp += _std_normal_logp(acc, "rho",
-                                         self.layout.raw(theta, "rho"))
-
-        logp += _dispersion_logp(acc, self.layout, theta, "phi", dphi)
-        logp += _prior_logp(acc, "beta0", self.layout.raw(theta, "beta0"),
-                            PriorSpec("normal", (self.spec.beta0_loc,
-                                                 self.spec.beta0_scale)))
-        logp += _std_normal_logp(acc, "beta_raw", beta_raw)
-        logp += _prior_logp(acc, "sigma_beta", np.array([sigma_b]),
-                            PriorSpec("cauchy_pos", (1.0,)), "log",
-                            self.layout.raw(theta, "sigma_beta"))
-        logp += self.tau.prior_logp(acc, self.layout, theta, tau_cache)
+        acc.add("phi", dphi * phi)
+        logp += self.prior(theta, acc.grad)
         return logp, acc.grad
-
-    def pointwise_loglik(self, theta: np.ndarray) -> np.ndarray:
-        eta = self._eta(theta)[0]
-        phi = float(np.exp(self.layout.raw(theta, "phi")[0]))
-        return nb2_loglik(self.y, eta, phi, self._ycache)[0]
 
     def fatigue_curve(self, theta, r_grid: np.ndarray) -> np.ndarray:
         """rho(r) on a grid of repeat counts for one draw."""
@@ -749,17 +741,12 @@ class LongitudinalNbModel:
             eta = eta + self.fatigue_curve(theta, newdata["repeat"])
         return eta
 
-    def replicate(self, theta, rng: np.random.Generator) -> np.ndarray:
-        eta = self._eta(theta)[0]
-        phi = float(np.exp(self.layout.raw(theta, "phi")[0]))
-        return nb2_rvs(rng, np.exp(eta), phi)
-
 
 # ---------------------------------------------------------------------------
 # Individual-level generalized additive model with per-covariate Hill curves
 # ---------------------------------------------------------------------------
 
-class IndividualGamModel:
+class IndividualGamModel(_Nb2Rows):
     """log(lambda) = beta0 + u' beta + f(age) + w' rho(r), NB2 counts."""
 
     def __init__(self, spec: ModelSpec, data: DesignMatrix):
@@ -778,18 +765,12 @@ class IndividualGamModel:
         self.age_grid = np.arange(AGE_MAX + 1, dtype=float)
         age_weights = np.bincount(self.age_idx,
                                   minlength=self.age_grid.size).astype(float)
-        self.f_age = _HsgpTerm("age", kernels.build_hsgp_1d(
-            KernelSpec(spec.hsgp_age.kernel, 1.0, 1.0),
-            self.age_grid / AGE_SD, spec.hsgp_age.m, spec.hsgp_age.c),
-            spec.hsgp_age, input_sd=AGE_SD, center_weights=age_weights)
+        self.f_age = _HsgpTerm.on_axis("age", self.age_grid, spec.hsgp_age,
+                                       spec.hsgp_age.m, AGE_SD, age_weights)
 
-        p = self.u.shape[1]
-        self.beta_loc = np.broadcast_to(
-            np.asarray(spec.beta_loc, dtype=float), (p,)).copy()
-        self.beta_scale = np.broadcast_to(
-            np.asarray(spec.beta_scale, dtype=float), (p,)).copy()
-
-        blocks = [Block("beta0", 1), Block("beta", p)]
+        blocks = [_intercept(spec),
+                  Block("beta", self.u.shape[1], prior=PriorSpec(
+                      "normal", (spec.beta_loc, spec.beta_scale)))]
         blocks += self.f_age.blocks()
         self.hill: _HillTerm | None = None
         if spec.fatigue.kind == "hill_per_covariate":
@@ -798,8 +779,9 @@ class IndividualGamModel:
                 raise ValueError("hill_per_covariate requires a w block")
             self.hill = _HillTerm(spec.fatigue.hill_priors_for(q))
             blocks += self.hill.blocks()
-        blocks.append(Block("phi", 1, "log"))
+        blocks.append(Block("phi", 1, "log", DISPERSION_PRIOR))
         self.layout = Layout(blocks)
+        self.prior = _PriorPass(self.layout)
 
     def _fatigue(self, theta) -> tuple[np.ndarray, tuple | None]:
         if self.hill is None:
@@ -813,12 +795,12 @@ class IndividualGamModel:
         eta = (self.layout.raw(theta, "beta0")[0] + self.u @ beta
                + f_vals[self.age_idx] + rho_vals + self.data.offsets)
         _check_finite_predictor(eta)
-        return eta, (beta, f_vals, age_cache, rho_vals, hill_cache)
+        return eta, (age_cache, rho_vals, hill_cache)
 
     @_guarded
     def logp_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         acc = GradAccumulator(self.layout)
-        eta, (beta, _f, age_cache, _rho, hill_cache) = self._eta(theta)
+        eta, (age_cache, _rho, hill_cache) = self._eta(theta)
         phi = float(np.exp(self.layout.raw(theta, "phi")[0]))
         _positive(phi)
         ll, dll, dphi = nb2_loglik(self.y, eta, phi, self._ycache)
@@ -831,23 +813,10 @@ class IndividualGamModel:
         self.f_age.backprop(acc, g_age, age_cache)
 
         if self.hill is not None:
-            logp += self.hill.logp_grad(acc, self.layout, theta, dll,
-                                        hill_cache)
-        logp += _dispersion_logp(acc, self.layout, theta, "phi", dphi.sum())
-        logp += _prior_logp(acc, "beta0", self.layout.raw(theta, "beta0"),
-                            PriorSpec("normal", (self.spec.beta0_loc,
-                                                 self.spec.beta0_scale)))
-        z = (beta - self.beta_loc) / self.beta_scale
-        acc.add("beta", -z / self.beta_scale)
-        logp += float(-0.5 * np.sum(z**2) - np.sum(np.log(self.beta_scale))
-                      - 0.5 * z.size * LOG_2PI)
-        logp += self.f_age.prior_logp(acc, self.layout, theta, age_cache)
+            self.hill.backprop(acc, dll, hill_cache)
+        acc.add("phi", dphi.sum() * phi)
+        logp += self.prior(theta, acc.grad)
         return logp, acc.grad
-
-    def pointwise_loglik(self, theta: np.ndarray) -> np.ndarray:
-        eta = self._eta(theta)[0]
-        phi = float(np.exp(self.layout.raw(theta, "phi")[0]))
-        return nb2_loglik(self.y, eta, phi, self._ycache)[0]
 
     def age_curve(self, theta, ages: np.ndarray | None = None) -> np.ndarray:
         """log intensity over ages at reference covariates (u = w = 0)."""
@@ -859,7 +828,7 @@ class IndividualGamModel:
                               ) -> np.ndarray:
         if newdata is None:
             eta, parts = self._eta(theta)
-            return eta - self.data.offsets - (parts[3] if debias else 0.0)
+            return eta - self.data.offsets - (parts[1] if debias else 0.0)
         beta = self.layout.raw(theta, "beta")
         f = self.f_age.values_at(self.layout, theta,
                                  np.asarray(newdata["age"], float))
@@ -869,11 +838,6 @@ class IndividualGamModel:
                 self.layout, theta, np.asarray(newdata["repeat"], dtype=int),
                 np.asarray(newdata["w"], dtype=float))[0]
         return eta
-
-    def replicate(self, theta, rng: np.random.Generator) -> np.ndarray:
-        eta = self._eta(theta)[0]
-        phi = float(np.exp(self.layout.raw(theta, "phi")[0]))
-        return nb2_rvs(rng, np.exp(eta), phi)
 
 
 # ---------------------------------------------------------------------------
@@ -955,14 +919,21 @@ def make_brc_data(*, y, wave, repeat, age, band, n_participants, s_prop,
         max_repeat=int(np.max(repeat)))
 
 
+def _surface_of(pair: str) -> tuple[str, bool]:
+    """The surface key of a gender pair and whether the pair reads it with
+    its ages swapped: "MF" reads the "FM" surface transposed."""
+    key = "".join(sorted(pair)) if len(pair) == 2 else pair
+    return key, key != pair
+
+
 class AggregatedBrcModel:
     """Coarse-band NB1 likelihood over a latent rate-consistent surface.
 
     log mu_row = beta0 + tau_t + f_pair(a, b) + log P_b + fatigue(r, a, c)
     + log N + log S, with cell shapes sum_b mu / nu. Same-gender (and
-    single-surface) pairs use the symmetrized 2D basis; the "MF" surface is
-    shared with "FM" rows evaluated with swapped coordinates, which makes
-    the cross-gender flow identity hold exactly.
+    single-surface) pairs use the symmetrized 2D basis; "MF" rows read the
+    "FM" surface with swapped coordinates, which makes the cross-gender flow
+    identity hold exactly.
     """
 
     def __init__(self, spec: ModelSpec, data: BrcData):
@@ -977,31 +948,18 @@ class AggregatedBrcModel:
         self.row_wave = data.cell_wave[data.row_cell]
         cfg = spec.hsgp_surface
 
-        # Map each pair onto a surface; "FM" reuses "MF" transposed.
-        self.surfaces: list[tuple[str, _HsgpTerm, np.ndarray]] = []
-        pair_surface: dict[int, tuple[int, bool]] = {}
-        surf_lookup: dict[str, int] = {}
-        for p_idx, label in enumerate(data.pairs):
-            key, swap, symmetric = label, False, True
-            if len(label) == 2 and label[0] != label[1]:
-                key = "".join(sorted(label))
-                swap = label != key
-                symmetric = False
-            if key not in surf_lookup:
-                surf_lookup[key] = len(self.surfaces)
-                self.surfaces.append((key, None, symmetric))  # placeholder
-            pair_surface[p_idx] = (surf_lookup[key], swap)
-
+        # one surface per pair; mixed pairs share one, read transposed
         row_pair = data.cell_pair[data.row_cell]
-        built: list[tuple[str, _HsgpTerm, np.ndarray]] = []
-        for s_idx, (key, _, symmetric) in enumerate(self.surfaces):
-            members = [p for p, (s, _) in pair_surface.items() if s == s_idx]
+        of_pair = [_surface_of(label) for label in data.pairs]
+        self.surfaces: dict[str, tuple[_HsgpTerm, np.ndarray]] = {}
+        for key in dict.fromkeys(k for k, _ in of_pair):
+            members = [p for p, (k, _) in enumerate(of_pair) if k == key]
             rows = np.flatnonzero(np.isin(row_pair, members))
-            swap_mask = np.array([pair_surface[p][1]
-                                  for p in row_pair[rows]], dtype=bool)
+            swap_mask = np.array([of_pair[p][1] for p in row_pair[rows]],
+                                 dtype=bool)
             a = np.where(swap_mask, data.row_b[rows], self.row_a[rows])
             b = np.where(swap_mask, self.row_a[rows], data.row_b[rows])
-            if symmetric:
+            if len(key) != 2 or key[0] == key[1]:
                 basis = kernels.build_hsgp_2d_symmetric(
                     KernelSpec(cfg.kernel, 1.0, 1.0),
                     KernelSpec(cfg.kernel, 1.0, 1.0),
@@ -1009,19 +967,18 @@ class AggregatedBrcModel:
             else:
                 basis = kernels.build_hsgp_2d(a / AGE_SD, b / AGE_SD,
                                               cfg.m, cfg.c)
-            term = _HsgpTerm(f"f_{key}", basis, cfg, input_sd=AGE_SD,
-                             center_weights=np.ones(rows.size))
-            built.append((f"f_{key}", term, rows))
-        self.surfaces = built
+            self.surfaces[key] = (_HsgpTerm(
+                f"f_{key}", basis, cfg, input_sd=AGE_SD,
+                center_weights=np.ones(rows.size)), rows)
 
-        blocks = [Block("beta0", 1),
-                  Block("tau", len(data.waves) - 1)]
-        for _, term, _ in self.surfaces:
+        blocks = [_intercept(spec),
+                  Block("tau", len(data.waves) - 1, prior=STD_NORMAL)]
+        for term, _ in self.surfaces.values():
             blocks += term.blocks()
         fk = spec.fatigue.kind
         r_max = max(data.max_repeat, 1)
         if fk != "none":
-            blocks.append(Block("rho", r_max))
+            blocks.append(Block("rho", r_max, prior=STD_NORMAL))
         vcfg = variant_gp_config()
         ages_obs = np.unique(data.cell_age).astype(float)
         self.cell_age_idx = np.searchsorted(ages_obs, data.cell_age)
@@ -1034,15 +991,13 @@ class AggregatedBrcModel:
         # the basis row of every cell
         self.smooths: list[tuple[_HsgpTerm, np.ndarray]] = []
         if fk in ("variant_a", "variant_b"):
-            self.smooths.append((_HsgpTerm("fa", kernels.build_hsgp_1d(
-                KernelSpec("se", 1.0, 1.0), ages_obs / AGE_SD,
-                min(vcfg.m, max(4, ages_obs.size)), vcfg.c), vcfg,
-                input_sd=AGE_SD, center_weights=age_w), self.cell_age_idx))
+            self.smooths.append((_HsgpTerm.on_axis(
+                "fa", ages_obs, vcfg, min(vcfg.m, max(4, ages_obs.size)),
+                AGE_SD, age_w), self.cell_age_idx))
         if fk == "variant_b":
-            self.smooths.append((_HsgpTerm("fc", kernels.build_hsgp_1d(
-                KernelSpec("se", 1.0, 1.0), mids / AGE_SD,
-                min(vcfg.m, mids.size), vcfg.c), vcfg,
-                input_sd=AGE_SD, center_weights=band_w), data.cell_band))
+            self.smooths.append((_HsgpTerm.on_axis(
+                "fc", mids, vcfg, min(vcfg.m, mids.size), AGE_SD, band_w),
+                data.cell_band))
         if fk == "variant_c":
             basis = kernels.build_hsgp_2d(
                 data.cell_age.astype(float) / AGE_SD,
@@ -1053,8 +1008,9 @@ class AggregatedBrcModel:
                 np.arange(data.n_cells)))
         for term, _ in self.smooths:
             blocks += term.blocks()
-        blocks.append(Block("nu", 1, "log"))
+        blocks.append(Block("nu", 1, "log", DISPERSION_PRIOR))
         self.layout = Layout(blocks)
+        self.prior = _PriorPass(self.layout)
         self._cell_r_pos = data.cell_repeat >= 1
         self._cell_r_idx = np.clip(data.cell_repeat, 1, r_max) - 1
 
@@ -1078,14 +1034,15 @@ class AggregatedBrcModel:
             vals, cache = term.values(self.layout, theta)
             s = s + vals[rows]
             caches.append(cache)
-        term = np.where(self._cell_r_pos, -np.exp(s), 0.0)
+        with np.errstate(over="ignore"):
+            term = np.where(self._cell_r_pos, -np.exp(s), 0.0)
         # d(-exp(s))/ds = -exp(s)
         return term, {"smooths": caches, "dterm_ds": term}
 
     def _surface_rows(self, theta):
         f_rows = np.zeros(self.data.row_cell.size)
         caches = []
-        for _, term, rows in self.surfaces:
+        for term, rows in self.surfaces.values():
             vals, cache = term.values(self.layout, theta)
             f_rows[rows] = vals
             caches.append(cache)
@@ -1106,50 +1063,44 @@ class AggregatedBrcModel:
     def logp_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         acc = GradAccumulator(self.layout)
         log_mu, surf_caches, _fat, fat_cache = self._log_mu_rows(theta)
-        mu = np.exp(log_mu)
+        with np.errstate(over="ignore"):
+            mu = np.exp(log_mu)
         nu = float(np.exp(self.layout.raw(theta, "nu")[0]))
         _positive(nu)
         ll, d_mu, d_nu = nb1_agg_loglik(self.data.y, mu, self.data.row_cell,
                                         nu)
         logp = float(ll.sum())
-        dll_rows = d_mu * mu   # d logp / d log_mu per row
+        with np.errstate(invalid="ignore"):
+            dll_rows = d_mu * mu   # d logp / d log_mu per row
 
         acc.add("beta0", dll_rows.sum())
         if "tau" in self.layout:
             g_tau = np.bincount(self.row_wave, weights=dll_rows,
                                 minlength=len(self.data.waves))
             acc.add("tau", g_tau[1:])
-            tau_free = self.layout.raw(theta, "tau")
-            logp += _std_normal_logp(acc, "tau", tau_free)
-        for (_, term, rows), cache in zip(self.surfaces, surf_caches):
+        for (term, rows), cache in zip(self.surfaces.values(), surf_caches):
             term.backprop(acc, dll_rows[rows], cache)
-            logp += term.prior_logp(acc, self.layout, theta, cache)
 
         fk = self.spec.fatigue.kind
         if fk != "none":
             g_cells = np.bincount(self.data.row_cell, weights=dll_rows,
                                   minlength=self.data.n_cells)
-            rho = self.layout.raw(theta, "rho")
             if fk == "independent":
                 d_s = np.where(self._cell_r_pos, g_cells, 0.0)
             else:
-                d_s = g_cells * fat_cache["dterm_ds"]  # zero where r = 0
+                with np.errstate(invalid="ignore"):
+                    d_s = g_cells * fat_cache["dterm_ds"]  # zero where r = 0
             acc.add("rho", np.bincount(self._cell_r_idx[self._cell_r_pos],
                                        weights=d_s[self._cell_r_pos],
-                                       minlength=rho.size))
-            logp += _std_normal_logp(acc, "rho", rho)
+                                       minlength=self.layout.raw(theta, "rho").size))
             for (term, rows), cache in zip(self.smooths,
                                            fat_cache.get("smooths", ())):
                 g_rows = np.bincount(rows[self._cell_r_pos],
                                      weights=d_s[self._cell_r_pos],
                                      minlength=term.phi.shape[0])
                 term.backprop(acc, g_rows, cache)
-                logp += term.prior_logp(acc, self.layout, theta, cache)
-
-        logp += _dispersion_logp(acc, self.layout, theta, "nu", d_nu)
-        logp += _prior_logp(acc, "beta0", self.layout.raw(theta, "beta0"),
-                            PriorSpec("normal", (self.spec.beta0_loc,
-                                                 self.spec.beta0_scale)))
+        acc.add("nu", d_nu * nu)
+        logp += self.prior(theta, acc.grad)
         return logp, acc.grad
 
     def pointwise_loglik(self, theta: np.ndarray) -> np.ndarray:
@@ -1162,17 +1113,10 @@ class AggregatedBrcModel:
                       b: np.ndarray, population: PopulationTable
                       ) -> np.ndarray:
         """log contact intensity log m(a, b) for one gender pair and wave."""
-        s_idx, swap = None, False
-        key = pair
-        if len(pair) == 2 and pair[0] != pair[1]:
-            key = "".join(sorted(pair))
-            swap = pair != key
-        for i, (name, _, _) in enumerate(self.surfaces):
-            if name == f"f_{key}":
-                s_idx = i
-        if s_idx is None:
+        key, swap = _surface_of(pair)
+        if key not in self.surfaces:
             raise ValueError(f"no surface for pair {pair!r}")
-        term = self.surfaces[s_idx][1]
+        term = self.surfaces[key][0]
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         fa, fb = (b, a) if swap else (a, b)

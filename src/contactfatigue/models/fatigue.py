@@ -9,7 +9,7 @@ so rho(0) = 0, rho is non-increasing in r, and rho(r) -> -gamma as r grows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit

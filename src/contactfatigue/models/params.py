@@ -1,7 +1,8 @@
 """Flat unconstrained parameter vectors with named blocks.
 
-Positive parameters are carried on the log scale; the assemblers add the
-change-of-variables Jacobian when applying natural-scale priors.
+Positive parameters are carried on the log scale. Each block declares its
+natural-scale prior; the prior pass in ``assemble`` evaluates them all and
+adds the change-of-variables Jacobian of the log-scale blocks.
 """
 
 from __future__ import annotations
@@ -9,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from ..priors import PriorSpec
 
 TRANSFORMS = ("identity", "log")
 
@@ -18,6 +21,7 @@ class Block:
     name: str
     size: int
     transform: str = "identity"
+    prior: PriorSpec | None = None
 
     def __post_init__(self) -> None:
         if self.size < 0:

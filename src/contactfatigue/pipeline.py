@@ -13,15 +13,14 @@ from __future__ import annotations
 
 import logging
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .domain import DesignMatrix, FeatureSpec, SurveyRecord, build_design
+from .domain import FeatureSpec, SurveyRecord, build_design
 from .evaluation import interval_coverage, mape
 from .inference import Diagnostics, PosteriorDraws, SamplerConfig, sample_model
-from .models import (FatigueSpec, HillPriors, IndividualGamModel, ModelSpec,
-                     build_model, no_fatigue)
+from .models import HillPriors, IndividualGamModel, ModelSpec, build_model
 
 logger = logging.getLogger(__name__)
 

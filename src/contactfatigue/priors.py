@@ -37,10 +37,12 @@ class PriorSpec:
     families: normal(loc, scale), halfnormal_pos(loc, scale),
     halfnormal_neg(loc, scale), cauchy_pos(scale), invgamma(a, b),
     exponential(rate), gamma(a, rate), student_t_pos(df, scale).
+    A parameter may be an array that broadcasts against the evaluated
+    values, giving one prior per element.
     """
 
     family: str
-    params: tuple[float, ...]
+    params: tuple
 
     def __post_init__(self) -> None:
         if self.family not in _HANDLERS:
@@ -51,7 +53,7 @@ class PriorSpec:
             "gamma": (0, 1), "student_t_pos": (0, 1),
         }
         for idx in scale_checks[self.family]:
-            if self.params[idx] <= 0:
+            if np.any(np.asarray(self.params[idx]) <= 0):
                 raise ValueError(
                     f"{self.family} parameter {idx} must be > 0")
 

@@ -50,9 +50,15 @@ class SelectionResult:
                                        self.selected)]
 
 
-def _coefficient_draws(model, draws: PosteriorDraws) -> np.ndarray:
-    flat = draws.stacked()
-    return np.asarray([model.coefficients(theta) for theta in flat])
+def _fit_coefficients(model, cfg: SamplerConfig, stage: int):
+    """Draws of ``model`` plus the posterior median and 50% bounds of its
+    coefficients."""
+    draws, diag = sample_model(model, cfg, compute_pointwise=False)
+    logger.info("stage %d: max R-hat %.3f, %d divergences", stage,
+                diag.max_rhat(), diag.divergences)
+    coef = np.asarray([model.coefficients(t) for t in draws.stacked()])
+    return (draws, np.median(coef, axis=0), np.quantile(coef, 0.25, axis=0),
+            np.quantile(coef, 0.75, axis=0))
 
 
 def stage1_select(design: DesignMatrix, rhs: RhsSpec, cfg: SamplerConfig,
@@ -66,13 +72,8 @@ def stage1_select(design: DesignMatrix, rhs: RhsSpec, cfg: SamplerConfig,
     if len(names) == 0:
         raise ValueError("stage 1 requires a non-empty tested block")
     spec = ModelSpec(family="stage1_poisson", rhs=rhs, beta0_scale=100.0)
-    model = Stage1PoissonModel(spec, design)
-    draws, diag = sample_model(model, cfg, compute_pointwise=False)
-    logger.info("stage 1: max R-hat %.3f, %d divergences",
-                diag.max_rhat(), diag.divergences)
-    coef = _coefficient_draws(model, draws)
-    med = np.median(coef, axis=0)
-    lo, hi = np.quantile(coef, 0.25, axis=0), np.quantile(coef, 0.75, axis=0)
+    draws, med, lo, hi = _fit_coefficients(Stage1PoissonModel(spec, design),
+                                           cfg, 1)
     selected = tuple(bool(m < thresholds[0] or m > thresholds[1]) for m in med)
     return SelectionResult(1, names, med, lo, hi, selected,
                            thresholds), draws
@@ -110,13 +111,8 @@ def stage2_select(design: DesignMatrix, offsets: np.ndarray, rhs: RhsSpec,
     names = design.block_names("w")
     data = replace_offsets(design, offsets)
     spec = ModelSpec(family="stage2_poisson", rhs=rhs)
-    model = Stage2PoissonModel(spec, data)
-    draws, diag = sample_model(model, cfg, compute_pointwise=False)
-    logger.info("stage 2: max R-hat %.3f, %d divergences",
-                diag.max_rhat(), diag.divergences)
-    coef = _coefficient_draws(model, draws)
-    med = np.median(coef, axis=0)
-    lo, hi = np.quantile(coef, 0.25, axis=0), np.quantile(coef, 0.75, axis=0)
+    draws, med, lo, hi = _fit_coefficients(Stage2PoissonModel(spec, data),
+                                           cfg, 2)
     selected = tuple(bool(m < cutoff) for m in med)
     return SelectionResult(2, names, med, lo, hi, selected,
                            (cutoff, cutoff)), draws

@@ -1,0 +1,232 @@
+"""The prior pass against densities computed independently with scipy."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from scipy import stats
+
+from contactfatigue.domain import build_design
+from contactfatigue.models import FatigueSpec, HillPriors, ModelSpec, build_model
+from contactfatigue.models.assemble import (DISPERSION_PRIOR, _PriorPass,
+                                            _RhsTerm)
+from contactfatigue.models.params import Block, Layout
+from contactfatigue.priors import PriorSpec, RhsSpec, rhs_log_prior
+
+from conftest import SMALL_FEATURES, finite_difference_grad, make_records
+from test_models import _brc_model
+
+
+def _half_t(df, scale):
+    return lambda x: np.log(2.0) + stats.t.logpdf(x, df, scale=scale)
+
+
+def _truncnorm(loc, scale):
+    loc, scale = np.asarray(loc), np.asarray(scale)
+    return lambda x: stats.truncnorm.logpdf(x, -loc / scale, np.inf,
+                                            loc=loc, scale=scale)
+
+
+def _norm(loc=0.0, scale=1.0):
+    return lambda x: stats.norm.logpdf(x, loc, scale)
+
+
+def _invgamma(a, b):
+    return lambda x: stats.invgamma.logpdf(x, a, scale=b)
+
+
+def _halfcauchy(x):
+    return stats.halfcauchy.logpdf(x)
+
+
+def _rhs_densities(prefix, rhs):
+    z = (_truncnorm(0.0, 1.0) if rhs.sign == "negative" else _norm())
+    return {f"{prefix}_z": (z, rhs.sign == "negative"),
+            f"{prefix}_zeta": (_half_t(rhs.nu1, 1.0), True),
+            "rhs_c2": (_invgamma(rhs.nu2, rhs.nu2 * rhs.slab_scale_sq / 2),
+                       True),
+            "rhs_eps": (_half_t(rhs.nu3, rhs.eps0), True)}
+
+
+def _hsgp_densities(name, magnitude, lengthscale, dim=1):
+    out = {f"{name}_w": (_norm(), False)}
+    suffixes = ("",) if dim == 1 else ("1", "2")
+    for s in suffixes:
+        out[f"{name}_sigma{s}"] = (magnitude, True)
+        out[f"{name}_ell{s}"] = (lengthscale, True)
+    return out
+
+
+def _every_family():
+    """One model of each family with its priors written out by block name,
+    each as (natural-scale log density, carried on the log scale)."""
+    design = build_design(make_records(), SMALL_FEATURES)
+    repeaters = dataclasses.replace(
+        build_design(make_records(30, seed=2, min_repeat=1), SMALL_FEATURES),
+        offsets=np.full(30, 1.1))
+    out = {}
+
+    rhs = RhsSpec(n_coef=2, p0=1.0, n_obs=design.n)
+    out["stage1"] = (build_model(ModelSpec(
+        family="stage1_poisson", beta0_scale=100.0, rhs=rhs), design), {
+        "beta0": (_norm(0.0, 100.0), False),
+        "alpha_raw": (_norm(), False),
+        "sigma_alpha": (_halfcauchy, True),
+        **_rhs_densities("beta", rhs)})
+
+    rhs = RhsSpec(n_coef=3, p0=1.5, n_obs=30, sign="negative",
+                  c2_prior="gamma")
+    c2 = (rhs.nu2, rhs.nu2 * rhs.slab_scale_sq / 2)
+    out["stage2"] = (build_model(ModelSpec(family="stage2_poisson", rhs=rhs),
+                                 repeaters), {
+        **_rhs_densities("gamma", rhs),
+        "rhs_c2": (lambda x: stats.gamma.logpdf(x, c2[0], scale=1 / c2[1]),
+                   True)})
+
+    out["longitudinal"] = (build_model(ModelSpec(
+        family="longitudinal_nb", fatigue=FatigueSpec(kind="hill")), design), {
+        "beta0": (_norm(0.0, 10.0), False),
+        "beta_raw": (_norm(), False),
+        "sigma_beta": (_halfcauchy, True),
+        **_hsgp_densities("tau", _invgamma(5.0, 1.0), _invgamma(5.0, 1.0)),
+        "hill_gamma": (_truncnorm(0.0, 1.0), True),
+        "hill_zeta": (_norm(), False),
+        "hill_eta": (lambda x: stats.expon.logpdf(x), True),
+        "phi": (_invgamma(1.0, 1.0), True)})
+
+    # the propagated priors of a later wave: per-element locations and
+    # per-curve Hill priors with a half-normal eta
+    beta_loc = (0.1, -0.2, 0.3, 0.05, -0.4)
+    curves = tuple(HillPriors(gamma_loc=0.5 + 0.1 * q, gamma_scale=0.3,
+                              zeta_loc=-1.0 + 0.2 * q, zeta_scale=0.1,
+                              eta_kind="halfnormal", eta_loc=0.9 + 0.05 * q,
+                              eta_scale=0.1) for q in range(3))
+    out["gam"] = (build_model(ModelSpec(
+        family="individual_gam", beta_loc=beta_loc, beta_scale=0.3,
+        fatigue=FatigueSpec(kind="hill_per_covariate", hill_priors=curves)),
+        design), {
+        "beta0": (_norm(0.0, 10.0), False),
+        "beta": (_norm(np.array(beta_loc), 0.3), False),
+        **_hsgp_densities("age", _invgamma(5.0, 1.0), _invgamma(5.0, 1.0)),
+        "hill_gamma": (_truncnorm([c.gamma_loc for c in curves], 0.3), True),
+        "hill_zeta": (_norm(np.array([c.zeta_loc for c in curves]), 0.1),
+                      False),
+        "hill_eta": (_truncnorm([c.eta_loc for c in curves], 0.1), True),
+        "phi": (_invgamma(1.0, 1.0), True)})
+
+    half_cauchy = _halfcauchy
+    out["brc"] = (_brc_model("variant_b")[0], {
+        "beta0": (_norm(0.0, 10.0), False),
+        "tau": (_norm(), False),
+        **_hsgp_densities("f_all", half_cauchy, _invgamma(5.0, 5.0), dim=2),
+        "rho": (_norm(), False),
+        **_hsgp_densities("fa", half_cauchy, _invgamma(5.0, 5.0)),
+        **_hsgp_densities("fc", half_cauchy, _invgamma(5.0, 5.0)),
+        "nu": (_invgamma(1.0, 1.0), True)})
+    return out
+
+
+FAMILIES = _every_family()
+
+
+def _scipy_log_prior(model, densities, theta):
+    total = 0.0
+    for b in model.layout.blocks:
+        logpdf, on_log_scale = densities[b.name]
+        raw = model.layout.raw(theta, b.name)
+        total += np.sum(logpdf(np.exp(raw) if on_log_scale else raw))
+        if on_log_scale:
+            total += np.sum(raw)   # log-Jacobian of value = exp(raw)
+    return float(total)
+
+
+class TestPriorTable:
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_matches_scipy_densities(self, name):
+        model, densities = FAMILIES[name]
+        assert {b.name for b in model.layout.blocks} == set(densities)
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            theta = rng.uniform(-1.0, 1.0, model.layout.size)
+            grad = np.zeros(model.layout.size)
+            logp = model.prior(theta, grad)
+            expected = _scipy_log_prior(model, densities, theta)
+            assert logp == pytest.approx(expected, rel=1e-10)
+            num = finite_difference_grad(
+                lambda t: _scipy_log_prior(model, densities, t), theta)
+            np.testing.assert_allclose(grad, num, rtol=1e-6, atol=1e-6)
+
+    def test_logp_grad_ends_with_the_pass(self):
+        # a model with no data is its priors alone
+        model = build_model(ModelSpec(family="stage1_poisson"),
+                            build_design([], SMALL_FEATURES))
+        theta = np.random.default_rng(2).uniform(-1, 1, model.layout.size)
+        grad = np.zeros(model.layout.size)
+        logp = model.prior(theta, grad)
+        lp, g = model.logp_grad(theta)
+        assert lp == pytest.approx(logp, rel=1e-12)
+        np.testing.assert_allclose(g, grad, rtol=1e-12, atol=1e-12)
+
+    def test_dispersion_prior_is_exponential_precision(self):
+        # invgamma(1, 1) on log(phi) is 1/phi ~ Exp(1): -u - e^-u
+        table = _PriorPass(Layout([Block("phi", 1, "log", DISPERSION_PRIOR)]))
+        for u in np.linspace(-30.0, 30.0, 61):
+            grad = np.zeros(1)
+            logp = table(np.array([u]), grad)
+            assert logp == pytest.approx(-u - np.exp(-u), rel=1e-12, abs=1e-12)
+            assert grad[0] == pytest.approx(np.exp(-u) - 1.0, rel=1e-12,
+                                            abs=1e-12)
+
+    @pytest.mark.parametrize("sign", ["unconstrained", "negative"])
+    def test_rhs_blocks_match_rhs_log_prior(self, sign):
+        spec = RhsSpec(n_coef=4, p0=1.5, n_obs=50, sign=sign)
+        term = _RhsTerm("beta", spec)
+        layout = Layout(term.blocks())
+        table = _PriorPass(layout)
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            theta = rng.uniform(-2.0, 2.0, layout.size)
+            grad = np.zeros(layout.size)
+            logp = table(theta, grad)
+            values = layout.constrained(theta)
+            z = values["beta_z"]
+            lp, g = rhs_log_prior(spec, z, values["beta_zeta"],
+                                  values["rhs_c2"][0], values["rhs_eps"][0])
+            log_blocks = ["beta_zeta", "rhs_c2", "rhs_eps"]
+            if sign == "negative":
+                log_blocks.append("beta_z")
+            else:
+                np.testing.assert_allclose(grad[layout.sl("beta_z")], g["z"],
+                                           rtol=1e-12)
+            jacobian = sum(np.sum(layout.raw(theta, b)) for b in log_blocks)
+            assert logp == pytest.approx(lp + jacobian, rel=1e-12)
+            for b in log_blocks:
+                natural = g[b.removeprefix("beta_").removeprefix("rhs_")]
+                np.testing.assert_allclose(
+                    grad[layout.sl(b)], natural * values[b] + 1.0,
+                    rtol=1e-12, atol=1e-12)
+
+    def test_block_without_prior_is_refused(self):
+        layout = Layout([Block("a", 2, prior=PriorSpec("normal", (0.0, 1.0))),
+                         Block("b", 1, "log")])
+        with pytest.raises(ValueError, match="'b' declares no prior"):
+            _PriorPass(layout)
+
+    def test_prior_params_must_fit_the_block(self):
+        layout = Layout([Block("a", 3, prior=PriorSpec(
+            "normal", (np.zeros(2), 1.0)))])
+        with pytest.raises(ValueError):
+            _PriorPass(layout)
+
+    def test_array_scales_are_validated(self):
+        with pytest.raises(ValueError):
+            PriorSpec("normal", (0.0, np.array([1.0, -1.0])))
+
+    def test_mixed_eta_prior_kinds_refused(self):
+        design = build_design(make_records(), SMALL_FEATURES)
+        curves = (HillPriors(), HillPriors(eta_kind="halfnormal"), HillPriors())
+        with pytest.raises(ValueError, match="eta prior kind"):
+            build_model(ModelSpec(
+                family="individual_gam",
+                fatigue=FatigueSpec(kind="hill_per_covariate",
+                                    hill_priors=curves)), design)
