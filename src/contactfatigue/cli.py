@@ -148,19 +148,24 @@ def scenario_schema() -> CsvSchema:
             "preschool": ("yes", "no", "")})
 
 
+def _schema_blocks() -> tuple[FeatureBlock, FeatureBlock, FeatureBlock]:
+    """Sex, household and employment blocks with every level the schema
+    accepts, so any record that loads can be coded."""
+    schema = scenario_schema()
+    return (FeatureBlock("sex", schema.sex_levels),
+            FeatureBlock("household_size", schema.household_levels),
+            FeatureBlock("employment", schema.covariate_levels["employment"]))
+
+
 def scenario_feature_spec() -> FeatureSpec:
-    sex = FeatureBlock("sex", ("M", "F"))
-    household = FeatureBlock("household_size", ("1", "2", "3"))
-    employment = FeatureBlock("employment",
-                              ("full_time", "student", "retired"))
+    sex, household, employment = _schema_blocks()
     const = FeatureBlock("const", ("1",))
     return FeatureSpec(u=(sex, household), v=(employment,),
                        w=(const, employment))
 
 
 def gam_feature_spec() -> FeatureSpec:
-    sex = FeatureBlock("sex", ("M", "F"))
-    household = FeatureBlock("household_size", ("1", "2", "3"))
+    sex, household, _ = _schema_blocks()
     const = FeatureBlock("const", ("1",))
     return FeatureSpec(u=(sex, household), w=(const,))
 

@@ -453,15 +453,13 @@ def build_design(
     records: Sequence[SurveyRecord],
     feature_spec: FeatureSpec,
     *,
-    population: PopulationTable | None = None,
     missingness: MissingnessTable | None = None,
 ) -> DesignMatrix:
     """Expand records into indicator columns ordered (u | v | w).
 
-    Offsets are zero unless population/missingness tables are supplied, in
-    which case each row carries log S(wave, age, sex) plus nothing for the
-    population (population offsets enter per contact age inside the
-    rate-consistency model, not per row here).
+    Offsets are zero unless a missingness table is supplied, in which case
+    each row carries log S(wave, age, sex). Population offsets enter per
+    contact age inside the rate-consistency model, not per row here.
     """
     n = len(records)
     columns: list[str] = []

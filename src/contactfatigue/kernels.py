@@ -174,7 +174,7 @@ def _eigenfunctions(x_centered: np.ndarray, half_width: float, m: int
     return phi, freqs
 
 
-def build_hsgp_1d(spec: KernelSpec, inputs: np.ndarray, m: int = 30,
+def build_hsgp_1d(inputs: np.ndarray, m: int = 30,
                   c: float = 1.5) -> HsgpBasis:
     """Reduced-rank basis on centered inputs with boundary factor ``c``."""
     if m < 1:
@@ -192,6 +192,8 @@ def build_hsgp_1d(spec: KernelSpec, inputs: np.ndarray, m: int = 30,
 
 def _build_hsgp_2d(grid_a: np.ndarray, grid_b: np.ndarray, m: int, c: float,
                    symmetric: bool) -> HsgpBasis:
+    if m < 1:
+        raise ValueError("basis size m must be >= 1")
     grid_a = np.asarray(grid_a, dtype=float)
     grid_b = np.asarray(grid_b, dtype=float)
     if grid_a.shape != grid_b.shape:
@@ -231,8 +233,7 @@ def _build_hsgp_2d(grid_a: np.ndarray, grid_b: np.ndarray, m: int, c: float,
                      symmetric=symmetric)
 
 
-def build_hsgp_2d_symmetric(spec_a: KernelSpec, spec_b: KernelSpec,
-                            grid_a: np.ndarray, grid_b: np.ndarray,
+def build_hsgp_2d_symmetric(grid_a: np.ndarray, grid_b: np.ndarray,
                             m: int = 40, c: float = 1.5) -> HsgpBasis:
     """Symmetrized tensor-product basis: realizations obey f(a,b) = f(b,a).
 
@@ -241,17 +242,12 @@ def build_hsgp_2d_symmetric(spec_a: KernelSpec, spec_b: KernelSpec,
     j <= k; the j < k columns average both orderings, the antisymmetric
     complement is dropped.
     """
-    del spec_a, spec_b  # kernels enter via spectral weights at realize time
-    if m < 1:
-        raise ValueError("basis size m must be >= 1")
     return _build_hsgp_2d(grid_a, grid_b, m, c, symmetric=True)
 
 
 def build_hsgp_2d(grid_a: np.ndarray, grid_b: np.ndarray, m: int = 40,
                   c: float = 1.5) -> HsgpBasis:
     """Unrestricted tensor-product basis (M = m^2 columns)."""
-    if m < 1:
-        raise ValueError("basis size m must be >= 1")
     return _build_hsgp_2d(grid_a, grid_b, m, c, symmetric=False)
 
 

@@ -1,26 +1,35 @@
 """Log-posterior and gradient assemblers for the model families.
 
-Five regression families share one protocol: a named-block parameter layout,
+Every family exposes one protocol: a named-block parameter layout,
 ``logp_grad`` returning the joint log posterior with its exact analytic
 gradient on the unconstrained scale, per-observation log likelihoods for
 cross-validation, posterior replicates for predictive checks, and intensity
 prediction with an optional fatigue de-biasing switch.
 
-Families:
+Four families are one log-linear count regression, assembled from terms by
+``_AdditiveCountModel``:
 
-* ``stage1_poisson``  -- first-time participants; Poisson regression with a
-  hierarchical baseline block and either regularized-horseshoe or plain
-  normal priors on the tested block.
-* ``stage2_poisson``  -- repeat participants; stage-1 point estimates enter
-  as fixed row offsets, fatigue candidates get the negatively-truncated
-  horseshoe.
-* ``longitudinal_nb`` -- NB2 counts with a Matern-3/2 calendar-time GP and a
-  configurable fatigue term (independent, identical, GP-on-repeats, Hill).
-* ``individual_gam``  -- NB2 counts with a squared-exponential age smooth and
-  one Hill fatigue curve per selected covariate.
-* ``aggregated_brc``  -- coarse-band NB1 counts tied to a latent single-year
-  contact surface through rate consistency; the surface is a symmetrized 2D
-  GP so that population flows balance exactly.
+* ``stage1_poisson``  -- first-time participants: intercept, a hierarchical
+  baseline block, a tested block under the regularized horseshoe (or plain
+  normal priors); Poisson counts.
+* ``stage2_poisson``  -- repeat participants: the frozen stage-1 predictor
+  as offsets, fatigue candidates under the negatively-truncated horseshoe;
+  Poisson counts.
+* ``longitudinal_nb`` -- intercept, hierarchical covariates, a Matern-3/2
+  calendar-time GP and a fatigue term (independent, identical,
+  GP-on-repeats, Hill); NB2 counts.
+* ``individual_gam``  -- intercept, covariates, a squared-exponential age
+  smooth, one Hill fatigue curve per selected covariate; NB2 counts.
+
+A term declares its parameter blocks and the data columns it reads; rows
+that agree on all of them and on their offset form one predictor group. One
+likelihood per observation family (Poisson or NB2) runs on group sizes and
+count sums plus a count histogram, so its cost scales with distinct
+predictor cells, not rows. De-biased predictions drop the fatigue terms.
+
+``aggregated_brc`` keeps its own likelihood: coarse-band NB1 counts tied to
+a latent single-year contact surface through rate consistency; the surface
+is a symmetrized 2D GP so that population flows balance exactly.
 
 Every parameter block declares its natural-scale prior (``Block.prior``).
 When a model is built its layout's priors are grouped into one table, and
@@ -42,7 +51,7 @@ from ..priors import PriorSpec, RhsSpec, log_prior, rhs_coefficients
 from .fatigue import FatigueSpec, HillPriors, hill_grad, HillCurve, no_fatigue
 from .likelihoods import (CountCache, nb1_agg_loglik, nb1_rvs,
                           nb2_group_loglik, nb2_loglik, nb2_rvs,
-                          poisson_loglik)
+                          poisson_group_loglik, poisson_loglik)
 from .params import Block, GradAccumulator, Layout
 
 
@@ -71,10 +80,23 @@ def _guarded(fn):
     wrapper.__doc__ = fn.__doc__
     return wrapper
 
-#: standard deviation of the single-year age grid, used to standardize
-#: GP input axes so lengthscale priors act on a unit-scale axis
-AGE_SD = float(np.arange(AGE_MAX + 1).std())
 
+def _check_finite_predictor(eta: np.ndarray,
+                            group_of: np.ndarray | None = None) -> None:
+    # NaN signals broken data; +-inf from parameter overflow is handled by
+    # the likelihoods (-inf). ``group_of`` maps rows to the groups of eta.
+    if np.any(np.isnan(eta)):
+        nan = np.isnan(eta if group_of is None else eta[group_of])
+        bad = int(np.flatnonzero(nan)[0])
+        raise FloatingPointError(f"non-finite linear predictor at row {bad}")
+
+#: the single-year age grid, and its standard deviation, used to
+#: standardize GP input axes so lengthscale priors act on a unit-scale axis
+AGE_GRID = np.arange(AGE_MAX + 1, dtype=float)
+AGE_SD = float(AGE_GRID.std())
+
+#: the observation model of each family; the assembler of the row-level
+#: families reads it, and AggregatedBrcModel holds its NB1 likelihood
 _FAMILY_OBSERVATION = {
     "stage1_poisson": "poisson",
     "stage2_poisson": "poisson",
@@ -110,7 +132,6 @@ class ModelSpec:
     """Declarative description of a fit."""
 
     family: str
-    observation: str = ""
     fatigue: FatigueSpec = field(default_factory=no_fatigue)
     rhs: RhsSpec | None = None
     beta0_loc: float = 0.0
@@ -125,12 +146,6 @@ class ModelSpec:
     def __post_init__(self) -> None:
         if self.family not in _FAMILY_OBSERVATION:
             raise ValueError(f"unknown model family {self.family!r}")
-        expected = _FAMILY_OBSERVATION[self.family]
-        if self.observation and self.observation != expected:
-            raise ValueError(
-                f"{self.family} requires observation {expected!r}")
-        if not self.observation:
-            object.__setattr__(self, "observation", expected)
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +260,37 @@ class _RhsTerm:
         acc.add("rhs_eps", float(g_beta @ partials["eps"]) * eps)
 
 
+class _Coefficients:
+    """Coefficients that are the block ``raw``, or with ``scale`` (a
+    half-Cauchy block on the log scale) the hierarchical ``sigma * raw``."""
+
+    def __init__(self, raw: Block, scale: str | None = None):
+        self.raw = raw.name
+        self.scale = scale
+        self.own = [raw] + ([] if scale is None
+                            else [Block(scale, 1, "log", HALF_CAUCHY)])
+
+    def blocks(self) -> list[Block]:
+        return self.own
+
+    def coefficients(self, layout: Layout, theta: np.ndarray):
+        raw = layout.raw(theta, self.raw)
+        if self.scale is None:
+            return raw, None
+        sigma = float(np.exp(layout.raw(theta, self.scale)[0]))
+        _positive(sigma)
+        return sigma * raw, (raw, sigma)
+
+    def backprop(self, acc: GradAccumulator, g_beta: np.ndarray,
+                 cache) -> None:
+        if cache is None:
+            acc.add(self.raw, g_beta)
+            return
+        raw, sigma = cache
+        acc.add(self.raw, sigma * g_beta)
+        acc.add(self.scale, float(raw @ g_beta) * sigma)
+
+
 class _HsgpTerm:
     """One GP contribution: weights + kernel hyperparameters as blocks.
 
@@ -276,8 +322,7 @@ class _HsgpTerm:
                 m: int, input_sd: float = 1.0,
                 center_weights: np.ndarray | None = None) -> _HsgpTerm:
         """A 1D term on the basis of ``inputs / input_sd``."""
-        basis = kernels.build_hsgp_1d(KernelSpec(config.kernel, 1.0, 1.0),
-                                      inputs / input_sd, m, config.c)
+        basis = kernels.build_hsgp_1d(inputs / input_sd, m, config.c)
         return cls(name, basis, config, input_sd, center_weights)
 
     def blocks(self) -> list[Block]:
@@ -337,18 +382,102 @@ class _HsgpTerm:
         return phi @ (np.sqrt(s) * w)
 
 
-class _HillTerm:
-    """Hill fatigue curves: one curve (Q=1) or one per fatigue covariate.
+# ---------------------------------------------------------------------------
+# Terms of the additive predictor. A term reads the per-row data ``columns``
+# and gets them back at one row per predictor group through ``bind``; then
+# ``values`` gives it on the groups plus a backprop cache, ``backprop``
+# pushes d(logp)/d(term) into its blocks, and ``at`` evaluates it on new
+# rows. De-biased predictions drop the ``fatigue`` terms.
+# ---------------------------------------------------------------------------
 
-    With ``weights`` (n, Q) the term is sum_q weights[:, q] rho_q(r);
-    without, it is the single curve rho(r).
+class _Linear:
+    """x' beta for the indicator columns ``x`` (``newdata[key]`` on new
+    rows) with plain, hierarchical or horseshoe coefficients ``coef``; the
+    intercept is the linear term on a constant column (``key`` None)."""
+
+    def __init__(self, key: str | None, x: np.ndarray, coef,
+                 fatigue: bool = False):
+        self.key = key
+        self.coef = coef
+        self.fatigue = fatigue
+        self.columns = list(x.T)
+
+    @classmethod
+    def intercept(cls, spec: ModelSpec, n: int) -> _Linear:
+        return cls(None, np.ones((n, 1)), _Coefficients(_intercept(spec)))
+
+    def blocks(self) -> list[Block]:
+        return self.coef.blocks()
+
+    def bind(self, g: np.ndarray) -> None:
+        self.g_x = g
+
+    def values(self, layout: Layout, theta: np.ndarray):
+        beta, cache = self.coef.coefficients(layout, theta)
+        # ndarray.dot: matmul takes a slow path for a single column
+        return self.g_x.dot(beta), cache
+
+    def backprop(self, acc: GradAccumulator, d_eta: np.ndarray,
+                 cache) -> None:
+        self.coef.backprop(acc, self.g_x.T.dot(d_eta), cache)
+
+    def at(self, layout: Layout, theta: np.ndarray, newdata):
+        beta = self.coef.coefficients(layout, theta)[0]
+        return beta[0] if self.key is None else newdata[self.key] @ beta
+
+
+class _Smooth:
+    """A 1D HSGP term on the points ``grid``, read at each row's ``index``
+    into it and centered on the rows; new rows give raw coordinates
+    ``newdata[key]``."""
+
+    fatigue = False
+
+    def __init__(self, name: str, grid: np.ndarray, index: np.ndarray,
+                 config: HsgpConfig, input_sd: float, key: str):
+        self.gp = _HsgpTerm.on_axis(name, grid, config, config.m, input_sd,
+                                    np.bincount(index, minlength=grid.size))
+        self.key = key
+        self.columns = [index]
+
+    def blocks(self) -> list[Block]:
+        return self.gp.blocks()
+
+    def bind(self, g: np.ndarray) -> None:
+        self.g_index = g[:, 0].astype(int)
+
+    def values(self, layout: Layout, theta: np.ndarray):
+        f, cache = self.gp.values(layout, theta)
+        return f[self.g_index], cache
+
+    def backprop(self, acc: GradAccumulator, d_eta: np.ndarray,
+                 cache) -> None:
+        self.gp.backprop(acc, np.bincount(self.g_index, weights=d_eta,
+                                          minlength=self.gp.phi.shape[0]),
+                         cache)
+
+    def at(self, layout: Layout, theta: np.ndarray, newdata):
+        return self.gp.values_at(layout, theta,
+                                 np.asarray(newdata[self.key], float))
+
+
+class _HillTerm:
+    """Hill fatigue curves at each row's repeat count: one curve (Q=1), or
+    one per fatigue covariate with ``weights`` (n, Q) the covariate columns
+    (``newdata["w"]`` on new rows), giving sum_q weights[:, q] rho_q(r).
+    The curves are evaluated once per distinct repeat count.
     """
 
-    def __init__(self, priors: tuple[HillPriors, ...]):
+    fatigue = True
+
+    def __init__(self, priors: tuple[HillPriors, ...], repeat: np.ndarray,
+                 weights: np.ndarray | None = None):
         if len({pr.eta_kind for pr in priors}) > 1:
             raise ValueError("Hill curves must share one eta prior kind")
         self.q = len(priors)
         self.priors = priors
+        self.weighted = weights is not None
+        self.columns = [repeat] + ([] if weights is None else list(weights.T))
 
     def blocks(self) -> list[Block]:
         def per_curve(family: str, *attrs: str) -> PriorSpec:
@@ -365,30 +494,40 @@ class _HillTerm:
                       prior=per_curve("normal", "zeta_loc", "zeta_scale")),
                 Block("hill_eta", self.q, "log", eta)]
 
-    def values(self, layout: Layout, theta: np.ndarray, repeat,
-               weights: np.ndarray | None = None) -> tuple[np.ndarray, tuple]:
-        """The term at repeat counts ``repeat`` plus a backprop cache."""
+    def bind(self, g: np.ndarray) -> None:
+        self.g_repeat = np.unique(g[:, 0].astype(int), return_inverse=True)
+        self.g_weights = g[:, 1:] if self.weighted else None
+
+    def _curves(self, layout: Layout, theta: np.ndarray, repeat,
+                weights: np.ndarray | None) -> tuple[np.ndarray, tuple]:
+        """The term at ``repeat`` = (distinct counts, index of each row into
+        them) plus a backprop cache."""
         gam = np.exp(layout.raw(theta, "hill_gamma"))
         zet = layout.raw(theta, "hill_zeta")
         eta = np.exp(layout.raw(theta, "hill_eta"))
         _positive(*gam, *eta)
-        curves = [HillCurve(gam[q], zet[q], eta[q]) for q in range(self.q)]
-        per_q = [(c, *hill_grad(c, repeat)) for c in curves]
+        counts, index = repeat
+        per_q = [(c, *hill_grad(c, counts))
+                 for c in map(HillCurve, gam, zet, eta)]
         if weights is None:
-            return per_q[0][1], (per_q, None)
+            return per_q[0][1][index], (per_q, index, None)
         total = np.zeros(weights.shape[0])
         for q, (_, value, _) in enumerate(per_q):
-            total += weights[:, q] * value
-        return total, (per_q, weights)
+            total += weights[:, q] * value[index]
+        return total, (per_q, index, weights)
 
-    def backprop(self, acc: GradAccumulator, d_term: np.ndarray,
+    def values(self, layout: Layout, theta: np.ndarray):
+        return self._curves(layout, theta, self.g_repeat, self.g_weights)
+
+    def backprop(self, acc: GradAccumulator, d_eta: np.ndarray,
                  cache) -> None:
         """Push d(logp)/d(term) into the curve parameters, on the log scale
         for gamma and eta."""
-        per_q, weights = cache
+        per_q, index, weights = cache
         rows = []
-        for q, (curve, _, grads) in enumerate(per_q):
-            d = d_term if weights is None else weights[:, q] * d_term
+        for q, (curve, value, grads) in enumerate(per_q):
+            d = np.bincount(index, minlength=value.size, weights=(
+                d_eta if weights is None else weights[:, q] * d_eta))
             rows.append((float(d @ grads["gamma"]) * curve.gamma,
                          float(d @ grads["zeta"]),
                          float(d @ grads["eta"]) * curve.eta))
@@ -396,44 +535,173 @@ class _HillTerm:
                            np.array(rows).T):
             acc.add(name, g)
 
-
-def _check_finite_predictor(eta: np.ndarray) -> None:
-    # NaN signals broken data; +-inf from parameter overflow is handled by
-    # the likelihoods (they return -inf, which the sampler rejects).
-    if np.any(np.isnan(eta)):
-        bad = int(np.flatnonzero(np.isnan(eta))[0])
-        raise FloatingPointError(f"non-finite linear predictor at row {bad}")
+    def at(self, layout: Layout, theta: np.ndarray, newdata):
+        w = np.asarray(newdata["w"], dtype=float) if self.weighted else None
+        repeat = np.unique(np.asarray(newdata["repeat"], dtype=int),
+                           return_inverse=True)
+        return self._curves(layout, theta, repeat, w)[0]
 
 
-class _PoissonRows:
-    """Row-level Poisson log likelihood and replicates from ``_eta``."""
+class _RhoTable:
+    """Fatigue as a table rho(1), ..., rho(size) read at each row's repeat
+    count; repeats beyond the table take its last value, and rho(0) = 0.
+    The table is the free block ``rho`` or, given ``gp``, an HSGP on the
+    repeat grid."""
+
+    fatigue = True
+
+    def __init__(self, repeat: np.ndarray, size: int,
+                 gp: _HsgpTerm | None = None):
+        self.size = size
+        self.gp = gp
+        self.columns = [repeat]
+
+    def blocks(self) -> list[Block]:
+        return ([Block("rho", self.size, prior=STD_NORMAL)] if self.gp is None
+                else self.gp.blocks())
+
+    def bind(self, g: np.ndarray) -> None:
+        self.g_lookup = self._lookup(g[:, 0].astype(int))
+
+    def _lookup(self, repeat: np.ndarray):
+        return np.clip(repeat, 1, self.size) - 1, repeat >= 1
+
+    def _table(self, layout: Layout, theta: np.ndarray):
+        if self.gp is None:
+            return layout.raw(theta, "rho"), None
+        return self.gp.values(layout, theta)
+
+    def values(self, layout: Layout, theta: np.ndarray):
+        table, cache = self._table(layout, theta)
+        idx, r_pos = self.g_lookup
+        return np.where(r_pos, table[idx], 0.0), cache
+
+    def backprop(self, acc: GradAccumulator, d_eta: np.ndarray,
+                 cache) -> None:
+        idx, r_pos = self.g_lookup
+        g_table = np.bincount(idx[r_pos], weights=d_eta[r_pos],
+                              minlength=self.size)
+        if self.gp is None:
+            acc.add("rho", g_table)
+        else:
+            self.gp.backprop(acc, g_table, cache)
+
+    def at(self, layout: Layout, theta: np.ndarray, newdata):
+        idx, r_pos = self._lookup(np.asarray(newdata["repeat"], dtype=int))
+        return np.where(r_pos, self._table(layout, theta)[0][idx], 0.0)
+
+
+class _AdditiveCountModel:
+    """A log-linear count regression: eta = sum of ``terms`` + offsets.
+
+    Rows that agree on every column the terms read and on their offset form
+    one group. The family's likelihood, Poisson or NB2 (dispersion ``phi``),
+    runs exactly on the groups; the row-level likelihoods give pointwise
+    log likelihoods and replicates. Predictions leave out the offsets unless
+    ``offsets_in_prediction`` (``newdata["offset"]`` on new rows).
+    """
+
+    offsets_in_prediction = False
+
+    def __init__(self, spec: ModelSpec, data: DesignMatrix, terms: list):
+        self.spec = spec
+        self.data = data
+        self.n_obs = data.n
+        self.terms = terms
+        columns = [t.columns for t in terms] + [[data.offsets]]
+        key = np.column_stack([c for cols in columns for c in cols])
+        _, first, self.group_of = np.unique(
+            key, axis=0, return_index=True, return_inverse=True)
+        start = 0
+        for term, cols in zip(terms, columns):
+            term.bind(key[first, start:start + len(cols)])
+            start += len(cols)
+        self.g_offsets = key[first, -1]
+        self.g_n = np.bincount(self.group_of,
+                               minlength=first.size).astype(float)
+        self.g_sum_y = np.bincount(self.group_of, weights=data.y,
+                                   minlength=first.size)
+        self._ycache = CountCache.from_counts(data.y)
+        self.y_hist = np.bincount(self._ycache.inverse).astype(float)
+        self.nb2 = _FAMILY_OBSERVATION[spec.family] == "nb2"
+        blocks = [b for t in terms for b in t.blocks()]
+        if self.nb2:
+            blocks.append(Block("phi", 1, "log", DISPERSION_PRIOR))
+        self.layout = Layout(blocks)
+        self.prior = _PriorPass(self.layout)
+
+    def _phi(self, theta: np.ndarray) -> float:
+        return float(np.exp(self.layout.raw(theta, "phi")[0]))
+
+    def _eta_groups(self, theta: np.ndarray):
+        eta = np.zeros(self.g_n.size)
+        caches = []
+        for term in self.terms:
+            value, cache = term.values(self.layout, theta)
+            eta = eta + value
+            caches.append(cache)
+        eta = eta + self.g_offsets
+        _check_finite_predictor(eta, self.group_of)
+        return eta, caches
+
+    def _eta_rows(self, theta: np.ndarray) -> np.ndarray:
+        return self._eta_groups(theta)[0][self.group_of]
+
+    @_guarded
+    def logp_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
+        acc = GradAccumulator(self.layout)
+        eta, caches = self._eta_groups(theta)
+        if self.nb2:
+            phi = self._phi(theta)
+            _positive(phi)
+            logp, d_eta, d_phi = nb2_group_loglik(
+                self.g_n, self.g_sum_y, eta, phi, self._ycache.unique,
+                self.y_hist)
+            acc.add("phi", d_phi * phi)
+        else:
+            logp, d_eta = poisson_group_loglik(
+                self.g_n, self.g_sum_y, eta, self._ycache.unique, self.y_hist)
+        for term, cache in zip(self.terms, caches):
+            term.backprop(acc, d_eta, cache)
+        logp += self.prior(theta, acc.grad)
+        return logp, acc.grad
 
     def pointwise_loglik(self, theta: np.ndarray) -> np.ndarray:
-        return poisson_loglik(self.y, self._eta(theta)[0], self._ycache)[0]
+        eta = self._eta_rows(theta)
+        if self.nb2:
+            return nb2_loglik(self.data.y, eta, self._phi(theta),
+                              self._ycache)[0]
+        return poisson_loglik(self.data.y, eta, self._ycache)[0]
 
     def replicate(self, theta, rng: np.random.Generator) -> np.ndarray:
-        return rng.poisson(np.exp(self._eta(theta)[0]))
+        mu = np.exp(self._eta_rows(theta))
+        return nb2_rvs(rng, mu, self._phi(theta)) if self.nb2 else (
+            rng.poisson(mu))
 
+    def _sum(self, theta: np.ndarray, terms: list, newdata=None):
+        """``terms`` summed on the fitted rows, or on ``newdata``."""
+        if newdata is not None:
+            return sum((t.at(self.layout, theta, newdata) for t in terms), 0.0)
+        return sum((t.values(self.layout, theta)[0] for t in terms),
+                   np.zeros(self.g_n.size))[self.group_of]
 
-class _Nb2Rows:
-    """Row-level NB2 log likelihood and replicates from ``_eta``."""
-
-    def pointwise_loglik(self, theta: np.ndarray) -> np.ndarray:
-        eta = self._eta(theta)[0]
-        phi = float(np.exp(self.layout.raw(theta, "phi")[0]))
-        return nb2_loglik(self.y, eta, phi, self._ycache)[0]
-
-    def replicate(self, theta, rng: np.random.Generator) -> np.ndarray:
-        eta = self._eta(theta)[0]
-        phi = float(np.exp(self.layout.raw(theta, "phi")[0]))
-        return nb2_rvs(rng, np.exp(eta), phi)
+    def predict_log_intensity(self, theta, newdata=None, debias=False
+                              ) -> np.ndarray:
+        """Log intensity on the fitted rows or on ``newdata``; ``debias``
+        drops the fatigue terms."""
+        eta = self._sum(theta, [t for t in self.terms
+                                if not (debias and t.fatigue)], newdata)
+        if not self.offsets_in_prediction:
+            return eta
+        return eta + (self.data.offsets if newdata is None
+                      else np.asarray(newdata["offset"], dtype=float))
 
 
 # ---------------------------------------------------------------------------
-# Stage 1: Poisson regression on first-time participants
+# The four row-level families
 # ---------------------------------------------------------------------------
 
-class Stage1PoissonModel(_PoissonRows):
+class Stage1PoissonModel(_AdditiveCountModel):
     """log(lambda) = beta0 + u' alpha + v' beta, Poisson counts.
 
     The baseline block gets a hierarchical normal prior with a half-Cauchy
@@ -443,401 +711,119 @@ class Stage1PoissonModel(_PoissonRows):
     """
 
     def __init__(self, spec: ModelSpec, data: DesignMatrix):
-        self.spec = spec
-        self.data = data
-        self.u = data.block("u")
-        self.v = data.block("v")
-        self.y = data.y
-        self._ycache = CountCache.from_counts(data.y)
-        self.n_obs = data.n
-        k = self.v.shape[1]
+        u, v = data.block("u"), data.block("v")
+        k = v.shape[1]
         if spec.rhs is not None and spec.rhs.n_coef != k:
             raise ValueError(f"rhs.n_coef must equal {k}")
-        blocks = [_intercept(spec),
-                  Block("alpha_raw", self.u.shape[1], prior=STD_NORMAL),
-                  Block("sigma_alpha", 1, "log", HALF_CAUCHY)]
-        self.rhs = None if spec.rhs is None else _RhsTerm("beta", spec.rhs)
-        if self.rhs is None:
-            blocks.append(Block("beta", k, prior=STD_NORMAL))
-        else:
-            blocks += self.rhs.blocks()
-        self.layout = Layout(blocks)
-        self.prior = _PriorPass(self.layout)
-
-    def _beta(self, theta):
-        if self.rhs is not None:
-            return self.rhs.coefficients(self.layout, theta)
-        if "beta" not in self.layout:
-            return np.zeros(self.v.shape[1]), None
-        return self.layout.raw(theta, "beta"), None
-
-    def _eta(self, theta):
-        beta, rhs_cache = self._beta(theta)
-        sigma_a = float(np.exp(self.layout.raw(theta, "sigma_alpha")[0]))
-        _positive(sigma_a)
-        alpha = sigma_a * self.layout.raw(theta, "alpha_raw")
-        eta = (self.layout.raw(theta, "beta0")[0] + self.u @ alpha
-               + self.v @ beta + self.data.offsets)
-        _check_finite_predictor(eta)
-        return eta, rhs_cache, sigma_a
+        self.tested = _Linear("v", v, (
+            _Coefficients(Block("beta", k, prior=STD_NORMAL))
+            if spec.rhs is None else _RhsTerm("beta", spec.rhs)))
+        super().__init__(spec, data, [
+            _Linear.intercept(spec, data.n),
+            _Linear("u", u, _Coefficients(
+                Block("alpha_raw", u.shape[1], prior=STD_NORMAL),
+                "sigma_alpha")),
+            self.tested])
 
     def coefficients(self, theta) -> np.ndarray:
-        return self._beta(theta)[0]
-
-    @_guarded
-    def logp_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
-        acc = GradAccumulator(self.layout)
-        eta, rhs_cache, sigma_a = self._eta(theta)
-        ll, dll = poisson_loglik(self.y, eta, self._ycache)
-        logp = float(ll.sum())
-
-        acc.add("beta0", dll.sum())
-        a_raw = self.layout.raw(theta, "alpha_raw")
-        ut_dll = self.u.T @ dll
-        acc.add("alpha_raw", sigma_a * ut_dll)
-        acc.add("sigma_alpha", float(a_raw @ ut_dll) * sigma_a)
-        g_beta = self.v.T @ dll
-        if self.rhs is not None:
-            self.rhs.backprop(acc, g_beta, rhs_cache)
-        elif "beta" in self.layout:
-            acc.add("beta", g_beta)
-        logp += self.prior(theta, acc.grad)
-        return logp, acc.grad
-
-    def predict_log_intensity(self, theta, newdata=None, debias=False
-                              ) -> np.ndarray:
-        del debias  # no fatigue term in stage 1
-        if newdata is None:
-            return self._eta(theta)[0] - self.data.offsets
-        beta = self._beta(theta)[0]
-        sigma_a = float(np.exp(self.layout.raw(theta, "sigma_alpha")[0]))
-        alpha = sigma_a * self.layout.raw(theta, "alpha_raw")
-        return (self.layout.raw(theta, "beta0")[0]
-                + newdata["u"] @ alpha + newdata["v"] @ beta)
+        return self.tested.coef.coefficients(self.layout, theta)[0]
 
 
-# ---------------------------------------------------------------------------
-# Stage 2: fatigue-candidate Poisson regression with fixed stage-1 offsets
-# ---------------------------------------------------------------------------
-
-class Stage2PoissonModel(_PoissonRows):
+class Stage2PoissonModel(_AdditiveCountModel):
     """log(lambda) = offset_i + w' gamma with gamma <= 0 via half-RHS.
 
     ``data.offsets`` must hold the frozen stage-1 predictor beta0_hat +
-    u' alpha_hat + v' beta_hat per row.
+    u' alpha_hat + v' beta_hat per row; the fatigue term w' gamma is what
+    de-biasing drops.
     """
+
+    offsets_in_prediction = True
 
     def __init__(self, spec: ModelSpec, data: DesignMatrix):
         if spec.rhs is None or spec.rhs.sign != "negative":
             raise ValueError("stage 2 requires a negative-sign RhsSpec")
-        self.spec = spec
-        self.data = data
-        self.w = data.block("w")
-        self.y = data.y
-        self._ycache = CountCache.from_counts(data.y)
-        self.n_obs = data.n
-        k = self.w.shape[1]
-        if spec.rhs.n_coef != k:
-            raise ValueError(f"rhs.n_coef must equal {k}")
+        w = data.block("w")
+        if spec.rhs.n_coef != w.shape[1]:
+            raise ValueError(f"rhs.n_coef must equal {w.shape[1]}")
         self.rhs = _RhsTerm("gamma", spec.rhs)
-        self.layout = Layout(self.rhs.blocks())
-        self.prior = _PriorPass(self.layout)
+        super().__init__(spec, data, [_Linear("w", w, self.rhs,
+                                              fatigue=True)])
 
     def coefficients(self, theta) -> np.ndarray:
         return self.rhs.coefficients(self.layout, theta)[0]
 
-    def _eta(self, theta):
-        gamma, cache = self.rhs.coefficients(self.layout, theta)
-        eta = self.data.offsets + self.w @ gamma
-        _check_finite_predictor(eta)
-        return eta, cache
 
-    @_guarded
-    def logp_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
-        acc = GradAccumulator(self.layout)
-        eta, cache = self._eta(theta)
-        ll, dll = poisson_loglik(self.y, eta, self._ycache)
-        logp = float(ll.sum())
-        self.rhs.backprop(acc, self.w.T @ dll, cache)
-        logp += self.prior(theta, acc.grad)
-        return logp, acc.grad
-
-    def predict_log_intensity(self, theta, newdata=None, debias=False
-                              ) -> np.ndarray:
-        gamma = self.coefficients(theta)
-        offsets = self.data.offsets if newdata is None else newdata["offset"]
-        w = self.w if newdata is None else newdata["w"]
-        if debias:
-            return np.asarray(offsets, dtype=float).copy()
-        return offsets + w @ gamma
-
-
-# ---------------------------------------------------------------------------
-# Longitudinal NB2 model with calendar-time GP and fatigue term
-# ---------------------------------------------------------------------------
-
-class LongitudinalNbModel(_Nb2Rows):
+class LongitudinalNbModel(_AdditiveCountModel):
     """log(lambda) = beta0 + x' beta + tau(t) + rho(r), NB2 counts.
 
-    Rows sharing (covariates, date, repeat, offset) share a linear
-    predictor, so the likelihood and its gradient are evaluated on group
-    sufficient statistics (size, count sum) plus a global count histogram,
-    which is exact and much faster than row-level evaluation. Row-level
-    quantities are gathered from the groups.
+    tau is a GP over the distinct report dates; rho is a free table over
+    repeats (independent), one shared effect (identical), a GP table on
+    standardized repeat counts (gp) or a Hill curve (hill).
     """
 
     def __init__(self, spec: ModelSpec, data: DesignMatrix):
-        self.spec = spec
-        self.data = data
-        self.x = data.x
-        self.y = data.y
-        self._ycache = CountCache.from_counts(data.y)
-        self.n_obs = data.n
-        self.repeat = data.repeat.astype(int)
-
-        self.times, self.time_idx = np.unique(data.report_date,
-                                              return_inverse=True)
-        if self.times.size < 2:
+        times, time_idx = np.unique(data.report_date, return_inverse=True)
+        if times.size < 2:
             raise ValueError("longitudinal model needs >= 2 report dates")
-        time_sd = float(max(self.times.std(), 1e-8))
-        time_weights = np.bincount(self.time_idx,
-                                   minlength=self.times.size).astype(float)
-        self.tau = _HsgpTerm.on_axis("tau", self.times, spec.hsgp_time,
-                                     spec.hsgp_time.m, time_sd, time_weights)
-
-        fk = spec.fatigue.kind
-        blocks = [_intercept(spec),
-                  Block("beta_raw", self.x.shape[1], prior=STD_NORMAL),
-                  Block("sigma_beta", 1, "log", HALF_CAUCHY)]
-        blocks += self.tau.blocks()
-        self.rho_gp: _HsgpTerm | None = None
-        self.hill: _HillTerm | None = None
-        if fk == "independent":
-            blocks.append(Block("rho", spec.fatigue.max_repeat,
-                                prior=STD_NORMAL))
-        elif fk == "identical":
-            blocks.append(Block("rho", 1, prior=STD_NORMAL))
+        repeat = data.repeat.astype(int)
+        fk, r_max = spec.fatigue.kind, spec.fatigue.max_repeat
+        if fk in ("independent", "identical"):
+            fatigue = [_RhoTable(repeat, r_max if fk == "independent" else 1)]
         elif fk == "gp":
-            # the table rho(1..max_repeat) on standardized repeat counts
-            grid = np.arange(1, spec.fatigue.max_repeat + 1)
-            self.rho_gp = _HsgpTerm.on_axis(
-                "rho_gp", (grid - self.repeat.mean())
-                / max(self.repeat.std(), 1e-8), HsgpConfig(kernel="se"),
-                spec.fatigue.gp_m)
-            blocks += self.rho_gp.blocks()
+            grid = np.arange(1, r_max + 1)
+            fatigue = [_RhoTable(repeat, r_max, _HsgpTerm.on_axis(
+                "rho_gp", (grid - repeat.mean()) / max(repeat.std(), 1e-8),
+                HsgpConfig(kernel="se"), spec.fatigue.gp_m))]
         elif fk == "hill":
-            self.hill = _HillTerm(spec.fatigue.hill_priors_for(1))
-            blocks += self.hill.blocks()
-        elif fk != "none":
+            fatigue = [_HillTerm(spec.fatigue.hill_priors_for(1), repeat)]
+        elif fk == "none":
+            fatigue = []
+        else:
             raise ValueError(f"unsupported fatigue kind {fk!r} for "
                              "the longitudinal model")
-        blocks.append(Block("phi", 1, "log", DISPERSION_PRIOR))
-        self.layout = Layout(blocks)
-        self.prior = _PriorPass(self.layout)
-
-        key = np.column_stack([self.x, self.time_idx, self.repeat,
-                               data.offsets])
-        _, first_idx, self.group_of = np.unique(
-            key, axis=0, return_index=True, return_inverse=True)
-        g = first_idx.size
-        self.g_x = self.x[first_idx]
-        self.g_time_idx = self.time_idx[first_idx]
-        self.g_repeat = self.repeat[first_idx]
-        self.g_offsets = data.offsets[first_idx]
-        self.g_n = np.bincount(self.group_of, minlength=g).astype(float)
-        self.g_sum_y = np.bincount(self.group_of, weights=self.y, minlength=g)
-        self.y_hist_vals = self._ycache.unique
-        self.y_hist_counts = np.bincount(
-            self._ycache.inverse,
-            minlength=self.y_hist_vals.size).astype(float)
-
-    def _fatigue(self, theta, repeat: np.ndarray):
-        """rho(r) at repeat counts ``repeat`` plus a backprop cache.
-
-        Tabulated kinds (independent, identical, gp) hold rho(1), rho(2),
-        ...; repeats beyond the table take its last value, and rho(0) = 0.
-        """
-        fk = self.spec.fatigue.kind
-        if fk == "none":
-            return np.zeros(repeat.size), None
-        if fk == "hill":
-            return self.hill.values(self.layout, theta, repeat)
-        if fk == "gp":
-            table, cache = self.rho_gp.values(self.layout, theta)
-        else:
-            table, cache = self.layout.raw(theta, "rho"), None
-        idx = np.clip(repeat, 1, table.size) - 1
-        r_pos = repeat >= 1
-        return np.where(r_pos, table[idx], 0.0), (table.size, idx, r_pos,
-                                                  cache)
-
-    def _eta_groups(self, theta):
-        beta_raw = self.layout.raw(theta, "beta_raw")
-        sigma_b = float(np.exp(self.layout.raw(theta, "sigma_beta")[0]))
-        _positive(sigma_b)
-        f_time, tau_cache = self.tau.values(self.layout, theta)
-        rho_vals, rho_cache = self._fatigue(theta, self.g_repeat)
-        eta = (self.layout.raw(theta, "beta0")[0]
-               + self.g_x @ (sigma_b * beta_raw) + f_time[self.g_time_idx]
-               + rho_vals + self.g_offsets)
-        _check_finite_predictor(eta)
-        return eta, (beta_raw, sigma_b, tau_cache, rho_vals, rho_cache)
-
-    def _eta(self, theta) -> tuple[np.ndarray, np.ndarray]:
-        """Row-level predictor and fatigue term."""
-        eta, parts = self._eta_groups(theta)
-        return eta[self.group_of], parts[3][self.group_of]
-
-    @_guarded
-    def logp_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
-        acc = GradAccumulator(self.layout)
-        eta, (beta_raw, sigma_b, tau_cache, _rho, rho_cache) = \
-            self._eta_groups(theta)
-        phi = float(np.exp(self.layout.raw(theta, "phi")[0]))
-        _positive(phi)
-        logp, dll, dphi = nb2_group_loglik(self.g_n, self.g_sum_y, eta, phi,
-                                           self.y_hist_vals,
-                                           self.y_hist_counts)
-
-        acc.add("beta0", dll.sum())
-        xt_dll = self.g_x.T @ dll
-        acc.add("beta_raw", sigma_b * xt_dll)
-        acc.add("sigma_beta", float(beta_raw @ xt_dll) * sigma_b)
-        g_time = np.bincount(self.g_time_idx, weights=dll,
-                             minlength=self.times.size)
-        self.tau.backprop(acc, g_time, tau_cache)
-
-        fk = self.spec.fatigue.kind
-        if fk == "hill":
-            self.hill.backprop(acc, dll, rho_cache)
-        elif fk != "none":
-            size, idx, r_pos, gp_cache = rho_cache
-            g_table = np.bincount(idx[r_pos], weights=dll[r_pos],
-                                  minlength=size)
-            if fk == "gp":
-                self.rho_gp.backprop(acc, g_table, gp_cache)
-            else:
-                acc.add("rho", g_table)
-        acc.add("phi", dphi * phi)
-        logp += self.prior(theta, acc.grad)
-        return logp, acc.grad
+        super().__init__(spec, data, [
+            _Linear.intercept(spec, data.n),
+            _Linear("x", data.x, _Coefficients(
+                Block("beta_raw", data.x.shape[1], prior=STD_NORMAL),
+                "sigma_beta")),
+            _Smooth("tau", times, time_idx, spec.hsgp_time,
+                    max(times.std(), 1e-8), "report_date"),
+            *fatigue])
 
     def fatigue_curve(self, theta, r_grid: np.ndarray) -> np.ndarray:
         """rho(r) on a grid of repeat counts for one draw."""
-        return self._fatigue(theta, np.asarray(r_grid, dtype=int))[0]
-
-    def predict_log_intensity(self, theta, newdata=None, debias=False
-                              ) -> np.ndarray:
-        if newdata is None:
-            eta, rho = self._eta(theta)
-            return eta - self.data.offsets - (rho if debias else 0.0)
-        beta = (float(np.exp(self.layout.raw(theta, "sigma_beta")[0]))
-                * self.layout.raw(theta, "beta_raw"))
-        f_time = self.tau.values_at(self.layout, theta,
-                                    np.asarray(newdata["report_date"], float))
-        eta = (self.layout.raw(theta, "beta0")[0] + newdata["x"] @ beta
-               + f_time)
-        if not debias:
-            eta = eta + self.fatigue_curve(theta, newdata["repeat"])
-        return eta
+        repeat = np.asarray(r_grid, dtype=int)
+        fatigue = [t for t in self.terms if t.fatigue]
+        return np.zeros(repeat.size) + self._sum(theta, fatigue,
+                                                 {"repeat": repeat})
 
 
-# ---------------------------------------------------------------------------
-# Individual-level generalized additive model with per-covariate Hill curves
-# ---------------------------------------------------------------------------
-
-class IndividualGamModel(_Nb2Rows):
+class IndividualGamModel(_AdditiveCountModel):
     """log(lambda) = beta0 + u' beta + f(age) + w' rho(r), NB2 counts."""
 
     def __init__(self, spec: ModelSpec, data: DesignMatrix):
         if spec.fatigue.kind not in ("none", "hill_per_covariate"):
             raise ValueError("GAM fatigue must be none or hill_per_covariate")
-        self.spec = spec
-        self.data = data
-        self.u = data.block("u")
-        self.w = data.block("w")
-        self.y = data.y
-        self._ycache = CountCache.from_counts(data.y)
-        self.n_obs = data.n
-        self.repeat = data.repeat.astype(int)
-        self.age_idx = data.age.astype(int)
-
-        self.age_grid = np.arange(AGE_MAX + 1, dtype=float)
-        age_weights = np.bincount(self.age_idx,
-                                  minlength=self.age_grid.size).astype(float)
-        self.f_age = _HsgpTerm.on_axis("age", self.age_grid, spec.hsgp_age,
-                                       spec.hsgp_age.m, AGE_SD, age_weights)
-
-        blocks = [_intercept(spec),
-                  Block("beta", self.u.shape[1], prior=PriorSpec(
-                      "normal", (spec.beta_loc, spec.beta_scale)))]
-        blocks += self.f_age.blocks()
-        self.hill: _HillTerm | None = None
+        u, w = data.block("u"), data.block("w")
+        age = _Smooth("age", AGE_GRID, data.age.astype(int), spec.hsgp_age,
+                      AGE_SD, "age")
+        self.f_age = age.gp
+        beta = Block("beta", u.shape[1], prior=PriorSpec(
+            "normal", (spec.beta_loc, spec.beta_scale)))
+        terms = [_Linear.intercept(spec, data.n),
+                 _Linear("u", u, _Coefficients(beta)), age]
         if spec.fatigue.kind == "hill_per_covariate":
-            q = self.w.shape[1]
-            if q == 0:
+            if w.shape[1] == 0:
                 raise ValueError("hill_per_covariate requires a w block")
-            self.hill = _HillTerm(spec.fatigue.hill_priors_for(q))
-            blocks += self.hill.blocks()
-        blocks.append(Block("phi", 1, "log", DISPERSION_PRIOR))
-        self.layout = Layout(blocks)
-        self.prior = _PriorPass(self.layout)
-
-    def _fatigue(self, theta) -> tuple[np.ndarray, tuple | None]:
-        if self.hill is None:
-            return np.zeros(self.n_obs), None
-        return self.hill.values(self.layout, theta, self.repeat, self.w)
-
-    def _eta(self, theta):
-        beta = self.layout.raw(theta, "beta")
-        f_vals, age_cache = self.f_age.values(self.layout, theta)
-        rho_vals, hill_cache = self._fatigue(theta)
-        eta = (self.layout.raw(theta, "beta0")[0] + self.u @ beta
-               + f_vals[self.age_idx] + rho_vals + self.data.offsets)
-        _check_finite_predictor(eta)
-        return eta, (age_cache, rho_vals, hill_cache)
-
-    @_guarded
-    def logp_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
-        acc = GradAccumulator(self.layout)
-        eta, (age_cache, _rho, hill_cache) = self._eta(theta)
-        phi = float(np.exp(self.layout.raw(theta, "phi")[0]))
-        _positive(phi)
-        ll, dll, dphi = nb2_loglik(self.y, eta, phi, self._ycache)
-        logp = float(ll.sum())
-
-        acc.add("beta0", dll.sum())
-        acc.add("beta", self.u.T @ dll)
-        g_age = np.bincount(self.age_idx, weights=dll,
-                            minlength=self.age_grid.size)
-        self.f_age.backprop(acc, g_age, age_cache)
-
-        if self.hill is not None:
-            self.hill.backprop(acc, dll, hill_cache)
-        acc.add("phi", dphi.sum() * phi)
-        logp += self.prior(theta, acc.grad)
-        return logp, acc.grad
+            terms.append(_HillTerm(spec.fatigue.hill_priors_for(w.shape[1]),
+                                   data.repeat.astype(int), w))
+        super().__init__(spec, data, terms)
 
     def age_curve(self, theta, ages: np.ndarray | None = None) -> np.ndarray:
         """log intensity over ages at reference covariates (u = w = 0)."""
-        ages = self.age_grid if ages is None else np.asarray(ages, float)
+        ages = AGE_GRID if ages is None else np.asarray(ages, float)
         f = self.f_age.values_at(self.layout, theta, ages)
         return self.layout.raw(theta, "beta0")[0] + f
-
-    def predict_log_intensity(self, theta, newdata=None, debias=False
-                              ) -> np.ndarray:
-        if newdata is None:
-            eta, parts = self._eta(theta)
-            return eta - self.data.offsets - (parts[1] if debias else 0.0)
-        beta = self.layout.raw(theta, "beta")
-        f = self.f_age.values_at(self.layout, theta,
-                                 np.asarray(newdata["age"], float))
-        eta = self.layout.raw(theta, "beta0")[0] + newdata["u"] @ beta + f
-        if not debias and self.hill is not None:
-            eta = eta + self.hill.values(
-                self.layout, theta, np.asarray(newdata["repeat"], dtype=int),
-                np.asarray(newdata["w"], dtype=float))[0]
-        return eta
 
 
 # ---------------------------------------------------------------------------
@@ -961,8 +947,6 @@ class AggregatedBrcModel:
             b = np.where(swap_mask, self.row_a[rows], data.row_b[rows])
             if len(key) != 2 or key[0] == key[1]:
                 basis = kernels.build_hsgp_2d_symmetric(
-                    KernelSpec(cfg.kernel, 1.0, 1.0),
-                    KernelSpec(cfg.kernel, 1.0, 1.0),
                     a / AGE_SD, b / AGE_SD, cfg.m, cfg.c)
             else:
                 basis = kernels.build_hsgp_2d(a / AGE_SD, b / AGE_SD,
@@ -1016,8 +1000,7 @@ class AggregatedBrcModel:
 
     def _tau_by_wave(self, theta) -> np.ndarray:
         tau = np.zeros(len(self.data.waves))
-        if "tau" in self.layout:
-            tau[1:] = self.layout.raw(theta, "tau")
+        tau[1:] = self.layout.raw(theta, "tau")
         return tau
 
     def _fatigue_cells(self, theta):
@@ -1074,10 +1057,9 @@ class AggregatedBrcModel:
             dll_rows = d_mu * mu   # d logp / d log_mu per row
 
         acc.add("beta0", dll_rows.sum())
-        if "tau" in self.layout:
-            g_tau = np.bincount(self.row_wave, weights=dll_rows,
-                                minlength=len(self.data.waves))
-            acc.add("tau", g_tau[1:])
+        g_tau = np.bincount(self.row_wave, weights=dll_rows,
+                            minlength=len(self.data.waves))
+        acc.add("tau", g_tau[1:])
         for (term, rows), cache in zip(self.surfaces.values(), surf_caches):
             term.backprop(acc, dll_rows[rows], cache)
 
@@ -1145,15 +1127,11 @@ Model = (Stage1PoissonModel | Stage2PoissonModel | LongitudinalNbModel
 
 
 def build_model(spec: ModelSpec, data) -> Model:
-    if spec.family == "stage1_poisson":
-        return Stage1PoissonModel(spec, data)
-    if spec.family == "stage2_poisson":
-        return Stage2PoissonModel(spec, data)
-    if spec.family == "longitudinal_nb":
-        return LongitudinalNbModel(spec, data)
-    if spec.family == "individual_gam":
-        return IndividualGamModel(spec, data)
-    return AggregatedBrcModel(spec, data)
+    return {"stage1_poisson": Stage1PoissonModel,
+            "stage2_poisson": Stage2PoissonModel,
+            "longitudinal_nb": LongitudinalNbModel,
+            "individual_gam": IndividualGamModel,
+            "aggregated_brc": AggregatedBrcModel}[spec.family](spec, data)
 
 
 def predict_intensity(model: Model, draws: np.ndarray, newdata=None,

@@ -83,6 +83,20 @@ def nb2_loglik(y: np.ndarray, log_mu: np.ndarray, phi: float,
     return ll, d_logmu, d_phi
 
 
+def poisson_group_loglik(n_g: np.ndarray, sum_y: np.ndarray,
+                         eta: np.ndarray, hist_vals: np.ndarray,
+                         hist_counts: np.ndarray) -> tuple[float, np.ndarray]:
+    """Exact Poisson log likelihood over predictor groups, as
+    ``nb2_group_loglik``. Returns (total ll, d ll / d eta per group)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = np.exp(eta)
+        total = float(np.sum(np.where(sum_y > 0, sum_y * eta, 0.0) - n_g * mu)
+                      - hist_counts @ gammaln(hist_vals + 1.0))
+    if not np.isfinite(total):
+        return -np.inf, np.zeros_like(eta)
+    return total, sum_y - n_g * mu
+
+
 def nb2_group_loglik(n_g: np.ndarray, sum_y: np.ndarray, eta: np.ndarray,
                      phi: float, hist_vals: np.ndarray,
                      hist_counts: np.ndarray
@@ -91,23 +105,26 @@ def nb2_group_loglik(n_g: np.ndarray, sum_y: np.ndarray, eta: np.ndarray,
 
     Rows sharing one predictor value contribute through (group size, group
     count sum); the count-dependent Gamma terms enter through a global
-    histogram. Returns (total ll, d ll / d eta per group, d ll / d phi).
+    histogram. Written like ``nb2_loglik``, so it equals the sum of that
+    function's rows and stays finite where mu overflows. Returns (total ll,
+    d ll / d eta per group, d ll / d phi).
     """
-    n_total = float(hist_counts.sum())
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         mu = np.exp(eta)
         log_phi_mu = np.log(phi + mu)
-        const = float(hist_counts @ gammaln(hist_vals + phi)
-                      - n_total * gammaln(phi)
-                      - hist_counts @ gammaln(hist_vals + 1.0))
+        overflow = np.isinf(log_phi_mu)
+        if np.any(overflow):
+            log_phi_mu[overflow] = np.logaddexp(np.log(phi), eta[overflow])
+        lg_ratio = (gammaln(hist_vals + phi) - gammaln(phi)
+                    - gammaln(hist_vals + 1.0))
         core = (n_g * phi * (np.log(phi) - log_phi_mu)
                 + np.where(sum_y > 0, sum_y * (eta - log_phi_mu), 0.0))
-        total = const + float(core.sum())
+        total = float(hist_counts @ lg_ratio) + float(core.sum())
         if not np.isfinite(total):
             return -np.inf, np.zeros_like(eta), 0.0
         d_eta = phi * sum_y / (mu + phi) - phi * n_g / (1.0 + phi / mu)
-        d_phi = (float(hist_counts @ digamma(hist_vals + phi))
-                 - n_total * digamma(phi)
+        d_phi = (float(hist_counts @ (digamma(hist_vals + phi)
+                                      - digamma(phi)))
                  + float(np.sum(n_g * (np.log(phi) + 1.0 - log_phi_mu)))
                  - float(np.sum((sum_y + n_g * phi) / (phi + mu))))
     if not (np.all(np.isfinite(d_eta)) and np.isfinite(d_phi)):

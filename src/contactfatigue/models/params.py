@@ -37,10 +37,11 @@ class Layout:
         names = [b.name for b in blocks]
         if len(set(names)) != len(names):
             raise ValueError("duplicate block names")
+        # empty blocks hold no parameters but read as empty arrays
         self.blocks = tuple(b for b in blocks if b.size > 0)
         self._slices: dict[str, slice] = {}
         offset = 0
-        for b in self.blocks:
+        for b in blocks:
             self._slices[b.name] = slice(offset, offset + b.size)
             offset += b.size
         self.size = offset

@@ -1,8 +1,11 @@
+import dataclasses
+
 import pytest
 
-from contactfatigue.cli import selection_groups
+from contactfatigue.cli import run, selection_groups
 from contactfatigue.domain import DataError
-from contactfatigue.simulator import ScenarioConfig, simulate_panel
+from contactfatigue.simulator import (ScenarioConfig, panel_to_csv,
+                                      simulate_panel)
 
 
 @pytest.fixture(scope="module")
@@ -29,3 +32,18 @@ class TestSelectionGroups:
             selection_groups(panel, 1)
         with pytest.raises(DataError, match="no wave has both"):
             selection_groups([r for r in panel if r.wave == 1])
+
+
+class TestFitAcceptsEverySchemaLevel:
+    def test_household_of_four(self, panel, tmp_path):
+        # the simulator draws households of 1-3; the schema also allows 4
+        records = [dataclasses.replace(panel[0], household_size="4")]
+        path = tmp_path / "records.csv"
+        panel_to_csv(records + panel[1:], str(path))
+        out = tmp_path / "fit"
+        code = run(["--seed", "7", "--chains", "1", "--warmup", "100",
+                    "--sampling", "20", "fit", "--model", "gam-hill",
+                    "--data", str(path), "--out", str(out)])
+        assert code == 0
+        header = (out / "draws.csv").read_text().splitlines()[0].split(",")
+        assert header.count("beta[6]") == 1   # sex (2) + household (5)

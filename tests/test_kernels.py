@@ -112,7 +112,7 @@ class TestHsgp1d:
     def test_first_eigenfrequency(self):
         # inputs chosen so the box half-width is exactly 1
         spec = KernelSpec("se", 1.0, 1.0)
-        basis = build_hsgp_1d(spec, np.array([-1 / 1.5, 1 / 1.5]), m=4,
+        basis = build_hsgp_1d(np.array([-1 / 1.5, 1 / 1.5]), m=4,
                               c=1.5)
         assert basis.half_width[0] == pytest.approx(1.0)
         assert basis.freqs[0, 0] == pytest.approx(np.pi / 2)
@@ -120,7 +120,7 @@ class TestHsgp1d:
     def test_se_covariance_error(self):
         spec = KernelSpec("se", 1.0, 1.0)
         x = np.linspace(-5, 5, 41)
-        basis = build_hsgp_1d(spec, x, m=64, c=1.5)
+        basis = build_hsgp_1d(x, m=64, c=1.5)
         exact = gram_matrix(spec, x)
         approx = basis.realized_covariance(spec)
         assert np.max(np.abs(approx - exact)) < 1e-3
@@ -128,7 +128,7 @@ class TestHsgp1d:
     def test_matern32_covariance_error(self):
         spec = KernelSpec("matern32", 1.0, 1.0)
         x = np.linspace(-5, 5, 41)
-        basis = build_hsgp_1d(spec, x, m=128, c=1.5)
+        basis = build_hsgp_1d(x, m=128, c=1.5)
         exact = gram_matrix(spec, x)
         assert np.max(np.abs(basis.realized_covariance(spec) - exact)) < 5e-3
 
@@ -138,14 +138,14 @@ class TestHsgp1d:
         exact = gram_matrix(spec, x)
         errors = []
         for m in (8, 16, 32, 64):
-            basis = build_hsgp_1d(spec, x, m=m, c=1.5)
+            basis = build_hsgp_1d(x, m=m, c=1.5)
             errors.append(np.max(np.abs(basis.realized_covariance(spec)
                                         - exact)))
         assert all(a > b for a, b in zip(errors, errors[1:]))
 
     def test_columns_orthonormal_under_uniform_measure(self):
         spec = KernelSpec("se", 1.0, 1.0)
-        basis = build_hsgp_1d(spec, np.linspace(-4, 4, 11), m=12, c=1.5)
+        basis = build_hsgp_1d(np.linspace(-4, 4, 11), m=12, c=1.5)
         half = basis.half_width[0]
         grid = np.linspace(-half, half, 20001) + basis.center[0]
         phi = basis_at(basis, grid)
@@ -156,9 +156,9 @@ class TestHsgp1d:
     def test_invalid_args(self):
         spec = KernelSpec("se", 1.0, 1.0)
         with pytest.raises(ValueError):
-            build_hsgp_1d(spec, np.arange(5.0), m=0)
+            build_hsgp_1d(np.arange(5.0), m=0)
         with pytest.raises(ValueError):
-            build_hsgp_1d(spec, np.arange(5.0), m=4, c=1.0)
+            build_hsgp_1d(np.arange(5.0), m=4, c=1.0)
 
 
 class TestHsgp2dSymmetric:
@@ -170,13 +170,13 @@ class TestHsgp2dSymmetric:
     def test_symmetric_column_count(self):
         spec = KernelSpec("se", 1.0, 10.0)
         a, b = self._pair_grid(4)
-        basis = build_hsgp_2d_symmetric(spec, spec, a, b, m=2)
+        basis = build_hsgp_2d_symmetric(a, b, m=2)
         assert basis.n_basis == 3  # m(m+1)/2
 
     def test_realizations_symmetric_to_machine_precision(self):
         spec = KernelSpec("matern52", 1.0, 15.0)
         a, b = self._pair_grid(8)
-        basis = build_hsgp_2d_symmetric(spec, spec, a, b, m=6)
+        basis = build_hsgp_2d_symmetric(a, b, m=6)
         rng = np.random.default_rng(0)
         for _ in range(5):
             w = rng.standard_normal(basis.n_basis)
@@ -187,7 +187,7 @@ class TestHsgp2dSymmetric:
         # oracle: dense product kernel, symmetrized over axis swap
         spec = KernelSpec("se", 1.0, 12.0)
         a, b = self._pair_grid(10)
-        basis = build_hsgp_2d_symmetric(spec, spec, a, b, m=16)
+        basis = build_hsgp_2d_symmetric(a, b, m=16)
         k_a = kernel_eval(spec, a[:, None], a[None, :])
         k_b = kernel_eval(spec, b[:, None], b[None, :])
         k = k_a * k_b / spec.magnitude      # product kernel, k(0) = sigma
@@ -210,7 +210,7 @@ class TestHsgp2dSymmetric:
     def test_basis_at_matches_build_inputs(self):
         spec = KernelSpec("se", 1.0, 12.0)
         a, b = self._pair_grid(5)
-        basis = build_hsgp_2d_symmetric(spec, spec, a, b, m=5)
+        basis = build_hsgp_2d_symmetric(a, b, m=5)
         np.testing.assert_allclose(basis_at(basis, a, b), basis.phi,
                                    atol=1e-12)
 
@@ -218,19 +218,19 @@ class TestHsgp2dSymmetric:
 class TestRealize:
     def test_zero_weights_zero_function(self):
         spec = KernelSpec("se", 1.0, 1.0)
-        basis = build_hsgp_1d(spec, np.linspace(-3, 3, 15), m=8)
+        basis = build_hsgp_1d(np.linspace(-3, 3, 15), m=8)
         assert np.all(realize(basis, spec, np.zeros(8)) == 0.0)
 
     def test_dimension_mismatch(self):
         spec = KernelSpec("se", 1.0, 1.0)
-        basis = build_hsgp_1d(spec, np.linspace(-3, 3, 15), m=8)
+        basis = build_hsgp_1d(np.linspace(-3, 3, 15), m=8)
         with pytest.raises(ValueError):
             realize(basis, spec, np.zeros(7))
 
     def test_monte_carlo_covariance(self):
         spec = KernelSpec("se", 1.0, 1.5)
         x = np.linspace(-3, 3, 9)
-        basis = build_hsgp_1d(spec, x, m=16)
+        basis = build_hsgp_1d(x, m=16)
         rng = np.random.default_rng(42)
         n = 10_000
         draws = np.stack([realize(basis, spec, rng.standard_normal(16))
@@ -244,7 +244,7 @@ class TestRealize:
         x = np.linspace(-3, 3, 9)
         s1 = KernelSpec("matern52", 1.0, 1.5)
         s4 = KernelSpec("matern52", 4.0, 1.5)
-        basis = build_hsgp_1d(s1, x, m=16)
+        basis = build_hsgp_1d(x, m=16)
         np.testing.assert_allclose(basis.realized_covariance(s4),
                                    4.0 * basis.realized_covariance(s1),
                                    rtol=1e-12)

@@ -209,13 +209,6 @@ class TestLogPosteriorContracts:
         with pytest.raises(FloatingPointError, match="row 7"):
             model.logp_grad(np.zeros(model.layout.size))
 
-    def test_observation_family_pins(self):
-        with pytest.raises(ValueError):
-            ModelSpec(family="aggregated_brc", observation="nb2")
-        with pytest.raises(ValueError):
-            ModelSpec(family="individual_gam", observation="poisson")
-        assert ModelSpec(family="aggregated_brc").observation == "nb1"
-
 
 class TestFatigueVariants:
     def test_band_midpoint_lookup(self):
@@ -295,6 +288,56 @@ class TestLogpGradIsTotal:
         logp, grad = model.logp_grad(theta)
         assert logp == -np.inf
         np.testing.assert_array_equal(grad, 0.0)
+
+
+ROW_LEVEL = sorted(name for name in MODELS if not name.startswith("brc"))
+
+
+class TestGroupedLikelihood:
+    """logp_grad runs the likelihood on predictor groups; minus the priors
+    it equals the sum of the row-level ``pointwise_loglik``."""
+
+    @staticmethod
+    def _grouped(model, theta):
+        logp, _ = model.logp_grad(theta)
+        return logp - model.prior(theta, np.zeros(model.layout.size))
+
+    @pytest.mark.parametrize("name", ROW_LEVEL)
+    def test_equals_row_level(self, name):
+        model = MODELS[name]
+        rng = np.random.default_rng(17)
+        for _ in range(5):
+            theta = rng.uniform(-1.0, 1.0, model.layout.size)
+            assert self._grouped(model, theta) == pytest.approx(
+                model.pointwise_loglik(theta).sum(), rel=1e-10)
+
+    @pytest.mark.parametrize("name", ROW_LEVEL)
+    def test_groups_reproduce_every_row(self, name):
+        # the newdata path evaluates every term on the rows themselves
+        model = MODELS[name]
+        d = model.data
+        rows = {"u": d.block("u"), "v": d.block("v"), "w": d.block("w"),
+                "x": d.x, "age": d.age, "report_date": d.report_date,
+                "repeat": d.repeat, "offset": d.offsets}
+        theta = np.random.default_rng(23).uniform(-1.0, 1.0,
+                                                  model.layout.size)
+        for debias in (False, True):
+            np.testing.assert_allclose(
+                model.predict_log_intensity(theta, debias=debias),
+                model.predict_log_intensity(theta, rows, debias),
+                rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("name", [n for n in ROW_LEVEL
+                                      if "phi" in MODELS[n].layout])
+    def test_nb2_equals_row_level_where_mu_overflows(self, name):
+        # exp(800) overflows, yet the NB2 log pmf stays finite
+        model = MODELS[name]
+        theta = np.zeros(model.layout.size)
+        theta[model.layout.sl("beta0")] = 800.0
+        row_level = model.pointwise_loglik(theta).sum()
+        assert np.isfinite(row_level)
+        assert self._grouped(model, theta) == pytest.approx(row_level,
+                                                            rel=1e-10)
 
 
 class TestFlowIdentity:
