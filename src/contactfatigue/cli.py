@@ -447,7 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="generate a synthetic panel")
-    p.add_argument("--scenario", default="default")
     p.add_argument("--waves", type=int)
     p.add_argument("--panel-size", type=int, dest="panel_size")
     p.add_argument("--out", required=True)

@@ -10,7 +10,6 @@ is irrelevant.
 
 from __future__ import annotations
 
-import logging
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -19,8 +18,6 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .models.params import Layout
-
-logger = logging.getLogger(__name__)
 
 DIVERGENCE_THRESHOLD = 1000.0
 
@@ -34,17 +31,12 @@ class SamplerConfig:
     max_tree_depth: int = 10
     seed: int = 0
     threads: int = 1
-    init_jitter: float = 2.0
-    init: str = "random"    # "random": uniform(-jitter, jitter) per chain;
-                            # "map": jitter around a shared MAP point
 
     def __post_init__(self) -> None:
         if self.chains < 1:
             raise ValueError("need at least one chain")
         if self.warmup < 100:
             raise ValueError("warmup must be >= 100 for adaptation")
-        if self.init not in ("random", "map"):
-            raise ValueError(f"unknown init {self.init!r}")
 
 
 @dataclass
@@ -289,18 +281,13 @@ def _build_tree(target, state_point, depth, direction, eps, inv_mass, h0,
     return tree
 
 
-def _run_chain(logp_grad, dim, cfg: SamplerConfig, chain_idx: int,
-               init_center: np.ndarray | None = None,
-               mass0: np.ndarray | None = None):
+def _run_chain(logp_grad, dim, cfg: SamplerConfig, chain_idx: int):
     rng = np.random.default_rng([cfg.seed, chain_idx])
     target = _Target(logp_grad)
 
     theta = None
     for _ in range(100):
-        if init_center is None:
-            cand = rng.uniform(-cfg.init_jitter, cfg.init_jitter, size=dim)
-        else:
-            cand = init_center + rng.uniform(-0.1, 0.1, size=dim)
+        cand = rng.uniform(-2.0, 2.0, size=dim)
         logp, grad = target(cand)
         if np.isfinite(logp) and np.all(np.isfinite(grad)):
             theta = cand
@@ -309,7 +296,7 @@ def _run_chain(logp_grad, dim, cfg: SamplerConfig, chain_idx: int,
         raise RuntimeError(
             "could not find a finite initial point in 100 attempts")
 
-    inv_mass = np.ones(dim) if mass0 is None else 1.0 / mass0
+    inv_mass = np.ones(dim)
     eps0 = _find_reasonable_epsilon(target, theta, logp, grad, inv_mass, rng)
     adapt = _DualAveraging(eps0, cfg.target_accept)
 
@@ -382,17 +369,8 @@ def sample_model(model, cfg: SamplerConfig,
     layout = getattr(model, "layout", None)
     dim = layout.size if layout is not None else model.dim
 
-    init_center = None
-    mass0 = None
-    if cfg.init == "map":
-        init_center = warm_start_point(model, seed=cfg.seed)
-        if init_center is None:
-            logger.info("warm start failed; falling back to random init")
-        else:
-            mass0 = _diag_curvature(model, init_center)
-
     def run(c):
-        return _run_chain(model.logp_grad, dim, cfg, c, init_center, mass0)
+        return _run_chain(model.logp_grad, dim, cfg, c)
 
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
@@ -461,7 +439,8 @@ def _lbfgs(model, x0, max_iter):
 
 
 def warm_start_point(model, seed: int = 0) -> np.ndarray | None:
-    """Best-effort posterior-mode search used to initialize chains."""
+    """Best-effort posterior-mode (MAP) search by L-BFGS, from zero and
+    then from one uniform(-1, 1) point; None when both fail."""
     layout = getattr(model, "layout", None)
     dim = layout.size if layout is not None else model.dim
     rng = np.random.default_rng(seed)
@@ -471,22 +450,6 @@ def warm_start_point(model, seed: int = 0) -> np.ndarray | None:
         if np.isfinite(res.fun) and res.fun < 1e29:
             return res.x
     return None
-
-
-def _diag_curvature(model, mode: np.ndarray, h: float = 1e-3) -> np.ndarray:
-    """Diagonal negative-Hessian estimate at a mode (one FD pass on the
-    analytic gradient per axis); used as the initial inverse mass."""
-    dim = mode.size
-    diag = np.ones(dim)
-    for j in range(dim):
-        up, dn = mode.copy(), mode.copy()
-        up[j] += h
-        dn[j] -= h
-        gu = model.logp_grad(up)[1][j]
-        gd = model.logp_grad(dn)[1][j]
-        diag[j] = -(gu - gd) / (2 * h)
-    diag = np.where(np.isfinite(diag) & (diag > 0), diag, 1.0)
-    return np.clip(diag, 1e-8, 1e12)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ Magnitude convention: ``magnitude`` is the marginal variance, k(0) = sigma.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import gamma as gamma_fn
@@ -128,17 +128,7 @@ class HsgpBasis:
     def spectral_weights(self, specs: KernelSpec | tuple[KernelSpec, ...]
                          ) -> np.ndarray:
         """Per-column variance weights for the given kernel(s)."""
-        if self.dim == 1:
-            spec = specs if isinstance(specs, KernelSpec) else specs[0]
-            return spectral_density(spec, self.freqs[:, 0], dim=1)
-        spec_a, spec_b = specs if not isinstance(specs, KernelSpec) else (specs, specs)
-        s_ab = (spectral_density(spec_a, self.freqs[:, 0], dim=1)
-                * spectral_density(spec_b, self.freqs[:, 1], dim=1))
-        if not self.symmetric:
-            return s_ab
-        s_ba = (spectral_density(spec_a, self.freqs[:, 1], dim=1)
-                * spectral_density(spec_b, self.freqs[:, 0], dim=1))
-        return 0.5 * (s_ab + s_ba)
+        return self.spectral_weights_grad(specs)[0]
 
     def spectral_weights_grad(self, specs: KernelSpec | tuple[KernelSpec, ...]
                               ) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -166,14 +156,6 @@ class HsgpBasis:
         return (self.phi * s) @ self.phi.T
 
 
-def _eigenfunctions(x_centered: np.ndarray, half_width: float, m: int
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    j = np.arange(1, m + 1)
-    freqs = j * np.pi / (2.0 * half_width)
-    phi = np.sin(np.outer(x_centered + half_width, freqs)) / np.sqrt(half_width)
-    return phi, freqs
-
-
 def build_hsgp_1d(inputs: np.ndarray, m: int = 30,
                   c: float = 1.5) -> HsgpBasis:
     """Reduced-rank basis on centered inputs with boundary factor ``c``."""
@@ -183,11 +165,11 @@ def build_hsgp_1d(inputs: np.ndarray, m: int = 30,
         raise ValueError("boundary factor c must be >= 1.2")
     inputs = np.asarray(inputs, dtype=float)
     center = 0.5 * (inputs.max() + inputs.min())
-    xc = inputs - center
-    half_width = c * max(np.max(np.abs(xc)), 1e-8)
-    phi, freqs = _eigenfunctions(xc, half_width, m)
-    return HsgpBasis(dim=1, m=m, half_width=(half_width,), center=(center,),
-                     phi=phi, freqs=freqs[:, None])
+    half_width = c * max(np.max(np.abs(inputs - center)), 1e-8)
+    freqs = np.arange(1, m + 1) * np.pi / (2.0 * half_width)
+    basis = HsgpBasis(dim=1, m=m, half_width=(half_width,), center=(center,),
+                      phi=None, freqs=freqs[:, None])
+    return replace(basis, phi=basis_at(basis, inputs))
 
 
 def _build_hsgp_2d(grid_a: np.ndarray, grid_b: np.ndarray, m: int, c: float,
@@ -208,29 +190,15 @@ def _build_hsgp_2d(grid_a: np.ndarray, grid_b: np.ndarray, m: int, c: float,
         cb = 0.5 * (grid_b.max() + grid_b.min())
         la = c * max(np.max(np.abs(grid_a - ca)), 1e-8)
         lb = c * max(np.max(np.abs(grid_b - cb)), 1e-8)
-    xa, xb = grid_a - ca, grid_b - cb
-    phi_a, freq_a = _eigenfunctions(xa, la, m)
-    phi_b, freq_b = _eigenfunctions(xb, lb, m)
-
-    cols: list[np.ndarray] = []
-    freqs: list[tuple[float, float]] = []
-    if symmetric:
-        for j in range(m):
-            for k in range(j, m):
-                if j == k:
-                    cols.append(phi_a[:, j] * phi_b[:, j])
-                else:
-                    cols.append((phi_a[:, j] * phi_b[:, k]
-                                 + phi_a[:, k] * phi_b[:, j]) / np.sqrt(2.0))
-                freqs.append((freq_a[j], freq_b[k]))
-    else:
-        for j in range(m):
-            for k in range(m):
-                cols.append(phi_a[:, j] * phi_b[:, k])
-                freqs.append((freq_a[j], freq_b[k]))
-    return HsgpBasis(dim=2, m=m, half_width=(la, lb), center=(ca, cb),
-                     phi=np.column_stack(cols), freqs=np.asarray(freqs),
-                     symmetric=symmetric)
+    freq_a, freq_b = (np.arange(1, m + 1) * np.pi / (2.0 * half)
+                      for half in (la, lb))
+    # column (j, k) pairs frequency j on a with k on b; a symmetric basis
+    # keeps j <= k
+    pairs = [(freq_a[j], freq_b[k]) for j in range(m)
+             for k in range(j if symmetric else 0, m)]
+    basis = HsgpBasis(dim=2, m=m, half_width=(la, lb), center=(ca, cb),
+                      phi=None, freqs=np.asarray(pairs), symmetric=symmetric)
+    return replace(basis, phi=basis_at(basis, grid_a, grid_b))
 
 
 def build_hsgp_2d_symmetric(grid_a: np.ndarray, grid_b: np.ndarray,

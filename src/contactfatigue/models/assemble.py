@@ -6,7 +6,7 @@ gradient on the unconstrained scale, per-observation log likelihoods for
 cross-validation, posterior replicates for predictive checks, and intensity
 prediction with an optional fatigue de-biasing switch.
 
-Four families are one log-linear count regression, assembled from terms by
+Every family is one log-linear count regression, assembled from terms by
 ``_AdditiveCountModel``:
 
 * ``stage1_poisson``  -- first-time participants: intercept, a hierarchical
@@ -20,16 +20,20 @@ Four families are one log-linear count regression, assembled from terms by
   GP-on-repeats, Hill); NB2 counts.
 * ``individual_gam``  -- intercept, covariates, a squared-exponential age
   smooth, one Hill fatigue curve per selected covariate; NB2 counts.
+* ``aggregated_brc``  -- on single-year contact ages: intercept, wave
+  effect, a 2D age surface per gender pair (symmetrized within a gender,
+  read transposed by "MF", so that population flows balance exactly), a
+  fatigue term (independent, or -exp of a repeat table plus smooths) and
+  log population, participant and detail offsets; NB1 counts of coarse
+  contact bands, each summing its single-year rows through rate
+  consistency.
 
 A term declares its parameter blocks and the data columns it reads; rows
-that agree on all of them and on their offset form one predictor group. One
-likelihood per observation family (Poisson or NB2) runs on group sizes and
-count sums plus a count histogram, so its cost scales with distinct
-predictor cells, not rows. De-biased predictions drop the fatigue terms.
-
-``aggregated_brc`` keeps its own likelihood: coarse-band NB1 counts tied to
-a latent single-year contact surface through rate consistency; the surface
-is a symmetrized 2D GP so that population flows balance exactly.
+that agree on all of them and on their offset form one predictor group.
+One observation model per family runs on the groups: Poisson and NB2 on
+group sizes and count sums plus a count histogram, so their cost scales
+with distinct predictor cells, not rows; NB1 sums the groups' means over
+the rows of each coarse cell. De-biased predictions drop the fatigue terms.
 
 Every parameter block declares its natural-scale prior (``Block.prior``).
 When a model is built its layout's priors are grouped into one table, and
@@ -81,30 +85,17 @@ def _guarded(fn):
     return wrapper
 
 
-def _check_finite_predictor(eta: np.ndarray,
-                            group_of: np.ndarray | None = None) -> None:
+def _check_finite_predictor(eta: np.ndarray, group_of: np.ndarray) -> None:
     # NaN signals broken data; +-inf from parameter overflow is handled by
     # the likelihoods (-inf). ``group_of`` maps rows to the groups of eta.
     if np.any(np.isnan(eta)):
-        nan = np.isnan(eta if group_of is None else eta[group_of])
-        bad = int(np.flatnonzero(nan)[0])
+        bad = int(np.flatnonzero(np.isnan(eta[group_of]))[0])
         raise FloatingPointError(f"non-finite linear predictor at row {bad}")
 
 #: the single-year age grid, and its standard deviation, used to
 #: standardize GP input axes so lengthscale priors act on a unit-scale axis
 AGE_GRID = np.arange(AGE_MAX + 1, dtype=float)
 AGE_SD = float(AGE_GRID.std())
-
-#: the observation model of each family; the assembler of the row-level
-#: families reads it, and AggregatedBrcModel holds its NB1 likelihood
-_FAMILY_OBSERVATION = {
-    "stage1_poisson": "poisson",
-    "stage2_poisson": "poisson",
-    "longitudinal_nb": "nb2",
-    "individual_gam": "nb2",
-    "aggregated_brc": "nb1",
-}
-
 
 @dataclass(frozen=True)
 class HsgpConfig:
@@ -427,18 +418,27 @@ class _Linear:
 
 
 class _Smooth:
-    """A 1D HSGP term on the points ``grid``, read at each row's ``index``
-    into it and centered on the rows; new rows give raw coordinates
+    """The HSGP term ``gp`` on the points of its basis, read at each row's
+    ``index`` into them; an index one past the last point reads 0, for rows
+    the smooth does not cover. New rows give raw coordinates
     ``newdata[key]``."""
 
     fatigue = False
 
-    def __init__(self, name: str, grid: np.ndarray, index: np.ndarray,
-                 config: HsgpConfig, input_sd: float, key: str):
-        self.gp = _HsgpTerm.on_axis(name, grid, config, config.m, input_sd,
-                                    np.bincount(index, minlength=grid.size))
+    def __init__(self, gp: _HsgpTerm, index: np.ndarray,
+                 key: str | None = None):
+        self.gp = gp
         self.key = key
         self.columns = [index]
+        self.padded = bool(np.any(index >= gp.phi.shape[0]))
+
+    @classmethod
+    def on_axis(cls, name: str, grid: np.ndarray, index: np.ndarray,
+                config: HsgpConfig, input_sd: float, key: str) -> _Smooth:
+        """A 1D smooth on the points ``grid``, centered on the rows."""
+        return cls(_HsgpTerm.on_axis(name, grid, config, config.m, input_sd,
+                                     np.bincount(index, minlength=grid.size)),
+                   index, key)
 
     def blocks(self) -> list[Block]:
         return self.gp.blocks()
@@ -448,13 +448,15 @@ class _Smooth:
 
     def values(self, layout: Layout, theta: np.ndarray):
         f, cache = self.gp.values(layout, theta)
+        if self.padded:
+            f = np.append(f, 0.0)
         return f[self.g_index], cache
 
     def backprop(self, acc: GradAccumulator, d_eta: np.ndarray,
                  cache) -> None:
+        n = self.gp.phi.shape[0]
         self.gp.backprop(acc, np.bincount(self.g_index, weights=d_eta,
-                                          minlength=self.gp.phi.shape[0]),
-                         cache)
+                                          minlength=n + 1)[:n], cache)
 
     def at(self, layout: Layout, theta: np.ndarray, newdata):
         return self.gp.values_at(layout, theta,
@@ -591,50 +593,188 @@ class _RhoTable:
         return np.where(r_pos, self._table(layout, theta)[0][idx], 0.0)
 
 
+class _NegativeExp:
+    """Fatigue -exp(s) at repeat counts r >= 1 and 0 at r = 0, strictly
+    negative for repeat participants, where s sums the ``rho`` table at r
+    and ``smooths``."""
+
+    fatigue = True
+
+    def __init__(self, rho: _RhoTable, *smooths: _Smooth):
+        self.inner = [rho, *smooths]
+        self.columns = [c for t in self.inner for c in t.columns]
+
+    def blocks(self) -> list[Block]:
+        return [b for t in self.inner for b in t.blocks()]
+
+    def bind(self, g: np.ndarray) -> None:
+        _bind(self.inner, g)
+
+    def values(self, layout: Layout, theta: np.ndarray):
+        inner = [t.values(layout, theta) for t in self.inner]
+        with np.errstate(over="ignore"):
+            term = np.where(self.inner[0].g_lookup[1],
+                            -np.exp(sum(v for v, _ in inner)), 0.0)
+        return term, ([c for _, c in inner], term)
+
+    def backprop(self, acc: GradAccumulator, d_eta: np.ndarray,
+                 cache) -> None:
+        caches, term = cache
+        with np.errstate(invalid="ignore"):
+            d_s = d_eta * term   # d(-exp(s))/ds = -exp(s), zero where r = 0
+        for t, c in zip(self.inner, caches):
+            t.backprop(acc, d_s, c)
+
+
+def _bind(terms: list, g: np.ndarray) -> None:
+    """Hand each term its own columns of ``g``, one row per group."""
+    start = 0
+    for term in terms:
+        term.bind(np.ascontiguousarray(g[:, start:start + len(term.columns)]))
+        start += len(term.columns)
+
+
+# ---------------------------------------------------------------------------
+# Observation models. One is built from the data and the predictor group of
+# each row. ``dispersion`` names its log-scale dispersion block, if it has
+# one; given eta on the groups and the dispersion value, it gives the log
+# likelihood with its gradients in eta and in the dispersion, and the
+# per-observation log likelihoods and replicates.
+# ---------------------------------------------------------------------------
+
+class _PoissonGroups:
+    """Poisson counts of the rows, run exactly on the predictor groups:
+    group sizes and count sums plus a histogram of the counts."""
+
+    dispersion = None
+
+    def __init__(self, data, group_of: np.ndarray, n_groups: int):
+        self.y = data.y
+        self.group_of = group_of
+        self.g_n = np.bincount(group_of, minlength=n_groups).astype(float)
+        self.g_sum_y = np.bincount(group_of, weights=data.y,
+                                   minlength=n_groups)
+        self.ycache = CountCache.from_counts(data.y)
+        self.y_hist = np.bincount(self.ycache.inverse).astype(float)
+
+    def loglik(self, eta: np.ndarray) -> tuple[float, np.ndarray]:
+        return poisson_group_loglik(self.g_n, self.g_sum_y, eta,
+                                    self.ycache.unique, self.y_hist)
+
+    def pointwise(self, eta: np.ndarray) -> np.ndarray:
+        return poisson_loglik(self.y, eta[self.group_of], self.ycache)[0]
+
+    def replicate(self, rng: np.random.Generator, eta: np.ndarray
+                  ) -> np.ndarray:
+        return rng.poisson(np.exp(eta[self.group_of]))
+
+
+class _Nb2Groups(_PoissonGroups):
+    """NB2 counts with dispersion ``phi``, run on the predictor groups."""
+
+    dispersion = "phi"
+
+    def loglik(self, eta: np.ndarray, phi: float
+               ) -> tuple[float, np.ndarray, float]:
+        return nb2_group_loglik(self.g_n, self.g_sum_y, eta, phi,
+                                self.ycache.unique, self.y_hist)
+
+    def pointwise(self, eta: np.ndarray, phi: float) -> np.ndarray:
+        return nb2_loglik(self.y, eta[self.group_of], phi, self.ycache)[0]
+
+    def replicate(self, rng: np.random.Generator, eta: np.ndarray,
+                  phi: float) -> np.ndarray:
+        return nb2_rvs(rng, np.exp(eta[self.group_of]), phi)
+
+
+class _Nb1Cells:
+    """NB1 counts of coarse cells with odds ``nu``: a cell's shape is the
+    sum of mu over its rows (``data.row_cell``) divided by nu. Pointwise
+    log likelihoods and replicates are per cell."""
+
+    dispersion = "nu"
+
+    def __init__(self, data: BrcData, group_of: np.ndarray, n_groups: int):
+        self.y = data.y
+        self.row_cell = data.row_cell
+        self.group_of = group_of
+        self.n_groups = n_groups
+
+    def _mu_rows(self, eta: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            return np.exp(eta)[self.group_of]
+
+    def loglik(self, eta: np.ndarray, nu: float
+               ) -> tuple[float, np.ndarray, float]:
+        mu = self._mu_rows(eta)
+        ll, d_mu, d_nu = nb1_agg_loglik(self.y, mu, self.row_cell, nu)
+        with np.errstate(invalid="ignore"):
+            d_eta = np.bincount(self.group_of, weights=d_mu * mu,
+                                minlength=self.n_groups)
+        return float(ll.sum()), d_eta, d_nu
+
+    def pointwise(self, eta: np.ndarray, nu: float) -> np.ndarray:
+        return nb1_agg_loglik(self.y, self._mu_rows(eta), self.row_cell,
+                              nu)[0]
+
+    def replicate(self, rng: np.random.Generator, eta: np.ndarray,
+                  nu: float) -> np.ndarray:
+        mu_cells = np.bincount(self.row_cell, weights=self._mu_rows(eta),
+                               minlength=self.y.size)
+        return nb1_rvs(rng, mu_cells, nu)
+
+
+#: the observation model of each family
+_FAMILY_OBSERVATION = {
+    "stage1_poisson": _PoissonGroups,
+    "stage2_poisson": _PoissonGroups,
+    "longitudinal_nb": _Nb2Groups,
+    "individual_gam": _Nb2Groups,
+    "aggregated_brc": _Nb1Cells,
+}
+
+
 class _AdditiveCountModel:
     """A log-linear count regression: eta = sum of ``terms`` + offsets.
 
     Rows that agree on every column the terms read and on their offset form
-    one group. The family's likelihood, Poisson or NB2 (dispersion ``phi``),
-    runs exactly on the groups; the row-level likelihoods give pointwise
-    log likelihoods and replicates. Predictions leave out the offsets unless
-    ``offsets_in_prediction`` (``newdata["offset"]`` on new rows).
+    one predictor group. The family's observation model runs on the groups.
+    Predictions leave out the offsets unless ``offsets_in_prediction``
+    (``newdata["offset"]`` on new rows).
     """
 
     offsets_in_prediction = False
 
-    def __init__(self, spec: ModelSpec, data: DesignMatrix, terms: list):
+    def __init__(self, spec: ModelSpec, data, terms: list):
         self.spec = spec
         self.data = data
-        self.n_obs = data.n
+        self.n_obs = data.y.shape[0]
         self.terms = terms
-        columns = [t.columns for t in terms] + [[data.offsets]]
-        key = np.column_stack([c for cols in columns for c in cols])
+        key = np.column_stack([c for t in terms for c in t.columns]
+                              + [data.offsets])
         _, first, self.group_of = np.unique(
             key, axis=0, return_index=True, return_inverse=True)
-        start = 0
-        for term, cols in zip(terms, columns):
-            term.bind(key[first, start:start + len(cols)])
-            start += len(cols)
+        _bind(terms, key[first])
         self.g_offsets = key[first, -1]
-        self.g_n = np.bincount(self.group_of,
-                               minlength=first.size).astype(float)
-        self.g_sum_y = np.bincount(self.group_of, weights=data.y,
-                                   minlength=first.size)
-        self._ycache = CountCache.from_counts(data.y)
-        self.y_hist = np.bincount(self._ycache.inverse).astype(float)
-        self.nb2 = _FAMILY_OBSERVATION[spec.family] == "nb2"
+        self.n_groups = first.size
+        self.obs = _FAMILY_OBSERVATION[spec.family](data, self.group_of,
+                                                    self.n_groups)
         blocks = [b for t in terms for b in t.blocks()]
-        if self.nb2:
-            blocks.append(Block("phi", 1, "log", DISPERSION_PRIOR))
+        if self.obs.dispersion is not None:
+            blocks.append(Block(self.obs.dispersion, 1, "log",
+                                DISPERSION_PRIOR))
         self.layout = Layout(blocks)
         self.prior = _PriorPass(self.layout)
 
-    def _phi(self, theta: np.ndarray) -> float:
-        return float(np.exp(self.layout.raw(theta, "phi")[0]))
+    def _dispersion(self, theta: np.ndarray) -> tuple[float, ...]:
+        """The observation's dispersion value, if it has one."""
+        name = self.obs.dispersion
+        if name is None:
+            return ()
+        return (float(np.exp(self.layout.raw(theta, name)[0])),)
 
     def _eta_groups(self, theta: np.ndarray):
-        eta = np.zeros(self.g_n.size)
+        eta = np.zeros(self.n_groups)
         caches = []
         for term in self.terms:
             value, cache = term.values(self.layout, theta)
@@ -644,46 +784,34 @@ class _AdditiveCountModel:
         _check_finite_predictor(eta, self.group_of)
         return eta, caches
 
-    def _eta_rows(self, theta: np.ndarray) -> np.ndarray:
-        return self._eta_groups(theta)[0][self.group_of]
-
     @_guarded
     def logp_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         acc = GradAccumulator(self.layout)
         eta, caches = self._eta_groups(theta)
-        if self.nb2:
-            phi = self._phi(theta)
-            _positive(phi)
-            logp, d_eta, d_phi = nb2_group_loglik(
-                self.g_n, self.g_sum_y, eta, phi, self._ycache.unique,
-                self.y_hist)
-            acc.add("phi", d_phi * phi)
-        else:
-            logp, d_eta = poisson_group_loglik(
-                self.g_n, self.g_sum_y, eta, self._ycache.unique, self.y_hist)
+        dispersion = self._dispersion(theta)
+        _positive(*dispersion)
+        logp, d_eta, *d_dispersion = self.obs.loglik(eta, *dispersion)
+        for value, d in zip(dispersion, d_dispersion):
+            acc.add(self.obs.dispersion, d * value)
         for term, cache in zip(self.terms, caches):
             term.backprop(acc, d_eta, cache)
         logp += self.prior(theta, acc.grad)
         return logp, acc.grad
 
     def pointwise_loglik(self, theta: np.ndarray) -> np.ndarray:
-        eta = self._eta_rows(theta)
-        if self.nb2:
-            return nb2_loglik(self.data.y, eta, self._phi(theta),
-                              self._ycache)[0]
-        return poisson_loglik(self.data.y, eta, self._ycache)[0]
+        return self.obs.pointwise(self._eta_groups(theta)[0],
+                                  *self._dispersion(theta))
 
     def replicate(self, theta, rng: np.random.Generator) -> np.ndarray:
-        mu = np.exp(self._eta_rows(theta))
-        return nb2_rvs(rng, mu, self._phi(theta)) if self.nb2 else (
-            rng.poisson(mu))
+        return self.obs.replicate(rng, self._eta_groups(theta)[0],
+                                  *self._dispersion(theta))
 
     def _sum(self, theta: np.ndarray, terms: list, newdata=None):
         """``terms`` summed on the fitted rows, or on ``newdata``."""
         if newdata is not None:
             return sum((t.at(self.layout, theta, newdata) for t in terms), 0.0)
         return sum((t.values(self.layout, theta)[0] for t in terms),
-                   np.zeros(self.g_n.size))[self.group_of]
+                   np.zeros(self.n_groups))[self.group_of]
 
     def predict_log_intensity(self, theta, newdata=None, debias=False
                               ) -> np.ndarray:
@@ -786,8 +914,8 @@ class LongitudinalNbModel(_AdditiveCountModel):
             _Linear("x", data.x, _Coefficients(
                 Block("beta_raw", data.x.shape[1], prior=STD_NORMAL),
                 "sigma_beta")),
-            _Smooth("tau", times, time_idx, spec.hsgp_time,
-                    max(times.std(), 1e-8), "report_date"),
+            _Smooth.on_axis("tau", times, time_idx, spec.hsgp_time,
+                            max(times.std(), 1e-8), "report_date"),
             *fatigue])
 
     def fatigue_curve(self, theta, r_grid: np.ndarray) -> np.ndarray:
@@ -805,8 +933,8 @@ class IndividualGamModel(_AdditiveCountModel):
         if spec.fatigue.kind not in ("none", "hill_per_covariate"):
             raise ValueError("GAM fatigue must be none or hill_per_covariate")
         u, w = data.block("u"), data.block("w")
-        age = _Smooth("age", AGE_GRID, data.age.astype(int), spec.hsgp_age,
-                      AGE_SD, "age")
+        age = _Smooth.on_axis("age", AGE_GRID, data.age.astype(int),
+                              spec.hsgp_age, AGE_SD, "age")
         self.f_age = age.gp
         beta = Block("beta", u.shape[1], prior=PriorSpec(
             "normal", (spec.beta_loc, spec.beta_scale)))
@@ -857,6 +985,11 @@ class BrcData:
     @property
     def n_cells(self) -> int:
         return self.y.shape[0]
+
+    @property
+    def offsets(self) -> np.ndarray:
+        """log P_b + log N + log S on each row."""
+        return self.log_pop_row + self.log_offset_cell[self.row_cell]
 
 
 def make_brc_data(*, y, wave, repeat, age, band, n_participants, s_prop,
@@ -912,184 +1045,57 @@ def _surface_of(pair: str) -> tuple[str, bool]:
     return key, key != pair
 
 
-class AggregatedBrcModel:
-    """Coarse-band NB1 likelihood over a latent rate-consistent surface.
+class AggregatedBrcModel(_AdditiveCountModel):
+    """Coarse-band NB1 counts over a latent rate-consistent surface.
 
-    log mu_row = beta0 + tau_t + f_pair(a, b) + log P_b + fatigue(r, a, c)
-    + log N + log S, with cell shapes sum_b mu / nu. Same-gender (and
+    On the single-year rows of the cells, log mu = beta0 + tau_t
+    + f_pair(a, b) + fatigue(r, a, c) + log P_b + log N + log S; a cell's
+    NB1 shape is its rows' sum of mu over nu. Same-gender (and
     single-surface) pairs use the symmetrized 2D basis; "MF" rows read the
     "FM" surface with swapped coordinates, which makes the cross-gender flow
-    identity hold exactly.
+    identity hold exactly. Each surface lives on the distinct (a, b) points
+    of its rows.
     """
 
     def __init__(self, spec: ModelSpec, data: BrcData):
-        if spec.fatigue.kind not in ("none", "independent", "variant_a",
-                                     "variant_b", "variant_c"):
-            raise ValueError(
-                f"unsupported fatigue kind {spec.fatigue.kind!r} for BRC")
-        self.spec = spec
-        self.data = data
-        self.n_obs = data.n_cells
-        self.row_a = data.cell_age[data.row_cell].astype(float)
-        self.row_wave = data.cell_wave[data.row_cell]
-        cfg = spec.hsgp_surface
-
-        # one surface per pair; mixed pairs share one, read transposed
-        row_pair = data.cell_pair[data.row_cell]
-        of_pair = [_surface_of(label) for label in data.pairs]
-        self.surfaces: dict[str, tuple[_HsgpTerm, np.ndarray]] = {}
-        for key in dict.fromkeys(k for k, _ in of_pair):
-            members = [p for p, (k, _) in enumerate(of_pair) if k == key]
-            rows = np.flatnonzero(np.isin(row_pair, members))
-            swap_mask = np.array([of_pair[p][1] for p in row_pair[rows]],
-                                 dtype=bool)
-            a = np.where(swap_mask, data.row_b[rows], self.row_a[rows])
-            b = np.where(swap_mask, self.row_a[rows], data.row_b[rows])
-            if len(key) != 2 or key[0] == key[1]:
-                basis = kernels.build_hsgp_2d_symmetric(
-                    a / AGE_SD, b / AGE_SD, cfg.m, cfg.c)
-            else:
-                basis = kernels.build_hsgp_2d(a / AGE_SD, b / AGE_SD,
-                                              cfg.m, cfg.c)
-            self.surfaces[key] = (_HsgpTerm(
-                f"f_{key}", basis, cfg, input_sd=AGE_SD,
-                center_weights=np.ones(rows.size)), rows)
-
-        blocks = [_intercept(spec),
-                  Block("tau", len(data.waves) - 1, prior=STD_NORMAL)]
-        for term, _ in self.surfaces.values():
-            blocks += term.blocks()
         fk = spec.fatigue.kind
-        r_max = max(data.max_repeat, 1)
+        if fk not in ("none", "independent", "variant_a", "variant_b",
+                      "variant_c"):
+            raise ValueError(f"unsupported fatigue kind {fk!r} for BRC")
+        cell = data.row_cell
+        row_a = data.cell_age[cell]
+        of_pair = [_surface_of(label) for label in data.pairs]
+        row_pair = data.cell_pair[cell]
+        swap = np.array([s for _, s in of_pair], dtype=bool)[row_pair]
+        a = np.where(swap, data.row_b, row_a)
+        b = np.where(swap, row_a, data.row_b)
+        cfg = spec.hsgp_surface
+        # one surface per pair; mixed pairs share one, read transposed
+        self.surfaces: dict[str, _Smooth] = {}
+        for key in dict.fromkeys(k for k, _ in of_pair):
+            on = np.isin(row_pair, [p for p, (k, _) in enumerate(of_pair)
+                                    if k == key])
+            points, index = np.unique(np.column_stack([a[on], b[on]]),
+                                      axis=0, return_inverse=True)
+            build = (kernels.build_hsgp_2d_symmetric
+                     if len(key) != 2 or key[0] == key[1]
+                     else kernels.build_hsgp_2d)
+            basis = build(*(points.T / AGE_SD), cfg.m, cfg.c)
+            on_rows = np.full(cell.size, len(points))
+            on_rows[on] = index
+            self.surfaces[key] = _Smooth(_HsgpTerm(
+                f"f_{key}", basis, cfg, AGE_SD, np.bincount(index)), on_rows)
+        later_wave = (data.cell_wave[cell][:, None]
+                      == np.arange(1, len(data.waves))).astype(float)
+        terms = [_Linear.intercept(spec, cell.size),
+                 _Linear("wave", later_wave, _Coefficients(
+                     Block("tau", len(data.waves) - 1, prior=STD_NORMAL))),
+                 *self.surfaces.values()]
         if fk != "none":
-            blocks.append(Block("rho", r_max, prior=STD_NORMAL))
-        vcfg = variant_gp_config()
-        ages_obs = np.unique(data.cell_age).astype(float)
-        self.cell_age_idx = np.searchsorted(ages_obs, data.cell_age)
-        mids = np.asarray(data.bands.midpoints, dtype=float)
-        age_w = np.bincount(self.cell_age_idx,
-                            minlength=ages_obs.size).astype(float)
-        band_w = np.bincount(data.cell_band,
-                             minlength=len(data.bands)).astype(float)
-        # smooths added to the log fatigue scale of the variants, each with
-        # the basis row of every cell
-        self.smooths: list[tuple[_HsgpTerm, np.ndarray]] = []
-        if fk in ("variant_a", "variant_b"):
-            self.smooths.append((_HsgpTerm.on_axis(
-                "fa", ages_obs, vcfg, min(vcfg.m, max(4, ages_obs.size)),
-                AGE_SD, age_w), self.cell_age_idx))
-        if fk == "variant_b":
-            self.smooths.append((_HsgpTerm.on_axis(
-                "fc", mids, vcfg, min(vcfg.m, mids.size), AGE_SD, band_w),
-                data.cell_band))
-        if fk == "variant_c":
-            basis = kernels.build_hsgp_2d(
-                data.cell_age.astype(float) / AGE_SD,
-                mids[data.cell_band] / AGE_SD, min(vcfg.m, 12), vcfg.c)
-            self.smooths.append((_HsgpTerm(
-                "fac", basis, vcfg, input_sd=AGE_SD,
-                center_weights=np.ones(data.n_cells)),
-                np.arange(data.n_cells)))
-        for term, _ in self.smooths:
-            blocks += term.blocks()
-        blocks.append(Block("nu", 1, "log", DISPERSION_PRIOR))
-        self.layout = Layout(blocks)
-        self.prior = _PriorPass(self.layout)
-        self._cell_r_pos = data.cell_repeat >= 1
-        self._cell_r_idx = np.clip(data.cell_repeat, 1, r_max) - 1
-
-    def _tau_by_wave(self, theta) -> np.ndarray:
-        tau = np.zeros(len(self.data.waves))
-        tau[1:] = self.layout.raw(theta, "tau")
-        return tau
-
-    def _fatigue_cells(self, theta):
-        """Per-cell fatigue term plus caches for backprop."""
-        fk = self.spec.fatigue.kind
-        n_cells = self.data.n_cells
-        if fk == "none":
-            return np.zeros(n_cells), {}
-        s = self.layout.raw(theta, "rho")[self._cell_r_idx]
-        if fk == "independent":
-            return np.where(self._cell_r_pos, s, 0.0), {}
-        caches = []
-        for term, rows in self.smooths:
-            vals, cache = term.values(self.layout, theta)
-            s = s + vals[rows]
-            caches.append(cache)
-        with np.errstate(over="ignore"):
-            term = np.where(self._cell_r_pos, -np.exp(s), 0.0)
-        # d(-exp(s))/ds = -exp(s)
-        return term, {"smooths": caches, "dterm_ds": term}
-
-    def _surface_rows(self, theta):
-        f_rows = np.zeros(self.data.row_cell.size)
-        caches = []
-        for term, rows in self.surfaces.values():
-            vals, cache = term.values(self.layout, theta)
-            f_rows[rows] = vals
-            caches.append(cache)
-        return f_rows, caches
-
-    def _log_mu_rows(self, theta):
-        tau = self._tau_by_wave(theta)
-        f_rows, surf_caches = self._surface_rows(theta)
-        fat_cells, fat_cache = self._fatigue_cells(theta)
-        log_mu = (self.layout.raw(theta, "beta0")[0] + tau[self.row_wave]
-                  + f_rows + self.data.log_pop_row
-                  + fat_cells[self.data.row_cell]
-                  + self.data.log_offset_cell[self.data.row_cell])
-        _check_finite_predictor(log_mu)
-        return log_mu, surf_caches, fat_cells, fat_cache
-
-    @_guarded
-    def logp_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
-        acc = GradAccumulator(self.layout)
-        log_mu, surf_caches, _fat, fat_cache = self._log_mu_rows(theta)
-        with np.errstate(over="ignore"):
-            mu = np.exp(log_mu)
-        nu = float(np.exp(self.layout.raw(theta, "nu")[0]))
-        _positive(nu)
-        ll, d_mu, d_nu = nb1_agg_loglik(self.data.y, mu, self.data.row_cell,
-                                        nu)
-        logp = float(ll.sum())
-        with np.errstate(invalid="ignore"):
-            dll_rows = d_mu * mu   # d logp / d log_mu per row
-
-        acc.add("beta0", dll_rows.sum())
-        g_tau = np.bincount(self.row_wave, weights=dll_rows,
-                            minlength=len(self.data.waves))
-        acc.add("tau", g_tau[1:])
-        for (term, rows), cache in zip(self.surfaces.values(), surf_caches):
-            term.backprop(acc, dll_rows[rows], cache)
-
-        fk = self.spec.fatigue.kind
-        if fk != "none":
-            g_cells = np.bincount(self.data.row_cell, weights=dll_rows,
-                                  minlength=self.data.n_cells)
-            if fk == "independent":
-                d_s = np.where(self._cell_r_pos, g_cells, 0.0)
-            else:
-                with np.errstate(invalid="ignore"):
-                    d_s = g_cells * fat_cache["dterm_ds"]  # zero where r = 0
-            acc.add("rho", np.bincount(self._cell_r_idx[self._cell_r_pos],
-                                       weights=d_s[self._cell_r_pos],
-                                       minlength=self.layout.raw(theta, "rho").size))
-            for (term, rows), cache in zip(self.smooths,
-                                           fat_cache.get("smooths", ())):
-                g_rows = np.bincount(rows[self._cell_r_pos],
-                                     weights=d_s[self._cell_r_pos],
-                                     minlength=term.phi.shape[0])
-                term.backprop(acc, g_rows, cache)
-        acc.add("nu", d_nu * nu)
-        logp += self.prior(theta, acc.grad)
-        return logp, acc.grad
-
-    def pointwise_loglik(self, theta: np.ndarray) -> np.ndarray:
-        log_mu = self._log_mu_rows(theta)[0]
-        nu = float(np.exp(self.layout.raw(theta, "nu")[0]))
-        return nb1_agg_loglik(self.data.y, np.exp(log_mu),
-                              self.data.row_cell, nu)[0]
+            rho = _RhoTable(data.cell_repeat[cell], max(data.max_repeat, 1))
+            terms.append(rho if fk == "independent" else
+                         _NegativeExp(rho, *_variant_smooths(fk, data)))
+        super().__init__(spec, data, terms)
 
     def predict_log_m(self, theta, pair: str, wave: int, a: np.ndarray,
                       b: np.ndarray, population: PopulationTable
@@ -1098,24 +1104,41 @@ class AggregatedBrcModel:
         key, swap = _surface_of(pair)
         if key not in self.surfaces:
             raise ValueError(f"no surface for pair {pair!r}")
-        term = self.surfaces[key][0]
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         fa, fb = (b, a) if swap else (a, b)
-        f = term.values_at(self.layout, theta, fa, fb)
-        tau = self._tau_by_wave(theta)
+        f = self.surfaces[key].gp.values_at(self.layout, theta, fa, fb)
         t_idx = self.data.waves.index(wave)
+        tau = self.layout.raw(theta, "tau")[t_idx - 1] if t_idx else 0.0
         gender = pair[1] if len(pair) == 2 else pair
         pop = population.get(gender)
-        return (self.layout.raw(theta, "beta0")[0] + tau[t_idx] + f
+        return (self.layout.raw(theta, "beta0")[0] + tau + f
                 + np.log(pop[b.astype(int)]))
 
-    def replicate(self, theta, rng: np.random.Generator) -> np.ndarray:
-        log_mu = self._log_mu_rows(theta)[0]
-        nu = float(np.exp(self.layout.raw(theta, "nu")[0]))
-        mu_cells = np.bincount(self.data.row_cell, weights=np.exp(log_mu),
-                               minlength=self.data.n_cells)
-        return nb1_rvs(rng, mu_cells, nu)
+
+def _variant_smooths(kind: str, data: BrcData) -> list[_Smooth]:
+    """The smooths on the log fatigue scale of a BRC variant, each centered
+    on the cells: age (variant_a), age and contact band (variant_b), or a
+    2D age x band-midpoint surface (variant_c)."""
+    vcfg = variant_gp_config()
+    cell = data.row_cell
+    mids = np.asarray(data.bands.midpoints, dtype=float)
+    if kind == "variant_c":
+        basis = kernels.build_hsgp_2d(
+            data.cell_age / AGE_SD, mids[data.cell_band] / AGE_SD,
+            min(vcfg.m, 12), vcfg.c)
+        return [_Smooth(_HsgpTerm("fac", basis, vcfg, AGE_SD,
+                                  np.ones(data.n_cells)), cell)]
+    ages, age_idx = np.unique(data.cell_age, return_inverse=True)
+    smooths = [_Smooth(_HsgpTerm.on_axis(
+        "fa", ages.astype(float), vcfg, min(vcfg.m, max(4, ages.size)),
+        AGE_SD, np.bincount(age_idx)), age_idx[cell])]
+    if kind == "variant_b":
+        smooths.append(_Smooth(_HsgpTerm.on_axis(
+            "fc", mids, vcfg, min(vcfg.m, mids.size), AGE_SD,
+            np.bincount(data.cell_band, minlength=mids.size)),
+            data.cell_band[cell]))
+    return smooths
 
 
 # ---------------------------------------------------------------------------

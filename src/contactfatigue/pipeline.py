@@ -78,13 +78,8 @@ def fit_wave(records: list[SurveyRecord], feature_spec: FeatureSpec,
 
 
 def fit_sequence(waves: list[list[SurveyRecord]], feature_spec: FeatureSpec,
-                 spec: ModelSpec, cfg: SamplerConfig,
-                 propagate: str = "mean") -> list[WaveFit]:
-    """Fit ordered waves, carrying posterior means forward as priors.
-
-    ``propagate`` picks the posterior functional used as the next wave's
-    prior center ("mean" by default, "median" as the alternative).
-    """
+                 spec: ModelSpec, cfg: SamplerConfig) -> list[WaveFit]:
+    """Fit ordered waves, carrying posterior means forward as priors."""
     if spec.family != "individual_gam":
         raise ValueError("the sequential pipeline fits the additive model")
     fits: list[WaveFit] = []
@@ -98,9 +93,7 @@ def fit_sequence(waves: list[list[SurveyRecord]], feature_spec: FeatureSpec,
         if fits:
             fit.prior_provenance = "propagated"
         fits.append(fit)
-        center = (fit.posterior_means if propagate == "mean"
-                  else fit.posterior_medians)
-        current = _propagated_spec(spec, center)
+        current = _propagated_spec(spec, fit.posterior_means)
     return fits
 
 

@@ -208,11 +208,13 @@ class TestHsgp2dSymmetric:
         assert np.max(np.abs(approx - k)) < 5e-2
 
     def test_basis_at_matches_build_inputs(self):
-        spec = KernelSpec("se", 1.0, 12.0)
+        # every builder evaluates its basis through basis_at
         a, b = self._pair_grid(5)
-        basis = build_hsgp_2d_symmetric(a, b, m=5)
-        np.testing.assert_allclose(basis_at(basis, a, b), basis.phi,
-                                   atol=1e-12)
+        for basis, inputs in ((build_hsgp_1d(a, m=5), (a,)),
+                              (build_hsgp_2d_symmetric(a, b, m=5), (a, b)),
+                              (build_hsgp_2d(a, 0.5 * b, m=5), (a, 0.5 * b))):
+            np.testing.assert_array_equal(basis_at(basis, *inputs),
+                                          basis.phi)
 
 
 class TestRealize:

@@ -83,23 +83,33 @@ class TestParamVector:
         assert layout.parameter_names() == ["a", "b[0]", "b[1]"]
 
 
-def _brc_model(fatigue_kind="independent", m=6, seed=0):
+GENDER_PAIRS = ("MM", "MF", "FM", "FF")
+
+
+def _brc_model(fatigue_kind="independent", m=6, seed=0, pairs=("all",)):
+    """Cells over waves, repeats, participant ages, contact bands and the
+    gender ``pairs``; pairs other than "all" get unequal populations."""
     rng = np.random.default_rng(seed)
     bands = default_coarse_bands()
-    pop = PopulationTable.uniform(("all",), 500.0)
+    pop = (PopulationTable.uniform(("all",), 500.0) if pairs == ("all",)
+           else PopulationTable({"M": np.linspace(300.0, 900.0, 85),
+                                 "F": np.linspace(800.0, 400.0, 85)}))
     rows = []
     for t in (1, 2):
         for r in (0, 1, 2):
             for a in (10, 25, 40, 60):
                 for c in (1, 5, 8):
-                    rows.append((t, r, a, c, float(rng.integers(0, 40))))
+                    for p in range(len(pairs)):
+                        rows.append((t, r, a, c, float(rng.integers(0, 40)),
+                                     p))
     rows = np.array(rows)
     data = make_brc_data(
         y=rows[:, 4], wave=rows[:, 0].astype(int),
         repeat=rows[:, 1].astype(int), age=rows[:, 2].astype(int),
         band=rows[:, 3].astype(int),
         n_participants=np.full(len(rows), 12.0),
-        s_prop=np.full(len(rows), 0.9), population=pop, bands=bands)
+        s_prop=np.full(len(rows), 0.9), population=pop, bands=bands,
+        pair=[pairs[int(p)] for p in rows[:, 5]], pairs=pairs)
     surf = dataclasses.replace(brc_surface_config(), m=m)
     spec = ModelSpec(family="aggregated_brc",
                      fatigue=FatigueSpec(kind=fatigue_kind, max_repeat=2),
@@ -155,6 +165,11 @@ class TestGradientSuite:
     def test_brc(self, kind):
         # larger h: |logp| ~ 1e6 makes 1e-5 steps round-off dominated
         model, _ = _brc_model(kind)
+        self._check(model, n_points=3, h=1e-4, lo=-0.3, hi=0.3)
+
+    def test_brc_gender_pairs(self):
+        # three surfaces, each read by the rows of its own pairs only
+        model, _ = _brc_model(pairs=GENDER_PAIRS)
         self._check(model, n_points=3, h=1e-4, lo=-0.3, hi=0.3)
 
 
@@ -222,8 +237,9 @@ class TestFatigueVariants:
         rng = np.random.default_rng(5)
         for _ in range(5):
             theta = rng.uniform(-0.5, 0.5, model.layout.size)
-            term, _ = model._fatigue_cells(theta)
-            r = model.data.cell_repeat
+            fatigue = next(t for t in model.terms if t.fatigue)
+            term = fatigue.values(model.layout, theta)[0][model.group_of]
+            r = model.data.cell_repeat[model.data.row_cell]
             assert np.all(term[r >= 1] < 0.0)
             assert np.all(term[r == 0] == 0.0)
 
@@ -256,6 +272,7 @@ def _every_family_and_fatigue_kind():
     for kind in ("none", "independent", "variant_a", "variant_b",
                  "variant_c"):
         models[f"brc-{kind}"] = _brc_model(kind)[0]
+    models["brc-gender-pairs"] = _brc_model(pairs=GENDER_PAIRS)[0]
     return models
 
 
@@ -295,14 +312,15 @@ ROW_LEVEL = sorted(name for name in MODELS if not name.startswith("brc"))
 
 class TestGroupedLikelihood:
     """logp_grad runs the likelihood on predictor groups; minus the priors
-    it equals the sum of the row-level ``pointwise_loglik``."""
+    it equals the sum of ``pointwise_loglik`` over the rows (over the cells
+    for the BRC models)."""
 
     @staticmethod
     def _grouped(model, theta):
         logp, _ = model.logp_grad(theta)
         return logp - model.prior(theta, np.zeros(model.layout.size))
 
-    @pytest.mark.parametrize("name", ROW_LEVEL)
+    @pytest.mark.parametrize("name", sorted(MODELS))
     def test_equals_row_level(self, name):
         model = MODELS[name]
         rng = np.random.default_rng(17)
@@ -326,6 +344,25 @@ class TestGroupedLikelihood:
                 model.predict_log_intensity(theta, debias=debias),
                 model.predict_log_intensity(theta, rows, debias),
                 rtol=1e-12, atol=1e-12)
+
+    def test_brc_rows_read_their_pair_surface(self):
+        # a row's fitted predictor is the surface prediction of its own
+        # gender pair and wave plus the repeat effect
+        model, pop = _brc_model(pairs=GENDER_PAIRS)
+        d = model.data
+        cell = d.row_cell
+        theta = np.random.default_rng(9).uniform(-0.5, 0.5,
+                                                 model.layout.size)
+        rho = np.concatenate([[0.0], model.layout.raw(theta, "rho")])
+        fitted = model.predict_log_intensity(theta) + d.log_pop_row
+        for p, pair in enumerate(d.pairs):
+            for t, wave in enumerate(d.waves):
+                rows = (d.cell_pair[cell] == p) & (d.cell_wave[cell] == t)
+                expected = model.predict_log_m(
+                    theta, pair, wave, d.cell_age[cell][rows], d.row_b[rows],
+                    pop) + rho[d.cell_repeat[cell][rows]]
+                np.testing.assert_allclose(fitted[rows], expected,
+                                           rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("name", [n for n in ROW_LEVEL
                                       if "phi" in MODELS[n].layout])
@@ -356,6 +393,23 @@ class TestFlowIdentity:
             flow_ab = np.log(p[a.astype(int)]) + log_m_ab
             flow_ba = np.log(p[b.astype(int)]) + log_m_ba
             np.testing.assert_allclose(flow_ab, flow_ba, rtol=1e-12,
+                                       atol=1e-12)
+
+    def test_cross_gender_flows_balance(self):
+        # P^M_a m_MF(a,b) = P^F_b m_FM(b,a): "MF" reads the "FM" surface
+        model, pop = _brc_model(pairs=GENDER_PAIRS)
+        rng = np.random.default_rng(8)
+        ages = np.arange(0, 85, 7, dtype=float)
+        aa, bb = np.meshgrid(ages, ages)
+        a, b = aa.ravel(), bb.ravel()
+        log_m, log_f = np.log(pop.get("M")), np.log(pop.get("F"))
+        for _ in range(3):
+            theta = rng.uniform(-0.5, 0.5, model.layout.size)
+            flow_mf = log_m[a.astype(int)] + model.predict_log_m(
+                theta, "MF", 2, a, b, pop)
+            flow_fm = log_f[b.astype(int)] + model.predict_log_m(
+                theta, "FM", 2, b, a, pop)
+            np.testing.assert_allclose(flow_mf, flow_fm, rtol=1e-12,
                                        atol=1e-12)
 
 
