@@ -10,11 +10,20 @@ Two-dimensional bases are tensor products; for exchangeable surfaces the
 basis columns are symmetrized so every realization satisfies
 f(a, b) = f(b, a) exactly.
 
+A 2D basis is kept as per-axis factors, never as its dense (n, M) matrix:
+each tensor eigenfunction is a product of two 1D sines, so the basis holds
+the m sines of each axis at that axis's distinct coordinates (at most 85 on
+single-year ages) and each point's cell in their grid. A realization is
+then S_a C S_b^T and the transpose product of a gradient S_a^T G S_b, small
+matrix products on the grid, where the dense matrix costs n x M (680 x 820
+for an age surface, 7225 x 820 on the full age grid) in memory and time.
+
 Magnitude convention: ``magnitude`` is the marginal variance, k(0) = sigma.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -106,24 +115,48 @@ def spectral_density_grad(spec: KernelSpec, omega: np.ndarray
 
 @dataclass(frozen=True)
 class HsgpBasis:
-    """Precomputed eigenfunction matrix on centered inputs.
+    """Laplacian eigenfunctions of a box at a set of points.
 
-    ``freqs`` holds the per-dimension eigenfrequencies of each column:
-    shape (M, 1) in 1D; (M, 2) in 2D, where symmetric bases keep only
-    index pairs j <= k and average the two tensor orderings.
+    ``freqs`` holds the eigenfrequencies of each axis, shape (m, dim). A 1D
+    basis keeps its (n, m) eigenfunction matrix ``phi``. Column (j, k) of a
+    2D basis pairs frequency j on the first axis with k on the second,
+    j-major; a symmetric basis keeps j <= k and averages the two tensor
+    orderings.
+
+    A 2D basis is stored as per-axis factors, not as its (n, M) matrix,
+    which an age surface (680 points, 820 columns) would stream twice a
+    gradient: ``sines`` holds the m sines of each axis at that axis's
+    distinct coordinates and ``cell`` each point's flat index
+    n_b * row_a + row_b into their grid. A realization is S_a C S_b^T read
+    at the cells, C being the m x m coefficient matrix; the transpose
+    product is S_a^T G S_b, G being the point values summed on the grid.
+    The two axes of a symmetric basis share one coordinate set, the
+    distinct values of both coordinates, and its grid is symmetrized.
+
+    ``col_means`` are the weighted column means that a centered basis
+    subtracts from every column, or None.
     """
 
     dim: int
     m: int
     half_width: tuple[float, ...]
     center: tuple[float, ...]
-    phi: np.ndarray            # (n, M)
-    freqs: np.ndarray          # (M, dim)
+    freqs: np.ndarray                      # (m, dim)
+    phi: np.ndarray | None = None          # 1D: (n, m)
+    sines: tuple[np.ndarray, ...] = ()     # 2D: (n_a, m), (n_b, m)
+    cell: np.ndarray | None = None         # 2D: (n,)
     symmetric: bool = False
+    col_means: np.ndarray | None = None    # (M,)
 
     @property
     def n_basis(self) -> int:
-        return self.phi.shape[1]
+        if self.dim == 1:
+            return self.m
+        return self.m * (self.m + 1) // 2 if self.symmetric else self.m**2
+
+    @property
+    def n_points(self) -> int:
+        return self.phi.shape[0] if self.dim == 1 else self.cell.size
 
     def spectral_weights(self, specs: KernelSpec | tuple[KernelSpec, ...]
                          ) -> np.ndarray:
@@ -132,28 +165,126 @@ class HsgpBasis:
 
     def spectral_weights_grad(self, specs: KernelSpec | tuple[KernelSpec, ...]
                               ) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Weights plus partials w.r.t. (sigma_1, ell_1[, sigma_2, ell_2])."""
+        """Weights plus partials w.r.t. (sigma_1, ell_1[, sigma_2, ell_2]).
+
+        The densities are evaluated at the m frequencies of each axis; a 2D
+        column multiplies those of its two frequencies."""
         if self.dim == 1:
             spec = specs if isinstance(specs, KernelSpec) else specs[0]
             s, ds, dl = spectral_density_grad(spec, self.freqs[:, 0])
             return s, [ds, dl]
         spec_a, spec_b = specs if not isinstance(specs, KernelSpec) else (specs, specs)
-        sa1, dsa1, dla1 = spectral_density_grad(spec_a, self.freqs[:, 0])
-        sb1, dsb1, dlb1 = spectral_density_grad(spec_b, self.freqs[:, 1])
-        if not self.symmetric:
-            return sa1 * sb1, [dsa1 * sb1, dla1 * sb1, sa1 * dsb1, sa1 * dlb1]
-        sa2, dsa2, dla2 = spectral_density_grad(spec_a, self.freqs[:, 1])
-        sb2, dsb2, dlb2 = spectral_density_grad(spec_b, self.freqs[:, 0])
-        s = 0.5 * (sa1 * sb1 + sa2 * sb2)
-        grads = [0.5 * (dsa1 * sb1 + dsa2 * sb2),
-                 0.5 * (dla1 * sb1 + dla2 * sb2),
-                 0.5 * (sa1 * dsb1 + sa2 * dsb2),
-                 0.5 * (sa1 * dlb1 + sa2 * dlb2)]
-        return s, grads
+        sa, dsa, dla = spectral_density_grad(spec_a, self.freqs[:, 0])
+        sb, dsb, dlb = spectral_density_grad(spec_b, self.freqs[:, 1])
+        # x_j y_k on each column (j, k), averaged with x_k y_j if symmetric
+        x = np.stack([sa, dsa, dla, sa, sa])
+        y = np.stack([sb, sb, sb, dsb, dlb])
+        cols = (x[:, :, None] * y[:, None, :]).reshape(5, -1)
+        if self.symmetric:
+            jk, kj, _ = _symmetric_columns(self.m)
+            cols = 0.5 * (cols.take(jk, axis=1) + cols.take(kj, axis=1))
+        return cols[0], list(cols[1:])
 
-    def realized_covariance(self, specs) -> np.ndarray:
-        s = self.spectral_weights(specs)
-        return (self.phi * s) @ self.phi.T
+    def _grid(self, v: np.ndarray) -> np.ndarray:
+        """S_a C S_b^T, flattened: the 2D realization with column weights
+        ``v`` on the grid of the axis coordinates."""
+        m = self.m
+        if not self.symmetric:
+            return np.linalg.multi_dot([self.sines[0], v.reshape(m, m),
+                                        self.sines[1].T]).ravel()
+        # C = c + c^T for the upper triangle c, so S C S^T is the grid
+        # plus its transpose: f(a, b) = f(b, a) to the last bit
+        jk, _, scale = _symmetric_columns(m)
+        c = np.zeros(m * m)
+        c[jk] = scale * v
+        f = np.linalg.multi_dot([self.sines[0], c.reshape(m, m),
+                                 self.sines[1].T])
+        return (f + f.T).ravel()
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """Phi v at the basis points: the function with column weights v."""
+        if self.dim == 1:
+            return self.phi @ v
+        f = self._grid(v).take(self.cell)
+        return f if self.col_means is None else f - self.col_means @ v
+
+    def rmatvec(self, g: np.ndarray) -> np.ndarray:
+        """Phi^T g: the column sums of ``g`` over the basis points."""
+        if self.dim == 1:
+            return self.phi.T @ g
+        s_a, s_b = self.sines
+        grid = np.bincount(self.cell, weights=g,
+                           minlength=s_a.shape[0] * s_b.shape[0])
+        t = np.linalg.multi_dot([s_a.T, grid.reshape(s_a.shape[0], -1),
+                                 s_b]).ravel()
+        if self.symmetric:
+            jk, kj, scale = _symmetric_columns(self.m)
+            t = scale * (t.take(jk) + t.take(kj))
+        return t if self.col_means is None else t - self.col_means * g.sum()
+
+    def centered(self, weights: np.ndarray) -> HsgpBasis:
+        """The basis minus its column means under ``weights`` over the
+        points, so every realization has weighted mean zero."""
+        w = np.asarray(weights, dtype=float)
+        col_means = self.rmatvec(w) / w.sum()
+        if self.dim == 1:
+            return replace(self, phi=self.phi - col_means[None, :],
+                           col_means=col_means)
+        return replace(self, col_means=col_means)
+
+
+@functools.cache
+def _symmetric_columns(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat indices j m + k and k m + j of the j <= k columns of a symmetric
+    basis, and the scale of each column's weight v in the upper triangle c
+    of the coefficient matrix C = c + c^T: C_jk = C_kj = v / sqrt(2) off the
+    diagonal, C_jj = v."""
+    j, k = np.triu_indices(m)
+    out = (j * m + k, k * m + j, np.where(j == k, 0.5, np.sqrt(0.5)))
+    for arr in out:   # shared by every caller
+        arr.flags.writeable = False
+    return out
+
+
+def _sines(x: np.ndarray, center: float, half_width: float,
+           freqs: np.ndarray) -> np.ndarray:
+    """The 1D eigenfunctions of the box at the coordinates ``x``, (n, m)."""
+    return (np.sin(np.outer(x - center + half_width, freqs))
+            / np.sqrt(half_width))
+
+
+def on_points(basis: HsgpBasis, inputs_a: np.ndarray,
+              inputs_b: np.ndarray | None = None) -> HsgpBasis:
+    """The basis, with its box, frequencies and centering, on new points.
+
+    1D bases take one coordinate array; 2D bases take the two coordinates
+    pairwise and get the per-axis factors at the new points. Points should
+    lie inside the boundary box used at build time.
+    """
+    if basis.dim == 1:
+        phi = _sines(np.asarray(inputs_a, dtype=float), basis.center[0],
+                     basis.half_width[0], basis.freqs[:, 0])
+        if basis.col_means is not None:
+            phi = phi - basis.col_means[None, :]
+        return replace(basis, phi=phi)
+    if inputs_b is None:
+        raise ValueError("2D basis requires both coordinates")
+    a, b = (np.asarray(x, dtype=float) for x in (inputs_a, inputs_b))
+    if basis.symmetric:
+        # the axes share their box; one shared coordinate set lets the grid
+        # be symmetrized exactly
+        coords, rows = np.unique(np.concatenate([a, b]), return_inverse=True)
+        sines = (_sines(coords, basis.center[0], basis.half_width[0],
+                        basis.freqs[:, 0]),) * 2
+        row_a, row_b, n_b = rows[:a.size], rows[a.size:], coords.size
+    else:
+        (coords_a, row_a), (coords_b, row_b) = (
+            np.unique(x, return_inverse=True) for x in (a, b))
+        sines = tuple(_sines(x, basis.center[d], basis.half_width[d],
+                             basis.freqs[:, d])
+                      for d, x in enumerate((coords_a, coords_b)))
+        n_b = coords_b.size
+    return replace(basis, sines=sines, cell=row_a * n_b + row_b)
 
 
 def build_hsgp_1d(inputs: np.ndarray, m: int = 30,
@@ -168,8 +299,8 @@ def build_hsgp_1d(inputs: np.ndarray, m: int = 30,
     half_width = c * max(np.max(np.abs(inputs - center)), 1e-8)
     freqs = np.arange(1, m + 1) * np.pi / (2.0 * half_width)
     basis = HsgpBasis(dim=1, m=m, half_width=(half_width,), center=(center,),
-                      phi=None, freqs=freqs[:, None])
-    return replace(basis, phi=basis_at(basis, inputs))
+                      freqs=freqs[:, None])
+    return on_points(basis, inputs)
 
 
 def _build_hsgp_2d(grid_a: np.ndarray, grid_b: np.ndarray, m: int, c: float,
@@ -190,15 +321,11 @@ def _build_hsgp_2d(grid_a: np.ndarray, grid_b: np.ndarray, m: int, c: float,
         cb = 0.5 * (grid_b.max() + grid_b.min())
         la = c * max(np.max(np.abs(grid_a - ca)), 1e-8)
         lb = c * max(np.max(np.abs(grid_b - cb)), 1e-8)
-    freq_a, freq_b = (np.arange(1, m + 1) * np.pi / (2.0 * half)
-                      for half in (la, lb))
-    # column (j, k) pairs frequency j on a with k on b; a symmetric basis
-    # keeps j <= k
-    pairs = [(freq_a[j], freq_b[k]) for j in range(m)
-             for k in range(j if symmetric else 0, m)]
+    freqs = np.column_stack([np.arange(1, m + 1) * np.pi / (2.0 * half)
+                             for half in (la, lb)])
     basis = HsgpBasis(dim=2, m=m, half_width=(la, lb), center=(ca, cb),
-                      phi=None, freqs=np.asarray(pairs), symmetric=symmetric)
-    return replace(basis, phi=basis_at(basis, grid_a, grid_b))
+                      freqs=freqs, symmetric=symmetric)
+    return on_points(basis, grid_a, grid_b)
 
 
 def build_hsgp_2d_symmetric(grid_a: np.ndarray, grid_b: np.ndarray,
@@ -221,37 +348,38 @@ def build_hsgp_2d(grid_a: np.ndarray, grid_b: np.ndarray, m: int = 40,
 
 def realize(basis: HsgpBasis, specs: KernelSpec | tuple[KernelSpec, ...],
             w: np.ndarray) -> np.ndarray:
-    """Evaluate f = Phi (sqrt(S) * w) at the basis inputs."""
+    """Evaluate f = Phi (sqrt(S) * w) at the basis points."""
     w = np.asarray(w, dtype=float)
     if w.shape != (basis.n_basis,):
         raise ValueError(
             f"weight vector must have length {basis.n_basis}, got {w.shape}")
     s = basis.spectral_weights(specs)
-    return basis.phi @ (np.sqrt(s) * w)
+    return basis.matvec(np.sqrt(s) * w)
 
 
 def basis_at(basis: HsgpBasis, inputs_a: np.ndarray,
              inputs_b: np.ndarray | None = None) -> np.ndarray:
-    """Evaluate the basis columns at new input points.
+    """The dense (n, M) basis matrix at new input points.
 
+    A reference for the factored evaluation (``on_points``), which no
+    model calls: on the 85 x 85 age grid a 2D basis matrix takes 47 MB.
     1D bases take one coordinate array; 2D bases take the two coordinates
-    pairwise. Points should lie inside the boundary box used at build time.
+    pairwise.
     """
     if basis.dim == 1:
-        x = np.asarray(inputs_a, dtype=float) - basis.center[0]
-        la = basis.half_width[0]
-        return np.sin(np.outer(x + la, basis.freqs[:, 0])) / np.sqrt(la)
+        return on_points(basis, inputs_a).phi
     if inputs_b is None:
         raise ValueError("2D basis requires both coordinates")
-    xa = np.asarray(inputs_a, dtype=float) - basis.center[0]
-    xb = np.asarray(inputs_b, dtype=float) - basis.center[1]
-    la, lb = basis.half_width
-    fa = np.sin((xa + la)[:, None] * basis.freqs[:, 0][None, :]) / np.sqrt(la)
-    fb = np.sin((xb + lb)[:, None] * basis.freqs[:, 1][None, :]) / np.sqrt(lb)
-    cols = fa * fb
+    fa, fb = (_sines(np.asarray(x, dtype=float), basis.center[d],
+                     basis.half_width[d], basis.freqs[:, d])
+              for d, x in enumerate((inputs_a, inputs_b)))
+    m = basis.m
+    j, k = np.triu_indices(m) if basis.symmetric else np.divmod(
+        np.arange(m * m), m)
+    cols = fa[:, j] * fb[:, k]
     if basis.symmetric:
-        fa2 = np.sin((xa + la)[:, None] * basis.freqs[:, 1][None, :]) / np.sqrt(la)
-        fb2 = np.sin((xb + lb)[:, None] * basis.freqs[:, 0][None, :]) / np.sqrt(lb)
-        off_diag = basis.freqs[:, 0] != basis.freqs[:, 1]
-        cols = np.where(off_diag[None, :], (cols + fa2 * fb2) / np.sqrt(2.0), cols)
+        cols = np.where(j != k, (cols + fa[:, k] * fb[:, j]) / np.sqrt(2.0),
+                        cols)
+    if basis.col_means is not None:
+        cols = cols - basis.col_means[None, :]
     return cols

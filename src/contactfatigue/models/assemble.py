@@ -22,11 +22,12 @@ Every family is one log-linear count regression, assembled from terms by
   smooth, one Hill fatigue curve per selected covariate; NB2 counts.
 * ``aggregated_brc``  -- on single-year contact ages: intercept, wave
   effect, a 2D age surface per gender pair (symmetrized within a gender,
-  read transposed by "MF", so that population flows balance exactly), a
-  fatigue term (independent, or -exp of a repeat table plus smooths) and
-  log population, participant and detail offsets; NB1 counts of coarse
-  contact bands, each summing its single-year rows through rate
-  consistency.
+  read transposed by "MF", so that population flows balance exactly;
+  evaluated through per-axis sine factors on the age grid, never as a
+  dense points x columns basis), a fatigue term (independent, or -exp of
+  a repeat table plus smooths) and log population, participant and detail
+  offsets; NB1 counts of coarse contact bands, each summing its
+  single-year rows through rate consistency.
 
 A term declares its parameter blocks and the data columns it reads; rows
 that agree on all of them and on their offset form one predictor group.
@@ -63,10 +64,21 @@ class _RejectState(Exception):
     """A positive parameter under/overflowed; the state gets -inf mass."""
 
 
-def _positive(*values: float) -> None:
-    for v in values:
+#: the largest u with a finite exp(u)
+_MAX_LOG = float(np.log(np.finfo(float).max))
+
+
+def _exp(raw: np.ndarray) -> np.ndarray:
+    """exp of log-scale parameters, which must come out positive and
+    finite, or the state is rejected. Overflow is caught before np.exp,
+    which would warn of it."""
+    if max(raw.tolist()) > _MAX_LOG:
+        raise _RejectState
+    value = np.exp(raw)
+    for v in value.tolist():
         if not (0.0 < v < np.inf):
             raise _RejectState
+    return value
 
 
 def _guarded(fn):
@@ -230,12 +242,10 @@ class _RhsTerm:
         """Coefficients plus the backprop cache."""
         z = layout.raw(theta, self.z_name)
         if self.negative:
-            z = np.exp(z)
-            _positive(*z)
-        zeta = np.exp(layout.raw(theta, self.zeta_name))
-        c2 = float(np.exp(layout.raw(theta, "rhs_c2")[0]))
-        eps = float(np.exp(layout.raw(theta, "rhs_eps")[0]))
-        _positive(*zeta, c2, eps)
+            z = _exp(z)
+        zeta = _exp(layout.raw(theta, self.zeta_name))
+        c2 = float(_exp(layout.raw(theta, "rhs_c2"))[0])
+        eps = float(_exp(layout.raw(theta, "rhs_eps"))[0])
         beta, partials = rhs_coefficients(self.spec, z, zeta, c2, eps)
         return beta, (z, zeta, c2, eps, partials)
 
@@ -268,8 +278,7 @@ class _Coefficients:
         raw = layout.raw(theta, self.raw)
         if self.scale is None:
             return raw, None
-        sigma = float(np.exp(layout.raw(theta, self.scale)[0]))
-        _positive(sigma)
+        sigma = float(_exp(layout.raw(theta, self.scale))[0])
         return sigma * raw, (raw, sigma)
 
     def backprop(self, acc: GradAccumulator, g_beta: np.ndarray,
@@ -294,16 +303,10 @@ class _HsgpTerm:
     def __init__(self, name: str, basis: HsgpBasis, config: HsgpConfig,
                  input_sd: float = 1.0,
                  center_weights: np.ndarray | None = None):
-        self.basis = basis
+        self.basis = (basis if center_weights is None
+                      else basis.centered(center_weights))
         self.config = config
         self.input_sd = float(input_sd)
-        if center_weights is not None:
-            w = np.asarray(center_weights, dtype=float)
-            self.col_means = w @ basis.phi / w.sum()
-            self.phi = basis.phi - self.col_means[None, :]
-        else:
-            self.col_means = None
-            self.phi = basis.phi
         hyper_names = (["sigma", "ell"] if basis.dim == 1
                        else ["sigma1", "ell1", "sigma2", "ell2"])
         self.block_names = [f"{name}_w"] + [f"{name}_{h}" for h in hyper_names]
@@ -327,9 +330,8 @@ class _HsgpTerm:
 
     def _specs(self, layout: Layout, theta: np.ndarray):
         """Kernel spec (one per axis in 2D) and the positive hypers."""
-        hypers = [float(np.exp(layout.raw(theta, nm)[0]))
-                  for nm in self.block_names[1:]]
-        _positive(*hypers)
+        raw = [layout.raw(theta, nm) for nm in self.block_names[1:]]
+        hypers = _exp(np.concatenate(raw)).tolist()
         specs = tuple(KernelSpec(self.config.kernel, hypers[i], hypers[i + 1])
                       for i in range(0, len(hypers), 2))
         return (specs[0] if self.basis.dim == 1 else specs), hypers
@@ -342,7 +344,7 @@ class _HsgpTerm:
         with np.errstate(over="ignore", invalid="ignore"):
             s, ds = self.basis.spectral_weights_grad(specs)
             sqrt_s = np.sqrt(s)
-            f = self.phi @ (sqrt_s * w)
+            f = self.basis.matvec(sqrt_s * w)
         if not (np.all(np.isfinite(s)) and np.all(np.isfinite(f))):
             raise _RejectState
         return f, {"w": w, "sqrt_s": sqrt_s, "ds": ds, "hypers": hypers}
@@ -350,7 +352,7 @@ class _HsgpTerm:
     def backprop(self, acc: GradAccumulator, g_inputs: np.ndarray,
                  cache: dict) -> None:
         """Push d(logp)/d(f at inputs) into weight and hyper gradients."""
-        phi_t_g = self.phi.T @ g_inputs
+        phi_t_g = self.basis.rmatvec(g_inputs)
         acc.add(self.block_names[0], cache["sqrt_s"] * phi_t_g)
         # d sqrt(S)/dtheta = dS/dtheta / (2 sqrt(S)); zero where S underflows
         safe = np.where(cache["sqrt_s"] > 0.0, cache["sqrt_s"], 1.0)
@@ -362,15 +364,13 @@ class _HsgpTerm:
 
     def values_at(self, layout: Layout, theta: np.ndarray, a, b=None
                   ) -> np.ndarray:
+        """Realized values at new raw coordinates (both, pairwise, in 2D)."""
         specs, _ = self._specs(layout, theta)
         w = layout.raw(theta, self.block_names[0])
         s = self.basis.spectral_weights(specs)
         a = np.asarray(a, dtype=float) / self.input_sd
         b = None if b is None else np.asarray(b, dtype=float) / self.input_sd
-        phi = kernels.basis_at(self.basis, a, b)
-        if self.col_means is not None:
-            phi = phi - self.col_means[None, :]
-        return phi @ (np.sqrt(s) * w)
+        return kernels.on_points(self.basis, a, b).matvec(np.sqrt(s) * w)
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +430,7 @@ class _Smooth:
         self.gp = gp
         self.key = key
         self.columns = [index]
-        self.padded = bool(np.any(index >= gp.phi.shape[0]))
+        self.padded = bool(np.any(index >= gp.basis.n_points))
 
     @classmethod
     def on_axis(cls, name: str, grid: np.ndarray, index: np.ndarray,
@@ -454,7 +454,7 @@ class _Smooth:
 
     def backprop(self, acc: GradAccumulator, d_eta: np.ndarray,
                  cache) -> None:
-        n = self.gp.phi.shape[0]
+        n = self.gp.basis.n_points
         self.gp.backprop(acc, np.bincount(self.g_index, weights=d_eta,
                                           minlength=n + 1)[:n], cache)
 
@@ -504,10 +504,9 @@ class _HillTerm:
                 weights: np.ndarray | None) -> tuple[np.ndarray, tuple]:
         """The term at ``repeat`` = (distinct counts, index of each row into
         them) plus a backprop cache."""
-        gam = np.exp(layout.raw(theta, "hill_gamma"))
+        gam = _exp(layout.raw(theta, "hill_gamma"))
         zet = layout.raw(theta, "hill_zeta")
-        eta = np.exp(layout.raw(theta, "hill_eta"))
-        _positive(*gam, *eta)
+        eta = _exp(layout.raw(theta, "hill_eta"))
         counts, index = repeat
         per_q = [(c, *hill_grad(c, counts))
                  for c in map(HillCurve, gam, zet, eta)]
@@ -771,7 +770,7 @@ class _AdditiveCountModel:
         name = self.obs.dispersion
         if name is None:
             return ()
-        return (float(np.exp(self.layout.raw(theta, name)[0])),)
+        return (float(_exp(self.layout.raw(theta, name))[0]),)
 
     def _eta_groups(self, theta: np.ndarray):
         eta = np.zeros(self.n_groups)
@@ -789,7 +788,6 @@ class _AdditiveCountModel:
         acc = GradAccumulator(self.layout)
         eta, caches = self._eta_groups(theta)
         dispersion = self._dispersion(theta)
-        _positive(*dispersion)
         logp, d_eta, *d_dispersion = self.obs.loglik(eta, *dispersion)
         for value, d in zip(dispersion, d_dispersion):
             acc.add(self.obs.dispersion, d * value)
@@ -1096,6 +1094,16 @@ class AggregatedBrcModel(_AdditiveCountModel):
             terms.append(rho if fk == "independent" else
                          _NegativeExp(rho, *_variant_smooths(fk, data)))
         super().__init__(spec, data, terms)
+
+    def predict_log_intensity(self, theta, newdata=None, debias=False
+                              ) -> np.ndarray:
+        """Log intensity on the fitted single-year rows, without offsets.
+        New rows are refused: the surface at new ages is ``predict_log_m``.
+        """
+        if newdata is not None:
+            raise ValueError("the BRC model predicts only its fitted rows; "
+                             "use predict_log_m for the surface at new ages")
+        return super().predict_log_intensity(theta, debias=debias)
 
     def predict_log_m(self, theta, pair: str, wave: int, a: np.ndarray,
                       b: np.ndarray, population: PopulationTable

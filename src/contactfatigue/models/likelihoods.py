@@ -162,13 +162,14 @@ def nb1_agg_loglik(y_cell: np.ndarray, mu_rows: np.ndarray,
         d_shape = digamma(y_cell + shape) - digamma(shape) - np.log1p(nu)
         d_nu_cells = (d_shape * (-shape / nu) + y_cell / nu
                       - (y_cell + shape) / (1.0 + nu))
-    bad = ~np.isfinite(ll) | ~np.isfinite(d_shape)
+        d_mu_cells = d_shape / nu
+    # a cell whose log pmf or gradient is not finite rejects the state
+    bad = ~np.isfinite(ll) | ~np.isfinite(d_mu_cells)
     if np.any(bad):
         ll = np.where(bad, -np.inf, ll)
-        d_shape = np.where(bad, 0.0, d_shape)
+        d_mu_cells = np.where(bad, 0.0, d_mu_cells)
         d_nu_cells = np.where(bad, 0.0, d_nu_cells)
-    d_mu_rows = d_shape[row_cell] / nu
-    return ll, d_mu_rows, float(d_nu_cells.sum())
+    return ll, d_mu_cells[row_cell], float(d_nu_cells.sum())
 
 
 def nb2_rvs(rng: np.random.Generator, mu: np.ndarray, phi: float

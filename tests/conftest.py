@@ -54,3 +54,10 @@ def max_rel_grad_error(model, theta, h=1e-6):
     _, grad = model.logp_grad(theta)
     num = finite_difference_grad(lambda t: model.logp_grad(t)[0], theta, h)
     return float(np.max(np.abs(grad - num) / np.maximum(np.abs(num), 1.0)))
+
+
+def assert_matches_reference(x, reference):
+    """Agreement with a dense reference to 1e-12, relative to each entry
+    or to the largest one."""
+    np.testing.assert_allclose(x, reference, rtol=1e-12,
+                               atol=1e-12 * np.max(np.abs(reference)))

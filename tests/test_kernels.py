@@ -6,10 +6,18 @@ from scipy.integrate import quad
 from contactfatigue.kernels import (HsgpBasis, KernelSpec, basis_at,
                                     build_hsgp_1d, build_hsgp_2d,
                                     build_hsgp_2d_symmetric, gram_matrix,
-                                    kernel_eval, realize, spectral_density,
-                                    spectral_density_grad)
+                                    kernel_eval, on_points, realize,
+                                    spectral_density, spectral_density_grad)
+
+from conftest import assert_matches_reference
 
 ALL_FAMILIES = ("se", "matern32", "matern52")
+
+
+def realized_covariance(basis, specs, *inputs):
+    """Phi S Phi^T at ``inputs``, from the dense reference basis."""
+    phi = basis_at(basis, *inputs)
+    return (phi * basis.spectral_weights(specs)) @ phi.T
 
 
 class TestKernelEval:
@@ -122,7 +130,7 @@ class TestHsgp1d:
         x = np.linspace(-5, 5, 41)
         basis = build_hsgp_1d(x, m=64, c=1.5)
         exact = gram_matrix(spec, x)
-        approx = basis.realized_covariance(spec)
+        approx = realized_covariance(basis, spec, x)
         assert np.max(np.abs(approx - exact)) < 1e-3
 
     def test_matern32_covariance_error(self):
@@ -130,7 +138,8 @@ class TestHsgp1d:
         x = np.linspace(-5, 5, 41)
         basis = build_hsgp_1d(x, m=128, c=1.5)
         exact = gram_matrix(spec, x)
-        assert np.max(np.abs(basis.realized_covariance(spec) - exact)) < 5e-3
+        assert np.max(np.abs(realized_covariance(basis, spec, x)
+                             - exact)) < 5e-3
 
     def test_error_monotone_in_basis_size(self):
         spec = KernelSpec("se", 1.0, 1.0)
@@ -139,7 +148,7 @@ class TestHsgp1d:
         errors = []
         for m in (8, 16, 32, 64):
             basis = build_hsgp_1d(x, m=m, c=1.5)
-            errors.append(np.max(np.abs(basis.realized_covariance(spec)
+            errors.append(np.max(np.abs(realized_covariance(basis, spec, x)
                                         - exact)))
         assert all(a > b for a, b in zip(errors, errors[1:]))
 
@@ -195,7 +204,7 @@ class TestHsgp2dSymmetric:
                   * kernel_eval(spec, b[:, None], a[None, :])
                   / spec.magnitude)
         target = 0.5 * (k + k_swap)
-        approx = basis.realized_covariance((spec, spec))
+        approx = realized_covariance(basis, (spec, spec), a, b)
         assert np.max(np.abs(approx - target)) < 5e-2
 
     def test_full_2d_covariance(self):
@@ -204,17 +213,111 @@ class TestHsgp2dSymmetric:
         basis = build_hsgp_2d(a, b, m=14)
         k = (kernel_eval(spec, a[:, None], a[None, :])
              * kernel_eval(spec, b[:, None], b[None, :]) / spec.magnitude)
-        approx = basis.realized_covariance((spec, spec))
+        approx = realized_covariance(basis, (spec, spec), a, b)
         assert np.max(np.abs(approx - k)) < 5e-2
 
     def test_basis_at_matches_build_inputs(self):
-        # every builder evaluates its basis through basis_at
+        # the dense reference at the build inputs is the 1D basis matrix,
+        # and reproduces the products of the factored 2D bases
         a, b = self._pair_grid(5)
-        for basis, inputs in ((build_hsgp_1d(a, m=5), (a,)),
-                              (build_hsgp_2d_symmetric(a, b, m=5), (a, b)),
+        np.testing.assert_array_equal(basis_at(build_hsgp_1d(a, m=5), a),
+                                      build_hsgp_1d(a, m=5).phi)
+        rng = np.random.default_rng(3)
+        for basis, inputs in ((build_hsgp_2d_symmetric(a, b, m=5), (a, b)),
                               (build_hsgp_2d(a, 0.5 * b, m=5), (a, 0.5 * b))):
-            np.testing.assert_array_equal(basis_at(basis, *inputs),
-                                          basis.phi)
+            phi = basis_at(basis, *inputs)
+            v = rng.standard_normal(basis.n_basis)
+            g = rng.standard_normal(a.size)
+            np.testing.assert_allclose(basis.matvec(v), phi @ v,
+                                       rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(basis.rmatvec(g), phi.T @ g,
+                                       rtol=1e-12, atol=1e-12)
+
+
+AGE_SD = np.arange(85.0).std()
+AGE_GRID_A, AGE_GRID_B = (x.ravel() / AGE_SD for x in np.meshgrid(
+    np.arange(85.0), np.arange(85.0), indexing="ij"))
+
+
+def _surface_basis(kind, centered):
+    """A 2D basis on points like the models': the distinct (participant
+    age, contact age) pairs of a surface (symmetric or unrestricted), or
+    per-cell (age, band midpoint) inputs with repeats (variant_c)."""
+    ages = np.array([10.0, 25.0, 40.0, 60.0])
+    if kind == "variant_c":
+        mids = np.array([2.0, 9.5, 24.5, 49.5, 72.0])
+        a, b = (x.ravel() for x in np.meshgrid(ages, mids, indexing="ij"))
+        a, b = np.tile(a, 3), np.tile(b, 3)
+        basis = build_hsgp_2d(a / AGE_SD, b / AGE_SD, m=12)
+    else:
+        a, b = (x.ravel() for x in np.meshgrid(ages, np.arange(85.0),
+                                               indexing="ij"))
+        build = (build_hsgp_2d_symmetric if kind == "symmetric"
+                 else build_hsgp_2d)
+        basis = build(a / AGE_SD, b / AGE_SD, m=12)
+    if centered:
+        weights = np.random.default_rng(5).uniform(0.5, 2.0, a.size)
+        basis = basis.centered(weights)
+    return basis, a / AGE_SD, b / AGE_SD
+
+
+@pytest.mark.parametrize("centered", [False, True])
+@pytest.mark.parametrize("kind", ["symmetric", "unrestricted", "variant_c"])
+class TestFactoredBasis:
+    """2D bases keep per-axis sine factors; their products agree with the
+    dense reference basis ``basis_at``."""
+
+    def test_products_at_build_points(self, kind, centered):
+        basis, a, b = _surface_basis(kind, centered)
+        phi = basis_at(basis, a, b)
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            v = rng.standard_normal(basis.n_basis)
+            g = rng.standard_normal(a.size)
+            assert_matches_reference(basis.matvec(v), phi @ v)
+            assert_matches_reference(basis.rmatvec(g), phi.T @ g)
+
+    def test_products_on_the_age_grid(self, kind, centered):
+        basis, _, _ = _surface_basis(kind, centered)
+        grid = on_points(basis, AGE_GRID_A, AGE_GRID_B)
+        phi = basis_at(basis, AGE_GRID_A, AGE_GRID_B)
+        rng = np.random.default_rng(12)
+        v = rng.standard_normal(basis.n_basis)
+        g = rng.standard_normal(AGE_GRID_A.size)
+        f = grid.matvec(v)
+        assert_matches_reference(f, phi @ v)
+        assert_matches_reference(grid.rmatvec(g), phi.T @ g)
+        if kind == "symmetric":
+            f = f.reshape(85, 85)
+            np.testing.assert_array_equal(f, f.T)
+
+
+@pytest.mark.parametrize("kind", ["symmetric", "unrestricted", "variant_c"])
+def test_spectral_weights_equal_the_per_column_formula(kind):
+    # column (j, k) pairs axis frequencies j and k, j-major; a symmetric
+    # basis keeps j <= k and averages both orderings
+    basis, _, _ = _surface_basis(kind, centered=False)
+    m = basis.m
+    j, k = (np.triu_indices(m) if basis.symmetric
+            else np.divmod(np.arange(m * m), m))
+    spec_a = KernelSpec("matern52", 0.7, 1.3)
+    spec_b = KernelSpec("matern52", 1.9, 0.4)
+    sa1, dsa1, dla1 = spectral_density_grad(spec_a, basis.freqs[j, 0])
+    sb1, dsb1, dlb1 = spectral_density_grad(spec_b, basis.freqs[k, 1])
+    s = sa1 * sb1
+    grads = [dsa1 * sb1, dla1 * sb1, sa1 * dsb1, sa1 * dlb1]
+    if basis.symmetric:
+        sa2, dsa2, dla2 = spectral_density_grad(spec_a, basis.freqs[k, 1])
+        sb2, dsb2, dlb2 = spectral_density_grad(spec_b, basis.freqs[j, 0])
+        s = 0.5 * (s + sa2 * sb2)
+        grads = [0.5 * (grads[0] + dsa2 * sb2),
+                 0.5 * (grads[1] + dla2 * sb2),
+                 0.5 * (grads[2] + sa2 * dsb2),
+                 0.5 * (grads[3] + sa2 * dlb2)]
+    weights, partials = basis.spectral_weights_grad((spec_a, spec_b))
+    np.testing.assert_array_equal(weights, s)
+    for got, want in zip(partials, grads):
+        np.testing.assert_array_equal(got, want)
 
 
 class TestRealize:
@@ -238,7 +341,7 @@ class TestRealize:
         draws = np.stack([realize(basis, spec, rng.standard_normal(16))
                           for _ in range(n)])
         sample_cov = np.cov(draws.T)
-        target = basis.realized_covariance(spec)
+        target = realized_covariance(basis, spec, x)
         # MC error on covariance entries ~ sqrt(2/n)
         assert np.max(np.abs(sample_cov - target)) < 6 * np.sqrt(2.0 / n)
 
@@ -247,8 +350,8 @@ class TestRealize:
         s1 = KernelSpec("matern52", 1.0, 1.5)
         s4 = KernelSpec("matern52", 4.0, 1.5)
         basis = build_hsgp_1d(x, m=16)
-        np.testing.assert_allclose(basis.realized_covariance(s4),
-                                   4.0 * basis.realized_covariance(s1),
+        np.testing.assert_allclose(realized_covariance(basis, s4, x),
+                                   4.0 * realized_covariance(basis, s1, x),
                                    rtol=1e-12)
 
 

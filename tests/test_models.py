@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,11 +15,14 @@ from contactfatigue.models import (FatigueSpec, HillCurve, ModelSpec,
                                    build_model, hill, hill_grad,
                                    make_brc_data,
                                    predict_intensity)
-from contactfatigue.models.assemble import brc_surface_config
-from contactfatigue.models.params import Block, Layout
+from contactfatigue.kernels import basis_at
+from contactfatigue.models.assemble import (AGE_SD, _surface_of,
+                                            brc_surface_config)
+from contactfatigue.models.params import Block, GradAccumulator, Layout
 from contactfatigue.priors import RhsSpec
 
-from conftest import SMALL_FEATURES, make_records, max_rel_grad_error
+from conftest import (SMALL_FEATURES, assert_matches_reference,
+                      make_records, max_rel_grad_error)
 
 
 class TestHill:
@@ -306,6 +310,21 @@ class TestLogpGradIsTotal:
         assert logp == -np.inf
         np.testing.assert_array_equal(grad, 0.0)
 
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_exp_overflow_rejects_without_warning(self, name):
+        # exp(800) overflows on every log-scale block: the state is
+        # rejected, and no RuntimeWarning is raised (pyproject.toml makes
+        # one from contactfatigue.models an error)
+        model = MODELS[name]
+        for block in model.layout.blocks:
+            if block.transform != "log":
+                continue
+            theta = np.zeros(model.layout.size)
+            theta[model.layout.sl(block.name)] = 800.0
+            logp, grad = model.logp_grad(theta)
+            assert logp == -np.inf, block.name
+            np.testing.assert_array_equal(grad, 0.0)
+
 
 ROW_LEVEL = sorted(name for name in MODELS if not name.startswith("brc"))
 
@@ -413,7 +432,83 @@ class TestFlowIdentity:
                                        atol=1e-12)
 
 
+AGE_GRID_A, AGE_GRID_B = (x.ravel() for x in np.meshgrid(
+    np.arange(85.0), np.arange(85.0), indexing="ij"))
+
+
+def _surface_term(model, block):
+    """The HSGP term whose weights are ``{block}_w`` and its raw build
+    points, found as the BRC model finds them."""
+    d = model.data
+    cell = d.row_cell
+    if block == "fac":   # variant_c: age x band midpoint, one point a cell
+        smooth = next(t for t in model.terms if hasattr(t, "inner")).inner[1]
+        mids = np.asarray(d.bands.midpoints, dtype=float)
+        return smooth.gp, d.cell_age.astype(float), mids[d.cell_band]
+    key = block[2:]
+    a, b = [], []
+    for p, label in enumerate(d.pairs):
+        k, swap = _surface_of(label)
+        rows = (d.cell_pair[cell] == p) & (k == key)
+        row_a, row_b = d.cell_age[cell][rows], d.row_b[rows]
+        a.append(row_b if swap else row_a)
+        b.append(row_a if swap else row_b)
+    points = np.unique(np.column_stack([np.concatenate(a),
+                                        np.concatenate(b)]), axis=0)
+    return model.surfaces[key].gp, *points.T.astype(float)
+
+
+class TestFactoredSurfaces:
+    """The 2D HSGP terms work through per-axis factors; their values,
+    gradients and predictions agree with the dense reference basis."""
+
+    @pytest.mark.parametrize("name,block", [
+        ("brc-independent", "f_all"), ("brc-gender-pairs", "f_MM"),
+        ("brc-gender-pairs", "f_FM"), ("brc-variant_c", "fac")])
+    def test_term_matches_dense_basis(self, name, block):
+        model = MODELS[name]
+        gp, a, b = _surface_term(model, block)
+        rng = np.random.default_rng(31)
+        theta = rng.uniform(-1.0, 1.0, model.layout.size)
+        f, cache = gp.values(model.layout, theta)
+        v = cache["sqrt_s"] * cache["w"]
+        phi = basis_at(gp.basis, a / AGE_SD, b / AGE_SD)
+        assert_matches_reference(f, phi @ v)
+        g = rng.standard_normal(f.size)
+        acc = GradAccumulator(model.layout)
+        gp.backprop(acc, g, cache)
+        assert_matches_reference(acc.grad[model.layout.sl(f"{block}_w")],
+                                 cache["sqrt_s"] * (phi.T @ g))
+        grid = basis_at(gp.basis, AGE_GRID_A / AGE_SD, AGE_GRID_B / AGE_SD)
+        assert_matches_reference(
+            gp.values_at(model.layout, theta, AGE_GRID_A, AGE_GRID_B),
+            grid @ v)
+
+    def test_surface_prediction_memory(self):
+        # the dense basis on the 85 x 85 age grid at m = 40 is 47 MB
+        model, pop = _brc_model(m=40)
+        theta = np.random.default_rng(4).uniform(-0.5, 0.5,
+                                                 model.layout.size)
+        tracemalloc.start()
+        try:
+            log_m = model.predict_log_m(theta, "all", 1, AGE_GRID_A,
+                                        AGE_GRID_B, pop)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(log_m))
+        assert peak < 5e6
+
+
 class TestPredictIntensity:
+    def test_brc_refuses_new_rows(self):
+        model, _ = _brc_model("variant_b")
+        theta = np.zeros(model.layout.size)
+        assert model.predict_log_intensity(theta).shape == (
+            model.data.row_cell.size,)
+        with pytest.raises(ValueError, match="predict_log_m"):
+            model.predict_log_intensity(theta, {"age": np.arange(3)})
+
     def _gam_fit_free(self, seed=0):
         records = make_records(30, seed=seed)
         design = build_design(records, SMALL_FEATURES)
