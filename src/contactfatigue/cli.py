@@ -501,10 +501,6 @@ def run(argv: list[str] | None = None) -> int:
     for key in ("waves", "panel_size", "caps", "model"):
         if hasattr(args, key):
             overrides[key] = getattr(args, key)
-    if "threads" in overrides and overrides["threads"] is None:
-        env = os.environ.get("CONTACTFATIGUE_THREADS")
-        if env:
-            overrides["threads"] = int(env)
     try:
         values = read_config(args.config, overrides)
     except ConfigError as exc:

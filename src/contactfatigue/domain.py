@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -19,7 +19,8 @@ logger = logging.getLogger(__name__)
 
 AGE_MIN = 0
 AGE_MAX = 84
-DEFAULT_CONTACT_CAP = 30
+#: every contact count, total or per band, is capped at this value
+CONTACT_CAP = 30
 
 
 class DataError(ValueError):
@@ -200,11 +201,11 @@ def impute_child_age(band: AgeBand, rng: np.random.Generator) -> int:
     return int(rng.integers(band.lo, band.hi + 1))
 
 
-def truncate_contacts(y: int, cap: int = DEFAULT_CONTACT_CAP) -> int:
-    """Cap a contact count to mitigate extreme outliers."""
+def truncate_contacts(y: int) -> int:
+    """Cap a contact count at ``CONTACT_CAP`` to mitigate extreme outliers."""
     if y < 0:
         raise DataError(f"negative contact count {y}")
-    return min(y, cap)
+    return min(y, CONTACT_CAP)
 
 
 # ---------------------------------------------------------------------------
@@ -233,29 +234,21 @@ def age_group_of(age: int, preschool: str | None = None) -> str:
 # CSV ingestion
 # ---------------------------------------------------------------------------
 
-#: Canonical column names. A schema maps canonical -> actual CSV header.
-CANONICAL_COLUMNS = ("participant_id", "wave", "repeat", "age", "age_band",
-                     "sex", "household_size", "report_date", "y_total")
-
-
 @dataclass(frozen=True)
 class CsvSchema:
-    """Column mapping and allowed category levels for survey CSV files."""
+    """Allowed category levels and covariate columns of a survey CSV file.
 
-    columns: Mapping[str, str] = field(
-        default_factory=lambda: {c: c for c in CANONICAL_COLUMNS})
+    The fixed columns keep the names documented in ``docs/formats.md``
+    (``participant_id``, ``wave``, ``repeat``, ``age``, ``age_band``,
+    ``sex``, ``household_size``, ``report_date``, ``y_total`` and the band
+    counts ``y_<lo>_<hi>``); ``covariate_columns`` names the extra ones to
+    read, each checked against ``covariate_levels`` when it lists them.
+    """
+
     sex_levels: tuple[str, ...] = ("M", "F")
     household_levels: tuple[str, ...] = ("1", "2", "3", "4", "5+")
     covariate_columns: tuple[str, ...] = ()
     covariate_levels: Mapping[str, tuple[str, ...]] | None = None
-    contact_cap: int = DEFAULT_CONTACT_CAP
-
-    def col(self, name: str) -> str:
-        return self.columns.get(name, name)
-
-
-def _band_columns(bands: CoarseBandSet) -> list[str]:
-    return [f"y_{b.lo}_{b.hi}" for b in bands.bands]
 
 
 @dataclass
@@ -272,18 +265,18 @@ def load_survey_csv(
     schema: CsvSchema | None = None,
     *,
     rng: np.random.Generator | None = None,
-    bands: CoarseBandSet | None = None,
 ) -> tuple[list[SurveyRecord], LoadReport]:
     """Read survey records from CSV.
 
     Rows missing participant age (with no child band to impute from) or sex
     are dropped and counted in the returned report. Child rows carrying an
     ``age_band`` but no exact age have their age imputed uniformly within the
-    band, which requires ``rng``.
+    band, which requires ``rng``. Band counts, when the file has a column
+    for every band of ``default_coarse_bands()``, and the total are capped
+    at ``CONTACT_CAP``.
     """
     schema = schema or CsvSchema()
-    bands = bands or default_coarse_bands()
-    band_cols = _band_columns(bands)
+    band_cols = [f"y_{b.lo}_{b.hi}" for b in default_coarse_bands().bands]
     report = LoadReport()
     records: list[SurveyRecord] = []
 
@@ -291,8 +284,8 @@ def load_survey_csv(
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise DataError(f"{path}: empty file without header")
-        required = [schema.col(c) for c in ("participant_id", "wave", "repeat",
-                                            "sex", "household_size", "y_total")]
+        required = ["participant_id", "wave", "repeat", "sex",
+                    "household_size", "y_total"]
         missing_cols = [c for c in required if c not in reader.fieldnames]
         if missing_cols:
             raise DataError(f"{path}: missing columns {missing_cols}")
@@ -300,15 +293,15 @@ def load_survey_csv(
 
         for lineno, row in enumerate(reader, start=2):
             report.n_read += 1
-            sex = (row.get(schema.col("sex")) or "").strip()
-            age_text = (row.get(schema.col("age")) or "").strip()
-            band_text = (row.get(schema.col("age_band")) or "").strip()
+            sex = (row.get("sex") or "").strip()
+            age_text = (row.get("age") or "").strip()
+            band_text = (row.get("age_band") or "").strip()
             if not sex or (not age_text and not band_text):
                 report.n_dropped_missing += 1
                 continue
             if sex not in schema.sex_levels:
                 raise DataError(f"{path}:{lineno}: unknown sex level {sex!r}")
-            household = (row.get(schema.col("household_size")) or "").strip()
+            household = (row.get("household_size") or "").strip()
             if household not in schema.household_levels:
                 raise DataError(
                     f"{path}:{lineno}: unknown household_size level {household!r}")
@@ -324,10 +317,10 @@ def load_survey_csv(
                             f"{path}:{lineno}: child row requires an RNG for "
                             "age imputation")
                     age = impute_child_age(AgeBand.parse(band_text), rng)
-                wave = int(row[schema.col("wave")])
-                repeat = int(row[schema.col("repeat")])
-                y_raw = int(row[schema.col("y_total")])
-                date_text = (row.get(schema.col("report_date")) or "0").strip()
+                wave = int(row["wave"])
+                repeat = int(row["repeat"])
+                y_raw = int(row["y_total"])
+                date_text = (row.get("report_date") or "0").strip()
                 report_date = int(date_text) if date_text else 0
             except DataError:
                 raise
@@ -350,17 +343,17 @@ def load_survey_csv(
                 except ValueError as exc:
                     raise DataError(
                         f"{path}:{lineno}: malformed band count ({exc})") from exc
-                by_band = tuple(min(v, schema.contact_cap) for v in raw)
+                by_band = tuple(min(v, CONTACT_CAP) for v in raw)
 
             records.append(SurveyRecord(
-                participant_id=row[schema.col("participant_id")],
+                participant_id=row["participant_id"],
                 wave=wave,
                 repeat=repeat,
                 age=age,
                 sex=sex,
                 household_size=household,
                 covariates=covariates,
-                contacts_total=truncate_contacts(y_raw, schema.contact_cap),
+                contacts_total=truncate_contacts(y_raw),
                 contacts_by_band=by_band,
                 report_date=report_date,
             ))

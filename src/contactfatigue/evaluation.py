@@ -78,10 +78,11 @@ class LooResult:
     elpd_se: float
     pointwise: np.ndarray
     pareto_k: np.ndarray
+    k_threshold: float          # largest reliable Pareto k for the draws
 
     @property
     def n_high_k(self) -> int:
-        return int(np.sum(self.pareto_k > 0.7))
+        return int(np.sum(self.pareto_k > self.k_threshold))
 
 
 def fit_generalized_pareto(x: np.ndarray) -> tuple[float, float]:
@@ -110,14 +111,15 @@ def _gpd_quantile(p: np.ndarray, mu: float, sigma: float, k: float
     return mu + sigma / k * ((1.0 - p) ** -k - 1.0)
 
 
-def psis_loo(pointwise_loglik: np.ndarray, tail_frac: float = 0.2
-             ) -> LooResult:
+def psis_loo(pointwise_loglik: np.ndarray) -> LooResult:
     """Pareto-smoothed importance-sampling leave-one-out ELPD.
 
     ``pointwise_loglik`` is (draws x observations). Importance ratios are
-    exp(-loglik); the largest ``tail_frac`` of each observation's ratios are
-    replaced by generalized-Pareto quantiles. Observations with fewer than 5
-    tail samples fall back to unsmoothed ratios with a warning.
+    exp(-loglik); the largest M = ceil(min(0.2 S, 3 sqrt(S))) of each
+    observation's S ratios are replaced by generalized-Pareto quantiles,
+    and Pareto k above min(1 - 1/log10 S, 0.7) marks an unreliable
+    estimate (Vehtari et al. 2024, arXiv:1507.02646). An observation whose
+    tail does not exceed its cutoff keeps unsmoothed ratios, with a warning.
     """
     ll = np.asarray(pointwise_loglik, dtype=float)
     if ll.ndim != 2:
@@ -125,7 +127,7 @@ def psis_loo(pointwise_loglik: np.ndarray, tail_frac: float = 0.2
     s, n = ll.shape
     if s < 100:
         raise ValueError("PSIS-LOO needs at least 100 draws")
-    m = int(tail_frac * s)
+    m = int(np.ceil(min(0.2 * s, 3.0 * np.sqrt(s))))
 
     elpd_i = np.zeros(n)
     pareto_k = np.zeros(n)
@@ -133,38 +135,34 @@ def psis_loo(pointwise_loglik: np.ndarray, tail_frac: float = 0.2
     for i in range(n):
         log_ratio = -ll[:, i]
         log_ratio = log_ratio - log_ratio.max()
-        if m < 5:
+        order = np.argsort(log_ratio)
+        tail_idx = order[-m:]
+        cutoff = np.exp(log_ratio[order[-m - 1]])
+        exceed = np.exp(log_ratio[tail_idx]) - cutoff
+        if np.all(exceed <= 0):
             fallbacks += 1
             pareto_k[i] = np.nan
             log_w = log_ratio
         else:
-            order = np.argsort(log_ratio)
-            tail_idx = order[-m:]
-            cutoff = np.exp(log_ratio[order[-m - 1]])
-            exceed = np.exp(log_ratio[tail_idx]) - cutoff
-            if np.all(exceed <= 0):
-                fallbacks += 1
-                pareto_k[i] = np.nan
-                log_w = log_ratio
-            else:
-                k_hat, sigma = fit_generalized_pareto(exceed[exceed > 0])
-                pareto_k[i] = k_hat
-                ranks = np.argsort(np.argsort(log_ratio[tail_idx]))
-                probs = (ranks + 0.5) / m
-                smoothed = _gpd_quantile(probs, cutoff, sigma, k_hat)
-                log_w = log_ratio.copy()
-                log_w[tail_idx] = np.log(np.minimum(
-                    smoothed, np.exp(log_ratio.max())))
+            k_hat, sigma = fit_generalized_pareto(exceed[exceed > 0])
+            pareto_k[i] = k_hat
+            ranks = np.argsort(np.argsort(log_ratio[tail_idx]))
+            probs = (ranks + 0.5) / m
+            smoothed = _gpd_quantile(probs, cutoff, sigma, k_hat)
+            log_w = log_ratio.copy()
+            log_w[tail_idx] = np.log(np.minimum(
+                smoothed, np.exp(log_ratio.max())))
         # elpd_i = log( sum w * lik / sum w )
         elpd_i[i] = (logsumexp(log_w + ll[:, i]) - logsumexp(log_w))
     if fallbacks:
         warnings.warn(
             f"PSIS smoothing skipped for {fallbacks} observations "
-            "(too few tail samples)", RuntimeWarning, stacklevel=2)
+            "(no tail ratio above the cutoff)", RuntimeWarning, stacklevel=2)
     elpd = float(elpd_i.sum())
     se = float(np.sqrt(n * np.var(elpd_i, ddof=1))) if n > 1 else 0.0
     return LooResult(elpd=elpd, elpd_se=se, pointwise=elpd_i,
-                     pareto_k=pareto_k)
+                     pareto_k=pareto_k,
+                     k_threshold=float(min(1.0 - 1.0 / np.log10(s), 0.7)))
 
 
 def loo_compare(results: dict[str, LooResult]) -> list[dict[str, float]]:

@@ -86,12 +86,6 @@ class PosteriorDraws:
         vals = flat[:, self.layout.sl(name)]
         return np.exp(vals) if block.transform == "log" else vals
 
-    def median(self, name: str) -> np.ndarray:
-        return np.median(self.constrained(name), axis=0)
-
-    def mean(self, name: str) -> np.ndarray:
-        return self.constrained(name).mean(axis=0)
-
     def point(self, reducer=np.median) -> dict[str, np.ndarray]:
         if self.layout is None:
             raise ValueError("no layout attached to these draws")
@@ -410,13 +404,12 @@ def sample_model(model, cfg: SamplerConfig,
     return post, diag
 
 
-def sample(spec, data, cfg: SamplerConfig,
-           compute_pointwise: bool = True
+def sample(spec, data, cfg: SamplerConfig
            ) -> tuple[PosteriorDraws, Diagnostics]:
-    """Build the model for (spec, data) and sample its posterior."""
+    """Build the model for (spec, data) and sample its posterior, with the
+    pointwise log likelihoods of every draw."""
     from .models import build_model
-    return sample_model(build_model(spec, data), cfg,
-                        compute_pointwise=compute_pointwise)
+    return sample_model(build_model(spec, data), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -549,9 +542,11 @@ def rhat_ess(draws: PosteriorDraws) -> Diagnostics:
                        divergences=int(draws.divergent.sum()))
 
 
-def summarize(draws: PosteriorDraws,
-              probs: tuple[float, ...] = (0.025, 0.25, 0.75, 0.975)
-              ) -> list[dict[str, float]]:
+#: the quantiles of ``summarize``: the 95% and 50% interval bounds
+SUMMARY_PROBS = (0.025, 0.25, 0.75, 0.975)
+
+
+def summarize(draws: PosteriorDraws) -> list[dict[str, float]]:
     """Per-parameter posterior medians and quantiles on the natural scale."""
     flat = draws.stacked()
     if flat.size == 0:
@@ -568,7 +563,7 @@ def summarize(draws: PosteriorDraws,
         if transforms.get(j) == "log":
             x = np.exp(x)
         row = {"parameter": name, "median": float(np.median(x))}
-        for p in probs:
+        for p in SUMMARY_PROBS:
             row[f"q{p}"] = float(np.quantile(x, p))
         rows.append(row)
     return rows

@@ -2,9 +2,9 @@
 
 from .assemble import (AggregatedBrcModel, BrcData, HsgpConfig,
                        IndividualGamModel, LongitudinalNbModel, Model,
-                       ModelSpec, Stage1PoissonModel, Stage2PoissonModel,
-                       brc_surface_config, build_model, make_brc_data,
-                       predict_intensity, variant_gp_config)
+                       ModelSpec, RejectedState, Stage1PoissonModel,
+                       Stage2PoissonModel, brc_surface_config, build_model,
+                       make_brc_data, predict_intensity)
 from .fatigue import (FatigueSpec, HillCurve, HillPriors, hill, hill_grad,
                       no_fatigue)
 from .likelihoods import (nb1_agg_loglik, nb1_loglik, nb1_rvs, nb2_loglik,
@@ -15,9 +15,8 @@ __all__ = [
     "AggregatedBrcModel", "Block", "BrcData", "FatigueSpec",
     "GradAccumulator", "HillCurve", "HillPriors", "HsgpConfig",
     "IndividualGamModel", "Layout", "LongitudinalNbModel", "Model",
-    "ModelSpec", "Stage1PoissonModel", "Stage2PoissonModel",
+    "ModelSpec", "RejectedState", "Stage1PoissonModel", "Stage2PoissonModel",
     "brc_surface_config", "build_model", "hill", "hill_grad",
     "make_brc_data", "nb1_agg_loglik", "nb1_loglik", "nb1_rvs", "nb2_loglik",
     "nb2_rvs", "no_fatigue", "poisson_loglik", "predict_intensity",
-    "variant_gp_config",
 ]

@@ -52,7 +52,8 @@ import numpy as np
 from .. import kernels
 from ..domain import AGE_MAX, CoarseBandSet, DesignMatrix, PopulationTable
 from ..kernels import HsgpBasis, KernelSpec
-from ..priors import PriorSpec, RhsSpec, log_prior, rhs_coefficients
+from ..priors import (RHS_C2_PRIOR, RHS_ZETA_PRIOR, PriorSpec, RhsSpec,
+                      log_prior, rhs_coefficients)
 from .fatigue import FatigueSpec, HillPriors, hill_grad, HillCurve, no_fatigue
 from .likelihoods import (CountCache, nb1_agg_loglik, nb1_rvs,
                           nb2_group_loglik, nb2_loglik, nb2_rvs,
@@ -60,8 +61,14 @@ from .likelihoods import (CountCache, nb1_agg_loglik, nb1_rvs,
 from .params import Block, GradAccumulator, Layout
 
 
-class _RejectState(Exception):
-    """A positive parameter under/overflowed; the state gets -inf mass."""
+class RejectedState(ValueError):
+    """The parameter vector lies where the model is not finite: a log-scale
+    parameter, or a kernel term of one, under- or overflows.
+
+    ``logp_grad`` gives such a state -inf mass. The prediction methods
+    (``predict_log_intensity``, ``pointwise_loglik``, ``age_curve``,
+    ``fatigue_curve``, ``predict_log_m``) raise this error instead.
+    """
 
 
 #: the largest u with a finite exp(u)
@@ -73,11 +80,11 @@ def _exp(raw: np.ndarray) -> np.ndarray:
     finite, or the state is rejected. Overflow is caught before np.exp,
     which would warn of it."""
     if max(raw.tolist()) > _MAX_LOG:
-        raise _RejectState
+        raise RejectedState
     value = np.exp(raw)
     for v in value.tolist():
         if not (0.0 < v < np.inf):
-            raise _RejectState
+            raise RejectedState
     return value
 
 
@@ -87,7 +94,7 @@ def _guarded(fn):
     def wrapper(self, theta):
         try:
             logp, grad = fn(self, theta)
-        except (_RejectState, OverflowError):
+        except (RejectedState, OverflowError):
             logp = -np.inf
         if np.isfinite(logp) and np.all(np.isfinite(grad)):
             return logp, grad
@@ -95,6 +102,16 @@ def _guarded(fn):
     wrapper.__name__ = fn.__name__
     wrapper.__doc__ = fn.__doc__
     return wrapper
+
+
+def _no_overflow(fn, *args):
+    """``fn(*args)``, rejecting the state on an OverflowError: the kernels
+    and the horseshoe compute in Python floats, which raise it where NumPy
+    would return inf."""
+    try:
+        return fn(*args)
+    except OverflowError as exc:
+        raise RejectedState(str(exc)) from exc
 
 
 def _check_finite_predictor(eta: np.ndarray, group_of: np.ndarray) -> None:
@@ -126,8 +143,12 @@ def brc_surface_config(m: int = 40) -> HsgpConfig:
                       lengthscale_prior=PriorSpec("invgamma", (5.0, 5.0)))
 
 
-def variant_gp_config(m: int = 20) -> HsgpConfig:
-    return replace(brc_surface_config(m), kernel="se")
+#: the Matern-3/2 calendar-time GP of the longitudinal model
+TIME_GP = HsgpConfig(kernel="matern32")
+#: the GP on standardized repeat counts (longitudinal fatigue kind "gp")
+REPEAT_GP = HsgpConfig(kernel="se", m=10)
+#: the smooths on the log fatigue scale of the BRC variants
+VARIANT_GP = replace(brc_surface_config(20), kernel="se")
 
 
 @dataclass(frozen=True)
@@ -137,13 +158,10 @@ class ModelSpec:
     family: str
     fatigue: FatigueSpec = field(default_factory=no_fatigue)
     rhs: RhsSpec | None = None
-    beta0_loc: float = 0.0
     beta0_scale: float = 10.0
     beta_loc: tuple[float, ...] | float = 0.0
     beta_scale: tuple[float, ...] | float = 1.0
     hsgp_age: HsgpConfig = field(default_factory=HsgpConfig)
-    hsgp_time: HsgpConfig = field(
-        default_factory=lambda: HsgpConfig(kernel="matern32"))
     hsgp_surface: HsgpConfig = field(default_factory=brc_surface_config)
 
     def __post_init__(self) -> None:
@@ -164,7 +182,7 @@ DISPERSION_PRIOR = PriorSpec("invgamma", (1.0, 1.0))
 
 def _intercept(spec: ModelSpec) -> Block:
     return Block("beta0", 1,
-                 prior=PriorSpec("normal", (spec.beta0_loc, spec.beta0_scale)))
+                 prior=PriorSpec("normal", (0.0, spec.beta0_scale)))
 
 
 class _PriorPass:
@@ -233,9 +251,8 @@ class _RhsTerm:
         z = (Block(self.z_name, k, "log", PriorSpec("halfnormal_pos",
                                                     (0.0, 1.0)))
              if self.negative else Block(self.z_name, k, prior=STD_NORMAL))
-        return [z, Block(self.zeta_name, k, "log",
-                         self.spec.zeta_prior_spec()),
-                Block("rhs_c2", 1, "log", self.spec.c2_prior_spec()),
+        return [z, Block(self.zeta_name, k, "log", RHS_ZETA_PRIOR),
+                Block("rhs_c2", 1, "log", RHS_C2_PRIOR),
                 Block("rhs_eps", 1, "log", self.spec.eps_prior_spec())]
 
     def coefficients(self, layout: Layout, theta: np.ndarray):
@@ -246,7 +263,13 @@ class _RhsTerm:
         zeta = _exp(layout.raw(theta, self.zeta_name))
         c2 = float(_exp(layout.raw(theta, "rhs_c2"))[0])
         eps = float(_exp(layout.raw(theta, "rhs_eps"))[0])
-        beta, partials = rhs_coefficients(self.spec, z, zeta, c2, eps)
+        # scales past ~1e154 overflow their squares: NaN coefficients, or
+        # an OverflowError from the Python-float eps and c2
+        with np.errstate(over="ignore", invalid="ignore"):
+            beta, partials = _no_overflow(rhs_coefficients, self.spec, z,
+                                          zeta, c2, eps)
+        if not np.all(np.isfinite(beta)):
+            raise RejectedState
         return beta, (z, zeta, c2, eps, partials)
 
     def backprop(self, acc: GradAccumulator, g_beta: np.ndarray,
@@ -342,11 +365,11 @@ class _HsgpTerm:
         specs, hypers = self._specs(layout, theta)
         w = layout.raw(theta, self.block_names[0])
         with np.errstate(over="ignore", invalid="ignore"):
-            s, ds = self.basis.spectral_weights_grad(specs)
+            s, ds = _no_overflow(self.basis.spectral_weights_grad, specs)
             sqrt_s = np.sqrt(s)
             f = self.basis.matvec(sqrt_s * w)
         if not (np.all(np.isfinite(s)) and np.all(np.isfinite(f))):
-            raise _RejectState
+            raise RejectedState
         return f, {"w": w, "sqrt_s": sqrt_s, "ds": ds, "hypers": hypers}
 
     def backprop(self, acc: GradAccumulator, g_inputs: np.ndarray,
@@ -367,7 +390,7 @@ class _HsgpTerm:
         """Realized values at new raw coordinates (both, pairwise, in 2D)."""
         specs, _ = self._specs(layout, theta)
         w = layout.raw(theta, self.block_names[0])
-        s = self.basis.spectral_weights(specs)
+        s = _no_overflow(self.basis.spectral_weights, specs)
         a = np.asarray(a, dtype=float) / self.input_sd
         b = None if b is None else np.asarray(b, dtype=float) / self.input_sd
         return kernels.on_points(self.basis, a, b).matvec(np.sqrt(s) * w)
@@ -899,7 +922,7 @@ class LongitudinalNbModel(_AdditiveCountModel):
             grid = np.arange(1, r_max + 1)
             fatigue = [_RhoTable(repeat, r_max, _HsgpTerm.on_axis(
                 "rho_gp", (grid - repeat.mean()) / max(repeat.std(), 1e-8),
-                HsgpConfig(kernel="se"), spec.fatigue.gp_m))]
+                REPEAT_GP, REPEAT_GP.m))]
         elif fk == "hill":
             fatigue = [_HillTerm(spec.fatigue.hill_priors_for(1), repeat)]
         elif fk == "none":
@@ -912,7 +935,7 @@ class LongitudinalNbModel(_AdditiveCountModel):
             _Linear("x", data.x, _Coefficients(
                 Block("beta_raw", data.x.shape[1], prior=STD_NORMAL),
                 "sigma_beta")),
-            _Smooth.on_axis("tau", times, time_idx, spec.hsgp_time,
+            _Smooth.on_axis("tau", times, time_idx, TIME_GP,
                             max(times.std(), 1e-8), "report_date"),
             *fatigue])
 
@@ -1128,7 +1151,7 @@ def _variant_smooths(kind: str, data: BrcData) -> list[_Smooth]:
     """The smooths on the log fatigue scale of a BRC variant, each centered
     on the cells: age (variant_a), age and contact band (variant_b), or a
     2D age x band-midpoint surface (variant_c)."""
-    vcfg = variant_gp_config()
+    vcfg = VARIANT_GP
     cell = data.row_cell
     mids = np.asarray(data.bands.midpoints, dtype=float)
     if kind == "variant_c":

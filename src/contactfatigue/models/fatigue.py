@@ -91,7 +91,6 @@ class FatigueSpec:
     kind: str = "none"
     max_repeat: int = 0
     hill_priors: tuple[HillPriors, ...] = (HillPriors(),)
-    gp_m: int = 10
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:

@@ -24,6 +24,9 @@ from .models import HillPriors, IndividualGamModel, ModelSpec, build_model
 
 logger = logging.getLogger(__name__)
 
+#: quantiles of the 95% intervals of every population estimate and study
+INTERVAL_PROBS = (0.025, 0.975)
+
 
 @dataclass
 class WaveFit:
@@ -125,8 +128,7 @@ def fit_independent(waves: list[list[SurveyRecord]],
 
 def poststratified_mean(fit: WaveFit, weights: np.ndarray, *,
                         debias: bool,
-                        method: str = "bayes-debiased",
-                        probs: tuple[float, float] = (0.025, 0.975)
+                        method: str = "bayes-debiased"
                         ) -> PopulationEstimate:
     """Population average intensity, weighting the fitted records' cells.
 
@@ -134,7 +136,7 @@ def poststratified_mean(fit: WaveFit, weights: np.ndarray, *,
     (population share of its age/sex/household cell divided by the cell's
     sample count); they must sum to 1. Per draw, the weighted mean of
     per-record intensities is formed, with the fatigue term zeroed when
-    ``debias`` is set; quantiles come from the draw distribution.
+    ``debias`` is set; the 95% interval comes from the draw distribution.
     """
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (fit.model.n_obs,):
@@ -148,8 +150,8 @@ def poststratified_mean(fit: WaveFit, weights: np.ndarray, *,
         vals[s] = float(lam @ weights)
     return PopulationEstimate(
         wave=fit.wave, method=method, median=float(np.median(vals)),
-        lower=float(np.quantile(vals, probs[0])),
-        upper=float(np.quantile(vals, probs[1])))
+        lower=float(np.quantile(vals, INTERVAL_PROBS[0])),
+        upper=float(np.quantile(vals, INTERVAL_PROBS[1])))
 
 
 def cell_weights(records: list[SurveyRecord],
@@ -173,10 +175,10 @@ def cell_weights(records: list[SurveyRecord],
 
 
 def bootstrap_mean(records: list[SurveyRecord], b: int,
-                   weights: np.ndarray | None = None, *, seed: int = 0,
-                   probs: tuple[float, float] = (0.025, 0.975)
+                   weights: np.ndarray | None = None, *, seed: int = 0
                    ) -> PopulationEstimate:
-    """Participant-level bootstrap of the weighted mean contact count."""
+    """Participant-level bootstrap of the weighted mean contact count, with
+    a 95% percentile interval."""
     if b < 100:
         raise ValueError("use at least 100 bootstrap resamples")
     y = np.array([r.contacts_total for r in records], dtype=float)
@@ -196,8 +198,8 @@ def bootstrap_mean(records: list[SurveyRecord], b: int,
     return PopulationEstimate(
         wave=int(records[0].wave) if records else 0, method="bootstrap",
         median=float(np.mean(means)),
-        lower=float(np.quantile(means, probs[0])),
-        upper=float(np.quantile(means, probs[1])))
+        lower=float(np.quantile(means, INTERVAL_PROBS[0])),
+        upper=float(np.quantile(means, INTERVAL_PROBS[1])))
 
 
 # ---------------------------------------------------------------------------
@@ -214,21 +216,21 @@ class StudyRow:
 
 def incremental_inclusion_study(records: list[SurveyRecord],
                                 caps: list[int], feature_spec: FeatureSpec,
-                                spec: ModelSpec, cfg: SamplerConfig,
-                                ages: np.ndarray | None = None
+                                spec: ModelSpec, cfg: SamplerConfig
                                 ) -> list[StudyRow]:
     """Age-curve error against a first-timers baseline as repeats re-enter.
 
     The baseline fits first-time participants only; each cap keeps records
-    with repeat <= cap. MAPE compares posterior-median age curves; coverage
-    is the share of baseline medians inside the cap fit's 95% interval.
+    with repeat <= cap. MAPE compares posterior-median age curves at ages
+    0, 2, ..., 84; coverage is the share of baseline medians inside the cap
+    fit's 95% interval.
     """
     first = [r for r in records if r.repeat == 0]
     if not first:
         raise ValueError("study requires first-time participants")
     if not any(r.repeat >= 1 for r in records):
         raise ValueError("study requires repeating participants")
-    ages = np.arange(0, 85, 2, dtype=float) if ages is None else ages
+    ages = np.arange(0, 85, 2, dtype=float)
 
     def age_curves(fit: WaveFit) -> np.ndarray:
         flat = fit.draws.stacked()
@@ -244,8 +246,7 @@ def incremental_inclusion_study(records: list[SurveyRecord],
         fit = fit_wave(subset, feature_spec, spec, cfg)
         curves = age_curves(fit)
         med = np.median(curves, axis=0)
-        lo = np.quantile(curves, 0.025, axis=0)
-        hi = np.quantile(curves, 0.975, axis=0)
+        lo, hi = np.quantile(curves, INTERVAL_PROBS, axis=0)
         rows.append(StudyRow(cap=cap, mape=mape(med, base_curve),
                              coverage=interval_coverage(base_curve, lo, hi),
                              n_records=len(subset)))

@@ -11,10 +11,10 @@ The regularized horseshoe (RHS) follows the global-local construction
     beta_k = eps * zeta_tilde_k * z_k,
     zeta_tilde_k^2 = c^2 zeta_k^2 / (c^2 + eps^2 zeta_k^2),
 
-with half-Student-t local/global scales and an inverse-Gamma slab. The
-negatively-truncated variant draws z_k half-normal and rescales by
-sqrt((1 - 2/pi)^-1) so the conditional variance matches the unconstrained
-prior.
+with half-Student-t local/global scales and an inverse-Gamma slab, at the
+fixed hyperparameters below. The negatively-truncated variant draws z_k
+half-normal and rescales by sqrt((1 - 2/pi)^-1) so the conditional
+variance matches the unconstrained prior.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ class PriorSpec:
     """A univariate prior: name plus family-specific parameters.
 
     families: normal(loc, scale), halfnormal_pos(loc, scale),
-    halfnormal_neg(loc, scale), cauchy_pos(scale), invgamma(a, b),
-    exponential(rate), gamma(a, rate), student_t_pos(df, scale).
+    cauchy_pos(scale), invgamma(a, b), exponential(rate),
+    student_t_pos(df, scale).
     A parameter may be an array that broadcasts against the evaluated
     values, giving one prior per element.
     """
@@ -48,9 +48,8 @@ class PriorSpec:
         if self.family not in _HANDLERS:
             raise ValueError(f"unknown prior family {self.family!r}")
         scale_checks = {
-            "normal": (1,), "halfnormal_pos": (1,), "halfnormal_neg": (1,),
-            "cauchy_pos": (0,), "invgamma": (0, 1), "exponential": (0,),
-            "gamma": (0, 1), "student_t_pos": (0, 1),
+            "normal": (1,), "halfnormal_pos": (1,), "cauchy_pos": (0,),
+            "invgamma": (0, 1), "exponential": (0,), "student_t_pos": (0, 1),
         }
         for idx in scale_checks[self.family]:
             if np.any(np.asarray(self.params[idx]) <= 0):
@@ -69,13 +68,6 @@ def _lp_halfnormal_pos(theta, loc, scale):
     lp, grad = _lp_normal(theta, loc, scale)
     lp = lp - log_ndtr(loc / scale)
     return np.where(theta >= 0, lp, -np.inf), np.where(theta >= 0, grad, 0.0)
-
-
-def _lp_halfnormal_neg(theta, loc, scale):
-    # Normal(loc, scale) truncated to (-inf, 0].
-    lp, grad = _lp_normal(theta, loc, scale)
-    lp = lp - log_ndtr(-loc / scale)
-    return np.where(theta <= 0, lp, -np.inf), np.where(theta <= 0, grad, 0.0)
 
 
 def _lp_cauchy_pos(theta, scale):
@@ -99,14 +91,6 @@ def _lp_exponential(theta, rate):
             np.where(theta >= 0, -rate, 0.0))
 
 
-def _lp_gamma(theta, a, rate):
-    valid = theta > 0
-    th = np.where(valid, theta, 1.0)
-    lp = a * np.log(rate) - gammaln(a) + (a - 1.0) * np.log(th) - rate * th
-    grad = (a - 1.0) / th - rate
-    return np.where(valid, lp, -np.inf), np.where(valid, grad, 0.0)
-
-
 def _lp_student_t_pos(theta, df, scale):
     # Half-t on [0, inf): twice the central Student-t density.
     lp = (np.log(2.0) + gammaln((df + 1.0) / 2.0) - gammaln(df / 2.0)
@@ -119,11 +103,9 @@ def _lp_student_t_pos(theta, df, scale):
 _HANDLERS = {
     "normal": _lp_normal,
     "halfnormal_pos": _lp_halfnormal_pos,
-    "halfnormal_neg": _lp_halfnormal_neg,
     "cauchy_pos": _lp_cauchy_pos,
     "invgamma": _lp_invgamma,
     "exponential": _lp_exponential,
-    "gamma": _lp_gamma,
     "student_t_pos": _lp_student_t_pos,
 }
 
@@ -139,41 +121,41 @@ def log_prior(spec: PriorSpec, theta) -> tuple[np.ndarray, np.ndarray]:
 # Regularized horseshoe
 # ---------------------------------------------------------------------------
 
+#: Local-scale, slab and global-scale degrees of freedom (nu1, nu2, nu3)
+#: and the slab scale s^2 of the regularized horseshoe.
+RHS_NU1 = 3.0
+RHS_NU2 = 2.0
+RHS_NU3 = 4.0
+RHS_SLAB_SCALE_SQ = 2.0
+
+#: The local scales are half-t(nu1, 1) and the slab c^2 is
+#: inverse-Gamma(nu2, nu2 s^2 / 2).
+RHS_ZETA_PRIOR = PriorSpec("student_t_pos", (RHS_NU1, 1.0))
+RHS_C2_PRIOR = PriorSpec("invgamma",
+                         (RHS_NU2, RHS_NU2 * RHS_SLAB_SCALE_SQ / 2.0))
+
+
 @dataclass(frozen=True)
 class RhsSpec:
-    """Hyperparameters of the regularized horseshoe prior."""
+    """Size, sparsity guess and sign of a regularized-horseshoe block."""
 
     n_coef: int
     p0: float                      # prior guess of non-zero coefficients
     n_obs: int
-    nu1: float = 3.0               # local scale dof
-    nu2: float = 2.0               # slab dof
-    nu3: float = 4.0               # global scale dof
-    slab_scale_sq: float = 2.0     # s^2
     sign: str = "unconstrained"    # or "negative"
-    c2_prior: str = "invgamma"     # or "gamma"
 
     def __post_init__(self) -> None:
         if not (0 < self.p0 < self.n_coef):
             raise ValueError("p0 must lie strictly between 0 and n_coef")
         if self.sign not in ("unconstrained", "negative"):
             raise ValueError(f"invalid sign {self.sign!r}")
-        if self.c2_prior not in ("invgamma", "gamma"):
-            raise ValueError(f"invalid c2_prior {self.c2_prior!r}")
 
     @property
     def eps0(self) -> float:
         return self.p0 / (self.n_coef - self.p0) / self.n_obs
 
-    def c2_prior_spec(self) -> PriorSpec:
-        return PriorSpec(self.c2_prior,
-                         (self.nu2, self.nu2 * self.slab_scale_sq / 2.0))
-
     def eps_prior_spec(self) -> PriorSpec:
-        return PriorSpec("student_t_pos", (self.nu3, self.eps0))
-
-    def zeta_prior_spec(self) -> PriorSpec:
-        return PriorSpec("student_t_pos", (self.nu1, 1.0))
+        return PriorSpec("student_t_pos", (RHS_NU3, self.eps0))
 
 
 def regularized_scale(zeta: np.ndarray, c2: float, eps: float
@@ -232,8 +214,8 @@ def rhs_log_prior(spec: RhsSpec, z: np.ndarray, zeta: np.ndarray,
         lp_z, g_z = _lp_halfnormal_pos(z, 0.0, 1.0)
     else:
         lp_z, g_z = _lp_normal(z, 0.0, 1.0)
-    lp_zeta, g_zeta = log_prior(spec.zeta_prior_spec(), zeta)
-    lp_c2, g_c2 = log_prior(spec.c2_prior_spec(), c2)
+    lp_zeta, g_zeta = log_prior(RHS_ZETA_PRIOR, zeta)
+    lp_c2, g_c2 = log_prior(RHS_C2_PRIOR, c2)
     lp_eps, g_eps = log_prior(spec.eps_prior_spec(), eps)
 
     logp = float(lp_z.sum() + lp_zeta.sum() + lp_c2 + lp_eps)

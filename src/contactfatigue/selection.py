@@ -36,7 +36,6 @@ class SelectionResult:
     lower50: np.ndarray
     upper50: np.ndarray
     selected: tuple[bool, ...]
-    threshold: tuple[float, float]
 
     def selected_features(self) -> tuple[str, ...]:
         return tuple(n for n, s in zip(self.feature_names, self.selected) if s)
@@ -61,9 +60,7 @@ def _fit_coefficients(model, cfg: SamplerConfig, stage: int):
             np.quantile(coef, 0.75, axis=0))
 
 
-def stage1_select(design: DesignMatrix, rhs: RhsSpec, cfg: SamplerConfig,
-                  *, thresholds: tuple[float, float] = (STAGE1_LOWER,
-                                                        STAGE1_UPPER)
+def stage1_select(design: DesignMatrix, rhs: RhsSpec, cfg: SamplerConfig
                   ) -> tuple[SelectionResult, PosteriorDraws]:
     """Select intensity determinants among the tested block of first-timers."""
     if np.any(design.repeat != 0):
@@ -74,9 +71,8 @@ def stage1_select(design: DesignMatrix, rhs: RhsSpec, cfg: SamplerConfig,
     spec = ModelSpec(family="stage1_poisson", rhs=rhs, beta0_scale=100.0)
     draws, med, lo, hi = _fit_coefficients(Stage1PoissonModel(spec, design),
                                            cfg, 1)
-    selected = tuple(bool(m < thresholds[0] or m > thresholds[1]) for m in med)
-    return SelectionResult(1, names, med, lo, hi, selected,
-                           thresholds), draws
+    selected = tuple(bool(m < STAGE1_LOWER or m > STAGE1_UPPER) for m in med)
+    return SelectionResult(1, names, med, lo, hi, selected), draws
 
 
 def stage1_refit_offsets(design_first: DesignMatrix,
@@ -101,7 +97,7 @@ def stage1_refit_offsets(design_first: DesignMatrix,
 
 
 def stage2_select(design: DesignMatrix, offsets: np.ndarray, rhs: RhsSpec,
-                  cfg: SamplerConfig, *, cutoff: float = STAGE2_CUTOFF
+                  cfg: SamplerConfig
                   ) -> tuple[SelectionResult, PosteriorDraws]:
     """Select fatigue determinants among repeating participants."""
     if np.any(design.repeat < 1):
@@ -113,9 +109,8 @@ def stage2_select(design: DesignMatrix, offsets: np.ndarray, rhs: RhsSpec,
     spec = ModelSpec(family="stage2_poisson", rhs=rhs)
     draws, med, lo, hi = _fit_coefficients(Stage2PoissonModel(spec, data),
                                            cfg, 2)
-    selected = tuple(bool(m < cutoff) for m in med)
-    return SelectionResult(2, names, med, lo, hi, selected,
-                           (cutoff, cutoff)), draws
+    selected = tuple(bool(m < STAGE2_CUTOFF) for m in med)
+    return SelectionResult(2, names, med, lo, hi, selected), draws
 
 
 def replace_offsets(design: DesignMatrix, offsets: np.ndarray) -> DesignMatrix:
@@ -146,20 +141,19 @@ def subset_v_block(design: DesignMatrix, keep: tuple[str, ...]
 
 
 def two_stage_select(design_first: DesignMatrix, design_repeat: DesignMatrix,
-                     cfg: SamplerConfig, *, p0_stage1: float | None = None,
-                     p0_stage2: float | None = None
+                     cfg: SamplerConfig
                      ) -> tuple[SelectionResult, SelectionResult]:
-    """Run the full two-stage procedure for one wave."""
+    """Run the full two-stage procedure for one wave. Each horseshoe's
+    prior guess of non-zero coefficients is half its candidates."""
     k1 = len(design_first.block_names("v"))
-    rhs1 = RhsSpec(n_coef=k1, p0=p0_stage1 or k1 / 2.0,
-                   n_obs=design_first.n)
+    rhs1 = RhsSpec(n_coef=k1, p0=k1 / 2.0, n_obs=design_first.n)
     stage1, _ = stage1_select(design_first, rhs1, cfg)
     keep = stage1.selected_features()
     first_sub = subset_v_block(design_first, keep)
     repeat_sub = subset_v_block(design_repeat, keep)
     offsets = stage1_refit_offsets(first_sub, repeat_sub, cfg)
     k2 = len(repeat_sub.block_names("w"))
-    rhs2 = RhsSpec(n_coef=k2, p0=p0_stage2 or k2 / 2.0,
-                   n_obs=repeat_sub.n, sign="negative")
+    rhs2 = RhsSpec(n_coef=k2, p0=k2 / 2.0, n_obs=repeat_sub.n,
+                   sign="negative")
     stage2, _ = stage2_select(repeat_sub, offsets, rhs2, cfg)
     return stage1, stage2

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .domain import (AGE_MAX, CHILD_BANDS, CoarseBandSet, PopulationTable,
-                     SurveyRecord, default_coarse_bands)
+from .domain import (AGE_MAX, CHILD_BANDS, PopulationTable, SurveyRecord,
+                     default_coarse_bands)
 from .models.fatigue import HillCurve, hill
 from .models.likelihoods import nb1_rvs, nb2_rvs
 
@@ -50,9 +50,6 @@ class ScenarioConfig:
     age_effect: AgeEffect = field(default_factory=AgeEffect)
     phi: float = 8.0
     seed: int = 0
-    include_children: bool = True
-    days_per_wave: int = 14
-    bands: CoarseBandSet = field(default_factory=default_coarse_bands)
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.retention <= 1.0):
@@ -101,6 +98,9 @@ class _Participant:
     repeats: int = 0
 
 
+#: the length of a wave; report dates fall uniformly within it
+DAYS_PER_WAVE = 14
+
 _HOUSEHOLDS = ("1", "2", "3")
 _EMPLOYMENT = ("full_time", "student", "retired")
 
@@ -114,9 +114,8 @@ def _covariate_value(participant: _Participant, column: str) -> float:
     return 1.0 if value == level else 0.0
 
 
-def _new_participant(idx: int, rng: np.random.Generator,
-                     cfg: ScenarioConfig) -> _Participant:
-    if cfg.include_children and rng.uniform() < 0.15:
+def _new_participant(idx: int, rng: np.random.Generator) -> _Participant:
+    if rng.uniform() < 0.15:
         age = int(rng.integers(0, 18))
     else:
         age = int(rng.integers(18, AGE_MAX + 1))
@@ -153,7 +152,7 @@ def simulate_panel(cfg: ScenarioConfig
         kept = [p for p in participants if rng.uniform() < cfg.retention]
         while len(kept) < cfg.panel_size:
             next_id += 1
-            kept.append(_new_participant(next_id, rng, cfg))
+            kept.append(_new_participant(next_id, rng))
         participants = kept
 
         for p in participants:
@@ -171,8 +170,8 @@ def simulate_panel(cfg: ScenarioConfig
                 covariates={"employment": p.employment,
                             "preschool": p.preschool},
                 contacts_total=y,
-                report_date=(wave - 1) * cfg.days_per_wave
-                            + int(rng.integers(0, cfg.days_per_wave)),
+                report_date=(wave - 1) * DAYS_PER_WAVE
+                            + int(rng.integers(0, DAYS_PER_WAVE)),
             ))
             manifest.lambda_fatigue_free.append(float(np.exp(log_lam0)))
             manifest.lambda_realized.append(lam)
@@ -238,33 +237,22 @@ def symmetric_surface(a: np.ndarray, b: np.ndarray, amp: float,
     return amp * np.exp(-0.5 * ((a - b) / width) ** 2)
 
 
-def simulate_brc_surface(
-    cfg: SurfaceScenario,
-    population: PopulationTable | None = None,
-    bands: CoarseBandSet | None = None,
-    f_matrix: np.ndarray | None = None,
-) -> dict:
+def simulate_brc_surface(cfg: SurfaceScenario) -> dict:
     """Coarse-band NB1 counts over a latent rate-consistent surface.
 
-    Returns a dict with per-cell arrays (``y``, ``wave``, ``repeat``,
-    ``age``, ``band``, ``n_participants``, ``s_prop``), the true intensity
-    matrix ``m`` (85 x 85, wave 1, repeat 0 scale), and the generator
-    inputs. A supplied ``f_matrix`` must be symmetric.
+    The population is one gender "all" of 800 per single-year age, the
+    contact bands are ``default_coarse_bands()`` and the surface is the
+    assortative ``symmetric_surface``. Returns a dict with per-cell arrays
+    (``y``, ``wave``, ``repeat``, ``age``, ``band``, ``n_participants``,
+    ``s_prop``), the true intensity matrix ``m_true`` (85 x 85, wave 1,
+    repeat 0 scale), and the generator inputs.
     """
     rng = np.random.default_rng(cfg.seed)
-    population = population or PopulationTable.uniform(("all",), 800.0)
-    bands = bands or default_coarse_bands()
+    population = PopulationTable.uniform(("all",), 800.0)
+    bands = default_coarse_bands()
     ages = np.arange(AGE_MAX + 1, dtype=float)
-
-    if f_matrix is not None:
-        f_matrix = np.asarray(f_matrix, dtype=float)
-        if f_matrix.shape != (AGE_MAX + 1, AGE_MAX + 1):
-            raise ValueError("f_matrix must be 85 x 85")
-        if not np.allclose(f_matrix, f_matrix.T, atol=1e-12):
-            raise ValueError("supplied surface must be symmetric")
-    else:
-        f_matrix = symmetric_surface(ages[:, None], ages[None, :],
-                                     cfg.diag_amp, cfg.diag_width)
+    f_matrix = symmetric_surface(ages[:, None], ages[None, :],
+                                 cfg.diag_amp, cfg.diag_width)
 
     pop = population.get("all")
     log_m = cfg.beta0 + f_matrix + np.log(pop)[None, :]

@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from contactfatigue.domain import (FeatureBlock, FeatureSpec,
                                    PopulationTable, SurveyRecord,
                                    build_design, default_coarse_bands)
 from contactfatigue.models import (FatigueSpec, HillCurve, ModelSpec,
-                                   build_model, hill, hill_grad,
-                                   make_brc_data,
+                                   RejectedState, build_model, hill,
+                                   hill_grad, make_brc_data,
                                    predict_intensity)
 from contactfatigue.kernels import basis_at
 from contactfatigue.models.assemble import (AGE_SD, _surface_of,
@@ -310,6 +311,20 @@ class TestLogpGradIsTotal:
         assert logp == -np.inf
         np.testing.assert_array_equal(grad, 0.0)
 
+    @pytest.mark.parametrize("name,block", [
+        ("stage1-rhs", "beta_zeta"), ("stage2-rhs", "gamma_zeta")])
+    def test_horseshoe_scale_overflow_is_a_rejected_state(self, name, block):
+        # a local scale of e^400 overflows zeta**2, which made the
+        # coefficients NaN; the state is rejected without a warning
+        model = MODELS[name]
+        theta = np.zeros(model.layout.size)
+        theta[model.layout.sl(block)] = 400.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            logp, grad = model.logp_grad(theta)
+        assert logp == -np.inf
+        np.testing.assert_array_equal(grad, 0.0)
+
     @pytest.mark.parametrize("name", sorted(MODELS))
     def test_exp_overflow_rejects_without_warning(self, name):
         # exp(800) overflows on every log-scale block: the state is
@@ -324,6 +339,46 @@ class TestLogpGradIsTotal:
             logp, grad = model.logp_grad(theta)
             assert logp == -np.inf, block.name
             np.testing.assert_array_equal(grad, 0.0)
+
+
+class TestPredictionsRaiseRejectedState:
+    """At a state that ``logp_grad`` rejects, the prediction paths raise
+    the public ``RejectedState``."""
+
+    @staticmethod
+    def _rejected(model, block, value):
+        theta = np.zeros(model.layout.size)
+        theta[model.layout.sl(block)] = value
+        assert model.logp_grad(theta)[0] == -np.inf
+        return theta
+
+    def test_age_curve_at_kernel_overflow(self):
+        # a lengthscale of e^400 overflows ell**2 in Python floats
+        model = MODELS["gam-hill_per_covariate"]
+        theta = self._rejected(model, "age_ell", 400.0)
+        with pytest.raises(RejectedState):
+            model.age_curve(theta)
+
+    @pytest.mark.parametrize("name", ["gam-none", "gam-hill_per_covariate"])
+    def test_pointwise_loglik_at_dispersion_overflow(self, name):
+        model = MODELS[name]
+        theta = self._rejected(model, "phi", 800.0)
+        with pytest.raises(RejectedState):
+            model.pointwise_loglik(theta)
+
+    def test_pointwise_loglik_at_horseshoe_overflow(self):
+        # a global scale of e^400 overflows eps**2 in Python floats
+        model = MODELS["stage1-rhs"]
+        theta = self._rejected(model, "rhs_eps", 400.0)
+        with pytest.raises(RejectedState):
+            model.pointwise_loglik(theta)
+
+    def test_surface_at_hyperparameter_overflow(self):
+        model, pop = _brc_model()
+        theta = self._rejected(model, "f_all_ell1", 800.0)
+        ages = np.arange(3)
+        with pytest.raises(RejectedState):
+            model.predict_log_m(theta, "all", 1, ages, ages, pop)
 
 
 ROW_LEVEL = sorted(name for name in MODELS if not name.startswith("brc"))

@@ -1,0 +1,63 @@
+import dataclasses
+
+import numpy as np
+import pytest
+
+from contactfatigue.domain import build_design
+from contactfatigue.inference import Diagnostics, PosteriorDraws
+from contactfatigue.models import FatigueSpec, ModelSpec, build_model
+from contactfatigue.pipeline import (WaveFit, bootstrap_mean, cell_weights,
+                                     poststratified_mean)
+
+from conftest import SMALL_FEATURES, make_records
+
+
+def _hill_fit(records, n_draws=40, seed=0):
+    """A Hill-fatigue additive model on ``records`` with draws spread
+    around zero in place of a sampler run."""
+    model = build_model(ModelSpec(
+        family="individual_gam",
+        fatigue=FatigueSpec(kind="hill_per_covariate")),
+        build_design(records, SMALL_FEATURES))
+    rng = np.random.default_rng(seed)
+    draws = PosteriorDraws(
+        layout=model.layout,
+        draws=rng.uniform(-0.5, 0.5, (1, n_draws, model.layout.size)),
+        divergent=np.zeros((1, n_draws), dtype=bool),
+        step_sizes=np.ones(1), grad_evals=np.zeros(1),
+        pointwise_loglik=None,
+        parameter_names=model.layout.parameter_names())
+    return WaveFit(wave=1, draws=draws,
+                   diagnostics=Diagnostics(rhat={}, ess_bulk={},
+                                           divergences=0),
+                   model=model, posterior_means=draws.point(np.mean),
+                   posterior_medians=draws.point(np.median),
+                   prior_provenance="initial")
+
+
+def test_cell_weights_without_shares_are_uniform():
+    records = make_records(40)
+    np.testing.assert_allclose(cell_weights(records), 1.0 / 40, rtol=1e-12)
+
+
+def test_debiased_mean_is_at_least_the_raw_mean():
+    # Hill fatigue only lowers intensities, so dropping it raises the
+    # weighted mean of every draw
+    records = make_records(40, min_repeat=1)
+    fit = _hill_fit(records)
+    weights = cell_weights(records)
+    debiased = poststratified_mean(fit, weights, debias=True)
+    raw = poststratified_mean(fit, weights, debias=False,
+                              method="bayes-unadjusted")
+    assert debiased.median > raw.median
+    assert debiased.lower > raw.lower
+    assert debiased.upper > raw.upper
+
+
+def test_constant_counts_give_a_degenerate_bootstrap_interval():
+    records = [dataclasses.replace(r, contacts_total=5)
+               for r in make_records(40)]
+    est = bootstrap_mean(records, 200, seed=3)
+    assert est.median == pytest.approx(5.0, rel=1e-12)
+    assert est.lower == pytest.approx(5.0, rel=1e-12)
+    assert est.upper == pytest.approx(5.0, rel=1e-12)

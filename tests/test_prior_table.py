@@ -40,12 +40,13 @@ def _halfcauchy(x):
 
 
 def _rhs_densities(prefix, rhs):
+    # nu1 = 3, nu2 = 2, nu3 = 4 and slab scale s^2 = 2: half-t(3, 1) local
+    # scales, an inverse-Gamma(nu2, nu2 s^2 / 2) slab, half-t(4, eps0)
     z = (_truncnorm(0.0, 1.0) if rhs.sign == "negative" else _norm())
     return {f"{prefix}_z": (z, rhs.sign == "negative"),
-            f"{prefix}_zeta": (_half_t(rhs.nu1, 1.0), True),
-            "rhs_c2": (_invgamma(rhs.nu2, rhs.nu2 * rhs.slab_scale_sq / 2),
-                       True),
-            "rhs_eps": (_half_t(rhs.nu3, rhs.eps0), True)}
+            f"{prefix}_zeta": (_half_t(3.0, 1.0), True),
+            "rhs_c2": (_invgamma(2.0, 2.0), True),
+            "rhs_eps": (_half_t(4.0, rhs.eps0), True)}
 
 
 def _hsgp_densities(name, magnitude, lengthscale, dim=1):
@@ -74,14 +75,9 @@ def _every_family():
         "sigma_alpha": (_halfcauchy, True),
         **_rhs_densities("beta", rhs)})
 
-    rhs = RhsSpec(n_coef=3, p0=1.5, n_obs=30, sign="negative",
-                  c2_prior="gamma")
-    c2 = (rhs.nu2, rhs.nu2 * rhs.slab_scale_sq / 2)
+    rhs = RhsSpec(n_coef=3, p0=1.5, n_obs=30, sign="negative")
     out["stage2"] = (build_model(ModelSpec(family="stage2_poisson", rhs=rhs),
-                                 repeaters), {
-        **_rhs_densities("gamma", rhs),
-        "rhs_c2": (lambda x: stats.gamma.logpdf(x, c2[0], scale=1 / c2[1]),
-                   True)})
+                                 repeaters), _rhs_densities("gamma", rhs))
 
     out["longitudinal"] = (build_model(ModelSpec(
         family="longitudinal_nb", fatigue=FatigueSpec(kind="hill")), design), {

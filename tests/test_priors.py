@@ -11,21 +11,14 @@ ALL_SPECS = [
     PriorSpec("normal", (0.5, 2.0)),
     PriorSpec("halfnormal_pos", (0.0, 1.0)),
     PriorSpec("halfnormal_pos", (0.8, 0.5)),
-    PriorSpec("halfnormal_neg", (-0.2, 1.5)),
     PriorSpec("cauchy_pos", (1.0,)),
     PriorSpec("invgamma", (5.0, 5.0)),
     PriorSpec("exponential", (1.0,)),
-    PriorSpec("gamma", (2.0, 2.0)),
     PriorSpec("student_t_pos", (4.0, 0.3)),
 ]
 
-NEGATIVE_SUPPORT = {"halfnormal_neg"}
-
-
 def interior_points(spec, rng, n=20):
     x = rng.uniform(0.05, 3.0, size=n)
-    if spec.family in NEGATIVE_SUPPORT:
-        return -x
     if spec.family == "normal":
         return rng.uniform(-3, 3, size=n)
     return x
@@ -59,9 +52,7 @@ class TestLogPrior:
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family)
     def test_density_integrates_to_one(self, spec):
         # constants are exact, so each density is properly normalized
-        if spec.family in NEGATIVE_SUPPORT:
-            lo, hi = -np.inf, 0.0
-        elif spec.family == "normal":
+        if spec.family == "normal":
             lo, hi = -np.inf, np.inf
         else:
             lo, hi = 0.0, np.inf
@@ -88,12 +79,6 @@ class TestRhsSpec:
     def test_p0_bounds(self):
         with pytest.raises(ValueError):
             RhsSpec(n_coef=4, p0=4.0, n_obs=10)
-
-    def test_c2_prior_switch(self):
-        gam = RhsSpec(n_coef=4, p0=2.0, n_obs=10, c2_prior="gamma")
-        assert gam.c2_prior_spec().family == "gamma"
-        inv = RhsSpec(n_coef=4, p0=2.0, n_obs=10)
-        assert inv.c2_prior_spec().family == "invgamma"
 
 
 class TestRegularizedScale:
