@@ -21,7 +21,8 @@ import numpy as np
 from .domain import (DataError, CsvSchema, FeatureBlock, FeatureSpec,
                      build_design, load_survey_csv)
 from .evaluation import interval_coverage, mape
-from .inference import SamplerConfig, summarize
+from .inference import (INTERVAL_95, SamplerConfig, posterior_interval,
+                        summarize)
 from .models import FatigueSpec, ModelSpec
 from .pipeline import (bootstrap_mean, cell_weights, fit_independent,
                        fit_sequence, fit_wave, incremental_inclusion_study,
@@ -37,14 +38,7 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_CONVERGENCE = 4
 
-_CONFIG_KEYS = {
-    "seed": int, "chains": int, "warmup": int, "sampling": int,
-    "target_accept": float, "max_tree_depth": int, "threads": int,
-    "waves": int, "panel_size": int, "retention": float, "phi": float,
-    "min_first": int, "caps": str, "model": str, "hsgp_m": int,
-    "bootstrap_resamples": int,
-}
-
+#: every config key with its default, whose type a configured value takes
 _DEFAULTS = {
     "seed": 0, "chains": 4, "warmup": 300, "sampling": 300,
     "target_accept": 0.8, "max_tree_depth": 10, "threads": 1,
@@ -72,17 +66,17 @@ def read_config(path: str | None, overrides: dict) -> dict:
                 if "=" not in line:
                     raise ConfigError(f"{path}:{lineno}: expected key = value")
                 key, raw = (s.strip() for s in line.split("=", 1))
-                if key not in _CONFIG_KEYS:
+                if key not in _DEFAULTS:
                     raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
                 try:
-                    values[key] = _CONFIG_KEYS[key](raw)
+                    values[key] = type(_DEFAULTS[key])(raw)
                 except ValueError as exc:
                     raise ConfigError(
                         f"{path}:{lineno}: bad value for {key}: {exc}")
     for key, val in overrides.items():
         if val is None:
             continue
-        if key not in _CONFIG_KEYS:
+        if key not in _DEFAULTS:
             raise ConfigError(f"unknown config key {key!r}")
         values[key] = val
     return values
@@ -96,18 +90,27 @@ def sampler_config(values: dict) -> SamplerConfig:
         threads=values["threads"])
 
 
-def atomic_write_text(path: str, text: str) -> None:
+def atomic_write(path: str, write) -> None:
+    """Let ``write`` fill a temporary file beside ``path``, then move it to
+    ``path``; if ``write`` raises, the temporary file is removed."""
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    os.close(fd)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        write(tmp)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path: str, text: str) -> None:
+    def write(tmp: str) -> None:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    atomic_write(path, write)
 
 
 def write_csv(path: str, header: list[str], rows: list[list]) -> None:
@@ -213,17 +216,22 @@ def cmd_simulate(args, values: dict) -> int:
                          seed=values["seed"])
     with _Stage("simulate"):
         records, manifest = simulate_panel(cfg)
-    os.makedirs(args.out, exist_ok=True)
-    tmpdir_path = os.path.join(args.out, "records.csv")
     with _Stage("write"):
-        fd, tmp = tempfile.mkstemp(dir=args.out, suffix=".tmp")
-        os.close(fd)
-        panel_to_csv(records, tmp)
-        os.replace(tmp, tmpdir_path)
+        atomic_write(os.path.join(args.out, "records.csv"),
+                     lambda tmp: panel_to_csv(records, tmp))
         atomic_write_text(os.path.join(args.out, "truth.manifest"),
                           manifest.to_json())
     logger.info("wrote %s", args.out)
     return EXIT_OK
+
+
+def _write_curve(path: str, x_name: str, x: np.ndarray,
+                 curves: np.ndarray) -> None:
+    """Posterior median and 95% bounds of per-draw ``curves`` over ``x``."""
+    med, (lo, hi) = posterior_interval(curves, INTERVAL_95)
+    write_csv(path, [x_name, "median", "lower", "upper"],
+              [[int(v), float(m), float(l), float(h)]
+               for v, m, l, h in zip(x, med, lo, hi)])
 
 
 def _write_fit_outputs(out: str, fit, values: dict, model_name: str) -> None:
@@ -245,38 +253,25 @@ def _write_fit_outputs(out: str, fit, values: dict, model_name: str) -> None:
               [[float(v) for v in row] for row in flat])
     if hasattr(fit.model, "age_curve"):
         ages = np.arange(0, 85, dtype=float)
-        curves = np.asarray([np.exp(fit.model.age_curve(t, ages))
-                             for t in flat])
-        med = np.median(curves, axis=0)
-        lo = np.quantile(curves, 0.025, axis=0)
-        hi = np.quantile(curves, 0.975, axis=0)
-        write_csv(os.path.join(out, "age_curve.csv"),
-                  ["age", "median", "lower", "upper"],
-                  [[int(a), float(m), float(l), float(h)]
-                   for a, m, l, h in zip(ages, med, lo, hi)])
+        _write_curve(os.path.join(out, "age_curve.csv"), "age", ages,
+                     np.asarray([np.exp(fit.model.age_curve(t, ages))
+                                 for t in flat]))
     if hasattr(fit.model, "fatigue_curve"):
         r_grid = np.arange(0, 13)
-        rho = np.asarray([fit.model.fatigue_curve(t, r_grid) for t in flat])
-        write_csv(os.path.join(out, "fatigue_curve.csv"),
-                  ["repeat", "median", "lower", "upper"],
-                  [[int(r), float(np.median(rho[:, i])),
-                    float(np.quantile(rho[:, i], 0.025)),
-                    float(np.quantile(rho[:, i], 0.975))]
-                   for i, r in enumerate(r_grid)])
-    if "hill_gamma" in [b.name for b in fit.model.layout.blocks]:
-        g = draws.constrained("hill_gamma")
-        z = draws.constrained("hill_zeta")
-        e = draws.constrained("hill_eta")
-        rows = []
-        for q in range(g.shape[1]):
-            rows.append([q, float(np.median(g[:, q])),
-                         float(np.median(z[:, q])),
-                         float(np.median(e[:, q])),
-                         float(np.quantile(g[:, q], 0.025)),
-                         float(np.quantile(g[:, q], 0.975))])
+        _write_curve(os.path.join(out, "fatigue_curve.csv"), "repeat", r_grid,
+                     np.asarray([fit.model.fatigue_curve(t, r_grid)
+                                 for t in flat]))
+    med = draws.point()
+    if "hill_gamma" in med:
+        _, (g_lo, g_hi) = posterior_interval(draws.constrained("hill_gamma"),
+                                             INTERVAL_95)
         write_csv(os.path.join(out, "hill.csv"),
                   ["q", "gamma_median", "zeta_median", "eta_median",
-                   "gamma_lower", "gamma_upper"], rows)
+                   "gamma_lower", "gamma_upper"],
+                  [[q, float(g), float(z), float(e), float(lo), float(hi)]
+                   for q, (g, z, e, lo, hi) in enumerate(zip(
+                       med["hill_gamma"], med["hill_zeta"], med["hill_eta"],
+                       g_lo, g_hi))])
     config_lines = [f"model = {model_name}"]
     config_lines += [f"{k} = {values[k]}" for k in sorted(values)
                      if k != "model"]
@@ -286,7 +281,7 @@ def _write_fit_outputs(out: str, fit, values: dict, model_name: str) -> None:
 
 def cmd_fit(args, values: dict) -> int:
     records = _load_records(args.data, values["seed"])
-    model_name = args.model or values["model"]
+    model_name = values["model"]
     spec = model_spec_for(model_name, values)
     feature_spec = (gam_feature_spec() if spec.family == "individual_gam"
                     else scenario_feature_spec())
@@ -296,7 +291,6 @@ def cmd_fit(args, values: dict) -> int:
     if args.strict and fit.diagnostics.max_rhat() >= 1.05:
         logger.error("max R-hat %.3f >= 1.05", fit.diagnostics.max_rhat())
         return EXIT_CONVERGENCE
-    os.makedirs(args.out, exist_ok=True)
     with _Stage("write"):
         _write_fit_outputs(args.out, fit, values, model_name)
     return EXIT_OK
@@ -323,7 +317,6 @@ def cmd_select(args, values: dict) -> int:
     cfg = sampler_config(values)
     with _Stage("select"):
         stage1, stage2 = two_stage_select(design_first, design_repeat, cfg)
-    os.makedirs(args.out, exist_ok=True)
     for res, fname in ((stage1, "stage1.csv"), (stage2, "stage2.csv")):
         write_csv(os.path.join(args.out, fname),
                   ["feature", "median", "lower50", "upper50", "selected"],
@@ -334,48 +327,42 @@ def cmd_select(args, values: dict) -> int:
 
 def cmd_debias_sequence(args, values: dict) -> int:
     records = _load_records(args.data, values["seed"])
-    waves = sorted({r.wave for r in records})
-    by_wave = [[r for r in records if r.wave == t] for t in waves]
+    by_wave = [[r for r in records if r.wave == t]
+               for t in sorted({r.wave for r in records})]
     fs = gam_feature_spec()
     cfg = sampler_config(values)
     spec_hill = model_spec_for("gam-hill", values)
     spec_plain = model_spec_for("gam-plain", values)
 
-    rows: list[list] = []
+    def estimate(fit, fit_records, debias: bool, method: str):
+        return poststratified_mean(fit, cell_weights(fit_records),
+                                   debias=debias, method=method)
+
+    estimates = []
     with _Stage("sequential"):
         fits = fit_sequence(by_wave, fs, spec_hill, cfg)
-    for fit, wave_records in zip(fits, by_wave):
-        w = cell_weights(wave_records)
-        est = poststratified_mean(fit, w, debias=True,
-                                  method="bayes-debiased")
-        rows.append([est.wave, est.method, est.median, est.lower, est.upper])
+    estimates += [estimate(fit, wave_records, True, "bayes-debiased")
+                  for fit, wave_records in zip(fits, by_wave)]
     with _Stage("unadjusted"):
         fits_u = fit_independent(by_wave, fs, spec_plain, cfg)
-    for fit, wave_records in zip(fits_u, by_wave):
-        w = cell_weights(wave_records)
-        est = poststratified_mean(fit, w, debias=False,
-                                  method="bayes-unadjusted")
-        rows.append([est.wave, est.method, est.median, est.lower, est.upper])
+    estimates += [estimate(fit, wave_records, False, "bayes-unadjusted")
+                  for fit, wave_records in zip(fits_u, by_wave)]
     with _Stage("first-time"):
-        for t, wave_records in zip(waves, by_wave):
+        for wave_records in by_wave:
             first = [r for r in wave_records if r.repeat == 0]
-            if len(first) <= values["min_first"]:
-                continue
-            fit = fit_wave(first, fs, spec_hill, cfg)
-            w = cell_weights(first)
-            est = poststratified_mean(fit, w, debias=True,
-                                      method="bayes-firsttime")
-            rows.append([est.wave, est.method, est.median, est.lower,
-                         est.upper])
+            if len(first) > values["min_first"]:
+                estimates.append(estimate(
+                    fit_wave(first, fs, spec_hill, cfg), first, True,
+                    "bayes-firsttime"))
     with _Stage("bootstrap"):
-        for t, wave_records in zip(waves, by_wave):
-            est = bootstrap_mean(wave_records,
-                                 values["bootstrap_resamples"],
-                                 seed=values["seed"])
-            rows.append([t, est.method, est.median, est.lower, est.upper])
-    os.makedirs(args.out, exist_ok=True)
+        estimates += [bootstrap_mean(wave_records,
+                                     values["bootstrap_resamples"],
+                                     seed=values["seed"])
+                      for wave_records in by_wave]
     write_csv(os.path.join(args.out, "estimates.csv"),
-              ["wave", "method", "median", "lower", "upper"], rows)
+              ["wave", "method", "median", "lower", "upper"],
+              [[e.wave, e.method, e.median, e.lower, e.upper]
+               for e in estimates])
     return EXIT_OK
 
 
@@ -391,7 +378,6 @@ def cmd_study(args, values: dict) -> int:
             table = incremental_inclusion_study(records, caps, fs, spec, cfg)
         rows += [[r.cap, name, r.mape, r.coverage, r.n_records]
                  for r in table]
-    os.makedirs(args.out, exist_ok=True)
     write_csv(os.path.join(args.out, "study.csv"),
               ["cap", "model", "mape", "coverage", "n_records"], rows)
     return EXIT_OK
@@ -420,7 +406,6 @@ def cmd_evaluate(args, values: dict) -> int:
         gm = np.atleast_1d(hrows["gamma_median"])[0]
         metrics.append(["hill_gamma_median", float(gm)])
         metrics.append(["hill_gamma_abs_err", float(abs(gm - true_gamma))])
-    os.makedirs(args.out, exist_ok=True)
     write_csv(os.path.join(args.out, "metrics.csv"), ["metric", "value"],
               metrics)
     return EXIT_OK
@@ -494,13 +479,7 @@ def run(argv: list[str] | None = None) -> int:
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s")
-    overrides = {
-        "seed": args.seed, "chains": args.chains, "warmup": args.warmup,
-        "sampling": args.sampling, "threads": args.threads,
-    }
-    for key in ("waves", "panel_size", "caps", "model"):
-        if hasattr(args, key):
-            overrides[key] = getattr(args, key)
+    overrides = {k: v for k, v in vars(args).items() if k in _DEFAULTS}
     try:
         values = read_config(args.config, overrides)
     except ConfigError as exc:

@@ -131,8 +131,14 @@ class SurveyRecord:
             raise DataError(f"age out of range 0–84: {self.age}")
         if self.contacts_total < 0:
             raise DataError("contacts_total must be >= 0")
-        if self.contacts_by_band is not None:
-            if sum(self.contacts_by_band) > self.contacts_total:
+        bands = self.contacts_by_band
+        if bands is not None:
+            if min(bands, default=0) < 0:
+                raise DataError("negative contacts_by_band count for "
+                                f"participant {self.participant_id}")
+            # a total at the cap no longer bounds the separately capped bands
+            if (self.contacts_total < CONTACT_CAP
+                    and sum(bands) > self.contacts_total):
                 raise DataError(
                     "contacts_by_band sum exceeds contacts_total for "
                     f"participant {self.participant_id}"
@@ -272,8 +278,9 @@ def load_survey_csv(
     are dropped and counted in the returned report. Child rows carrying an
     ``age_band`` but no exact age have their age imputed uniformly within the
     band, which requires ``rng``. Band counts, when the file has a column
-    for every band of ``default_coarse_bands()``, and the total are capped
-    at ``CONTACT_CAP``.
+    for every band of ``default_coarse_bands()``, must be non-negative and
+    sum to at most ``y_total``; both rules are checked before the total and
+    each band count are capped at ``CONTACT_CAP``.
     """
     schema = schema or CsvSchema()
     band_cols = [f"y_{b.lo}_{b.hi}" for b in default_coarse_bands().bands]
@@ -343,6 +350,12 @@ def load_survey_csv(
                 except ValueError as exc:
                     raise DataError(
                         f"{path}:{lineno}: malformed band count ({exc})") from exc
+                if min(raw) < 0:
+                    raise DataError(f"{path}:{lineno}: negative band count")
+                if sum(raw) > y_raw:
+                    raise DataError(
+                        f"{path}:{lineno}: band counts sum to {sum(raw)}, "
+                        f"more than y_total {y_raw}")
                 by_band = tuple(min(v, CONTACT_CAP) for v in raw)
 
             records.append(SurveyRecord(

@@ -49,16 +49,12 @@ class Diagnostics:
         vals = [v for v in self.rhat.values() if np.isfinite(v)]
         return max(vals) if vals else float("nan")
 
-    def min_ess(self) -> float:
-        vals = [v for v in self.ess_bulk.values() if np.isfinite(v)]
-        return min(vals) if vals else float("nan")
-
 
 @dataclass
 class PosteriorDraws:
     """Post-warmup draws on the unconstrained scale plus bookkeeping."""
 
-    layout: Layout | None
+    layout: Layout
     draws: np.ndarray                    # (chains, iterations, dim)
     divergent: np.ndarray                # (chains, iterations) bool
     step_sizes: np.ndarray               # (chains,)
@@ -79,24 +75,13 @@ class PosteriorDraws:
 
     def constrained(self, name: str) -> np.ndarray:
         """(n_draws, block size) draws of one named block, natural scale."""
-        if self.layout is None:
-            raise ValueError("no layout attached to these draws")
-        flat = self.stacked()
         block = next(b for b in self.layout.blocks if b.name == name)
-        vals = flat[:, self.layout.sl(name)]
+        vals = self.stacked()[:, self.layout.sl(name)]
         return np.exp(vals) if block.transform == "log" else vals
 
     def point(self, reducer=np.median) -> dict[str, np.ndarray]:
-        if self.layout is None:
-            raise ValueError("no layout attached to these draws")
-        flat = self.stacked()
-        out = {}
-        for b in self.layout.blocks:
-            vals = flat[:, self.layout.sl(b.name)]
-            if b.transform == "log":
-                vals = np.exp(vals)
-            out[b.name] = reducer(vals, axis=0)
-        return out
+        return {b.name: reducer(self.constrained(b.name), axis=0)
+                for b in self.layout.blocks}
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +345,7 @@ def sample_model(model, cfg: SamplerConfig,
                  compute_pointwise: bool = True
                  ) -> tuple[PosteriorDraws, Diagnostics]:
     """Run the sampler on any object exposing ``logp_grad`` and a layout."""
-    layout = getattr(model, "layout", None)
-    dim = layout.size if layout is not None else model.dim
+    dim = model.layout.size
 
     def run(c):
         return _run_chain(model.logp_grad, dim, cfg, c)
@@ -388,11 +372,10 @@ def sample_model(model, cfg: SamplerConfig,
         flat = draws.reshape(-1, dim)
         pointwise = np.asarray([model.pointwise_loglik(t) for t in flat])
 
-    names = (layout.parameter_names() if layout is not None
-             else [f"theta[{i}]" for i in range(dim)])
-    post = PosteriorDraws(layout=layout, draws=draws, divergent=divergent,
-                          step_sizes=step_sizes, grad_evals=grad_evals,
-                          pointwise_loglik=pointwise,
+    names = model.layout.parameter_names()
+    post = PosteriorDraws(layout=model.layout, draws=draws,
+                          divergent=divergent, step_sizes=step_sizes,
+                          grad_evals=grad_evals, pointwise_loglik=pointwise,
                           parameter_names=names)
     if cfg.chains >= 2 and cfg.sampling >= 4:
         diag = rhat_ess(post)
@@ -434,8 +417,7 @@ def _lbfgs(model, x0, max_iter):
 def warm_start_point(model, seed: int = 0) -> np.ndarray | None:
     """Best-effort posterior-mode (MAP) search by L-BFGS, from zero and
     then from one uniform(-1, 1) point; None when both fail."""
-    layout = getattr(model, "layout", None)
-    dim = layout.size if layout is not None else model.dim
+    dim = model.layout.size
     rng = np.random.default_rng(seed)
     for attempt in range(2):
         x0 = np.zeros(dim) if attempt == 0 else rng.uniform(-1, 1, size=dim)
@@ -542,28 +524,26 @@ def rhat_ess(draws: PosteriorDraws) -> Diagnostics:
                        divergences=int(draws.divergent.sum()))
 
 
-#: the quantiles of ``summarize``: the 95% and 50% interval bounds
-SUMMARY_PROBS = (0.025, 0.25, 0.75, 0.975)
+#: probabilities of the central 95% and 50% posterior intervals
+INTERVAL_95 = (0.025, 0.975)
+INTERVAL_50 = (0.25, 0.75)
+
+
+def posterior_interval(values, probs) -> tuple[np.ndarray, np.ndarray]:
+    """Median and quantiles at ``probs`` of per-draw ``values`` (draws on
+    axis 0); the quantiles are stacked on a new leading axis."""
+    return np.median(values, axis=0), np.quantile(values, probs, axis=0)
 
 
 def summarize(draws: PosteriorDraws) -> list[dict[str, float]]:
-    """Per-parameter posterior medians and quantiles on the natural scale."""
-    flat = draws.stacked()
-    if flat.size == 0:
+    """Per-parameter posterior medians and the bounds of the 95% and 50%
+    intervals on the natural scale."""
+    if draws.stacked().size == 0:
         raise ValueError("no draws to summarize")
-    rows = []
-    transforms = {}
-    if draws.layout is not None:
-        for b in draws.layout.blocks:
-            sl = draws.layout.sl(b.name)
-            for j in range(sl.start, sl.stop):
-                transforms[j] = b.transform
-    for j, name in enumerate(draws.parameter_names):
-        x = flat[:, j]
-        if transforms.get(j) == "log":
-            x = np.exp(x)
-        row = {"parameter": name, "median": float(np.median(x))}
-        for p in SUMMARY_PROBS:
-            row[f"q{p}"] = float(np.quantile(x, p))
-        rows.append(row)
-    return rows
+    probs = sorted(INTERVAL_95 + INTERVAL_50)
+    natural = np.hstack([draws.constrained(b.name)
+                         for b in draws.layout.blocks])
+    med, quantiles = posterior_interval(natural, probs)
+    return [{"parameter": name, "median": float(med[j]),
+             **{f"q{p}": float(q[j]) for p, q in zip(probs, quantiles)}}
+            for j, name in enumerate(draws.parameter_names)]

@@ -55,7 +55,7 @@ from ..kernels import HsgpBasis, KernelSpec
 from ..priors import (RHS_C2_PRIOR, RHS_ZETA_PRIOR, PriorSpec, RhsSpec,
                       log_prior, rhs_coefficients)
 from .fatigue import FatigueSpec, HillPriors, hill_grad, HillCurve, no_fatigue
-from .likelihoods import (CountCache, nb1_agg_loglik, nb1_rvs,
+from .likelihoods import (nb1_agg_loglik, nb1_rvs,
                           nb2_group_loglik, nb2_loglik, nb2_rvs,
                           poisson_group_loglik, poisson_loglik)
 from .params import Block, GradAccumulator, Layout
@@ -676,15 +676,15 @@ class _PoissonGroups:
         self.g_n = np.bincount(group_of, minlength=n_groups).astype(float)
         self.g_sum_y = np.bincount(group_of, weights=data.y,
                                    minlength=n_groups)
-        self.ycache = CountCache.from_counts(data.y)
-        self.y_hist = np.bincount(self.ycache.inverse).astype(float)
+        self.y_vals, counts = np.unique(data.y, return_counts=True)
+        self.y_hist = counts.astype(float)
 
     def loglik(self, eta: np.ndarray) -> tuple[float, np.ndarray]:
         return poisson_group_loglik(self.g_n, self.g_sum_y, eta,
-                                    self.ycache.unique, self.y_hist)
+                                    self.y_vals, self.y_hist)
 
     def pointwise(self, eta: np.ndarray) -> np.ndarray:
-        return poisson_loglik(self.y, eta[self.group_of], self.ycache)[0]
+        return poisson_loglik(self.y, eta[self.group_of])[0]
 
     def replicate(self, rng: np.random.Generator, eta: np.ndarray
                   ) -> np.ndarray:
@@ -699,10 +699,10 @@ class _Nb2Groups(_PoissonGroups):
     def loglik(self, eta: np.ndarray, phi: float
                ) -> tuple[float, np.ndarray, float]:
         return nb2_group_loglik(self.g_n, self.g_sum_y, eta, phi,
-                                self.ycache.unique, self.y_hist)
+                                self.y_vals, self.y_hist)
 
     def pointwise(self, eta: np.ndarray, phi: float) -> np.ndarray:
-        return nb2_loglik(self.y, eta[self.group_of], phi, self.ycache)[0]
+        return nb2_loglik(self.y, eta[self.group_of], phi)[0]
 
     def replicate(self, rng: np.random.Generator, eta: np.ndarray,
                   phi: float) -> np.ndarray:

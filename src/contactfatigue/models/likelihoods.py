@@ -8,42 +8,25 @@ Two negative-binomial parameterizations are used:
   summation for shared nu, which is what makes the coarse-band likelihood
   consistent with the latent single-year model.
 
-Counts are small integers, so special functions of (y + dispersion) are
-evaluated once per distinct count via an optional ``CountCache``.
+The row-level ``poisson_loglik`` and ``nb2_loglik`` give per-observation
+log likelihoods (the reference for pointwise output); the models run on
+predictor groups through ``poisson_group_loglik`` and ``nb2_group_loglik``,
+which take the special functions of the counts once per distinct count.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import digamma, gammaln
 
 
-@dataclass(frozen=True)
-class CountCache:
-    """Distinct count values, inverse index, and log(y!) per row."""
-
-    unique: np.ndarray
-    inverse: np.ndarray
-    lgamma_y1: np.ndarray
-
-    @classmethod
-    def from_counts(cls, y: np.ndarray) -> "CountCache":
-        y = np.asarray(y, dtype=float)
-        uniq, inv = np.unique(y, return_inverse=True)
-        return cls(unique=uniq, inverse=inv, lgamma_y1=gammaln(y + 1.0))
-
-
-def poisson_loglik(y: np.ndarray, log_mu: np.ndarray,
-                   cache: CountCache | None = None
+def poisson_loglik(y: np.ndarray, log_mu: np.ndarray
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Per-row log pmf and d/d(log mu)."""
     y = np.asarray(y, dtype=float)
-    lg = cache.lgamma_y1 if cache is not None else gammaln(y + 1.0)
     with np.errstate(over="ignore", invalid="ignore"):
         mu = np.exp(log_mu)
-        ll = np.where(y > 0, y * log_mu, 0.0) - mu - lg
+        ll = np.where(y > 0, y * log_mu, 0.0) - mu - gammaln(y + 1.0)
     bad = ~np.isfinite(mu)
     if np.any(bad):
         ll = np.where(bad, -np.inf, ll)
@@ -51,25 +34,16 @@ def poisson_loglik(y: np.ndarray, log_mu: np.ndarray,
     return ll, y - mu
 
 
-def nb2_loglik(y: np.ndarray, log_mu: np.ndarray, phi: float,
-               cache: CountCache | None = None
+def nb2_loglik(y: np.ndarray, log_mu: np.ndarray, phi: float
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-row log pmf, d/d(log mu), d/d(phi) for the NB2 parameterization."""
     y = np.asarray(y, dtype=float)
-    if cache is None:
-        lg_ratio = gammaln(y + phi) - gammaln(phi)
-        lg_y1 = gammaln(y + 1.0)
-        dig = digamma(y + phi) - digamma(phi)
-    else:
-        lg_u = gammaln(cache.unique + phi) - gammaln(phi)
-        dig_u = digamma(cache.unique + phi) - digamma(phi)
-        lg_ratio = lg_u[cache.inverse]
-        dig = dig_u[cache.inverse]
-        lg_y1 = cache.lgamma_y1
+    lg_ratio = gammaln(y + phi) - gammaln(phi)
+    dig = digamma(y + phi) - digamma(phi)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         mu = np.exp(log_mu)
         log_phi_mu = np.logaddexp(np.log(phi), log_mu)
-        ll = (lg_ratio - lg_y1 + phi * (np.log(phi) - log_phi_mu)
+        ll = (lg_ratio - gammaln(y + 1.0) + phi * (np.log(phi) - log_phi_mu)
               + np.where(y > 0, y * (log_mu - log_phi_mu), 0.0))
         # written to stay finite as mu -> 0 or mu -> inf
         d_logmu = y - (y + phi) / (1.0 + phi / mu)

@@ -19,13 +19,11 @@ import numpy as np
 
 from .domain import FeatureSpec, SurveyRecord, build_design
 from .evaluation import interval_coverage, mape
-from .inference import Diagnostics, PosteriorDraws, SamplerConfig, sample_model
+from .inference import (INTERVAL_95, Diagnostics, PosteriorDraws,
+                        SamplerConfig, posterior_interval, sample_model)
 from .models import HillPriors, IndividualGamModel, ModelSpec, build_model
 
 logger = logging.getLogger(__name__)
-
-#: quantiles of the 95% intervals of every population estimate and study
-INTERVAL_PROBS = (0.025, 0.975)
 
 
 @dataclass
@@ -148,10 +146,9 @@ def poststratified_mean(fit: WaveFit, weights: np.ndarray, *,
     for s, theta in enumerate(flat):
         lam = np.exp(fit.model.predict_log_intensity(theta, debias=debias))
         vals[s] = float(lam @ weights)
-    return PopulationEstimate(
-        wave=fit.wave, method=method, median=float(np.median(vals)),
-        lower=float(np.quantile(vals, INTERVAL_PROBS[0])),
-        upper=float(np.quantile(vals, INTERVAL_PROBS[1])))
+    med, (lo, hi) = posterior_interval(vals, INTERVAL_95)
+    return PopulationEstimate(wave=fit.wave, method=method, median=float(med),
+                              lower=float(lo), upper=float(hi))
 
 
 def cell_weights(records: list[SurveyRecord],
@@ -195,11 +192,10 @@ def bootstrap_mean(records: list[SurveyRecord], b: int,
         take = rng.integers(0, n_p, size=n_p)
         rows = np.concatenate([rows_of[i] for i in take])
         means[k] = float(np.average(y[rows], weights=w[rows]))
+    _, (lo, hi) = posterior_interval(means, INTERVAL_95)
     return PopulationEstimate(
         wave=int(records[0].wave) if records else 0, method="bootstrap",
-        median=float(np.mean(means)),
-        lower=float(np.quantile(means, INTERVAL_PROBS[0])),
-        upper=float(np.quantile(means, INTERVAL_PROBS[1])))
+        median=float(np.mean(means)), lower=float(lo), upper=float(hi))
 
 
 # ---------------------------------------------------------------------------
@@ -238,15 +234,13 @@ def incremental_inclusion_study(records: list[SurveyRecord],
                            for theta in flat])
 
     base_fit = fit_wave(first, feature_spec, spec, cfg)
-    base_curve = np.median(age_curves(base_fit), axis=0)
+    base_curve, _ = posterior_interval(age_curves(base_fit), INTERVAL_95)
 
     rows: list[StudyRow] = []
     for cap in caps:
         subset = [r for r in records if r.repeat <= cap]
         fit = fit_wave(subset, feature_spec, spec, cfg)
-        curves = age_curves(fit)
-        med = np.median(curves, axis=0)
-        lo, hi = np.quantile(curves, INTERVAL_PROBS, axis=0)
+        med, (lo, hi) = posterior_interval(age_curves(fit), INTERVAL_95)
         rows.append(StudyRow(cap=cap, mape=mape(med, base_curve),
                              coverage=interval_coverage(base_curve, lo, hi),
                              n_records=len(subset)))

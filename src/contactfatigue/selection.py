@@ -16,7 +16,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .domain import DesignMatrix
-from .inference import PosteriorDraws, SamplerConfig, sample_model
+from .inference import (INTERVAL_50, PosteriorDraws, SamplerConfig,
+                        posterior_interval, sample_model)
 from .models import ModelSpec, Stage1PoissonModel, Stage2PoissonModel
 from .priors import RhsSpec
 
@@ -56,8 +57,8 @@ def _fit_coefficients(model, cfg: SamplerConfig, stage: int):
     logger.info("stage %d: max R-hat %.3f, %d divergences", stage,
                 diag.max_rhat(), diag.divergences)
     coef = np.asarray([model.coefficients(t) for t in draws.stacked()])
-    return (draws, np.median(coef, axis=0), np.quantile(coef, 0.25, axis=0),
-            np.quantile(coef, 0.75, axis=0))
+    med, (lo, hi) = posterior_interval(coef, INTERVAL_50)
+    return draws, med, lo, hi
 
 
 def stage1_select(design: DesignMatrix, rhs: RhsSpec, cfg: SamplerConfig

@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+from contactfatigue import cli
 from contactfatigue.cli import run, selection_groups
 from contactfatigue.domain import DataError
 from contactfatigue.simulator import (ScenarioConfig, panel_to_csv,
@@ -32,6 +33,20 @@ class TestSelectionGroups:
             selection_groups(panel, 1)
         with pytest.raises(DataError, match="no wave has both"):
             selection_groups([r for r in panel if r.wave == 1])
+
+
+def test_failed_simulate_write_leaves_no_file(tmp_path, monkeypatch):
+    def failing_write(records, path):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("participant_id\n")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "panel_to_csv", failing_write)
+    out = tmp_path / "data"
+    with pytest.raises(OSError, match="disk full"):
+        run(["simulate", "--waves", "2", "--panel-size", "10",
+             "--out", str(out)])
+    assert list(out.iterdir()) == []
 
 
 class TestFitAcceptsEverySchemaLevel:

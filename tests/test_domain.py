@@ -86,6 +86,11 @@ class TestRecords:
         with pytest.raises(DataError, match="age out of range"):
             SurveyRecord("p", 1, 0, 90, "M", "1", {}, contacts_total=0)
 
+    def test_negative_band_count_rejected(self):
+        with pytest.raises(DataError, match="negative"):
+            SurveyRecord("p", 1, 0, 30, "M", "1", {}, contacts_total=5,
+                         contacts_by_band=(-5, 3) + (0,) * 11)
+
 
 class TestCsvLoading:
     HEADER = ("participant_id,wave,repeat,age,age_band,sex,household_size,"
@@ -131,6 +136,30 @@ class TestCsvLoading:
         records, _ = load_survey_csv(str(path),
                                      rng=np.random.default_rng(0))
         assert 5 <= records[0].age <= 9
+
+    def _band_file(self, tmp_path, y_total, first_bands):
+        cols = [f"y_{b.lo}_{b.hi}" for b in default_coarse_bands().bands]
+        counts = list(first_bands) + [0] * (len(cols) - len(first_bands))
+        path = tmp_path / "r.csv"
+        path.write_text(",".join([self.HEADER] + cols) + "\n"
+                        + ",".join(["a,1,0,30,,M,1,0", str(y_total)]
+                                   + [str(c) for c in counts]) + "\n")
+        return str(path)
+
+    def test_band_counts_checked_before_the_cap(self, tmp_path):
+        # 25 + 25 = 50 is consistent with a total of 50 as reported; the
+        # cap makes the total 30 and leaves each band at 25
+        records, _ = load_survey_csv(self._band_file(tmp_path, 50, [25, 25]))
+        assert records[0].contacts_total == 30
+        assert records[0].contacts_by_band[:2] == (25, 25)
+
+    def test_band_sum_above_total_is_error_above_the_cap(self, tmp_path):
+        with pytest.raises(DataError, match=":2: band counts sum to 50"):
+            load_survey_csv(self._band_file(tmp_path, 40, [25, 25]))
+
+    def test_negative_band_count_is_error(self, tmp_path):
+        with pytest.raises(DataError, match=":2: negative band count"):
+            load_survey_csv(self._band_file(tmp_path, 5, [-5, 3]))
 
     def test_contacts_truncated_on_load(self, tmp_path):
         path = tmp_path / "r.csv"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from contactfatigue.inference import SamplerConfig, sample_model
+from contactfatigue.models.params import Block, Layout
 
 
 class MixedScaleGaussian:
@@ -9,7 +10,7 @@ class MixedScaleGaussian:
     so a sampler without a working mass-matrix adaptation mixes poorly."""
 
     def __init__(self, dim=20):
-        self.dim = dim
+        self.layout = Layout([Block("theta", dim)])
         self.mu = np.linspace(-3.0, 3.0, dim)
         self.sd = np.geomspace(0.1, 10.0, dim)
 

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from contactfatigue.models.likelihoods import (CountCache, nb1_agg_loglik,
-                                               nb1_loglik, nb1_rvs,
-                                               nb2_loglik, nb2_rvs,
+from contactfatigue.models.likelihoods import (nb1_agg_loglik, nb1_loglik,
+                                               nb1_rvs, nb2_loglik, nb2_rvs,
                                                poisson_loglik)
 
 
@@ -15,13 +14,6 @@ class TestPoisson:
         ll, _ = poisson_loglik(y, log_mu)
         np.testing.assert_allclose(
             ll, stats.poisson.logpmf(y, np.exp(log_mu)), rtol=1e-12)
-
-    def test_count_cache_equivalent(self):
-        y = np.array([0.0, 3.0, 3.0, 7.0])
-        log_mu = np.array([0.1, -0.2, 0.4, 1.0])
-        plain = poisson_loglik(y, log_mu)[0]
-        cached = poisson_loglik(y, log_mu, CountCache.from_counts(y))[0]
-        np.testing.assert_array_equal(plain, cached)
 
 
 class TestNb2:
