@@ -4,7 +4,7 @@ evaluate.
 All outputs are CSV tables (plus the JSON truth manifest emitted by
 ``simulate``), written atomically into the ``--out`` directory. Exit codes:
 0 success, 2 configuration error, 3 data error, 4 convergence failure under
-``--strict``.
+``--strict``, 5 I/O error (a file that cannot be read or written).
 """
 
 from __future__ import annotations
@@ -18,11 +18,11 @@ import time
 
 import numpy as np
 
-from .domain import (DataError, CsvSchema, FeatureBlock, FeatureSpec,
-                     build_design, load_survey_csv)
+from .domain import (AGE_GRID, DataError, CsvSchema, FeatureBlock,
+                     FeatureSpec, build_design, load_survey_csv)
 from .evaluation import interval_coverage, mape
-from .inference import (INTERVAL_95, SamplerConfig, posterior_interval,
-                        summarize)
+from .inference import (DIVERGENT_SHARE_LIMIT, INTERVAL_95, RHAT_LIMIT,
+                        SamplerConfig, posterior_interval, summarize)
 from .models import FatigueSpec, ModelSpec
 from .pipeline import (bootstrap_mean, cell_weights, fit_independent,
                        fit_sequence, fit_wave, incremental_inclusion_study,
@@ -37,6 +37,11 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_CONVERGENCE = 4
+EXIT_IO = 5
+
+#: the longest repeat run the longitudinal models resolve one by one;
+#: ``fatigue_curve.csv`` covers repeats 0..MAX_REPEAT
+MAX_REPEAT = 12
 
 #: every config key with its default, whose type a configured value takes
 _DEFAULTS = {
@@ -144,7 +149,6 @@ class _Stage:
 
 def scenario_schema() -> CsvSchema:
     return CsvSchema(
-        household_levels=("1", "2", "3", "4", "5+"),
         covariate_columns=("employment", "preschool"),
         covariate_levels={
             "employment": ("full_time", "student", "retired"),
@@ -187,11 +191,11 @@ def model_spec_for(name: str, values: dict) -> ModelSpec:
                          fatigue=FatigueSpec(kind="hill"))
     if name == "longitudinal-gp":
         return ModelSpec(family="longitudinal_nb",
-                         fatigue=FatigueSpec(kind="gp", max_repeat=12))
+                         fatigue=FatigueSpec(kind="gp", max_repeat=MAX_REPEAT))
     if name == "longitudinal-indep":
         return ModelSpec(family="longitudinal_nb",
                          fatigue=FatigueSpec(kind="independent",
-                                             max_repeat=12))
+                                             max_repeat=MAX_REPEAT))
     raise ConfigError(f"unknown model {name!r}")
 
 
@@ -252,12 +256,11 @@ def _write_fit_outputs(out: str, fit, values: dict, model_name: str) -> None:
     write_csv(os.path.join(out, "draws.csv"), names,
               [[float(v) for v in row] for row in flat])
     if hasattr(fit.model, "age_curve"):
-        ages = np.arange(0, 85, dtype=float)
-        _write_curve(os.path.join(out, "age_curve.csv"), "age", ages,
-                     np.asarray([np.exp(fit.model.age_curve(t, ages))
+        _write_curve(os.path.join(out, "age_curve.csv"), "age", AGE_GRID,
+                     np.asarray([np.exp(fit.model.age_curve(t, AGE_GRID))
                                  for t in flat]))
     if hasattr(fit.model, "fatigue_curve"):
-        r_grid = np.arange(0, 13)
+        r_grid = np.arange(MAX_REPEAT + 1)
         _write_curve(os.path.join(out, "fatigue_curve.csv"), "repeat", r_grid,
                      np.asarray([fit.model.fatigue_curve(t, r_grid)
                                  for t in flat]))
@@ -288,8 +291,9 @@ def cmd_fit(args, values: dict) -> int:
     cfg = sampler_config(values)
     with _Stage("fit"):
         fit = fit_wave(records, feature_spec, spec, cfg)
-    if args.strict and fit.diagnostics.max_rhat() >= 1.05:
-        logger.error("max R-hat %.3f >= 1.05", fit.diagnostics.max_rhat())
+    failure = fit.diagnostics.convergence_failure(fit.draws.n_draws)
+    if args.strict and failure:
+        logger.error("%s", failure)
         return EXIT_CONVERGENCE
     with _Stage("write"):
         _write_fit_outputs(args.out, fit, values, model_name)
@@ -426,8 +430,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--warmup", type=int)
     parser.add_argument("--sampling", type=int)
     parser.add_argument("--threads", type=int)
-    parser.add_argument("--strict", action="store_true",
-                        help="fit: exit 4 when any R-hat >= 1.05")
+    parser.add_argument("--strict", action="store_true", help=(
+        f"fit: exit 4 when any R-hat >= {RHAT_LIMIT} or more than "
+        f"{100 * DIVERGENT_SHARE_LIMIT:g}%% of transitions diverge"))
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -482,10 +487,6 @@ def run(argv: list[str] | None = None) -> int:
     overrides = {k: v for k, v in vars(args).items() if k in _DEFAULTS}
     try:
         values = read_config(args.config, overrides)
-    except ConfigError as exc:
-        logger.error("config error: %s", exc)
-        return EXIT_CONFIG
-    try:
         return _COMMANDS[args.command](args, values)
     except ConfigError as exc:
         logger.error("config error: %s", exc)
@@ -493,6 +494,9 @@ def run(argv: list[str] | None = None) -> int:
     except (DataError, FileNotFoundError) as exc:
         logger.error("data error: %s", exc)
         return EXIT_DATA
+    except OSError as exc:
+        logger.error("I/O error: %s", exc)
+        return EXIT_IO
 
 
 def main() -> None:

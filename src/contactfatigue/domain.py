@@ -19,8 +19,19 @@ logger = logging.getLogger(__name__)
 
 AGE_MIN = 0
 AGE_MAX = 84
+#: the single-year ages 0..84, as floats
+AGE_GRID = np.arange(AGE_MAX + 1, dtype=float)
 #: every contact count, total or per band, is capped at this value
 CONTACT_CAP = 30
+
+#: the sex levels of participants, which are also the genders of contacts
+SEX_LEVELS = ("M", "F")
+#: the household-size levels of the survey
+HOUSEHOLD_LEVELS = ("1", "2", "3", "4", "5+")
+#: the fixed columns of a survey CSV file, in written order; a file may lack
+#: ``age``, ``age_band`` and ``report_date``
+SURVEY_COLUMNS = ("participant_id", "wave", "repeat", "age", "age_band",
+                  "sex", "household_size", "report_date", "y_total")
 
 
 class DataError(ValueError):
@@ -162,12 +173,9 @@ class PopulationTable:
     def get(self, gender: str) -> np.ndarray:
         return np.asarray(self.counts[gender], dtype=float)
 
-    def total(self) -> np.ndarray:
-        return sum(self.get(g) for g in self.counts)
-
     @classmethod
-    def uniform(cls, genders: Sequence[str] = ("M", "F"), count: float = 1000.0
-                ) -> "PopulationTable":
+    def uniform(cls, genders: Sequence[str] = SEX_LEVELS,
+                count: float = 1000.0) -> "PopulationTable":
         return cls({g: np.full(AGE_MAX + 1, count) for g in genders})
 
 
@@ -188,7 +196,7 @@ class MissingnessTable:
 
     @classmethod
     def constant(cls, value: float, waves: Iterable[int],
-                 genders: Sequence[str] = ("M", "F")) -> "MissingnessTable":
+                 genders: Sequence[str] = SEX_LEVELS) -> "MissingnessTable":
         vals = {(t, g): np.full(AGE_MAX + 1, value)
                 for t in waves for g in genders}
         return cls(vals)
@@ -244,15 +252,13 @@ def age_group_of(age: int, preschool: str | None = None) -> str:
 class CsvSchema:
     """Allowed category levels and covariate columns of a survey CSV file.
 
-    The fixed columns keep the names documented in ``docs/formats.md``
-    (``participant_id``, ``wave``, ``repeat``, ``age``, ``age_band``,
-    ``sex``, ``household_size``, ``report_date``, ``y_total`` and the band
-    counts ``y_<lo>_<hi>``); ``covariate_columns`` names the extra ones to
-    read, each checked against ``covariate_levels`` when it lists them.
+    Besides ``SURVEY_COLUMNS`` and the band counts ``y_<lo>_<hi>``,
+    ``covariate_columns`` names the extra columns to read, each checked
+    against ``covariate_levels`` when it lists them.
     """
 
-    sex_levels: tuple[str, ...] = ("M", "F")
-    household_levels: tuple[str, ...] = ("1", "2", "3", "4", "5+")
+    sex_levels: tuple[str, ...] = SEX_LEVELS
+    household_levels: tuple[str, ...] = HOUSEHOLD_LEVELS
     covariate_columns: tuple[str, ...] = ()
     covariate_levels: Mapping[str, tuple[str, ...]] | None = None
 
@@ -291,9 +297,9 @@ def load_survey_csv(
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise DataError(f"{path}: empty file without header")
-        required = ["participant_id", "wave", "repeat", "sex",
-                    "household_size", "y_total"]
-        missing_cols = [c for c in required if c not in reader.fieldnames]
+        missing_cols = [c for c in SURVEY_COLUMNS
+                        if c not in ("age", "age_band", "report_date")
+                        and c not in reader.fieldnames]
         if missing_cols:
             raise DataError(f"{path}: missing columns {missing_cols}")
         has_bands = all(c in reader.fieldnames for c in band_cols)
@@ -533,8 +539,8 @@ def covimod_feature_spec(
     14 + 2 + 5 + 9 + 3 = 33.
     """
     age = FeatureBlock("age_group", AGE_GROUP_LEVELS)
-    sex = FeatureBlock("sex", ("M", "F"))
-    household = FeatureBlock("household_size", ("1", "2", "3", "4", "5+"))
+    sex = FeatureBlock("sex", SEX_LEVELS)
+    household = FeatureBlock("household_size", HOUSEHOLD_LEVELS)
     employment = FeatureBlock("employment", employment_levels)
     symptoms = FeatureBlock("symptoms", ("yes", "no"))
     weekday = FeatureBlock("day_of_week", ("weekday", "weekend"))

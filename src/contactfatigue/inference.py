@@ -39,6 +39,12 @@ class SamplerConfig:
             raise ValueError("warmup must be >= 100 for adaptation")
 
 
+#: a fit has converged when every finite R-hat is below RHAT_LIMIT and at
+#: most DIVERGENT_SHARE_LIMIT of its post-warmup transitions diverged
+RHAT_LIMIT = 1.05
+DIVERGENT_SHARE_LIMIT = 0.10
+
+
 @dataclass
 class Diagnostics:
     rhat: dict[str, float]
@@ -48,6 +54,16 @@ class Diagnostics:
     def max_rhat(self) -> float:
         vals = [v for v in self.rhat.values() if np.isfinite(v)]
         return max(vals) if vals else float("nan")
+
+    def convergence_failure(self, n_transitions: int) -> str | None:
+        """The limits broken over ``n_transitions`` transitions, or None."""
+        failures = []
+        if self.max_rhat() >= RHAT_LIMIT:
+            failures.append(f"max R-hat {self.max_rhat():.3f} >= {RHAT_LIMIT}")
+        if self.divergences > DIVERGENT_SHARE_LIMIT * n_transitions:
+            failures.append(f"{self.divergences} of {n_transitions} "
+                            "transitions were divergent")
+        return "; ".join(failures) or None
 
 
 @dataclass
@@ -361,12 +377,6 @@ def sample_model(model, cfg: SamplerConfig,
     step_sizes = np.array([r[2] for r in results])
     grad_evals = np.array([r[3] for r in results])
 
-    n_div = int(divergent.sum())
-    if n_div > 0.10 * divergent.size:
-        warnings.warn(
-            f"{n_div} of {divergent.size} transitions were divergent",
-            RuntimeWarning, stacklevel=2)
-
     pointwise = None
     if compute_pointwise and hasattr(model, "pointwise_loglik"):
         flat = draws.reshape(-1, dim)
@@ -382,8 +392,9 @@ def sample_model(model, cfg: SamplerConfig,
     else:
         nan = {n: float("nan") for n in names}
         diag = Diagnostics(rhat=dict(nan), ess_bulk=dict(nan),
-                           divergences=n_div)
-    diag.divergences = n_div
+                           divergences=int(divergent.sum()))
+    if failure := diag.convergence_failure(divergent.size):
+        warnings.warn(failure, RuntimeWarning, stacklevel=2)
     return post, diag
 
 

@@ -346,17 +346,6 @@ def build_hsgp_2d(grid_a: np.ndarray, grid_b: np.ndarray, m: int = 40,
     return _build_hsgp_2d(grid_a, grid_b, m, c, symmetric=False)
 
 
-def realize(basis: HsgpBasis, specs: KernelSpec | tuple[KernelSpec, ...],
-            w: np.ndarray) -> np.ndarray:
-    """Evaluate f = Phi (sqrt(S) * w) at the basis points."""
-    w = np.asarray(w, dtype=float)
-    if w.shape != (basis.n_basis,):
-        raise ValueError(
-            f"weight vector must have length {basis.n_basis}, got {w.shape}")
-    s = basis.spectral_weights(specs)
-    return basis.matvec(np.sqrt(s) * w)
-
-
 def basis_at(basis: HsgpBasis, inputs_a: np.ndarray,
              inputs_b: np.ndarray | None = None) -> np.ndarray:
     """The dense (n, M) basis matrix at new input points.

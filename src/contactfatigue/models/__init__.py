@@ -4,7 +4,7 @@ from .assemble import (AggregatedBrcModel, BrcData, HsgpConfig,
                        IndividualGamModel, LongitudinalNbModel, Model,
                        ModelSpec, RejectedState, Stage1PoissonModel,
                        Stage2PoissonModel, brc_surface_config, build_model,
-                       make_brc_data, predict_intensity)
+                       make_brc_data)
 from .fatigue import (FatigueSpec, HillCurve, HillPriors, hill, hill_grad,
                       no_fatigue)
 from .likelihoods import (nb1_agg_loglik, nb1_loglik, nb1_rvs, nb2_loglik,
@@ -18,5 +18,5 @@ __all__ = [
     "ModelSpec", "RejectedState", "Stage1PoissonModel", "Stage2PoissonModel",
     "brc_surface_config", "build_model", "hill", "hill_grad",
     "make_brc_data", "nb1_agg_loglik", "nb1_loglik", "nb1_rvs", "nb2_loglik",
-    "nb2_rvs", "no_fatigue", "poisson_loglik", "predict_intensity",
+    "nb2_rvs", "no_fatigue", "poisson_loglik",
 ]

@@ -50,7 +50,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .. import kernels
-from ..domain import AGE_MAX, CoarseBandSet, DesignMatrix, PopulationTable
+from ..domain import AGE_GRID, CoarseBandSet, DesignMatrix, PopulationTable
 from ..kernels import HsgpBasis, KernelSpec
 from ..priors import (RHS_C2_PRIOR, RHS_ZETA_PRIOR, PriorSpec, RhsSpec,
                       log_prior, rhs_coefficients)
@@ -66,8 +66,8 @@ class RejectedState(ValueError):
     parameter, or a kernel term of one, under- or overflows.
 
     ``logp_grad`` gives such a state -inf mass. The prediction methods
-    (``predict_log_intensity``, ``pointwise_loglik``, ``age_curve``,
-    ``fatigue_curve``, ``predict_log_m``) raise this error instead.
+    (``predict_log_intensity``, ``pointwise_loglik``, ``replicate``,
+    ``age_curve``, ``fatigue_curve``, ``predict_log_m``) raise this error.
     """
 
 
@@ -121,9 +121,8 @@ def _check_finite_predictor(eta: np.ndarray, group_of: np.ndarray) -> None:
         bad = int(np.flatnonzero(np.isnan(eta[group_of]))[0])
         raise FloatingPointError(f"non-finite linear predictor at row {bad}")
 
-#: the single-year age grid, and its standard deviation, used to
-#: standardize GP input axes so lengthscale priors act on a unit-scale axis
-AGE_GRID = np.arange(AGE_MAX + 1, dtype=float)
+#: the standard deviation of the single-year age grid, used to standardize
+#: GP input axes so lengthscale priors act on a unit-scale axis
 AGE_SD = float(AGE_GRID.std())
 
 @dataclass(frozen=True)
@@ -165,7 +164,7 @@ class ModelSpec:
     hsgp_surface: HsgpConfig = field(default_factory=brc_surface_config)
 
     def __post_init__(self) -> None:
-        if self.family not in _FAMILY_OBSERVATION:
+        if self.family not in _FAMILY_CLASS:
             raise ValueError(f"unknown model family {self.family!r}")
 
 
@@ -746,21 +745,11 @@ class _Nb1Cells:
         return nb1_rvs(rng, mu_cells, nu)
 
 
-#: the observation model of each family
-_FAMILY_OBSERVATION = {
-    "stage1_poisson": _PoissonGroups,
-    "stage2_poisson": _PoissonGroups,
-    "longitudinal_nb": _Nb2Groups,
-    "individual_gam": _Nb2Groups,
-    "aggregated_brc": _Nb1Cells,
-}
-
-
 class _AdditiveCountModel:
     """A log-linear count regression: eta = sum of ``terms`` + offsets.
 
     Rows that agree on every column the terms read and on their offset form
-    one predictor group. The family's observation model runs on the groups.
+    one predictor group. The class's ``observation`` model runs on them.
     Predictions leave out the offsets unless ``offsets_in_prediction``
     (``newdata["offset"]`` on new rows).
     """
@@ -768,6 +757,9 @@ class _AdditiveCountModel:
     offsets_in_prediction = False
 
     def __init__(self, spec: ModelSpec, data, terms: list):
+        if _FAMILY_CLASS[spec.family] is not type(self):
+            raise ValueError(f"{type(self).__name__} cannot fit a "
+                             f"{spec.family!r} spec")
         self.spec = spec
         self.data = data
         self.n_obs = data.y.shape[0]
@@ -779,8 +771,7 @@ class _AdditiveCountModel:
         _bind(terms, key[first])
         self.g_offsets = key[first, -1]
         self.n_groups = first.size
-        self.obs = _FAMILY_OBSERVATION[spec.family](data, self.group_of,
-                                                    self.n_groups)
+        self.obs = self.observation(data, self.group_of, self.n_groups)
         blocks = [b for t in terms for b in t.blocks()]
         if self.obs.dispersion is not None:
             blocks.append(Block(self.obs.dispersion, 1, "log",
@@ -824,8 +815,12 @@ class _AdditiveCountModel:
                                   *self._dispersion(theta))
 
     def replicate(self, theta, rng: np.random.Generator) -> np.ndarray:
-        return self.obs.replicate(rng, self._eta_groups(theta)[0],
-                                  *self._dispersion(theta))
+        eta, dispersion = self._eta_groups(theta)[0], self._dispersion(theta)
+        try:
+            with np.errstate(over="ignore"):
+                return self.obs.replicate(rng, eta, *dispersion)
+        except ValueError as exc:  # a mean NumPy's samplers cannot take
+            raise RejectedState(str(exc)) from exc
 
     def _sum(self, theta: np.ndarray, terms: list, newdata=None):
         """``terms`` summed on the fitted rows, or on ``newdata``."""
@@ -859,6 +854,8 @@ class Stage1PoissonModel(_AdditiveCountModel):
     produce stage-2 offsets).
     """
 
+    observation = _PoissonGroups
+
     def __init__(self, spec: ModelSpec, data: DesignMatrix):
         u, v = data.block("u"), data.block("v")
         k = v.shape[1]
@@ -886,6 +883,7 @@ class Stage2PoissonModel(_AdditiveCountModel):
     de-biasing drops.
     """
 
+    observation = _PoissonGroups
     offsets_in_prediction = True
 
     def __init__(self, spec: ModelSpec, data: DesignMatrix):
@@ -909,6 +907,8 @@ class LongitudinalNbModel(_AdditiveCountModel):
     repeats (independent), one shared effect (identical), a GP table on
     standardized repeat counts (gp) or a Hill curve (hill).
     """
+
+    observation = _Nb2Groups
 
     def __init__(self, spec: ModelSpec, data: DesignMatrix):
         times, time_idx = np.unique(data.report_date, return_inverse=True)
@@ -949,6 +949,8 @@ class LongitudinalNbModel(_AdditiveCountModel):
 
 class IndividualGamModel(_AdditiveCountModel):
     """log(lambda) = beta0 + u' beta + f(age) + w' rho(r), NB2 counts."""
+
+    observation = _Nb2Groups
 
     def __init__(self, spec: ModelSpec, data: DesignMatrix):
         if spec.fatigue.kind not in ("none", "hill_per_covariate"):
@@ -1019,8 +1021,8 @@ def make_brc_data(*, y, wave, repeat, age, band, n_participants, s_prop,
     """Assemble BRC cells and their row expansion from per-cell arrays.
 
     ``pair`` holds per-cell pair labels (defaults to a single shared
-    surface); contact-gender population counts are looked up per pair label
-    (second letter of "MM"/"MF"/... or the label itself).
+    surface); each pair label's rows take the population counts of its
+    contact gender.
     """
     y = np.asarray(y, dtype=float)
     n_cells = y.shape[0]
@@ -1039,10 +1041,7 @@ def make_brc_data(*, y, wave, repeat, age, band, n_participants, s_prop,
     for i in range(n_cells):
         b_lo = bands.bands[band_idx[i]].lo
         b_hi = bands.bands[band_idx[i]].hi
-        contact_gender = pairs[pair_arr[i]]
-        if len(contact_gender) == 2:
-            contact_gender = contact_gender[1]
-        pop = population.get(contact_gender)
+        pop = population.get(_contact_gender(pairs[pair_arr[i]]))
         for b in range(b_lo, b_hi + 1):
             row_cell.append(i)
             row_b.append(b)
@@ -1066,6 +1065,12 @@ def _surface_of(pair: str) -> tuple[str, bool]:
     return key, key != pair
 
 
+def _contact_gender(pair: str) -> str:
+    """The gender of a pair's contacts: the second letter of "MF", or a
+    one-surface label ("all") itself."""
+    return pair[1] if len(pair) == 2 else pair
+
+
 class AggregatedBrcModel(_AdditiveCountModel):
     """Coarse-band NB1 counts over a latent rate-consistent surface.
 
@@ -1077,6 +1082,8 @@ class AggregatedBrcModel(_AdditiveCountModel):
     identity hold exactly. Each surface lives on the distinct (a, b) points
     of its rows.
     """
+
+    observation = _Nb1Cells
 
     def __init__(self, spec: ModelSpec, data: BrcData):
         fk = spec.fatigue.kind
@@ -1141,8 +1148,7 @@ class AggregatedBrcModel(_AdditiveCountModel):
         f = self.surfaces[key].gp.values_at(self.layout, theta, fa, fb)
         t_idx = self.data.waves.index(wave)
         tau = self.layout.raw(theta, "tau")[t_idx - 1] if t_idx else 0.0
-        gender = pair[1] if len(pair) == 2 else pair
-        pop = population.get(gender)
+        pop = population.get(_contact_gender(pair))
         return (self.layout.raw(theta, "beta0")[0] + tau + f
                 + np.log(pop[b.astype(int)]))
 
@@ -1176,22 +1182,17 @@ def _variant_smooths(kind: str, data: BrcData) -> list[_Smooth]:
 # Entry points
 # ---------------------------------------------------------------------------
 
-Model = (Stage1PoissonModel | Stage2PoissonModel | LongitudinalNbModel
-         | IndividualGamModel | AggregatedBrcModel)
+#: the base of every model class
+Model = _AdditiveCountModel
+
+
+#: the model class of each family; each class names its observation model
+_FAMILY_CLASS = {"stage1_poisson": Stage1PoissonModel,
+                 "stage2_poisson": Stage2PoissonModel,
+                 "longitudinal_nb": LongitudinalNbModel,
+                 "individual_gam": IndividualGamModel,
+                 "aggregated_brc": AggregatedBrcModel}
 
 
 def build_model(spec: ModelSpec, data) -> Model:
-    return {"stage1_poisson": Stage1PoissonModel,
-            "stage2_poisson": Stage2PoissonModel,
-            "longitudinal_nb": LongitudinalNbModel,
-            "individual_gam": IndividualGamModel,
-            "aggregated_brc": AggregatedBrcModel}[spec.family](spec, data)
-
-
-def predict_intensity(model: Model, draws: np.ndarray, newdata=None,
-                      debias: bool = False) -> np.ndarray:
-    """Per-draw intensity matrix exp(predictor) of shape (n_draws, n_rows)."""
-    draws = np.atleast_2d(draws)
-    out = [np.exp(model.predict_log_intensity(theta, newdata, debias))
-           for theta in draws]
-    return np.asarray(out)
+    return _FAMILY_CLASS[spec.family](spec, data)

@@ -46,9 +46,6 @@ class Layout:
             offset += b.size
         self.size = offset
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._slices
-
     def sl(self, name: str) -> slice:
         return self._slices[name]
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .domain import FeatureSpec, SurveyRecord, build_design
+from .domain import AGE_GRID, FeatureSpec, SurveyRecord, build_design
 from .evaluation import interval_coverage, mape
 from .inference import (INTERVAL_95, Diagnostics, PosteriorDraws,
                         SamplerConfig, posterior_interval, sample_model)
@@ -109,13 +109,10 @@ def fit_independent(waves: list[list[SurveyRecord]],
                           RuntimeWarning, stacklevel=2)
             continue
         fit = fit_wave(records, feature_spec, spec, cfg)
-        if (diag := fit.diagnostics).max_rhat() >= 1.05 or \
-                diag.divergences > 0.10 * fit.draws.n_draws:
-            warnings.warn(
-                f"wave {fit.wave}: possible identifiability problem "
-                f"(max R-hat {diag.max_rhat():.2f}, "
-                f"{diag.divergences} divergences)",
-                RuntimeWarning, stacklevel=2)
+        if failure := fit.diagnostics.convergence_failure(fit.draws.n_draws):
+            warnings.warn(f"wave {fit.wave}: possible identifiability "
+                          f"problem ({failure})", RuntimeWarning,
+                          stacklevel=2)
         fits.append(fit)
     return fits
 
@@ -175,7 +172,7 @@ def bootstrap_mean(records: list[SurveyRecord], b: int,
                    weights: np.ndarray | None = None, *, seed: int = 0
                    ) -> PopulationEstimate:
     """Participant-level bootstrap of the weighted mean contact count, with
-    a 95% percentile interval."""
+    its median and 95% percentile interval over the resamples."""
     if b < 100:
         raise ValueError("use at least 100 bootstrap resamples")
     y = np.array([r.contacts_total for r in records], dtype=float)
@@ -192,10 +189,10 @@ def bootstrap_mean(records: list[SurveyRecord], b: int,
         take = rng.integers(0, n_p, size=n_p)
         rows = np.concatenate([rows_of[i] for i in take])
         means[k] = float(np.average(y[rows], weights=w[rows]))
-    _, (lo, hi) = posterior_interval(means, INTERVAL_95)
+    med, (lo, hi) = posterior_interval(means, INTERVAL_95)
     return PopulationEstimate(
         wave=int(records[0].wave) if records else 0, method="bootstrap",
-        median=float(np.mean(means)), lower=float(lo), upper=float(hi))
+        median=float(med), lower=float(lo), upper=float(hi))
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +223,7 @@ def incremental_inclusion_study(records: list[SurveyRecord],
         raise ValueError("study requires first-time participants")
     if not any(r.repeat >= 1 for r in records):
         raise ValueError("study requires repeating participants")
-    ages = np.arange(0, 85, 2, dtype=float)
+    ages = AGE_GRID[::2]
 
     def age_curves(fit: WaveFit) -> np.ndarray:
         flat = fit.draws.stacked()

@@ -32,26 +32,18 @@ HALF_NORMAL_VAR_ADJUST = 1.0 / (1.0 - 2.0 / np.pi)
 
 @dataclass(frozen=True)
 class PriorSpec:
-    """A univariate prior: name plus family-specific parameters.
-
-    families: normal(loc, scale), halfnormal_pos(loc, scale),
-    cauchy_pos(scale), invgamma(a, b), exponential(rate),
-    student_t_pos(df, scale).
-    A parameter may be an array that broadcasts against the evaluated
-    values, giving one prior per element.
+    """A univariate prior: a family of ``_FAMILIES`` and the parameters its
+    density takes after the value. A parameter may be an array that
+    broadcasts against the evaluated values, giving one prior per element.
     """
 
     family: str
     params: tuple
 
     def __post_init__(self) -> None:
-        if self.family not in _HANDLERS:
+        if self.family not in _FAMILIES:
             raise ValueError(f"unknown prior family {self.family!r}")
-        scale_checks = {
-            "normal": (1,), "halfnormal_pos": (1,), "cauchy_pos": (0,),
-            "invgamma": (0, 1), "exponential": (0,), "student_t_pos": (0, 1),
-        }
-        for idx in scale_checks[self.family]:
+        for idx in _FAMILIES[self.family][1]:
             if np.any(np.asarray(self.params[idx]) <= 0):
                 raise ValueError(
                     f"{self.family} parameter {idx} must be > 0")
@@ -100,21 +92,22 @@ def _lp_student_t_pos(theta, df, scale):
     return np.where(theta >= 0, lp, -np.inf), np.where(theta >= 0, grad, 0.0)
 
 
-_HANDLERS = {
-    "normal": _lp_normal,
-    "halfnormal_pos": _lp_halfnormal_pos,
-    "cauchy_pos": _lp_cauchy_pos,
-    "invgamma": _lp_invgamma,
-    "exponential": _lp_exponential,
-    "student_t_pos": _lp_student_t_pos,
+#: each family's log density and the indices of its parameters that must
+#: be positive
+_FAMILIES = {
+    "normal": (_lp_normal, (1,)),
+    "halfnormal_pos": (_lp_halfnormal_pos, (1,)),
+    "cauchy_pos": (_lp_cauchy_pos, (0,)),
+    "invgamma": (_lp_invgamma, (0, 1)),
+    "exponential": (_lp_exponential, (0,)),
+    "student_t_pos": (_lp_student_t_pos, (0, 1)),
 }
 
 
 def log_prior(spec: PriorSpec, theta) -> tuple[np.ndarray, np.ndarray]:
     """Elementwise log density and d(logp)/d(theta) on the natural scale."""
     theta = np.asarray(theta, dtype=float)
-    lp, grad = _HANDLERS[spec.family](theta, *spec.params)
-    return lp, grad
+    return _FAMILIES[spec.family][0](theta, *spec.params)
 
 
 # ---------------------------------------------------------------------------

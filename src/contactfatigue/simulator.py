@@ -14,8 +14,8 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .domain import (AGE_MAX, CHILD_BANDS, PopulationTable, SurveyRecord,
-                     default_coarse_bands)
+from .domain import (AGE_GRID, AGE_MAX, CHILD_BANDS, SURVEY_COLUMNS,
+                     PopulationTable, SurveyRecord, default_coarse_bands)
 from .models.fatigue import HillCurve, hill
 from .models.likelihoods import nb1_rvs, nb2_rvs
 
@@ -192,19 +192,20 @@ def panel_to_csv(records: list[SurveyRecord], path: str) -> None:
 
     cov_keys = sorted({k for r in records for k in r.covariates})
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["participant_id", "wave", "repeat", "age",
-                         "age_band", "sex", "household_size", "report_date",
-                         "y_total"] + cov_keys)
+        writer = csv.DictWriter(fh, SURVEY_COLUMNS + tuple(cov_keys),
+                                lineterminator="\n")
+        writer.writeheader()
         for r in records:
             age_text, band_text = str(r.age), ""
             if r.age < 18:
                 band = next(b for b in CHILD_BANDS if r.age in b)
                 age_text, band_text = "", band.label
-            writer.writerow([r.participant_id, r.wave, r.repeat, age_text,
-                             band_text, r.sex, r.household_size,
-                             r.report_date, r.contacts_total]
-                            + [r.covariates.get(k, "") for k in cov_keys])
+            writer.writerow({
+                **r.covariates, "participant_id": r.participant_id,
+                "wave": r.wave, "repeat": r.repeat, "age": age_text,
+                "age_band": band_text, "sex": r.sex,
+                "household_size": r.household_size,
+                "report_date": r.report_date, "y_total": r.contacts_total})
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +251,7 @@ def simulate_brc_surface(cfg: SurfaceScenario) -> dict:
     rng = np.random.default_rng(cfg.seed)
     population = PopulationTable.uniform(("all",), 800.0)
     bands = default_coarse_bands()
-    ages = np.arange(AGE_MAX + 1, dtype=float)
-    f_matrix = symmetric_surface(ages[:, None], ages[None, :],
+    f_matrix = symmetric_surface(AGE_GRID[:, None], AGE_GRID[None, :],
                                  cfg.diag_amp, cfg.diag_width)
 
     pop = population.get("all")

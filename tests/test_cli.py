@@ -43,9 +43,8 @@ def test_failed_simulate_write_leaves_no_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "panel_to_csv", failing_write)
     out = tmp_path / "data"
-    with pytest.raises(OSError, match="disk full"):
-        run(["simulate", "--waves", "2", "--panel-size", "10",
-             "--out", str(out)])
+    assert run(["simulate", "--waves", "2", "--panel-size", "10",
+                "--out", str(out)]) == cli.EXIT_IO
     assert list(out.iterdir()) == []
 
 
@@ -62,3 +61,12 @@ class TestFitAcceptsEverySchemaLevel:
         assert code == 0
         header = (out / "draws.csv").read_text().splitlines()[0].split(",")
         assert header.count("beta[6]") == 1   # sex (2) + household (5)
+
+
+def test_unwritable_out_directory_is_an_io_error(tmp_path):
+    # --out below a regular file cannot be created
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = run(["simulate", "--waves", "2", "--panel-size", "10",
+                "--out", str(blocker / "sub")])
+    assert code == cli.EXIT_IO == 5

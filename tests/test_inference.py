@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from contactfatigue.inference import SamplerConfig, sample_model
+from contactfatigue.inference import (DIVERGENT_SHARE_LIMIT, RHAT_LIMIT,
+                                      Diagnostics, SamplerConfig,
+                                      sample_model)
 from contactfatigue.models.params import Block, Layout
 
 
@@ -54,3 +56,23 @@ class TestSamplerOnKnownTarget:
         again, _ = sample_model(target, cfg)
         np.testing.assert_array_equal(post.draws, again.draws)
         np.testing.assert_array_equal(post.grad_evals, again.grad_evals)
+
+
+class TestConvergenceLimits:
+    @staticmethod
+    def _diag(rhat, divergences):
+        return Diagnostics(rhat={"a": rhat, "b": float("nan")},
+                           ess_bulk={}, divergences=divergences)
+
+    def test_within_both_limits(self):
+        assert self._diag(1.04, 10).convergence_failure(100) is None
+
+    def test_rhat_at_the_limit_fails(self):
+        failure = self._diag(RHAT_LIMIT, 0).convergence_failure(100)
+        assert failure == "max R-hat 1.050 >= 1.05"
+
+    def test_divergent_share_above_the_limit_fails(self):
+        assert self._diag(1.0, 10).convergence_failure(100) is None
+        failure = self._diag(1.0, 11).convergence_failure(100)
+        assert failure == "11 of 100 transitions were divergent"
+        assert DIVERGENT_SHARE_LIMIT == 0.10

@@ -6,8 +6,8 @@ from scipy.integrate import quad
 from contactfatigue.kernels import (HsgpBasis, KernelSpec, basis_at,
                                     build_hsgp_1d, build_hsgp_2d,
                                     build_hsgp_2d_symmetric, gram_matrix,
-                                    kernel_eval, on_points, realize,
-                                    spectral_density, spectral_density_grad)
+                                    kernel_eval, on_points, spectral_density,
+                                    spectral_density_grad)
 
 from conftest import assert_matches_reference
 
@@ -189,7 +189,8 @@ class TestHsgp2dSymmetric:
         rng = np.random.default_rng(0)
         for _ in range(5):
             w = rng.standard_normal(basis.n_basis)
-            f = realize(basis, (spec, spec), w).reshape(8, 8)
+            s = basis.spectral_weights((spec, spec))
+            f = basis.matvec(np.sqrt(s) * w).reshape(8, 8)
             np.testing.assert_array_equal(f, f.T)
 
     def test_covariance_matches_symmetrized_kernel(self):
@@ -324,13 +325,8 @@ class TestRealize:
     def test_zero_weights_zero_function(self):
         spec = KernelSpec("se", 1.0, 1.0)
         basis = build_hsgp_1d(np.linspace(-3, 3, 15), m=8)
-        assert np.all(realize(basis, spec, np.zeros(8)) == 0.0)
-
-    def test_dimension_mismatch(self):
-        spec = KernelSpec("se", 1.0, 1.0)
-        basis = build_hsgp_1d(np.linspace(-3, 3, 15), m=8)
-        with pytest.raises(ValueError):
-            realize(basis, spec, np.zeros(7))
+        s = basis.spectral_weights(spec)
+        assert np.all(basis.matvec(np.sqrt(s) * np.zeros(8)) == 0.0)
 
     def test_monte_carlo_covariance(self):
         spec = KernelSpec("se", 1.0, 1.5)
@@ -338,7 +334,8 @@ class TestRealize:
         basis = build_hsgp_1d(x, m=16)
         rng = np.random.default_rng(42)
         n = 10_000
-        draws = np.stack([realize(basis, spec, rng.standard_normal(16))
+        s = basis.spectral_weights(spec)
+        draws = np.stack([basis.matvec(np.sqrt(s) * rng.standard_normal(16))
                           for _ in range(n)])
         sample_cov = np.cov(draws.T)
         target = realized_covariance(basis, spec, x)

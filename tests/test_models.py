@@ -12,10 +12,11 @@ from scipy import stats
 from contactfatigue.domain import (FeatureBlock, FeatureSpec,
                                    PopulationTable, SurveyRecord,
                                    build_design, default_coarse_bands)
-from contactfatigue.models import (FatigueSpec, HillCurve, ModelSpec,
-                                   RejectedState, build_model, hill,
-                                   hill_grad, make_brc_data,
-                                   predict_intensity)
+from contactfatigue.models import (FatigueSpec, HillCurve,
+                                   IndividualGamModel, LongitudinalNbModel,
+                                   ModelSpec, RejectedState,
+                                   Stage1PoissonModel, build_model, hill,
+                                   hill_grad, make_brc_data)
 from contactfatigue.kernels import basis_at
 from contactfatigue.models.assemble import (AGE_SD, _surface_of,
                                             brc_surface_config)
@@ -381,6 +382,44 @@ class TestPredictionsRaiseRejectedState:
             model.predict_log_m(theta, "all", 1, ages, ages, pop)
 
 
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_replicate_draws_counts_or_rejects(self, name):
+        # a mean or shape too large for NumPy's samplers rejects the state
+        model = MODELS[name]
+        rng = np.random.default_rng(31)
+        for bound in (1.0, 8.0, 50.0):
+            for _ in range(20):
+                theta = rng.uniform(-bound, bound, model.layout.size)
+                try:
+                    y = model.replicate(theta, np.random.default_rng(0))
+                except RejectedState:
+                    continue
+                assert y.shape == model.data.y.shape
+                assert np.all(y >= 0)
+
+
+class TestFamilies:
+    @pytest.mark.parametrize("cls,family", [
+        (LongitudinalNbModel, "stage1_poisson"),
+        (IndividualGamModel, "longitudinal_nb"),
+        (Stage1PoissonModel, "individual_gam")])
+    def test_class_refuses_another_familys_spec(self, small_design, cls,
+                                                family):
+        with pytest.raises(ValueError, match="cannot fit a"):
+            cls(ModelSpec(family=family), small_design)
+
+    @pytest.mark.parametrize("name,observation", [
+        ("stage1-plain", "_PoissonGroups"), ("stage2-rhs", "_PoissonGroups"),
+        ("longitudinal-none", "_Nb2Groups"), ("gam-none", "_Nb2Groups"),
+        ("brc-none", "_Nb1Cells")])
+    def test_family_observation(self, name, observation):
+        assert type(MODELS[name].obs).__name__ == observation
+
+    def test_unknown_family(self):
+        with pytest.raises(ValueError, match="unknown model family"):
+            ModelSpec(family="poisson")
+
+
 ROW_LEVEL = sorted(name for name in MODELS if not name.startswith("brc"))
 
 
@@ -439,7 +478,8 @@ class TestGroupedLikelihood:
                                            rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("name", [n for n in ROW_LEVEL
-                                      if "phi" in MODELS[n].layout])
+                                      if "phi" in
+                                      MODELS[n].layout.parameter_names()])
     def test_nb2_equals_row_level_where_mu_overflows(self, name):
         # exp(800) overflows, yet the NB2 log pmf stays finite
         model = MODELS[name]
@@ -578,9 +618,9 @@ class TestPredictIntensity:
         newdata = {"u": design.block("u"), "age": design.age,
                    "w": design.block("w"),
                    "repeat": np.zeros(design.n, dtype=int)}
-        raw = predict_intensity(model, theta, newdata, debias=False)
-        deb = predict_intensity(model, theta, newdata, debias=True)
-        np.testing.assert_allclose(raw, deb, rtol=1e-12)
+        raw = model.predict_log_intensity(theta, newdata, debias=False)
+        deb = model.predict_log_intensity(theta, newdata, debias=True)
+        np.testing.assert_allclose(np.exp(raw), np.exp(deb), rtol=1e-12)
 
     def test_debias_ratio_saturates_at_exp_gamma(self):
         model, design = self._gam_fit_free()
@@ -592,6 +632,7 @@ class TestPredictIntensity:
         w[:, 0] = 1.0
         newdata = {"u": design.block("u"), "age": design.age, "w": w,
                    "repeat": np.full(n, 10**6)}
-        raw = predict_intensity(model, theta, newdata, debias=False)[0]
-        deb = predict_intensity(model, theta, newdata, debias=True)[0]
-        np.testing.assert_allclose(deb / raw, np.exp(gammas[0]), rtol=1e-4)
+        raw = model.predict_log_intensity(theta, newdata, debias=False)
+        deb = model.predict_log_intensity(theta, newdata, debias=True)
+        np.testing.assert_allclose(np.exp(deb - raw), np.exp(gammas[0]),
+                                   rtol=1e-4)

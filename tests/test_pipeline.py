@@ -61,3 +61,14 @@ def test_constant_counts_give_a_degenerate_bootstrap_interval():
     assert est.median == pytest.approx(5.0, rel=1e-12)
     assert est.lower == pytest.approx(5.0, rel=1e-12)
     assert est.upper == pytest.approx(5.0, rel=1e-12)
+
+
+def test_bootstrap_point_is_the_median_of_the_resampled_means():
+    # three participants give resampled means k * 100 / 3 only; with an odd
+    # number of resamples the median is one of them, while their mean is not
+    records = [dataclasses.replace(r, participant_id=f"p{i}",
+                                   contacts_total=[0, 0, 30][i])
+               for i, r in enumerate(make_records(3))]
+    est = bootstrap_mean(records, 101, seed=1)
+    assert est.median in {0.0, 10.0, 20.0, 30.0}
+    assert est.lower <= est.median <= est.upper
