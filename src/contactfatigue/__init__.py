@@ -10,7 +10,7 @@ Subpackages and modules:
 * :mod:`contactfatigue.inference`  -- dynamic HMC, MAP, diagnostics
 * :mod:`contactfatigue.selection`  -- two-stage sparse variable selection
 * :mod:`contactfatigue.pipeline`   -- sequential wave fitting and de-biasing
-* :mod:`contactfatigue.evaluation` -- MAPE, coverage, PPC, PSIS-LOO
+* :mod:`contactfatigue.evaluation` -- MAPE, coverage, PSIS-LOO
 * :mod:`contactfatigue.simulator`  -- ground-truth synthetic data
 * :mod:`contactfatigue.cli`        -- command-line front end
 """

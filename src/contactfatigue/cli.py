@@ -4,7 +4,9 @@ evaluate.
 All outputs are CSV tables (plus the JSON truth manifest emitted by
 ``simulate``), written atomically into the ``--out`` directory. Exit codes:
 0 success, 2 configuration error, 3 data error, 4 convergence failure under
-``--strict``, 5 I/O error (a file that cannot be read or written).
+``--strict`` (any sampler run of ``fit``, ``select``, ``debias-sequence`` or
+``study``, before any output is written), 5 I/O error (a file that cannot be
+read or written).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import os
 import sys
 import tempfile
 import time
+import warnings
 
 import numpy as np
 
@@ -22,7 +25,8 @@ from .domain import (AGE_GRID, DataError, CsvSchema, FeatureBlock,
                      FeatureSpec, build_design, load_survey_csv)
 from .evaluation import interval_coverage, mape
 from .inference import (DIVERGENT_SHARE_LIMIT, INTERVAL_95, RHAT_LIMIT,
-                        SamplerConfig, posterior_interval, summarize)
+                        ConvergenceWarning, SamplerConfig, posterior_interval,
+                        summarize)
 from .models import FatigueSpec, ModelSpec
 from .pipeline import (bootstrap_mean, cell_weights, fit_independent,
                        fit_sequence, fit_wave, incremental_inclusion_study,
@@ -291,10 +295,6 @@ def cmd_fit(args, values: dict) -> int:
     cfg = sampler_config(values)
     with _Stage("fit"):
         fit = fit_wave(records, feature_spec, spec, cfg)
-    failure = fit.diagnostics.convergence_failure(fit.draws.n_draws)
-    if args.strict and failure:
-        logger.error("%s", failure)
-        return EXIT_CONVERGENCE
     with _Stage("write"):
         _write_fit_outputs(args.out, fit, values, model_name)
     return EXIT_OK
@@ -431,8 +431,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--sampling", type=int)
     parser.add_argument("--threads", type=int)
     parser.add_argument("--strict", action="store_true", help=(
-        f"fit: exit 4 when any R-hat >= {RHAT_LIMIT} or more than "
-        f"{100 * DIVERGENT_SHARE_LIMIT:g}%% of transitions diverge"))
+        f"exit 4 without writing output when any sampler run has an R-hat "
+        f">= {RHAT_LIMIT} or more than {100 * DIVERGENT_SHARE_LIMIT:g}%% "
+        "of its transitions diverge"))
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -487,7 +488,13 @@ def run(argv: list[str] | None = None) -> int:
     overrides = {k: v for k, v in vars(args).items() if k in _DEFAULTS}
     try:
         values = read_config(args.config, overrides)
-        return _COMMANDS[args.command](args, values)
+        with warnings.catch_warnings():
+            if args.strict:
+                warnings.simplefilter("error", ConvergenceWarning)
+            return _COMMANDS[args.command](args, values)
+    except ConvergenceWarning as exc:
+        logger.error("%s", exc)
+        return EXIT_CONVERGENCE
     except ConfigError as exc:
         logger.error("config error: %s", exc)
         return EXIT_CONFIG

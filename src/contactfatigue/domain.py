@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import logging
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -97,12 +97,6 @@ class CoarseBandSet:
     def __len__(self) -> int:
         return len(self.bands)
 
-    def index_of_age(self, age: int) -> int:
-        for k, band in enumerate(self.bands):
-            if age in band:
-                return k
-        raise DataError(f"age {age} not covered by coarse bands")
-
     def membership(self) -> np.ndarray:
         """(n_bands, 85) 0/1 matrix mapping single-year ages to bands."""
         out = np.zeros((len(self.bands), AGE_MAX + 1))
@@ -177,29 +171,6 @@ class PopulationTable:
     def uniform(cls, genders: Sequence[str] = SEX_LEVELS,
                 count: float = 1000.0) -> "PopulationTable":
         return cls({g: np.full(AGE_MAX + 1, count) for g in genders})
-
-
-@dataclass(frozen=True)
-class MissingnessTable:
-    """Proportion of contacts with full age/gender detail, in (0, 1]."""
-
-    values: Mapping[tuple[int, str], np.ndarray]
-
-    def __post_init__(self) -> None:
-        for key, arr in self.values.items():
-            arr = np.asarray(arr, dtype=float)
-            if np.any(arr <= 0) or np.any(arr > 1):
-                raise DataError(f"missingness proportions for {key} not in (0,1]")
-
-    def get(self, wave: int, age: int, gender: str) -> float:
-        return float(np.asarray(self.values[(wave, gender)])[age])
-
-    @classmethod
-    def constant(cls, value: float, waves: Iterable[int],
-                 genders: Sequence[str] = SEX_LEVELS) -> "MissingnessTable":
-        vals = {(t, g): np.full(AGE_MAX + 1, value)
-                for t in waves for g in genders}
-        return cls(vals)
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +363,9 @@ def load_survey_csv(
 class FeatureBlock:
     """A categorical feature expanded to indicator columns.
 
-    ``attribute`` names either a built-in record field ("age_group", "sex",
-    "household_size") or a key in the record's covariate map. With a
+    ``attribute`` names the constant "const", a record field ("sex",
+    "household_size"), the coded "age_group" of the record's age and
+    preschool covariate, or a key in the record's covariate map. With a
     ``reference`` level set, that level's column is dropped; otherwise the
     block is a full one-hot.
     """
@@ -461,17 +433,11 @@ class DesignMatrix:
         return self.column_names[self.blocks[name]]
 
 
-def build_design(
-    records: Sequence[SurveyRecord],
-    feature_spec: FeatureSpec,
-    *,
-    missingness: MissingnessTable | None = None,
-) -> DesignMatrix:
-    """Expand records into indicator columns ordered (u | v | w).
-
-    Offsets are zero unless a missingness table is supplied, in which case
-    each row carries log S(wave, age, sex). Population offsets enter per
-    contact age inside the rate-consistency model, not per row here.
+def build_design(records: Sequence[SurveyRecord],
+                 feature_spec: FeatureSpec) -> DesignMatrix:
+    """Expand records into indicator columns ordered (u | v | w), with zero
+    offsets. Population offsets enter per contact age inside the
+    rate-consistency model, not per row here.
     """
     n = len(records)
     columns: list[str] = []
@@ -498,11 +464,6 @@ def build_design(
         start += width
 
     x = np.hstack(pieces) if pieces else np.zeros((n, 0))
-    offsets = np.zeros(n)
-    if missingness is not None:
-        for i, rec in enumerate(records):
-            offsets[i] += np.log(missingness.get(rec.wave, rec.age, rec.sex))
-
     return DesignMatrix(
         column_names=tuple(columns),
         x=x,
@@ -512,41 +473,5 @@ def build_design(
         repeat=np.array([r.repeat for r in records], dtype=float),
         wave=np.array([r.wave for r in records], dtype=int),
         report_date=np.array([r.report_date for r in records], dtype=float),
-        offsets=offsets,
-    )
-
-
-def aggregate_to_bands(per_age: np.ndarray, bands: CoarseBandSet) -> np.ndarray:
-    """Sum a length-85 per-age vector into coarse bands."""
-    per_age = np.asarray(per_age, dtype=float)
-    if per_age.shape != (AGE_MAX + 1,):
-        raise DataError("per_age must have length 85")
-    return bands.membership() @ per_age
-
-
-def covimod_feature_spec(
-    *,
-    employment_levels: tuple[str, ...] = (
-        "full_time", "part_time", "self_employed", "student", "retired",
-        "long_term_sick", "unemployed_seeking", "unemployed_not_seeking",
-        "stay_home_parent"),
-    urban_levels: tuple[str, ...] = ("rural", "intermediate", "urban"),
-) -> FeatureSpec:
-    """Feature layout mirroring the survey's candidate determinants.
-
-    Full one-hot coding: the baseline block u has 14 + 2 + 5 = 21 columns,
-    the tested block v has 9 + 2 + 2 + 3 = 16, and the fatigue block w has
-    14 + 2 + 5 + 9 + 3 = 33.
-    """
-    age = FeatureBlock("age_group", AGE_GROUP_LEVELS)
-    sex = FeatureBlock("sex", SEX_LEVELS)
-    household = FeatureBlock("household_size", HOUSEHOLD_LEVELS)
-    employment = FeatureBlock("employment", employment_levels)
-    symptoms = FeatureBlock("symptoms", ("yes", "no"))
-    weekday = FeatureBlock("day_of_week", ("weekday", "weekend"))
-    urban = FeatureBlock("urban_type", urban_levels)
-    return FeatureSpec(
-        u=(age, sex, household),
-        v=(employment, symptoms, weekday, urban),
-        w=(age, sex, household, employment, urban),
+        offsets=np.zeros(n),
     )

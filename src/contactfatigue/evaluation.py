@@ -1,9 +1,9 @@
-"""Model comparison and accuracy metrics.
+"""Accuracy metrics.
 
 MAPE and interval coverage compare age curves against a baseline fit;
-MSE/PPC check in-sample fit; PSIS-LOO estimates out-of-sample predictive
-accuracy from pointwise log likelihoods by smoothing the tail of the
-importance ratios with a generalized Pareto fit.
+PSIS-LOO estimates out-of-sample predictive accuracy from pointwise log
+likelihoods by smoothing the tail of the importance ratios with a
+generalized Pareto fit.
 """
 
 from __future__ import annotations
@@ -36,36 +36,6 @@ def interval_coverage(baseline: np.ndarray, lower: np.ndarray,
         raise ValueError("grids must be aligned")
     inside = (baseline >= lower) & (baseline <= upper)
     return float(inside.mean())
-
-
-@dataclass
-class PpcSummary:
-    tail_prob: np.ndarray       # mid-p tail probability per observation
-    flagged: np.ndarray         # outside (0.025, 0.975)
-
-    @property
-    def flag_rate(self) -> float:
-        return float(self.flagged.mean())
-
-
-def mse_and_ppc(y: np.ndarray, predictions: np.ndarray,
-                replicates: np.ndarray) -> tuple[float, PpcSummary]:
-    """MSE of posterior-median predictions plus posterior predictive checks.
-
-    ``predictions`` holds per-draw expected counts (draws x n);
-    ``replicates`` holds per-draw simulated counts. The PPC statistic is the
-    mid-p tail probability P(rep > y) + P(rep = y)/2, which is uniform for
-    discrete data when the model is correct.
-    """
-    y = np.asarray(y, dtype=float)
-    predictions = np.atleast_2d(np.asarray(predictions, dtype=float))
-    replicates = np.atleast_2d(np.asarray(replicates, dtype=float))
-    med = np.median(predictions, axis=0)
-    mse = float(np.mean((med - y) ** 2))
-    tail = (np.mean(replicates > y[None, :], axis=0)
-            + 0.5 * np.mean(replicates == y[None, :], axis=0))
-    flagged = (tail < 0.025) | (tail > 0.975)
-    return mse, PpcSummary(tail_prob=tail, flagged=flagged)
 
 
 # ---------------------------------------------------------------------------
@@ -163,13 +133,3 @@ def psis_loo(pointwise_loglik: np.ndarray) -> LooResult:
     return LooResult(elpd=elpd, elpd_se=se, pointwise=elpd_i,
                      pareto_k=pareto_k,
                      k_threshold=float(min(1.0 - 1.0 / np.log10(s), 0.7)))
-
-
-def loo_compare(results: dict[str, LooResult]) -> list[dict[str, float]]:
-    """Comparison table sorted by ELPD (best first)."""
-    best = max(results.values(), key=lambda r: r.elpd)
-    rows = []
-    for name, res in sorted(results.items(), key=lambda kv: -kv[1].elpd):
-        rows.append({"model": name, "elpd": res.elpd, "se": res.elpd_se,
-                     "delta_elpd": res.elpd - best.elpd})
-    return rows

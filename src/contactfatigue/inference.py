@@ -45,6 +45,10 @@ RHAT_LIMIT = 1.05
 DIVERGENT_SHARE_LIMIT = 0.10
 
 
+class ConvergenceWarning(RuntimeWarning):
+    """A sampler run broke ``RHAT_LIMIT`` or ``DIVERGENT_SHARE_LIMIT``."""
+
+
 @dataclass
 class Diagnostics:
     rhat: dict[str, float]
@@ -394,16 +398,8 @@ def sample_model(model, cfg: SamplerConfig,
         diag = Diagnostics(rhat=dict(nan), ess_bulk=dict(nan),
                            divergences=int(divergent.sum()))
     if failure := diag.convergence_failure(divergent.size):
-        warnings.warn(failure, RuntimeWarning, stacklevel=2)
+        warnings.warn(failure, ConvergenceWarning, stacklevel=2)
     return post, diag
-
-
-def sample(spec, data, cfg: SamplerConfig
-           ) -> tuple[PosteriorDraws, Diagnostics]:
-    """Build the model for (spec, data) and sample its posterior, with the
-    pointwise log likelihoods of every draw."""
-    from .models import build_model
-    return sample_model(build_model(spec, data), cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -108,12 +108,7 @@ def fit_independent(waves: list[list[SurveyRecord]],
             warnings.warn(f"wave at position {idx} has no records; skipped",
                           RuntimeWarning, stacklevel=2)
             continue
-        fit = fit_wave(records, feature_spec, spec, cfg)
-        if failure := fit.diagnostics.convergence_failure(fit.draws.n_draws):
-            warnings.warn(f"wave {fit.wave}: possible identifiability "
-                          f"problem ({failure})", RuntimeWarning,
-                          stacklevel=2)
-        fits.append(fit)
+        fits.append(fit_wave(records, feature_spec, spec, cfg))
     return fits
 
 

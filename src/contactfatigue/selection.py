@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .domain import DesignMatrix
-from .inference import (INTERVAL_50, PosteriorDraws, SamplerConfig,
-                        posterior_interval, sample_model)
+from .inference import (INTERVAL_50, SamplerConfig, posterior_interval,
+                        sample_model)
 from .models import ModelSpec, Stage1PoissonModel, Stage2PoissonModel
 from .priors import RhsSpec
 
@@ -51,18 +51,17 @@ class SelectionResult:
 
 
 def _fit_coefficients(model, cfg: SamplerConfig, stage: int):
-    """Draws of ``model`` plus the posterior median and 50% bounds of its
-    coefficients."""
+    """Posterior median and 50% bounds of the coefficients of ``model``."""
     draws, diag = sample_model(model, cfg, compute_pointwise=False)
     logger.info("stage %d: max R-hat %.3f, %d divergences", stage,
                 diag.max_rhat(), diag.divergences)
     coef = np.asarray([model.coefficients(t) for t in draws.stacked()])
     med, (lo, hi) = posterior_interval(coef, INTERVAL_50)
-    return draws, med, lo, hi
+    return med, lo, hi
 
 
-def stage1_select(design: DesignMatrix, rhs: RhsSpec, cfg: SamplerConfig
-                  ) -> tuple[SelectionResult, PosteriorDraws]:
+def stage1_select(design: DesignMatrix, rhs: RhsSpec,
+                  cfg: SamplerConfig) -> SelectionResult:
     """Select intensity determinants among the tested block of first-timers."""
     if np.any(design.repeat != 0):
         raise ValueError("stage 1 requires first-time participants only")
@@ -70,10 +69,9 @@ def stage1_select(design: DesignMatrix, rhs: RhsSpec, cfg: SamplerConfig
     if len(names) == 0:
         raise ValueError("stage 1 requires a non-empty tested block")
     spec = ModelSpec(family="stage1_poisson", rhs=rhs, beta0_scale=100.0)
-    draws, med, lo, hi = _fit_coefficients(Stage1PoissonModel(spec, design),
-                                           cfg, 1)
+    med, lo, hi = _fit_coefficients(Stage1PoissonModel(spec, design), cfg, 1)
     selected = tuple(bool(m < STAGE1_LOWER or m > STAGE1_UPPER) for m in med)
-    return SelectionResult(1, names, med, lo, hi, selected), draws
+    return SelectionResult(1, names, med, lo, hi, selected)
 
 
 def stage1_refit_offsets(design_first: DesignMatrix,
@@ -98,8 +96,7 @@ def stage1_refit_offsets(design_first: DesignMatrix,
 
 
 def stage2_select(design: DesignMatrix, offsets: np.ndarray, rhs: RhsSpec,
-                  cfg: SamplerConfig
-                  ) -> tuple[SelectionResult, PosteriorDraws]:
+                  cfg: SamplerConfig) -> SelectionResult:
     """Select fatigue determinants among repeating participants."""
     if np.any(design.repeat < 1):
         raise ValueError("stage 2 requires repeating participants only")
@@ -108,10 +105,9 @@ def stage2_select(design: DesignMatrix, offsets: np.ndarray, rhs: RhsSpec,
     names = design.block_names("w")
     data = replace_offsets(design, offsets)
     spec = ModelSpec(family="stage2_poisson", rhs=rhs)
-    draws, med, lo, hi = _fit_coefficients(Stage2PoissonModel(spec, data),
-                                           cfg, 2)
+    med, lo, hi = _fit_coefficients(Stage2PoissonModel(spec, data), cfg, 2)
     selected = tuple(bool(m < STAGE2_CUTOFF) for m in med)
-    return SelectionResult(2, names, med, lo, hi, selected), draws
+    return SelectionResult(2, names, med, lo, hi, selected)
 
 
 def replace_offsets(design: DesignMatrix, offsets: np.ndarray) -> DesignMatrix:
@@ -148,7 +144,7 @@ def two_stage_select(design_first: DesignMatrix, design_repeat: DesignMatrix,
     prior guess of non-zero coefficients is half its candidates."""
     k1 = len(design_first.block_names("v"))
     rhs1 = RhsSpec(n_coef=k1, p0=k1 / 2.0, n_obs=design_first.n)
-    stage1, _ = stage1_select(design_first, rhs1, cfg)
+    stage1 = stage1_select(design_first, rhs1, cfg)
     keep = stage1.selected_features()
     first_sub = subset_v_block(design_first, keep)
     repeat_sub = subset_v_block(design_repeat, keep)
@@ -156,5 +152,5 @@ def two_stage_select(design_first: DesignMatrix, design_repeat: DesignMatrix,
     k2 = len(repeat_sub.block_names("w"))
     rhs2 = RhsSpec(n_coef=k2, p0=k2 / 2.0, n_obs=repeat_sub.n,
                    sign="negative")
-    stage2, _ = stage2_select(repeat_sub, offsets, rhs2, cfg)
+    stage2 = stage2_select(repeat_sub, offsets, rhs2, cfg)
     return stage1, stage2

@@ -5,6 +5,7 @@ import pytest
 from contactfatigue import cli
 from contactfatigue.cli import run, selection_groups
 from contactfatigue.domain import DataError
+from contactfatigue.inference import ConvergenceWarning
 from contactfatigue.simulator import (ScenarioConfig, panel_to_csv,
                                       simulate_panel)
 
@@ -70,3 +71,53 @@ def test_unwritable_out_directory_is_an_io_error(tmp_path):
     code = run(["simulate", "--waves", "2", "--panel-size", "10",
                 "--out", str(blocker / "sub")])
     assert code == cli.EXIT_IO == 5
+
+
+#: a sampler far too short to converge on the panel: 2 chains x (100 + 4)
+#: transitions, with trees of at most 2**4 - 1 leapfrog steps
+UNCONVERGED = ("seed = 7\nchains = 2\nwarmup = 100\nsampling = 4\n"
+               "max_tree_depth = 4\n")
+
+#: every sampling command, with the arguments besides --data and --out
+SAMPLING_COMMANDS = {
+    "fit": ["fit", "--model", "gam-hill"],
+    "select": ["select"],
+    "debias-sequence": ["debias-sequence"],
+    "study": ["study", "--caps", "1"],
+}
+
+
+@pytest.fixture(scope="module")
+def unconverged(panel, tmp_path_factory):
+    """(config file, records file) of an unconverged run on the panel."""
+    data = tmp_path_factory.mktemp("data")
+    (data / "run.cfg").write_text(UNCONVERGED)
+    panel_to_csv(panel, str(data / "records.csv"))
+    return str(data / "run.cfg"), str(data / "records.csv")
+
+
+def _run_sampling(command, flags, unconverged, out):
+    config, records = unconverged
+    return run(["--config", config] + flags + SAMPLING_COMMANDS[command]
+               + ["--data", records, "--out", str(out)])
+
+
+@pytest.mark.parametrize("command", SAMPLING_COMMANDS)
+class TestStrict:
+    def test_unconverged_run_exits_4_before_writing(self, command,
+                                                   unconverged, tmp_path,
+                                                   caplog):
+        out = tmp_path / "out"
+        code = _run_sampling(command, ["--strict"], unconverged, out)
+        assert code == cli.EXIT_CONVERGENCE == 4
+        assert list(out.glob("*.csv")) == []
+        assert any(r.levelname == "ERROR" and r.getMessage().startswith(
+            "max R-hat ") for r in caplog.records)
+
+    def test_without_strict_the_run_writes_its_outputs(self, command,
+                                                      unconverged, tmp_path):
+        out = tmp_path / "out"
+        with pytest.warns(ConvergenceWarning):
+            code = _run_sampling(command, [], unconverged, out)
+        assert code == cli.EXIT_OK
+        assert list(out.glob("*.csv")) != []

@@ -6,12 +6,10 @@ from scipy import stats
 
 from contactfatigue.domain import (AgeBand, CoarseBandSet, DataError,
                                    CsvSchema, FeatureBlock, FeatureSpec,
-                                   MissingnessTable, PopulationTable,
-                                   SurveyRecord, aggregate_to_bands,
+                                   PopulationTable, SurveyRecord,
                                    age_group_of, build_design,
-                                   covimod_feature_spec, default_coarse_bands,
-                                   impute_child_age, load_survey_csv,
-                                   truncate_contacts)
+                                   default_coarse_bands, impute_child_age,
+                                   load_survey_csv, truncate_contacts)
 
 from conftest import SMALL_FEATURES, make_records
 
@@ -180,18 +178,6 @@ class TestDesignMatrix:
         assert design.column_names == ("sex:M",)
         assert design.x[:, 0].tolist() == [1.0, 0.0]
 
-    def test_survey_block_widths(self):
-        # 21 = 14 + 2 + 5, 16 = 9 + 2 + 2 + 3, 33 = 14 + 2 + 5 + 9 + 3
-        fs = covimod_feature_spec()
-        records = [SurveyRecord(
-            "p", 1, 0, 30, "M", "1",
-            {"employment": "retired", "symptoms": "no",
-             "day_of_week": "weekday", "urban_type": "rural"}, 1)]
-        design = build_design(records, fs)
-        assert design.block("u").shape[1] == 21
-        assert design.block("v").shape[1] == 16
-        assert design.block("w").shape[1] == 33
-
     def test_unknown_level_rejected(self):
         records = [SurveyRecord("p", 1, 0, 30, "M", "9", {}, 1)]
         fs = FeatureSpec(u=(FeatureBlock("household_size", ("1", "2")),))
@@ -211,36 +197,22 @@ class TestDesignMatrix:
         assert a.x.tobytes() == b.x.tobytes()
         assert a.column_names == b.column_names
 
-    def test_missingness_offsets(self):
-        records = [SurveyRecord("p", 1, 0, 30, "M", "1", {}, 1)]
-        fs = FeatureSpec(u=(FeatureBlock("sex", ("M", "F")),))
-        miss = MissingnessTable.constant(0.5, waves=[1])
-        design = build_design(records, fs, missingness=miss)
-        assert design.offsets[0] == pytest.approx(np.log(0.5))
-
 
 class TestAggregation:
     def test_ones_band(self):
-        bands = default_coarse_bands()
-        out = aggregate_to_bands(np.ones(85), bands)
+        out = default_coarse_bands().membership() @ np.ones(85)
         assert out[0] == 5.0
 
     def test_identity_ramp(self):
-        bands = default_coarse_bands()
-        out = aggregate_to_bands(np.arange(85.0), bands)
+        out = default_coarse_bands().membership() @ np.arange(85.0)
         assert out[5] == sum(range(25, 35)) == 295
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(-1e6, 1e6), min_size=85, max_size=85))
     def test_partition_preserves_totals(self, values):
         per_age = np.asarray(values)
-        bands = default_coarse_bands()
-        assert aggregate_to_bands(per_age, bands).sum() == pytest.approx(
-            per_age.sum(), rel=1e-9, abs=1e-6)
-
-    def test_wrong_length_rejected(self):
-        with pytest.raises(DataError):
-            aggregate_to_bands(np.ones(10), default_coarse_bands())
+        out = default_coarse_bands().membership() @ per_age
+        assert out.sum() == pytest.approx(per_age.sum(), rel=1e-9, abs=1e-6)
 
 
 class TestAgeGroups:
@@ -258,7 +230,3 @@ class TestTables:
     def test_population_positive(self):
         with pytest.raises(DataError):
             PopulationTable({"M": np.zeros(85)})
-
-    def test_missingness_range(self):
-        with pytest.raises(DataError):
-            MissingnessTable({(1, "M"): np.full(85, 1.5)})

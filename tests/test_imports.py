@@ -1,5 +1,6 @@
-"""Every module of the package uses each name it imports, and every
-function reads each of its parameters.
+"""Every module of the package uses each name it imports, every function
+reads each of its parameters, and every public function or class has a
+caller.
 
 No linter is assumed; the standard library's ``ast`` finds the names a
 module imports and the names it reads. Package ``__init__`` modules are
@@ -85,3 +86,53 @@ def test_every_parameter_is_read():
               if not (path.name == "cli.py" and fn.startswith("cmd_")
                       and param in CLI_DISPATCH)]
     assert unread == []
+
+
+#: the code outside the package that counts as a caller
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+
+#: public names that only tests call, each with the reason it stays
+UNCALLED_KEPT = {
+    "basis_at": "dense HSGP basis, the tests' reference for the factored one",
+    "gram_matrix": "exact kernel matrix, the tests' reference for HSGP",
+    "rhs_log_prior": "one-block horseshoe density, the tests' reference for "
+                     "the prior pass",
+    "nb1_loglik": "per-row NB1, the tests' reference for the cell NB1",
+    "psis_loo": "tested against exact LOO; to be reported by `evaluate`",
+}
+
+
+def _uncalled_definitions(sources: dict[str, str]) -> list[str]:
+    """``module:name`` of each public module-level function or class that
+    no other top-level statement of ``sources`` names; ``__init__``
+    modules are skipped, since they only re-export."""
+    statements = [(path, stmt) for path, source in sources.items()
+                  if not path.endswith("__init__.py")
+                  for stmt in ast.parse(source).body]
+    named = [(stmt, {n.id if isinstance(n, ast.Name) else n.attr
+                     for n in ast.walk(stmt)
+                     if isinstance(n, (ast.Name, ast.Attribute))})
+             for _, stmt in statements]
+    return [f"{path}:{stmt.name}" for path, stmt in statements
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+            and not stmt.name.startswith("_")
+            and not any(stmt.name in names for other, names in named
+                        if other is not stmt)]
+
+
+def test_scan_finds_an_uncalled_definition():
+    sources = {"a.py": "def f():\n    return f()\nclass C:\n    pass\n"
+                       "def _g():\n    pass\n",
+               "b.py": "from a import f\nx = C\n",
+               "__init__.py": "from a import f\nf()\n"}
+    assert _uncalled_definitions(sources) == ["a.py:f"]
+
+
+def test_every_public_definition_has_a_caller():
+    sources = {str(path.relative_to(root.parent)): path.read_text()
+               for root in (PACKAGE, PERFBENCH)
+               for path in sorted(root.rglob("*.py"))}
+    uncalled = [entry for entry in _uncalled_definitions(sources)
+                if entry.startswith(f"{PACKAGE.name}/")
+                and entry.rsplit(":", 1)[1] not in UNCALLED_KEPT]
+    assert uncalled == []

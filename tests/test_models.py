@@ -234,9 +234,8 @@ class TestLogPosteriorContracts:
 class TestFatigueVariants:
     def test_band_midpoint_lookup(self):
         bands = default_coarse_bands()
-        k = bands.index_of_age(29)
-        assert bands.bands[k].label == "25-34"
-        assert bands.midpoints[k] == 29
+        assert bands.labels[5] == "25-34"
+        assert bands.midpoints[5] == 29
 
     def test_variants_strictly_negative_for_repeats(self):
         model, _ = _brc_model("variant_b")
