@@ -90,10 +90,6 @@ class CoarseBandSet:
     def midpoints(self) -> tuple[int, ...]:
         return tuple(b.midpoint for b in self.bands)
 
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(b.label for b in self.bands)
-
     def __len__(self) -> int:
         return len(self.bands)
 

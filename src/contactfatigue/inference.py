@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
@@ -80,15 +80,14 @@ class PosteriorDraws:
     step_sizes: np.ndarray               # (chains,)
     grad_evals: np.ndarray               # (chains,) logp_grad calls
     pointwise_loglik: np.ndarray | None  # (chains * iterations, n_obs)
-    parameter_names: list[str] = field(default_factory=list)
+
+    @property
+    def parameter_names(self) -> list[str]:
+        return self.layout.parameter_names()
 
     @property
     def n_chains(self) -> int:
         return self.draws.shape[0]
-
-    @property
-    def n_draws(self) -> int:
-        return self.draws.shape[0] * self.draws.shape[1]
 
     def stacked(self) -> np.ndarray:
         return self.draws.reshape(-1, self.draws.shape[2])
@@ -386,15 +385,13 @@ def sample_model(model, cfg: SamplerConfig,
         flat = draws.reshape(-1, dim)
         pointwise = np.asarray([model.pointwise_loglik(t) for t in flat])
 
-    names = model.layout.parameter_names()
     post = PosteriorDraws(layout=model.layout, draws=draws,
                           divergent=divergent, step_sizes=step_sizes,
-                          grad_evals=grad_evals, pointwise_loglik=pointwise,
-                          parameter_names=names)
+                          grad_evals=grad_evals, pointwise_loglik=pointwise)
     if cfg.chains >= 2 and cfg.sampling >= 4:
         diag = rhat_ess(post)
     else:
-        nan = {n: float("nan") for n in names}
+        nan = {n: float("nan") for n in post.parameter_names}
         diag = Diagnostics(rhat=dict(nan), ess_bulk=dict(nan),
                            divergences=int(divergent.sum()))
     if failure := diag.convergence_failure(divergent.size):

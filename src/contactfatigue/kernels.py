@@ -67,41 +67,32 @@ def gram_matrix(spec: KernelSpec, x: np.ndarray, y: np.ndarray | None = None
     return kernel_eval(spec, x[:, None], y[None, :])
 
 
-def _matern_const(nu: float, dim: int) -> float:
-    # S(w) = sigma * (prod ell_d) * C * (2 nu + sum ell_d^2 w_d^2)^-(nu + d/2)
-    return (2.0**dim * np.pi ** (dim / 2.0) * gamma_fn(nu + dim / 2.0)
+def _matern_const(nu: float) -> float:
+    # S(w) = sigma * ell * C * (2 nu + ell^2 w^2)^-(nu + 1/2)
+    return (2.0 * np.pi ** 0.5 * gamma_fn(nu + 0.5)
             * (2.0 * nu) ** nu / gamma_fn(nu))
 
 
-def spectral_density(spec: KernelSpec, omega: np.ndarray, dim: int = 1
-                     ) -> np.ndarray:
-    """Spectral density S(omega) with the convention
-    k(r) = (2 pi)^-d \\int S(w) exp(i w.r) dw, so total power equals k(0).
-
-    For ``dim`` > 1 the kernel is the isotropic d-dimensional version and
-    ``omega`` has the frequency vectors in its last axis.
+def spectral_density(spec: KernelSpec, omega: np.ndarray) -> np.ndarray:
+    """1D spectral density S(omega) with the convention
+    k(r) = (2 pi)^-1 \\int S(w) exp(i w r) dw, so total power equals k(0).
+    A 2D basis multiplies the densities of its axes.
     """
     omega = np.asarray(omega, dtype=float)
-    if dim == 1:
-        wsq = omega**2
-    else:
-        if omega.shape[-1] != dim:
-            raise ValueError(f"omega last axis must have length {dim}")
-        wsq = np.sum(omega**2, axis=-1)
+    wsq = omega**2
     sigma, ell = spec.magnitude, spec.lengthscale
     if spec.family == "se":
-        return sigma * (2.0 * np.pi) ** (dim / 2.0) * ell**dim * np.exp(
-            -0.5 * ell**2 * wsq)
+        return sigma * (2.0 * np.pi) ** 0.5 * ell * np.exp(-0.5 * ell**2 * wsq)
     nu = _NU[spec.family]
-    c = _matern_const(nu, dim)
-    return sigma * c * ell**dim * (2.0 * nu + ell**2 * wsq) ** -(nu + dim / 2.0)
+    c = _matern_const(nu)
+    return sigma * c * ell * (2.0 * nu + ell**2 * wsq) ** -(nu + 0.5)
 
 
 def spectral_density_grad(spec: KernelSpec, omega: np.ndarray
                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """1D spectral density with partial derivatives (S, dS/dsigma, dS/dell)."""
     omega = np.asarray(omega, dtype=float)
-    s = spectral_density(spec, omega, dim=1)
+    s = spectral_density(spec, omega)
     d_sigma = s / spec.magnitude
     ell = spec.lengthscale
     if spec.family == "se":

@@ -4,7 +4,7 @@ Every family exposes one protocol: a named-block parameter layout,
 ``logp_grad`` returning the joint log posterior with its exact analytic
 gradient on the unconstrained scale, per-observation log likelihoods for
 cross-validation, posterior replicates for predictive checks, and intensity
-prediction with an optional fatigue de-biasing switch.
+prediction on the fitted rows with an optional fatigue de-biasing switch.
 
 Every family is one log-linear count regression, assembled from terms by
 ``_AdditiveCountModel``:
@@ -398,26 +398,24 @@ class _HsgpTerm:
 # ---------------------------------------------------------------------------
 # Terms of the additive predictor. A term reads the per-row data ``columns``
 # and gets them back at one row per predictor group through ``bind``; then
-# ``values`` gives it on the groups plus a backprop cache, ``backprop``
-# pushes d(logp)/d(term) into its blocks, and ``at`` evaluates it on new
-# rows. De-biased predictions drop the ``fatigue`` terms.
+# ``values`` gives it on the groups plus a backprop cache, and ``backprop``
+# pushes d(logp)/d(term) into its blocks. De-biased predictions drop the
+# ``fatigue`` terms.
 # ---------------------------------------------------------------------------
 
 class _Linear:
-    """x' beta for the indicator columns ``x`` (``newdata[key]`` on new
-    rows) with plain, hierarchical or horseshoe coefficients ``coef``; the
-    intercept is the linear term on a constant column (``key`` None)."""
+    """x' beta for the indicator columns ``x`` with plain, hierarchical or
+    horseshoe coefficients ``coef``; the intercept is the linear term on a
+    constant column."""
 
-    def __init__(self, key: str | None, x: np.ndarray, coef,
-                 fatigue: bool = False):
-        self.key = key
+    def __init__(self, x: np.ndarray, coef, fatigue: bool = False):
         self.coef = coef
         self.fatigue = fatigue
         self.columns = list(x.T)
 
     @classmethod
     def intercept(cls, spec: ModelSpec, n: int) -> _Linear:
-        return cls(None, np.ones((n, 1)), _Coefficients(_intercept(spec)))
+        return cls(np.ones((n, 1)), _Coefficients(_intercept(spec)))
 
     def blocks(self) -> list[Block]:
         return self.coef.blocks()
@@ -434,33 +432,26 @@ class _Linear:
                  cache) -> None:
         self.coef.backprop(acc, self.g_x.T.dot(d_eta), cache)
 
-    def at(self, layout: Layout, theta: np.ndarray, newdata):
-        beta = self.coef.coefficients(layout, theta)[0]
-        return beta[0] if self.key is None else newdata[self.key] @ beta
-
 
 class _Smooth:
     """The HSGP term ``gp`` on the points of its basis, read at each row's
     ``index`` into them; an index one past the last point reads 0, for rows
-    the smooth does not cover. New rows give raw coordinates
-    ``newdata[key]``."""
+    the smooth does not cover."""
 
     fatigue = False
 
-    def __init__(self, gp: _HsgpTerm, index: np.ndarray,
-                 key: str | None = None):
+    def __init__(self, gp: _HsgpTerm, index: np.ndarray):
         self.gp = gp
-        self.key = key
         self.columns = [index]
         self.padded = bool(np.any(index >= gp.basis.n_points))
 
     @classmethod
     def on_axis(cls, name: str, grid: np.ndarray, index: np.ndarray,
-                config: HsgpConfig, input_sd: float, key: str) -> _Smooth:
+                config: HsgpConfig, input_sd: float) -> _Smooth:
         """A 1D smooth on the points ``grid``, centered on the rows."""
         return cls(_HsgpTerm.on_axis(name, grid, config, config.m, input_sd,
                                      np.bincount(index, minlength=grid.size)),
-                   index, key)
+                   index)
 
     def blocks(self) -> list[Block]:
         return self.gp.blocks()
@@ -480,15 +471,11 @@ class _Smooth:
         self.gp.backprop(acc, np.bincount(self.g_index, weights=d_eta,
                                           minlength=n + 1)[:n], cache)
 
-    def at(self, layout: Layout, theta: np.ndarray, newdata):
-        return self.gp.values_at(layout, theta,
-                                 np.asarray(newdata[self.key], float))
-
 
 class _HillTerm:
     """Hill fatigue curves at each row's repeat count: one curve (Q=1), or
-    one per fatigue covariate with ``weights`` (n, Q) the covariate columns
-    (``newdata["w"]`` on new rows), giving sum_q weights[:, q] rho_q(r).
+    one per fatigue covariate with ``weights`` (n, Q) the covariate columns,
+    giving sum_q weights[:, q] rho_q(r).
     The curves are evaluated once per distinct repeat count.
     """
 
@@ -522,25 +509,26 @@ class _HillTerm:
         self.g_repeat = np.unique(g[:, 0].astype(int), return_inverse=True)
         self.g_weights = g[:, 1:] if self.weighted else None
 
-    def _curves(self, layout: Layout, theta: np.ndarray, repeat,
-                weights: np.ndarray | None) -> tuple[np.ndarray, tuple]:
-        """The term at ``repeat`` = (distinct counts, index of each row into
-        them) plus a backprop cache."""
+    def _curves(self, layout: Layout, theta: np.ndarray, counts: np.ndarray
+                ) -> list:
+        """(curve, values, gradients) of each curve at the repeat
+        ``counts``."""
         gam = _exp(layout.raw(theta, "hill_gamma"))
         zet = layout.raw(theta, "hill_zeta")
         eta = _exp(layout.raw(theta, "hill_eta"))
-        counts, index = repeat
-        per_q = [(c, *hill_grad(c, counts))
-                 for c in map(HillCurve, gam, zet, eta)]
+        return [(c, *hill_grad(c, counts))
+                for c in map(HillCurve, gam, zet, eta)]
+
+    def values(self, layout: Layout, theta: np.ndarray):
+        counts, index = self.g_repeat
+        per_q = self._curves(layout, theta, counts)
+        weights = self.g_weights
         if weights is None:
             return per_q[0][1][index], (per_q, index, None)
         total = np.zeros(weights.shape[0])
         for q, (_, value, _) in enumerate(per_q):
             total += weights[:, q] * value[index]
         return total, (per_q, index, weights)
-
-    def values(self, layout: Layout, theta: np.ndarray):
-        return self._curves(layout, theta, self.g_repeat, self.g_weights)
 
     def backprop(self, acc: GradAccumulator, d_eta: np.ndarray,
                  cache) -> None:
@@ -558,11 +546,10 @@ class _HillTerm:
                            np.array(rows).T):
             acc.add(name, g)
 
-    def at(self, layout: Layout, theta: np.ndarray, newdata):
-        w = np.asarray(newdata["w"], dtype=float) if self.weighted else None
-        repeat = np.unique(np.asarray(newdata["repeat"], dtype=int),
-                           return_inverse=True)
-        return self._curves(layout, theta, repeat, w)[0]
+    def on_repeats(self, layout: Layout, theta: np.ndarray,
+                   repeat: np.ndarray) -> np.ndarray:
+        """The curve of an unweighted term (Q = 1) at each repeat count."""
+        return self._curves(layout, theta, repeat)[0][1]
 
 
 class _RhoTable:
@@ -609,8 +596,10 @@ class _RhoTable:
         else:
             self.gp.backprop(acc, g_table, cache)
 
-    def at(self, layout: Layout, theta: np.ndarray, newdata):
-        idx, r_pos = self._lookup(np.asarray(newdata["repeat"], dtype=int))
+    def on_repeats(self, layout: Layout, theta: np.ndarray,
+                   repeat: np.ndarray) -> np.ndarray:
+        """The table read at each repeat count."""
+        idx, r_pos = self._lookup(repeat)
         return np.where(r_pos, self._table(layout, theta)[0][idx], 0.0)
 
 
@@ -750,8 +739,7 @@ class _AdditiveCountModel:
 
     Rows that agree on every column the terms read and on their offset form
     one predictor group. The class's ``observation`` model runs on them.
-    Predictions leave out the offsets unless ``offsets_in_prediction``
-    (``newdata["offset"]`` on new rows).
+    Predictions leave out the offsets unless ``offsets_in_prediction``.
     """
 
     offsets_in_prediction = False
@@ -822,23 +810,15 @@ class _AdditiveCountModel:
         except ValueError as exc:  # a mean NumPy's samplers cannot take
             raise RejectedState(str(exc)) from exc
 
-    def _sum(self, theta: np.ndarray, terms: list, newdata=None):
-        """``terms`` summed on the fitted rows, or on ``newdata``."""
-        if newdata is not None:
-            return sum((t.at(self.layout, theta, newdata) for t in terms), 0.0)
-        return sum((t.values(self.layout, theta)[0] for t in terms),
-                   np.zeros(self.n_groups))[self.group_of]
-
-    def predict_log_intensity(self, theta, newdata=None, debias=False
-                              ) -> np.ndarray:
-        """Log intensity on the fitted rows or on ``newdata``; ``debias``
-        drops the fatigue terms."""
-        eta = self._sum(theta, [t for t in self.terms
-                                if not (debias and t.fatigue)], newdata)
+    def predict_log_intensity(self, theta, debias=False) -> np.ndarray:
+        """Log intensity on the fitted rows; ``debias`` drops the fatigue
+        terms."""
+        eta = sum((t.values(self.layout, theta)[0] for t in self.terms
+                   if not (debias and t.fatigue)),
+                  np.zeros(self.n_groups))[self.group_of]
         if not self.offsets_in_prediction:
             return eta
-        return eta + (self.data.offsets if newdata is None
-                      else np.asarray(newdata["offset"], dtype=float))
+        return eta + self.data.offsets
 
 
 # ---------------------------------------------------------------------------
@@ -861,12 +841,12 @@ class Stage1PoissonModel(_AdditiveCountModel):
         k = v.shape[1]
         if spec.rhs is not None and spec.rhs.n_coef != k:
             raise ValueError(f"rhs.n_coef must equal {k}")
-        self.tested = _Linear("v", v, (
+        self.tested = _Linear(v, (
             _Coefficients(Block("beta", k, prior=STD_NORMAL))
             if spec.rhs is None else _RhsTerm("beta", spec.rhs)))
         super().__init__(spec, data, [
             _Linear.intercept(spec, data.n),
-            _Linear("u", u, _Coefficients(
+            _Linear(u, _Coefficients(
                 Block("alpha_raw", u.shape[1], prior=STD_NORMAL),
                 "sigma_alpha")),
             self.tested])
@@ -893,8 +873,7 @@ class Stage2PoissonModel(_AdditiveCountModel):
         if spec.rhs.n_coef != w.shape[1]:
             raise ValueError(f"rhs.n_coef must equal {w.shape[1]}")
         self.rhs = _RhsTerm("gamma", spec.rhs)
-        super().__init__(spec, data, [_Linear("w", w, self.rhs,
-                                              fatigue=True)])
+        super().__init__(spec, data, [_Linear(w, self.rhs, fatigue=True)])
 
     def coefficients(self, theta) -> np.ndarray:
         return self.rhs.coefficients(self.layout, theta)[0]
@@ -932,19 +911,18 @@ class LongitudinalNbModel(_AdditiveCountModel):
                              "the longitudinal model")
         super().__init__(spec, data, [
             _Linear.intercept(spec, data.n),
-            _Linear("x", data.x, _Coefficients(
+            _Linear(data.x, _Coefficients(
                 Block("beta_raw", data.x.shape[1], prior=STD_NORMAL),
                 "sigma_beta")),
             _Smooth.on_axis("tau", times, time_idx, TIME_GP,
-                            max(times.std(), 1e-8), "report_date"),
+                            max(times.std(), 1e-8)),
             *fatigue])
 
     def fatigue_curve(self, theta, r_grid: np.ndarray) -> np.ndarray:
         """rho(r) on a grid of repeat counts for one draw."""
         repeat = np.asarray(r_grid, dtype=int)
-        fatigue = [t for t in self.terms if t.fatigue]
-        return np.zeros(repeat.size) + self._sum(theta, fatigue,
-                                                 {"repeat": repeat})
+        return sum((t.on_repeats(self.layout, theta, repeat)
+                    for t in self.terms if t.fatigue), np.zeros(repeat.size))
 
 
 class IndividualGamModel(_AdditiveCountModel):
@@ -957,12 +935,12 @@ class IndividualGamModel(_AdditiveCountModel):
             raise ValueError("GAM fatigue must be none or hill_per_covariate")
         u, w = data.block("u"), data.block("w")
         age = _Smooth.on_axis("age", AGE_GRID, data.age.astype(int),
-                              spec.hsgp_age, AGE_SD, "age")
+                              spec.hsgp_age, AGE_SD)
         self.f_age = age.gp
         beta = Block("beta", u.shape[1], prior=PriorSpec(
             "normal", (spec.beta_loc, spec.beta_scale)))
         terms = [_Linear.intercept(spec, data.n),
-                 _Linear("u", u, _Coefficients(beta)), age]
+                 _Linear(u, _Coefficients(beta)), age]
         if spec.fatigue.kind == "hill_per_covariate":
             if w.shape[1] == 0:
                 raise ValueError("hill_per_covariate requires a w block")
@@ -1116,7 +1094,7 @@ class AggregatedBrcModel(_AdditiveCountModel):
         later_wave = (data.cell_wave[cell][:, None]
                       == np.arange(1, len(data.waves))).astype(float)
         terms = [_Linear.intercept(spec, cell.size),
-                 _Linear("wave", later_wave, _Coefficients(
+                 _Linear(later_wave, _Coefficients(
                      Block("tau", len(data.waves) - 1, prior=STD_NORMAL))),
                  *self.surfaces.values()]
         if fk != "none":
@@ -1124,16 +1102,6 @@ class AggregatedBrcModel(_AdditiveCountModel):
             terms.append(rho if fk == "independent" else
                          _NegativeExp(rho, *_variant_smooths(fk, data)))
         super().__init__(spec, data, terms)
-
-    def predict_log_intensity(self, theta, newdata=None, debias=False
-                              ) -> np.ndarray:
-        """Log intensity on the fitted single-year rows, without offsets.
-        New rows are refused: the surface at new ages is ``predict_log_m``.
-        """
-        if newdata is not None:
-            raise ValueError("the BRC model predicts only its fitted rows; "
-                             "use predict_log_m for the surface at new ages")
-        return super().predict_log_intensity(theta, debias=debias)
 
     def predict_log_m(self, theta, pair: str, wave: int, a: np.ndarray,
                       b: np.ndarray, population: PopulationTable

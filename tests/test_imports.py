@@ -1,6 +1,6 @@
 """Every module of the package uses each name it imports, every function
-reads each of its parameters, and every public function or class has a
-caller.
+reads each of its parameters, and every public function, class, method or
+property has a caller.
 
 No linter is assumed; the standard library's ``ast`` finds the names a
 module imports and the names it reads. Package ``__init__`` modules are
@@ -91,7 +91,8 @@ def test_every_parameter_is_read():
 #: the code outside the package that counts as a caller
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
-#: public names that only tests call, each with the reason it stays
+#: public names (``Class.name`` for a method) that only tests call, each
+#: with the reason it stays
 UNCALLED_KEPT = {
     "basis_at": "dense HSGP basis, the tests' reference for the factored one",
     "gram_matrix": "exact kernel matrix, the tests' reference for HSGP",
@@ -99,25 +100,50 @@ UNCALLED_KEPT = {
                      "the prior pass",
     "nb1_loglik": "per-row NB1, the tests' reference for the cell NB1",
     "psis_loo": "tested against exact LOO; to be reported by `evaluate`",
+    "Layout.pack": "natural-scale values to a state, the tests' state "
+                   "builder",
+    "LooResult.n_high_k": "to go into the LOO report of `evaluate`",
+    "_AdditiveCountModel.replicate": "fuzz-tested; to drive the posterior "
+                                     "predictive check of `evaluate`",
 }
 
 
+def _names(node: ast.AST) -> set[str]:
+    """Every name and attribute that ``node`` reads or writes."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
 def _uncalled_definitions(sources: dict[str, str]) -> list[str]:
-    """``module:name`` of each public module-level function or class that
-    no other top-level statement of ``sources`` names; ``__init__``
+    """``module:name`` of each public module-level function or class, and
+    ``module:Class.name`` of each public method or property, that no other
+    top-level statement of ``sources`` names. A method also counts as
+    called when another statement of its class names it. ``__init__``
     modules are skipped, since they only re-export."""
     statements = [(path, stmt) for path, source in sources.items()
                   if not path.endswith("__init__.py")
                   for stmt in ast.parse(source).body]
-    named = [(stmt, {n.id if isinstance(n, ast.Name) else n.attr
-                     for n in ast.walk(stmt)
-                     if isinstance(n, (ast.Name, ast.Attribute))})
-             for _, stmt in statements]
-    return [f"{path}:{stmt.name}" for path, stmt in statements
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-            and not stmt.name.startswith("_")
-            and not any(stmt.name in names for other, names in named
-                        if other is not stmt)]
+    named = [(stmt, _names(stmt)) for _, stmt in statements]
+    found = []
+    for path, stmt in statements:
+        if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        elsewhere = set().union(*(names for other, names in named
+                                  if other is not stmt))
+        if not stmt.name.startswith("_") and stmt.name not in elsewhere:
+            found.append(f"{path}:{stmt.name}")
+        if not isinstance(stmt, ast.ClassDef):
+            continue
+        for member in stmt.body:
+            if (isinstance(member, ast.FunctionDef)
+                    and not member.name.startswith("_")
+                    and member.name not in elsewhere
+                    and not any(member.name in _names(other)
+                                for other in stmt.body
+                                if other is not member)):
+                found.append(f"{path}:{stmt.name}.{member.name}")
+    return found
 
 
 def test_scan_finds_an_uncalled_definition():
@@ -126,6 +152,18 @@ def test_scan_finds_an_uncalled_definition():
                "b.py": "from a import f\nx = C\n",
                "__init__.py": "from a import f\nf()\n"}
     assert _uncalled_definitions(sources) == ["a.py:f"]
+
+
+def test_scan_finds_an_uncalled_method():
+    sources = {"a.py": "class C:\n"
+                       "    def m(self):\n        return self.m()\n"
+                       "    def n(self):\n        pass\n"
+                       "    @property\n    def k(self):\n        return 1\n"
+                       "    def j(self):\n        return self.k\n"
+                       "    def _p(self):\n        pass\n",
+               "b.py": "C().j()\n",
+               "__init__.py": "C().n()\n"}
+    assert _uncalled_definitions(sources) == ["a.py:C.m", "a.py:C.n"]
 
 
 def test_every_public_definition_has_a_caller():

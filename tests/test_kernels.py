@@ -90,17 +90,6 @@ class TestSpectralDensity:
         assert total / (2 * np.pi) == pytest.approx(1.7, abs=1e-4)
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
-    def test_total_power_equals_magnitude_2d(self, family):
-        # radial integral: (2 pi)^-2 * 2 pi * int_0^inf S(w) w dw = sigma
-        spec = KernelSpec(family, 0.9, 1.1)
-
-        def integrand(w):
-            return spectral_density(spec, np.array([w, 0.0]), dim=2) * w
-
-        total, _ = quad(integrand, 0, np.inf, limit=300)
-        assert total / (2 * np.pi) == pytest.approx(0.9, abs=1e-4)
-
-    @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_gradients_match_finite_differences(self, family):
         omega = np.linspace(0, 6, 13)
         spec = KernelSpec(family, 1.2, 0.8)

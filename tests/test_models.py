@@ -15,7 +15,8 @@ from contactfatigue.domain import (FeatureBlock, FeatureSpec,
 from contactfatigue.models import (FatigueSpec, HillCurve,
                                    IndividualGamModel, LongitudinalNbModel,
                                    ModelSpec, RejectedState,
-                                   Stage1PoissonModel, build_model, hill,
+                                   Stage1PoissonModel, Stage2PoissonModel,
+                                   build_model, hill,
                                    hill_grad, make_brc_data)
 from contactfatigue.kernels import basis_at
 from contactfatigue.models.assemble import (AGE_SD, _surface_of,
@@ -234,7 +235,7 @@ class TestLogPosteriorContracts:
 class TestFatigueVariants:
     def test_band_midpoint_lookup(self):
         bands = default_coarse_bands()
-        assert bands.labels[5] == "25-34"
+        assert bands.bands[5].label == "25-34"
         assert bands.midpoints[5] == 29
 
     def test_variants_strictly_negative_for_repeats(self):
@@ -422,6 +423,38 @@ class TestFamilies:
 ROW_LEVEL = sorted(name for name in MODELS if not name.startswith("brc"))
 
 
+def _row_reference(model, theta, debias):
+    """The log intensity of each fitted row, summed term by term from the
+    row's own covariates, without the predictor groups."""
+    d, layout = model.data, model.layout
+
+    def raw(name):
+        return layout.raw(theta, name)
+
+    if isinstance(model, Stage2PoissonModel):
+        fatigue = d.block("w") @ model.coefficients(theta)
+        return d.offsets + (0.0 if debias else fatigue)
+    if isinstance(model, Stage1PoissonModel):
+        alpha = np.exp(raw("sigma_alpha")) * raw("alpha_raw")
+        return (raw("beta0") + d.block("u") @ alpha
+                + d.block("v") @ model.coefficients(theta))
+    if isinstance(model, LongitudinalNbModel):
+        tau = next(t.gp for t in model.terms
+                   if getattr(t, "gp", None)
+                   and t.gp.block_names[0] == "tau_w")
+        beta = np.exp(raw("sigma_beta")) * raw("beta_raw")
+        eta = (raw("beta0") + d.x @ beta
+               + tau.values_at(layout, theta, d.report_date))
+        return eta if debias else eta + model.fatigue_curve(theta, d.repeat)
+    eta = model.age_curve(theta, d.age) + d.block("u") @ raw("beta")
+    if debias or model.spec.fatigue.kind == "none":
+        return eta
+    curves = map(HillCurve, np.exp(raw("hill_gamma")), raw("hill_zeta"),
+                 np.exp(raw("hill_eta")))
+    return eta + sum(w * hill(curve, d.repeat)
+                     for w, curve in zip(d.block("w").T, curves))
+
+
 class TestGroupedLikelihood:
     """logp_grad runs the likelihood on predictor groups; minus the priors
     it equals the sum of ``pointwise_loglik`` over the rows (over the cells
@@ -443,18 +476,13 @@ class TestGroupedLikelihood:
 
     @pytest.mark.parametrize("name", ROW_LEVEL)
     def test_groups_reproduce_every_row(self, name):
-        # the newdata path evaluates every term on the rows themselves
         model = MODELS[name]
-        d = model.data
-        rows = {"u": d.block("u"), "v": d.block("v"), "w": d.block("w"),
-                "x": d.x, "age": d.age, "report_date": d.report_date,
-                "repeat": d.repeat, "offset": d.offsets}
         theta = np.random.default_rng(23).uniform(-1.0, 1.0,
                                                   model.layout.size)
         for debias in (False, True):
             np.testing.assert_allclose(
                 model.predict_log_intensity(theta, debias=debias),
-                model.predict_log_intensity(theta, rows, debias),
+                _row_reference(model, theta, debias),
                 rtol=1e-12, atol=1e-12)
 
     def test_brc_rows_read_their_pair_surface(self):
@@ -595,43 +623,80 @@ class TestFactoredSurfaces:
 
 
 class TestPredictIntensity:
-    def test_brc_refuses_new_rows(self):
-        model, _ = _brc_model("variant_b")
-        theta = np.zeros(model.layout.size)
-        assert model.predict_log_intensity(theta).shape == (
-            model.data.row_cell.size,)
-        with pytest.raises(ValueError, match="predict_log_m"):
-            model.predict_log_intensity(theta, {"age": np.arange(3)})
-
-    def _gam_fit_free(self, seed=0):
-        records = make_records(30, seed=seed)
-        design = build_design(records, SMALL_FEATURES)
+    @staticmethod
+    def _gam_at_repeat(repeat, seed=0):
+        """A Hill-fatigue GAM on records that all have ``repeat``."""
+        records = make_records(30, seed=seed, min_repeat=repeat,
+                               max_repeat=repeat)
         spec = ModelSpec(family="individual_gam",
                          fatigue=FatigueSpec(kind="hill_per_covariate"))
-        return build_model(spec, design), design
+        return build_model(spec, build_design(records, SMALL_FEATURES))
 
     def test_debias_equals_raw_at_zero_repeats(self):
-        model, design = self._gam_fit_free()
+        model = self._gam_at_repeat(0)
         theta = np.random.default_rng(1).uniform(-0.5, 0.5,
                                                  model.layout.size)
-        newdata = {"u": design.block("u"), "age": design.age,
-                   "w": design.block("w"),
-                   "repeat": np.zeros(design.n, dtype=int)}
-        raw = model.predict_log_intensity(theta, newdata, debias=False)
-        deb = model.predict_log_intensity(theta, newdata, debias=True)
+        raw = model.predict_log_intensity(theta, debias=False)
+        deb = model.predict_log_intensity(theta, debias=True)
         np.testing.assert_allclose(np.exp(raw), np.exp(deb), rtol=1e-12)
 
     def test_debias_ratio_saturates_at_exp_gamma(self):
-        model, design = self._gam_fit_free()
+        # every curve is at its asymptote -gamma_q, so de-biasing lifts a
+        # row by exp(w' gamma)
+        model = self._gam_at_repeat(10**6)
         theta = np.random.default_rng(2).uniform(-0.5, 0.5,
                                                  model.layout.size)
         gammas = np.exp(model.layout.raw(theta, "hill_gamma"))
-        n = design.n
-        w = np.zeros_like(design.block("w"))
-        w[:, 0] = 1.0
-        newdata = {"u": design.block("u"), "age": design.age, "w": w,
-                   "repeat": np.full(n, 10**6)}
-        raw = model.predict_log_intensity(theta, newdata, debias=False)
-        deb = model.predict_log_intensity(theta, newdata, debias=True)
-        np.testing.assert_allclose(np.exp(deb - raw), np.exp(gammas[0]),
+        raw = model.predict_log_intensity(theta, debias=False)
+        deb = model.predict_log_intensity(theta, debias=True)
+        np.testing.assert_allclose(np.exp(deb - raw),
+                                   np.exp(model.data.block("w") @ gammas),
                                    rtol=1e-4)
+
+
+class TestFatigueCurve:
+    """``LongitudinalNbModel.fatigue_curve`` for each fatigue kind, on
+    repeats past the largest one modelled (3)."""
+
+    R = np.arange(8)
+
+    @staticmethod
+    def _curve(kind):
+        model = MODELS[f"longitudinal-{kind}"]
+        theta = np.random.default_rng(41).uniform(-1.0, 1.0,
+                                                  model.layout.size)
+        return model, theta, model.fatigue_curve(theta, TestFatigueCurve.R)
+
+    @pytest.mark.parametrize("kind", ["hill", "independent", "identical",
+                                      "gp", "none"])
+    def test_zero_at_no_repeats(self, kind):
+        assert self._curve(kind)[2][0] == 0.0
+
+    def test_hill_is_the_curve(self):
+        model, theta, rho = self._curve("hill")
+        raw = {b: model.layout.raw(theta, b)[0]
+               for b in ("hill_gamma", "hill_zeta", "hill_eta")}
+        curve = HillCurve(np.exp(raw["hill_gamma"]), raw["hill_zeta"],
+                          np.exp(raw["hill_eta"]))
+        np.testing.assert_allclose(rho, hill(curve, self.R), rtol=1e-14,
+                                   atol=0.0)
+
+    def test_independent_reads_the_table_up_to_max_repeat(self):
+        model, theta, rho = self._curve("independent")
+        table = model.layout.raw(theta, "rho")
+        r_max = model.spec.fatigue.max_repeat
+        np.testing.assert_array_equal(
+            rho[1:], table[np.minimum(self.R[1:], r_max) - 1])
+
+    def test_identical_is_one_value_for_every_repeat(self):
+        model, theta, rho = self._curve("identical")
+        np.testing.assert_array_equal(rho[1:],
+                                      model.layout.raw(theta, "rho")[0])
+
+    def test_gp_holds_its_last_value_past_max_repeat(self):
+        model, _, rho = self._curve("gp")
+        r_max = model.spec.fatigue.max_repeat
+        np.testing.assert_array_equal(rho[r_max:], rho[r_max])
+
+    def test_none_is_zero(self):
+        np.testing.assert_array_equal(self._curve("none")[2], 0.0)

@@ -25,8 +25,7 @@ def _hill_fit(records, n_draws=40, seed=0):
         draws=rng.uniform(-0.5, 0.5, (1, n_draws, model.layout.size)),
         divergent=np.zeros((1, n_draws), dtype=bool),
         step_sizes=np.ones(1), grad_evals=np.zeros(1),
-        pointwise_loglik=None,
-        parameter_names=model.layout.parameter_names())
+        pointwise_loglik=None)
     return WaveFit(wave=1, draws=draws,
                    diagnostics=Diagnostics(rhat={}, ess_bulk={},
                                            divergences=0),
