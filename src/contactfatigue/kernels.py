@@ -67,10 +67,11 @@ def gram_matrix(spec: KernelSpec, x: np.ndarray, y: np.ndarray | None = None
     return kernel_eval(spec, x[:, None], y[None, :])
 
 
-def _matern_const(nu: float) -> float:
-    # S(w) = sigma * ell * C * (2 nu + ell^2 w^2)^-(nu + 1/2)
-    return (2.0 * np.pi ** 0.5 * gamma_fn(nu + 0.5)
-            * (2.0 * nu) ** nu / gamma_fn(nu))
+#: the constant C of each Matern family's spectral density,
+#: S(w) = sigma * ell * C * (2 nu + ell^2 w^2)^-(nu + 1/2)
+_MATERN_CONST = {family: (2.0 * np.pi ** 0.5 * gamma_fn(nu + 0.5)
+                          * (2.0 * nu) ** nu / gamma_fn(nu))
+                 for family, nu in _NU.items()}
 
 
 def spectral_density(spec: KernelSpec, omega: np.ndarray) -> np.ndarray:
@@ -84,8 +85,8 @@ def spectral_density(spec: KernelSpec, omega: np.ndarray) -> np.ndarray:
     if spec.family == "se":
         return sigma * (2.0 * np.pi) ** 0.5 * ell * np.exp(-0.5 * ell**2 * wsq)
     nu = _NU[spec.family]
-    c = _matern_const(nu)
-    return sigma * c * ell * (2.0 * nu + ell**2 * wsq) ** -(nu + 0.5)
+    return (sigma * _MATERN_CONST[spec.family] * ell
+            * (2.0 * nu + ell**2 * wsq) ** -(nu + 0.5))
 
 
 def spectral_density_grad(spec: KernelSpec, omega: np.ndarray

@@ -41,6 +41,13 @@ When a model is built its layout's priors are grouped into one table, and
 each ``logp_grad`` ends with a single pass over that table, which adds the
 log-scale Jacobians too; the model code itself holds likelihood and
 backprop only.
+
+Whatever ``logp_grad`` needs that does not depend on the parameters is
+computed when the model is built: each prior group's density terms
+(``prior_terms``), the observation model's count terms (``GroupCounts``)
+and the Hill terms' log repeat counts (``log_repeats``). The gradient path
+applies the same floating-point operations in the same order as when it
+computed them itself, so its values are unchanged to the last bit.
 """
 
 from __future__ import annotations
@@ -53,9 +60,10 @@ from .. import kernels
 from ..domain import AGE_GRID, CoarseBandSet, DesignMatrix, PopulationTable
 from ..kernels import HsgpBasis, KernelSpec
 from ..priors import (RHS_C2_PRIOR, RHS_ZETA_PRIOR, PriorSpec, RhsSpec,
-                      log_prior, rhs_coefficients)
-from .fatigue import FatigueSpec, HillPriors, hill_grad, HillCurve, no_fatigue
-from .likelihoods import (nb1_agg_loglik, nb1_rvs,
+                      log_prior, prior_terms, rhs_coefficients)
+from .fatigue import (FatigueSpec, HillCurve, HillPriors, hill_grad_log,
+                      log_repeats, no_fatigue)
+from .likelihoods import (GroupCounts, nb1_agg_loglik, nb1_rvs,
                           nb2_group_loglik, nb2_loglik, nb2_rvs,
                           poisson_group_loglik, poisson_loglik)
 from .params import Block, GradAccumulator, Layout
@@ -96,7 +104,7 @@ def _guarded(fn):
             logp, grad = fn(self, theta)
         except (RejectedState, OverflowError):
             logp = -np.inf
-        if np.isfinite(logp) and np.all(np.isfinite(grad)):
+        if np.isfinite(logp) and np.isfinite(grad).all():
             return logp, grad
         return -np.inf, np.zeros(self.layout.size)
     wrapper.__name__ = fn.__name__
@@ -117,7 +125,7 @@ def _no_overflow(fn, *args):
 def _check_finite_predictor(eta: np.ndarray, group_of: np.ndarray) -> None:
     # NaN signals broken data; +-inf from parameter overflow is handled by
     # the likelihoods (-inf). ``group_of`` maps rows to the groups of eta.
-    if np.any(np.isnan(eta)):
+    if np.isnan(eta).any():
         bad = int(np.flatnonzero(np.isnan(eta[group_of]))[0])
         raise FloatingPointError(f"non-finite linear predictor at row {bad}")
 
@@ -189,10 +197,12 @@ class _PriorPass:
 
     Blocks are grouped by (prior family, transform); a group holds the flat
     indices of its elements and its prior with the parameters broadcast to
-    them, so one ``log_prior`` call covers the group. Log-scale elements
-    take the prior at value = exp(raw) plus the change-of-variables
-    Jacobian: ``raw`` in the log density, ``g * value + 1`` in the gradient
-    with respect to raw.
+    them, so one ``log_prior`` call covers the group. The prior's
+    value-independent terms (``prior_terms``: logs of its scales, Gamma
+    normalizers, truncation masses) are computed here, once per group.
+    Log-scale elements take the prior at value = exp(raw) plus the
+    change-of-variables Jacobian: ``raw`` in the log density, ``g * value +
+    1`` in the gradient with respect to raw.
     """
 
     def __init__(self, layout: Layout):
@@ -210,7 +220,8 @@ class _PriorPass:
                                                 b.size)
                                 for p, b in zip(column, blocks)])
                 for column in zip(*(b.prior.params for b in blocks)))
-            self.groups.append((idx, PriorSpec(family, params),
+            prior = PriorSpec(family, params)
+            self.groups.append((idx, prior, prior_terms(prior),
                                 transform == "log"))
 
     def __call__(self, theta: np.ndarray, grad: np.ndarray) -> float:
@@ -218,15 +229,15 @@ class _PriorPass:
         density. Non-finite results are left to ``_guarded``."""
         logp = 0.0
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            for idx, prior, on_log_scale in self.groups:
+            for idx, prior, terms, on_log_scale in self.groups:
                 raw = theta[idx]
                 value = np.exp(raw) if on_log_scale else raw
-                lp, g = log_prior(prior, value)
+                lp, g = log_prior(prior, value, terms)
                 if on_log_scale:
                     lp = lp + raw
                     g = g * value + 1.0
                 grad[idx] += g
-                logp += float(np.sum(lp))
+                logp += float(lp.sum())
         return logp
 
 
@@ -267,7 +278,7 @@ class _RhsTerm:
         with np.errstate(over="ignore", invalid="ignore"):
             beta, partials = _no_overflow(rhs_coefficients, self.spec, z,
                                           zeta, c2, eps)
-        if not np.all(np.isfinite(beta)):
+        if not np.isfinite(beta).all():
             raise RejectedState
         return beta, (z, zeta, c2, eps, partials)
 
@@ -367,7 +378,7 @@ class _HsgpTerm:
             s, ds = _no_overflow(self.basis.spectral_weights_grad, specs)
             sqrt_s = np.sqrt(s)
             f = self.basis.matvec(sqrt_s * w)
-        if not (np.all(np.isfinite(s)) and np.all(np.isfinite(f))):
+        if not (np.isfinite(s).all() and np.isfinite(f).all()):
             raise RejectedState
         return f, {"w": w, "sqrt_s": sqrt_s, "ds": ds, "hypers": hypers}
 
@@ -476,7 +487,8 @@ class _HillTerm:
     """Hill fatigue curves at each row's repeat count: one curve (Q=1), or
     one per fatigue covariate with ``weights`` (n, Q) the covariate columns,
     giving sum_q weights[:, q] rho_q(r).
-    The curves are evaluated once per distinct repeat count.
+    The curves are evaluated once per distinct repeat count, on the log
+    repeats that ``bind`` computes.
     """
 
     fatigue = True
@@ -506,22 +518,24 @@ class _HillTerm:
                 Block("hill_eta", self.q, "log", eta)]
 
     def bind(self, g: np.ndarray) -> None:
-        self.g_repeat = np.unique(g[:, 0].astype(int), return_inverse=True)
+        counts, self.g_index = np.unique(g[:, 0].astype(int),
+                                         return_inverse=True)
+        self.g_logs = log_repeats(counts)
         self.g_weights = g[:, 1:] if self.weighted else None
 
-    def _curves(self, layout: Layout, theta: np.ndarray, counts: np.ndarray
+    def _curves(self, layout: Layout, theta: np.ndarray, logs: tuple
                 ) -> list:
-        """(curve, values, gradients) of each curve at the repeat
-        ``counts``."""
+        """(curve, values, gradients) of each curve at the repeat counts
+        of ``logs`` (``log_repeats``)."""
         gam = _exp(layout.raw(theta, "hill_gamma"))
         zet = layout.raw(theta, "hill_zeta")
         eta = _exp(layout.raw(theta, "hill_eta"))
-        return [(c, *hill_grad(c, counts))
+        return [(c, *hill_grad_log(c, *logs))
                 for c in map(HillCurve, gam, zet, eta)]
 
     def values(self, layout: Layout, theta: np.ndarray):
-        counts, index = self.g_repeat
-        per_q = self._curves(layout, theta, counts)
+        index = self.g_index
+        per_q = self._curves(layout, theta, self.g_logs)
         weights = self.g_weights
         if weights is None:
             return per_q[0][1][index], (per_q, index, None)
@@ -549,7 +563,7 @@ class _HillTerm:
     def on_repeats(self, layout: Layout, theta: np.ndarray,
                    repeat: np.ndarray) -> np.ndarray:
         """The curve of an unweighted term (Q = 1) at each repeat count."""
-        return self._curves(layout, theta, repeat)[0][1]
+        return self._curves(layout, theta, log_repeats(repeat))[0][1]
 
 
 class _RhoTable:
@@ -661,15 +675,10 @@ class _PoissonGroups:
     def __init__(self, data, group_of: np.ndarray, n_groups: int):
         self.y = data.y
         self.group_of = group_of
-        self.g_n = np.bincount(group_of, minlength=n_groups).astype(float)
-        self.g_sum_y = np.bincount(group_of, weights=data.y,
-                                   minlength=n_groups)
-        self.y_vals, counts = np.unique(data.y, return_counts=True)
-        self.y_hist = counts.astype(float)
+        self.counts = GroupCounts(data.y, group_of, n_groups)
 
     def loglik(self, eta: np.ndarray) -> tuple[float, np.ndarray]:
-        return poisson_group_loglik(self.g_n, self.g_sum_y, eta,
-                                    self.y_vals, self.y_hist)
+        return poisson_group_loglik(self.counts, eta)
 
     def pointwise(self, eta: np.ndarray) -> np.ndarray:
         return poisson_loglik(self.y, eta[self.group_of])[0]
@@ -686,8 +695,7 @@ class _Nb2Groups(_PoissonGroups):
 
     def loglik(self, eta: np.ndarray, phi: float
                ) -> tuple[float, np.ndarray, float]:
-        return nb2_group_loglik(self.g_n, self.g_sum_y, eta, phi,
-                                self.y_vals, self.y_hist)
+        return nb2_group_loglik(self.counts, eta, phi)
 
     def pointwise(self, eta: np.ndarray, phi: float) -> np.ndarray:
         return nb2_loglik(self.y, eta[self.group_of], phi)[0]

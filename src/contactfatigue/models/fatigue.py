@@ -5,6 +5,9 @@ The Hill curve treats each additional survey participation as a dose:
     rho(r) = -gamma * e^zeta r^eta / (1 + e^zeta r^eta),
 
 so rho(0) = 0, rho is non-increasing in r, and rho(r) -> -gamma as r grows.
+The repeat counts of a model are fixed, so the mask r > 0 and log(r)
+(``log_repeats``) are computed once when the model is built, and each
+gradient evaluates the curve on them (``hill_grad_log``).
 """
 
 from __future__ import annotations
@@ -33,20 +36,33 @@ def hill(curve: HillCurve, r) -> np.ndarray:
 
 
 def hill_grad(curve: HillCurve, r) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """rho(r) with partial derivatives w.r.t. (gamma, zeta, eta).
+    """rho(r) with partial derivatives w.r.t. (gamma, zeta, eta)."""
+    return hill_grad_log(curve, *log_repeats(r))
+
+
+def log_repeats(r) -> tuple[np.ndarray, np.ndarray]:
+    """The parameter-free part of the Hill curve at repeat counts r >= 0:
+    the mask r > 0 and log(r) there (0 elsewhere). A model computes it
+    once for its fixed repeat counts."""
+    r = np.asarray(r, dtype=float)
+    if (r < 0).any():
+        raise ValueError("repeat counts must be >= 0")
+    positive = r > 0
+    return positive, np.where(positive, np.log(np.where(positive, r, 1.0)),
+                              0.0)
+
+
+def hill_grad_log(curve: HillCurve, positive: np.ndarray, log_r: np.ndarray
+                  ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """``hill_grad`` on ``log_repeats(r)``.
 
     Written through the logistic of zeta + eta log(r), which stays finite
     for arbitrarily extreme parameters.
     """
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
-        raise ValueError("repeat counts must be >= 0")
-    positive = r > 0
-    logr = np.where(positive, np.log(np.where(positive, r, 1.0)), 0.0)
-    frac = np.where(positive, expit(curve.zeta + curve.eta * logr), 0.0)
+    frac = np.where(positive, expit(curve.zeta + curve.eta * log_r), 0.0)
     value = -curve.gamma * frac
     d_zeta = -curve.gamma * frac * (1.0 - frac)
-    grads = {"gamma": -frac, "zeta": d_zeta, "eta": d_zeta * logr}
+    grads = {"gamma": -frac, "zeta": d_zeta, "eta": d_zeta * log_r}
     return value, grads
 
 

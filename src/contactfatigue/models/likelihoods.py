@@ -12,6 +12,10 @@ The row-level ``poisson_loglik`` and ``nb2_loglik`` give per-observation
 log likelihoods (the reference for pointwise output); the models run on
 predictor groups through ``poisson_group_loglik`` and ``nb2_group_loglik``,
 which take the special functions of the counts once per distinct count.
+A model builds its ``GroupCounts`` once: group sizes, count sums, the
+count histogram and the terms that depend on the counts alone (the mask
+of groups with counts and the log-factorials), so a gradient computes
+only what depends on the parameters.
 """
 
 from __future__ import annotations
@@ -57,51 +61,71 @@ def nb2_loglik(y: np.ndarray, log_mu: np.ndarray, phi: float
     return ll, d_logmu, d_phi
 
 
-def poisson_group_loglik(n_g: np.ndarray, sum_y: np.ndarray,
-                         eta: np.ndarray, hist_vals: np.ndarray,
-                         hist_counts: np.ndarray) -> tuple[float, np.ndarray]:
+class GroupCounts:
+    """Counts of rows summarized on their predictor groups, with the terms
+    of the grouped likelihoods that depend on the counts alone.
+
+    Rows sharing one predictor value contribute through the group size
+    ``n`` and count sum ``sum_y``; the count-dependent Gamma terms enter
+    through a histogram, ``hist_counts`` rows at each distinct count
+    ``hist_vals``. Built once per model: ``has_y`` (sum_y > 0), the
+    log-factorials ``log_fact`` of the distinct counts and their total
+    over the rows, ``total_log_fact``.
+    """
+
+    def __init__(self, y: np.ndarray, group_of: np.ndarray, n_groups: int):
+        self.n = np.bincount(group_of, minlength=n_groups).astype(float)
+        self.sum_y = np.bincount(group_of, weights=y, minlength=n_groups)
+        self.has_y = self.sum_y > 0
+        self.hist_vals, counts = np.unique(y, return_counts=True)
+        self.hist_counts = counts.astype(float)
+        self.log_fact = gammaln(self.hist_vals + 1.0)
+        self.total_log_fact = self.hist_counts @ self.log_fact
+
+
+def poisson_group_loglik(counts: GroupCounts, eta: np.ndarray
+                         ) -> tuple[float, np.ndarray]:
     """Exact Poisson log likelihood over predictor groups, as
     ``nb2_group_loglik``. Returns (total ll, d ll / d eta per group)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        mu = np.exp(eta)
-        total = float(np.sum(np.where(sum_y > 0, sum_y * eta, 0.0) - n_g * mu)
-                      - hist_counts @ gammaln(hist_vals + 1.0))
+        n_mu = counts.n * np.exp(eta)
+        total = float((np.where(counts.has_y, counts.sum_y * eta, 0.0)
+                       - n_mu).sum() - counts.total_log_fact)
     if not np.isfinite(total):
         return -np.inf, np.zeros_like(eta)
-    return total, sum_y - n_g * mu
+    return total, counts.sum_y - n_mu
 
 
-def nb2_group_loglik(n_g: np.ndarray, sum_y: np.ndarray, eta: np.ndarray,
-                     phi: float, hist_vals: np.ndarray,
-                     hist_counts: np.ndarray
+def nb2_group_loglik(counts: GroupCounts, eta: np.ndarray, phi: float
                      ) -> tuple[float, np.ndarray, float]:
     """Exact NB2 log likelihood over predictor groups.
 
-    Rows sharing one predictor value contribute through (group size, group
-    count sum); the count-dependent Gamma terms enter through a global
-    histogram. Written like ``nb2_loglik``, so it equals the sum of that
-    function's rows and stays finite where mu overflows. Returns (total ll,
+    Written like ``nb2_loglik``, so it equals the sum of that function's
+    rows and stays finite where mu overflows. Returns (total ll,
     d ll / d eta per group, d ll / d phi).
     """
+    c = counts
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        log_phi = np.log(phi)
         mu = np.exp(eta)
-        log_phi_mu = np.log(phi + mu)
+        phi_mu = phi + mu
+        log_phi_mu = np.log(phi_mu)
         overflow = np.isinf(log_phi_mu)
-        if np.any(overflow):
-            log_phi_mu[overflow] = np.logaddexp(np.log(phi), eta[overflow])
-        lg_ratio = (gammaln(hist_vals + phi) - gammaln(phi)
-                    - gammaln(hist_vals + 1.0))
-        core = (n_g * phi * (np.log(phi) - log_phi_mu)
-                + np.where(sum_y > 0, sum_y * (eta - log_phi_mu), 0.0))
-        total = float(hist_counts @ lg_ratio) + float(core.sum())
+        if overflow.any():
+            log_phi_mu[overflow] = np.logaddexp(log_phi, eta[overflow])
+        hist_phi = c.hist_vals + phi
+        lg_ratio = gammaln(hist_phi) - gammaln(phi) - c.log_fact
+        n_phi = c.n * phi
+        core = (n_phi * (log_phi - log_phi_mu)
+                + np.where(c.has_y, c.sum_y * (eta - log_phi_mu), 0.0))
+        total = float(c.hist_counts @ lg_ratio) + float(core.sum())
         if not np.isfinite(total):
             return -np.inf, np.zeros_like(eta), 0.0
-        d_eta = phi * sum_y / (mu + phi) - phi * n_g / (1.0 + phi / mu)
-        d_phi = (float(hist_counts @ (digamma(hist_vals + phi)
-                                      - digamma(phi)))
-                 + float(np.sum(n_g * (np.log(phi) + 1.0 - log_phi_mu)))
-                 - float(np.sum((sum_y + n_g * phi) / (phi + mu))))
-    if not (np.all(np.isfinite(d_eta)) and np.isfinite(d_phi)):
+        d_eta = phi * c.sum_y / phi_mu - n_phi / (1.0 + phi / mu)
+        d_phi = (float(c.hist_counts @ (digamma(hist_phi) - digamma(phi)))
+                 + float((c.n * (log_phi + 1.0 - log_phi_mu)).sum())
+                 - float(((c.sum_y + n_phi) / phi_mu).sum()))
+    if not (np.isfinite(d_eta).all() and np.isfinite(d_phi)):
         return -np.inf, np.zeros_like(eta), 0.0
     return total, d_eta, d_phi
 
@@ -128,8 +152,9 @@ def nb1_agg_loglik(y_cell: np.ndarray, mu_rows: np.ndarray,
     """
     y_cell = np.asarray(y_cell, dtype=float)
     n_cells = y_cell.shape[0]
-    shape = np.bincount(row_cell, weights=mu_rows, minlength=n_cells) / nu
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        shape = np.bincount(row_cell, weights=mu_rows,
+                            minlength=n_cells) / nu
         ll = (gammaln(y_cell + shape) - gammaln(shape)
               - gammaln(y_cell + 1.0)
               - shape * np.log1p(nu) + y_cell * (np.log(nu) - np.log1p(nu)))
@@ -139,7 +164,7 @@ def nb1_agg_loglik(y_cell: np.ndarray, mu_rows: np.ndarray,
         d_mu_cells = d_shape / nu
     # a cell whose log pmf or gradient is not finite rejects the state
     bad = ~np.isfinite(ll) | ~np.isfinite(d_mu_cells)
-    if np.any(bad):
+    if bad.any():
         ll = np.where(bad, -np.inf, ll)
         d_mu_cells = np.where(bad, 0.0, d_mu_cells)
         d_nu_cells = np.where(bad, 0.0, d_nu_cells)

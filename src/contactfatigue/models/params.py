@@ -83,8 +83,8 @@ class GradAccumulator:
     """Mutable gradient buffer with named-slice addition."""
 
     def __init__(self, layout: Layout):
-        self.layout = layout
+        self.slices = layout._slices
         self.grad = np.zeros(layout.size)
 
     def add(self, name: str, value) -> None:
-        self.grad[self.layout.sl(name)] += value
+        self.grad[self.slices[name]] += value

@@ -6,6 +6,13 @@ constraints are enforced upstream (the inference layer samples positives on
 the log scale), so evaluation outside the support returns -inf with a zero
 gradient by convention.
 
+Everything of a density that does not depend on the value -- the logs of
+its scales, the Gamma-function normalizers, the log mass of a truncated
+normal, the half-t constant -- is one tuple, ``prior_terms(spec)``. A model
+computes it once per prior group when it is built and passes it to
+``log_prior`` on every gradient; without it ``log_prior`` computes it per
+call. Both give the same bits.
+
 The regularized horseshoe (RHS) follows the global-local construction
 
     beta_k = eps * zeta_tilde_k * z_k,
@@ -20,11 +27,12 @@ variance matches the unconstrained prior.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import gammaln, log_ndtr
 
-LOG_2PI = np.log(2.0 * np.pi)
+HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 
 #: Variance-restoring factor for half-normal truncation, (1 - 2/pi)^-1.
 HALF_NORMAL_VAR_ADJUST = 1.0 / (1.0 - 2.0 / np.pi)
@@ -43,71 +51,118 @@ class PriorSpec:
     def __post_init__(self) -> None:
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown prior family {self.family!r}")
-        for idx in _FAMILIES[self.family][1]:
+        for idx in _FAMILIES[self.family].positive:
             if np.any(np.asarray(self.params[idx]) <= 0):
                 raise ValueError(
                     f"{self.family} parameter {idx} must be > 0")
 
 
-def _lp_normal(theta, loc, scale):
+# Each family's ``terms`` gives the arguments its density takes after the
+# value. The density applies the operations of the written-out formula in
+# their order, so its result does not change with the terms hoisted.
+
+def _normal_terms(loc, scale):
+    return loc, scale, np.log(scale)
+
+
+def _lp_normal(theta, loc, scale, log_scale):
     z = (theta - loc) / scale
-    lp = -0.5 * z**2 - np.log(scale) - 0.5 * LOG_2PI
+    lp = -0.5 * z**2 - log_scale - HALF_LOG_2PI
     return lp, -z / scale
 
 
-def _lp_halfnormal_pos(theta, loc, scale):
-    # Normal(loc, scale) truncated to [0, inf).
-    lp, grad = _lp_normal(theta, loc, scale)
-    lp = lp - log_ndtr(loc / scale)
-    return np.where(theta >= 0, lp, -np.inf), np.where(theta >= 0, grad, 0.0)
+def _halfnormal_terms(loc, scale):
+    # Normal(loc, scale) truncated to [0, inf): log of its mass there
+    return loc, scale, np.log(scale), log_ndtr(loc / scale)
 
 
-def _lp_cauchy_pos(theta, scale):
-    lp = (np.log(2.0 / np.pi) - np.log(scale)
-          - np.log1p((theta / scale) ** 2))
-    grad = -2.0 * theta / (scale**2 + theta**2)
-    return np.where(theta >= 0, lp, -np.inf), np.where(theta >= 0, grad, 0.0)
+def _lp_halfnormal_pos(theta, loc, scale, log_scale, log_mass):
+    lp, grad = _lp_normal(theta, loc, scale, log_scale)
+    on = theta >= 0
+    return np.where(on, lp - log_mass, -np.inf), np.where(on, grad, 0.0)
 
 
-def _lp_invgamma(theta, a, b):
+def _cauchy_terms(scale):
+    return scale, scale**2, np.log(2.0 / np.pi) - np.log(scale)
+
+
+def _lp_cauchy_pos(theta, scale, scale_sq, const):
+    lp = const - np.log1p((theta / scale) ** 2)
+    grad = -2.0 * theta / (scale_sq + theta**2)
+    on = theta >= 0
+    return np.where(on, lp, -np.inf), np.where(on, grad, 0.0)
+
+
+def _invgamma_terms(a, b):
+    return b, a + 1.0, a * np.log(b) - gammaln(a)
+
+
+def _lp_invgamma(theta, b, a1, const):
     valid = theta > 0
     th = np.where(valid, theta, 1.0)
-    lp = a * np.log(b) - gammaln(a) - (a + 1.0) * np.log(th) - b / th
-    grad = -(a + 1.0) / th + b / th**2
+    lp = const - a1 * np.log(th) - b / th
+    grad = -a1 / th + b / th**2
     return np.where(valid, lp, -np.inf), np.where(valid, grad, 0.0)
 
 
-def _lp_exponential(theta, rate):
-    lp = np.log(rate) - rate * theta
-    return (np.where(theta >= 0, lp, -np.inf),
-            np.where(theta >= 0, -rate, 0.0))
+def _exponential_terms(rate):
+    return rate, np.log(rate)
 
 
-def _lp_student_t_pos(theta, df, scale):
+def _lp_exponential(theta, rate, log_rate):
+    lp = log_rate - rate * theta
+    on = theta >= 0
+    return np.where(on, lp, -np.inf), np.where(on, -rate, 0.0)
+
+
+def _student_t_terms(df, scale):
     # Half-t on [0, inf): twice the central Student-t density.
-    lp = (np.log(2.0) + gammaln((df + 1.0) / 2.0) - gammaln(df / 2.0)
-          - 0.5 * np.log(df * np.pi) - np.log(scale)
-          - (df + 1.0) / 2.0 * np.log1p(theta**2 / (df * scale**2)))
-    grad = -(df + 1.0) * theta / (df * scale**2 + theta**2)
-    return np.where(theta >= 0, lp, -np.inf), np.where(theta >= 0, grad, 0.0)
+    df_scale_sq = df * scale**2
+    const = (np.log(2.0) + gammaln((df + 1.0) / 2.0) - gammaln(df / 2.0)
+             - 0.5 * np.log(df * np.pi) - np.log(scale))
+    return (df + 1.0) / 2.0, -(df + 1.0), df_scale_sq, const
 
 
-#: each family's log density and the indices of its parameters that must
-#: be positive
+def _lp_student_t_pos(theta, half_df1, neg_df1, df_scale_sq, const):
+    lp = const - half_df1 * np.log1p(theta**2 / df_scale_sq)
+    grad = neg_df1 * theta / (df_scale_sq + theta**2)
+    on = theta >= 0
+    return np.where(on, lp, -np.inf), np.where(on, grad, 0.0)
+
+
+class _Family(NamedTuple):
+    terms: Callable        # parameters -> the density's terms
+    density: Callable      # (value, *terms) -> (log density, gradient)
+    positive: tuple        # indices of the parameters that must be > 0
+
+
 _FAMILIES = {
-    "normal": (_lp_normal, (1,)),
-    "halfnormal_pos": (_lp_halfnormal_pos, (1,)),
-    "cauchy_pos": (_lp_cauchy_pos, (0,)),
-    "invgamma": (_lp_invgamma, (0, 1)),
-    "exponential": (_lp_exponential, (0,)),
-    "student_t_pos": (_lp_student_t_pos, (0, 1)),
+    "normal": _Family(_normal_terms, _lp_normal, (1,)),
+    "halfnormal_pos": _Family(_halfnormal_terms, _lp_halfnormal_pos, (1,)),
+    "cauchy_pos": _Family(_cauchy_terms, _lp_cauchy_pos, (0,)),
+    "invgamma": _Family(_invgamma_terms, _lp_invgamma, (0, 1)),
+    "exponential": _Family(_exponential_terms, _lp_exponential, (0,)),
+    "student_t_pos": _Family(_student_t_terms, _lp_student_t_pos, (0, 1)),
 }
 
 
-def log_prior(spec: PriorSpec, theta) -> tuple[np.ndarray, np.ndarray]:
-    """Elementwise log density and d(logp)/d(theta) on the natural scale."""
-    theta = np.asarray(theta, dtype=float)
-    return _FAMILIES[spec.family][0](theta, *spec.params)
+def prior_terms(spec: PriorSpec) -> tuple:
+    """The value-independent terms of ``spec``'s density, for a caller that
+    evaluates one prior many times to compute once."""
+    return _FAMILIES[spec.family].terms(*spec.params)
+
+
+def log_prior(spec: PriorSpec, theta, terms: tuple | None = None
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise log density and d(logp)/d(theta) on the natural scale.
+
+    ``terms``, if given, must be ``prior_terms(spec)``; otherwise they are
+    computed here. Either way the result is the same to the last bit.
+    """
+    family = _FAMILIES[spec.family]
+    if terms is None:
+        terms = family.terms(*spec.params)
+    return family.density(np.asarray(theta, dtype=float), *terms)
 
 
 # ---------------------------------------------------------------------------
@@ -203,10 +258,9 @@ def rhs_log_prior(spec: RhsSpec, z: np.ndarray, zeta: np.ndarray,
     if z.shape != (spec.n_coef,) or zeta.shape != (spec.n_coef,):
         raise ValueError("z and zeta must both have length n_coef")
 
-    if spec.sign == "negative":
-        lp_z, g_z = _lp_halfnormal_pos(z, 0.0, 1.0)
-    else:
-        lp_z, g_z = _lp_normal(z, 0.0, 1.0)
+    lp_z, g_z = log_prior(PriorSpec(
+        "halfnormal_pos" if spec.sign == "negative" else "normal", (0.0, 1.0)),
+        z)
     lp_zeta, g_zeta = log_prior(RHS_ZETA_PRIOR, zeta)
     lp_c2, g_c2 = log_prior(RHS_C2_PRIOR, c2)
     lp_eps, g_eps = log_prior(spec.eps_prior_spec(), eps)

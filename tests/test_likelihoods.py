@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import digamma, gammaln
 
-from contactfatigue.models.likelihoods import (nb1_agg_loglik, nb1_loglik,
-                                               nb1_rvs, nb2_loglik, nb2_rvs,
+from contactfatigue.models.likelihoods import (GroupCounts, nb1_agg_loglik,
+                                               nb1_loglik, nb1_rvs,
+                                               nb2_group_loglik, nb2_loglik,
+                                               nb2_rvs, poisson_group_loglik,
                                                poisson_loglik)
 
 
@@ -128,3 +131,91 @@ class TestNbLogpmf:
         else:
             ll, _, _ = nb2_loglik(y, np.log(mu), 1.5)
         assert np.exp(ll).sum() == pytest.approx(1.0, abs=1e-10)
+
+
+def _poisson_groups_inline(n_g, sum_y, eta, hist_vals, hist_counts):
+    """The grouped Poisson likelihood with its count terms computed on
+    every call."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = np.exp(eta)
+        total = float(np.sum(np.where(sum_y > 0, sum_y * eta, 0.0) - n_g * mu)
+                      - hist_counts @ gammaln(hist_vals + 1.0))
+    if not np.isfinite(total):
+        return -np.inf, np.zeros_like(eta)
+    return total, sum_y - n_g * mu
+
+
+def _nb2_groups_inline(n_g, sum_y, eta, phi, hist_vals, hist_counts):
+    """The grouped NB2 likelihood with its count terms, phi + mu and
+    log(phi) computed where they are used, on every call."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        mu = np.exp(eta)
+        log_phi_mu = np.log(phi + mu)
+        overflow = np.isinf(log_phi_mu)
+        if np.any(overflow):
+            log_phi_mu[overflow] = np.logaddexp(np.log(phi), eta[overflow])
+        lg_ratio = (gammaln(hist_vals + phi) - gammaln(phi)
+                    - gammaln(hist_vals + 1.0))
+        core = (n_g * phi * (np.log(phi) - log_phi_mu)
+                + np.where(sum_y > 0, sum_y * (eta - log_phi_mu), 0.0))
+        total = float(hist_counts @ lg_ratio) + float(core.sum())
+        if not np.isfinite(total):
+            return -np.inf, np.zeros_like(eta), 0.0
+        d_eta = phi * sum_y / (mu + phi) - phi * n_g / (1.0 + phi / mu)
+        d_phi = (float(hist_counts @ (digamma(hist_vals + phi)
+                                      - digamma(phi)))
+                 + float(np.sum(n_g * (np.log(phi) + 1.0 - log_phi_mu)))
+                 - float(np.sum((sum_y + n_g * phi) / (phi + mu))))
+    if not (np.all(np.isfinite(d_eta)) and np.isfinite(d_phi)):
+        return -np.inf, np.zeros_like(eta), 0.0
+    return total, d_eta, d_phi
+
+
+class TestGroupCounts:
+    """The grouped likelihoods with the count terms that ``GroupCounts``
+    computes once equal, bit for bit, the same likelihoods computing them
+    on every call."""
+
+    @staticmethod
+    def _groups(seed):
+        rng = np.random.default_rng(seed)
+        group_of = rng.integers(0, 40, size=300)
+        group_of[:40] = np.arange(40)          # every group has rows
+        y = rng.negative_binomial(2, 0.3, size=300).astype(float)
+        y[group_of == 3] = 0.0                 # a group with no counts
+        counts = GroupCounts(y, group_of, 40)
+        vals, hist = np.unique(y, return_counts=True)
+        inline = (np.bincount(group_of, minlength=40).astype(float),
+                  np.bincount(group_of, weights=y, minlength=40),
+                  vals, hist.astype(float))
+        return rng, counts, inline
+
+    @staticmethod
+    def _etas(rng):
+        for scale in (0.5, 3.0, 30.0, 400.0):
+            yield rng.normal(0.0, scale, size=40)
+        extreme = rng.normal(size=40)
+        extreme[[0, 5]] = 800.0                # exp overflows
+        extreme[[1, 6]] = -800.0               # exp underflows
+        yield extreme
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_poisson_equals_inline_terms(self, seed):
+        rng, counts, (n_g, sum_y, vals, hist) = self._groups(seed)
+        for eta in self._etas(rng):
+            total, d_eta = poisson_group_loglik(counts, eta)
+            ref_total, ref_d_eta = _poisson_groups_inline(n_g, sum_y, eta,
+                                                          vals, hist)
+            assert total == ref_total
+            np.testing.assert_array_equal(d_eta, ref_d_eta)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_nb2_equals_inline_terms(self, seed):
+        rng, counts, (n_g, sum_y, vals, hist) = self._groups(seed)
+        for eta in self._etas(rng):
+            for phi in (1e-300, 1e-3, 0.7, 2.0, 1e6, 1e300):
+                got = nb2_group_loglik(counts, eta, phi)
+                ref = _nb2_groups_inline(n_g, sum_y, eta, phi, vals, hist)
+                assert got[0] == ref[0]
+                np.testing.assert_array_equal(got[1], ref[1])
+                assert got[2] == ref[2]

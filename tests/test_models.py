@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import stats
+from scipy.special import expit
 
 from contactfatigue.domain import (FeatureBlock, FeatureSpec,
                                    PopulationTable, SurveyRecord,
@@ -21,6 +22,7 @@ from contactfatigue.models import (FatigueSpec, HillCurve,
 from contactfatigue.kernels import basis_at
 from contactfatigue.models.assemble import (AGE_SD, _surface_of,
                                             brc_surface_config)
+from contactfatigue.models.fatigue import hill_grad_log, log_repeats
 from contactfatigue.models.params import Block, GradAccumulator, Layout
 from contactfatigue.priors import RhsSpec
 
@@ -69,6 +71,43 @@ class TestHill:
     def test_negative_repeats_rejected(self):
         with pytest.raises(ValueError):
             hill(HillCurve(1.0, 0.0, 1.0), -1.0)
+
+    def test_curve_on_precomputed_logs_equals_hill_grad(self):
+        # what a model computes once (log_repeats) and per gradient
+        # (hill_grad_log), and hill_grad, equal the curve written out in
+        # one piece, bit for bit
+        r = np.array([0.0, 1.0, 2.0, 3.0, 7.0, 1e300, 5e-324])
+        positive = r > 0
+        log_r = np.where(positive, np.log(np.where(positive, r, 1.0)), 0.0)
+        logs = log_repeats(r)
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            curve = HillCurve(np.exp(rng.normal(0.0, 3.0)),
+                              rng.normal(0.0, 10.0),
+                              np.exp(rng.normal(0.0, 3.0)))
+            frac = np.where(positive,
+                            expit(curve.zeta + curve.eta * log_r), 0.0)
+            d_zeta = -curve.gamma * frac * (1.0 - frac)
+            expected = (-curve.gamma * frac, {
+                "gamma": -frac, "zeta": d_zeta, "eta": d_zeta * log_r})
+            for value, grads in (hill_grad_log(curve, *logs),
+                                 hill_grad(curve, r)):
+                np.testing.assert_array_equal(value, expected[0])
+                for name, g in expected[1].items():
+                    np.testing.assert_array_equal(grads[name], g)
+
+    def test_model_curve_uses_its_repeats(self):
+        # the Hill term's log repeats are those of its distinct repeats
+        model = MODELS["longitudinal-hill"]
+        term = next(t for t in model.terms if t.fatigue)
+        counts = np.unique(model.data.repeat.astype(int))
+        theta = np.random.default_rng(2).uniform(-1, 1, model.layout.size)
+        curve = HillCurve(*np.exp(model.layout.raw(theta, "hill_gamma")),
+                          *model.layout.raw(theta, "hill_zeta"),
+                          *np.exp(model.layout.raw(theta, "hill_eta")))
+        np.testing.assert_array_equal(
+            term.values(model.layout, theta)[0],
+            hill_grad(curve, counts)[0][term.g_index])
 
 
 class TestParamVector:
@@ -320,6 +359,18 @@ class TestLogpGradIsTotal:
         model = MODELS[name]
         theta = np.zeros(model.layout.size)
         theta[model.layout.sl(block)] = 400.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            logp, grad = model.logp_grad(theta)
+        assert logp == -np.inf
+        np.testing.assert_array_equal(grad, 0.0)
+
+    def test_nb1_shape_overflow_rejects_without_warning(self):
+        # mu = e^690 over nu = e^-26 overflows the cells' NB1 shape
+        model = MODELS["brc-independent"]
+        theta = np.zeros(model.layout.size)
+        theta[model.layout.sl("beta0")] = 690.0
+        theta[model.layout.sl("nu")] = -26.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             logp, grad = model.logp_grad(theta)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import gammaln, log_ndtr
 
 from contactfatigue.priors import (HALF_NORMAL_VAR_ADJUST, PriorSpec,
-                                   RhsSpec, log_prior,
+                                   RhsSpec, log_prior, prior_terms,
                                    regularized_scale, rhs_coefficients,
                                    rhs_log_prior)
 
@@ -69,6 +70,84 @@ class TestLogPrior:
             PriorSpec("normal", (0.0, -1.0))
         with pytest.raises(ValueError):
             PriorSpec("beta", (1.0, 1.0))
+
+
+def _written_out(family, theta, *params):
+    """Each density with every term evaluated inline, as one expression:
+    the reference that ``prior_terms`` must reproduce to the last bit."""
+    if family in ("normal", "halfnormal_pos"):
+        loc, scale = params
+        z = (theta - loc) / scale
+        lp = -0.5 * z**2 - np.log(scale) - 0.5 * np.log(2.0 * np.pi)
+        grad = -z / scale
+        if family == "normal":
+            return lp, grad
+        lp = lp - log_ndtr(loc / scale)
+    elif family == "cauchy_pos":
+        (scale,) = params
+        lp = (np.log(2.0 / np.pi) - np.log(scale)
+              - np.log1p((theta / scale) ** 2))
+        grad = -2.0 * theta / (scale**2 + theta**2)
+    elif family == "invgamma":
+        a, b = params
+        valid = theta > 0
+        th = np.where(valid, theta, 1.0)
+        lp = a * np.log(b) - gammaln(a) - (a + 1.0) * np.log(th) - b / th
+        grad = -(a + 1.0) / th + b / th**2
+        return np.where(valid, lp, -np.inf), np.where(valid, grad, 0.0)
+    elif family == "exponential":
+        (rate,) = params
+        lp, grad = np.log(rate) - rate * theta, -rate
+    else:
+        df, scale = params
+        lp = (np.log(2.0) + gammaln((df + 1.0) / 2.0) - gammaln(df / 2.0)
+              - 0.5 * np.log(df * np.pi) - np.log(scale)
+              - (df + 1.0) / 2.0 * np.log1p(theta**2 / (df * scale**2)))
+        grad = -(df + 1.0) * theta / (df * scale**2 + theta**2)
+    return (np.where(theta >= 0, lp, -np.inf),
+            np.where(theta >= 0, grad, 0.0))
+
+
+#: zero, subnormal, tiny, ordinary and huge values of both signs
+EDGE_VALUES = np.array([0.0, -0.0, 5e-324, 1e-300, 1e-8, 0.37, 2.5, 1e8,
+                        1e300, 1.7e308, -5e-324, -1e-300, -0.8, -1e300])
+
+
+class TestPriorTerms:
+    """``log_prior`` with the value-independent terms computed once by
+    ``prior_terms`` equals, bit for bit, the density with every term
+    evaluated inline."""
+
+    @staticmethod
+    def _assert_same_bits(got, expected):
+        for g, e in zip(got, expected):
+            e = np.broadcast_to(e, np.shape(g))
+            np.testing.assert_array_equal(g, e)
+            np.testing.assert_array_equal(np.signbit(g), np.signbit(e))
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family)
+    @pytest.mark.parametrize("per_element", [False, True])
+    def test_equals_written_out_density(self, spec, per_element):
+        if per_element:
+            # one prior per value, every parameter varied over them
+            factor = np.linspace(0.5, 2.0, EDGE_VALUES.size)
+            spec = PriorSpec(spec.family,
+                             tuple(p * factor for p in spec.params))
+        terms = prior_terms(spec)
+        with np.errstate(all="ignore"):
+            expected = _written_out(spec.family, EDGE_VALUES, *spec.params)
+            self._assert_same_bits(log_prior(spec, EDGE_VALUES, terms),
+                                   expected)
+            self._assert_same_bits(log_prior(spec, EDGE_VALUES), expected)
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family)
+    def test_scalar_value(self, spec):
+        terms = prior_terms(spec)
+        with np.errstate(all="ignore"):
+            for x in EDGE_VALUES:
+                self._assert_same_bits(
+                    log_prior(spec, x, terms),
+                    _written_out(spec.family, np.asarray(x), *spec.params))
 
 
 class TestRhsSpec:
