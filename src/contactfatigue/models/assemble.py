@@ -43,9 +43,10 @@ log-scale Jacobians too; the model code itself holds likelihood and
 backprop only.
 
 Whatever ``logp_grad`` needs that does not depend on the parameters is
-computed when the model is built: each prior group's density terms
-(``prior_terms``), the observation model's count terms (``GroupCounts``)
-and the Hill terms' log repeat counts (``log_repeats``). The gradient path
+computed once: each prior group's density terms (``PriorSpec.terms``, on
+the group's first evaluation) and, when the model is built, the
+observation model's count terms (``GroupCounts``) and the Hill terms' log
+repeat counts (``log_repeats``). The gradient path
 applies the same floating-point operations in the same order as when it
 computed them itself, so its values are unchanged to the last bit.
 """
@@ -60,7 +61,7 @@ from .. import kernels
 from ..domain import AGE_GRID, CoarseBandSet, DesignMatrix, PopulationTable
 from ..kernels import HsgpBasis, KernelSpec
 from ..priors import (RHS_C2_PRIOR, RHS_ZETA_PRIOR, PriorSpec, RhsSpec,
-                      log_prior, prior_terms, rhs_coefficients)
+                      log_prior, rhs_coefficients)
 from .fatigue import (FatigueSpec, HillCurve, HillPriors, hill_grad_log,
                       log_repeats, no_fatigue)
 from .likelihoods import (GroupCounts, nb1_agg_loglik, nb1_rvs,
@@ -197,9 +198,10 @@ class _PriorPass:
 
     Blocks are grouped by (prior family, transform); a group holds the flat
     indices of its elements and its prior with the parameters broadcast to
-    them, so one ``log_prior`` call covers the group. The prior's
-    value-independent terms (``prior_terms``: logs of its scales, Gamma
-    normalizers, truncation masses) are computed here, once per group.
+    them, so one ``log_prior`` call covers the group. The group's spec
+    keeps its value-independent terms (``PriorSpec.terms``: logs of its
+    scales, Gamma normalizers, truncation masses), so each group computes
+    them once.
     Log-scale elements take the prior at value = exp(raw) plus the
     change-of-variables Jacobian: ``raw`` in the log density, ``g * value +
     1`` in the gradient with respect to raw.
@@ -220,8 +222,7 @@ class _PriorPass:
                                                 b.size)
                                 for p, b in zip(column, blocks)])
                 for column in zip(*(b.prior.params for b in blocks)))
-            prior = PriorSpec(family, params)
-            self.groups.append((idx, prior, prior_terms(prior),
+            self.groups.append((idx, PriorSpec(family, params),
                                 transform == "log"))
 
     def __call__(self, theta: np.ndarray, grad: np.ndarray) -> float:
@@ -229,10 +230,10 @@ class _PriorPass:
         density. Non-finite results are left to ``_guarded``."""
         logp = 0.0
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            for idx, prior, terms, on_log_scale in self.groups:
+            for idx, prior, on_log_scale in self.groups:
                 raw = theta[idx]
                 value = np.exp(raw) if on_log_scale else raw
-                lp, g = log_prior(prior, value, terms)
+                lp, g = log_prior(prior, value)
                 if on_log_scale:
                     lp = lp + raw
                     g = g * value + 1.0

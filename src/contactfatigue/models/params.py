@@ -39,23 +39,23 @@ class Layout:
             raise ValueError("duplicate block names")
         # empty blocks hold no parameters but read as empty arrays
         self.blocks = tuple(b for b in blocks if b.size > 0)
-        self._slices: dict[str, slice] = {}
+        self.slices: dict[str, slice] = {}
         offset = 0
         for b in blocks:
-            self._slices[b.name] = slice(offset, offset + b.size)
+            self.slices[b.name] = slice(offset, offset + b.size)
             offset += b.size
         self.size = offset
 
     def sl(self, name: str) -> slice:
-        return self._slices[name]
+        return self.slices[name]
 
     def raw(self, theta: np.ndarray, name: str) -> np.ndarray:
-        return theta[self._slices[name]]
+        return theta[self.slices[name]]
 
     def constrained(self, theta: np.ndarray) -> dict[str, np.ndarray]:
         out = {}
         for b in self.blocks:
-            v = theta[self._slices[b.name]]
+            v = theta[self.slices[b.name]]
             out[b.name] = np.exp(v) if b.transform == "log" else v.copy()
         return out
 
@@ -66,7 +66,7 @@ class Layout:
             v = np.atleast_1d(np.asarray(values[b.name], dtype=float))
             if v.shape != (b.size,):
                 raise ValueError(f"block {b.name!r} expects size {b.size}")
-            theta[self._slices[b.name]] = np.log(v) if b.transform == "log" else v
+            theta[self.slices[b.name]] = np.log(v) if b.transform == "log" else v
         return theta
 
     def parameter_names(self) -> list[str]:
@@ -83,7 +83,7 @@ class GradAccumulator:
     """Mutable gradient buffer with named-slice addition."""
 
     def __init__(self, layout: Layout):
-        self.slices = layout._slices
+        self.slices = layout.slices
         self.grad = np.zeros(layout.size)
 
     def add(self, name: str, value) -> None:

@@ -8,10 +8,11 @@ gradient by convention.
 
 Everything of a density that does not depend on the value -- the logs of
 its scales, the Gamma-function normalizers, the log mass of a truncated
-normal, the half-t constant -- is one tuple, ``prior_terms(spec)``. A model
-computes it once per prior group when it is built and passes it to
-``log_prior`` on every gradient; without it ``log_prior`` computes it per
-call. Both give the same bits.
+normal, the half-t constant -- is one tuple, ``PriorSpec.terms``, computed
+on a spec's first evaluation and kept with it. A model's prior groups are
+specs of their own, so each group computes its terms once. The terms are
+formed in the operation order of the written-out density, so the result
+has the same bits as evaluating it in one piece.
 
 The regularized horseshoe (RHS) follows the global-local construction
 
@@ -27,6 +28,7 @@ variance matches the unconstrained prior.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -55,6 +57,12 @@ class PriorSpec:
             if np.any(np.asarray(self.params[idx]) <= 0):
                 raise ValueError(
                     f"{self.family} parameter {idx} must be > 0")
+
+    @cached_property
+    def terms(self) -> tuple:
+        """The arguments the family's density takes after the value: the
+        parameters and their value-independent terms."""
+        return _FAMILIES[self.family].terms(*self.params)
 
 
 # Each family's ``terms`` gives the arguments its density takes after the
@@ -146,23 +154,10 @@ _FAMILIES = {
 }
 
 
-def prior_terms(spec: PriorSpec) -> tuple:
-    """The value-independent terms of ``spec``'s density, for a caller that
-    evaluates one prior many times to compute once."""
-    return _FAMILIES[spec.family].terms(*spec.params)
-
-
-def log_prior(spec: PriorSpec, theta, terms: tuple | None = None
-              ) -> tuple[np.ndarray, np.ndarray]:
-    """Elementwise log density and d(logp)/d(theta) on the natural scale.
-
-    ``terms``, if given, must be ``prior_terms(spec)``; otherwise they are
-    computed here. Either way the result is the same to the last bit.
-    """
-    family = _FAMILIES[spec.family]
-    if terms is None:
-        terms = family.terms(*spec.params)
-    return family.density(np.asarray(theta, dtype=float), *terms)
+def log_prior(spec: PriorSpec, theta) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise log density and d(logp)/d(theta) on the natural scale."""
+    return _FAMILIES[spec.family].density(np.asarray(theta, dtype=float),
+                                          *spec.terms)
 
 
 # ---------------------------------------------------------------------------

@@ -96,19 +96,6 @@ class TestHill:
                 for name, g in expected[1].items():
                     np.testing.assert_array_equal(grads[name], g)
 
-    def test_model_curve_uses_its_repeats(self):
-        # the Hill term's log repeats are those of its distinct repeats
-        model = MODELS["longitudinal-hill"]
-        term = next(t for t in model.terms if t.fatigue)
-        counts = np.unique(model.data.repeat.astype(int))
-        theta = np.random.default_rng(2).uniform(-1, 1, model.layout.size)
-        curve = HillCurve(*np.exp(model.layout.raw(theta, "hill_gamma")),
-                          *model.layout.raw(theta, "hill_zeta"),
-                          *np.exp(model.layout.raw(theta, "hill_eta")))
-        np.testing.assert_array_equal(
-            term.values(model.layout, theta)[0],
-            hill_grad(curve, counts)[0][term.g_index])
-
 
 class TestParamVector:
     def test_pack_unpack_roundtrip(self):

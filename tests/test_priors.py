@@ -4,7 +4,7 @@ from scipy.integrate import quad
 from scipy.special import gammaln, log_ndtr
 
 from contactfatigue.priors import (HALF_NORMAL_VAR_ADJUST, PriorSpec,
-                                   RhsSpec, log_prior, prior_terms,
+                                   RhsSpec, log_prior,
                                    regularized_scale, rhs_coefficients,
                                    rhs_log_prior)
 
@@ -74,7 +74,7 @@ class TestLogPrior:
 
 def _written_out(family, theta, *params):
     """Each density with every term evaluated inline, as one expression:
-    the reference that ``prior_terms`` must reproduce to the last bit."""
+    the reference that ``PriorSpec.terms`` must reproduce to the last bit."""
     if family in ("normal", "halfnormal_pos"):
         loc, scale = params
         z = (theta - loc) / scale
@@ -114,9 +114,9 @@ EDGE_VALUES = np.array([0.0, -0.0, 5e-324, 1e-300, 1e-8, 0.37, 2.5, 1e8,
 
 
 class TestPriorTerms:
-    """``log_prior`` with the value-independent terms computed once by
-    ``prior_terms`` equals, bit for bit, the density with every term
-    evaluated inline."""
+    """``log_prior`` with the value-independent terms computed once and
+    kept by the spec (``PriorSpec.terms``) equals, bit for bit, the density
+    with every term evaluated inline."""
 
     @staticmethod
     def _assert_same_bits(got, expected):
@@ -128,25 +128,25 @@ class TestPriorTerms:
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family)
     @pytest.mark.parametrize("per_element", [False, True])
     def test_equals_written_out_density(self, spec, per_element):
+        params = spec.params
         if per_element:
             # one prior per value, every parameter varied over them
             factor = np.linspace(0.5, 2.0, EDGE_VALUES.size)
-            spec = PriorSpec(spec.family,
-                             tuple(p * factor for p in spec.params))
-        terms = prior_terms(spec)
+            params = tuple(p * factor for p in params)
+        spec = PriorSpec(spec.family, params)    # no terms computed yet
         with np.errstate(all="ignore"):
             expected = _written_out(spec.family, EDGE_VALUES, *spec.params)
-            self._assert_same_bits(log_prior(spec, EDGE_VALUES, terms),
-                                   expected)
-            self._assert_same_bits(log_prior(spec, EDGE_VALUES), expected)
+            # the first call computes the terms, the second reads them
+            for _ in range(2):
+                self._assert_same_bits(log_prior(spec, EDGE_VALUES),
+                                       expected)
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family)
     def test_scalar_value(self, spec):
-        terms = prior_terms(spec)
         with np.errstate(all="ignore"):
             for x in EDGE_VALUES:
                 self._assert_same_bits(
-                    log_prior(spec, x, terms),
+                    log_prior(spec, x),
                     _written_out(spec.family, np.asarray(x), *spec.params))
 
 
