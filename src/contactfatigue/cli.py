@@ -21,8 +21,9 @@ import warnings
 
 import numpy as np
 
-from .domain import (AGE_GRID, DataError, CsvSchema, FeatureBlock,
-                     FeatureSpec, build_design, load_survey_csv)
+from .domain import (AGE_GRID, HOUSEHOLD_LEVELS, SEX_LEVELS, DataError,
+                     CsvSchema, FeatureBlock, FeatureSpec, build_design,
+                     load_survey_csv)
 from .evaluation import interval_coverage, mape
 from .inference import (DIVERGENT_SHARE_LIMIT, INTERVAL_95, RHAT_LIMIT,
                         ConvergenceWarning, SamplerConfig, posterior_interval,
@@ -162,10 +163,10 @@ def scenario_schema() -> CsvSchema:
 def _schema_blocks() -> tuple[FeatureBlock, FeatureBlock, FeatureBlock]:
     """Sex, household and employment blocks with every level the schema
     accepts, so any record that loads can be coded."""
-    schema = scenario_schema()
-    return (FeatureBlock("sex", schema.sex_levels),
-            FeatureBlock("household_size", schema.household_levels),
-            FeatureBlock("employment", schema.covariate_levels["employment"]))
+    return (FeatureBlock("sex", SEX_LEVELS),
+            FeatureBlock("household_size", HOUSEHOLD_LEVELS),
+            FeatureBlock("employment",
+                         scenario_schema().covariate_levels["employment"]))
 
 
 def scenario_feature_spec() -> FeatureSpec:

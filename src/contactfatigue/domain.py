@@ -164,8 +164,8 @@ class PopulationTable:
         return np.asarray(self.counts[gender], dtype=float)
 
     @classmethod
-    def uniform(cls, genders: Sequence[str] = SEX_LEVELS,
-                count: float = 1000.0) -> "PopulationTable":
+    def uniform(cls, genders: Sequence[str],
+                count: float) -> "PopulationTable":
         return cls({g: np.full(AGE_MAX + 1, count) for g in genders})
 
 
@@ -217,15 +217,14 @@ def age_group_of(age: int, preschool: str | None = None) -> str:
 
 @dataclass(frozen=True)
 class CsvSchema:
-    """Allowed category levels and covariate columns of a survey CSV file.
+    """The covariate columns of a survey CSV file and their levels.
 
     Besides ``SURVEY_COLUMNS`` and the band counts ``y_<lo>_<hi>``,
     ``covariate_columns`` names the extra columns to read, each checked
-    against ``covariate_levels`` when it lists them.
+    against ``covariate_levels`` when it lists them. Sex and household
+    size take the levels ``SEX_LEVELS`` and ``HOUSEHOLD_LEVELS``.
     """
 
-    sex_levels: tuple[str, ...] = SEX_LEVELS
-    household_levels: tuple[str, ...] = HOUSEHOLD_LEVELS
     covariate_columns: tuple[str, ...] = ()
     covariate_levels: Mapping[str, tuple[str, ...]] | None = None
 
@@ -279,10 +278,10 @@ def load_survey_csv(
             if not sex or (not age_text and not band_text):
                 report.n_dropped_missing += 1
                 continue
-            if sex not in schema.sex_levels:
+            if sex not in SEX_LEVELS:
                 raise DataError(f"{path}:{lineno}: unknown sex level {sex!r}")
             household = (row.get("household_size") or "").strip()
-            if household not in schema.household_levels:
+            if household not in HOUSEHOLD_LEVELS:
                 raise DataError(
                     f"{path}:{lineno}: unknown household_size level {household!r}")
             try:

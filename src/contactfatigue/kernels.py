@@ -32,6 +32,10 @@ from scipy.special import gamma as gamma_fn
 SQRT3 = np.sqrt(3.0)
 SQRT5 = np.sqrt(5.0)
 
+#: the boundary factor c: a basis's box reaches c times the largest
+#: distance of its inputs from their center (Riutort-Mayol et al. 2023)
+BOUNDARY_FACTOR = 1.5
+
 _FAMILIES = ("se", "matern32", "matern52")
 _NU = {"matern32": 1.5, "matern52": 2.5}
 
@@ -279,23 +283,20 @@ def on_points(basis: HsgpBasis, inputs_a: np.ndarray,
     return replace(basis, sines=sines, cell=row_a * n_b + row_b)
 
 
-def build_hsgp_1d(inputs: np.ndarray, m: int = 30,
-                  c: float = 1.5) -> HsgpBasis:
-    """Reduced-rank basis on centered inputs with boundary factor ``c``."""
+def build_hsgp_1d(inputs: np.ndarray, m: int) -> HsgpBasis:
+    """Reduced-rank basis of ``m`` eigenfunctions on centered inputs."""
     if m < 1:
         raise ValueError("basis size m must be >= 1")
-    if c < 1.2:
-        raise ValueError("boundary factor c must be >= 1.2")
     inputs = np.asarray(inputs, dtype=float)
     center = 0.5 * (inputs.max() + inputs.min())
-    half_width = c * max(np.max(np.abs(inputs - center)), 1e-8)
+    half_width = BOUNDARY_FACTOR * max(np.max(np.abs(inputs - center)), 1e-8)
     freqs = np.arange(1, m + 1) * np.pi / (2.0 * half_width)
     basis = HsgpBasis(dim=1, m=m, half_width=(half_width,), center=(center,),
                       freqs=freqs[:, None])
     return on_points(basis, inputs)
 
 
-def _build_hsgp_2d(grid_a: np.ndarray, grid_b: np.ndarray, m: int, c: float,
+def _build_hsgp_2d(grid_a: np.ndarray, grid_b: np.ndarray, m: int,
                    symmetric: bool) -> HsgpBasis:
     if m < 1:
         raise ValueError("basis size m must be >= 1")
@@ -307,12 +308,12 @@ def _build_hsgp_2d(grid_a: np.ndarray, grid_b: np.ndarray, m: int, c: float,
         # Exchangeable axes share one box so swapped points stay in domain.
         both = np.concatenate([grid_a, grid_b])
         ca = cb = 0.5 * (both.max() + both.min())
-        la = lb = c * max(np.max(np.abs(both - ca)), 1e-8)
+        la = lb = BOUNDARY_FACTOR * max(np.max(np.abs(both - ca)), 1e-8)
     else:
         ca = 0.5 * (grid_a.max() + grid_a.min())
         cb = 0.5 * (grid_b.max() + grid_b.min())
-        la = c * max(np.max(np.abs(grid_a - ca)), 1e-8)
-        lb = c * max(np.max(np.abs(grid_b - cb)), 1e-8)
+        la = BOUNDARY_FACTOR * max(np.max(np.abs(grid_a - ca)), 1e-8)
+        lb = BOUNDARY_FACTOR * max(np.max(np.abs(grid_b - cb)), 1e-8)
     freqs = np.column_stack([np.arange(1, m + 1) * np.pi / (2.0 * half)
                              for half in (la, lb)])
     basis = HsgpBasis(dim=2, m=m, half_width=(la, lb), center=(ca, cb),
@@ -321,7 +322,7 @@ def _build_hsgp_2d(grid_a: np.ndarray, grid_b: np.ndarray, m: int, c: float,
 
 
 def build_hsgp_2d_symmetric(grid_a: np.ndarray, grid_b: np.ndarray,
-                            m: int = 40, c: float = 1.5) -> HsgpBasis:
+                            m: int) -> HsgpBasis:
     """Symmetrized tensor-product basis: realizations obey f(a,b) = f(b,a).
 
     ``grid_a`` and ``grid_b`` list the two coordinates of every evaluation
@@ -329,13 +330,13 @@ def build_hsgp_2d_symmetric(grid_a: np.ndarray, grid_b: np.ndarray,
     j <= k; the j < k columns average both orderings, the antisymmetric
     complement is dropped.
     """
-    return _build_hsgp_2d(grid_a, grid_b, m, c, symmetric=True)
+    return _build_hsgp_2d(grid_a, grid_b, m, symmetric=True)
 
 
-def build_hsgp_2d(grid_a: np.ndarray, grid_b: np.ndarray, m: int = 40,
-                  c: float = 1.5) -> HsgpBasis:
+def build_hsgp_2d(grid_a: np.ndarray, grid_b: np.ndarray,
+                  m: int) -> HsgpBasis:
     """Unrestricted tensor-product basis (M = m^2 columns)."""
-    return _build_hsgp_2d(grid_a, grid_b, m, c, symmetric=False)
+    return _build_hsgp_2d(grid_a, grid_b, m, symmetric=False)
 
 
 def basis_at(basis: HsgpBasis, inputs_a: np.ndarray,

@@ -31,6 +31,15 @@ Every family is one log-linear count regression, assembled from terms by
 
 A term declares its parameter blocks and the data columns it reads; rows
 that agree on all of them and on their offset form one predictor group.
+Most terms read a source: free coefficients (``_Coefficients``), the
+horseshoe (``_RhsTerm``) or an HSGP at its basis points (``_HsgpTerm``),
+each with ``blocks()``, ``size``, ``values(layout, theta)`` (a vector and
+a backprop cache) and ``backprop(acc, g, cache)``. The linear term
+multiplies its source by indicator columns. Every other table (the time,
+age and variant smooths, the BRC surfaces and, through ``_RepeatTable``,
+the repeat tables) is one gather term, ``_Gather``: it reads its source at
+each row's index, one past the end reading 0, and scatters the gradient
+back with one ``np.bincount``.
 One observation model per family runs on the groups: Poisson and NB2 on
 group sizes and count sums plus a count histogram, so their cost scales
 with distinct predictor cells, not rows; NB1 sums the groups' means over
@@ -140,7 +149,6 @@ class HsgpConfig:
 
     kernel: str = "se"
     m: int = 30
-    c: float = 1.5
     magnitude_prior: PriorSpec = PriorSpec("invgamma", (5.0, 1.0))
     lengthscale_prior: PriorSpec = PriorSpec("invgamma", (5.0, 1.0))
 
@@ -178,7 +186,7 @@ class ModelSpec:
 
 
 # ---------------------------------------------------------------------------
-# Shared assembly helpers
+# Shared assembly helpers: the prior pass and the sources of the terms
 # ---------------------------------------------------------------------------
 
 STD_NORMAL = PriorSpec("normal", (0.0, 1.0))
@@ -253,12 +261,13 @@ class _RhsTerm:
 
     def __init__(self, prefix: str, spec: RhsSpec):
         self.spec = spec
+        self.size = spec.n_coef
         self.z_name = f"{prefix}_z"
         self.zeta_name = f"{prefix}_zeta"
         self.negative = spec.sign == "negative"
 
     def blocks(self) -> list[Block]:
-        k = self.spec.n_coef
+        k = self.size
         z = (Block(self.z_name, k, "log", PriorSpec("halfnormal_pos",
                                                     (0.0, 1.0)))
              if self.negative else Block(self.z_name, k, prior=STD_NORMAL))
@@ -266,7 +275,7 @@ class _RhsTerm:
                 Block("rhs_c2", 1, "log", RHS_C2_PRIOR),
                 Block("rhs_eps", 1, "log", self.spec.eps_prior_spec())]
 
-    def coefficients(self, layout: Layout, theta: np.ndarray):
+    def values(self, layout: Layout, theta: np.ndarray):
         """Coefficients plus the backprop cache."""
         z = layout.raw(theta, self.z_name)
         if self.negative:
@@ -301,6 +310,7 @@ class _Coefficients:
 
     def __init__(self, raw: Block, scale: str | None = None):
         self.raw = raw.name
+        self.size = raw.size
         self.scale = scale
         self.own = [raw] + ([] if scale is None
                             else [Block(scale, 1, "log", HALF_CAUCHY)])
@@ -308,7 +318,7 @@ class _Coefficients:
     def blocks(self) -> list[Block]:
         return self.own
 
-    def coefficients(self, layout: Layout, theta: np.ndarray):
+    def values(self, layout: Layout, theta: np.ndarray):
         raw = layout.raw(theta, self.raw)
         if self.scale is None:
             return raw, None
@@ -335,8 +345,7 @@ class _HsgpTerm:
     """
 
     def __init__(self, name: str, basis: HsgpBasis, config: HsgpConfig,
-                 input_sd: float = 1.0,
-                 center_weights: np.ndarray | None = None):
+                 input_sd: float, center_weights: np.ndarray | None):
         self.basis = (basis if center_weights is None
                       else basis.centered(center_weights))
         self.config = config
@@ -350,8 +359,12 @@ class _HsgpTerm:
                 m: int, input_sd: float = 1.0,
                 center_weights: np.ndarray | None = None) -> _HsgpTerm:
         """A 1D term on the basis of ``inputs / input_sd``."""
-        basis = kernels.build_hsgp_1d(inputs / input_sd, m, config.c)
+        basis = kernels.build_hsgp_1d(inputs / input_sd, m)
         return cls(name, basis, config, input_sd, center_weights)
+
+    @property
+    def size(self) -> int:
+        return self.basis.n_points
 
     def blocks(self) -> list[Block]:
         hyper_priors = [self.config.magnitude_prior,
@@ -412,7 +425,8 @@ class _HsgpTerm:
 # and gets them back at one row per predictor group through ``bind``; then
 # ``values`` gives it on the groups plus a backprop cache, and ``backprop``
 # pushes d(logp)/d(term) into its blocks. De-biased predictions drop the
-# ``fatigue`` terms.
+# ``fatigue`` terms. ``_Linear`` and ``_Gather`` read a source (above);
+# ``_RepeatTable`` is the gather term that indexes its table by repeats.
 # ---------------------------------------------------------------------------
 
 class _Linear:
@@ -436,7 +450,7 @@ class _Linear:
         self.g_x = g
 
     def values(self, layout: Layout, theta: np.ndarray):
-        beta, cache = self.coef.coefficients(layout, theta)
+        beta, cache = self.coef.values(layout, theta)
         # ndarray.dot: matmul takes a slow path for a single column
         return self.g_x.dot(beta), cache
 
@@ -445,43 +459,64 @@ class _Linear:
         self.coef.backprop(acc, self.g_x.T.dot(d_eta), cache)
 
 
-class _Smooth:
-    """The HSGP term ``gp`` on the points of its basis, read at each row's
-    ``index`` into them; an index one past the last point reads 0, for rows
-    the smooth does not cover."""
+class _Gather:
+    """The vector of a ``source`` read at each row's ``index`` into it; an
+    index one past the source's end reads 0, for rows the source does not
+    cover. The gradient goes back to the source by one ``np.bincount``."""
 
     fatigue = False
 
-    def __init__(self, gp: _HsgpTerm, index: np.ndarray):
-        self.gp = gp
+    def __init__(self, source, index: np.ndarray):
+        self.source = source
         self.columns = [index]
-        self.padded = bool(np.any(index >= gp.basis.n_points))
 
     @classmethod
     def on_axis(cls, name: str, grid: np.ndarray, index: np.ndarray,
-                config: HsgpConfig, input_sd: float) -> _Smooth:
-        """A 1D smooth on the points ``grid``, centered on the rows."""
+                config: HsgpConfig, input_sd: float) -> _Gather:
+        """A 1D HSGP on the points ``grid``, centered on the rows."""
         return cls(_HsgpTerm.on_axis(name, grid, config, config.m, input_sd,
                                      np.bincount(index, minlength=grid.size)),
                    index)
 
     def blocks(self) -> list[Block]:
-        return self.gp.blocks()
+        return self.source.blocks()
+
+    def _to_index(self, column: np.ndarray) -> np.ndarray:
+        return column
 
     def bind(self, g: np.ndarray) -> None:
-        self.g_index = g[:, 0].astype(int)
+        self.g_index = self._to_index(g[:, 0].astype(int))
+        self.padded = bool((self.g_index == self.source.size).any())
 
     def values(self, layout: Layout, theta: np.ndarray):
-        f, cache = self.gp.values(layout, theta)
+        v, cache = self.source.values(layout, theta)
         if self.padded:
-            f = np.append(f, 0.0)
-        return f[self.g_index], cache
+            v = np.append(v, 0.0)
+        return v[self.g_index], cache
 
     def backprop(self, acc: GradAccumulator, d_eta: np.ndarray,
                  cache) -> None:
-        n = self.gp.basis.n_points
-        self.gp.backprop(acc, np.bincount(self.g_index, weights=d_eta,
-                                          minlength=n + 1)[:n], cache)
+        n = self.source.size
+        self.source.backprop(acc, np.bincount(self.g_index, weights=d_eta,
+                                              minlength=n + 1)[:n], cache)
+
+
+class _RepeatTable(_Gather):
+    """Fatigue as a table rho(1), ..., rho(size) read at each row's repeat
+    count; repeats beyond the table take its last value, and r = 0 reads
+    the zero slot. The group key holds the raw repeat counts."""
+
+    fatigue = True
+
+    def _to_index(self, repeat: np.ndarray) -> np.ndarray:
+        n = self.source.size
+        return np.where(repeat >= 1, np.minimum(repeat, n) - 1, n)
+
+    def on_repeats(self, layout: Layout, theta: np.ndarray,
+                   repeat: np.ndarray) -> np.ndarray:
+        """The table read at each repeat count."""
+        table = self.source.values(layout, theta)[0]
+        return np.append(table, 0.0)[self._to_index(repeat)]
 
 
 class _HillTerm:
@@ -567,57 +602,6 @@ class _HillTerm:
         return self._curves(layout, theta, log_repeats(repeat))[0][1]
 
 
-class _RhoTable:
-    """Fatigue as a table rho(1), ..., rho(size) read at each row's repeat
-    count; repeats beyond the table take its last value, and rho(0) = 0.
-    The table is the free block ``rho`` or, given ``gp``, an HSGP on the
-    repeat grid."""
-
-    fatigue = True
-
-    def __init__(self, repeat: np.ndarray, size: int,
-                 gp: _HsgpTerm | None = None):
-        self.size = size
-        self.gp = gp
-        self.columns = [repeat]
-
-    def blocks(self) -> list[Block]:
-        return ([Block("rho", self.size, prior=STD_NORMAL)] if self.gp is None
-                else self.gp.blocks())
-
-    def bind(self, g: np.ndarray) -> None:
-        self.g_lookup = self._lookup(g[:, 0].astype(int))
-
-    def _lookup(self, repeat: np.ndarray):
-        return np.clip(repeat, 1, self.size) - 1, repeat >= 1
-
-    def _table(self, layout: Layout, theta: np.ndarray):
-        if self.gp is None:
-            return layout.raw(theta, "rho"), None
-        return self.gp.values(layout, theta)
-
-    def values(self, layout: Layout, theta: np.ndarray):
-        table, cache = self._table(layout, theta)
-        idx, r_pos = self.g_lookup
-        return np.where(r_pos, table[idx], 0.0), cache
-
-    def backprop(self, acc: GradAccumulator, d_eta: np.ndarray,
-                 cache) -> None:
-        idx, r_pos = self.g_lookup
-        g_table = np.bincount(idx[r_pos], weights=d_eta[r_pos],
-                              minlength=self.size)
-        if self.gp is None:
-            acc.add("rho", g_table)
-        else:
-            self.gp.backprop(acc, g_table, cache)
-
-    def on_repeats(self, layout: Layout, theta: np.ndarray,
-                   repeat: np.ndarray) -> np.ndarray:
-        """The table read at each repeat count."""
-        idx, r_pos = self._lookup(repeat)
-        return np.where(r_pos, self._table(layout, theta)[0][idx], 0.0)
-
-
 class _NegativeExp:
     """Fatigue -exp(s) at repeat counts r >= 1 and 0 at r = 0, strictly
     negative for repeat participants, where s sums the ``rho`` table at r
@@ -625,7 +609,7 @@ class _NegativeExp:
 
     fatigue = True
 
-    def __init__(self, rho: _RhoTable, *smooths: _Smooth):
+    def __init__(self, rho: _RepeatTable, *smooths: _Gather):
         self.inner = [rho, *smooths]
         self.columns = [c for t in self.inner for c in t.columns]
 
@@ -634,11 +618,13 @@ class _NegativeExp:
 
     def bind(self, g: np.ndarray) -> None:
         _bind(self.inner, g)
+        rho = self.inner[0]
+        self.g_repeater = rho.g_index < rho.source.size
 
     def values(self, layout: Layout, theta: np.ndarray):
         inner = [t.values(layout, theta) for t in self.inner]
         with np.errstate(over="ignore"):
-            term = np.where(self.inner[0].g_lookup[1],
+            term = np.where(self.g_repeater,
                             -np.exp(sum(v for v, _ in inner)), 0.0)
         return term, ([c for _, c in inner], term)
 
@@ -861,7 +847,7 @@ class Stage1PoissonModel(_AdditiveCountModel):
             self.tested])
 
     def coefficients(self, theta) -> np.ndarray:
-        return self.tested.coef.coefficients(self.layout, theta)[0]
+        return self.tested.coef.values(self.layout, theta)[0]
 
 
 class Stage2PoissonModel(_AdditiveCountModel):
@@ -885,7 +871,7 @@ class Stage2PoissonModel(_AdditiveCountModel):
         super().__init__(spec, data, [_Linear(w, self.rhs, fatigue=True)])
 
     def coefficients(self, theta) -> np.ndarray:
-        return self.rhs.coefficients(self.layout, theta)[0]
+        return self.rhs.values(self.layout, theta)[0]
 
 
 class LongitudinalNbModel(_AdditiveCountModel):
@@ -905,12 +891,14 @@ class LongitudinalNbModel(_AdditiveCountModel):
         repeat = data.repeat.astype(int)
         fk, r_max = spec.fatigue.kind, spec.fatigue.max_repeat
         if fk in ("independent", "identical"):
-            fatigue = [_RhoTable(repeat, r_max if fk == "independent" else 1)]
+            size = r_max if fk == "independent" else 1
+            fatigue = [_RepeatTable(_Coefficients(
+                Block("rho", size, prior=STD_NORMAL)), repeat)]
         elif fk == "gp":
             grid = np.arange(1, r_max + 1)
-            fatigue = [_RhoTable(repeat, r_max, _HsgpTerm.on_axis(
+            fatigue = [_RepeatTable(_HsgpTerm.on_axis(
                 "rho_gp", (grid - repeat.mean()) / max(repeat.std(), 1e-8),
-                REPEAT_GP, REPEAT_GP.m))]
+                REPEAT_GP, REPEAT_GP.m), repeat)]
         elif fk == "hill":
             fatigue = [_HillTerm(spec.fatigue.hill_priors_for(1), repeat)]
         elif fk == "none":
@@ -923,7 +911,7 @@ class LongitudinalNbModel(_AdditiveCountModel):
             _Linear(data.x, _Coefficients(
                 Block("beta_raw", data.x.shape[1], prior=STD_NORMAL),
                 "sigma_beta")),
-            _Smooth.on_axis("tau", times, time_idx, TIME_GP,
+            _Gather.on_axis("tau", times, time_idx, TIME_GP,
                             max(times.std(), 1e-8)),
             *fatigue])
 
@@ -943,9 +931,9 @@ class IndividualGamModel(_AdditiveCountModel):
         if spec.fatigue.kind not in ("none", "hill_per_covariate"):
             raise ValueError("GAM fatigue must be none or hill_per_covariate")
         u, w = data.block("u"), data.block("w")
-        age = _Smooth.on_axis("age", AGE_GRID, data.age.astype(int),
+        age = _Gather.on_axis("age", AGE_GRID, data.age.astype(int),
                               spec.hsgp_age, AGE_SD)
-        self.f_age = age.gp
+        self.f_age = age.source
         beta = Block("beta", u.shape[1], prior=PriorSpec(
             "normal", (spec.beta_loc, spec.beta_scale)))
         terms = [_Linear.intercept(spec, data.n),
@@ -957,9 +945,8 @@ class IndividualGamModel(_AdditiveCountModel):
                                    data.repeat.astype(int), w))
         super().__init__(spec, data, terms)
 
-    def age_curve(self, theta, ages: np.ndarray | None = None) -> np.ndarray:
+    def age_curve(self, theta, ages: np.ndarray) -> np.ndarray:
         """log intensity over ages at reference covariates (u = w = 0)."""
-        ages = AGE_GRID if ages is None else np.asarray(ages, float)
         f = self.f_age.values_at(self.layout, theta, ages)
         return self.layout.raw(theta, "beta0")[0] + f
 
@@ -1086,7 +1073,7 @@ class AggregatedBrcModel(_AdditiveCountModel):
         b = np.where(swap, row_a, data.row_b)
         cfg = spec.hsgp_surface
         # one surface per pair; mixed pairs share one, read transposed
-        self.surfaces: dict[str, _Smooth] = {}
+        self.surfaces: dict[str, _Gather] = {}
         for key in dict.fromkeys(k for k, _ in of_pair):
             on = np.isin(row_pair, [p for p, (k, _) in enumerate(of_pair)
                                     if k == key])
@@ -1095,10 +1082,10 @@ class AggregatedBrcModel(_AdditiveCountModel):
             build = (kernels.build_hsgp_2d_symmetric
                      if len(key) != 2 or key[0] == key[1]
                      else kernels.build_hsgp_2d)
-            basis = build(*(points.T / AGE_SD), cfg.m, cfg.c)
+            basis = build(*(points.T / AGE_SD), cfg.m)
             on_rows = np.full(cell.size, len(points))
             on_rows[on] = index
-            self.surfaces[key] = _Smooth(_HsgpTerm(
+            self.surfaces[key] = _Gather(_HsgpTerm(
                 f"f_{key}", basis, cfg, AGE_SD, np.bincount(index)), on_rows)
         later_wave = (data.cell_wave[cell][:, None]
                       == np.arange(1, len(data.waves))).astype(float)
@@ -1107,7 +1094,9 @@ class AggregatedBrcModel(_AdditiveCountModel):
                      Block("tau", len(data.waves) - 1, prior=STD_NORMAL))),
                  *self.surfaces.values()]
         if fk != "none":
-            rho = _RhoTable(data.cell_repeat[cell], max(data.max_repeat, 1))
+            rho = _RepeatTable(_Coefficients(Block(
+                "rho", max(data.max_repeat, 1), prior=STD_NORMAL)),
+                data.cell_repeat[cell])
             terms.append(rho if fk == "independent" else
                          _NegativeExp(rho, *_variant_smooths(fk, data)))
         super().__init__(spec, data, terms)
@@ -1122,7 +1111,7 @@ class AggregatedBrcModel(_AdditiveCountModel):
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         fa, fb = (b, a) if swap else (a, b)
-        f = self.surfaces[key].gp.values_at(self.layout, theta, fa, fb)
+        f = self.surfaces[key].source.values_at(self.layout, theta, fa, fb)
         t_idx = self.data.waves.index(wave)
         tau = self.layout.raw(theta, "tau")[t_idx - 1] if t_idx else 0.0
         pop = population.get(_contact_gender(pair))
@@ -1130,7 +1119,7 @@ class AggregatedBrcModel(_AdditiveCountModel):
                 + np.log(pop[b.astype(int)]))
 
 
-def _variant_smooths(kind: str, data: BrcData) -> list[_Smooth]:
+def _variant_smooths(kind: str, data: BrcData) -> list[_Gather]:
     """The smooths on the log fatigue scale of a BRC variant, each centered
     on the cells: age (variant_a), age and contact band (variant_b), or a
     2D age x band-midpoint surface (variant_c)."""
@@ -1140,15 +1129,15 @@ def _variant_smooths(kind: str, data: BrcData) -> list[_Smooth]:
     if kind == "variant_c":
         basis = kernels.build_hsgp_2d(
             data.cell_age / AGE_SD, mids[data.cell_band] / AGE_SD,
-            min(vcfg.m, 12), vcfg.c)
-        return [_Smooth(_HsgpTerm("fac", basis, vcfg, AGE_SD,
+            min(vcfg.m, 12))
+        return [_Gather(_HsgpTerm("fac", basis, vcfg, AGE_SD,
                                   np.ones(data.n_cells)), cell)]
     ages, age_idx = np.unique(data.cell_age, return_inverse=True)
-    smooths = [_Smooth(_HsgpTerm.on_axis(
+    smooths = [_Gather(_HsgpTerm.on_axis(
         "fa", ages.astype(float), vcfg, min(vcfg.m, max(4, ages.size)),
         AGE_SD, np.bincount(age_idx)), age_idx[cell])]
     if kind == "variant_b":
-        smooths.append(_Smooth(_HsgpTerm.on_axis(
+        smooths.append(_Gather(_HsgpTerm.on_axis(
             "fc", mids, vcfg, min(vcfg.m, mids.size), AGE_SD,
             np.bincount(data.cell_band, minlength=mids.size)),
             data.cell_band[cell]))

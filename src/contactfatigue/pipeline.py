@@ -143,36 +143,24 @@ def poststratified_mean(fit: WaveFit, weights: np.ndarray, *,
                               lower=float(lo), upper=float(hi))
 
 
-def cell_weights(records: list[SurveyRecord],
-                 shares: dict[tuple[str, str], float] | None = None
-                 ) -> np.ndarray:
-    """Per-record poststratification weights by (sex, household) cell.
-
-    Without explicit population shares, cells are weighted by their sample
-    share, which reduces to the plain mean.
-    """
-    keys = [(r.sex, r.household_size) for r in records]
+def cell_weights(records: list[SurveyRecord]) -> np.ndarray:
+    """Per-record poststratification weights: 1/n for each of the n
+    records, so the weighted mean is their plain mean. No population shares
+    of the (sex, household) cells are read."""
     n = len(records)
-    counts: dict[tuple[str, str], int] = {}
-    for k in keys:
-        counts[k] = counts.get(k, 0) + 1
-    if shares is None:
-        shares = {k: c / n for k, c in counts.items()}
-    total = sum(shares.values())
-    w = np.array([shares.get(k, 0.0) / counts[k] / total for k in keys])
-    return w / w.sum()
+    return np.full(n, 1.0 / n)
 
 
-def bootstrap_mean(records: list[SurveyRecord], b: int,
-                   weights: np.ndarray | None = None, *, seed: int = 0
+def bootstrap_mean(records: list[SurveyRecord], b: int, *, seed: int = 0
                    ) -> PopulationEstimate:
-    """Participant-level bootstrap of the weighted mean contact count, with
-    its median and 95% percentile interval over the resamples."""
+    """Participant-level bootstrap of the mean contact count, with its
+    median and 95% percentile interval over the resamples. Each resample's
+    mean is the average with equal weights."""
     if b < 100:
         raise ValueError("use at least 100 bootstrap resamples")
     y = np.array([r.contacts_total for r in records], dtype=float)
-    w = (np.full(y.size, 1.0 / y.size) if weights is None
-         else np.asarray(weights, dtype=float))
+    # np.average rounds unlike ndarray.mean; it keeps estimates.csv's bytes
+    w = np.full(y.size, 1.0 / y.size)
     pid = np.array([r.participant_id for r in records])
     unique_pids, pid_idx = np.unique(pid, return_inverse=True)
     n_p = unique_pids.size

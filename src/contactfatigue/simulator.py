@@ -10,7 +10,7 @@ population flow identity exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -22,10 +22,10 @@ from .models.likelihoods import nb1_rvs, nb2_rvs
 
 @dataclass(frozen=True)
 class AgeEffect:
-    """Smooth age effect built from Gaussian bumps on 0..84."""
+    """Smooth age effect built from Gaussian bumps (amplitude, center,
+    width) on 0..84."""
 
-    bumps: tuple[tuple[float, float, float], ...] = (
-        (0.45, 10.0, 8.0), (0.35, 35.0, 12.0), (-0.25, 70.0, 10.0))
+    bumps: tuple[tuple[float, float, float], ...]
 
     def __call__(self, age) -> np.ndarray:
         age = np.asarray(age, dtype=float)
@@ -35,19 +35,21 @@ class AgeEffect:
         return out
 
 
+# The true effects of every simulated panel; its truth manifest records them
+BETA0 = 1.2
+BETA = {"sex:M": 0.12, "household_size:3": 0.25, "employment:student": 0.3}
+HILL_CURVES = {"const:1": HillCurve(0.88, -1.55, 0.94)}
+AGE_EFFECT = AgeEffect(((0.45, 10.0, 8.0), (0.35, 35.0, 12.0),
+                        (-0.25, 70.0, 10.0)))
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Data-generating configuration for a longitudinal panel."""
+    """Size, retention, NB2 dispersion and seed of a longitudinal panel."""
 
     waves: int = 5
     panel_size: int = 300
     retention: float = 0.7
-    beta0: float = 1.2
-    beta: dict = field(default_factory=lambda: {
-        "sex:M": 0.12, "household_size:3": 0.25, "employment:student": 0.3})
-    hill_curves: dict = field(default_factory=lambda: {
-        "const:1": HillCurve(0.88, -1.55, 0.94)})
-    age_effect: AgeEffect = field(default_factory=AgeEffect)
     phi: float = 8.0
     seed: int = 0
 
@@ -143,8 +145,8 @@ def simulate_panel(cfg: ScenarioConfig
     next_id = 0
     records: list[SurveyRecord] = []
     manifest = TruthManifest(
-        beta0=cfg.beta0, beta=dict(cfg.beta), hill_curves=dict(cfg.hill_curves),
-        phi=cfg.phi, age_bumps=[list(b) for b in cfg.age_effect.bumps],
+        beta0=BETA0, beta=dict(BETA), hill_curves=dict(HILL_CURVES),
+        phi=cfg.phi, age_bumps=[list(b) for b in AGE_EFFECT.bumps],
         seed=cfg.seed, waves=cfg.waves, lambda_fatigue_free=[],
         lambda_realized=[], record_keys=[])
 
@@ -156,11 +158,11 @@ def simulate_panel(cfg: ScenarioConfig
         participants = kept
 
         for p in participants:
-            log_lam0 = cfg.beta0 + float(cfg.age_effect(p.age))
-            for column, effect in cfg.beta.items():
+            log_lam0 = BETA0 + float(AGE_EFFECT(p.age))
+            for column, effect in BETA.items():
                 log_lam0 += effect * _covariate_value(p, column)
             rho = 0.0
-            for column, curve in cfg.hill_curves.items():
+            for column, curve in HILL_CURVES.items():
                 rho += _covariate_value(p, column) * float(hill(curve, p.repeats))
             lam = float(np.exp(log_lam0 + rho))
             y = int(nb2_rvs(rng, np.array([lam]), cfg.phi)[0])
@@ -212,22 +214,28 @@ def panel_to_csv(records: list[SurveyRecord], path: str) -> None:
 # Rate-consistency surface simulation
 # ---------------------------------------------------------------------------
 
+# The cells and true values of every simulated surface dataset: per wave,
+# repeat count and participant age, a group of N participants with
+# reporting share S; wave effects tau, fatigue rho per repeat (rho[0] = 0),
+# NB1 odds nu, and the height and width of the surface's diagonal ridge
+SURFACE_WAVES = (1, 2)
+SURFACE_REPEATS = (0, 1, 2)
+SURFACE_AGES = (5, 15, 25, 35, 45, 55, 65, 75)
+SURFACE_N_PARTICIPANTS = 25.0
+SURFACE_S_PROP = 0.9
+SURFACE_BETA0 = -4.5
+SURFACE_TAU = (0.0, -0.15)
+SURFACE_RHO = (0.0, -0.2, -0.35)
+SURFACE_NU = 0.5
+SURFACE_DIAG_AMP = 1.0
+SURFACE_DIAG_WIDTH = 12.0
+
+
 @dataclass(frozen=True)
 class SurfaceScenario:
-    """Configuration for a coarse-band contact-surface dataset."""
+    """The seed of a coarse-band contact-surface dataset."""
 
-    waves: tuple[int, ...] = (1, 2)
-    repeats: tuple[int, ...] = (0, 1, 2)
-    participant_ages: tuple[int, ...] = (5, 15, 25, 35, 45, 55, 65, 75)
-    n_participants: float = 25.0
-    s_prop: float = 0.9
-    beta0: float = -4.5
-    tau: tuple[float, ...] = (0.0, -0.15)
-    rho: tuple[float, ...] = (0.0, -0.2, -0.35)   # per repeat, rho[0] = 0
-    nu: float = 0.5
-    diag_amp: float = 1.0
-    diag_width: float = 12.0
-    seed: int = 0
+    seed: int
 
 
 def symmetric_surface(a: np.ndarray, b: np.ndarray, amp: float,
@@ -243,45 +251,45 @@ def simulate_brc_surface(cfg: SurfaceScenario) -> dict:
 
     The population is one gender "all" of 800 per single-year age, the
     contact bands are ``default_coarse_bands()`` and the surface is the
-    assortative ``symmetric_surface``. Returns a dict with per-cell arrays
+    assortative ``symmetric_surface``; the cells and the other true values
+    are the ``SURFACE_*`` constants. Returns a dict with per-cell arrays
     (``y``, ``wave``, ``repeat``, ``age``, ``band``, ``n_participants``,
     ``s_prop``), the true intensity matrix ``m_true`` (85 x 85, wave 1,
-    repeat 0 scale), and the generator inputs.
+    repeat 0 scale), the ``population`` and the ``bands``.
     """
     rng = np.random.default_rng(cfg.seed)
     population = PopulationTable.uniform(("all",), 800.0)
     bands = default_coarse_bands()
     f_matrix = symmetric_surface(AGE_GRID[:, None], AGE_GRID[None, :],
-                                 cfg.diag_amp, cfg.diag_width)
+                                 SURFACE_DIAG_AMP, SURFACE_DIAG_WIDTH)
 
     pop = population.get("all")
-    log_m = cfg.beta0 + f_matrix + np.log(pop)[None, :]
+    log_m = SURFACE_BETA0 + f_matrix + np.log(pop)[None, :]
     m_true = np.exp(log_m)
 
     y, wave_col, rep_col, age_col, band_col = [], [], [], [], []
     n_col, s_col = [], []
     membership = bands.membership()
-    for t_idx, t in enumerate(cfg.waves):
-        for r in cfg.repeats:
-            for a in cfg.participant_ages:
-                mu_b = (m_true[a] * np.exp(cfg.tau[t_idx] + cfg.rho[r])
-                        * cfg.n_participants * cfg.s_prop)
+    for t_idx, t in enumerate(SURFACE_WAVES):
+        for r in SURFACE_REPEATS:
+            for a in SURFACE_AGES:
+                mu_b = (m_true[a] * np.exp(SURFACE_TAU[t_idx] + SURFACE_RHO[r])
+                        * SURFACE_N_PARTICIPANTS * SURFACE_S_PROP)
                 mu_cells = membership @ mu_b
-                draws = nb1_rvs(rng, mu_cells, cfg.nu)
+                draws = nb1_rvs(rng, mu_cells, SURFACE_NU)
                 for c in range(len(bands)):
                     y.append(float(draws[c]))
                     wave_col.append(t)
                     rep_col.append(r)
                     age_col.append(a)
                     band_col.append(c)
-                    n_col.append(cfg.n_participants)
-                    s_col.append(cfg.s_prop)
+                    n_col.append(SURFACE_N_PARTICIPANTS)
+                    s_col.append(SURFACE_S_PROP)
 
     return {
         "y": np.asarray(y), "wave": np.asarray(wave_col),
         "repeat": np.asarray(rep_col), "age": np.asarray(age_col),
         "band": np.asarray(band_col), "n_participants": np.asarray(n_col),
         "s_prop": np.asarray(s_col), "m_true": m_true,
-        "f_true": f_matrix, "population": population, "bands": bands,
-        "config": cfg,
+        "population": population, "bands": bands,
     }

@@ -174,3 +174,50 @@ def test_every_public_definition_has_a_caller():
                 if entry.startswith(f"{PACKAGE.name}/")
                 and entry.rsplit(":", 1)[1] not in UNCALLED_KEPT]
     assert uncalled == []
+
+
+#: the settable values of the package: defaulted parameters, defaulted
+#: dataclass fields and command-line options. A new one needs a caller
+#: that sets it to another value; raise the pin only with that caller.
+SETTABLE_VALUES = 102
+
+
+def _settable_values(source: str) -> int:
+    """Defaulted parameters of functions and lambdas, defaulted fields of
+    dataclasses and ``add_argument`` calls in ``source``."""
+    count = 0
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            count += len(node.args.defaults) + sum(
+                d is not None for d in node.args.kw_defaults)
+        elif isinstance(node, ast.ClassDef) and any(
+                "dataclass" in _names(d) for d in node.decorator_list):
+            count += sum(isinstance(s, ast.AnnAssign) and s.value is not None
+                         for s in node.body)
+        elif (isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Attribute)
+              and node.func.attr == "add_argument"):
+            count += 1
+    return count
+
+
+def test_scan_counts_settable_values():
+    source = ("from dataclasses import dataclass, field\n"
+              "@dataclass(frozen=True)\n"
+              "class C:\n"
+              "    a: int\n"
+              "    b: int = 1\n"
+              "    c: list = field(default_factory=list)\n"
+              "class D:\n"
+              "    e: int = 2\n"
+              "def f(x, y=1, *args, z=2, w, **kw):\n"
+              "    return lambda u, v=3: u\n"
+              "parser.add_argument('--n', type=int)\n")
+    assert _settable_values(source) == 6
+
+
+def test_settable_values_do_not_grow():
+    count = sum(_settable_values(path.read_text())
+                for path in PACKAGE.rglob("*.py"))
+    assert count <= SETTABLE_VALUES

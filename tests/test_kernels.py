@@ -3,11 +3,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from contactfatigue.kernels import (HsgpBasis, KernelSpec, basis_at,
-                                    build_hsgp_1d, build_hsgp_2d,
-                                    build_hsgp_2d_symmetric, gram_matrix,
-                                    kernel_eval, on_points, spectral_density,
-                                    spectral_density_grad)
+from contactfatigue.kernels import (BOUNDARY_FACTOR, HsgpBasis,
+                                    KernelSpec, basis_at, build_hsgp_1d,
+                                    build_hsgp_2d, build_hsgp_2d_symmetric,
+                                    gram_matrix, kernel_eval, on_points,
+                                    spectral_density, spectral_density_grad)
 
 from conftest import assert_matches_reference
 
@@ -109,15 +109,14 @@ class TestHsgp1d:
     def test_first_eigenfrequency(self):
         # inputs chosen so the box half-width is exactly 1
         spec = KernelSpec("se", 1.0, 1.0)
-        basis = build_hsgp_1d(np.array([-1 / 1.5, 1 / 1.5]), m=4,
-                              c=1.5)
+        basis = build_hsgp_1d(np.array([-1.0, 1.0]) / BOUNDARY_FACTOR, m=4)
         assert basis.half_width[0] == pytest.approx(1.0)
         assert basis.freqs[0, 0] == pytest.approx(np.pi / 2)
 
     def test_se_covariance_error(self):
         spec = KernelSpec("se", 1.0, 1.0)
         x = np.linspace(-5, 5, 41)
-        basis = build_hsgp_1d(x, m=64, c=1.5)
+        basis = build_hsgp_1d(x, m=64)
         exact = gram_matrix(spec, x)
         approx = realized_covariance(basis, spec, x)
         assert np.max(np.abs(approx - exact)) < 1e-3
@@ -125,7 +124,7 @@ class TestHsgp1d:
     def test_matern32_covariance_error(self):
         spec = KernelSpec("matern32", 1.0, 1.0)
         x = np.linspace(-5, 5, 41)
-        basis = build_hsgp_1d(x, m=128, c=1.5)
+        basis = build_hsgp_1d(x, m=128)
         exact = gram_matrix(spec, x)
         assert np.max(np.abs(realized_covariance(basis, spec, x)
                              - exact)) < 5e-3
@@ -136,14 +135,14 @@ class TestHsgp1d:
         exact = gram_matrix(spec, x)
         errors = []
         for m in (8, 16, 32, 64):
-            basis = build_hsgp_1d(x, m=m, c=1.5)
+            basis = build_hsgp_1d(x, m=m)
             errors.append(np.max(np.abs(realized_covariance(basis, spec, x)
                                         - exact)))
         assert all(a > b for a, b in zip(errors, errors[1:]))
 
     def test_columns_orthonormal_under_uniform_measure(self):
         spec = KernelSpec("se", 1.0, 1.0)
-        basis = build_hsgp_1d(np.linspace(-4, 4, 11), m=12, c=1.5)
+        basis = build_hsgp_1d(np.linspace(-4, 4, 11), m=12)
         half = basis.half_width[0]
         grid = np.linspace(-half, half, 20001) + basis.center[0]
         phi = basis_at(basis, grid)
@@ -155,8 +154,6 @@ class TestHsgp1d:
         spec = KernelSpec("se", 1.0, 1.0)
         with pytest.raises(ValueError):
             build_hsgp_1d(np.arange(5.0), m=0)
-        with pytest.raises(ValueError):
-            build_hsgp_1d(np.arange(5.0), m=4, c=1.0)
 
 
 class TestHsgp2dSymmetric:

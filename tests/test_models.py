@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 from scipy import stats
 from scipy.special import expit
 
-from contactfatigue.domain import (FeatureBlock, FeatureSpec,
+from contactfatigue.domain import (AGE_GRID, FeatureBlock, FeatureSpec,
                                    PopulationTable, SurveyRecord,
                                    build_design, default_coarse_bands)
 from contactfatigue.models import (FatigueSpec, HillCurve,
@@ -20,7 +20,7 @@ from contactfatigue.models import (FatigueSpec, HillCurve,
                                    build_model, hill,
                                    hill_grad, make_brc_data)
 from contactfatigue.kernels import basis_at
-from contactfatigue.models.assemble import (AGE_SD, _surface_of,
+from contactfatigue.models.assemble import (AGE_SD, _HsgpTerm, _surface_of,
                                             brc_surface_config)
 from contactfatigue.models.fatigue import hill_grad_log, log_repeats
 from contactfatigue.models.params import Block, GradAccumulator, Layout
@@ -396,7 +396,7 @@ class TestPredictionsRaiseRejectedState:
         model = MODELS["gam-hill_per_covariate"]
         theta = self._rejected(model, "age_ell", 400.0)
         with pytest.raises(RejectedState):
-            model.age_curve(theta)
+            model.age_curve(theta, AGE_GRID)
 
     @pytest.mark.parametrize("name", ["gam-none", "gam-hill_per_covariate"])
     def test_pointwise_loglik_at_dispersion_overflow(self, name):
@@ -477,9 +477,9 @@ def _row_reference(model, theta, debias):
         return (raw("beta0") + d.block("u") @ alpha
                 + d.block("v") @ model.coefficients(theta))
     if isinstance(model, LongitudinalNbModel):
-        tau = next(t.gp for t in model.terms
-                   if getattr(t, "gp", None)
-                   and t.gp.block_names[0] == "tau_w")
+        tau = next(t.source for t in model.terms
+                   if isinstance(getattr(t, "source", None), _HsgpTerm)
+                   and t.source.block_names[0] == "tau_w")
         beta = np.exp(raw("sigma_beta")) * raw("beta_raw")
         eta = (raw("beta0") + d.x @ beta
                + tau.values_at(layout, theta, d.report_date))
@@ -604,7 +604,7 @@ def _surface_term(model, block):
     if block == "fac":   # variant_c: age x band midpoint, one point a cell
         smooth = next(t for t in model.terms if hasattr(t, "inner")).inner[1]
         mids = np.asarray(d.bands.midpoints, dtype=float)
-        return smooth.gp, d.cell_age.astype(float), mids[d.cell_band]
+        return smooth.source, d.cell_age.astype(float), mids[d.cell_band]
     key = block[2:]
     a, b = [], []
     for p, label in enumerate(d.pairs):
@@ -615,7 +615,7 @@ def _surface_term(model, block):
         b.append(row_a if swap else row_b)
     points = np.unique(np.column_stack([np.concatenate(a),
                                         np.concatenate(b)]), axis=0)
-    return model.surfaces[key].gp, *points.T.astype(float)
+    return model.surfaces[key].source, *points.T.astype(float)
 
 
 class TestFactoredSurfaces:
