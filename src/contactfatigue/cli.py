@@ -18,6 +18,7 @@ import sys
 import tempfile
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .inference import (DIVERGENT_SHARE_LIMIT, INTERVAL_95, RHAT_LIMIT,
                         ConvergenceWarning, SamplerConfig, posterior_interval,
                         summarize)
 from .models import FatigueSpec, ModelSpec
+from .models.assemble import AGE_GP
 from .pipeline import (bootstrap_mean, cell_weights, fit_independent,
                        fit_sequence, fit_wave, incremental_inclusion_study,
                        poststratified_mean)
@@ -53,8 +55,8 @@ _DEFAULTS = {
     "seed": 0, "chains": 4, "warmup": 300, "sampling": 300,
     "target_accept": 0.8, "max_tree_depth": 10, "threads": 1,
     "waves": 5, "panel_size": 300, "retention": 0.7, "phi": 8.0,
-    "min_first": 300, "caps": "0,1,2,4", "model": "gam-hill", "hsgp_m": 20,
-    "bootstrap_resamples": 500,
+    "min_first": 300, "caps": "0,1,2,4", "model": "gam-hill",
+    "hsgp_m": AGE_GP.m, "bootstrap_resamples": 500,
 }
 
 
@@ -183,8 +185,7 @@ def gam_feature_spec() -> FeatureSpec:
 
 
 def model_spec_for(name: str, values: dict) -> ModelSpec:
-    from .models.assemble import HsgpConfig
-    age_cfg = HsgpConfig(m=values["hsgp_m"])
+    age_cfg = replace(AGE_GP, m=values["hsgp_m"])
     if name == "gam-hill":
         return ModelSpec(family="individual_gam",
                          fatigue=FatigueSpec(kind="hill_per_covariate"),

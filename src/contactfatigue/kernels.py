@@ -12,11 +12,11 @@ f(a, b) = f(b, a) exactly.
 
 A 2D basis is kept as per-axis factors, never as its dense (n, M) matrix:
 each tensor eigenfunction is a product of two 1D sines, so the basis holds
-the m sines of each axis at that axis's distinct coordinates (at most 85 on
-single-year ages) and each point's cell in their grid. A realization is
-then S_a C S_b^T and the transpose product of a gradient S_a^T G S_b, small
-matrix products on the grid, where the dense matrix costs n x M (680 x 820
-for an age surface, 7225 x 820 on the full age grid) in memory and time.
+the m sines of each axis at that axis's coordinates, and its points are
+the grid of the two axes (85 x 85 for an age surface). A realization is
+then S_a C S_b^T and the transpose product of a grid-shaped gradient
+S_a^T G S_b, small matrix products, where the dense matrix costs n x M
+(7225 x 820 on the age grid) in memory and time.
 
 Magnitude convention: ``magnitude`` is the marginal variance, k(0) = sigma.
 """
@@ -120,14 +120,13 @@ class HsgpBasis:
     orderings.
 
     A 2D basis is stored as per-axis factors, not as its (n, M) matrix,
-    which an age surface (680 points, 820 columns) would stream twice a
+    which an age surface (7225 points, 820 columns) would stream twice a
     gradient: ``sines`` holds the m sines of each axis at that axis's
-    distinct coordinates and ``cell`` each point's flat index
-    n_b * row_a + row_b into their grid. A realization is S_a C S_b^T read
-    at the cells, C being the m x m coefficient matrix; the transpose
-    product is S_a^T G S_b, G being the point values summed on the grid.
-    The two axes of a symmetric basis share one coordinate set, the
-    distinct values of both coordinates, and its grid is symmetrized.
+    coordinates, and point i n_b + j pairs coordinate i of the first axis
+    with coordinate j of the second. A realization is the grid S_a C S_b^T,
+    C being the m x m coefficient matrix; the transpose product of a
+    grid-shaped gradient G is S_a^T G S_b. The two axes of a symmetric
+    basis share one coordinate set, and its grid is symmetrized.
 
     ``col_means`` are the weighted column means that a centered basis
     subtracts from every column, or None.
@@ -140,7 +139,6 @@ class HsgpBasis:
     freqs: np.ndarray                      # (m, dim)
     phi: np.ndarray | None = None          # 1D: (n, m)
     sines: tuple[np.ndarray, ...] = ()     # 2D: (n_a, m), (n_b, m)
-    cell: np.ndarray | None = None         # 2D: (n,)
     symmetric: bool = False
     col_means: np.ndarray | None = None    # (M,)
 
@@ -152,7 +150,9 @@ class HsgpBasis:
 
     @property
     def n_points(self) -> int:
-        return self.phi.shape[0] if self.dim == 1 else self.cell.size
+        if self.dim == 1:
+            return self.phi.shape[0]
+        return self.sines[0].shape[0] * self.sines[1].shape[0]
 
     def spectral_weights(self, specs: KernelSpec | tuple[KernelSpec, ...]
                          ) -> np.ndarray:
@@ -181,37 +181,34 @@ class HsgpBasis:
             cols = 0.5 * (cols.take(jk, axis=1) + cols.take(kj, axis=1))
         return cols[0], list(cols[1:])
 
-    def _grid(self, v: np.ndarray) -> np.ndarray:
-        """S_a C S_b^T, flattened: the 2D realization with column weights
-        ``v`` on the grid of the axis coordinates."""
-        m = self.m
-        if not self.symmetric:
-            return np.linalg.multi_dot([self.sines[0], v.reshape(m, m),
-                                        self.sines[1].T]).ravel()
-        # C = c + c^T for the upper triangle c, so S C S^T is the grid
-        # plus its transpose: f(a, b) = f(b, a) to the last bit
-        jk, _, scale = _symmetric_columns(m)
-        c = np.zeros(m * m)
-        c[jk] = scale * v
-        f = np.linalg.multi_dot([self.sines[0], c.reshape(m, m),
-                                 self.sines[1].T])
-        return (f + f.T).ravel()
-
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        """Phi v at the basis points: the function with column weights v."""
+        """Phi v at the basis points: the function with column weights v,
+        on the grid of the axis coordinates in 2D."""
         if self.dim == 1:
             return self.phi @ v
-        f = self._grid(v).take(self.cell)
+        m = self.m
+        if not self.symmetric:
+            f = np.linalg.multi_dot([self.sines[0], v.reshape(m, m),
+                                     self.sines[1].T])
+        else:
+            # C = c + c^T for the upper triangle c, so S C S^T is the grid
+            # plus its transpose: f(a, b) = f(b, a) to the last bit
+            jk, _, scale = _symmetric_columns(m)
+            c = np.zeros(m * m)
+            c[jk] = scale * v
+            f = np.linalg.multi_dot([self.sines[0], c.reshape(m, m),
+                                     self.sines[1].T])
+            f = f + f.T
+        f = f.ravel()
         return f if self.col_means is None else f - self.col_means @ v
 
     def rmatvec(self, g: np.ndarray) -> np.ndarray:
-        """Phi^T g: the column sums of ``g`` over the basis points."""
+        """Phi^T g: the column sums of ``g`` over the basis points, a
+        flattened grid in 2D."""
         if self.dim == 1:
             return self.phi.T @ g
         s_a, s_b = self.sines
-        grid = np.bincount(self.cell, weights=g,
-                           minlength=s_a.shape[0] * s_b.shape[0])
-        t = np.linalg.multi_dot([s_a.T, grid.reshape(s_a.shape[0], -1),
+        t = np.linalg.multi_dot([s_a.T, g.reshape(s_a.shape[0], -1),
                                  s_b]).ravel()
         if self.symmetric:
             jk, kj, scale = _symmetric_columns(self.m)
@@ -249,102 +246,69 @@ def _sines(x: np.ndarray, center: float, half_width: float,
             / np.sqrt(half_width))
 
 
-def on_points(basis: HsgpBasis, inputs_a: np.ndarray,
-              inputs_b: np.ndarray | None = None) -> HsgpBasis:
-    """The basis, with its box, frequencies and centering, on new points.
+def on_points(basis: HsgpBasis, inputs: np.ndarray) -> HsgpBasis:
+    """A 1D basis, with its box, frequencies and centering, on new points,
+    which should lie inside the box used at build time."""
+    phi = _sines(np.asarray(inputs, dtype=float), basis.center[0],
+                 basis.half_width[0], basis.freqs[:, 0])
+    if basis.col_means is not None:
+        phi = phi - basis.col_means[None, :]
+    return replace(basis, phi=phi)
 
-    1D bases take one coordinate array; 2D bases take the two coordinates
-    pairwise and get the per-axis factors at the new points. Points should
-    lie inside the boundary box used at build time.
-    """
-    if basis.dim == 1:
-        phi = _sines(np.asarray(inputs_a, dtype=float), basis.center[0],
-                     basis.half_width[0], basis.freqs[:, 0])
-        if basis.col_means is not None:
-            phi = phi - basis.col_means[None, :]
-        return replace(basis, phi=phi)
-    if inputs_b is None:
-        raise ValueError("2D basis requires both coordinates")
-    a, b = (np.asarray(x, dtype=float) for x in (inputs_a, inputs_b))
-    if basis.symmetric:
-        # the axes share their box; one shared coordinate set lets the grid
-        # be symmetrized exactly
-        coords, rows = np.unique(np.concatenate([a, b]), return_inverse=True)
-        sines = (_sines(coords, basis.center[0], basis.half_width[0],
-                        basis.freqs[:, 0]),) * 2
-        row_a, row_b, n_b = rows[:a.size], rows[a.size:], coords.size
-    else:
-        (coords_a, row_a), (coords_b, row_b) = (
-            np.unique(x, return_inverse=True) for x in (a, b))
-        sines = tuple(_sines(x, basis.center[d], basis.half_width[d],
-                             basis.freqs[:, d])
-                      for d, x in enumerate((coords_a, coords_b)))
-        n_b = coords_b.size
-    return replace(basis, sines=sines, cell=row_a * n_b + row_b)
+
+def _box(x: np.ndarray, m: int) -> tuple[float, float, np.ndarray]:
+    """The center and half-width of the box around the coordinates ``x``,
+    and its first ``m`` eigenfrequencies."""
+    if m < 1:
+        raise ValueError("basis size m must be >= 1")
+    center = 0.5 * (x.max() + x.min())
+    half_width = BOUNDARY_FACTOR * max(np.max(np.abs(x - center)), 1e-8)
+    return center, half_width, np.arange(1, m + 1) * np.pi / (2.0 * half_width)
 
 
 def build_hsgp_1d(inputs: np.ndarray, m: int) -> HsgpBasis:
     """Reduced-rank basis of ``m`` eigenfunctions on centered inputs."""
-    if m < 1:
-        raise ValueError("basis size m must be >= 1")
     inputs = np.asarray(inputs, dtype=float)
-    center = 0.5 * (inputs.max() + inputs.min())
-    half_width = BOUNDARY_FACTOR * max(np.max(np.abs(inputs - center)), 1e-8)
-    freqs = np.arange(1, m + 1) * np.pi / (2.0 * half_width)
+    center, half_width, freqs = _box(inputs, m)
     basis = HsgpBasis(dim=1, m=m, half_width=(half_width,), center=(center,),
                       freqs=freqs[:, None])
     return on_points(basis, inputs)
 
 
-def _build_hsgp_2d(grid_a: np.ndarray, grid_b: np.ndarray, m: int,
+def _build_hsgp_2d(axes: tuple[np.ndarray, ...], m: int,
                    symmetric: bool) -> HsgpBasis:
-    if m < 1:
-        raise ValueError("basis size m must be >= 1")
-    grid_a = np.asarray(grid_a, dtype=float)
-    grid_b = np.asarray(grid_b, dtype=float)
-    if grid_a.shape != grid_b.shape:
-        raise ValueError("grid_a and grid_b must list coordinates pairwise")
-    if symmetric:
-        # Exchangeable axes share one box so swapped points stay in domain.
-        both = np.concatenate([grid_a, grid_b])
-        ca = cb = 0.5 * (both.max() + both.min())
-        la = lb = BOUNDARY_FACTOR * max(np.max(np.abs(both - ca)), 1e-8)
-    else:
-        ca = 0.5 * (grid_a.max() + grid_a.min())
-        cb = 0.5 * (grid_b.max() + grid_b.min())
-        la = BOUNDARY_FACTOR * max(np.max(np.abs(grid_a - ca)), 1e-8)
-        lb = BOUNDARY_FACTOR * max(np.max(np.abs(grid_b - cb)), 1e-8)
-    freqs = np.column_stack([np.arange(1, m + 1) * np.pi / (2.0 * half)
-                             for half in (la, lb)])
-    basis = HsgpBasis(dim=2, m=m, half_width=(la, lb), center=(ca, cb),
-                      freqs=freqs, symmetric=symmetric)
-    return on_points(basis, grid_a, grid_b)
+    """The basis on the grid of the two ``axes``."""
+    axes = tuple(np.asarray(x, dtype=float) for x in axes)
+    center, half_width, freqs = zip(*(_box(x, m) for x in axes))
+    return HsgpBasis(dim=2, m=m, half_width=half_width, center=center,
+                     freqs=np.column_stack(freqs),
+                     sines=tuple(map(_sines, axes, center, half_width, freqs)),
+                     symmetric=symmetric)
 
 
-def build_hsgp_2d_symmetric(grid_a: np.ndarray, grid_b: np.ndarray,
-                            m: int) -> HsgpBasis:
-    """Symmetrized tensor-product basis: realizations obey f(a,b) = f(b,a).
+def build_hsgp_2d_symmetric(axis: np.ndarray, m: int) -> HsgpBasis:
+    """Symmetrized tensor-product basis on the grid ``axis`` x ``axis``:
+    realizations obey f(a, b) = f(b, a).
 
-    ``grid_a`` and ``grid_b`` list the two coordinates of every evaluation
-    point (same length). Basis columns pair tensor eigenfunctions with
-    j <= k; the j < k columns average both orderings, the antisymmetric
-    complement is dropped.
+    Basis columns pair tensor eigenfunctions with j <= k; the j < k columns
+    average both orderings, the antisymmetric complement is dropped.
     """
-    return _build_hsgp_2d(grid_a, grid_b, m, symmetric=True)
+    return _build_hsgp_2d((axis, axis), m, symmetric=True)
 
 
-def build_hsgp_2d(grid_a: np.ndarray, grid_b: np.ndarray,
+def build_hsgp_2d(axis_a: np.ndarray, axis_b: np.ndarray,
                   m: int) -> HsgpBasis:
-    """Unrestricted tensor-product basis (M = m^2 columns)."""
-    return _build_hsgp_2d(grid_a, grid_b, m, symmetric=False)
+    """Unrestricted tensor-product basis (M = m^2 columns) on the grid
+    ``axis_a`` x ``axis_b``."""
+    return _build_hsgp_2d((axis_a, axis_b), m, symmetric=False)
 
 
 def basis_at(basis: HsgpBasis, inputs_a: np.ndarray,
              inputs_b: np.ndarray | None = None) -> np.ndarray:
     """The dense (n, M) basis matrix at new input points.
 
-    A reference for the factored evaluation (``on_points``), which no
-    model calls: on the 85 x 85 age grid a 2D basis matrix takes 47 MB.
+    A reference for the factored evaluation, which no model calls: on the
+    85 x 85 age grid a 2D basis matrix takes 47 MB.
     1D bases take one coordinate array; 2D bases take the two coordinates
     pairwise.
     """

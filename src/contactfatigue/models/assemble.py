@@ -23,8 +23,9 @@ Every family is one log-linear count regression, assembled from terms by
 * ``aggregated_brc``  -- on single-year contact ages: intercept, wave
   effect, a 2D age surface per gender pair (symmetrized within a gender,
   read transposed by "MF", so that population flows balance exactly;
-  evaluated through per-axis sine factors on the age grid, never as a
-  dense points x columns basis), a fatigue term (independent, or -exp of
+  each a function on the 85 x 85 age grid, evaluated through per-axis sine
+  factors, never as a dense points x columns basis, and read at each row's
+  index a 85 + b), a fatigue term (independent, or -exp of
   a repeat table plus smooths) and log population, participant and detail
   offsets; NB1 counts of coarse contact bands, each summing its
   single-year rows through rate consistency.
@@ -142,6 +143,8 @@ def _check_finite_predictor(eta: np.ndarray, group_of: np.ndarray) -> None:
 #: the standard deviation of the single-year age grid, used to standardize
 #: GP input axes so lengthscale priors act on a unit-scale axis
 AGE_SD = float(AGE_GRID.std())
+#: the number of single-year ages; an age surface has _N_AGE ** 2 cells
+_N_AGE = AGE_GRID.size
 
 @dataclass(frozen=True)
 class HsgpConfig:
@@ -159,6 +162,8 @@ def brc_surface_config(m: int = 40) -> HsgpConfig:
                       lengthscale_prior=PriorSpec("invgamma", (5.0, 5.0)))
 
 
+#: the squared-exponential age smooth of the GAM
+AGE_GP = HsgpConfig(m=20)
 #: the Matern-3/2 calendar-time GP of the longitudinal model
 TIME_GP = HsgpConfig(kernel="matern32")
 #: the GP on standardized repeat counts (longitudinal fatigue kind "gp")
@@ -177,7 +182,7 @@ class ModelSpec:
     beta0_scale: float = 10.0
     beta_loc: tuple[float, ...] | float = 0.0
     beta_scale: tuple[float, ...] | float = 1.0
-    hsgp_age: HsgpConfig = field(default_factory=HsgpConfig)
+    hsgp_age: HsgpConfig = AGE_GP
     hsgp_surface: HsgpConfig = field(default_factory=brc_surface_config)
 
     def __post_init__(self) -> None:
@@ -409,15 +414,13 @@ class _HsgpTerm:
             nat = float(phi_t_g @ (d_sqrt * cache["w"]))
             acc.add(nm, nat * cache["hypers"][i])
 
-    def values_at(self, layout: Layout, theta: np.ndarray, a, b=None
-                  ) -> np.ndarray:
-        """Realized values at new raw coordinates (both, pairwise, in 2D)."""
+    def values_at(self, layout: Layout, theta: np.ndarray, x) -> np.ndarray:
+        """Realized values of a 1D term at new raw coordinates."""
         specs, _ = self._specs(layout, theta)
         w = layout.raw(theta, self.block_names[0])
         s = _no_overflow(self.basis.spectral_weights, specs)
-        a = np.asarray(a, dtype=float) / self.input_sd
-        b = None if b is None else np.asarray(b, dtype=float) / self.input_sd
-        return kernels.on_points(self.basis, a, b).matvec(np.sqrt(s) * w)
+        x = np.asarray(x, dtype=float) / self.input_sd
+        return kernels.on_points(self.basis, x).matvec(np.sqrt(s) * w)
 
 
 # ---------------------------------------------------------------------------
@@ -1053,8 +1056,9 @@ class AggregatedBrcModel(_AdditiveCountModel):
     NB1 shape is its rows' sum of mu over nu. Same-gender (and
     single-surface) pairs use the symmetrized 2D basis; "MF" rows read the
     "FM" surface with swapped coordinates, which makes the cross-gender flow
-    identity hold exactly. Each surface lives on the distinct (a, b) points
-    of its rows.
+    identity hold exactly. Each surface is a function on the 85 x 85 age
+    grid, both axes AGE_GRID / AGE_SD; a row reads it at index a 85 + b,
+    and rows of other pairs read one past its end.
     """
 
     observation = _Nb1Cells
@@ -1069,24 +1073,22 @@ class AggregatedBrcModel(_AdditiveCountModel):
         of_pair = [_surface_of(label) for label in data.pairs]
         row_pair = data.cell_pair[cell]
         swap = np.array([s for _, s in of_pair], dtype=bool)[row_pair]
-        a = np.where(swap, data.row_b, row_a)
-        b = np.where(swap, row_a, data.row_b)
+        grid_index = np.where(swap, data.row_b * _N_AGE + row_a,
+                              row_a * _N_AGE + data.row_b)
         cfg = spec.hsgp_surface
+        axis = AGE_GRID / AGE_SD
         # one surface per pair; mixed pairs share one, read transposed
         self.surfaces: dict[str, _Gather] = {}
         for key in dict.fromkeys(k for k, _ in of_pair):
             on = np.isin(row_pair, [p for p, (k, _) in enumerate(of_pair)
                                     if k == key])
-            points, index = np.unique(np.column_stack([a[on], b[on]]),
-                                      axis=0, return_inverse=True)
-            build = (kernels.build_hsgp_2d_symmetric
+            basis = (kernels.build_hsgp_2d_symmetric(axis, cfg.m)
                      if len(key) != 2 or key[0] == key[1]
-                     else kernels.build_hsgp_2d)
-            basis = build(*(points.T / AGE_SD), cfg.m)
-            on_rows = np.full(cell.size, len(points))
-            on_rows[on] = index
+                     else kernels.build_hsgp_2d(axis, axis, cfg.m))
             self.surfaces[key] = _Gather(_HsgpTerm(
-                f"f_{key}", basis, cfg, AGE_SD, np.bincount(index)), on_rows)
+                f"f_{key}", basis, cfg, AGE_SD,
+                np.bincount(grid_index[on], minlength=_N_AGE**2)),
+                np.where(on, grid_index, _N_AGE**2))
         later_wave = (data.cell_wave[cell][:, None]
                       == np.arange(1, len(data.waves))).astype(float)
         terms = [_Linear.intercept(spec, cell.size),
@@ -1104,19 +1106,24 @@ class AggregatedBrcModel(_AdditiveCountModel):
     def predict_log_m(self, theta, pair: str, wave: int, a: np.ndarray,
                       b: np.ndarray, population: PopulationTable
                       ) -> np.ndarray:
-        """log contact intensity log m(a, b) for one gender pair and wave."""
+        """log contact intensity log m(a, b) for one gender pair and wave,
+        at whole-year ages a, b in 0-84: the fitted surface on the age
+        grid, read at a 85 + b."""
         key, swap = _surface_of(pair)
         if key not in self.surfaces:
             raise ValueError(f"no surface for pair {pair!r}")
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        fa, fb = (b, a) if swap else (a, b)
-        f = self.surfaces[key].source.values_at(self.layout, theta, fa, fb)
+        a, b = (np.asarray(x, dtype=float) for x in (a, b))
+        if any(((x != np.round(x)) | (x < 0) | (x >= _N_AGE)).any()
+               for x in (a, b)):
+            raise ValueError(f"ages must be whole years in 0-{_N_AGE - 1}")
+        a, b = a.astype(int), b.astype(int)
+        index = b * _N_AGE + a if swap else a * _N_AGE + b
+        f = self.surfaces[key].source.values(self.layout, theta)[0][index]
         t_idx = self.data.waves.index(wave)
         tau = self.layout.raw(theta, "tau")[t_idx - 1] if t_idx else 0.0
         pop = population.get(_contact_gender(pair))
         return (self.layout.raw(theta, "beta0")[0] + tau + f
-                + np.log(pop[b.astype(int)]))
+                + np.log(pop[b]))
 
 
 def _variant_smooths(kind: str, data: BrcData) -> list[_Gather]:
@@ -1126,13 +1133,16 @@ def _variant_smooths(kind: str, data: BrcData) -> list[_Gather]:
     vcfg = VARIANT_GP
     cell = data.row_cell
     mids = np.asarray(data.bands.midpoints, dtype=float)
-    if kind == "variant_c":
-        basis = kernels.build_hsgp_2d(
-            data.cell_age / AGE_SD, mids[data.cell_band] / AGE_SD,
-            min(vcfg.m, 12))
-        return [_Gather(_HsgpTerm("fac", basis, vcfg, AGE_SD,
-                                  np.ones(data.n_cells)), cell)]
     ages, age_idx = np.unique(data.cell_age, return_inverse=True)
+    if kind == "variant_c":
+        # on the grid of the cells' ages x the band midpoints present
+        mid, mid_idx = np.unique(mids[data.cell_band], return_inverse=True)
+        index = age_idx * mid.size + mid_idx
+        basis = kernels.build_hsgp_2d(ages / AGE_SD, mid / AGE_SD,
+                                      min(vcfg.m, 12))
+        return [_Gather(_HsgpTerm(
+            "fac", basis, vcfg, AGE_SD,
+            np.bincount(index, minlength=ages.size * mid.size)), index[cell])]
     smooths = [_Gather(_HsgpTerm.on_axis(
         "fa", ages.astype(float), vcfg, min(vcfg.m, max(4, ages.size)),
         AGE_SD, np.bincount(age_idx)), age_idx[cell])]

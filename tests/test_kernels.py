@@ -1,12 +1,12 @@
 import mpmath
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, trapezoid
 
 from contactfatigue.kernels import (BOUNDARY_FACTOR, HsgpBasis,
                                     KernelSpec, basis_at, build_hsgp_1d,
                                     build_hsgp_2d, build_hsgp_2d_symmetric,
-                                    gram_matrix, kernel_eval, on_points,
+                                    gram_matrix, kernel_eval,
                                     spectral_density, spectral_density_grad)
 
 from conftest import assert_matches_reference
@@ -76,7 +76,7 @@ class TestSpectralDensity:
         r = np.linspace(-40, 40, 40001)
         k = kernel_eval(spec, r, 0.0)
         for omega in np.linspace(0.0, 10.0, 21):
-            numeric = np.trapezoid(k * np.cos(omega * r), r)
+            numeric = trapezoid(k * np.cos(omega * r), r)
             analytic = spectral_density(spec, omega)
             if analytic > 1e-12:
                 assert analytic == pytest.approx(numeric, rel=1e-3,
@@ -146,7 +146,7 @@ class TestHsgp1d:
         half = basis.half_width[0]
         grid = np.linspace(-half, half, 20001) + basis.center[0]
         phi = basis_at(basis, grid)
-        gram = np.trapezoid(phi[:, :, None] * phi[:, None, :],
+        gram = trapezoid(phi[:, :, None] * phi[:, None, :],
                         grid - basis.center[0], axis=0)
         np.testing.assert_allclose(gram, np.eye(12), atol=1e-6)
 
@@ -156,22 +156,28 @@ class TestHsgp1d:
             build_hsgp_1d(np.arange(5.0), m=0)
 
 
+def _grid_points(axis_a, axis_b):
+    """The points of a 2D basis on ``axis_a`` x ``axis_b``, in its order:
+    point i n_b + j pairs axis_a[i] with axis_b[j]."""
+    return tuple(x.ravel() for x in np.meshgrid(axis_a, axis_b,
+                                                indexing="ij"))
+
+
 class TestHsgp2dSymmetric:
-    def _pair_grid(self, n=10):
-        ages = np.linspace(0, 84, n)
-        aa, bb = np.meshgrid(ages, ages)
-        return aa.ravel(), bb.ravel()
+    AGES = np.linspace(0, 84, 10)
 
     def test_symmetric_column_count(self):
-        spec = KernelSpec("se", 1.0, 10.0)
-        a, b = self._pair_grid(4)
-        basis = build_hsgp_2d_symmetric(a, b, m=2)
+        basis = build_hsgp_2d_symmetric(self.AGES[:4], m=2)
         assert basis.n_basis == 3  # m(m+1)/2
+
+    def test_points_are_the_grid_of_the_axes(self):
+        basis = build_hsgp_2d(self.AGES[:4], self.AGES[:7], m=3)
+        assert basis.n_points == 28
+        assert [s.shape for s in basis.sines] == [(4, 3), (7, 3)]
 
     def test_realizations_symmetric_to_machine_precision(self):
         spec = KernelSpec("matern52", 1.0, 15.0)
-        a, b = self._pair_grid(8)
-        basis = build_hsgp_2d_symmetric(a, b, m=6)
+        basis = build_hsgp_2d_symmetric(self.AGES[:8], m=6)
         rng = np.random.default_rng(0)
         for _ in range(5):
             w = rng.standard_normal(basis.n_basis)
@@ -182,8 +188,8 @@ class TestHsgp2dSymmetric:
     def test_covariance_matches_symmetrized_kernel(self):
         # oracle: dense product kernel, symmetrized over axis swap
         spec = KernelSpec("se", 1.0, 12.0)
-        a, b = self._pair_grid(10)
-        basis = build_hsgp_2d_symmetric(a, b, m=16)
+        basis = build_hsgp_2d_symmetric(self.AGES, m=16)
+        a, b = _grid_points(self.AGES, self.AGES)
         k_a = kernel_eval(spec, a[:, None], a[None, :])
         k_b = kernel_eval(spec, b[:, None], b[None, :])
         k = k_a * k_b / spec.magnitude      # product kernel, k(0) = sigma
@@ -196,8 +202,9 @@ class TestHsgp2dSymmetric:
 
     def test_full_2d_covariance(self):
         spec = KernelSpec("se", 1.0, 12.0)
-        a, b = self._pair_grid(9)
-        basis = build_hsgp_2d(a, b, m=14)
+        ages = self.AGES[:9]
+        basis = build_hsgp_2d(ages, ages, m=14)
+        a, b = _grid_points(ages, ages)
         k = (kernel_eval(spec, a[:, None], a[None, :])
              * kernel_eval(spec, b[:, None], b[None, :]) / spec.magnitude)
         approx = realized_covariance(basis, (spec, spec), a, b)
@@ -206,15 +213,16 @@ class TestHsgp2dSymmetric:
     def test_basis_at_matches_build_inputs(self):
         # the dense reference at the build inputs is the 1D basis matrix,
         # and reproduces the products of the factored 2D bases
-        a, b = self._pair_grid(5)
-        np.testing.assert_array_equal(basis_at(build_hsgp_1d(a, m=5), a),
-                                      build_hsgp_1d(a, m=5).phi)
+        ages = self.AGES[:5]
+        np.testing.assert_array_equal(basis_at(build_hsgp_1d(ages, m=5), ages),
+                                      build_hsgp_1d(ages, m=5).phi)
         rng = np.random.default_rng(3)
-        for basis, inputs in ((build_hsgp_2d_symmetric(a, b, m=5), (a, b)),
-                              (build_hsgp_2d(a, 0.5 * b, m=5), (a, 0.5 * b))):
-            phi = basis_at(basis, *inputs)
+        for basis, axes in ((build_hsgp_2d_symmetric(ages, m=5), (ages, ages)),
+                            (build_hsgp_2d(ages, 0.5 * ages[:4], m=5),
+                             (ages, 0.5 * ages[:4]))):
+            phi = basis_at(basis, *_grid_points(*axes))
             v = rng.standard_normal(basis.n_basis)
-            g = rng.standard_normal(a.size)
+            g = rng.standard_normal(basis.n_points)
             np.testing.assert_allclose(basis.matvec(v), phi @ v,
                                        rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(basis.rmatvec(g), phi.T @ g,
@@ -222,30 +230,27 @@ class TestHsgp2dSymmetric:
 
 
 AGE_SD = np.arange(85.0).std()
-AGE_GRID_A, AGE_GRID_B = (x.ravel() / AGE_SD for x in np.meshgrid(
-    np.arange(85.0), np.arange(85.0), indexing="ij"))
+AGE_AXIS = np.arange(85.0) / AGE_SD
 
 
 def _surface_basis(kind, centered):
-    """A 2D basis on points like the models': the distinct (participant
-    age, contact age) pairs of a surface (symmetric or unrestricted), or
-    per-cell (age, band midpoint) inputs with repeats (variant_c)."""
-    ages = np.array([10.0, 25.0, 40.0, 60.0])
+    """A 2D basis on axes like the models': the age grid (a symmetric or
+    unrestricted surface), or participant ages x band midpoints
+    (variant_c)."""
     if kind == "variant_c":
-        mids = np.array([2.0, 9.5, 24.5, 49.5, 72.0])
-        a, b = (x.ravel() for x in np.meshgrid(ages, mids, indexing="ij"))
-        a, b = np.tile(a, 3), np.tile(b, 3)
-        basis = build_hsgp_2d(a / AGE_SD, b / AGE_SD, m=12)
+        axes = (np.array([10.0, 25.0, 40.0, 60.0]) / AGE_SD,
+                np.array([2.0, 9.5, 24.5, 49.5, 72.0]) / AGE_SD)
+        basis = build_hsgp_2d(*axes, m=12)
+    elif kind == "symmetric":
+        axes = (AGE_AXIS, AGE_AXIS)
+        basis = build_hsgp_2d_symmetric(AGE_AXIS, m=12)
     else:
-        a, b = (x.ravel() for x in np.meshgrid(ages, np.arange(85.0),
-                                               indexing="ij"))
-        build = (build_hsgp_2d_symmetric if kind == "symmetric"
-                 else build_hsgp_2d)
-        basis = build(a / AGE_SD, b / AGE_SD, m=12)
+        axes = (AGE_AXIS, AGE_AXIS)
+        basis = build_hsgp_2d(*axes, m=12)
     if centered:
-        weights = np.random.default_rng(5).uniform(0.5, 2.0, a.size)
+        weights = np.random.default_rng(5).uniform(0.5, 2.0, basis.n_points)
         basis = basis.centered(weights)
-    return basis, a / AGE_SD, b / AGE_SD
+    return basis, *_grid_points(*axes)
 
 
 @pytest.mark.parametrize("centered", [False, True])
@@ -263,20 +268,6 @@ class TestFactoredBasis:
             g = rng.standard_normal(a.size)
             assert_matches_reference(basis.matvec(v), phi @ v)
             assert_matches_reference(basis.rmatvec(g), phi.T @ g)
-
-    def test_products_on_the_age_grid(self, kind, centered):
-        basis, _, _ = _surface_basis(kind, centered)
-        grid = on_points(basis, AGE_GRID_A, AGE_GRID_B)
-        phi = basis_at(basis, AGE_GRID_A, AGE_GRID_B)
-        rng = np.random.default_rng(12)
-        v = rng.standard_normal(basis.n_basis)
-        g = rng.standard_normal(AGE_GRID_A.size)
-        f = grid.matvec(v)
-        assert_matches_reference(f, phi @ v)
-        assert_matches_reference(grid.rmatvec(g), phi.T @ g)
-        if kind == "symmetric":
-            f = f.reshape(85, 85)
-            np.testing.assert_array_equal(f, f.T)
 
 
 @pytest.mark.parametrize("kind", ["symmetric", "unrestricted", "variant_c"])

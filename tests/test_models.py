@@ -593,34 +593,27 @@ class TestFlowIdentity:
 
 
 AGE_GRID_A, AGE_GRID_B = (x.ravel() for x in np.meshgrid(
-    np.arange(85.0), np.arange(85.0), indexing="ij"))
+    AGE_GRID, AGE_GRID, indexing="ij"))
 
 
 def _surface_term(model, block):
-    """The HSGP term whose weights are ``{block}_w`` and its raw build
-    points, found as the BRC model finds them."""
-    d = model.data
-    cell = d.row_cell
-    if block == "fac":   # variant_c: age x band midpoint, one point a cell
+    """The HSGP term whose weights are ``{block}_w`` and the raw points of
+    its grid: the age grid, or for variant_c the cells' ages x the band
+    midpoints present."""
+    if block == "fac":
+        d = model.data
         smooth = next(t for t in model.terms if hasattr(t, "inner")).inner[1]
         mids = np.asarray(d.bands.midpoints, dtype=float)
-        return smooth.source, d.cell_age.astype(float), mids[d.cell_band]
-    key = block[2:]
-    a, b = [], []
-    for p, label in enumerate(d.pairs):
-        k, swap = _surface_of(label)
-        rows = (d.cell_pair[cell] == p) & (k == key)
-        row_a, row_b = d.cell_age[cell][rows], d.row_b[rows]
-        a.append(row_b if swap else row_a)
-        b.append(row_a if swap else row_b)
-    points = np.unique(np.column_stack([np.concatenate(a),
-                                        np.concatenate(b)]), axis=0)
-    return model.surfaces[key].source, *points.T.astype(float)
+        a, b = np.meshgrid(np.unique(d.cell_age),
+                           np.unique(mids[d.cell_band]), indexing="ij")
+        return smooth.source, a.ravel(), b.ravel()
+    return model.surfaces[block[2:]].source, AGE_GRID_A, AGE_GRID_B
 
 
 class TestFactoredSurfaces:
-    """The 2D HSGP terms work through per-axis factors; their values,
-    gradients and predictions agree with the dense reference basis."""
+    """The 2D HSGP terms work through per-axis factors on a grid; their
+    values, gradients and predictions agree with the dense reference
+    basis."""
 
     @pytest.mark.parametrize("name,block", [
         ("brc-independent", "f_all"), ("brc-gender-pairs", "f_MM"),
@@ -639,10 +632,41 @@ class TestFactoredSurfaces:
         gp.backprop(acc, g, cache)
         assert_matches_reference(acc.grad[model.layout.sl(f"{block}_w")],
                                  cache["sqrt_s"] * (phi.T @ g))
-        grid = basis_at(gp.basis, AGE_GRID_A / AGE_SD, AGE_GRID_B / AGE_SD)
+
+    @pytest.mark.parametrize("pair", GENDER_PAIRS)
+    def test_prediction_reads_the_dense_surface(self, pair):
+        # "MF" reads the "FM" surface at (b, a)
+        model, pop = _brc_model(pairs=GENDER_PAIRS)
+        key, swap = _surface_of(pair)
+        gp = model.surfaces[key].source
+        theta = np.random.default_rng(32).uniform(-1.0, 1.0,
+                                                  model.layout.size)
+        _, cache = gp.values(model.layout, theta)
+        a, b = (AGE_GRID_B, AGE_GRID_A) if swap else (AGE_GRID_A, AGE_GRID_B)
+        surface = basis_at(gp.basis, a / AGE_SD, b / AGE_SD) @ (
+            cache["sqrt_s"] * cache["w"])
         assert_matches_reference(
-            gp.values_at(model.layout, theta, AGE_GRID_A, AGE_GRID_B),
-            grid @ v)
+            model.predict_log_m(theta, pair, 1, AGE_GRID_A, AGE_GRID_B, pop),
+            model.layout.raw(theta, "beta0")[0] + surface
+            + np.log(pop.get(pair[1]))[AGE_GRID_B.astype(int)])
+
+    @pytest.mark.parametrize("name", ["brc-independent", "brc-gender-pairs"])
+    def test_surface_boxes_contain_the_age_grid(self, name):
+        # the HSGP approximation holds inside its box only
+        for term in MODELS[name].surfaces.values():
+            basis = term.source.basis
+            for center, half in zip(basis.center, basis.half_width):
+                assert center - half <= AGE_GRID[0] / AGE_SD
+                assert center + half >= AGE_GRID[-1] / AGE_SD
+
+    @pytest.mark.parametrize("age", [10.5, -1.0, 85.0])
+    def test_prediction_takes_whole_years_on_the_grid(self, age):
+        model, pop = _brc_model()
+        theta = np.zeros(model.layout.size)
+        for a, b in (([age], [3.0]), ([3.0], [age])):
+            with pytest.raises(ValueError, match="whole years"):
+                model.predict_log_m(theta, "all", 1, np.array(a),
+                                    np.array(b), pop)
 
     def test_surface_prediction_memory(self):
         # the dense basis on the 85 x 85 age grid at m = 40 is 47 MB
