@@ -160,26 +160,27 @@ class HsgpBasis:
         return self.spectral_weights_grad(specs)[0]
 
     def spectral_weights_grad(self, specs: KernelSpec | tuple[KernelSpec, ...]
-                              ) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Weights plus partials w.r.t. (sigma_1, ell_1[, sigma_2, ell_2]).
+                              ) -> tuple[np.ndarray, tuple[tuple, ...]]:
+        """Weights plus, per axis, the density at that axis's m
+        frequencies with its partials (S, dS/dsigma, dS/dell).
 
-        The densities are evaluated at the m frequencies of each axis; a 2D
-        column multiplies those of its two frequencies."""
+        A 2D column multiplies the densities of its two frequencies;
+        ``spectral_weights_vjp`` turns the per-axis partials into the
+        gradient of the hyperparameters."""
         if self.dim == 1:
             spec = specs if isinstance(specs, KernelSpec) else specs[0]
-            s, ds, dl = spectral_density_grad(spec, self.freqs[:, 0])
-            return s, [ds, dl]
+            axis = spectral_density_grad(spec, self.freqs[:, 0])
+            return axis[0], (axis,)
         spec_a, spec_b = specs if not isinstance(specs, KernelSpec) else (specs, specs)
-        sa, dsa, dla = spectral_density_grad(spec_a, self.freqs[:, 0])
-        sb, dsb, dlb = spectral_density_grad(spec_b, self.freqs[:, 1])
-        # x_j y_k on each column (j, k), averaged with x_k y_j if symmetric
-        x = np.stack([sa, dsa, dla, sa, sa])
-        y = np.stack([sb, sb, sb, dsb, dlb])
-        cols = (x[:, :, None] * y[:, None, :]).reshape(5, -1)
+        axes = (spectral_density_grad(spec_a, self.freqs[:, 0]),
+                spectral_density_grad(spec_b, self.freqs[:, 1]))
+        # sa_j sb_k on each column (j, k), averaged with sa_k sb_j if
+        # symmetric
+        cols = (axes[0][0][:, None] * axes[1][0][None, :]).ravel()
         if self.symmetric:
             jk, kj, _ = _symmetric_columns(self.m)
-            cols = 0.5 * (cols.take(jk, axis=1) + cols.take(kj, axis=1))
-        return cols[0], list(cols[1:])
+            cols = 0.5 * (cols.take(jk) + cols.take(kj))
+        return cols, axes
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """Phi v at the basis points: the function with column weights v,
@@ -224,6 +225,33 @@ class HsgpBasis:
             return replace(self, phi=self.phi - col_means[None, :],
                            col_means=col_means)
         return replace(self, col_means=col_means)
+
+
+def spectral_weights_vjp(basis: HsgpBasis, g_s: np.ndarray,
+                         axes: tuple[tuple, ...]) -> list[float]:
+    """g_s^T dS/d(sigma_1, ell_1[, sigma_2, ell_2]) for per-column
+    weights S, from the per-axis densities and partials ``axes`` of
+    ``spectral_weights_grad``.
+
+    In 2D, g_s goes onto the m x m matrix G of the columns (j, k), half
+    to (j, k) and half to (k, j) for a symmetric basis. Since column
+    (j, k) of G weighs sa_j sb_k, the sigma_1 term is dsa^T G sb, the
+    sigma_2 term sa^T G dsb, and likewise for the lengthscales."""
+    if basis.dim == 1:
+        _, ds, dl = axes[0]
+        return [float(ds @ g_s), float(dl @ g_s)]
+    m = basis.m
+    if basis.symmetric:
+        upper = np.zeros(m * m)
+        upper[_symmetric_columns(m)[0]] = 0.5 * g_s
+        grid = upper.reshape(m, m)
+        grid = grid + grid.T
+    else:
+        grid = g_s.reshape(m, m)
+    (sa, dsa, dla), (sb, dsb, dlb) = axes
+    g_b, g_a = grid @ sb, sa @ grid
+    return [float(dsa @ g_b), float(dla @ g_b), float(dsb @ g_a),
+            float(dlb @ g_a)]
 
 
 @functools.cache

@@ -47,18 +47,20 @@ with distinct predictor cells, not rows; NB1 sums the groups' means over
 the rows of each coarse cell. De-biased predictions drop the fatigue terms.
 
 Every parameter block declares its natural-scale prior (``Block.prior``).
-When a model is built its layout's priors are grouped into one table, and
-each ``logp_grad`` ends with a single pass over that table, which adds the
-log-scale Jacobians too; the model code itself holds likelihood and
-backprop only.
+Every prior family is a case of one formula (``priors.FORMULA``). When a
+model is built, each element of its layout takes the coefficients of its
+block's prior, which form one table (``PriorTable``), and each
+``logp_grad`` ends with one call, ``table_log_prior``, that evaluates the
+table over the whole parameter vector with the log-scale Jacobians; the
+model code itself holds likelihood and backprop only.
 
 Whatever ``logp_grad`` needs that does not depend on the parameters is
-computed once: each prior group's density terms (``PriorSpec.terms``, on
-the group's first evaluation) and, when the model is built, the
-observation model's count terms (``GroupCounts``) and the Hill terms' log
-repeat counts (``log_repeats``). The gradient path
-applies the same floating-point operations in the same order as when it
-computed them itself, so its values are unchanged to the last bit.
+computed once, when the model is built: the prior table, the observation
+model's count terms (``GroupCounts``, and the cells' log-factorials of
+NB1) and the Hill terms' log repeat counts (``log_repeats``). The count
+and repeat terms are those the gradient would compute itself, to the last
+bit; the prior table evaluates the same densities as ``log_prior`` up to
+rounding.
 """
 
 from __future__ import annotations
@@ -66,12 +68,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.special import gammaln
 
 from .. import kernels
 from ..domain import AGE_GRID, CoarseBandSet, DesignMatrix, PopulationTable
 from ..kernels import HsgpBasis, KernelSpec
-from ..priors import (RHS_C2_PRIOR, RHS_ZETA_PRIOR, PriorSpec, RhsSpec,
-                      log_prior, rhs_coefficients)
+from ..priors import (FORMULA, RHS_C2_PRIOR, RHS_ZETA_PRIOR, PriorSpec,
+                      PriorTable, RhsSpec, rhs_coefficients, table_log_prior)
 from .fatigue import (FatigueSpec, HillCurve, HillPriors, hill_grad_log,
                       log_repeats, no_fatigue)
 from .likelihoods import (GroupCounts, nb1_agg_loglik, nb1_rvs,
@@ -207,52 +210,43 @@ def _intercept(spec: ModelSpec) -> Block:
 
 
 class _PriorPass:
-    """Every block prior of a layout, evaluated in one pass.
+    """Every block prior of a layout, evaluated in one call.
 
-    Blocks are grouped by (prior family, transform); a group holds the flat
-    indices of its elements and its prior with the parameters broadcast to
-    them, so one ``log_prior`` call covers the group. The group's spec
-    keeps its value-independent terms (``PriorSpec.terms``: logs of its
-    scales, Gamma normalizers, truncation masses), so each group computes
-    them once.
-    Log-scale elements take the prior at value = exp(raw) plus the
-    change-of-variables Jacobian: ``raw`` in the log density, ``g * value +
-    1`` in the gradient with respect to raw.
+    Each element of the layout takes its block prior's coefficients of the
+    one formula of ``priors.FORMULA``; built once, they form one
+    ``PriorTable``, and each call is one ``table_log_prior`` over the
+    whole parameter vector. Log-scale elements take the prior at value =
+    exp(raw) plus the change-of-variables Jacobian. An identity-scale block
+    must have a prior on the real line: positives are carried on the log
+    scale.
     """
 
     def __init__(self, layout: Layout):
-        members: dict[tuple[str, str], list[Block]] = {}
+        coef = {name: np.zeros(layout.size) for name in FORMULA}
+        on_log = np.zeros(layout.size, dtype=bool)
         for b in layout.blocks:
             if b.prior is None:
                 raise ValueError(f"block {b.name!r} declares no prior")
-            members.setdefault((b.prior.family, b.transform), []).append(b)
-        flat = np.arange(layout.size)
-        self.groups = []
-        for (family, transform), blocks in members.items():
-            idx = np.concatenate([flat[layout.sl(b.name)] for b in blocks])
-            params = tuple(
-                np.concatenate([np.broadcast_to(np.asarray(p, dtype=float),
-                                                b.size)
-                                for p, b in zip(column, blocks)])
-                for column in zip(*(b.prior.params for b in blocks)))
-            self.groups.append((idx, PriorSpec(family, params),
-                                transform == "log"))
+            if not (b.transform == "log" or b.prior.on_real_line):
+                raise ValueError(
+                    f"block {b.name!r} has the positive {b.prior.family!r} "
+                    "prior on the identity scale")
+            sl = layout.sl(b.name)
+            on_log[sl] = b.transform == "log"
+            for name, value in b.prior.coefficients.items():
+                coef[name][sl] = value
+        logs = np.flatnonzero(on_log)
+        at = {name: c[logs] for name, c in coef.items()}
+        self.table = PriorTable(
+            float(coef["K"].sum()), np.where(on_log, 0.0, coef["L"]),
+            np.where(on_log, 0.0, coef["Q"]), logs,
+            np.stack((at["A"], at["C"] + 1.0, at["D"], at["E"])),
+            (at["L"], at["Q"], at["F"], 2.0 * at["E"]))
 
     def __call__(self, theta: np.ndarray, grad: np.ndarray) -> float:
         """Add the priors' gradients into ``grad``; return their log
         density. Non-finite results are left to ``_guarded``."""
-        logp = 0.0
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            for idx, prior, on_log_scale in self.groups:
-                raw = theta[idx]
-                value = np.exp(raw) if on_log_scale else raw
-                lp, g = log_prior(prior, value)
-                if on_log_scale:
-                    lp = lp + raw
-                    g = g * value + 1.0
-                grad[idx] += g
-                logp += float(lp.sum())
-        return logp
+        return table_log_prior(self.table, theta, grad)
 
 
 class _RhsTerm:
@@ -394,25 +388,26 @@ class _HsgpTerm:
         specs, hypers = self._specs(layout, theta)
         w = layout.raw(theta, self.block_names[0])
         with np.errstate(over="ignore", invalid="ignore"):
-            s, ds = _no_overflow(self.basis.spectral_weights_grad, specs)
+            s, axes = _no_overflow(self.basis.spectral_weights_grad, specs)
             sqrt_s = np.sqrt(s)
             f = self.basis.matvec(sqrt_s * w)
         if not (np.isfinite(s).all() and np.isfinite(f).all()):
             raise RejectedState
-        return f, {"w": w, "sqrt_s": sqrt_s, "ds": ds, "hypers": hypers}
+        return f, {"w": w, "sqrt_s": sqrt_s, "axes": axes, "hypers": hypers}
 
     def backprop(self, acc: GradAccumulator, g_inputs: np.ndarray,
                  cache: dict) -> None:
         """Push d(logp)/d(f at inputs) into weight and hyper gradients."""
         phi_t_g = self.basis.rmatvec(g_inputs)
-        acc.add(self.block_names[0], cache["sqrt_s"] * phi_t_g)
-        # d sqrt(S)/dtheta = dS/dtheta / (2 sqrt(S)); zero where S underflows
-        safe = np.where(cache["sqrt_s"] > 0.0, cache["sqrt_s"], 1.0)
-        inv2 = np.where(cache["sqrt_s"] > 0.0, 0.5 / safe, 0.0)
-        for i, nm in enumerate(self.block_names[1:]):
-            d_sqrt = cache["ds"][i] * inv2
-            nat = float(phi_t_g @ (d_sqrt * cache["w"]))
-            acc.add(nm, nat * cache["hypers"][i])
+        sqrt_s = cache["sqrt_s"]
+        acc.add(self.block_names[0], sqrt_s * phi_t_g)
+        # d sqrt(S)/dS = 1 / (2 sqrt(S)); zero where S underflows
+        safe = np.where(sqrt_s > 0.0, sqrt_s, 1.0)
+        inv2 = np.where(sqrt_s > 0.0, 0.5 / safe, 0.0)
+        nat = kernels.spectral_weights_vjp(
+            self.basis, phi_t_g * cache["w"] * inv2, cache["axes"])
+        for nm, d, h in zip(self.block_names[1:], nat, cache["hypers"]):
+            acc.add(nm, d * h)
 
     def values_at(self, layout: Layout, theta: np.ndarray, x) -> np.ndarray:
         """Realized values of a 1D term at new raw coordinates."""
@@ -704,6 +699,7 @@ class _Nb1Cells:
 
     def __init__(self, data: BrcData, group_of: np.ndarray, n_groups: int):
         self.y = data.y
+        self.log_fact = gammaln(data.y + 1.0)
         self.row_cell = data.row_cell
         self.group_of = group_of
         self.n_groups = n_groups
@@ -715,15 +711,16 @@ class _Nb1Cells:
     def loglik(self, eta: np.ndarray, nu: float
                ) -> tuple[float, np.ndarray, float]:
         mu = self._mu_rows(eta)
-        ll, d_mu, d_nu = nb1_agg_loglik(self.y, mu, self.row_cell, nu)
+        ll, d_mu, d_nu = nb1_agg_loglik(self.y, self.log_fact, mu,
+                                        self.row_cell, nu)
         with np.errstate(invalid="ignore"):
             d_eta = np.bincount(self.group_of, weights=d_mu * mu,
                                 minlength=self.n_groups)
         return float(ll.sum()), d_eta, d_nu
 
     def pointwise(self, eta: np.ndarray, nu: float) -> np.ndarray:
-        return nb1_agg_loglik(self.y, self._mu_rows(eta), self.row_cell,
-                              nu)[0]
+        return nb1_agg_loglik(self.y, self.log_fact, self._mu_rows(eta),
+                              self.row_cell, nu)[0]
 
     def replicate(self, rng: np.random.Generator, eta: np.ndarray,
                   nu: float) -> np.ndarray:

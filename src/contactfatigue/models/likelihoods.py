@@ -15,7 +15,9 @@ which take the special functions of the counts once per distinct count.
 A model builds its ``GroupCounts`` once: group sizes, count sums, the
 count histogram and the terms that depend on the counts alone (the mask
 of groups with counts and the log-factorials), so a gradient computes
-only what depends on the parameters.
+only what depends on the parameters. The cell NB1 likelihood
+``nb1_agg_loglik`` likewise takes its cells' log-factorials from the
+model.
 """
 
 from __future__ import annotations
@@ -143,10 +145,11 @@ def nb1_loglik(y: np.ndarray, mu: np.ndarray, nu: float
     return ll, d_mu, d_nu
 
 
-def nb1_agg_loglik(y_cell: np.ndarray, mu_rows: np.ndarray,
-                   row_cell: np.ndarray, nu: float
+def nb1_agg_loglik(y_cell: np.ndarray, log_fact: np.ndarray,
+                   mu_rows: np.ndarray, row_cell: np.ndarray, nu: float
                    ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Coarse-cell NB1 likelihood with shape sum_{rows in cell} mu / nu.
+    """Coarse-cell NB1 likelihood with shape sum_{rows in cell} mu / nu;
+    ``log_fact`` is lnGamma(y_cell + 1), which depends on the counts alone.
 
     Returns per-cell log pmf, d/d(mu_row) per row, and the total d/d(nu).
     """
@@ -155,10 +158,10 @@ def nb1_agg_loglik(y_cell: np.ndarray, mu_rows: np.ndarray,
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         shape = np.bincount(row_cell, weights=mu_rows,
                             minlength=n_cells) / nu
-        ll = (gammaln(y_cell + shape) - gammaln(shape)
-              - gammaln(y_cell + 1.0)
-              - shape * np.log1p(nu) + y_cell * (np.log(nu) - np.log1p(nu)))
-        d_shape = digamma(y_cell + shape) - digamma(shape) - np.log1p(nu)
+        log1p_nu = np.log1p(nu)
+        ll = (gammaln(y_cell + shape) - gammaln(shape) - log_fact
+              - shape * log1p_nu + y_cell * (np.log(nu) - log1p_nu))
+        d_shape = digamma(y_cell + shape) - digamma(shape) - log1p_nu
         d_nu_cells = (d_shape * (-shape / nu) + y_cell / nu
                       - (y_cell + shape) / (1.0 + nu))
         d_mu_cells = d_shape / nu

@@ -9,10 +9,20 @@ gradient by convention.
 Everything of a density that does not depend on the value -- the logs of
 its scales, the Gamma-function normalizers, the log mass of a truncated
 normal, the half-t constant -- is one tuple, ``PriorSpec.terms``, computed
-on a spec's first evaluation and kept with it. A model's prior groups are
-specs of their own, so each group computes its terms once. The terms are
-formed in the operation order of the written-out density, so the result
-has the same bits as evaluating it in one piece.
+on a spec's first evaluation and kept with it. The terms are formed in the
+operation order of the written-out density, so ``log_prior`` has the same
+bits as evaluating it in one piece.
+
+Every family is a case of one formula (``FORMULA``),
+
+    log p(v) = K - ((v - L) Q)^2 / 2 + A v + C log v + D / v
+               + E log1p(F v^2),
+
+and ``PriorSpec.coefficients`` maps a spec's terms to its coefficients.
+A model writes the priors of all its parameters into one ``PriorTable``
+of per-element coefficients when it is built; ``table_log_prior`` then
+evaluates them all, with the log-scale Jacobians, in one call per
+gradient.
 
 The regularized horseshoe (RHS) follows the global-local construction
 
@@ -64,13 +74,34 @@ class PriorSpec:
         parameters and their value-independent terms."""
         return _FAMILIES[self.family].terms(*self.params)
 
+    @property
+    def coefficients(self) -> dict:
+        """The family's coefficients of ``FORMULA`` by name; those it
+        leaves out are 0."""
+        return _FAMILIES[self.family].coefficients(*self.terms)
+
+    @property
+    def on_real_line(self) -> bool:
+        """Whether the support is the real line, not [0, inf)."""
+        return self.family == "normal"
+
+
+#: the coefficients of the one formula of which every family is a case,
+#: log p(v) = K - ((v - L) Q)^2 / 2 + A v + C log v + D / v + E log1p(F v^2)
+FORMULA = ("K", "L", "Q", "A", "C", "D", "E", "F")
+
 
 # Each family's ``terms`` gives the arguments its density takes after the
 # value. The density applies the operations of the written-out formula in
-# their order, so its result does not change with the terms hoisted.
+# their order, so its result does not change with the terms hoisted. Its
+# ``coefficients`` map the terms to those of ``FORMULA``.
 
 def _normal_terms(loc, scale):
     return loc, scale, np.log(scale)
+
+
+def _normal_coefficients(loc, scale, log_scale):
+    return {"K": -log_scale - HALF_LOG_2PI, "L": loc, "Q": 1.0 / scale}
 
 
 def _lp_normal(theta, loc, scale, log_scale):
@@ -84,6 +115,12 @@ def _halfnormal_terms(loc, scale):
     return loc, scale, np.log(scale), log_ndtr(loc / scale)
 
 
+def _halfnormal_coefficients(loc, scale, log_scale, log_mass):
+    out = _normal_coefficients(loc, scale, log_scale)
+    out["K"] = out["K"] - log_mass
+    return out
+
+
 def _lp_halfnormal_pos(theta, loc, scale, log_scale, log_mass):
     lp, grad = _lp_normal(theta, loc, scale, log_scale)
     on = theta >= 0
@@ -92,6 +129,11 @@ def _lp_halfnormal_pos(theta, loc, scale, log_scale, log_mass):
 
 def _cauchy_terms(scale):
     return scale, scale**2, np.log(2.0 / np.pi) - np.log(scale)
+
+
+def _cauchy_coefficients(*terms):
+    _, scale_sq, const = terms
+    return {"K": const, "E": -1.0, "F": 1.0 / scale_sq}
 
 
 def _lp_cauchy_pos(theta, scale, scale_sq, const):
@@ -105,6 +147,10 @@ def _invgamma_terms(a, b):
     return b, a + 1.0, a * np.log(b) - gammaln(a)
 
 
+def _invgamma_coefficients(b, a1, const):
+    return {"K": const, "C": -a1, "D": -b}
+
+
 def _lp_invgamma(theta, b, a1, const):
     valid = theta > 0
     th = np.where(valid, theta, 1.0)
@@ -115,6 +161,10 @@ def _lp_invgamma(theta, b, a1, const):
 
 def _exponential_terms(rate):
     return rate, np.log(rate)
+
+
+def _exponential_coefficients(rate, log_rate):
+    return {"K": log_rate, "A": -rate}
 
 
 def _lp_exponential(theta, rate, log_rate):
@@ -131,6 +181,11 @@ def _student_t_terms(df, scale):
     return (df + 1.0) / 2.0, -(df + 1.0), df_scale_sq, const
 
 
+def _student_t_coefficients(*terms):
+    half_df1, _, df_scale_sq, const = terms
+    return {"K": const, "E": -half_df1, "F": 1.0 / df_scale_sq}
+
+
 def _lp_student_t_pos(theta, half_df1, neg_df1, df_scale_sq, const):
     lp = const - half_df1 * np.log1p(theta**2 / df_scale_sq)
     grad = neg_df1 * theta / (df_scale_sq + theta**2)
@@ -141,16 +196,22 @@ def _lp_student_t_pos(theta, half_df1, neg_df1, df_scale_sq, const):
 class _Family(NamedTuple):
     terms: Callable        # parameters -> the density's terms
     density: Callable      # (value, *terms) -> (log density, gradient)
+    coefficients: Callable  # terms -> the coefficients of FORMULA
     positive: tuple        # indices of the parameters that must be > 0
 
 
 _FAMILIES = {
-    "normal": _Family(_normal_terms, _lp_normal, (1,)),
-    "halfnormal_pos": _Family(_halfnormal_terms, _lp_halfnormal_pos, (1,)),
-    "cauchy_pos": _Family(_cauchy_terms, _lp_cauchy_pos, (0,)),
-    "invgamma": _Family(_invgamma_terms, _lp_invgamma, (0, 1)),
-    "exponential": _Family(_exponential_terms, _lp_exponential, (0,)),
-    "student_t_pos": _Family(_student_t_terms, _lp_student_t_pos, (0, 1)),
+    "normal": _Family(_normal_terms, _lp_normal, _normal_coefficients, (1,)),
+    "halfnormal_pos": _Family(_halfnormal_terms, _lp_halfnormal_pos,
+                              _halfnormal_coefficients, (1,)),
+    "cauchy_pos": _Family(_cauchy_terms, _lp_cauchy_pos,
+                          _cauchy_coefficients, (0,)),
+    "invgamma": _Family(_invgamma_terms, _lp_invgamma,
+                        _invgamma_coefficients, (0, 1)),
+    "exponential": _Family(_exponential_terms, _lp_exponential,
+                           _exponential_coefficients, (0,)),
+    "student_t_pos": _Family(_student_t_terms, _lp_student_t_pos,
+                             _student_t_coefficients, (0, 1)),
 }
 
 
@@ -158,6 +219,47 @@ def log_prior(spec: PriorSpec, theta) -> tuple[np.ndarray, np.ndarray]:
     """Elementwise log density and d(logp)/d(theta) on the natural scale."""
     return _FAMILIES[spec.family].density(np.asarray(theta, dtype=float),
                                           *spec.terms)
+
+
+class PriorTable(NamedTuple):
+    """The priors of every element of a parameter vector as coefficients
+    of ``FORMULA``. ``const`` is the sum of K over the elements. ``loc``
+    and ``prec`` hold L and Q of the identity-scale elements, which are
+    all normal, over the whole vector, with Q = 0 on the log-scale ones.
+    ``logs`` indexes the log-scale elements: ``weights`` holds their A,
+    C + 1 (the 1 is the Jacobian of v = exp(u)), D and E, one row each,
+    and ``log_coef`` their L, Q, F and 2 E."""
+
+    const: float
+    loc: np.ndarray
+    prec: np.ndarray
+    logs: np.ndarray
+    weights: np.ndarray
+    log_coef: tuple
+
+
+def table_log_prior(table: PriorTable, theta: np.ndarray,
+                    grad: np.ndarray) -> float:
+    """Add the gradient of every element's log prior into ``grad`` and
+    return their sum: K - z^2 / 2 with z = (theta - L) Q on the identity
+    scale, ``FORMULA`` at v = exp(u) plus the Jacobian u on the log scale,
+    with log v taken as u. A v that under- or overflows gives a
+    non-finite result."""
+    u = theta[table.logs]
+    loc, prec, tail_scale, tail2 = table.log_coef
+    lin, log_coef, inv, _ = table.weights
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        z = (theta - table.loc) * table.prec
+        grad -= z * table.prec
+        v = np.exp(u)
+        r = 1.0 / v
+        zl = (v - loc) * prec
+        fv2 = tail_scale * (v * v)
+        grad[table.logs] += ((lin - zl * prec) * v + log_coef - inv * r
+                             + tail2 * (fv2 / (1.0 + fv2)))
+        return (table.const - 0.5 * float(z @ z + zl @ zl)
+                + float(np.vdot(table.weights,
+                                np.stack((v, u, r, np.log1p(fv2))))))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ from contactfatigue.kernels import (BOUNDARY_FACTOR, HsgpBasis,
                                     KernelSpec, basis_at, build_hsgp_1d,
                                     build_hsgp_2d, build_hsgp_2d_symmetric,
                                     gram_matrix, kernel_eval,
-                                    spectral_density, spectral_density_grad)
+                                    spectral_density, spectral_density_grad,
+                                    spectral_weights_vjp)
 
 from conftest import assert_matches_reference
 
@@ -292,10 +293,15 @@ def test_spectral_weights_equal_the_per_column_formula(kind):
                  0.5 * (grads[1] + dla2 * sb2),
                  0.5 * (grads[2] + sa2 * dsb2),
                  0.5 * (grads[3] + sa2 * dlb2)]
-    weights, partials = basis.spectral_weights_grad((spec_a, spec_b))
+    weights, axes = basis.spectral_weights_grad((spec_a, spec_b))
     np.testing.assert_array_equal(weights, s)
-    for got, want in zip(partials, grads):
-        np.testing.assert_array_equal(got, want)
+    # the per-column partials enter only through the product with a
+    # gradient on the columns
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        g = rng.standard_normal(weights.size)
+        np.testing.assert_allclose(spectral_weights_vjp(basis, g, axes),
+                                   [g @ want for want in grads], rtol=1e-12)
 
 
 class TestRealize:

@@ -13,7 +13,7 @@ from contactfatigue.models.assemble import (DISPERSION_PRIOR, _PriorPass,
 from contactfatigue.models.params import Block, Layout
 from contactfatigue.priors import PriorSpec, RhsSpec, rhs_log_prior
 
-from conftest import SMALL_FEATURES, finite_difference_grad, make_records
+from conftest import SMALL_FEATURES, make_records
 from test_models import _brc_model
 
 
@@ -125,15 +125,17 @@ def _every_family():
 FAMILIES = _every_family()
 
 
-def _scipy_log_prior(model, densities, theta):
-    total = 0.0
+def _scipy_log_priors(model, densities, theta):
+    """The log prior of each element of ``theta``."""
+    out = np.zeros(theta.size)
     for b in model.layout.blocks:
         logpdf, on_log_scale = densities[b.name]
         raw = model.layout.raw(theta, b.name)
-        total += np.sum(logpdf(np.exp(raw) if on_log_scale else raw))
+        out[model.layout.sl(b.name)] = logpdf(np.exp(raw) if on_log_scale
+                                              else raw)
         if on_log_scale:
-            total += np.sum(raw)   # log-Jacobian of value = exp(raw)
-    return float(total)
+            out[model.layout.sl(b.name)] += raw   # log-Jacobian of exp(raw)
+    return out
 
 
 class TestPriorTable:
@@ -142,14 +144,18 @@ class TestPriorTable:
         model, densities = FAMILIES[name]
         assert {b.name for b in model.layout.blocks} == set(densities)
         rng = np.random.default_rng(11)
-        for _ in range(3):
-            theta = rng.uniform(-1.0, 1.0, model.layout.size)
+        # log-scale values from e^-1 to e^1, and from e^-8 to e^8
+        for width in (1.0, 1.0, 1.0, 8.0):
+            theta = rng.uniform(-width, width, model.layout.size)
             grad = np.zeros(model.layout.size)
             logp = model.prior(theta, grad)
-            expected = _scipy_log_prior(model, densities, theta)
-            assert logp == pytest.approx(expected, rel=1e-10)
-            num = finite_difference_grad(
-                lambda t: _scipy_log_prior(model, densities, t), theta)
+            expected = _scipy_log_priors(model, densities, theta)
+            assert logp == pytest.approx(expected.sum(), rel=1e-10)
+            # each element's prior depends on that element alone, so one
+            # central difference of the per-element priors is the gradient
+            h = 1e-6
+            num = (_scipy_log_priors(model, densities, theta + h)
+                   - _scipy_log_priors(model, densities, theta - h)) / (2 * h)
             np.testing.assert_allclose(grad, num, rtol=1e-6, atol=1e-6)
 
     def test_logp_grad_ends_with_the_pass(self):
@@ -206,6 +212,16 @@ class TestPriorTable:
         layout = Layout([Block("a", 2, prior=PriorSpec("normal", (0.0, 1.0))),
                          Block("b", 1, "log")])
         with pytest.raises(ValueError, match="'b' declares no prior"):
+            _PriorPass(layout)
+
+    @pytest.mark.parametrize("prior", [
+        PriorSpec("halfnormal_pos", (0.0, 1.0)), PriorSpec("cauchy_pos", (1.0,)),
+        DISPERSION_PRIOR, PriorSpec("exponential", (1.0,)),
+        PriorSpec("student_t_pos", (3.0, 1.0))], ids=lambda p: p.family)
+    def test_positive_prior_on_identity_scale_is_refused(self, prior):
+        # positives are carried on the log scale
+        layout = Layout([Block("a", 2, prior=prior)])
+        with pytest.raises(ValueError, match="'a' has the positive"):
             _PriorPass(layout)
 
     def test_prior_params_must_fit_the_block(self):

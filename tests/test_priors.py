@@ -3,8 +3,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gammaln, log_ndtr
 
-from contactfatigue.priors import (HALF_NORMAL_VAR_ADJUST, PriorSpec,
-                                   RhsSpec, log_prior,
+from contactfatigue.priors import (FORMULA, HALF_NORMAL_VAR_ADJUST,
+                                   PriorSpec, RhsSpec, log_prior,
                                    regularized_scale, rhs_coefficients,
                                    rhs_log_prior)
 
@@ -148,6 +148,25 @@ class TestPriorTerms:
                 self._assert_same_bits(
                     log_prior(spec, x),
                     _written_out(spec.family, np.asarray(x), *spec.params))
+
+
+def _formula(coefficients, v):
+    """``FORMULA`` written out at the values v, the terms of C log v only
+    where the family has them."""
+    c = dict.fromkeys(FORMULA, 0.0) | coefficients
+    lp = (c["K"] - 0.5 * ((v - c["L"]) * c["Q"]) ** 2 + c["A"] * v
+          + c["D"] / v + c["E"] * np.log1p(c["F"] * v**2))
+    return lp + c["C"] * np.log(v) if "C" in coefficients else lp
+
+
+class TestFormula:
+    """Every family is a case of the one formula of the prior pass."""
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family)
+    def test_coefficients_give_the_density(self, spec):
+        pts = interior_points(spec, np.random.default_rng(3), n=50)
+        np.testing.assert_allclose(_formula(spec.coefficients, pts),
+                                   log_prior(spec, pts)[0], rtol=1e-13)
 
 
 class TestRhsSpec:
