@@ -9,11 +9,11 @@ from .fatigue import (FatigueSpec, HillCurve, HillPriors, hill, hill_grad,
                       no_fatigue)
 from .likelihoods import (nb1_agg_loglik, nb1_loglik, nb1_rvs, nb2_loglik,
                           nb2_rvs, poisson_loglik)
-from .params import Block, GradAccumulator, Layout
+from .params import Block, Layout
 
 __all__ = [
     "AggregatedBrcModel", "Block", "BrcData", "FatigueSpec",
-    "GradAccumulator", "HillCurve", "HillPriors", "HsgpConfig",
+    "HillCurve", "HillPriors", "HsgpConfig",
     "IndividualGamModel", "Layout", "LongitudinalNbModel", "Model",
     "ModelSpec", "RejectedState", "Stage1PoissonModel", "Stage2PoissonModel",
     "brc_surface_config", "build_model", "hill", "hill_grad",

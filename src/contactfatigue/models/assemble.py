@@ -33,18 +33,40 @@ Every family is one log-linear count regression, assembled from terms by
 A term declares its parameter blocks and the data columns it reads; rows
 that agree on all of them and on their offset form one predictor group.
 Most terms read a source: free coefficients (``_Coefficients``), the
-horseshoe (``_RhsTerm``) or an HSGP at its basis points (``_HsgpTerm``),
-each with ``blocks()``, ``size``, ``values(layout, theta)`` (a vector and
-a backprop cache) and ``backprop(acc, g, cache)``. The linear term
-multiplies its source by indicator columns. Every other table (the time,
-age and variant smooths, the BRC surfaces and, through ``_RepeatTable``,
-the repeat tables) is one gather term, ``_Gather``: it reads its source at
-each row's index, one past the end reading 0, and scatters the gradient
-back with one ``np.bincount``.
+horseshoe (``_RhsTerm``), an HSGP (``_HsgpTerm``, whose weights are
+sqrt(S) w) or the Hill curves at the distinct repeat counts
+(``_HillTerm``). A source gives its ``weights`` from the natural-scale
+vector, and ``backprop_weights`` writes its blocks' gradient.
+
+Every term that is linear in its source gives its columns on the groups
+(``design()``), and the model stacks them, once, into one dense group
+design X: the intercept and indicator blocks (``_Linear``), a 1D HSGP read
+through ``_Gather`` (its basis rows at each group's index; the time, age
+and repeat-GP smooths), the repeat tables (``_RepeatTable``, one-hot rows)
+and the Hill curves (weight times one-hot rows). De-biased predictions
+leave the weights of the fatigue terms at zero and do not evaluate them.
+The terms that stay out of X are evaluated one by one on the groups: the
+2D BRC surfaces, gathers on the factored 85 x 85 grid that scatter their
+gradient back with one ``np.bincount``, and the -exp fatigue of the BRC
+variants (``_NegativeExp``), which is not linear in its sources. So
+
+    eta = X s(theta) + surfaces + -exp fatigue + offsets,
+
+and the gradient of every source in X comes from one product, X^T d_eta.
+``predict_log_intensity``, ``pointwise_loglik`` and ``replicate`` read
+eta from the same pass.
+
 One observation model per family runs on the groups: Poisson and NB2 on
 group sizes and count sums plus a count histogram, so their cost scales
 with distinct predictor cells, not rows; NB1 sums the groups' means over
-the rows of each coarse cell. De-biased predictions drop the fatigue terms.
+the rows of each coarse cell.
+
+``logp_grad`` is one flat pass under one ``np.errstate``. It checks and
+exponentiates every log-scale element of theta once, into one
+natural-scale vector that every source reads. Each backprop writes
+natural-scale partials into one gradient buffer through slices found when
+the model was built, and the log-scale chain rule is applied once, before
+the prior pass.
 
 Every parameter block declares its natural-scale prior (``Block.prior``).
 Every prior family is a case of one formula (``priors.FORMULA``). When a
@@ -55,16 +77,15 @@ table over the whole parameter vector with the log-scale Jacobians; the
 model code itself holds likelihood and backprop only.
 
 Whatever ``logp_grad`` needs that does not depend on the parameters is
-computed once, when the model is built: the prior table, the observation
-model's count terms (``GroupCounts``, and the cells' log-factorials of
-NB1) and the Hill terms' log repeat counts (``log_repeats``). The count
-and repeat terms are those the gradient would compute itself, to the last
-bit; the prior table evaluates the same densities as ``log_prior`` up to
-rounding.
+computed once, when the model is built: the group design, the prior
+table, the observation model's count terms (``GroupCounts``, and the
+cells' log-factorials of NB1) and the Hill terms' log repeat counts
+(``log_repeats``).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -75,12 +96,12 @@ from ..domain import AGE_GRID, CoarseBandSet, DesignMatrix, PopulationTable
 from ..kernels import HsgpBasis, KernelSpec
 from ..priors import (FORMULA, RHS_C2_PRIOR, RHS_ZETA_PRIOR, PriorSpec,
                       PriorTable, RhsSpec, rhs_coefficients, table_log_prior)
-from .fatigue import (FatigueSpec, HillCurve, HillPriors, hill_grad_log,
-                      log_repeats, no_fatigue)
+from .fatigue import (FatigueSpec, HillPriors, hill_grad_log, log_repeats,
+                      no_fatigue)
 from .likelihoods import (GroupCounts, nb1_agg_loglik, nb1_rvs,
                           nb2_group_loglik, nb2_loglik, nb2_rvs,
                           poisson_group_loglik, poisson_loglik)
-from .params import Block, GradAccumulator, Layout
+from .params import Block, Layout
 
 
 class RejectedState(ValueError):
@@ -96,44 +117,42 @@ class RejectedState(ValueError):
 #: the largest u with a finite exp(u)
 _MAX_LOG = float(np.log(np.finfo(float).max))
 
-
-def _exp(raw: np.ndarray) -> np.ndarray:
-    """exp of log-scale parameters, which must come out positive and
-    finite, or the state is rejected. Overflow is caught before np.exp,
-    which would warn of it."""
-    if max(raw.tolist()) > _MAX_LOG:
-        raise RejectedState
-    value = np.exp(raw)
-    for v in value.tolist():
-        if not (0.0 < v < np.inf):
-            raise RejectedState
-    return value
+#: NumPy's floating-point warnings are off while a state is evaluated;
+#: the pass checks its results and rejects what is not finite instead
+_QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
 
 
 def _guarded(fn):
-    """Make ``logp_grad`` total: a rejected state, a Python-float overflow
-    in the kernels, or a non-finite result gives -inf and a zero gradient."""
+    """Make ``logp_grad`` total. The whole pass runs under one
+    ``np.errstate``; a rejected state, a Python-float overflow in the
+    kernels or the horseshoe, or a non-finite result gives -inf and a zero
+    gradient."""
+    @functools.wraps(fn)
     def wrapper(self, theta):
         try:
-            logp, grad = fn(self, theta)
+            with np.errstate(**_QUIET):
+                logp, grad = fn(self, theta)
         except (RejectedState, OverflowError):
             logp = -np.inf
         if np.isfinite(logp) and np.isfinite(grad).all():
             return logp, grad
         return -np.inf, np.zeros(self.layout.size)
-    wrapper.__name__ = fn.__name__
-    wrapper.__doc__ = fn.__doc__
     return wrapper
 
 
-def _no_overflow(fn, *args):
-    """``fn(*args)``, rejecting the state on an OverflowError: the kernels
-    and the horseshoe compute in Python floats, which raise it where NumPy
-    would return inf."""
-    try:
-        return fn(*args)
-    except OverflowError as exc:
-        raise RejectedState(str(exc)) from exc
+def _predicting(fn):
+    """A prediction at a state, under the ``np.errstate`` of ``logp_grad``.
+    The kernels and the horseshoe compute in Python floats, which raise
+    OverflowError where NumPy would return inf; that becomes
+    ``RejectedState``."""
+    @functools.wraps(fn)
+    def wrapper(self, theta, *args, **kwargs):
+        try:
+            with np.errstate(**_QUIET):
+                return fn(self, theta, *args, **kwargs)
+        except OverflowError as exc:
+            raise RejectedState(str(exc)) from exc
+    return wrapper
 
 
 def _check_finite_predictor(eta: np.ndarray, group_of: np.ndarray) -> None:
@@ -194,7 +213,13 @@ class ModelSpec:
 
 
 # ---------------------------------------------------------------------------
-# Shared assembly helpers: the prior pass and the sources of the terms
+# Shared assembly helpers: the prior pass and the sources of the terms.
+# A source gives, from the natural-scale vector ``nat``, its ``weights``
+# with a backprop cache, and ``backprop_weights`` writes d(logp)/d(its
+# blocks), on the natural scale, into the gradient buffer. ``place`` finds
+# its blocks in the layout once, when the model is built. ``rows`` maps the
+# weights to the source's values at its points (None where only ``values``
+# evaluates it: a 2D surface).
 # ---------------------------------------------------------------------------
 
 STD_NORMAL = PriorSpec("normal", (0.0, 1.0))
@@ -274,38 +299,35 @@ class _RhsTerm:
                 Block("rhs_c2", 1, "log", RHS_C2_PRIOR),
                 Block("rhs_eps", 1, "log", self.spec.eps_prior_spec())]
 
-    def values(self, layout: Layout, theta: np.ndarray):
-        """Coefficients plus the backprop cache."""
-        z = layout.raw(theta, self.z_name)
-        if self.negative:
-            z = _exp(z)
-        zeta = _exp(layout.raw(theta, self.zeta_name))
-        c2 = float(_exp(layout.raw(theta, "rhs_c2"))[0])
-        eps = float(_exp(layout.raw(theta, "rhs_eps"))[0])
-        # scales past ~1e154 overflow their squares: NaN coefficients, or
-        # an OverflowError from the Python-float eps and c2
-        with np.errstate(over="ignore", invalid="ignore"):
-            beta, partials = _no_overflow(rhs_coefficients, self.spec, z,
-                                          zeta, c2, eps)
+    def place(self, layout: Layout) -> None:
+        self.z_at = layout.sl(self.z_name)
+        self.zeta_at = layout.sl(self.zeta_name)
+        self.c2_at = layout.sl("rhs_c2").start
+        self.eps_at = layout.sl("rhs_eps").start
+
+    def weights(self, nat: np.ndarray):
+        """Coefficients plus the backprop cache. Scales past ~1e154
+        overflow their squares: NaN coefficients, or an OverflowError from
+        the Python-float eps and c2."""
+        beta, partials = rhs_coefficients(
+            self.spec, nat[self.z_at], nat[self.zeta_at],
+            float(nat[self.c2_at]), float(nat[self.eps_at]))
         if not np.isfinite(beta).all():
             raise RejectedState
-        return beta, (z, zeta, c2, eps, partials)
+        return beta, partials
 
-    def backprop(self, acc: GradAccumulator, g_beta: np.ndarray,
-                 cache) -> None:
-        """Push d(logp)/d(coefficients) into the blocks, on the log scale
-        where a block is."""
-        z, zeta, c2, eps, partials = cache
-        d_z = g_beta * partials["z"]
-        acc.add(self.z_name, d_z * z if self.negative else d_z)
-        acc.add(self.zeta_name, g_beta * partials["zeta"] * zeta)
-        acc.add("rhs_c2", float(g_beta @ partials["c2"]) * c2)
-        acc.add("rhs_eps", float(g_beta @ partials["eps"]) * eps)
+    def backprop_weights(self, grad: np.ndarray, g_beta: np.ndarray,
+                         partials: dict) -> None:
+        grad[self.z_at] += g_beta * partials["z"]
+        grad[self.zeta_at] += g_beta * partials["zeta"]
+        grad[self.c2_at] += g_beta @ partials["c2"]
+        grad[self.eps_at] += g_beta @ partials["eps"]
 
 
 class _Coefficients:
     """Coefficients that are the block ``raw``, or with ``scale`` (a
-    half-Cauchy block on the log scale) the hierarchical ``sigma * raw``."""
+    half-Cauchy block on the log scale) the hierarchical ``sigma * raw``.
+    Their values are their weights."""
 
     def __init__(self, raw: Block, scale: str | None = None):
         self.raw = raw.name
@@ -317,26 +339,40 @@ class _Coefficients:
     def blocks(self) -> list[Block]:
         return self.own
 
-    def values(self, layout: Layout, theta: np.ndarray):
-        raw = layout.raw(theta, self.raw)
-        if self.scale is None:
+    def place(self, layout: Layout) -> None:
+        self.at = layout.sl(self.raw)
+        self.scale_at = (None if self.scale is None
+                         else layout.sl(self.scale).start)
+
+    @property
+    def rows(self) -> np.ndarray:
+        return np.eye(self.size)
+
+    def weights(self, nat: np.ndarray):
+        raw = nat[self.at]
+        if self.scale_at is None:
             return raw, None
-        sigma = float(_exp(layout.raw(theta, self.scale))[0])
+        sigma = nat[self.scale_at]
         return sigma * raw, (raw, sigma)
 
-    def backprop(self, acc: GradAccumulator, g_beta: np.ndarray,
-                 cache) -> None:
+    def backprop_weights(self, grad: np.ndarray, g_beta: np.ndarray,
+                         cache) -> None:
         if cache is None:
-            acc.add(self.raw, g_beta)
+            grad[self.at] += g_beta
             return
         raw, sigma = cache
-        acc.add(self.raw, sigma * g_beta)
-        acc.add(self.scale, float(raw @ g_beta) * sigma)
+        grad[self.at] += sigma * g_beta
+        grad[self.scale_at] += raw @ g_beta
+
+    values = weights
+    backprop = backprop_weights
 
 
 class _HsgpTerm:
     """One GP contribution: weights + kernel hyperparameters as blocks.
 
+    Its source weights are sqrt(S) w, S being the kernel's spectral
+    weights; ``values`` is the basis times them, at the basis points.
     ``input_sd`` rescales raw coordinates before basis evaluation, so the
     lengthscale prior acts on a standardized axis. ``center_weights`` (a
     distribution over the basis rows) projects the constant component out of
@@ -365,6 +401,11 @@ class _HsgpTerm:
     def size(self) -> int:
         return self.basis.n_points
 
+    @property
+    def rows(self) -> np.ndarray | None:
+        """The 1D basis matrix; a 2D basis is only kept factored."""
+        return self.basis.phi if self.basis.dim == 1 else None
+
     def blocks(self) -> list[Block]:
         hyper_priors = [self.config.magnitude_prior,
                         self.config.lengthscale_prior] * self.basis.dim
@@ -374,66 +415,81 @@ class _HsgpTerm:
                 for nm, prior in zip(self.block_names[1:], hyper_priors)]
         return out
 
-    def _specs(self, layout: Layout, theta: np.ndarray):
-        """Kernel spec (one per axis in 2D) and the positive hypers."""
-        raw = [layout.raw(theta, nm) for nm in self.block_names[1:]]
-        hypers = _exp(np.concatenate(raw)).tolist()
-        specs = tuple(KernelSpec(self.config.kernel, hypers[i], hypers[i + 1])
-                      for i in range(0, len(hypers), 2))
-        return (specs[0] if self.basis.dim == 1 else specs), hypers
+    def place(self, layout: Layout) -> None:
+        # the hyperparameter blocks follow one another
+        self.w_at = layout.sl(self.block_names[0])
+        self.hyper_at = slice(layout.sl(self.block_names[1]).start,
+                              layout.sl(self.block_names[-1]).stop)
 
-    def values(self, layout: Layout, theta: np.ndarray
-               ) -> tuple[np.ndarray, dict]:
-        """Realized values at the basis inputs plus a backprop cache."""
-        specs, hypers = self._specs(layout, theta)
-        w = layout.raw(theta, self.block_names[0])
-        with np.errstate(over="ignore", invalid="ignore"):
-            s, axes = _no_overflow(self.basis.spectral_weights_grad, specs)
-            sqrt_s = np.sqrt(s)
-            f = self.basis.matvec(sqrt_s * w)
-        if not (np.isfinite(s).all() and np.isfinite(f).all()):
+    def _specs(self, nat: np.ndarray):
+        """Kernel spec, one per axis in 2D."""
+        h = nat[self.hyper_at].tolist()
+        kernel = self.config.kernel
+        if self.basis.dim == 1:
+            return KernelSpec(kernel, h[0], h[1])
+        return KernelSpec(kernel, h[0], h[1]), KernelSpec(kernel, h[2], h[3])
+
+    def weights(self, nat: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """The column weights sqrt(S) w plus a backprop cache."""
+        s, axes = self.basis.spectral_weights_grad(self._specs(nat))
+        sqrt_s = np.sqrt(s)
+        w = nat[self.w_at]
+        v = sqrt_s * w
+        if not np.isfinite(v).all():
             raise RejectedState
-        return f, {"w": w, "sqrt_s": sqrt_s, "axes": axes, "hypers": hypers}
+        return v, (w, sqrt_s, axes)
 
-    def backprop(self, acc: GradAccumulator, g_inputs: np.ndarray,
-                 cache: dict) -> None:
-        """Push d(logp)/d(f at inputs) into weight and hyper gradients."""
-        phi_t_g = self.basis.rmatvec(g_inputs)
-        sqrt_s = cache["sqrt_s"]
-        acc.add(self.block_names[0], sqrt_s * phi_t_g)
+    def backprop_weights(self, grad: np.ndarray, d_v: np.ndarray,
+                         cache: tuple) -> None:
+        """Push d(logp)/d(column weights) into weight and hyper
+        gradients."""
+        w, sqrt_s, axes = cache
+        grad[self.w_at] += sqrt_s * d_v
         # d sqrt(S)/dS = 1 / (2 sqrt(S)); zero where S underflows
-        safe = np.where(sqrt_s > 0.0, sqrt_s, 1.0)
-        inv2 = np.where(sqrt_s > 0.0, 0.5 / safe, 0.0)
-        nat = kernels.spectral_weights_vjp(
-            self.basis, phi_t_g * cache["w"] * inv2, cache["axes"])
-        for nm, d, h in zip(self.block_names[1:], nat, cache["hypers"]):
-            acc.add(nm, d * h)
+        inv2 = np.divide(0.5, sqrt_s, out=np.zeros(sqrt_s.size),
+                         where=sqrt_s > 0.0)
+        grad[self.hyper_at] += kernels.spectral_weights_vjp(
+            self.basis, d_v * w * inv2, axes)
 
-    def values_at(self, layout: Layout, theta: np.ndarray, x) -> np.ndarray:
+    def values(self, nat: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """Realized values at the basis points plus a backprop cache."""
+        v, cache = self.weights(nat)
+        f = self.basis.matvec(v)
+        if not np.isfinite(f).all():
+            raise RejectedState
+        return f, cache
+
+    def backprop(self, grad: np.ndarray, g_values: np.ndarray,
+                 cache: tuple) -> None:
+        """Push d(logp)/d(f at the basis points) into the gradient."""
+        self.backprop_weights(grad, self.basis.rmatvec(g_values), cache)
+
+    def values_at(self, nat: np.ndarray, x) -> np.ndarray:
         """Realized values of a 1D term at new raw coordinates."""
-        specs, _ = self._specs(layout, theta)
-        w = layout.raw(theta, self.block_names[0])
-        s = _no_overflow(self.basis.spectral_weights, specs)
+        s = self.basis.spectral_weights(self._specs(nat))
         x = np.asarray(x, dtype=float) / self.input_sd
-        return kernels.on_points(self.basis, x).matvec(np.sqrt(s) * w)
+        return kernels.on_points(self.basis, x).matvec(np.sqrt(s)
+                                                       * nat[self.w_at])
 
 
 # ---------------------------------------------------------------------------
 # Terms of the additive predictor. A term reads the per-row data ``columns``
-# and gets them back at one row per predictor group through ``bind``; then
-# ``values`` gives it on the groups plus a backprop cache, and ``backprop``
-# pushes d(logp)/d(term) into its blocks. De-biased predictions drop the
-# ``fatigue`` terms. ``_Linear`` and ``_Gather`` read a source (above);
-# ``_RepeatTable`` is the gather term that indexes its table by repeats.
+# and ``bind`` gives them back at one row per predictor group, with the
+# layout in which its blocks lie. A term linear in a ``source`` gives its
+# columns on the groups, ``design()``, times the source's weights; the
+# model stacks them into one group design. A term that is not (``design()``
+# is None) gives ``values`` on the groups plus a backprop cache, and
+# ``backprop`` pushes d(logp)/d(term) into its blocks. De-biased
+# predictions drop the ``fatigue`` terms.
 # ---------------------------------------------------------------------------
 
 class _Linear:
     """x' beta for the indicator columns ``x`` with plain, hierarchical or
-    horseshoe coefficients ``coef``; the intercept is the linear term on a
-    constant column."""
+    horseshoe coefficients ``source``; the intercept is the linear term on
+    a constant column."""
 
-    def __init__(self, x: np.ndarray, coef, fatigue: bool = False):
-        self.coef = coef
+    def __init__(self, x: np.ndarray, source, fatigue: bool = False):
+        self.source = source
         self.fatigue = fatigue
         self.columns = list(x.T)
 
@@ -442,25 +498,23 @@ class _Linear:
         return cls(np.ones((n, 1)), _Coefficients(_intercept(spec)))
 
     def blocks(self) -> list[Block]:
-        return self.coef.blocks()
+        return self.source.blocks()
 
-    def bind(self, g: np.ndarray) -> None:
+    def bind(self, g: np.ndarray, layout: Layout) -> None:
         self.g_x = g
+        self.source.place(layout)
 
-    def values(self, layout: Layout, theta: np.ndarray):
-        beta, cache = self.coef.values(layout, theta)
-        # ndarray.dot: matmul takes a slow path for a single column
-        return self.g_x.dot(beta), cache
-
-    def backprop(self, acc: GradAccumulator, d_eta: np.ndarray,
-                 cache) -> None:
-        self.coef.backprop(acc, self.g_x.T.dot(d_eta), cache)
+    def design(self) -> np.ndarray:
+        return self.g_x
 
 
 class _Gather:
     """The vector of a ``source`` read at each row's ``index`` into it; an
     index one past the source's end reads 0, for rows the source does not
-    cover. The gradient goes back to the source by one ``np.bincount``."""
+    cover. A source with ``rows`` gives the design its rows at each index.
+    ``values`` reads the source itself (a 2D surface, or a smooth inside
+    ``_NegativeExp``), and ``backprop`` scatters the gradient back to it
+    with one ``np.bincount``."""
 
     fatigue = False
 
@@ -482,21 +536,27 @@ class _Gather:
     def _to_index(self, column: np.ndarray) -> np.ndarray:
         return column
 
-    def bind(self, g: np.ndarray) -> None:
+    def bind(self, g: np.ndarray, layout: Layout) -> None:
         self.g_index = self._to_index(g[:, 0].astype(int))
         self.padded = bool((self.g_index == self.source.size).any())
+        self.source.place(layout)
 
-    def values(self, layout: Layout, theta: np.ndarray):
-        v, cache = self.source.values(layout, theta)
+    def design(self) -> np.ndarray | None:
+        rows = self.source.rows
+        if rows is None:
+            return None
+        return np.vstack([rows, np.zeros(rows.shape[1])])[self.g_index]
+
+    def values(self, nat: np.ndarray):
+        v, cache = self.source.values(nat)
         if self.padded:
             v = np.append(v, 0.0)
         return v[self.g_index], cache
 
-    def backprop(self, acc: GradAccumulator, d_eta: np.ndarray,
-                 cache) -> None:
+    def backprop(self, grad: np.ndarray, d_eta: np.ndarray, cache) -> None:
         n = self.source.size
-        self.source.backprop(acc, np.bincount(self.g_index, weights=d_eta,
-                                              minlength=n + 1)[:n], cache)
+        self.source.backprop(grad, np.bincount(self.g_index, weights=d_eta,
+                                               minlength=n + 1)[:n], cache)
 
 
 class _RepeatTable(_Gather):
@@ -510,10 +570,9 @@ class _RepeatTable(_Gather):
         n = self.source.size
         return np.where(repeat >= 1, np.minimum(repeat, n) - 1, n)
 
-    def on_repeats(self, layout: Layout, theta: np.ndarray,
-                   repeat: np.ndarray) -> np.ndarray:
+    def on_repeats(self, nat: np.ndarray, repeat: np.ndarray) -> np.ndarray:
         """The table read at each repeat count."""
-        table = self.source.values(layout, theta)[0]
+        table = self.source.values(nat)[0]
         return np.append(table, 0.0)[self._to_index(repeat)]
 
 
@@ -521,8 +580,10 @@ class _HillTerm:
     """Hill fatigue curves at each row's repeat count: one curve (Q=1), or
     one per fatigue covariate with ``weights`` (n, Q) the covariate columns,
     giving sum_q weights[:, q] rho_q(r).
-    The curves are evaluated once per distinct repeat count, on the log
-    repeats that ``bind`` computes.
+
+    The term is its own source: its weights are the Q curves at the
+    distinct repeat counts, on the log repeats that ``bind`` computes, and
+    its design is each group's weight times the one-hot of its count.
     """
 
     fatigue = True
@@ -535,6 +596,7 @@ class _HillTerm:
         self.priors = priors
         self.weighted = weights is not None
         self.columns = [repeat] + ([] if weights is None else list(weights.T))
+        self.source = self
 
     def blocks(self) -> list[Block]:
         def per_curve(family: str, *attrs: str) -> PriorSpec:
@@ -551,59 +613,45 @@ class _HillTerm:
                       prior=per_curve("normal", "zeta_loc", "zeta_scale")),
                 Block("hill_eta", self.q, "log", eta)]
 
-    def bind(self, g: np.ndarray) -> None:
+    def bind(self, g: np.ndarray, layout: Layout) -> None:
         counts, self.g_index = np.unique(g[:, 0].astype(int),
                                          return_inverse=True)
         self.g_logs = log_repeats(counts)
-        self.g_weights = g[:, 1:] if self.weighted else None
+        self.g_weights = (g[:, 1:] if self.weighted
+                          else np.ones((g.shape[0], 1)))
+        # gamma, zeta and eta, one (Q, 1) column each, follow one another
+        start = layout.sl("hill_gamma").start
+        self.at = np.arange(start, start + 3 * self.q).reshape(3, self.q, 1)
+        self.grad_at = slice(start, start + 3 * self.q)
 
-    def _curves(self, layout: Layout, theta: np.ndarray, logs: tuple
-                ) -> list:
-        """(curve, values, gradients) of each curve at the repeat counts
-        of ``logs`` (``log_repeats``)."""
-        gam = _exp(layout.raw(theta, "hill_gamma"))
-        zet = layout.raw(theta, "hill_zeta")
-        eta = _exp(layout.raw(theta, "hill_eta"))
-        return [(c, *hill_grad_log(c, *logs))
-                for c in map(HillCurve, gam, zet, eta)]
+    def design(self) -> np.ndarray:
+        onehot = self.g_index[:, None] == np.arange(self.g_logs[1].size)
+        return (self.g_weights[:, :, None] * onehot[:, None, :]).reshape(
+            self.g_index.size, -1)
 
-    def values(self, layout: Layout, theta: np.ndarray):
-        index = self.g_index
-        per_q = self._curves(layout, theta, self.g_logs)
-        weights = self.g_weights
-        if weights is None:
-            return per_q[0][1][index], (per_q, index, None)
-        total = np.zeros(weights.shape[0])
-        for q, (_, value, _) in enumerate(per_q):
-            total += weights[:, q] * value[index]
-        return total, (per_q, index, weights)
+    def weights(self, nat: np.ndarray):
+        """The curves at the distinct repeat counts, curve by curve, plus
+        their partials in (gamma, zeta, eta)."""
+        value, grads = hill_grad_log(*nat[self.at], *self.g_logs)
+        return value.ravel(), np.array((grads["gamma"], grads["zeta"],
+                                        grads["eta"]))
 
-    def backprop(self, acc: GradAccumulator, d_eta: np.ndarray,
-                 cache) -> None:
-        """Push d(logp)/d(term) into the curve parameters, on the log scale
-        for gamma and eta."""
-        per_q, index, weights = cache
-        rows = []
-        for q, (curve, value, grads) in enumerate(per_q):
-            d = np.bincount(index, minlength=value.size, weights=(
-                d_eta if weights is None else weights[:, q] * d_eta))
-            rows.append((float(d @ grads["gamma"]) * curve.gamma,
-                         float(d @ grads["zeta"]),
-                         float(d @ grads["eta"]) * curve.eta))
-        for name, g in zip(("hill_gamma", "hill_zeta", "hill_eta"),
-                           np.array(rows).T):
-            acc.add(name, g)
+    def backprop_weights(self, grad: np.ndarray, d_s: np.ndarray,
+                         partials: np.ndarray) -> None:
+        # one row-by-column product per (partial, curve) pair
+        grad[self.grad_at] += (partials[:, :, None, :]
+                               @ d_s.reshape(self.q, -1, 1)).ravel()
 
-    def on_repeats(self, layout: Layout, theta: np.ndarray,
-                   repeat: np.ndarray) -> np.ndarray:
+    def on_repeats(self, nat: np.ndarray, repeat: np.ndarray) -> np.ndarray:
         """The curve of an unweighted term (Q = 1) at each repeat count."""
-        return self._curves(layout, theta, log_repeats(repeat))[0][1]
+        return hill_grad_log(*nat[self.at], *log_repeats(repeat))[0][0]
 
 
 class _NegativeExp:
     """Fatigue -exp(s) at repeat counts r >= 1 and 0 at r = 0, strictly
     negative for repeat participants, where s sums the ``rho`` table at r
-    and ``smooths``."""
+    and ``smooths``. Not linear in its sources, it stays out of the group
+    design."""
 
     fatigue = True
 
@@ -614,32 +662,34 @@ class _NegativeExp:
     def blocks(self) -> list[Block]:
         return [b for t in self.inner for b in t.blocks()]
 
-    def bind(self, g: np.ndarray) -> None:
-        _bind(self.inner, g)
+    def bind(self, g: np.ndarray, layout: Layout) -> None:
+        _bind(self.inner, g, layout)
         rho = self.inner[0]
         self.g_repeater = rho.g_index < rho.source.size
 
-    def values(self, layout: Layout, theta: np.ndarray):
-        inner = [t.values(layout, theta) for t in self.inner]
-        with np.errstate(over="ignore"):
-            term = np.where(self.g_repeater,
-                            -np.exp(sum(v for v, _ in inner)), 0.0)
+    def design(self) -> None:
+        return None
+
+    def values(self, nat: np.ndarray):
+        inner = [t.values(nat) for t in self.inner]
+        term = np.where(self.g_repeater,
+                        -np.exp(sum(v for v, _ in inner)), 0.0)
         return term, ([c for _, c in inner], term)
 
-    def backprop(self, acc: GradAccumulator, d_eta: np.ndarray,
-                 cache) -> None:
+    def backprop(self, grad: np.ndarray, d_eta: np.ndarray, cache) -> None:
         caches, term = cache
-        with np.errstate(invalid="ignore"):
-            d_s = d_eta * term   # d(-exp(s))/ds = -exp(s), zero where r = 0
+        d_s = d_eta * term   # d(-exp(s))/ds = -exp(s), zero where r = 0
         for t, c in zip(self.inner, caches):
-            t.backprop(acc, d_s, c)
+            t.backprop(grad, d_s, c)
 
 
-def _bind(terms: list, g: np.ndarray) -> None:
-    """Hand each term its own columns of ``g``, one row per group."""
+def _bind(terms: list, g: np.ndarray, layout: Layout) -> None:
+    """Hand each term its own columns of ``g``, one row per group, and the
+    layout."""
     start = 0
     for term in terms:
-        term.bind(np.ascontiguousarray(g[:, start:start + len(term.columns)]))
+        term.bind(np.ascontiguousarray(g[:, start:start + len(term.columns)]),
+                  layout)
         start += len(term.columns)
 
 
@@ -705,17 +755,15 @@ class _Nb1Cells:
         self.n_groups = n_groups
 
     def _mu_rows(self, eta: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            return np.exp(eta)[self.group_of]
+        return np.exp(eta)[self.group_of]
 
     def loglik(self, eta: np.ndarray, nu: float
                ) -> tuple[float, np.ndarray, float]:
         mu = self._mu_rows(eta)
         ll, d_mu, d_nu = nb1_agg_loglik(self.y, self.log_fact, mu,
                                         self.row_cell, nu)
-        with np.errstate(invalid="ignore"):
-            d_eta = np.bincount(self.group_of, weights=d_mu * mu,
-                                minlength=self.n_groups)
+        d_eta = np.bincount(self.group_of, weights=d_mu * mu,
+                            minlength=self.n_groups)
         return float(ll.sum()), d_eta, d_nu
 
     def pointwise(self, eta: np.ndarray, nu: float) -> np.ndarray:
@@ -735,6 +783,22 @@ class _AdditiveCountModel:
     Rows that agree on every column the terms read and on their offset form
     one predictor group. The class's ``observation`` model runs on them.
     Predictions leave out the offsets unless ``offsets_in_prediction``.
+
+    Every term linear in a source contributes its columns to one dense
+    group design X (n_groups x p), built with the model, and its source
+    fills its slice of one weight vector s: the intercept and the indicator
+    blocks, the 1D GP smooths (the basis rows at each group's index, s
+    being sqrt(S) w), the repeat tables (one-hot rows) and the Hill curves
+    (weight times one-hot rows over the distinct repeat counts). The
+    remaining terms, the 2D surfaces and -exp fatigue, are evaluated on
+    the groups one by one. So eta = X s + those terms + offsets, and the
+    gradient of every source is one product, X^T d_eta.
+
+    ``logp_grad`` exponentiates every log-scale element once into one
+    natural-scale vector, from which every source reads. Each backprop
+    writes natural-scale partials into one gradient buffer through slices
+    found when the model was built; the log-scale chain rule is applied
+    once, before the prior pass adds its terms.
     """
 
     offsets_in_prediction = False
@@ -747,70 +811,116 @@ class _AdditiveCountModel:
         self.data = data
         self.n_obs = data.y.shape[0]
         self.terms = terms
+        blocks = [b for t in terms for b in t.blocks()]
+        if self.observation.dispersion is not None:
+            blocks.append(Block(self.observation.dispersion, 1, "log",
+                                DISPERSION_PRIOR))
+        self.layout = Layout(blocks)
+        self.prior = _PriorPass(self.layout)
+        self.logs = self.prior.table.logs
+        self.disp_at = (slice(0, 0) if self.observation.dispersion is None
+                        else self.layout.sl(self.observation.dispersion))
         key = np.column_stack([c for t in terms for c in t.columns]
                               + [data.offsets])
         _, first, self.group_of = np.unique(
             key, axis=0, return_index=True, return_inverse=True)
-        _bind(terms, key[first])
+        _bind(terms, key[first], self.layout)
         self.g_offsets = key[first, -1]
         self.n_groups = first.size
         self.obs = self.observation(data, self.group_of, self.n_groups)
-        blocks = [b for t in terms for b in t.blocks()]
-        if self.obs.dispersion is not None:
-            blocks.append(Block(self.obs.dispersion, 1, "log",
-                                DISPERSION_PRIOR))
-        self.layout = Layout(blocks)
-        self.prior = _PriorPass(self.layout)
+        columns, self.sources, self.outside = [], [], []
+        start = 0
+        for term in terms:
+            x = term.design()
+            if x is None:
+                self.outside.append(term)
+                continue
+            self.sources.append((term.source,
+                                 slice(start, start + x.shape[1]),
+                                 term.fatigue))
+            start += x.shape[1]
+            columns.append(x)
+        self.design = np.column_stack(columns)
 
-    def _dispersion(self, theta: np.ndarray) -> tuple[float, ...]:
-        """The observation's dispersion value, if it has one."""
-        name = self.obs.dispersion
-        if name is None:
-            return ()
-        return (float(_exp(self.layout.raw(theta, name))[0]),)
+    def _natural(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """theta with every log-scale element exponentiated, and those
+        values. Each must come out positive and finite, or the state is
+        rejected; overflow is caught before np.exp."""
+        u = theta[self.logs]
+        if not np.maximum.reduce(u, initial=-np.inf) <= _MAX_LOG:
+            raise RejectedState
+        v = np.exp(u)
+        if not np.minimum.reduce(v, initial=np.inf) > 0.0:
+            raise RejectedState
+        nat = theta.copy()
+        nat[self.logs] = v
+        return nat, v
 
-    def _eta_groups(self, theta: np.ndarray):
-        eta = np.zeros(self.n_groups)
+    def _terms(self, nat: np.ndarray, debias: bool):
+        """The sum of the terms on the groups, without offsets, plus the
+        backprop caches of the sources and then of the terms outside the
+        design. ``debias`` drops the fatigue terms: their sources are not
+        evaluated and their weights stay zero."""
+        s = np.zeros(self.design.shape[1])
         caches = []
-        for term in self.terms:
-            value, cache = term.values(self.layout, theta)
-            eta = eta + value
-            caches.append(cache)
-        eta = eta + self.g_offsets
-        _check_finite_predictor(eta, self.group_of)
+        for source, at, fatigue in self.sources:
+            if not (debias and fatigue):
+                s[at], cache = source.weights(nat)
+                caches.append(cache)
+        eta = self.design @ s
+        for term in self.outside:
+            if not (debias and term.fatigue):
+                value, cache = term.values(nat)
+                eta += value
+                caches.append(cache)
         return eta, caches
+
+    def _eta(self, nat: np.ndarray) -> np.ndarray:
+        eta = self._terms(nat, False)[0] + self.g_offsets
+        _check_finite_predictor(eta, self.group_of)
+        return eta
 
     @_guarded
     def logp_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
-        acc = GradAccumulator(self.layout)
-        eta, caches = self._eta_groups(theta)
-        dispersion = self._dispersion(theta)
-        logp, d_eta, *d_dispersion = self.obs.loglik(eta, *dispersion)
-        for value, d in zip(dispersion, d_dispersion):
-            acc.add(self.obs.dispersion, d * value)
-        for term, cache in zip(self.terms, caches):
-            term.backprop(acc, d_eta, cache)
-        logp += self.prior(theta, acc.grad)
-        return logp, acc.grad
+        nat, v = self._natural(theta)
+        eta, caches = self._terms(nat, False)
+        eta += self.g_offsets
+        logp, d_eta, *d_dispersion = self.obs.loglik(
+            eta, *nat[self.disp_at].tolist())
+        if not logp > -np.inf:
+            _check_finite_predictor(eta, self.group_of)
+            raise RejectedState
+        grad = np.zeros(self.layout.size)
+        grad[self.disp_at] = d_dispersion
+        d_s = d_eta @ self.design
+        for (source, at, _), cache in zip(self.sources, caches):
+            source.backprop_weights(grad, d_s[at], cache)
+        for term, cache in zip(self.outside, caches[len(self.sources):]):
+            term.backprop(grad, d_eta, cache)
+        grad[self.logs] *= v
+        logp += self.prior(theta, grad)
+        return logp, grad
 
+    @_predicting
     def pointwise_loglik(self, theta: np.ndarray) -> np.ndarray:
-        return self.obs.pointwise(self._eta_groups(theta)[0],
-                                  *self._dispersion(theta))
+        nat = self._natural(theta)[0]
+        return self.obs.pointwise(self._eta(nat),
+                                  *nat[self.disp_at].tolist())
 
+    @_predicting
     def replicate(self, theta, rng: np.random.Generator) -> np.ndarray:
-        eta, dispersion = self._eta_groups(theta)[0], self._dispersion(theta)
+        nat = self._natural(theta)[0]
         try:
-            with np.errstate(over="ignore"):
-                return self.obs.replicate(rng, eta, *dispersion)
+            return self.obs.replicate(rng, self._eta(nat),
+                                      *nat[self.disp_at].tolist())
         except ValueError as exc:  # a mean NumPy's samplers cannot take
             raise RejectedState(str(exc)) from exc
 
+    @_predicting
     def predict_log_intensity(self, theta, debias=False) -> np.ndarray:
         """Log intensity on the fitted rows; ``debias`` drops the fatigue
         terms."""
-        eta = sum((t.values(self.layout, theta)[0] for t in self.terms
-                   if not (debias and t.fatigue)),
-                  np.zeros(self.n_groups))[self.group_of]
+        eta = self._terms(self._natural(theta)[0], debias)[0][self.group_of]
         if not self.offsets_in_prediction:
             return eta
         return eta + self.data.offsets
@@ -846,8 +956,9 @@ class Stage1PoissonModel(_AdditiveCountModel):
                 "sigma_alpha")),
             self.tested])
 
+    @_predicting
     def coefficients(self, theta) -> np.ndarray:
-        return self.tested.coef.values(self.layout, theta)[0]
+        return self.tested.source.weights(self._natural(theta)[0])[0]
 
 
 class Stage2PoissonModel(_AdditiveCountModel):
@@ -870,8 +981,9 @@ class Stage2PoissonModel(_AdditiveCountModel):
         self.rhs = _RhsTerm("gamma", spec.rhs)
         super().__init__(spec, data, [_Linear(w, self.rhs, fatigue=True)])
 
+    @_predicting
     def coefficients(self, theta) -> np.ndarray:
-        return self.rhs.values(self.layout, theta)[0]
+        return self.rhs.weights(self._natural(theta)[0])[0]
 
 
 class LongitudinalNbModel(_AdditiveCountModel):
@@ -915,10 +1027,12 @@ class LongitudinalNbModel(_AdditiveCountModel):
                             max(times.std(), 1e-8)),
             *fatigue])
 
+    @_predicting
     def fatigue_curve(self, theta, r_grid: np.ndarray) -> np.ndarray:
         """rho(r) on a grid of repeat counts for one draw."""
         repeat = np.asarray(r_grid, dtype=int)
-        return sum((t.on_repeats(self.layout, theta, repeat)
+        nat = self._natural(theta)[0]
+        return sum((t.on_repeats(nat, repeat)
                     for t in self.terms if t.fatigue), np.zeros(repeat.size))
 
 
@@ -945,9 +1059,10 @@ class IndividualGamModel(_AdditiveCountModel):
                                    data.repeat.astype(int), w))
         super().__init__(spec, data, terms)
 
+    @_predicting
     def age_curve(self, theta, ages: np.ndarray) -> np.ndarray:
         """log intensity over ages at reference covariates (u = w = 0)."""
-        f = self.f_age.values_at(self.layout, theta, ages)
+        f = self.f_age.values_at(self._natural(theta)[0], ages)
         return self.layout.raw(theta, "beta0")[0] + f
 
 
@@ -1100,6 +1215,7 @@ class AggregatedBrcModel(_AdditiveCountModel):
                          _NegativeExp(rho, *_variant_smooths(fk, data)))
         super().__init__(spec, data, terms)
 
+    @_predicting
     def predict_log_m(self, theta, pair: str, wave: int, a: np.ndarray,
                       b: np.ndarray, population: PopulationTable
                       ) -> np.ndarray:
@@ -1115,7 +1231,7 @@ class AggregatedBrcModel(_AdditiveCountModel):
             raise ValueError(f"ages must be whole years in 0-{_N_AGE - 1}")
         a, b = a.astype(int), b.astype(int)
         index = b * _N_AGE + a if swap else a * _N_AGE + b
-        f = self.surfaces[key].source.values(self.layout, theta)[0][index]
+        f = self.surfaces[key].source.values(self._natural(theta)[0])[0][index]
         t_idx = self.data.waves.index(wave)
         tau = self.layout.raw(theta, "tau")[t_idx - 1] if t_idx else 0.0
         pop = population.get(_contact_gender(pair))

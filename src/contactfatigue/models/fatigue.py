@@ -37,7 +37,7 @@ def hill(curve: HillCurve, r) -> np.ndarray:
 
 def hill_grad(curve: HillCurve, r) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """rho(r) with partial derivatives w.r.t. (gamma, zeta, eta)."""
-    return hill_grad_log(curve, *log_repeats(r))
+    return hill_grad_log(curve.gamma, curve.zeta, curve.eta, *log_repeats(r))
 
 
 def log_repeats(r) -> tuple[np.ndarray, np.ndarray]:
@@ -52,16 +52,19 @@ def log_repeats(r) -> tuple[np.ndarray, np.ndarray]:
                               0.0)
 
 
-def hill_grad_log(curve: HillCurve, positive: np.ndarray, log_r: np.ndarray
+def hill_grad_log(gamma, zeta, eta, positive: np.ndarray,
+                  log_r: np.ndarray
                   ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """``hill_grad`` on ``log_repeats(r)``.
+    """``hill_grad`` of the curve (gamma, zeta, eta) on ``log_repeats(r)``.
+    The parameters may be arrays that broadcast against the repeats, such
+    as (Q, 1) columns for Q curves at once.
 
     Written through the logistic of zeta + eta log(r), which stays finite
     for arbitrarily extreme parameters.
     """
-    frac = np.where(positive, expit(curve.zeta + curve.eta * log_r), 0.0)
-    value = -curve.gamma * frac
-    d_zeta = -curve.gamma * frac * (1.0 - frac)
+    frac = expit(zeta + eta * log_r) * positive   # 0 at r = 0
+    value = -gamma * frac
+    d_zeta = value * (1.0 - frac)
     grads = {"gamma": -frac, "zeta": d_zeta, "eta": d_zeta * log_r}
     return value, grads
 

@@ -11,16 +11,21 @@ Two negative-binomial parameterizations are used:
 The row-level ``poisson_loglik`` and ``nb2_loglik`` give per-observation
 log likelihoods (the reference for pointwise output); the models run on
 predictor groups through ``poisson_group_loglik`` and ``nb2_group_loglik``,
-which take the special functions of the counts once per distinct count.
-A model builds its ``GroupCounts`` once: group sizes, count sums, the
-count histogram and the terms that depend on the counts alone (the mask
-of groups with counts and the log-factorials), so a gradient computes
-only what depends on the parameters. The cell NB1 likelihood
-``nb1_agg_loglik`` likewise takes its cells' log-factorials from the
-model.
+which take the special functions of the counts once per distinct count;
+``nb2_group_loglik`` sums over the groups in dot products. A model builds
+its ``GroupCounts`` once: group sizes, count sums, the count histogram and
+the terms that depend on the counts alone (the groups with counts, the
+mean counts and the log-factorials), so a gradient computes only what
+depends on the parameters. The cell NB1 likelihood ``nb1_agg_loglik``
+likewise takes its cells' log-factorials from the model. The grouped
+likelihoods run under the ``np.errstate`` of their caller, ``logp_grad``;
+the row-level ones and the NB1 one, which predictions also call, set their
+own.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.special import digamma, gammaln
@@ -70,15 +75,21 @@ class GroupCounts:
     Rows sharing one predictor value contribute through the group size
     ``n`` and count sum ``sum_y``; the count-dependent Gamma terms enter
     through a histogram, ``hist_counts`` rows at each distinct count
-    ``hist_vals``. Built once per model: ``has_y`` (sum_y > 0), the
-    log-factorials ``log_fact`` of the distinct counts and their total
-    over the rows, ``total_log_fact``.
+    ``hist_vals``. Built once per model: ``has_y`` (sum_y > 0), the groups
+    with counts ``with_y`` and their sums ``sum_y_pos``, the mean count
+    ``mean_y`` and the count total ``y_total``, the log-factorials
+    ``log_fact`` of the distinct counts and their total over the rows,
+    ``total_log_fact``.
     """
 
     def __init__(self, y: np.ndarray, group_of: np.ndarray, n_groups: int):
         self.n = np.bincount(group_of, minlength=n_groups).astype(float)
         self.sum_y = np.bincount(group_of, weights=y, minlength=n_groups)
         self.has_y = self.sum_y > 0
+        self.with_y = np.flatnonzero(self.has_y)
+        self.sum_y_pos = self.sum_y[self.with_y]
+        self.mean_y = self.sum_y / self.n
+        self.y_total = float(self.sum_y.sum())
         self.hist_vals, counts = np.unique(y, return_counts=True)
         self.hist_counts = counts.astype(float)
         self.log_fact = gammaln(self.hist_vals + 1.0)
@@ -88,11 +99,13 @@ class GroupCounts:
 def poisson_group_loglik(counts: GroupCounts, eta: np.ndarray
                          ) -> tuple[float, np.ndarray]:
     """Exact Poisson log likelihood over predictor groups, as
-    ``nb2_group_loglik``. Returns (total ll, d ll / d eta per group)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        n_mu = counts.n * np.exp(eta)
-        total = float((np.where(counts.has_y, counts.sum_y * eta, 0.0)
-                       - n_mu).sum() - counts.total_log_fact)
+    ``nb2_group_loglik``. Returns (total ll, d ll / d eta per group).
+
+    It runs under the caller's ``np.errstate``: ``logp_grad`` silences
+    NumPy's floating-point warnings for its whole pass."""
+    n_mu = counts.n * np.exp(eta)
+    total = float((np.where(counts.has_y, counts.sum_y * eta, 0.0)
+                   - n_mu).sum() - counts.total_log_fact)
     if not np.isfinite(total):
         return -np.inf, np.zeros_like(eta)
     return total, counts.sum_y - n_mu
@@ -100,35 +113,50 @@ def poisson_group_loglik(counts: GroupCounts, eta: np.ndarray
 
 def nb2_group_loglik(counts: GroupCounts, eta: np.ndarray, phi: float
                      ) -> tuple[float, np.ndarray, float]:
-    """Exact NB2 log likelihood over predictor groups.
+    """Exact NB2 log likelihood over predictor groups, in dot products
+    over the groups.
 
-    Written like ``nb2_loglik``, so it equals the sum of that function's
-    rows and stays finite where mu overflows. Returns (total ll,
+    With group sizes n, count sums sum_y and L = log1p(mu / phi) =
+    log(phi + mu) - log(phi), the log likelihood is the sum of the Gamma
+    ratios lnGamma(y + phi) - lnGamma(phi) over the distinct counts,
+    minus the log-factorials, plus -phi n . L + sum_y . (eta - log(phi) -
+    L), the eta term taken over the groups with counts only, and
+    d ll / d eta = phi (sum_y - n mu) / (phi + mu). It equals the sum of
+    ``nb2_loglik`` over the rows up to rounding; phi n L stays exact as
+    mu / phi -> 0, where n phi (log(phi) - log(phi + mu)) cancels. Where
+    mu / phi overflows, L is taken by ``logaddexp`` and the gradients in
+    forms that stay finite there, so the log likelihood stays finite as
+    mu -> inf.
+
+    It runs under the caller's ``np.errstate``: ``logp_grad`` silences
+    NumPy's floating-point warnings for its whole pass. Returns (total ll,
     d ll / d eta per group, d ll / d phi).
     """
     c = counts
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        log_phi = np.log(phi)
-        mu = np.exp(eta)
-        phi_mu = phi + mu
-        log_phi_mu = np.log(phi_mu)
-        overflow = np.isinf(log_phi_mu)
-        if overflow.any():
-            log_phi_mu[overflow] = np.logaddexp(log_phi, eta[overflow])
-        hist_phi = c.hist_vals + phi
-        lg_ratio = gammaln(hist_phi) - gammaln(phi) - c.log_fact
-        n_phi = c.n * phi
-        core = (n_phi * (log_phi - log_phi_mu)
-                + np.where(c.has_y, c.sum_y * (eta - log_phi_mu), 0.0))
-        total = float(c.hist_counts @ lg_ratio) + float(core.sum())
-        if not np.isfinite(total):
-            return -np.inf, np.zeros_like(eta), 0.0
-        d_eta = phi * c.sum_y / phi_mu - n_phi / (1.0 + phi / mu)
-        d_phi = (float(c.hist_counts @ (digamma(hist_phi) - digamma(phi)))
-                 + float((c.n * (log_phi + 1.0 - log_phi_mu)).sum())
-                 - float(((c.sum_y + n_phi) / phi_mu).sum()))
-    if not (np.isfinite(d_eta).all() and np.isfinite(d_phi)):
+    log_phi = math.log(phi)
+    mu = np.exp(eta)
+    r = mu / phi
+    q = 1.0 / (1.0 + r)
+    log1p_r = np.log1p(r)
+    n_log1p = c.n @ log1p_r
+    if n_log1p == np.inf:     # mu / phi overflows
+        over = np.isinf(log1p_r)
+        log1p_r[over] = np.logaddexp(log_phi, eta[over]) - log_phi
+        n_log1p = c.n @ log1p_r
+        rq = 1.0 / (1.0 + 1.0 / r)
+        d_eta = c.sum_y * q - c.n * (phi * rq)
+    else:
+        rq = r * q
+        d_eta = (c.mean_y - mu) * (c.n * q)
+    hist_phi = c.hist_vals + phi
+    total = (c.hist_counts @ (gammaln(hist_phi) - gammaln(phi))
+             - c.total_log_fact - phi * n_log1p
+             + c.sum_y_pos @ eta[c.with_y] - c.sum_y @ log1p_r
+             - c.y_total * log_phi)
+    if not math.isfinite(total):
         return -np.inf, np.zeros_like(eta), 0.0
+    d_phi = (c.hist_counts @ (digamma(hist_phi) - digamma(phi))
+             + c.n @ rq - n_log1p - (c.sum_y @ q) / phi)
     return total, d_eta, d_phi
 
 

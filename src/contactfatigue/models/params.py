@@ -78,13 +78,3 @@ class Layout:
                 names.extend(f"{b.name}[{i}]" for i in range(b.size))
         return names
 
-
-class GradAccumulator:
-    """Mutable gradient buffer with named-slice addition."""
-
-    def __init__(self, layout: Layout):
-        self.slices = layout.slices
-        self.grad = np.zeros(layout.size)
-
-    def add(self, name: str, value) -> None:
-        self.grad[self.slices[name]] += value

@@ -1,4 +1,6 @@
 import dataclasses
+import os
+import sys
 import tracemalloc
 import warnings
 
@@ -10,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 from scipy import stats
 from scipy.special import expit
 
+import contactfatigue
 from contactfatigue.domain import (AGE_GRID, FeatureBlock, FeatureSpec,
                                    PopulationTable, SurveyRecord,
                                    build_design, default_coarse_bands)
@@ -23,7 +26,7 @@ from contactfatigue.kernels import basis_at
 from contactfatigue.models.assemble import (AGE_SD, _HsgpTerm, _surface_of,
                                             brc_surface_config)
 from contactfatigue.models.fatigue import hill_grad_log, log_repeats
-from contactfatigue.models.params import Block, GradAccumulator, Layout
+from contactfatigue.models.params import Block, Layout
 from contactfatigue.priors import RhsSpec
 
 from conftest import (SMALL_FEATURES, assert_matches_reference,
@@ -90,7 +93,8 @@ class TestHill:
             d_zeta = -curve.gamma * frac * (1.0 - frac)
             expected = (-curve.gamma * frac, {
                 "gamma": -frac, "zeta": d_zeta, "eta": d_zeta * log_r})
-            for value, grads in (hill_grad_log(curve, *logs),
+            for value, grads in (hill_grad_log(curve.gamma, curve.zeta,
+                                               curve.eta, *logs),
                                  hill_grad(curve, r)):
                 np.testing.assert_array_equal(value, expected[0])
                 for name, g in expected[1].items():
@@ -270,7 +274,8 @@ class TestFatigueVariants:
         for _ in range(5):
             theta = rng.uniform(-0.5, 0.5, model.layout.size)
             fatigue = next(t for t in model.terms if t.fatigue)
-            term = fatigue.values(model.layout, theta)[0][model.group_of]
+            term = fatigue.values(model._natural(theta)[0])[0][
+                model.group_of]
             r = model.data.cell_repeat[model.data.row_cell]
             assert np.all(term[r >= 1] < 0.0)
             assert np.all(term[r == 0] == 0.0)
@@ -327,6 +332,24 @@ class TestLogpGradIsTotal:
         assert grad.shape == (model.layout.size,)
         assert np.all(np.isfinite(grad))
 
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_extreme_states_reject_without_warning(self, name):
+        # at the 9th of these states, brc-none overflows a product in its
+        # surface hyperparameters' gradient; the state is rejected, and no
+        # RuntimeWarning is raised on the way
+        model = MODELS[name]
+        rng = np.random.default_rng([2, 99])
+        for _ in range(20):
+            theta = rng.uniform(-50.0, 50.0, model.layout.size)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                logp, grad = model.logp_grad(theta)
+            if logp == -np.inf:
+                np.testing.assert_array_equal(grad, 0.0)
+            else:
+                assert np.isfinite(logp)
+                assert np.all(np.isfinite(grad))
+
     @pytest.mark.parametrize("name,block", [
         ("gam-hill_per_covariate", "age_ell"), ("longitudinal-hill", "tau_ell")])
     def test_kernel_overflow_is_a_rejected_state(self, name, block):
@@ -380,6 +403,41 @@ class TestLogpGradIsTotal:
             np.testing.assert_array_equal(grad, 0.0)
 
 
+class TestCallBudget:
+    """Python frames of the package (``sys.setprofile`` "call" events
+    whose code lies in ``contactfatigue``) in one ``logp_grad``: the
+    per-call glue, whose count depends neither on the number of rows, nor
+    on the host, nor on NumPy's own Python wrappers. Before the group
+    design, the seed-3 benchmark models took 64 (gam-hill), 67
+    (longitudinal-hill) and 65 (independent-fatigue BRC). Each budget is
+    the count of the one flat pass (23, 23 and 34) plus about 10 %, so
+    that glue does not creep back unnoticed."""
+
+    BUDGET = {"gam-hill_per_covariate": 25, "longitudinal-hill": 25,
+              "brc-independent": 37}
+
+    @pytest.mark.parametrize("name", sorted(BUDGET))
+    def test_frames_per_gradient(self, name):
+        model = MODELS[name]
+        theta = np.random.default_rng(6).uniform(-1.0, 1.0,
+                                                 model.layout.size)
+        assert np.isfinite(model.logp_grad(theta)[0])
+        package = os.path.dirname(contactfatigue.__file__) + os.sep
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            calls += (event == "call"
+                      and frame.f_code.co_filename.startswith(package))
+
+        sys.setprofile(count)
+        try:
+            model.logp_grad(theta)
+        finally:
+            sys.setprofile(None)
+        assert calls <= self.BUDGET[name]
+
+
 class TestPredictionsRaiseRejectedState:
     """At a state that ``logp_grad`` rejects, the prediction paths raise
     the public ``RejectedState``."""
@@ -411,6 +469,17 @@ class TestPredictionsRaiseRejectedState:
         theta = self._rejected(model, "rhs_eps", 400.0)
         with pytest.raises(RejectedState):
             model.pointwise_loglik(theta)
+
+    def test_debiased_prediction_skips_the_fatigue_terms(self):
+        # the stage-2 horseshoe overflows, but the de-biased prediction
+        # does not evaluate the fatigue term and is the offsets alone
+        model = MODELS["stage2-rhs"]
+        theta = self._rejected(model, "rhs_eps", 400.0)
+        with pytest.raises(RejectedState):
+            model.predict_log_intensity(theta)
+        np.testing.assert_array_equal(
+            model.predict_log_intensity(theta, debias=True),
+            model.data.offsets)
 
     def test_surface_at_hyperparameter_overflow(self):
         model, pop = _brc_model()
@@ -482,7 +551,7 @@ def _row_reference(model, theta, debias):
                    and t.source.block_names[0] == "tau_w")
         beta = np.exp(raw("sigma_beta")) * raw("beta_raw")
         eta = (raw("beta0") + d.x @ beta
-               + tau.values_at(layout, theta, d.report_date))
+               + tau.values_at(model._natural(theta)[0], d.report_date))
         return eta if debias else eta + model.fatigue_curve(theta, d.repeat)
     eta = model.age_curve(theta, d.age) + d.block("u") @ raw("beta")
     if debias or model.spec.fatigue.kind == "none":
@@ -514,14 +583,18 @@ class TestGroupedLikelihood:
 
     @pytest.mark.parametrize("name", ROW_LEVEL)
     def test_groups_reproduce_every_row(self, name):
+        # the group design sums the terms in another order than the rows'
+        # own covariates do: 5 states in [-1, 1] and 3 in [-8, 8]
         model = MODELS[name]
-        theta = np.random.default_rng(23).uniform(-1.0, 1.0,
-                                                  model.layout.size)
-        for debias in (False, True):
-            np.testing.assert_allclose(
-                model.predict_log_intensity(theta, debias=debias),
-                _row_reference(model, theta, debias),
-                rtol=1e-12, atol=1e-12)
+        rng = np.random.default_rng(23)
+        for bound, n_states in ((1.0, 5), (8.0, 3)):
+            for _ in range(n_states):
+                theta = rng.uniform(-bound, bound, model.layout.size)
+                for debias in (False, True):
+                    np.testing.assert_allclose(
+                        model.predict_log_intensity(theta, debias=debias),
+                        _row_reference(model, theta, debias),
+                        rtol=1e-12, atol=1e-12)
 
     def test_brc_rows_read_their_pair_surface(self):
         # a row's fitted predictor is the surface prediction of its own
@@ -623,15 +696,17 @@ class TestFactoredSurfaces:
         gp, a, b = _surface_term(model, block)
         rng = np.random.default_rng(31)
         theta = rng.uniform(-1.0, 1.0, model.layout.size)
-        f, cache = gp.values(model.layout, theta)
-        v = cache["sqrt_s"] * cache["w"]
+        nat = model._natural(theta)[0]
+        f, cache = gp.values(nat)
+        v = gp.weights(nat)[0]
+        _, sqrt_s, _ = cache
         phi = basis_at(gp.basis, a / AGE_SD, b / AGE_SD)
         assert_matches_reference(f, phi @ v)
         g = rng.standard_normal(f.size)
-        acc = GradAccumulator(model.layout)
-        gp.backprop(acc, g, cache)
-        assert_matches_reference(acc.grad[model.layout.sl(f"{block}_w")],
-                                 cache["sqrt_s"] * (phi.T @ g))
+        grad = np.zeros(model.layout.size)
+        gp.backprop(grad, g, cache)
+        assert_matches_reference(grad[model.layout.sl(f"{block}_w")],
+                                 sqrt_s * (phi.T @ g))
 
     @pytest.mark.parametrize("pair", GENDER_PAIRS)
     def test_prediction_reads_the_dense_surface(self, pair):
@@ -641,10 +716,9 @@ class TestFactoredSurfaces:
         gp = model.surfaces[key].source
         theta = np.random.default_rng(32).uniform(-1.0, 1.0,
                                                   model.layout.size)
-        _, cache = gp.values(model.layout, theta)
         a, b = (AGE_GRID_B, AGE_GRID_A) if swap else (AGE_GRID_A, AGE_GRID_B)
-        surface = basis_at(gp.basis, a / AGE_SD, b / AGE_SD) @ (
-            cache["sqrt_s"] * cache["w"])
+        surface = basis_at(gp.basis, a / AGE_SD, b / AGE_SD) @ gp.weights(
+            model._natural(theta)[0])[0]
         assert_matches_reference(
             model.predict_log_m(theta, pair, 1, AGE_GRID_A, AGE_GRID_B, pop),
             model.layout.raw(theta, "beta0")[0] + surface
