@@ -238,6 +238,62 @@ class LoadReport:
     n_dropped_missing: int = 0
 
 
+def _read_row(row: Mapping[str, str], schema: CsvSchema,
+              band_cols: list[str] | None,
+              rng: np.random.Generator | None) -> SurveyRecord | None:
+    """One CSV row as a record, or None if it lacks sex or any age.
+    ``band_cols`` names the band count columns, if the file has them."""
+    sex = (row.get("sex") or "").strip()
+    age_text = (row.get("age") or "").strip()
+    band_text = (row.get("age_band") or "").strip()
+    if not sex or (not age_text and not band_text):
+        return None
+    if sex not in SEX_LEVELS:
+        raise DataError(f"unknown sex level {sex!r}")
+    household = (row.get("household_size") or "").strip()
+    if household not in HOUSEHOLD_LEVELS:
+        raise DataError(f"unknown household_size level {household!r}")
+    if age_text:
+        age = int(age_text)
+    else:
+        if rng is None:
+            raise DataError("child row requires an RNG for age imputation")
+        age = impute_child_age(AgeBand.parse(band_text), rng)
+    y_raw = int(row["y_total"])
+    date_text = (row.get("report_date") or "0").strip()
+
+    covariates: dict[str, str] = {}
+    for cov in schema.covariate_columns:
+        value = (row.get(cov) or "").strip()
+        allowed = (schema.covariate_levels or {}).get(cov)
+        if allowed is not None and value not in allowed:
+            raise DataError(f"unknown {cov} level {value!r}")
+        covariates[cov] = value
+
+    by_band = None
+    if band_cols is not None:
+        raw = [int(row[c] or 0) for c in band_cols]
+        if min(raw) < 0:
+            raise DataError("negative band count")
+        if sum(raw) > y_raw:
+            raise DataError(f"band counts sum to {sum(raw)}, "
+                            f"more than y_total {y_raw}")
+        by_band = tuple(min(v, CONTACT_CAP) for v in raw)
+
+    return SurveyRecord(
+        participant_id=row["participant_id"],
+        wave=int(row["wave"]),
+        repeat=int(row["repeat"]),
+        age=age,
+        sex=sex,
+        household_size=household,
+        covariates=covariates,
+        contacts_total=truncate_contacts(y_raw),
+        contacts_by_band=by_band,
+        report_date=int(date_text) if date_text else 0,
+    )
+
+
 def load_survey_csv(
     path: str,
     schema: CsvSchema | None = None,
@@ -252,7 +308,9 @@ def load_survey_csv(
     band, which requires ``rng``. Band counts, when the file has a column
     for every band of ``default_coarse_bands()``, must be non-negative and
     sum to at most ``y_total``; both rules are checked before the total and
-    each band count are capped at ``CONTACT_CAP``.
+    each band count are capped at ``CONTACT_CAP``. A row that breaks a rule
+    of the file or of ``SurveyRecord`` raises ``DataError`` naming
+    ``path:line``.
     """
     schema = schema or CsvSchema()
     band_cols = [f"y_{b.lo}_{b.hi}" for b in default_coarse_bands().bands]
@@ -272,76 +330,18 @@ def load_survey_csv(
 
         for lineno, row in enumerate(reader, start=2):
             report.n_read += 1
-            sex = (row.get("sex") or "").strip()
-            age_text = (row.get("age") or "").strip()
-            band_text = (row.get("age_band") or "").strip()
-            if not sex or (not age_text and not band_text):
-                report.n_dropped_missing += 1
-                continue
-            if sex not in SEX_LEVELS:
-                raise DataError(f"{path}:{lineno}: unknown sex level {sex!r}")
-            household = (row.get("household_size") or "").strip()
-            if household not in HOUSEHOLD_LEVELS:
-                raise DataError(
-                    f"{path}:{lineno}: unknown household_size level {household!r}")
             try:
-                if age_text:
-                    age = int(age_text)
-                    if not (AGE_MIN <= age <= AGE_MAX):
-                        raise DataError(
-                            f"{path}:{lineno}: age out of range 0–84")
-                else:
-                    if rng is None:
-                        raise DataError(
-                            f"{path}:{lineno}: child row requires an RNG for "
-                            "age imputation")
-                    age = impute_child_age(AgeBand.parse(band_text), rng)
-                wave = int(row["wave"])
-                repeat = int(row["repeat"])
-                y_raw = int(row["y_total"])
-                date_text = (row.get("report_date") or "0").strip()
-                report_date = int(date_text) if date_text else 0
-            except DataError:
-                raise
+                record = _read_row(row, schema,
+                                   band_cols if has_bands else None, rng)
+            except DataError as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from exc
             except (KeyError, ValueError) as exc:
-                raise DataError(f"{path}:{lineno}: malformed row ({exc})") from exc
-
-            covariates: dict[str, str] = {}
-            for cov in schema.covariate_columns:
-                value = (row.get(cov) or "").strip()
-                allowed = (schema.covariate_levels or {}).get(cov)
-                if allowed is not None and value not in allowed:
-                    raise DataError(
-                        f"{path}:{lineno}: unknown {cov} level {value!r}")
-                covariates[cov] = value
-
-            by_band = None
-            if has_bands:
-                try:
-                    raw = [int(row[c] or 0) for c in band_cols]
-                except ValueError as exc:
-                    raise DataError(
-                        f"{path}:{lineno}: malformed band count ({exc})") from exc
-                if min(raw) < 0:
-                    raise DataError(f"{path}:{lineno}: negative band count")
-                if sum(raw) > y_raw:
-                    raise DataError(
-                        f"{path}:{lineno}: band counts sum to {sum(raw)}, "
-                        f"more than y_total {y_raw}")
-                by_band = tuple(min(v, CONTACT_CAP) for v in raw)
-
-            records.append(SurveyRecord(
-                participant_id=row["participant_id"],
-                wave=wave,
-                repeat=repeat,
-                age=age,
-                sex=sex,
-                household_size=household,
-                covariates=covariates,
-                contacts_total=truncate_contacts(y_raw),
-                contacts_by_band=by_band,
-                report_date=report_date,
-            ))
+                raise DataError(
+                    f"{path}:{lineno}: malformed row ({exc})") from exc
+            if record is None:
+                report.n_dropped_missing += 1
+            else:
+                records.append(record)
 
     report.n_kept = len(records)
     if report.n_dropped_missing:

@@ -274,16 +274,6 @@ def _sines(x: np.ndarray, center: float, half_width: float,
             / np.sqrt(half_width))
 
 
-def on_points(basis: HsgpBasis, inputs: np.ndarray) -> HsgpBasis:
-    """A 1D basis, with its box, frequencies and centering, on new points,
-    which should lie inside the box used at build time."""
-    phi = _sines(np.asarray(inputs, dtype=float), basis.center[0],
-                 basis.half_width[0], basis.freqs[:, 0])
-    if basis.col_means is not None:
-        phi = phi - basis.col_means[None, :]
-    return replace(basis, phi=phi)
-
-
 def _box(x: np.ndarray, m: int) -> tuple[float, float, np.ndarray]:
     """The center and half-width of the box around the coordinates ``x``,
     and its first ``m`` eigenfrequencies."""
@@ -298,9 +288,9 @@ def build_hsgp_1d(inputs: np.ndarray, m: int) -> HsgpBasis:
     """Reduced-rank basis of ``m`` eigenfunctions on centered inputs."""
     inputs = np.asarray(inputs, dtype=float)
     center, half_width, freqs = _box(inputs, m)
-    basis = HsgpBasis(dim=1, m=m, half_width=(half_width,), center=(center,),
-                      freqs=freqs[:, None])
-    return on_points(basis, inputs)
+    return HsgpBasis(dim=1, m=m, half_width=(half_width,), center=(center,),
+                     freqs=freqs[:, None],
+                     phi=_sines(inputs, center, half_width, freqs))
 
 
 def _build_hsgp_2d(axes: tuple[np.ndarray, ...], m: int,
@@ -338,10 +328,12 @@ def basis_at(basis: HsgpBasis, inputs_a: np.ndarray,
     A reference for the factored evaluation, which no model calls: on the
     85 x 85 age grid a 2D basis matrix takes 47 MB.
     1D bases take one coordinate array; 2D bases take the two coordinates
-    pairwise.
+    pairwise. The points should lie inside the box used at build time.
     """
     if basis.dim == 1:
-        return on_points(basis, inputs_a).phi
+        phi = _sines(np.asarray(inputs_a, dtype=float), basis.center[0],
+                     basis.half_width[0], basis.freqs[:, 0])
+        return phi if basis.col_means is None else phi - basis.col_means
     if inputs_b is None:
         raise ValueError("2D basis requires both coordinates")
     fa, fb = (_sines(np.asarray(x, dtype=float), basis.center[d],

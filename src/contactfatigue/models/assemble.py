@@ -54,7 +54,12 @@ variants (``_NegativeExp``), which is not linear in its sources. So
 
 and the gradient of every source in X comes from one product, X^T d_eta.
 ``predict_log_intensity``, ``pointwise_loglik`` and ``replicate`` read
-eta from the same pass.
+eta, offsets included, from the same pass. The data are checked once, at
+build: a row whose columns or offset are not finite raises ``DataError``,
+so a non-finite predictor comes from theta and is a rejected state. A
+fitted GP is read on the points it was built on: ``age_curve`` and
+``predict_log_m`` take whole-year ages and index the age smooth on
+AGE_GRID and each surface on the 85 x 85 grid.
 
 One observation model per family runs on the groups: Poisson and NB2 on
 group sizes and count sums plus a count histogram, so their cost scales
@@ -92,7 +97,8 @@ import numpy as np
 from scipy.special import gammaln
 
 from .. import kernels
-from ..domain import AGE_GRID, CoarseBandSet, DesignMatrix, PopulationTable
+from ..domain import (AGE_GRID, CoarseBandSet, DataError, DesignMatrix,
+                      PopulationTable)
 from ..kernels import HsgpBasis, KernelSpec
 from ..priors import (FORMULA, RHS_C2_PRIOR, RHS_ZETA_PRIOR, PriorSpec,
                       PriorTable, RhsSpec, rhs_coefficients, table_log_prior)
@@ -155,18 +161,25 @@ def _predicting(fn):
     return wrapper
 
 
-def _check_finite_predictor(eta: np.ndarray, group_of: np.ndarray) -> None:
-    # NaN signals broken data; +-inf from parameter overflow is handled by
-    # the likelihoods (-inf). ``group_of`` maps rows to the groups of eta.
-    if np.isnan(eta).any():
-        bad = int(np.flatnonzero(np.isnan(eta[group_of]))[0])
-        raise FloatingPointError(f"non-finite linear predictor at row {bad}")
-
 #: the standard deviation of the single-year age grid, used to standardize
 #: GP input axes so lengthscale priors act on a unit-scale axis
 AGE_SD = float(AGE_GRID.std())
 #: the number of single-year ages; an age surface has _N_AGE ** 2 cells
 _N_AGE = AGE_GRID.size
+
+
+def _whole_years(*ages) -> list[np.ndarray]:
+    """Each array of ages as indices into ``AGE_GRID``, the points on which
+    the age GPs are built; ages that are not whole years in 0-84 are
+    refused."""
+    out = []
+    for x in ages:
+        x = np.asarray(x, dtype=float)
+        if ((x != np.round(x)) | (x < 0) | (x >= _N_AGE)).any():
+            raise ValueError(f"ages must be whole years in 0-{_N_AGE - 1}")
+        out.append(x.astype(int))
+    return out
+
 
 @dataclass(frozen=True)
 class HsgpConfig:
@@ -372,30 +385,29 @@ class _HsgpTerm:
     """One GP contribution: weights + kernel hyperparameters as blocks.
 
     Its source weights are sqrt(S) w, S being the kernel's spectral
-    weights; ``values`` is the basis times them, at the basis points.
-    ``input_sd`` rescales raw coordinates before basis evaluation, so the
-    lengthscale prior acts on a standardized axis. ``center_weights`` (a
-    distribution over the basis rows) projects the constant component out of
-    the realized function, removing the ridge against the global intercept.
+    weights; ``values`` is the basis times them, at the basis points. The
+    basis is built on standardized points, so that the lengthscale prior
+    acts on a unit-scale axis. ``center_weights`` (a distribution over the
+    basis rows) projects the constant component out of the realized
+    function, removing the ridge against the global intercept.
     """
 
     def __init__(self, name: str, basis: HsgpBasis, config: HsgpConfig,
-                 input_sd: float, center_weights: np.ndarray | None):
+                 center_weights: np.ndarray | None):
         self.basis = (basis if center_weights is None
                       else basis.centered(center_weights))
         self.config = config
-        self.input_sd = float(input_sd)
         hyper_names = (["sigma", "ell"] if basis.dim == 1
                        else ["sigma1", "ell1", "sigma2", "ell2"])
         self.block_names = [f"{name}_w"] + [f"{name}_{h}" for h in hyper_names]
 
     @classmethod
-    def on_axis(cls, name: str, inputs: np.ndarray, config: HsgpConfig,
-                m: int, input_sd: float = 1.0,
-                center_weights: np.ndarray | None = None) -> _HsgpTerm:
-        """A 1D term on the basis of ``inputs / input_sd``."""
-        basis = kernels.build_hsgp_1d(inputs / input_sd, m)
-        return cls(name, basis, config, input_sd, center_weights)
+    def on_axis(cls, name: str, points: np.ndarray, config: HsgpConfig,
+                m: int, center_weights: np.ndarray | None = None
+                ) -> _HsgpTerm:
+        """A 1D term on the basis of the standardized ``points``."""
+        return cls(name, kernels.build_hsgp_1d(points, m), config,
+                   center_weights)
 
     @property
     def size(self) -> int:
@@ -464,12 +476,9 @@ class _HsgpTerm:
         """Push d(logp)/d(f at the basis points) into the gradient."""
         self.backprop_weights(grad, self.basis.rmatvec(g_values), cache)
 
-    def values_at(self, nat: np.ndarray, x) -> np.ndarray:
-        """Realized values of a 1D term at new raw coordinates."""
-        s = self.basis.spectral_weights(self._specs(nat))
-        x = np.asarray(x, dtype=float) / self.input_sd
-        return kernels.on_points(self.basis, x).matvec(np.sqrt(s)
-                                                       * nat[self.w_at])
+    def values_at(self, nat: np.ndarray, index: np.ndarray) -> np.ndarray:
+        """Realized values at the basis points ``index``."""
+        return self.values(nat)[0][index]
 
 
 # ---------------------------------------------------------------------------
@@ -524,9 +533,10 @@ class _Gather:
 
     @classmethod
     def on_axis(cls, name: str, grid: np.ndarray, index: np.ndarray,
-                config: HsgpConfig, input_sd: float) -> _Gather:
-        """A 1D HSGP on the points ``grid``, centered on the rows."""
-        return cls(_HsgpTerm.on_axis(name, grid, config, config.m, input_sd,
+                config: HsgpConfig) -> _Gather:
+        """A 1D HSGP on the standardized points ``grid``, centered on the
+        rows."""
+        return cls(_HsgpTerm.on_axis(name, grid, config, config.m,
                                      np.bincount(index, minlength=grid.size)),
                    index)
 
@@ -782,7 +792,8 @@ class _AdditiveCountModel:
 
     Rows that agree on every column the terms read and on their offset form
     one predictor group. The class's ``observation`` model runs on them.
-    Predictions leave out the offsets unless ``offsets_in_prediction``.
+    Every prediction includes the offsets. The model is built only on
+    finite columns and offsets; a row that is not raises ``DataError``.
 
     Every term linear in a source contributes its columns to one dense
     group design X (n_groups x p), built with the model, and its source
@@ -800,8 +811,6 @@ class _AdditiveCountModel:
     found when the model was built; the log-scale chain rule is applied
     once, before the prior pass adds its terms.
     """
-
-    offsets_in_prediction = False
 
     def __init__(self, spec: ModelSpec, data, terms: list):
         if _FAMILY_CLASS[spec.family] is not type(self):
@@ -822,6 +831,10 @@ class _AdditiveCountModel:
                         else self.layout.sl(self.observation.dispersion))
         key = np.column_stack([c for t in terms for c in t.columns]
                               + [data.offsets])
+        finite = np.isfinite(key).all(axis=1)
+        if not finite.all():
+            raise DataError("non-finite covariate or offset at row "
+                            f"{int(np.argmin(finite))}")
         _, first, self.group_of = np.unique(
             key, axis=0, return_index=True, return_inverse=True)
         _bind(terms, key[first], self.layout)
@@ -875,10 +888,9 @@ class _AdditiveCountModel:
                 caches.append(cache)
         return eta, caches
 
-    def _eta(self, nat: np.ndarray) -> np.ndarray:
-        eta = self._terms(nat, False)[0] + self.g_offsets
-        _check_finite_predictor(eta, self.group_of)
-        return eta
+    def _eta(self, nat: np.ndarray, debias: bool) -> np.ndarray:
+        """eta on the groups, offsets included."""
+        return self._terms(nat, debias)[0] + self.g_offsets
 
     @_guarded
     def logp_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
@@ -888,7 +900,6 @@ class _AdditiveCountModel:
         logp, d_eta, *d_dispersion = self.obs.loglik(
             eta, *nat[self.disp_at].tolist())
         if not logp > -np.inf:
-            _check_finite_predictor(eta, self.group_of)
             raise RejectedState
         grad = np.zeros(self.layout.size)
         grad[self.disp_at] = d_dispersion
@@ -904,26 +915,23 @@ class _AdditiveCountModel:
     @_predicting
     def pointwise_loglik(self, theta: np.ndarray) -> np.ndarray:
         nat = self._natural(theta)[0]
-        return self.obs.pointwise(self._eta(nat),
+        return self.obs.pointwise(self._eta(nat, False),
                                   *nat[self.disp_at].tolist())
 
     @_predicting
     def replicate(self, theta, rng: np.random.Generator) -> np.ndarray:
         nat = self._natural(theta)[0]
         try:
-            return self.obs.replicate(rng, self._eta(nat),
+            return self.obs.replicate(rng, self._eta(nat, False),
                                       *nat[self.disp_at].tolist())
         except ValueError as exc:  # a mean NumPy's samplers cannot take
             raise RejectedState(str(exc)) from exc
 
     @_predicting
     def predict_log_intensity(self, theta, debias=False) -> np.ndarray:
-        """Log intensity on the fitted rows; ``debias`` drops the fatigue
-        terms."""
-        eta = self._terms(self._natural(theta)[0], debias)[0][self.group_of]
-        if not self.offsets_in_prediction:
-            return eta
-        return eta + self.data.offsets
+        """Log intensity on the fitted rows, offsets included; ``debias``
+        drops the fatigue terms."""
+        return self._eta(self._natural(theta)[0], debias)[self.group_of]
 
 
 # ---------------------------------------------------------------------------
@@ -970,7 +978,6 @@ class Stage2PoissonModel(_AdditiveCountModel):
     """
 
     observation = _PoissonGroups
-    offsets_in_prediction = True
 
     def __init__(self, spec: ModelSpec, data: DesignMatrix):
         if spec.rhs is None or spec.rhs.sign != "negative":
@@ -1023,8 +1030,8 @@ class LongitudinalNbModel(_AdditiveCountModel):
             _Linear(data.x, _Coefficients(
                 Block("beta_raw", data.x.shape[1], prior=STD_NORMAL),
                 "sigma_beta")),
-            _Gather.on_axis("tau", times, time_idx, TIME_GP,
-                            max(times.std(), 1e-8)),
+            _Gather.on_axis("tau", times / max(times.std(), 1e-8), time_idx,
+                            TIME_GP),
             *fatigue])
 
     @_predicting
@@ -1045,8 +1052,8 @@ class IndividualGamModel(_AdditiveCountModel):
         if spec.fatigue.kind not in ("none", "hill_per_covariate"):
             raise ValueError("GAM fatigue must be none or hill_per_covariate")
         u, w = data.block("u"), data.block("w")
-        age = _Gather.on_axis("age", AGE_GRID, data.age.astype(int),
-                              spec.hsgp_age, AGE_SD)
+        age = _Gather.on_axis("age", AGE_GRID / AGE_SD, data.age.astype(int),
+                              spec.hsgp_age)
         self.f_age = age.source
         beta = Block("beta", u.shape[1], prior=PriorSpec(
             "normal", (spec.beta_loc, spec.beta_scale)))
@@ -1061,8 +1068,9 @@ class IndividualGamModel(_AdditiveCountModel):
 
     @_predicting
     def age_curve(self, theta, ages: np.ndarray) -> np.ndarray:
-        """log intensity over ages at reference covariates (u = w = 0)."""
-        f = self.f_age.values_at(self._natural(theta)[0], ages)
+        """log intensity at reference covariates (u = w = 0), at whole-year
+        ages in 0-84: the age GP read on its grid, AGE_GRID."""
+        f = self.f_age.values_at(self._natural(theta)[0], *_whole_years(ages))
         return self.layout.raw(theta, "beta0")[0] + f
 
 
@@ -1126,23 +1134,17 @@ def make_brc_data(*, y, wave, repeat, age, band, n_participants, s_prop,
     if np.any(n_part <= 0) or np.any(s_prop <= 0) or np.any(s_prop > 1):
         raise ValueError("participant counts must be > 0 and S in (0,1]")
 
-    row_cell, row_b, log_pop = [], [], []
-    for i in range(n_cells):
-        b_lo = bands.bands[band_idx[i]].lo
-        b_hi = bands.bands[band_idx[i]].hi
-        pop = population.get(_contact_gender(pairs[pair_arr[i]]))
-        for b in range(b_lo, b_hi + 1):
-            row_cell.append(i)
-            row_b.append(b)
-            log_pop.append(np.log(pop[b]))
+    # each cell's rows are the single-year ages of its band, in order
+    row_cell, row_b = np.divmod(
+        np.flatnonzero(bands.membership()[band_idx]), _N_AGE)
+    log_pop = np.log([population.get(_contact_gender(p)) for p in pairs])
     return BrcData(
         y=y, cell_wave=wave_idx, cell_repeat=np.asarray(repeat, dtype=int),
         cell_age=np.asarray(age, dtype=int), cell_pair=pair_arr,
         cell_band=band_idx,
         log_offset_cell=np.log(n_part) + np.log(s_prop),
-        row_cell=np.asarray(row_cell, dtype=int),
-        row_b=np.asarray(row_b, dtype=int),
-        log_pop_row=np.asarray(log_pop, dtype=float),
+        row_cell=row_cell, row_b=row_b,
+        log_pop_row=log_pop[pair_arr[row_cell], row_b],
         waves=waves, pairs=pairs, bands=bands,
         max_repeat=int(np.max(repeat)))
 
@@ -1198,7 +1200,7 @@ class AggregatedBrcModel(_AdditiveCountModel):
                      if len(key) != 2 or key[0] == key[1]
                      else kernels.build_hsgp_2d(axis, axis, cfg.m))
             self.surfaces[key] = _Gather(_HsgpTerm(
-                f"f_{key}", basis, cfg, AGE_SD,
+                f"f_{key}", basis, cfg,
                 np.bincount(grid_index[on], minlength=_N_AGE**2)),
                 np.where(on, grid_index, _N_AGE**2))
         later_wave = (data.cell_wave[cell][:, None]
@@ -1225,13 +1227,9 @@ class AggregatedBrcModel(_AdditiveCountModel):
         key, swap = _surface_of(pair)
         if key not in self.surfaces:
             raise ValueError(f"no surface for pair {pair!r}")
-        a, b = (np.asarray(x, dtype=float) for x in (a, b))
-        if any(((x != np.round(x)) | (x < 0) | (x >= _N_AGE)).any()
-               for x in (a, b)):
-            raise ValueError(f"ages must be whole years in 0-{_N_AGE - 1}")
-        a, b = a.astype(int), b.astype(int)
+        a, b = _whole_years(a, b)
         index = b * _N_AGE + a if swap else a * _N_AGE + b
-        f = self.surfaces[key].source.values(self._natural(theta)[0])[0][index]
+        f = self.surfaces[key].source.values_at(self._natural(theta)[0], index)
         t_idx = self.data.waves.index(wave)
         tau = self.layout.raw(theta, "tau")[t_idx - 1] if t_idx else 0.0
         pop = population.get(_contact_gender(pair))
@@ -1254,14 +1252,14 @@ def _variant_smooths(kind: str, data: BrcData) -> list[_Gather]:
         basis = kernels.build_hsgp_2d(ages / AGE_SD, mid / AGE_SD,
                                       min(vcfg.m, 12))
         return [_Gather(_HsgpTerm(
-            "fac", basis, vcfg, AGE_SD,
+            "fac", basis, vcfg,
             np.bincount(index, minlength=ages.size * mid.size)), index[cell])]
     smooths = [_Gather(_HsgpTerm.on_axis(
-        "fa", ages.astype(float), vcfg, min(vcfg.m, max(4, ages.size)),
-        AGE_SD, np.bincount(age_idx)), age_idx[cell])]
+        "fa", ages / AGE_SD, vcfg, min(vcfg.m, max(4, ages.size)),
+        np.bincount(age_idx)), age_idx[cell])]
     if kind == "variant_b":
         smooths.append(_Gather(_HsgpTerm.on_axis(
-            "fc", mids, vcfg, min(vcfg.m, mids.size), AGE_SD,
+            "fc", mids / AGE_SD, vcfg, min(vcfg.m, mids.size),
             np.bincount(data.cell_band, minlength=mids.size)),
             data.cell_band[cell]))
     return smooths

@@ -128,6 +128,16 @@ class TestCsvLoading:
         with pytest.raises(DataError, match=":2"):
             load_survey_csv(str(path))
 
+    @pytest.mark.parametrize("row,message", [
+        ("a,0,0,30,,M,1,0,5", "wave must be >= 1, got 0"),
+        ("a,1,-1,30,,M,1,0,5", "repeat must be >= 0, got -1"),
+        ("a,1,0,30,,M,1,0,-1", "negative contact count -1")])
+    def test_record_rules_name_the_line(self, tmp_path, row, message):
+        path = tmp_path / "r.csv"
+        path.write_text(self.HEADER + "\n" + row + "\n")
+        with pytest.raises(DataError, match=f"r.csv:2: {message}"):
+            load_survey_csv(str(path))
+
     def test_child_age_imputed_within_band(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_text(self.HEADER + "\nkid,1,0,,5-9,F,2,0,3\n")

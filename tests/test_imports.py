@@ -105,6 +105,8 @@ UNCALLED_KEPT = {
     "LooResult.n_high_k": "to go into the LOO report of `evaluate`",
     "_AdditiveCountModel.replicate": "fuzz-tested; to drive the posterior "
                                      "predictive check of `evaluate`",
+    "HsgpBasis.spectral_weights": "perfbench/tracing.py patches it by name; "
+                                  "to go with the next benchmark change",
 }
 
 
@@ -179,7 +181,7 @@ def test_every_public_definition_has_a_caller():
 #: the settable values of the package: defaulted parameters, defaulted
 #: dataclass fields and command-line options. A new one needs a caller
 #: that sets it to another value; raise the pin only with that caller.
-SETTABLE_VALUES = 99
+SETTABLE_VALUES = 98
 
 
 def _settable_values(source: str) -> int:
@@ -221,3 +223,17 @@ def test_settable_values_do_not_grow():
     count = sum(_settable_values(path.read_text())
                 for path in PACKAGE.rglob("*.py"))
     assert count <= SETTABLE_VALUES
+
+
+def test_the_benchmark_tracer_finds_what_it_patches(monkeypatch):
+    # perfbench/tracing.py swaps package functions and methods, found by
+    # name, for timing wrappers; a renamed one fails here, not only in a
+    # traced benchmark run
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+    from contactfatigue.models import assemble
+
+    original = assemble._HsgpTerm.values_at
+    with tracing.instrument(tracing.Tracer()):
+        assert assemble._HsgpTerm.values_at is not original
+    assert assemble._HsgpTerm.values_at is original

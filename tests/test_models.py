@@ -13,8 +13,8 @@ from scipy import stats
 from scipy.special import expit
 
 import contactfatigue
-from contactfatigue.domain import (AGE_GRID, FeatureBlock, FeatureSpec,
-                                   PopulationTable, SurveyRecord,
+from contactfatigue.domain import (AGE_GRID, DataError, FeatureBlock,
+                                   FeatureSpec, PopulationTable, SurveyRecord,
                                    build_design, default_coarse_bands)
 from contactfatigue.models import (FatigueSpec, HillCurve,
                                    IndividualGamModel, LongitudinalNbModel,
@@ -252,14 +252,14 @@ class TestLogPosteriorContracts:
         assert a[0] == b[0]
         np.testing.assert_array_equal(a[1], b[1])
 
-    def test_nan_predictor_names_row(self, small_design):
+    def test_nan_data_are_refused_at_build_naming_the_row(self,
+                                                          small_design):
         bad = dataclasses.replace(
             small_design,
             offsets=np.where(np.arange(small_design.n) == 7, np.nan, 0.0))
-        model = build_model(ModelSpec(family="stage1_poisson",
-                                      beta0_scale=100.0), bad)
-        with pytest.raises(FloatingPointError, match="row 7"):
-            model.logp_grad(np.zeros(model.layout.size))
+        with pytest.raises(DataError, match="row 7"):
+            build_model(ModelSpec(family="stage1_poisson",
+                                  beta0_scale=100.0), bad)
 
 
 class TestFatigueVariants:
@@ -372,6 +372,18 @@ class TestLogpGradIsTotal:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             logp, grad = model.logp_grad(theta)
+        assert logp == -np.inf
+        np.testing.assert_array_equal(grad, 0.0)
+
+    def test_nan_predictor_from_parameters_is_a_rejected_state(self):
+        # sigma_alpha = e^709 times raw coefficients of +-5 overflows to
+        # +-inf, and the design sums them to NaN: finite data, so the NaN
+        # comes from the state, which is rejected
+        model = MODELS["stage1-plain"]
+        theta = np.zeros(model.layout.size)
+        theta[model.layout.sl("sigma_alpha")] = 709.0
+        theta[model.layout.sl("alpha_raw")] = [5.0, -5.0, 5.0, -5.0, 5.0]
+        logp, grad = model.logp_grad(theta)
         assert logp == -np.inf
         np.testing.assert_array_equal(grad, 0.0)
 
@@ -550,8 +562,9 @@ def _row_reference(model, theta, debias):
                    if isinstance(getattr(t, "source", None), _HsgpTerm)
                    and t.source.block_names[0] == "tau_w")
         beta = np.exp(raw("sigma_beta")) * raw("beta_raw")
+        dates = np.searchsorted(np.unique(d.report_date), d.report_date)
         eta = (raw("beta0") + d.x @ beta
-               + tau.values_at(model._natural(theta)[0], d.report_date))
+               + tau.values_at(model._natural(theta)[0], dates))
         return eta if debias else eta + model.fatigue_curve(theta, d.repeat)
     eta = model.age_curve(theta, d.age) + d.block("u") @ raw("beta")
     if debias or model.spec.fatigue.kind == "none":
@@ -605,7 +618,9 @@ class TestGroupedLikelihood:
         theta = np.random.default_rng(9).uniform(-0.5, 0.5,
                                                  model.layout.size)
         rho = np.concatenate([[0.0], model.layout.raw(theta, "rho")])
-        fitted = model.predict_log_intensity(theta) + d.log_pop_row
+        # the fitted rows include the offsets log P_b + log N + log S
+        fitted = (model.predict_log_intensity(theta)
+                  - d.log_offset_cell[cell])
         for p, pair in enumerate(d.pairs):
             for t, wave in enumerate(d.waves):
                 rows = (d.cell_pair[cell] == p) & (d.cell_wave[cell] == t)
@@ -741,6 +756,9 @@ class TestFactoredSurfaces:
             with pytest.raises(ValueError, match="whole years"):
                 model.predict_log_m(theta, "all", 1, np.array(a),
                                     np.array(b), pop)
+        gam = MODELS["gam-none"]
+        with pytest.raises(ValueError, match="whole years"):
+            gam.age_curve(np.zeros(gam.layout.size), np.array([3.0, age]))
 
     def test_surface_prediction_memory(self):
         # the dense basis on the 85 x 85 age grid at m = 40 is 47 MB
