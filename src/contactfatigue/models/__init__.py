@@ -5,10 +5,9 @@ from .assemble import (AggregatedBrcModel, BrcData, HsgpConfig,
                        ModelSpec, RejectedState, Stage1PoissonModel,
                        Stage2PoissonModel, brc_surface_config, build_model,
                        make_brc_data)
-from .fatigue import (FatigueSpec, HillCurve, HillPriors, hill, hill_grad,
-                      no_fatigue)
-from .likelihoods import (nb1_agg_loglik, nb1_loglik, nb1_rvs, nb2_loglik,
-                          nb2_rvs, poisson_loglik)
+from .fatigue import FatigueSpec, HillCurve, HillPriors, hill, no_fatigue
+from .likelihoods import (nb1_agg_loglik, nb1_rvs, nb2_loglik, nb2_rvs,
+                          poisson_loglik)
 from .params import Block, Layout
 
 __all__ = [
@@ -16,7 +15,7 @@ __all__ = [
     "HillCurve", "HillPriors", "HsgpConfig",
     "IndividualGamModel", "Layout", "LongitudinalNbModel", "Model",
     "ModelSpec", "RejectedState", "Stage1PoissonModel", "Stage2PoissonModel",
-    "brc_surface_config", "build_model", "hill", "hill_grad",
-    "make_brc_data", "nb1_agg_loglik", "nb1_loglik", "nb1_rvs", "nb2_loglik",
-    "nb2_rvs", "no_fatigue", "poisson_loglik",
+    "brc_surface_config", "build_model", "hill", "make_brc_data",
+    "nb1_agg_loglik", "nb1_rvs", "nb2_loglik", "nb2_rvs", "no_fatigue",
+    "poisson_loglik",
 ]

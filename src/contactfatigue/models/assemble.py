@@ -726,7 +726,7 @@ class _PoissonGroups:
         return poisson_group_loglik(self.counts, eta)
 
     def pointwise(self, eta: np.ndarray) -> np.ndarray:
-        return poisson_loglik(self.y, eta[self.group_of])[0]
+        return poisson_loglik(self.y, eta[self.group_of])
 
     def replicate(self, rng: np.random.Generator, eta: np.ndarray
                   ) -> np.ndarray:
@@ -743,7 +743,7 @@ class _Nb2Groups(_PoissonGroups):
         return nb2_group_loglik(self.counts, eta, phi)
 
     def pointwise(self, eta: np.ndarray, phi: float) -> np.ndarray:
-        return nb2_loglik(self.y, eta[self.group_of], phi)[0]
+        return nb2_loglik(self.y, eta[self.group_of], phi)
 
     def replicate(self, rng: np.random.Generator, eta: np.ndarray,
                   phi: float) -> np.ndarray:

@@ -31,13 +31,8 @@ class HillCurve:
 
 def hill(curve: HillCurve, r) -> np.ndarray:
     """Evaluate rho(r) for repeat counts r >= 0."""
-    value, _ = hill_grad(curve, r)
-    return value
-
-
-def hill_grad(curve: HillCurve, r) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """rho(r) with partial derivatives w.r.t. (gamma, zeta, eta)."""
-    return hill_grad_log(curve.gamma, curve.zeta, curve.eta, *log_repeats(r))
+    return hill_grad_log(curve.gamma, curve.zeta, curve.eta,
+                         *log_repeats(r))[0]
 
 
 def log_repeats(r) -> tuple[np.ndarray, np.ndarray]:
@@ -55,9 +50,10 @@ def log_repeats(r) -> tuple[np.ndarray, np.ndarray]:
 def hill_grad_log(gamma, zeta, eta, positive: np.ndarray,
                   log_r: np.ndarray
                   ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """``hill_grad`` of the curve (gamma, zeta, eta) on ``log_repeats(r)``.
-    The parameters may be arrays that broadcast against the repeats, such
-    as (Q, 1) columns for Q curves at once.
+    """rho(r) of the curve (gamma, zeta, eta) on ``log_repeats(r)`` and its
+    partial derivatives w.r.t. (gamma, zeta, eta). The parameters may be
+    arrays that broadcast against the repeats, such as (Q, 1) columns for
+    Q curves at once.
 
     Written through the logistic of zeta + eta log(r), which stays finite
     for arbitrarily extreme parameters.

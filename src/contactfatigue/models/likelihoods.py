@@ -8,11 +8,12 @@ Two negative-binomial parameterizations are used:
   summation for shared nu, which is what makes the coarse-band likelihood
   consistent with the latent single-year model.
 
-The row-level ``poisson_loglik`` and ``nb2_loglik`` give per-observation
-log likelihoods (the reference for pointwise output); the models run on
-predictor groups through ``poisson_group_loglik`` and ``nb2_group_loglik``,
-which take the special functions of the counts once per distinct count;
-``nb2_group_loglik`` sums over the groups in dot products. A model builds
+The row-level ``poisson_loglik`` and ``nb2_loglik`` give the pointwise
+log likelihoods only, one value per observation, with no gradients; the
+models run on predictor groups through ``poisson_group_loglik`` and
+``nb2_group_loglik``, which take the special functions of the counts once
+per distinct count; ``nb2_group_loglik`` sums over the groups in dot
+products, in the terms that ``nb2_loglik`` takes per row. A model builds
 its ``GroupCounts`` once: group sizes, count sums, the count histogram and
 the terms that depend on the counts alone (the groups with counts, the
 mean counts and the log-factorials), so a gradient computes only what
@@ -31,41 +32,30 @@ import numpy as np
 from scipy.special import digamma, gammaln
 
 
-def poisson_loglik(y: np.ndarray, log_mu: np.ndarray
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row log pmf and d/d(log mu)."""
+def poisson_loglik(y: np.ndarray, log_mu: np.ndarray) -> np.ndarray:
+    """Per-row Poisson log pmf."""
     y = np.asarray(y, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         mu = np.exp(log_mu)
         ll = np.where(y > 0, y * log_mu, 0.0) - mu - gammaln(y + 1.0)
-    bad = ~np.isfinite(mu)
-    if np.any(bad):
-        ll = np.where(bad, -np.inf, ll)
-        return ll, np.where(bad, 0.0, y - mu)
-    return ll, y - mu
+    return np.where(np.isfinite(mu), ll, -np.inf)
 
 
-def nb2_loglik(y: np.ndarray, log_mu: np.ndarray, phi: float
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-row log pmf, d/d(log mu), d/d(phi) for the NB2 parameterization."""
+def nb2_loglik(y: np.ndarray, log_mu: np.ndarray, phi: float) -> np.ndarray:
+    """Per-row NB2 log pmf, in the terms of ``nb2_group_loglik``: with
+    L = log1p(mu / phi), taken by ``logaddexp`` where mu / phi overflows,
+    lnGamma(y + phi) - lnGamma(phi) - lnGamma(y + 1) - phi L
+    + y (log mu - log(phi) - L)."""
     y = np.asarray(y, dtype=float)
-    lg_ratio = gammaln(y + phi) - gammaln(phi)
-    dig = digamma(y + phi) - digamma(phi)
+    log_phi = math.log(phi)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        mu = np.exp(log_mu)
-        log_phi_mu = np.logaddexp(np.log(phi), log_mu)
-        ll = (lg_ratio - gammaln(y + 1.0) + phi * (np.log(phi) - log_phi_mu)
-              + np.where(y > 0, y * (log_mu - log_phi_mu), 0.0))
-        # written to stay finite as mu -> 0 or mu -> inf
-        d_logmu = y - (y + phi) / (1.0 + phi / mu)
-        d_phi = (dig + np.log(phi) + 1.0 - log_phi_mu
-                 - (y + phi) / (phi + mu))
-    bad = ~np.isfinite(ll)
-    if np.any(bad):
-        ll = np.where(bad, -np.inf, ll)
-        d_logmu = np.where(bad, 0.0, d_logmu)
-        d_phi = np.where(bad, 0.0, d_phi)
-    return ll, d_logmu, d_phi
+        log1p_r = np.log1p(np.exp(log_mu) / phi)
+        log1p_r = np.where(np.isinf(log1p_r),
+                           np.logaddexp(log_phi, log_mu) - log_phi, log1p_r)
+        ll = (gammaln(y + phi) - gammaln(phi) - gammaln(y + 1.0)
+              - phi * log1p_r
+              + np.where(y > 0, y * (log_mu - log_phi - log1p_r), 0.0))
+    return np.where(np.isfinite(ll), ll, -np.inf)
 
 
 class GroupCounts:
@@ -158,19 +148,6 @@ def nb2_group_loglik(counts: GroupCounts, eta: np.ndarray, phi: float
     d_phi = (c.hist_counts @ (digamma(hist_phi) - digamma(phi))
              + c.n @ rq - n_log1p - (c.sum_y @ q) / phi)
     return total, d_eta, d_phi
-
-
-def nb1_loglik(y: np.ndarray, mu: np.ndarray, nu: float
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-row NB1 log pmf, d/d(mu), d/d(nu); shape mu/nu, Var = mu(1+nu)."""
-    y = np.asarray(y, dtype=float)
-    alpha = mu / nu
-    ll = (gammaln(y + alpha) - gammaln(alpha) - gammaln(y + 1.0)
-          - alpha * np.log1p(nu) + y * (np.log(nu) - np.log1p(nu)))
-    d_alpha = digamma(y + alpha) - digamma(alpha) - np.log1p(nu)
-    d_mu = d_alpha / nu
-    d_nu = (d_alpha * (-mu / nu**2) + y / nu - (y + alpha) / (1.0 + nu))
-    return ll, d_mu, d_nu
 
 
 def nb1_agg_loglik(y_cell: np.ndarray, log_fact: np.ndarray,

@@ -96,9 +96,6 @@ PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 UNCALLED_KEPT = {
     "basis_at": "dense HSGP basis, the tests' reference for the factored one",
     "gram_matrix": "exact kernel matrix, the tests' reference for HSGP",
-    "rhs_log_prior": "one-block horseshoe density, the tests' reference for "
-                     "the prior pass",
-    "nb1_loglik": "per-row NB1, the tests' reference for the cell NB1",
     "psis_loo": "tested against exact LOO; to be reported by `evaluate`",
     "Layout.pack": "natural-scale values to a state, the tests' state "
                    "builder",
@@ -168,14 +165,24 @@ def test_scan_finds_an_uncalled_method():
     assert _uncalled_definitions(sources) == ["a.py:C.m", "a.py:C.n"]
 
 
-def test_every_public_definition_has_a_caller():
+def _uncalled_in_package() -> set[str]:
+    """The names (``Class.name`` for a method) of the package's public
+    definitions that neither the package nor the benchmark calls."""
     sources = {str(path.relative_to(root.parent)): path.read_text()
                for root in (PACKAGE, PERFBENCH)
                for path in sorted(root.rglob("*.py"))}
-    uncalled = [entry for entry in _uncalled_definitions(sources)
-                if entry.startswith(f"{PACKAGE.name}/")
-                and entry.rsplit(":", 1)[1] not in UNCALLED_KEPT]
-    assert uncalled == []
+    return {entry.rsplit(":", 1)[1]
+            for entry in _uncalled_definitions(sources)
+            if entry.startswith(f"{PACKAGE.name}/")}
+
+
+def test_every_public_definition_has_a_caller():
+    assert sorted(_uncalled_in_package() - set(UNCALLED_KEPT)) == []
+
+
+def test_every_kept_name_is_still_defined_and_uncalled():
+    # an entry goes once its definition is deleted or gains a caller
+    assert sorted(set(UNCALLED_KEPT) - _uncalled_in_package()) == []
 
 
 #: the settable values of the package: defaulted parameters, defaulted

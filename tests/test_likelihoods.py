@@ -5,9 +5,9 @@ from scipy import stats
 from scipy.special import digamma, gammaln
 
 from contactfatigue.models.likelihoods import (GroupCounts, nb1_agg_loglik,
-                                               nb1_loglik, nb1_rvs,
-                                               nb2_group_loglik, nb2_loglik,
-                                               nb2_rvs, poisson_group_loglik,
+                                               nb1_rvs, nb2_group_loglik,
+                                               nb2_loglik, nb2_rvs,
+                                               poisson_group_loglik,
                                                poisson_loglik)
 
 
@@ -15,7 +15,7 @@ class TestPoisson:
     def test_matches_scipy(self):
         y = np.arange(0, 12, dtype=float)
         log_mu = np.linspace(-1, 2, 12)
-        ll, _ = poisson_loglik(y, log_mu)
+        ll = poisson_loglik(y, log_mu)
         np.testing.assert_allclose(
             ll, stats.poisson.logpmf(y, np.exp(log_mu)), rtol=1e-12)
 
@@ -25,7 +25,7 @@ class TestNb2:
         # NB2 with mean mu and shape phi is nbinom(n=phi, p=phi/(phi+mu))
         y = np.arange(0, 15, dtype=float)
         mu, phi = 2.7, 1.3
-        ll, _, _ = nb2_loglik(y, np.full(15, np.log(mu)), phi)
+        ll = nb2_loglik(y, np.full(15, np.log(mu)), phi)
         np.testing.assert_allclose(
             ll, stats.nbinom.logpmf(y, phi, phi / (phi + mu)), rtol=1e-10)
 
@@ -38,29 +38,49 @@ class TestNb2:
     def test_poisson_limit(self):
         y = np.array([3.0])
         log_mu = np.array([np.log(2.0)])
-        nb = nb2_loglik(y, log_mu, 1e6)[0][0]
-        pois = poisson_loglik(y, log_mu)[0][0]
+        nb = nb2_loglik(y, log_mu, 1e6)[0]
+        pois = poisson_loglik(y, log_mu)[0]
         assert nb == pytest.approx(pois, abs=1e-4)
 
     def test_gradients_match_finite_differences(self):
+        # the gradients of the grouped NB2, the one the models run on
         rng = np.random.default_rng(4)
+        group_of = np.arange(30) % 10
         y = rng.integers(0, 20, size=30).astype(float)
-        log_mu = rng.uniform(-1, 2, size=30)
+        counts = GroupCounts(y, group_of, 10)
+        eta = rng.uniform(-1, 2, size=10)
         phi = 1.7
-        _, d_logmu, d_phi = nb2_loglik(y, log_mu, phi)
+        _, d_eta, d_phi = nb2_group_loglik(counts, eta, phi)
         h = 1e-6
-        num_mu = (nb2_loglik(y, log_mu + h, phi)[0]
-                  - nb2_loglik(y, log_mu - h, phi)[0]) / (2 * h)
-        num_phi = (nb2_loglik(y, log_mu, phi + h)[0]
-                   - nb2_loglik(y, log_mu, phi - h)[0]) / (2 * h)
-        np.testing.assert_allclose(d_logmu, num_mu, rtol=1e-5, atol=1e-8)
-        np.testing.assert_allclose(d_phi, num_phi, rtol=1e-5, atol=1e-8)
+        for j in range(10):
+            de = np.zeros(10)
+            de[j] = h
+            num = (nb2_group_loglik(counts, eta + de, phi)[0]
+                   - nb2_group_loglik(counts, eta - de, phi)[0]) / (2 * h)
+            assert d_eta[j] == pytest.approx(num, rel=1e-5, abs=1e-8)
+        num = (nb2_group_loglik(counts, eta, phi + h)[0]
+               - nb2_group_loglik(counts, eta, phi - h)[0]) / (2 * h)
+        assert d_phi == pytest.approx(num, rel=1e-5, abs=1e-8)
 
     def test_extreme_predictor_is_rejected_not_nan(self):
         y = np.array([3.0, 0.0])
-        ll, d1, d2 = nb2_loglik(y, np.array([800.0, -800.0]), 2.0)
-        assert np.all(np.isfinite(d1)) and np.all(np.isfinite(d2))
+        ll = nb2_loglik(y, np.array([800.0, -800.0]), 2.0)
+        assert np.all(np.isfinite(ll))
         assert ll[0] < -1e3
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_row_sum_matches_50_digit_reference(self, seed):
+        # one row per group, so the rows sum to the grouped likelihood
+        rng = np.random.default_rng(seed)
+        y = rng.negative_binomial(2, 0.3, size=40).astype(float)
+        vals, hist = np.unique(y, return_counts=True)
+        for scale in (0.5, 3.0, 30.0, 400.0):
+            eta = rng.normal(0.0, scale, size=40)
+            for phi in (1e-3, 0.7, 2.0, 1e6, 1e9, 1e12, 1e300):
+                total, total_size, *_ = _nb2_groups_mp(
+                    np.ones(40), y, eta, phi, vals, hist.astype(float))
+                got = float(nb2_loglik(y, eta, phi).sum())
+                assert abs(got - total) <= 1e-13 * total_size
 
 
 class TestNb1:
@@ -68,7 +88,9 @@ class TestNb1:
         # NB1 with mean mu and odds nu is nbinom(n=mu/nu, p=1/(1+nu))
         y = np.arange(0, 15, dtype=float)
         mu, nu = 3.0, 2.0
-        ll, _, _ = nb1_loglik(y, np.full(15, mu), nu)
+        # one row per cell
+        ll, _, _ = nb1_agg_loglik(y, gammaln(y + 1.0), np.full(15, mu),
+                                  np.arange(15), nu)
         np.testing.assert_allclose(
             ll, stats.nbinom.logpmf(y, mu / nu, 1 / (1 + nu)), rtol=1e-10)
 
@@ -99,7 +121,8 @@ class TestNb1:
         nu = 0.8
         ll, _, _ = nb1_agg_loglik(y_cell, gammaln(y_cell + 1.0), mu_rows,
                                   row_cell, nu)
-        direct = nb1_loglik(y_cell, np.array([6.0, 4.0]), nu)[0]
+        direct = stats.nbinom.logpmf(y_cell, np.array([6.0, 4.0]) / nu,
+                                     1 / (1 + nu))
         np.testing.assert_allclose(ll, direct, rtol=1e-12)
 
     def test_agg_gradients_match_finite_differences(self):
@@ -130,9 +153,11 @@ class TestNbLogpmf:
         y = np.arange(0, 600, dtype=float)
         mu = np.full(600, 4.0)
         if kind == "nb1":
-            ll, _, _ = nb1_loglik(y, mu, 1.5)
+            # one row per cell
+            ll, _, _ = nb1_agg_loglik(y, gammaln(y + 1.0), mu,
+                                      np.arange(600), 1.5)
         else:
-            ll, _, _ = nb2_loglik(y, np.log(mu), 1.5)
+            ll = nb2_loglik(y, np.log(mu), 1.5)
         assert np.exp(ll).sum() == pytest.approx(1.0, abs=1e-10)
 
 

@@ -20,8 +20,7 @@ from contactfatigue.models import (FatigueSpec, HillCurve,
                                    IndividualGamModel, LongitudinalNbModel,
                                    ModelSpec, RejectedState,
                                    Stage1PoissonModel, Stage2PoissonModel,
-                                   build_model, hill,
-                                   hill_grad, make_brc_data)
+                                   build_model, hill, make_brc_data)
 from contactfatigue.kernels import basis_at
 from contactfatigue.models.assemble import (AGE_SD, _HsgpTerm, _surface_of,
                                             brc_surface_config)
@@ -62,7 +61,7 @@ class TestHill:
     def test_gradients_match_finite_differences(self):
         r = np.array([0.0, 1.0, 2.0, 7.0])
         g0, z0, e0 = 0.9, -1.2, 1.3
-        _, grads = hill_grad(HillCurve(g0, z0, e0), r)
+        _, grads = hill_grad_log(g0, z0, e0, *log_repeats(r))
         h = 1e-6
         for name, d in (("gamma", (h, 0, 0)), ("zeta", (0, h, 0)),
                         ("eta", (0, 0, h))):
@@ -75,10 +74,10 @@ class TestHill:
         with pytest.raises(ValueError):
             hill(HillCurve(1.0, 0.0, 1.0), -1.0)
 
-    def test_curve_on_precomputed_logs_equals_hill_grad(self):
+    def test_curve_on_precomputed_logs_equals_written_out(self):
         # what a model computes once (log_repeats) and per gradient
-        # (hill_grad_log), and hill_grad, equal the curve written out in
-        # one piece, bit for bit
+        # (hill_grad_log), and hill, equal the curve written out in one
+        # piece, bit for bit
         r = np.array([0.0, 1.0, 2.0, 3.0, 7.0, 1e300, 5e-324])
         positive = r > 0
         log_r = np.where(positive, np.log(np.where(positive, r, 1.0)), 0.0)
@@ -91,14 +90,13 @@ class TestHill:
             frac = np.where(positive,
                             expit(curve.zeta + curve.eta * log_r), 0.0)
             d_zeta = -curve.gamma * frac * (1.0 - frac)
-            expected = (-curve.gamma * frac, {
-                "gamma": -frac, "zeta": d_zeta, "eta": d_zeta * log_r})
-            for value, grads in (hill_grad_log(curve.gamma, curve.zeta,
-                                               curve.eta, *logs),
-                                 hill_grad(curve, r)):
-                np.testing.assert_array_equal(value, expected[0])
-                for name, g in expected[1].items():
-                    np.testing.assert_array_equal(grads[name], g)
+            value, grads = hill_grad_log(curve.gamma, curve.zeta, curve.eta,
+                                         *logs)
+            np.testing.assert_array_equal(value, -curve.gamma * frac)
+            np.testing.assert_array_equal(hill(curve, r), value)
+            for name, g in {"gamma": -frac, "zeta": d_zeta,
+                            "eta": d_zeta * log_r}.items():
+                np.testing.assert_array_equal(grads[name], g)
 
 
 class TestParamVector:

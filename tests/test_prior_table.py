@@ -8,10 +8,9 @@ from scipy import stats
 
 from contactfatigue.domain import build_design
 from contactfatigue.models import FatigueSpec, HillPriors, ModelSpec, build_model
-from contactfatigue.models.assemble import (DISPERSION_PRIOR, _PriorPass,
-                                            _RhsTerm)
+from contactfatigue.models.assemble import DISPERSION_PRIOR, _PriorPass
 from contactfatigue.models.params import Block, Layout
-from contactfatigue.priors import PriorSpec, RhsSpec, rhs_log_prior
+from contactfatigue.priors import PriorSpec, RhsSpec
 
 from conftest import SMALL_FEATURES, make_records
 from test_models import _brc_model
@@ -178,35 +177,6 @@ class TestPriorTable:
             assert logp == pytest.approx(-u - np.exp(-u), rel=1e-12, abs=1e-12)
             assert grad[0] == pytest.approx(np.exp(-u) - 1.0, rel=1e-12,
                                             abs=1e-12)
-
-    @pytest.mark.parametrize("sign", ["unconstrained", "negative"])
-    def test_rhs_blocks_match_rhs_log_prior(self, sign):
-        spec = RhsSpec(n_coef=4, p0=1.5, n_obs=50, sign=sign)
-        term = _RhsTerm("beta", spec)
-        layout = Layout(term.blocks())
-        table = _PriorPass(layout)
-        rng = np.random.default_rng(5)
-        for _ in range(5):
-            theta = rng.uniform(-2.0, 2.0, layout.size)
-            grad = np.zeros(layout.size)
-            logp = table(theta, grad)
-            values = layout.constrained(theta)
-            z = values["beta_z"]
-            lp, g = rhs_log_prior(spec, z, values["beta_zeta"],
-                                  values["rhs_c2"][0], values["rhs_eps"][0])
-            log_blocks = ["beta_zeta", "rhs_c2", "rhs_eps"]
-            if sign == "negative":
-                log_blocks.append("beta_z")
-            else:
-                np.testing.assert_allclose(grad[layout.sl("beta_z")], g["z"],
-                                           rtol=1e-12)
-            jacobian = sum(np.sum(layout.raw(theta, b)) for b in log_blocks)
-            assert logp == pytest.approx(lp + jacobian, rel=1e-12)
-            for b in log_blocks:
-                natural = g[b.removeprefix("beta_").removeprefix("rhs_")]
-                np.testing.assert_allclose(
-                    grad[layout.sl(b)], natural * values[b] + 1.0,
-                    rtol=1e-12, atol=1e-12)
 
     def test_block_without_prior_is_refused(self):
         layout = Layout([Block("a", 2, prior=PriorSpec("normal", (0.0, 1.0))),

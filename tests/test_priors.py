@@ -1,12 +1,19 @@
+"""Each prior family is one function from its parameters to coefficients
+of the one formula, ``FORMULA``; ``scipy.stats`` is the reference for the
+density that the coefficients give, and the prior pass of a model, the
+one evaluation of the formula, is checked against the formula written
+out."""
+
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.integrate import quad
-from scipy.special import gammaln, log_ndtr
 
-from contactfatigue.priors import (FORMULA, HALF_NORMAL_VAR_ADJUST,
-                                   PriorSpec, RhsSpec, log_prior,
-                                   regularized_scale, rhs_coefficients,
-                                   rhs_log_prior)
+from contactfatigue.models.assemble import _PriorPass
+from contactfatigue.models.params import Block, Layout
+from contactfatigue.priors import (HALF_NORMAL_VAR_ADJUST, PriorSpec,
+                                   RhsSpec, regularized_scale,
+                                   rhs_coefficients)
 
 ALL_SPECS = [
     PriorSpec("normal", (0.5, 2.0)),
@@ -18,6 +25,7 @@ ALL_SPECS = [
     PriorSpec("student_t_pos", (4.0, 0.3)),
 ]
 
+
 def interior_points(spec, rng, n=20):
     x = rng.uniform(0.05, 3.0, size=n)
     if spec.family == "normal":
@@ -25,45 +33,117 @@ def interior_points(spec, rng, n=20):
     return x
 
 
+def _per_element(spec, n):
+    """The spec with each parameter varied over n elements."""
+    factor = np.linspace(0.5, 2.0, n)
+    return PriorSpec(spec.family, tuple(p * factor for p in spec.params))
+
+
+def _scipy_logpdf(spec, v):
+    """The spec's log density at v by ``scipy.stats``."""
+    p = spec.params
+    if spec.family == "normal":
+        return stats.norm.logpdf(v, p[0], p[1])
+    if spec.family == "halfnormal_pos":
+        loc, scale = np.asarray(p[0]), np.asarray(p[1])
+        return stats.truncnorm.logpdf(v, -loc / scale, np.inf, loc=loc,
+                                      scale=scale)
+    if spec.family == "cauchy_pos":
+        return stats.halfcauchy.logpdf(v, scale=p[0])
+    if spec.family == "invgamma":
+        return stats.invgamma.logpdf(v, p[0], scale=p[1])
+    if spec.family == "exponential":
+        return stats.expon.logpdf(v, scale=1.0 / np.asarray(p[0]))
+    # half-t: twice the Student-t density on [0, inf)
+    half_t = np.log(2.0) + stats.t.logpdf(v, p[0], scale=p[1])
+    return np.where(np.asarray(v) >= 0, half_t, -np.inf)
+
+
+def _formula(coefficients, v):
+    """``FORMULA`` written out at the values v, with the terms the family
+    has."""
+    c = coefficients
+    lp = c["K"]
+    if "Q" in c:
+        lp = lp - 0.5 * ((v - c["L"]) * c["Q"]) ** 2
+    if "A" in c:
+        lp = lp + c["A"] * v
+    if "C" in c:
+        lp = lp + c["C"] * np.log(v)
+    if "D" in c:
+        lp = lp + c["D"] / v
+    if "E" in c:
+        lp = lp + c["E"] * np.log1p(c["F"] * v**2)
+    return lp
+
+
+def _prior_pass(spec, carried):
+    """The log prior and its gradient that a model's prior pass gives a
+    block of ``spec`` at the carried values: the values themselves for a
+    prior on the real line, their logs for a positive one."""
+    carried = np.atleast_1d(np.asarray(carried, dtype=float))
+    transform = "identity" if spec.on_real_line else "log"
+    prior = _PriorPass(Layout([Block("a", carried.size, transform, spec)]))
+    grad = np.zeros(carried.size)
+    return prior(carried.copy(), grad), grad
+
+
+def _natural(spec, v):
+    """``_prior_pass`` at the natural values v, as a log prior without the
+    log-scale Jacobian and a gradient in v."""
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    if spec.on_real_line:
+        return _prior_pass(spec, v)
+    lp, grad = _prior_pass(spec, np.log(v))
+    return lp - np.log(v).sum(), (grad - 1.0) / v
+
+
 class TestLogPrior:
+    """The log prior that a spec's coefficients give, through the prior
+    pass and written out."""
+
     def test_normal_grad_zero_at_mean(self):
-        lp, grad = log_prior(PriorSpec("normal", (0.0, 10.0)), 0.0)
-        assert grad == 0.0
+        _, grad = _natural(PriorSpec("normal", (0.0, 10.0)), 0.0)
+        assert grad[0] == 0.0
 
     def test_exponential_plugin(self):
-        lp, grad = log_prior(PriorSpec("exponential", (1.0,)), 2.0)
+        lp, grad = _natural(PriorSpec("exponential", (1.0,)), 2.0)
         assert lp == pytest.approx(-2.0)
-        assert grad == pytest.approx(-1.0)
+        assert grad[0] == pytest.approx(-1.0)
 
     def test_invgamma_mode(self):
         # mode of InvGamma(a, b) is b / (a + 1) = 5/6
-        _, grad = log_prior(PriorSpec("invgamma", (5.0, 5.0)), 5.0 / 6.0)
-        assert grad == pytest.approx(0.0, abs=1e-12)
+        _, grad = _natural(PriorSpec("invgamma", (5.0, 5.0)), 5.0 / 6.0)
+        assert grad[0] == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family)
     def test_gradients_match_finite_differences(self, spec):
-        rng = np.random.default_rng(5)
-        pts = interior_points(spec, rng)
-        _, grad = log_prior(spec, pts)
+        # the analytic gradient of the prior pass on the carried scale
+        pts = interior_points(spec, np.random.default_rng(5))
+        carried = pts if spec.on_real_line else np.log(pts)
+        _, grad = _prior_pass(spec, carried)
         h = 1e-5
-        num = (log_prior(spec, pts + h)[0] - log_prior(spec, pts - h)[0]) \
-            / (2 * h)
-        np.testing.assert_allclose(grad, num, rtol=1e-6, atol=1e-8)
+        for j in range(carried.size):
+            step = np.zeros(carried.size)
+            step[j] = h
+            num = (_prior_pass(spec, carried + step)[0]
+                   - _prior_pass(spec, carried - step)[0]) / (2 * h)
+            assert grad[j] == pytest.approx(num, rel=1e-6, abs=1e-8)
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family)
     def test_density_integrates_to_one(self, spec):
         # constants are exact, so each density is properly normalized
-        if spec.family == "normal":
-            lo, hi = -np.inf, np.inf
-        else:
-            lo, hi = 0.0, np.inf
-        total, _ = quad(lambda x: float(np.exp(log_prior(spec, x)[0])),
-                        lo, hi, limit=300)
+        lo = -np.inf if spec.on_real_line else 0.0
+        total, _ = quad(lambda x: float(np.exp(_formula(spec.coefficients,
+                                                        x))),
+                        lo, np.inf, limit=300)
         assert total == pytest.approx(1.0, abs=1e-6)
 
     def test_outside_support(self):
-        lp, _ = log_prior(PriorSpec("exponential", (1.0,)), -1.0)
-        assert lp == -np.inf
+        # the families not on the real line have no mass below 0
+        for spec in ALL_SPECS:
+            below = _scipy_logpdf(spec, -0.5)
+            assert (below == -np.inf) != spec.on_real_line
 
     def test_invalid_params_rejected(self):
         with pytest.raises(ValueError):
@@ -72,101 +152,75 @@ class TestLogPrior:
             PriorSpec("beta", (1.0, 1.0))
 
 
-def _written_out(family, theta, *params):
-    """Each density with every term evaluated inline, as one expression:
-    the reference that ``PriorSpec.terms`` must reproduce to the last bit."""
-    if family in ("normal", "halfnormal_pos"):
-        loc, scale = params
-        z = (theta - loc) / scale
-        lp = -0.5 * z**2 - np.log(scale) - 0.5 * np.log(2.0 * np.pi)
-        grad = -z / scale
-        if family == "normal":
-            return lp, grad
-        lp = lp - log_ndtr(loc / scale)
-    elif family == "cauchy_pos":
-        (scale,) = params
-        lp = (np.log(2.0 / np.pi) - np.log(scale)
-              - np.log1p((theta / scale) ** 2))
-        grad = -2.0 * theta / (scale**2 + theta**2)
-    elif family == "invgamma":
-        a, b = params
-        valid = theta > 0
-        th = np.where(valid, theta, 1.0)
-        lp = a * np.log(b) - gammaln(a) - (a + 1.0) * np.log(th) - b / th
-        grad = -(a + 1.0) / th + b / th**2
-        return np.where(valid, lp, -np.inf), np.where(valid, grad, 0.0)
-    elif family == "exponential":
-        (rate,) = params
-        lp, grad = np.log(rate) - rate * theta, -rate
-    else:
-        df, scale = params
-        lp = (np.log(2.0) + gammaln((df + 1.0) / 2.0) - gammaln(df / 2.0)
-              - 0.5 * np.log(df * np.pi) - np.log(scale)
-              - (df + 1.0) / 2.0 * np.log1p(theta**2 / (df * scale**2)))
-        grad = -(df + 1.0) * theta / (df * scale**2 + theta**2)
-    return (np.where(theta >= 0, lp, -np.inf),
-            np.where(theta >= 0, grad, 0.0))
-
-
 #: zero, subnormal, tiny, ordinary and huge values of both signs
 EDGE_VALUES = np.array([0.0, -0.0, 5e-324, 1e-300, 1e-8, 0.37, 2.5, 1e8,
                         1e300, 1.7e308, -5e-324, -1e-300, -0.8, -1e300])
 
+#: log-scale values from v = 0 to v = inf, where v^2 under- and overflows
+EDGE_LOGS = np.array([-800.0, -745.2, -700.0, -360.0, -30.0, -1e-8, 0.0,
+                      1e-300, 0.37, 2.5, 30.0, 354.0, 356.0, 700.0, 800.0])
+
 
 class TestPriorTerms:
-    """``log_prior`` with the value-independent terms computed once and
-    kept by the spec (``PriorSpec.terms``) equals, bit for bit, the density
-    with every term evaluated inline."""
+    """The prior pass adds up the terms of ``FORMULA`` at each element's
+    coefficients: it equals the formula written out, plus the log-scale
+    Jacobian, with scalar and per-element parameters, and is non-finite
+    where the written-out formula is."""
 
     @staticmethod
-    def _assert_same_bits(got, expected):
-        for g, e in zip(got, expected):
-            e = np.broadcast_to(e, np.shape(g))
-            np.testing.assert_array_equal(g, e)
-            np.testing.assert_array_equal(np.signbit(g), np.signbit(e))
+    def _written_out(spec, carried):
+        """The formula at each carried value, plus the log-scale Jacobian;
+        NaN where v = exp(u) underflows to 0 or v^2 overflows, where the
+        pass, which takes 1 / v and v^2, is not finite."""
+        if spec.on_real_line:
+            return _formula(spec.coefficients, carried)
+        v = np.exp(carried)
+        terms = _formula(spec.coefficients, v) + carried
+        return np.where((v == 0.0) | np.isinf(v * v), np.nan, terms)
+
+    def _assert_same(self, spec, carried):
+        got, _ = _prior_pass(spec, carried)
+        with np.errstate(all="ignore"):
+            terms = self._written_out(spec, carried)
+        expected = float(np.sum(terms))
+        assert np.isfinite(got) == np.isfinite(expected)
+        if np.isfinite(expected):
+            assert abs(got - expected) <= 1e-13 * np.sum(np.abs(terms))
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family)
     @pytest.mark.parametrize("per_element", [False, True])
     def test_equals_written_out_density(self, spec, per_element):
-        params = spec.params
-        if per_element:
-            # one prior per value, every parameter varied over them
-            factor = np.linspace(0.5, 2.0, EDGE_VALUES.size)
-            params = tuple(p * factor for p in params)
-        spec = PriorSpec(spec.family, params)    # no terms computed yet
+        values = EDGE_VALUES if spec.on_real_line else EDGE_LOGS
         with np.errstate(all="ignore"):
-            expected = _written_out(spec.family, EDGE_VALUES, *spec.params)
-            # the first call computes the terms, the second reads them
-            for _ in range(2):
-                self._assert_same_bits(log_prior(spec, EDGE_VALUES),
-                                       expected)
+            finite = values[np.isfinite(self._written_out(spec, values))]
+        # every value at once, then the values where the pass is finite
+        for carried in (values, finite):
+            self._assert_same(_per_element(spec, carried.size)
+                              if per_element else spec, carried)
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family)
     def test_scalar_value(self, spec):
-        with np.errstate(all="ignore"):
-            for x in EDGE_VALUES:
-                self._assert_same_bits(
-                    log_prior(spec, x),
-                    _written_out(spec.family, np.asarray(x), *spec.params))
-
-
-def _formula(coefficients, v):
-    """``FORMULA`` written out at the values v, the terms of C log v only
-    where the family has them."""
-    c = dict.fromkeys(FORMULA, 0.0) | coefficients
-    lp = (c["K"] - 0.5 * ((v - c["L"]) * c["Q"]) ** 2 + c["A"] * v
-          + c["D"] / v + c["E"] * np.log1p(c["F"] * v**2))
-    return lp + c["C"] * np.log(v) if "C" in coefficients else lp
+        for x in EDGE_VALUES if spec.on_real_line else EDGE_LOGS:
+            self._assert_same(spec, x)
 
 
 class TestFormula:
-    """Every family is a case of the one formula of the prior pass."""
+    """Every family is a case of the one formula: its coefficients give
+    the ``scipy.stats`` density and its gradient."""
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family)
     def test_coefficients_give_the_density(self, spec):
         pts = interior_points(spec, np.random.default_rng(3), n=50)
-        np.testing.assert_allclose(_formula(spec.coefficients, pts),
-                                   log_prior(spec, pts)[0], rtol=1e-13)
+        h = 1e-5
+        for prior in (spec, _per_element(spec, pts.size)):
+            coef = prior.coefficients
+            np.testing.assert_allclose(_formula(coef, pts),
+                                       _scipy_logpdf(prior, pts), rtol=1e-12)
+            num = (_formula(coef, pts + h)
+                   - _formula(coef, pts - h)) / (2 * h)
+            ref = (_scipy_logpdf(prior, pts + h)
+                   - _scipy_logpdf(prior, pts - h)) / (2 * h)
+            np.testing.assert_allclose(num, ref, rtol=1e-6, atol=1e-8)
 
 
 class TestRhsSpec:
@@ -205,34 +259,6 @@ class TestRegularizedScale:
 class TestRhsLogPrior:
     def _spec(self, sign="unconstrained"):
         return RhsSpec(n_coef=6, p0=2.0, n_obs=50, sign=sign)
-
-    def test_gradients_match_finite_differences(self):
-        spec = self._spec()
-        rng = np.random.default_rng(9)
-        h = 1e-5
-        for _ in range(20):
-            z = rng.normal(size=6)
-            zeta = rng.uniform(0.3, 2.0, size=6)
-            c2 = float(rng.uniform(0.5, 3.0))
-            eps = float(rng.uniform(0.05, 0.5))
-            _, grads = rhs_log_prior(spec, z, zeta, c2, eps)
-
-            def lp(z=z, zeta=zeta, c2=c2, eps=eps):
-                return rhs_log_prior(spec, z, zeta, c2, eps)[0]
-
-            for k in range(6):
-                dz = np.zeros(6)
-                dz[k] = h
-                num = (lp(z=z + dz) - lp(z=z - dz)) / (2 * h)
-                assert grads["z"][k] == pytest.approx(num, rel=1e-6,
-                                                      abs=1e-7)
-                num = (lp(zeta=zeta + dz) - lp(zeta=zeta - dz)) / (2 * h)
-                assert grads["zeta"][k] == pytest.approx(num, rel=1e-6,
-                                                         abs=1e-7)
-            num = (lp(c2=c2 + h) - lp(c2=c2 - h)) / (2 * h)
-            assert grads["c2"] == pytest.approx(num, rel=1e-6, abs=1e-7)
-            num = (lp(eps=eps + h) - lp(eps=eps - h)) / (2 * h)
-            assert grads["eps"] == pytest.approx(num, rel=1e-6, abs=1e-7)
 
     def test_coefficient_partials_match_finite_differences(self):
         spec = self._spec()
