@@ -190,28 +190,6 @@ def truncate_contacts(y: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Age-group coding (14 categories; preschoolers split by attendance)
-# ---------------------------------------------------------------------------
-
-ADULT_AGE_GROUPS = ["6-9", "10-14", "15-19", "20-24", "25-34", "35-44",
-                    "45-54", "55-64", "65-69", "70-74", "75-79", "80-84"]
-AGE_GROUP_LEVELS = ("0-5_preschool", "0-5_home") + tuple(ADULT_AGE_GROUPS)
-
-
-def age_group_of(age: int, preschool: str | None = None) -> str:
-    """14-level age grouping; ages 0-5 split by preschool attendance."""
-    if age <= 5:
-        if preschool in (None, "", "yes"):
-            return "0-5_preschool"
-        return "0-5_home"
-    for label in ADULT_AGE_GROUPS:
-        lo, hi = label.split("-")
-        if int(lo) <= age <= int(hi):
-            return label
-    raise DataError(f"age out of range 0–84: {age}")
-
-
-# ---------------------------------------------------------------------------
 # CSV ingestion
 # ---------------------------------------------------------------------------
 
@@ -359,8 +337,7 @@ class FeatureBlock:
     """A categorical feature expanded to indicator columns.
 
     ``attribute`` names the constant "const", a record field ("sex",
-    "household_size"), the coded "age_group" of the record's age and
-    preschool covariate, or a key in the record's covariate map. With a
+    "household_size") or a key in the record's covariate map. With a
     ``reference`` level set, that level's column is dropped; otherwise the
     block is a full one-hot.
     """
@@ -395,8 +372,6 @@ def _record_level(record: SurveyRecord, attribute: str) -> str:
         return record.sex
     if attribute == "household_size":
         return record.household_size
-    if attribute == "age_group":
-        return age_group_of(record.age, record.covariates.get("preschool"))
     try:
         return record.covariates[attribute]
     except KeyError as exc:

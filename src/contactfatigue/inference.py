@@ -3,13 +3,15 @@
 The sampler is a dynamic Hamiltonian Monte Carlo with multinomial trajectory
 sampling over a binary tree (a no-U-turn scheme), dual-averaging step-size
 adaptation toward a target acceptance statistic, and a diagonal mass matrix
-estimated in expanding warmup windows. Chains own independent RNG streams
-derived from (seed, chain index), so runs are reproducible and chain order
-is irrelevant.
+estimated in expanding warmup windows. The tree is built leaf by leaf, its
+subtrees merged in the order of the recursive doubling (iterative NUTS).
+Chains own independent RNG streams derived from (seed, chain index), so runs
+are reproducible and chain order is irrelevant.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -168,42 +170,43 @@ class _Welford:
         return (self.n / (self.n + 5.0)) * var + 1e-3 * (5.0 / (self.n + 5.0))
 
 
-def _leapfrog(target, theta, r, grad, eps, inv_mass):
-    r1 = r + 0.5 * eps * grad
-    theta1 = theta + eps * inv_mass * r1
-    logp1, grad1 = target(theta1)
-    r1 = r1 + 0.5 * eps * grad1
-    return theta1, r1, logp1, grad1
-
-
 def _kinetic(r, inv_mass):
     return 0.5 * float(r @ (inv_mass * r))
 
 
 class _TreeState:
-    """A trajectory segment: its two edges, the multinomial sample drawn
-    from it, the log of its total weight, and acceptance statistics."""
+    """A trajectory segment: its two edges, (theta, r, grad) at the backward
+    end ``edges[0]`` and the forward end ``edges[1]``, the multinomial sample
+    drawn from it, the log of its total weight, and acceptance statistics."""
 
-    __slots__ = ("theta_minus", "r_minus", "grad_minus", "theta_plus",
-                 "r_plus", "grad_plus", "theta", "logp", "grad", "log_w",
-                 "alpha", "n_alpha", "divergent", "ok")
+    __slots__ = ("edges", "theta", "logp", "grad", "log_w", "alpha",
+                 "n_alpha", "divergent", "ok")
 
     def __init__(self, theta, r, grad, logp, log_w, alpha, n_alpha,
-                 divergent=False):
-        self.theta_minus = self.theta_plus = self.theta = theta
-        self.r_minus = self.r_plus = r
-        self.grad_minus = self.grad_plus = self.grad = grad
-        self.logp = logp
-        self.log_w = log_w
-        self.alpha = alpha
-        self.n_alpha = n_alpha
+                 divergent):
+        self.edges = [(theta, r, grad)] * 2
+        self.theta, self.logp, self.grad = theta, logp, grad
+        self.log_w, self.alpha, self.n_alpha = log_w, alpha, n_alpha
         self.divergent = divergent
         self.ok = not divergent
 
-    def edge(self, direction):
-        if direction == 1:
-            return self.theta_plus, self.r_plus, self.grad_plus
-        return self.theta_minus, self.r_minus, self.grad_minus
+
+def _leaf(target, point, eps, inv_mass, h0):
+    """One leapfrog step of size ``eps`` from ``point`` = (theta, r, grad),
+    as a one-leaf tree whose log weight is the energy error h - h0 (-inf
+    when not finite)."""
+    theta, r, grad = point
+    r1 = r + 0.5 * eps * grad
+    theta1 = theta + eps * inv_mass * r1
+    logp1, grad1 = target(theta1)
+    r1 = r1 + 0.5 * eps * grad1
+    h1 = logp1 - _kinetic(r1, inv_mass) if math.isfinite(logp1) else -np.inf
+    delta = h1 - h0
+    if not math.isfinite(delta):
+        delta = -np.inf
+    return _TreeState(theta1, r1, grad1, logp1, delta,
+                      min(1.0, float(np.exp(min(delta, 0.0)))), 1,
+                      -delta > DIVERGENCE_THRESHOLD)
 
 
 def _find_reasonable_epsilon(target, theta, logp, grad, inv_mass, rng):
@@ -211,9 +214,7 @@ def _find_reasonable_epsilon(target, theta, logp, grad, inv_mass, rng):
     h0 = logp - _kinetic(r, inv_mass)
 
     def delta_h(eps):
-        _, r1, logp1, _ = _leapfrog(target, theta, r, grad, eps, inv_mass)
-        h1 = logp1 - _kinetic(r1, inv_mass)
-        return (h1 if np.isfinite(h1) else -np.inf) - h0
+        return _leaf(target, (theta, r, grad), eps, inv_mass, h0).log_w
 
     eps = 1.0
     direction = 1.0 if delta_h(eps) > np.log(0.5) else -1.0
@@ -224,9 +225,9 @@ def _find_reasonable_epsilon(target, theta, logp, grad, inv_mass, rng):
     return max(min(eps, 10.0), 1e-10)
 
 
-def _merge(tree, sub, direction, inv_mass, rng, biased):
-    """Extend ``tree`` by the adjacent subtree ``sub`` on the ``direction``
-    side, in place.
+def _merge(tree, sub, side, inv_mass, rng, biased):
+    """Extend ``tree`` by the adjacent subtree ``sub`` on ``side`` (0 =
+    backward, 1 = forward), in place.
 
     The multinomial sample moves to the subtree's sample with probability
     w_sub / w_tree when ``biased`` (progressive sampling at the top level of
@@ -245,37 +246,43 @@ def _merge(tree, sub, direction, inv_mass, rng, biased):
     if np.log(rng.uniform()) < sub.log_w - (tree.log_w if biased else total):
         tree.theta, tree.logp, tree.grad = sub.theta, sub.logp, sub.grad
     tree.log_w = total
-    if direction == 1:
-        tree.theta_plus, tree.r_plus, tree.grad_plus = sub.edge(1)
-    else:
-        tree.theta_minus, tree.r_minus, tree.grad_minus = sub.edge(-1)
-    span = tree.theta_plus - tree.theta_minus
-    if (span @ (inv_mass * tree.r_minus)) < 0 or \
-            (span @ (inv_mass * tree.r_plus)) < 0:
+    tree.edges[side] = sub.edges[side]
+    (theta_minus, r_minus, _), (theta_plus, r_plus, _) = tree.edges
+    span = theta_plus - theta_minus
+    if (span @ (inv_mass * r_minus)) < 0 or (span @ (inv_mass * r_plus)) < 0:
         tree.ok = False
 
 
-def _build_tree(target, state_point, depth, direction, eps, inv_mass, h0,
-                rng):
-    """Recursively double the trajectory; multinomial weight per subtree."""
-    if depth == 0:
-        theta, r, grad = state_point
-        theta1, r1, logp1, grad1 = _leapfrog(target, theta, r, grad,
-                                             direction * eps, inv_mass)
-        h1 = logp1 - _kinetic(r1, inv_mass) if np.isfinite(logp1) else -np.inf
-        delta = h1 - h0
-        if not np.isfinite(delta):
-            delta = -np.inf
-        return _TreeState(theta1, r1, grad1, logp1, delta,
-                          min(1.0, float(np.exp(min(delta, 0.0)))), 1,
-                          divergent=-delta > DIVERGENCE_THRESHOLD)
+def _transition(target, theta, logp, grad, eps, inv_mass, max_depth, rng):
+    """One transition from (theta, logp, grad): the trajectory's tree, whose
+    multinomial sample is the next state.
 
-    tree = _build_tree(target, state_point, depth - 1, direction, eps,
-                       inv_mass, h0, rng)
-    if tree.ok:
-        sub = _build_tree(target, tree.edge(direction), depth - 1, direction,
-                          eps, inv_mass, h0, rng)
-        _merge(tree, sub, direction, inv_mass, rng, biased=False)
+    Each doubling draws a side and builds its 2**depth leaves one after
+    another. With the start as leaf 0 and leaves numbered in build order,
+    leaf k completes one subtree per trailing 1 bit of k, and each merges
+    into the finished subtree before it, which waits in ``pending``; the
+    last merge of a doubling is into the whole trajectory. So merges happen
+    in the order of the recursive doubling. Once a merge fails, the stack
+    folds into the failed tree and no further leaf is built.
+    """
+    r0 = rng.standard_normal(theta.size) / np.sqrt(inv_mass)
+    h0 = logp - _kinetic(r0, inv_mass)
+    tree = _TreeState(theta, r0, grad, logp, 0.0, 0.0, 0, False)
+    for depth in range(max_depth):
+        side = int(rng.uniform() < 0.5)
+        pending = [tree]
+        for k in range(2 ** depth, 2 ** (depth + 1)):
+            sub = _leaf(target, pending[-1].edges[side],
+                        eps if side else -eps, inv_mass, h0)
+            while pending and (k & 1 or not sub.ok):
+                left = pending.pop()
+                _merge(left, sub, side, inv_mass, rng, biased=not pending)
+                sub, k = left, k >> 1
+            if not pending:
+                break
+            pending.append(sub)
+        if not tree.ok:
+            break
     return tree
 
 
@@ -321,18 +328,8 @@ def _run_chain(logp_grad, dim, cfg: SamplerConfig, chain_idx: int):
 
     eps = adapt.eps
     for it in range(total):
-        r0 = rng.standard_normal(dim) / np.sqrt(inv_mass)
-        h0 = logp - _kinetic(r0, inv_mass)
-
-        state = _TreeState(theta, r0, grad, logp, 0.0, 0.0, 0)
-        for depth in range(cfg.max_tree_depth):
-            direction = 1 if rng.uniform() < 0.5 else -1
-            sub = _build_tree(target, state.edge(direction), depth,
-                              direction, eps, inv_mass, h0, rng)
-            _merge(state, sub, direction, inv_mass, rng, biased=True)
-            if not state.ok:
-                break
-
+        state = _transition(target, theta, logp, grad, eps, inv_mass,
+                            cfg.max_tree_depth, rng)
         theta, logp, grad = state.theta, state.logp, state.grad
         accept_stat = state.alpha / max(state.n_alpha, 1)
 

@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
 
 from contactfatigue.domain import (AgeBand, CoarseBandSet, DataError,
-                                   CsvSchema, FeatureBlock, FeatureSpec,
-                                   PopulationTable, SurveyRecord,
-                                   age_group_of, build_design,
+                                   FeatureBlock, FeatureSpec, PopulationTable,
+                                   SurveyRecord, build_design,
                                    default_coarse_bands, impute_child_age,
                                    load_survey_csv, truncate_contacts)
 
@@ -223,17 +221,6 @@ class TestAggregation:
         per_age = np.asarray(values)
         out = default_coarse_bands().membership() @ per_age
         assert out.sum() == pytest.approx(per_age.sum(), rel=1e-9, abs=1e-6)
-
-
-class TestAgeGroups:
-    def test_fourteen_levels(self):
-        from contactfatigue.domain import AGE_GROUP_LEVELS
-        assert len(AGE_GROUP_LEVELS) == 14
-
-    def test_preschool_split(self):
-        assert age_group_of(3, "yes") == "0-5_preschool"
-        assert age_group_of(3, "no") == "0-5_home"
-        assert age_group_of(40, None) == "35-44"
 
 
 class TestTables:

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from contactfatigue.inference import (DIVERGENT_SHARE_LIMIT, RHAT_LIMIT,
-                                      Diagnostics, SamplerConfig,
-                                      sample_model)
+                                      Diagnostics, SamplerConfig, _Target,
+                                      _transition, sample_model)
 from contactfatigue.models.params import Block, Layout
 
 
@@ -56,6 +56,96 @@ class TestSamplerOnKnownTarget:
         again, _ = sample_model(target, cfg)
         np.testing.assert_array_equal(post.draws, again.draws)
         np.testing.assert_array_equal(post.grad_evals, again.grad_evals)
+
+
+class CorrelatedGaussian:
+    """Normal target with pairwise correlation 0.9 and scales over a decade,
+    which a diagonal mass matrix cannot whiten."""
+
+    def __init__(self, dim=8, rho=0.9):
+        self.layout = Layout([Block("theta", dim)])
+        self.mu = np.zeros(dim)
+        self.sd = np.geomspace(0.5, 5.0, dim)
+        self.rho = rho
+        corr = np.full((dim, dim), rho)
+        np.fill_diagonal(corr, 1.0)
+        self.precision = np.linalg.inv(corr * np.outer(self.sd, self.sd))
+
+    def logp_grad(self, theta):
+        grad = -(self.precision @ (theta - self.mu))
+        return 0.5 * float((theta - self.mu) @ grad), grad
+
+
+class TestSamplerOnCorrelatedTarget:
+    @pytest.fixture(scope="class")
+    def fit(self):
+        target = CorrelatedGaussian()
+        cfg = SamplerConfig(chains=4, warmup=300, sampling=500, seed=0)
+        post, diag = sample_model(target, cfg)
+        return target, post, diag
+
+    def test_means_within_monte_carlo_error(self, fit):
+        target, post, diag = fit
+        flat = post.stacked()
+        ess = np.array([diag.ess_bulk[n] for n in post.parameter_names])
+        mcse = flat.std(axis=0) / np.sqrt(ess)
+        assert np.all(np.abs(flat.mean(axis=0) - target.mu) < 4.0 * mcse)
+
+    def test_variances_recovered(self, fit):
+        target, post, _ = fit
+        ratio = post.stacked().var(axis=0) / target.sd**2
+        assert np.all((ratio >= 0.8) & (ratio <= 1.25))
+
+    def test_correlations_recovered(self, fit):
+        target, post, _ = fit
+        corr = np.corrcoef(post.stacked(), rowvar=False)
+        off = corr[~np.eye(corr.shape[0], dtype=bool)]
+        assert np.all(np.abs(off - target.rho) < 0.05)
+
+
+#: the start of each transition that ``TestTransition`` builds
+START = np.linspace(-1.0, 1.0, 3)
+
+
+def _flat(theta):
+    return 0.0, np.zeros_like(theta)
+
+
+def _finite_only_at_start(theta):
+    return (0.0 if np.array_equal(theta, START) else -np.inf,
+            np.zeros_like(theta))
+
+
+class TestTransition:
+    @staticmethod
+    def _run(logp_grad, max_depth, seed=0):
+        target = _Target(logp_grad)
+        logp, grad = logp_grad(START)
+        tree = _transition(target, START, logp, grad, 0.1, np.ones(3),
+                           max_depth, np.random.default_rng(seed))
+        return tree, target.evals
+
+    @pytest.mark.parametrize("max_depth", [1, 3, 6])
+    def test_flat_target_runs_to_the_depth_limit(self, max_depth):
+        # with no force the trajectory is a straight line and never turns
+        tree, evals = self._run(_flat, max_depth)
+        assert evals == 2**max_depth - 1
+        assert tree.n_alpha == 2**max_depth - 1
+        assert tree.alpha / tree.n_alpha == 1.0
+        assert tree.ok and not tree.divergent
+
+    def test_non_finite_first_leaf_stays_put_and_diverges(self):
+        tree, evals = self._run(_finite_only_at_start, max_depth=10)
+        assert evals == 1
+        assert tree.theta is START
+        assert tree.divergent and not tree.ok
+        assert tree.alpha == 0.0 and tree.n_alpha == 1
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_leaf_counts_once(self, seed):
+        tree, evals = self._run(MixedScaleGaussian(dim=3).logp_grad,
+                                max_depth=10, seed=seed)
+        assert tree.n_alpha == evals <= 2**10 - 1
 
 
 class TestConvergenceLimits:

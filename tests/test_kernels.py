@@ -3,8 +3,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, trapezoid
 
-from contactfatigue.kernels import (BOUNDARY_FACTOR, HsgpBasis,
-                                    KernelSpec, basis_at, build_hsgp_1d,
+from contactfatigue.kernels import (BOUNDARY_FACTOR, KernelSpec,
+                                    basis_at, build_hsgp_1d,
                                     build_hsgp_2d, build_hsgp_2d_symmetric,
                                     gram_matrix, kernel_eval,
                                     spectral_density, spectral_density_grad,

@@ -13,9 +13,9 @@ from scipy import stats
 from scipy.special import expit
 
 import contactfatigue
-from contactfatigue.domain import (AGE_GRID, DataError, FeatureBlock,
-                                   FeatureSpec, PopulationTable, SurveyRecord,
-                                   build_design, default_coarse_bands)
+from contactfatigue.domain import (AGE_GRID, DataError, PopulationTable,
+                                   SurveyRecord, build_design,
+                                   default_coarse_bands)
 from contactfatigue.models import (FatigueSpec, HillCurve,
                                    IndividualGamModel, LongitudinalNbModel,
                                    ModelSpec, RejectedState,
