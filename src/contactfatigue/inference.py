@@ -225,6 +225,19 @@ def _find_reasonable_epsilon(target, theta, logp, grad, inv_mass, rng):
     return max(min(eps, 10.0), 1e-10)
 
 
+_LOG2 = math.log(2.0)
+
+
+def _logaddexp(x: float, y: float) -> float:
+    """log(e^x + e^y) of two floats, in the operations of NumPy's
+    ``logaddexp`` (equal arguments, infinite ones included, give x +
+    log 2)."""
+    if x == y:
+        return x + _LOG2
+    hi, lo = (x, y) if x > y else (y, x)
+    return hi + math.log1p(math.exp(lo - hi))
+
+
 def _merge(tree, sub, side, inv_mass, rng, biased):
     """Extend ``tree`` by the adjacent subtree ``sub`` on ``side`` (0 =
     backward, 1 = forward), in place.
@@ -242,8 +255,11 @@ def _merge(tree, sub, side, inv_mass, rng, biased):
     if not sub.ok:
         tree.ok = False
         return
-    total = np.logaddexp(tree.log_w, sub.log_w)
-    if np.log(rng.uniform()) < sub.log_w - (tree.log_w if biased else total):
+    total = _logaddexp(tree.log_w, sub.log_w)
+    u = rng.random()
+    # log(0) = -inf, which math.log refuses, is below any finite log weight
+    if u == 0.0 or math.log(u) < sub.log_w - (tree.log_w if biased
+                                              else total):
         tree.theta, tree.logp, tree.grad = sub.theta, sub.logp, sub.grad
     tree.log_w = total
     tree.edges[side] = sub.edges[side]
@@ -269,7 +285,7 @@ def _transition(target, theta, logp, grad, eps, inv_mass, max_depth, rng):
     h0 = logp - _kinetic(r0, inv_mass)
     tree = _TreeState(theta, r0, grad, logp, 0.0, 0.0, 0, False)
     for depth in range(max_depth):
-        side = int(rng.uniform() < 0.5)
+        side = int(rng.random() < 0.5)
         pending = [tree]
         for k in range(2 ** depth, 2 ** (depth + 1)):
             sub = _leaf(target, pending[-1].edges[side],

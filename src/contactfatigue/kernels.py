@@ -16,7 +16,11 @@ the m sines of each axis at that axis's coordinates, and its points are
 the grid of the two axes (85 x 85 for an age surface). A realization is
 then S_a C S_b^T and the transpose product of a grid-shaped gradient
 S_a^T G S_b, small matrix products, where the dense matrix costs n x M
-(7225 x 820 on the age grid) in memory and time.
+(7225 x 820 on the age grid) in memory and time. A basis on a sub-grid
+(``subgrid``), the coordinates I of the first axis by J of the second,
+keeps only the sines S_a[I] and S_b[J], so a realization read at a few
+participant ages costs S_a[I] C S_b[J]^T (8 x 85 on the benchmark's BRC
+cells); the whole grid is the sub-grid of all coordinates.
 
 Magnitude convention: ``magnitude`` is the marginal variance, k(0) = sigma.
 """
@@ -126,7 +130,9 @@ class HsgpBasis:
     with coordinate j of the second. A realization is the grid S_a C S_b^T,
     C being the m x m coefficient matrix; the transpose product of a
     grid-shaped gradient G is S_a^T G S_b. The two axes of a symmetric
-    basis share one coordinate set, and its grid is symmetrized.
+    basis share one array of sines, and its grid is symmetrized to the
+    last bit. ``subgrid`` restricts the sines to some coordinates of each
+    axis, and the same products then give the function on that sub-grid.
 
     ``col_means`` are the weighted column means that a centered basis
     subtracts from every column, or None.
@@ -192,14 +198,19 @@ class HsgpBasis:
             f = np.linalg.multi_dot([self.sines[0], v.reshape(m, m),
                                      self.sines[1].T])
         else:
-            # C = c + c^T for the upper triangle c, so S C S^T is the grid
-            # plus its transpose: f(a, b) = f(b, a) to the last bit
+            # C = c + c^T for the upper triangle c. On a grid whose axes
+            # share one coordinate set, S C S^T is the grid S c S^T plus
+            # its transpose, so f(a, b) = f(b, a) to the last bit
             jk, _, scale = _symmetric_columns(m)
             c = np.zeros(m * m)
             c[jk] = scale * v
-            f = np.linalg.multi_dot([self.sines[0], c.reshape(m, m),
-                                     self.sines[1].T])
-            f = f + f.T
+            c = c.reshape(m, m)
+            s_a, s_b = self.sines
+            if s_b is s_a:
+                f = np.linalg.multi_dot([s_a, c, s_a.T])
+                f = f + f.T
+            else:
+                f = np.linalg.multi_dot([s_a, c + c.T, s_b.T])
         f = f.ravel()
         return f if self.col_means is None else f - self.col_means @ v
 
@@ -215,6 +226,13 @@ class HsgpBasis:
             jk, kj, scale = _symmetric_columns(self.m)
             t = scale * (t.take(jk) + t.take(kj))
         return t if self.col_means is None else t - self.col_means * g.sum()
+
+    def subgrid(self, rows: np.ndarray, cols: np.ndarray) -> HsgpBasis:
+        """The 2D basis on the sub-grid of its points: coordinates ``rows``
+        of the first axis by ``cols`` of the second. Its realizations are
+        this basis's at those points, centering included."""
+        s_a, s_b = self.sines
+        return replace(self, sines=(s_a[rows], s_b[cols]))
 
     def centered(self, weights: np.ndarray) -> HsgpBasis:
         """The basis minus its column means under ``weights`` over the
@@ -309,9 +327,11 @@ def build_hsgp_2d_symmetric(axis: np.ndarray, m: int) -> HsgpBasis:
     realizations obey f(a, b) = f(b, a).
 
     Basis columns pair tensor eigenfunctions with j <= k; the j < k columns
-    average both orderings, the antisymmetric complement is dropped.
+    average both orderings, the antisymmetric complement is dropped. The
+    two axes share one array of sines.
     """
-    return _build_hsgp_2d((axis, axis), m, symmetric=True)
+    basis = _build_hsgp_2d((axis, axis), m, symmetric=True)
+    return replace(basis, sines=(basis.sines[0],) * 2)
 
 
 def build_hsgp_2d(axis_a: np.ndarray, axis_b: np.ndarray,

@@ -4,7 +4,8 @@ Every family exposes one protocol: a named-block parameter layout,
 ``logp_grad`` returning the joint log posterior with its exact analytic
 gradient on the unconstrained scale, per-observation log likelihoods for
 cross-validation, posterior replicates for predictive checks, and intensity
-prediction on the fitted rows with an optional fatigue de-biasing switch.
+prediction on the fitted observations with an optional fatigue de-biasing
+switch.
 
 Every family is one log-linear count regression, assembled from terms by
 ``_AdditiveCountModel``:
@@ -20,15 +21,17 @@ Every family is one log-linear count regression, assembled from terms by
   GP-on-repeats, Hill); NB2 counts.
 * ``individual_gam``  -- intercept, covariates, a squared-exponential age
   smooth, one Hill fatigue curve per selected covariate; NB2 counts.
-* ``aggregated_brc``  -- on single-year contact ages: intercept, wave
-  effect, a 2D age surface per gender pair (symmetrized within a gender,
-  read transposed by "MF", so that population flows balance exactly;
-  each a function on the 85 x 85 age grid, evaluated through per-axis sine
-  factors, never as a dense points x columns basis, and read at each row's
-  index a 85 + b), a fatigue term (independent, or -exp of
-  a repeat table plus smooths) and log population, participant and detail
-  offsets; NB1 counts of coarse contact bands, each summing its
-  single-year rows through rate consistency.
+* ``aggregated_brc``  -- NB1 counts of coarse contact bands, on the cells:
+  intercept, wave effect, a fatigue term (independent, or -exp of a repeat
+  table plus smooths), participant and detail offsets, and the log of
+  the cell's band sum, the sum over the contact ages b of its band of
+  exp(f_pair(a, b) + log P_b). So a cell's mean is the sum of its
+  single-year rows' means, through rate consistency. The 2D age surface
+  of each gender pair (symmetrized within a gender, read transposed by
+  "MF", so that population flows balance exactly) is a function on the
+  85 x 85 age grid, evaluated through per-axis sine factors, never as a
+  dense points x columns basis, and in a gradient only on the sub-grid
+  of the ages its cells read.
 
 A term declares its parameter blocks and the data columns it reads; rows
 that agree on all of them and on their offset form one predictor group.
@@ -46,11 +49,12 @@ and repeat-GP smooths), the repeat tables (``_RepeatTable``, one-hot rows)
 and the Hill curves (weight times one-hot rows). De-biased predictions
 leave the weights of the fatigue terms at zero and do not evaluate them.
 The terms that stay out of X are evaluated one by one on the groups: the
-2D BRC surfaces, gathers on the factored 85 x 85 grid that scatter their
-gradient back with one ``np.bincount``, and the -exp fatigue of the BRC
-variants (``_NegativeExp``), which is not linear in its sources. So
+BRC band sums (``_BandSums``), which read the 2D surfaces on the
+sub-grids of their points and scatter the gradient back with one
+``np.bincount``, and the -exp fatigue of the BRC variants
+(``_NegativeExp``), which is not linear in its sources. So
 
-    eta = X s(theta) + surfaces + -exp fatigue + offsets,
+    eta = X s(theta) + log band sums + -exp fatigue + offsets,
 
 and the gradient of every source in X comes from one product, X^T d_eta.
 ``predict_log_intensity``, ``pointwise_loglik`` and ``replicate`` read
@@ -63,8 +67,8 @@ AGE_GRID and each surface on the 85 x 85 grid.
 
 One observation model per family runs on the groups: Poisson and NB2 on
 group sizes and count sums plus a count histogram, so their cost scales
-with distinct predictor cells, not rows; NB1 sums the groups' means over
-the rows of each coarse cell.
+with distinct predictor cells, not rows; NB1 reads each coarse cell's
+mean from its group.
 
 ``logp_grad`` is one flat pass under one ``np.errstate``. It checks and
 exponentiates every log-scale element of theta once, into one
@@ -168,6 +172,11 @@ AGE_SD = float(AGE_GRID.std())
 _N_AGE = AGE_GRID.size
 
 
+def _not_whole(x: np.ndarray, stop: float) -> np.ndarray:
+    """Where ``x`` is not a whole number in [0, stop)."""
+    return (x != np.round(x)) | (x < 0) | (x >= stop)
+
+
 def _whole_years(*ages) -> list[np.ndarray]:
     """Each array of ages as indices into ``AGE_GRID``, the points on which
     the age GPs are built; ages that are not whole years in 0-84 are
@@ -175,7 +184,7 @@ def _whole_years(*ages) -> list[np.ndarray]:
     out = []
     for x in ages:
         x = np.asarray(x, dtype=float)
-        if ((x != np.round(x)) | (x < 0) | (x >= _N_AGE)).any():
+        if _not_whole(x, _N_AGE).any():
             raise ValueError(f"ages must be whole years in 0-{_N_AGE - 1}")
         out.append(x.astype(int))
     return out
@@ -521,9 +530,9 @@ class _Gather:
     """The vector of a ``source`` read at each row's ``index`` into it; an
     index one past the source's end reads 0, for rows the source does not
     cover. A source with ``rows`` gives the design its rows at each index.
-    ``values`` reads the source itself (a 2D surface, or a smooth inside
-    ``_NegativeExp``), and ``backprop`` scatters the gradient back to it
-    with one ``np.bincount``."""
+    ``values`` reads the source itself (a smooth inside ``_NegativeExp``,
+    the 2D one of variant_c included), and ``backprop`` scatters the
+    gradient back to it with one ``np.bincount``."""
 
     fatigue = False
 
@@ -693,6 +702,106 @@ class _NegativeExp:
             t.backprop(grad, d_s, c)
 
 
+class _BandSums:
+    """The contact surfaces as one term on the cells: log K, K being the
+    sum of exp(f_pair(a, b) + log P_b) over the contact ages b of the
+    cell's band. So a cell's expected count, exp(its other terms + log N
+    + log S) K, is the sum of the single-year means of its rows.
+
+    K depends on a cell only through its slot, the (pair, participant age,
+    band) it reports; a slot's points are the rows of one of its cells.
+    A point reads its pair's surface at (a, b), or for "MF" the "FM"
+    surface at (b, a), and each surface is evaluated only on the sub-grid
+    of the coordinates its points read. Each slot's sum is taken after
+    subtracting its largest exponent, so exp cannot overflow where the
+    single-year means did not. d log K / d f at a point is its share of
+    K; one ``np.bincount`` puts the points' gradients onto the sub-grids.
+    """
+
+    fatigue = False
+
+    def __init__(self, data: BrcData, config: HsgpConfig):
+        of_pair = [_surface_of(label) for label in data.pairs]
+        _, first, cell_slot = np.unique(
+            np.column_stack([data.cell_pair, data.cell_age, data.cell_band]),
+            axis=0, return_index=True, return_inverse=True)
+        # the points: the rows of each slot's first cell, slot by slot
+        pts = np.flatnonzero(np.isin(data.row_cell, first))
+        pts = pts[np.argsort(cell_slot[data.row_cell[pts]], kind="stable")]
+        pt_cell = data.row_cell[pts]
+        self.pt_slot = cell_slot[pt_cell]
+        self.starts = np.searchsorted(self.pt_slot, np.arange(first.size))
+        self.log_pop = data.log_pop_row[pts]
+        pair = data.cell_pair[pt_cell]
+        key = np.array([k for k, _ in of_pair])[pair]
+        swap = np.array([s for _, s in of_pair], dtype=bool)[pair]
+        a, b = data.cell_age[pt_cell], data.row_b[pts]
+        x, y = np.where(swap, b, a), np.where(swap, a, b)
+        # the rows that read a point: one per cell of its slot
+        n_rows = np.bincount(cell_slot)[self.pt_slot]
+        axis = AGE_GRID / AGE_SD
+        self.surfaces: dict[str, _HsgpTerm] = {}
+        self.grids = []
+        self.pos = np.empty(pts.size, dtype=int)
+        start = 0
+        # one surface per pair; mixed pairs share one, read transposed
+        for k in dict.fromkeys(k for k, _ in of_pair):
+            on = key == k
+            if not on.any():
+                raise DataError(f"no cell reads the {k!r} surface")
+            basis = (kernels.build_hsgp_2d_symmetric(axis, config.m)
+                     if len(k) != 2 or k[0] == k[1]
+                     else kernels.build_hsgp_2d(axis, axis, config.m))
+            gp = self.surfaces[k] = _HsgpTerm(
+                f"f_{k}", basis, config,
+                np.bincount(x[on] * _N_AGE + y[on], weights=n_rows[on],
+                            minlength=_N_AGE**2))
+            # the sub-grid of the coordinates its points read
+            sub_x, sub_y = np.unique(x[on]), np.unique(y[on])
+            self.pos[on] = start + (np.searchsorted(sub_x, x[on]) * sub_y.size
+                                    + np.searchsorted(sub_y, y[on]))
+            stop = start + sub_x.size * sub_y.size
+            self.grids.append((_HsgpTerm(f"f_{k}", gp.basis.subgrid(
+                sub_x, sub_y), config, None), slice(start, stop)))
+            start = stop
+        self.n_read = start
+        self.columns = [cell_slot]
+
+    def blocks(self) -> list[Block]:
+        return [b for gp in self.surfaces.values() for b in gp.blocks()]
+
+    def bind(self, g: np.ndarray, layout: Layout) -> None:
+        self.g_slot = g[:, 0].astype(int)
+        for gp in self.surfaces.values():
+            gp.place(layout)
+        for gp, _ in self.grids:
+            gp.place(layout)
+
+    def design(self) -> None:
+        return None
+
+    def values(self, nat: np.ndarray):
+        f, caches = [], []
+        for gp, _ in self.grids:
+            v, cache = gp.values(nat)
+            f.append(v)
+            caches.append(cache)
+        z = np.concatenate(f)[self.pos] + self.log_pop
+        top = np.maximum.reduceat(z, self.starts)
+        e = np.exp(z - top[self.pt_slot])
+        total = np.add.reduceat(e, self.starts)
+        return ((top + np.log(total))[self.g_slot],
+                (caches, e / total[self.pt_slot]))
+
+    def backprop(self, grad: np.ndarray, d_eta: np.ndarray, cache) -> None:
+        caches, share = cache
+        d_z = share * np.bincount(self.g_slot, weights=d_eta,
+                                  minlength=self.starts.size)[self.pt_slot]
+        d_f = np.bincount(self.pos, weights=d_z, minlength=self.n_read)
+        for (gp, sl), c in zip(self.grids, caches):
+            gp.backprop(grad, d_f[sl], c)
+
+
 def _bind(terms: list, g: np.ndarray, layout: Layout) -> None:
     """Hand each term its own columns of ``g``, one row per group, and the
     layout."""
@@ -751,8 +860,8 @@ class _Nb2Groups(_PoissonGroups):
 
 
 class _Nb1Cells:
-    """NB1 counts of coarse cells with odds ``nu``: a cell's shape is the
-    sum of mu over its rows (``data.row_cell``) divided by nu. Pointwise
+    """NB1 counts of coarse cells with odds ``nu``: a cell's shape is its
+    expected count, exp(eta) of its predictor group, over nu. Pointwise
     log likelihoods and replicates are per cell."""
 
     dispersion = "nu"
@@ -760,31 +869,26 @@ class _Nb1Cells:
     def __init__(self, data: BrcData, group_of: np.ndarray, n_groups: int):
         self.y = data.y
         self.log_fact = gammaln(data.y + 1.0)
-        self.row_cell = data.row_cell
         self.group_of = group_of
         self.n_groups = n_groups
 
-    def _mu_rows(self, eta: np.ndarray) -> np.ndarray:
+    def _mu(self, eta: np.ndarray) -> np.ndarray:
         return np.exp(eta)[self.group_of]
 
     def loglik(self, eta: np.ndarray, nu: float
                ) -> tuple[float, np.ndarray, float]:
-        mu = self._mu_rows(eta)
-        ll, d_mu, d_nu = nb1_agg_loglik(self.y, self.log_fact, mu,
-                                        self.row_cell, nu)
+        mu = np.exp(eta)[self.group_of]
+        ll, d_mu, d_nu = nb1_agg_loglik(self.y, self.log_fact, mu, nu)
         d_eta = np.bincount(self.group_of, weights=d_mu * mu,
                             minlength=self.n_groups)
         return float(ll.sum()), d_eta, d_nu
 
     def pointwise(self, eta: np.ndarray, nu: float) -> np.ndarray:
-        return nb1_agg_loglik(self.y, self.log_fact, self._mu_rows(eta),
-                              self.row_cell, nu)[0]
+        return nb1_agg_loglik(self.y, self.log_fact, self._mu(eta), nu)[0]
 
     def replicate(self, rng: np.random.Generator, eta: np.ndarray,
                   nu: float) -> np.ndarray:
-        mu_cells = np.bincount(self.row_cell, weights=self._mu_rows(eta),
-                               minlength=self.y.size)
-        return nb1_rvs(rng, mu_cells, nu)
+        return nb1_rvs(rng, self._mu(eta), nu)
 
 
 class _AdditiveCountModel:
@@ -801,7 +905,7 @@ class _AdditiveCountModel:
     blocks, the 1D GP smooths (the basis rows at each group's index, s
     being sqrt(S) w), the repeat tables (one-hot rows) and the Hill curves
     (weight times one-hot rows over the distinct repeat counts). The
-    remaining terms, the 2D surfaces and -exp fatigue, are evaluated on
+    remaining terms, the BRC band sums and -exp fatigue, are evaluated on
     the groups one by one. So eta = X s + those terms + offsets, and the
     gradient of every source is one product, X^T d_eta.
 
@@ -929,8 +1033,9 @@ class _AdditiveCountModel:
 
     @_predicting
     def predict_log_intensity(self, theta, debias=False) -> np.ndarray:
-        """Log intensity on the fitted rows, offsets included; ``debias``
-        drops the fatigue terms."""
+        """Log intensity on the fitted observations (the rows, or the
+        BRC model's cells), offsets included; ``debias`` drops the fatigue
+        terms."""
         return self._eta(self._natural(theta)[0], debias)[self.group_of]
 
 
@@ -1083,8 +1188,12 @@ class BrcData:
     """Coarse-band cells plus their single-year row expansion.
 
     Cells index observations Y over (wave, repeat, participant age, gender
-    pair, contact band); rows expand each cell over the contact ages b in
-    its band so the latent NB1 means can be summed.
+    pair, contact band). The rows expand each cell over the contact ages b
+    of its band, in order: a cell's expected count is the sum of its rows'
+    single-year means. The model takes that sum once per (pair,
+    participant age, band) as a band sum (``_BandSums``) and otherwise
+    runs on the cells, with the offsets log N + log S; log P_b enters the
+    band sums.
     """
 
     y: np.ndarray                 # (n_cells,)
@@ -1108,8 +1217,8 @@ class BrcData:
 
     @property
     def offsets(self) -> np.ndarray:
-        """log P_b + log N + log S on each row."""
-        return self.log_pop_row + self.log_offset_cell[self.row_cell]
+        """log N + log S on each cell."""
+        return self.log_offset_cell
 
 
 def make_brc_data(*, y, wave, repeat, age, band, n_participants, s_prop,
@@ -1119,16 +1228,29 @@ def make_brc_data(*, y, wave, repeat, age, band, n_participants, s_prop,
 
     ``pair`` holds per-cell pair labels (defaults to a single shared
     surface); each pair label's rows take the population counts of its
-    contact gender.
+    contact gender. A count or repeat that is not a whole number >= 0, a
+    participant age that is not a whole year in 0-84, or a band that is
+    not an index into ``bands`` raises ``DataError`` naming the cell.
     """
     y = np.asarray(y, dtype=float)
+    repeat = np.asarray(repeat, dtype=float)
+    age = np.asarray(age, dtype=float)
+    band = np.asarray(band, dtype=float)
+    for what, x, stop in (("count", y, np.inf), ("repeat", repeat, np.inf),
+                          ("participant age", age, _N_AGE),
+                          ("band", band, len(bands))):
+        bad = _not_whole(x, stop)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise DataError(f"cell {i}: {what} {x[i]:g} is not a whole "
+                            f"number in [0, {stop})")
     n_cells = y.shape[0]
     wave = np.asarray(wave, dtype=int)
     waves = tuple(sorted(np.unique(wave)))
     wave_idx = np.searchsorted(np.asarray(waves), wave)
     pair_arr = (np.zeros(n_cells, dtype=int) if pair is None
                 else np.asarray([pairs.index(p) for p in pair]))
-    band_idx = np.asarray(band, dtype=int)
+    band_idx = band.astype(int)
     n_part = np.asarray(n_participants, dtype=float)
     s_prop = np.asarray(s_prop, dtype=float)
     if np.any(n_part <= 0) or np.any(s_prop <= 0) or np.any(s_prop > 1):
@@ -1139,8 +1261,8 @@ def make_brc_data(*, y, wave, repeat, age, band, n_participants, s_prop,
         np.flatnonzero(bands.membership()[band_idx]), _N_AGE)
     log_pop = np.log([population.get(_contact_gender(p)) for p in pairs])
     return BrcData(
-        y=y, cell_wave=wave_idx, cell_repeat=np.asarray(repeat, dtype=int),
-        cell_age=np.asarray(age, dtype=int), cell_pair=pair_arr,
+        y=y, cell_wave=wave_idx, cell_repeat=repeat.astype(int),
+        cell_age=age.astype(int), cell_pair=pair_arr,
         cell_band=band_idx,
         log_offset_cell=np.log(n_part) + np.log(s_prop),
         row_cell=row_cell, row_b=row_b,
@@ -1165,14 +1287,18 @@ def _contact_gender(pair: str) -> str:
 class AggregatedBrcModel(_AdditiveCountModel):
     """Coarse-band NB1 counts over a latent rate-consistent surface.
 
-    On the single-year rows of the cells, log mu = beta0 + tau_t
-    + f_pair(a, b) + fatigue(r, a, c) + log P_b + log N + log S; a cell's
-    NB1 shape is its rows' sum of mu over nu. Same-gender (and
-    single-surface) pairs use the symmetrized 2D basis; "MF" rows read the
-    "FM" surface with swapped coordinates, which makes the cross-gender flow
-    identity hold exactly. Each surface is a function on the 85 x 85 age
-    grid, both axes AGE_GRID / AGE_SD; a row reads it at index a 85 + b,
-    and rows of other pairs read one past its end.
+    On the single-year rows of a cell, log mu = beta0 + tau_t
+    + f_pair(a, b) + fatigue(r, a, c) + log P_b + log N + log S, and the
+    cell's NB1 shape is its rows' sum of mu over nu. All but the surface
+    and log P_b are constant within a cell, so the model runs on the
+    cells: eta = beta0 + tau_t + fatigue + log N + log S + log K, where
+    ``_BandSums`` gives K = sum_{b in band} exp(f_pair(a, b) + log P_b).
+    Same-gender (and single-surface) pairs use the symmetrized 2D basis;
+    "MF" cells read the "FM" surface with swapped coordinates, which makes
+    the cross-gender flow identity hold exactly. Each surface is a
+    function on the 85 x 85 age grid, both axes AGE_GRID / AGE_SD,
+    centered on the rows, and is evaluated in a gradient only on the
+    sub-grid its cells read.
     """
 
     observation = _Nb1Cells
@@ -1182,37 +1308,18 @@ class AggregatedBrcModel(_AdditiveCountModel):
         if fk not in ("none", "independent", "variant_a", "variant_b",
                       "variant_c"):
             raise ValueError(f"unsupported fatigue kind {fk!r} for BRC")
-        cell = data.row_cell
-        row_a = data.cell_age[cell]
-        of_pair = [_surface_of(label) for label in data.pairs]
-        row_pair = data.cell_pair[cell]
-        swap = np.array([s for _, s in of_pair], dtype=bool)[row_pair]
-        grid_index = np.where(swap, data.row_b * _N_AGE + row_a,
-                              row_a * _N_AGE + data.row_b)
-        cfg = spec.hsgp_surface
-        axis = AGE_GRID / AGE_SD
-        # one surface per pair; mixed pairs share one, read transposed
-        self.surfaces: dict[str, _Gather] = {}
-        for key in dict.fromkeys(k for k, _ in of_pair):
-            on = np.isin(row_pair, [p for p, (k, _) in enumerate(of_pair)
-                                    if k == key])
-            basis = (kernels.build_hsgp_2d_symmetric(axis, cfg.m)
-                     if len(key) != 2 or key[0] == key[1]
-                     else kernels.build_hsgp_2d(axis, axis, cfg.m))
-            self.surfaces[key] = _Gather(_HsgpTerm(
-                f"f_{key}", basis, cfg,
-                np.bincount(grid_index[on], minlength=_N_AGE**2)),
-                np.where(on, grid_index, _N_AGE**2))
-        later_wave = (data.cell_wave[cell][:, None]
+        band_sums = _BandSums(data, spec.hsgp_surface)
+        self.surfaces = band_sums.surfaces
+        later_wave = (data.cell_wave[:, None]
                       == np.arange(1, len(data.waves))).astype(float)
-        terms = [_Linear.intercept(spec, cell.size),
+        terms = [_Linear.intercept(spec, data.n_cells),
                  _Linear(later_wave, _Coefficients(
                      Block("tau", len(data.waves) - 1, prior=STD_NORMAL))),
-                 *self.surfaces.values()]
+                 band_sums]
         if fk != "none":
             rho = _RepeatTable(_Coefficients(Block(
                 "rho", max(data.max_repeat, 1), prior=STD_NORMAL)),
-                data.cell_repeat[cell])
+                data.cell_repeat)
             terms.append(rho if fk == "independent" else
                          _NegativeExp(rho, *_variant_smooths(fk, data)))
         super().__init__(spec, data, terms)
@@ -1229,7 +1336,7 @@ class AggregatedBrcModel(_AdditiveCountModel):
             raise ValueError(f"no surface for pair {pair!r}")
         a, b = _whole_years(a, b)
         index = b * _N_AGE + a if swap else a * _N_AGE + b
-        f = self.surfaces[key].source.values_at(self._natural(theta)[0], index)
+        f = self.surfaces[key].values_at(self._natural(theta)[0], index)
         t_idx = self.data.waves.index(wave)
         tau = self.layout.raw(theta, "tau")[t_idx - 1] if t_idx else 0.0
         pop = population.get(_contact_gender(pair))
@@ -1242,7 +1349,6 @@ def _variant_smooths(kind: str, data: BrcData) -> list[_Gather]:
     on the cells: age (variant_a), age and contact band (variant_b), or a
     2D age x band-midpoint surface (variant_c)."""
     vcfg = VARIANT_GP
-    cell = data.row_cell
     mids = np.asarray(data.bands.midpoints, dtype=float)
     ages, age_idx = np.unique(data.cell_age, return_inverse=True)
     if kind == "variant_c":
@@ -1253,15 +1359,15 @@ def _variant_smooths(kind: str, data: BrcData) -> list[_Gather]:
                                       min(vcfg.m, 12))
         return [_Gather(_HsgpTerm(
             "fac", basis, vcfg,
-            np.bincount(index, minlength=ages.size * mid.size)), index[cell])]
+            np.bincount(index, minlength=ages.size * mid.size)), index)]
     smooths = [_Gather(_HsgpTerm.on_axis(
         "fa", ages / AGE_SD, vcfg, min(vcfg.m, max(4, ages.size)),
-        np.bincount(age_idx)), age_idx[cell])]
+        np.bincount(age_idx)), age_idx)]
     if kind == "variant_b":
         smooths.append(_Gather(_HsgpTerm.on_axis(
             "fc", mids / AGE_SD, vcfg, min(vcfg.m, mids.size),
             np.bincount(data.cell_band, minlength=mids.size)),
-            data.cell_band[cell]))
+            data.cell_band))
     return smooths
 
 

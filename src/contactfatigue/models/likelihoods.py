@@ -151,18 +151,18 @@ def nb2_group_loglik(counts: GroupCounts, eta: np.ndarray, phi: float
 
 
 def nb1_agg_loglik(y_cell: np.ndarray, log_fact: np.ndarray,
-                   mu_rows: np.ndarray, row_cell: np.ndarray, nu: float
+                   mu_cell: np.ndarray, nu: float
                    ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Coarse-cell NB1 likelihood with shape sum_{rows in cell} mu / nu;
-    ``log_fact`` is lnGamma(y_cell + 1), which depends on the counts alone.
+    """Coarse-cell NB1 likelihood with shape mu_cell / nu, mu_cell being
+    the sum of the cell's single-year means (NB1 with a shared nu is
+    closed under summation); ``log_fact`` is lnGamma(y_cell + 1), which
+    depends on the counts alone.
 
-    Returns per-cell log pmf, d/d(mu_row) per row, and the total d/d(nu).
+    Returns per-cell log pmf, d/d(mu_cell) per cell, and the total d/d(nu).
     """
     y_cell = np.asarray(y_cell, dtype=float)
-    n_cells = y_cell.shape[0]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        shape = np.bincount(row_cell, weights=mu_rows,
-                            minlength=n_cells) / nu
+        shape = mu_cell / nu
         log1p_nu = np.log1p(nu)
         ll = (gammaln(y_cell + shape) - gammaln(shape) - log_fact
               - shape * log1p_nu + y_cell * (np.log(nu) - log1p_nu))
@@ -176,7 +176,7 @@ def nb1_agg_loglik(y_cell: np.ndarray, log_fact: np.ndarray,
         ll = np.where(bad, -np.inf, ll)
         d_mu_cells = np.where(bad, 0.0, d_mu_cells)
         d_nu_cells = np.where(bad, 0.0, d_nu_cells)
-    return ll, d_mu_cells[row_cell], float(d_nu_cells.sum())
+    return ll, d_mu_cells, float(d_nu_cells.sum())
 
 
 def nb2_rvs(rng: np.random.Generator, mu: np.ndarray, phi: float

@@ -1,8 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from contactfatigue.domain import (FeatureBlock, FeatureSpec, SurveyRecord,
-                                   build_design)
+from contactfatigue.domain import (FeatureBlock, FeatureSpec,
+                                   PopulationTable, SurveyRecord,
+                                   build_design, default_coarse_bands)
+from contactfatigue.models import (FatigueSpec, ModelSpec, brc_surface_config,
+                                   build_model, make_brc_data)
 
 
 def make_records(n=40, seed=0, waves=1, min_repeat=0, max_repeat=3,
@@ -32,6 +37,37 @@ SMALL_FEATURES = FeatureSpec(
     w=(FeatureBlock("const", ("1",)),
        FeatureBlock("employment", ("full_time", "retired"))),
 )
+
+
+def brc_model(fatigue_kind="independent", m=6, seed=0, pairs=("all",)):
+    """Cells over waves, repeats, participant ages, contact bands and the
+    gender ``pairs``; pairs other than "all" get unequal populations."""
+    rng = np.random.default_rng(seed)
+    bands = default_coarse_bands()
+    pop = (PopulationTable.uniform(("all",), 500.0) if pairs == ("all",)
+           else PopulationTable({"M": np.linspace(300.0, 900.0, 85),
+                                 "F": np.linspace(800.0, 400.0, 85)}))
+    rows = []
+    for t in (1, 2):
+        for r in (0, 1, 2):
+            for a in (10, 25, 40, 60):
+                for c in (1, 5, 8):
+                    for p in range(len(pairs)):
+                        rows.append((t, r, a, c, float(rng.integers(0, 40)),
+                                     p))
+    rows = np.array(rows)
+    data = make_brc_data(
+        y=rows[:, 4], wave=rows[:, 0].astype(int),
+        repeat=rows[:, 1].astype(int), age=rows[:, 2].astype(int),
+        band=rows[:, 3].astype(int),
+        n_participants=np.full(len(rows), 12.0),
+        s_prop=np.full(len(rows), 0.9), population=pop, bands=bands,
+        pair=[pairs[int(p)] for p in rows[:, 5]], pairs=pairs)
+    surf = dataclasses.replace(brc_surface_config(), m=m)
+    spec = ModelSpec(family="aggregated_brc",
+                     fatigue=FatigueSpec(kind=fatigue_kind, max_repeat=2),
+                     hsgp_surface=surf)
+    return build_model(spec, data), pop
 
 
 @pytest.fixture

@@ -270,6 +270,30 @@ class TestFactoredBasis:
             assert_matches_reference(basis.matvec(v), phi @ v)
             assert_matches_reference(basis.rmatvec(g), phi.T @ g)
 
+    @pytest.mark.parametrize("whole", [False, True])
+    def test_subgrid_reads_the_grid(self, kind, centered, whole):
+        # a sub-grid basis gives the grid's values at its coordinates, and
+        # its transpose product is the grid's on a gradient zero elsewhere
+        basis, _, _ = _surface_basis(kind, centered)
+        n_a, n_b = (s.shape[0] for s in basis.sines)
+        rows, cols = ((np.arange(n_a), np.arange(n_b)) if whole
+                      else (np.array([0, 2, 3]), np.arange(1, n_b, 2)))
+        sub = basis.subgrid(rows, cols)
+        rng = np.random.default_rng(12)
+        for _ in range(3):
+            v = rng.standard_normal(basis.n_basis)
+            full = basis.matvec(v).reshape(n_a, n_b)[np.ix_(rows, cols)]
+            np.testing.assert_allclose(
+                sub.matvec(v), full.ravel(), rtol=1e-13,
+                atol=1e-13 * np.max(np.abs(full)))
+            g = rng.standard_normal((rows.size, cols.size))
+            grid = np.zeros((n_a, n_b))
+            grid[np.ix_(rows, cols)] = g
+            reference = basis.rmatvec(grid.ravel())
+            np.testing.assert_allclose(
+                sub.rmatvec(g.ravel()), reference, rtol=1e-13,
+                atol=1e-13 * np.max(np.abs(reference)))
+
 
 @pytest.mark.parametrize("kind", ["symmetric", "unrestricted", "variant_c"])
 def test_spectral_weights_equal_the_per_column_formula(kind):

@@ -22,13 +22,12 @@ from contactfatigue.models import (FatigueSpec, HillCurve,
                                    Stage1PoissonModel, Stage2PoissonModel,
                                    build_model, hill, make_brc_data)
 from contactfatigue.kernels import basis_at
-from contactfatigue.models.assemble import (AGE_SD, _HsgpTerm, _surface_of,
-                                            brc_surface_config)
+from contactfatigue.models.assemble import AGE_SD, _HsgpTerm, _surface_of
 from contactfatigue.models.fatigue import hill_grad_log, log_repeats
 from contactfatigue.models.params import Block, Layout
 from contactfatigue.priors import RhsSpec
 
-from conftest import (SMALL_FEATURES, assert_matches_reference,
+from conftest import (SMALL_FEATURES, assert_matches_reference, brc_model,
                       make_records, max_rel_grad_error)
 
 
@@ -121,37 +120,6 @@ class TestParamVector:
 GENDER_PAIRS = ("MM", "MF", "FM", "FF")
 
 
-def _brc_model(fatigue_kind="independent", m=6, seed=0, pairs=("all",)):
-    """Cells over waves, repeats, participant ages, contact bands and the
-    gender ``pairs``; pairs other than "all" get unequal populations."""
-    rng = np.random.default_rng(seed)
-    bands = default_coarse_bands()
-    pop = (PopulationTable.uniform(("all",), 500.0) if pairs == ("all",)
-           else PopulationTable({"M": np.linspace(300.0, 900.0, 85),
-                                 "F": np.linspace(800.0, 400.0, 85)}))
-    rows = []
-    for t in (1, 2):
-        for r in (0, 1, 2):
-            for a in (10, 25, 40, 60):
-                for c in (1, 5, 8):
-                    for p in range(len(pairs)):
-                        rows.append((t, r, a, c, float(rng.integers(0, 40)),
-                                     p))
-    rows = np.array(rows)
-    data = make_brc_data(
-        y=rows[:, 4], wave=rows[:, 0].astype(int),
-        repeat=rows[:, 1].astype(int), age=rows[:, 2].astype(int),
-        band=rows[:, 3].astype(int),
-        n_participants=np.full(len(rows), 12.0),
-        s_prop=np.full(len(rows), 0.9), population=pop, bands=bands,
-        pair=[pairs[int(p)] for p in rows[:, 5]], pairs=pairs)
-    surf = dataclasses.replace(brc_surface_config(), m=m)
-    spec = ModelSpec(family="aggregated_brc",
-                     fatigue=FatigueSpec(kind=fatigue_kind, max_repeat=2),
-                     hsgp_surface=surf)
-    return build_model(spec, data), pop
-
-
 class TestGradientSuite:
     """Analytic gradients against central finite differences, rel < 1e-5."""
 
@@ -199,12 +167,12 @@ class TestGradientSuite:
                                       "variant_b", "variant_c"])
     def test_brc(self, kind):
         # larger h: |logp| ~ 1e6 makes 1e-5 steps round-off dominated
-        model, _ = _brc_model(kind)
+        model, _ = brc_model(kind)
         self._check(model, n_points=3, h=1e-4, lo=-0.3, hi=0.3)
 
     def test_brc_gender_pairs(self):
         # three surfaces, each read by the rows of its own pairs only
-        model, _ = _brc_model(pairs=GENDER_PAIRS)
+        model, _ = brc_model(pairs=GENDER_PAIRS)
         self._check(model, n_points=3, h=1e-4, lo=-0.3, hi=0.3)
 
 
@@ -267,16 +235,55 @@ class TestFatigueVariants:
         assert bands.midpoints[5] == 29
 
     def test_variants_strictly_negative_for_repeats(self):
-        model, _ = _brc_model("variant_b")
+        model, _ = brc_model("variant_b")
         rng = np.random.default_rng(5)
         for _ in range(5):
             theta = rng.uniform(-0.5, 0.5, model.layout.size)
             fatigue = next(t for t in model.terms if t.fatigue)
             term = fatigue.values(model._natural(theta)[0])[0][
                 model.group_of]
-            r = model.data.cell_repeat[model.data.row_cell]
+            r = model.data.cell_repeat
             assert np.all(term[r >= 1] < 0.0)
             assert np.all(term[r == 0] == 0.0)
+
+
+class TestBrcData:
+    @staticmethod
+    def _data(**change):
+        arguments = dict(y=[3.0, 5.0], wave=[1, 2], repeat=[0, 1],
+                         age=[30, 40], band=[2, 3],
+                         n_participants=[10.0, 10.0], s_prop=[0.9, 0.9],
+                         population=PopulationTable.uniform(("all",), 500.0),
+                         bands=default_coarse_bands())
+        arguments.update(change)
+        return make_brc_data(**arguments)
+
+    def test_whole_years_and_band_indices_are_kept(self):
+        d = self._data(age=[30.0, 84.0], band=[0.0, 12.0])
+        np.testing.assert_array_equal(d.cell_age, [30, 84])
+        np.testing.assert_array_equal(d.cell_band, [0, 12])
+
+    @pytest.mark.parametrize("column,values,message", [
+        ("age", [30.0, 30.7], r"cell 1: participant age 30\.7"),
+        ("age", [85, 40], "cell 0: participant age 85"),
+        ("age", [30, -1], "cell 1: participant age -1"),
+        ("band", [99, 3], "cell 0: band 99"),
+        ("y", [3.0, -1.0], "cell 1: count -1"),
+        ("y", [2.5, 5.0], r"cell 0: count 2\.5"),
+        ("repeat", [-1, 1], "cell 0: repeat -1")])
+    def test_out_of_contract_cells_are_refused_naming_the_cell(
+            self, column, values, message):
+        with pytest.raises(DataError, match=message):
+            self._data(**{column: values})
+
+    def test_a_surface_no_cell_reads_is_refused(self):
+        # four gender pairs declared, cells of "MM" only: the "FM" and
+        # "FF" surfaces would be read by no cell
+        data = self._data(
+            population=PopulationTable.uniform(("M", "F"), 500.0),
+            pair=["MM", "MM"], pairs=GENDER_PAIRS)
+        with pytest.raises(DataError, match="no cell reads the 'FM'"):
+            build_model(ModelSpec(family="aggregated_brc"), data)
 
 
 def _every_family_and_fatigue_kind():
@@ -306,8 +313,8 @@ def _every_family_and_fatigue_kind():
             family="individual_gam", fatigue=FatigueSpec(kind=kind)), design)
     for kind in ("none", "independent", "variant_a", "variant_b",
                  "variant_c"):
-        models[f"brc-{kind}"] = _brc_model(kind)[0]
-    models["brc-gender-pairs"] = _brc_model(pairs=GENDER_PAIRS)[0]
+        models[f"brc-{kind}"] = brc_model(kind)[0]
+    models["brc-gender-pairs"] = brc_model(pairs=GENDER_PAIRS)[0]
     return models
 
 
@@ -420,11 +427,12 @@ class TestCallBudget:
     on the host, nor on NumPy's own Python wrappers. Before the group
     design, the seed-3 benchmark models took 64 (gam-hill), 67
     (longitudinal-hill) and 65 (independent-fatigue BRC). Each budget is
-    the count of the one flat pass (23, 23 and 34) plus about 10 %, so
-    that glue does not creep back unnoticed."""
+    the count of the one flat pass (23, 23 and, with the BRC surfaces as
+    one band-sum term on the cells, 31) plus about 10 %, so that glue
+    does not creep back unnoticed."""
 
     BUDGET = {"gam-hill_per_covariate": 25, "longitudinal-hill": 25,
-              "brc-independent": 37}
+              "brc-independent": 34}
 
     @pytest.mark.parametrize("name", sorted(BUDGET))
     def test_frames_per_gradient(self, name):
@@ -492,7 +500,7 @@ class TestPredictionsRaiseRejectedState:
             model.data.offsets)
 
     def test_surface_at_hyperparameter_overflow(self):
-        model, pop = _brc_model()
+        model, pop = brc_model()
         theta = self._rejected(model, "f_all_ell1", 800.0)
         ages = np.arange(3)
         with pytest.raises(RejectedState):
@@ -573,6 +581,20 @@ def _row_reference(model, theta, debias):
                      for w, curve in zip(d.block("w").T, curves))
 
 
+def _row_log_m(model, pop, theta):
+    """log m(a, b) of each single-year row of a BRC model's cells, from the
+    surface prediction of the cell's own gender pair and wave."""
+    d = model.data
+    cell = d.row_cell
+    log_m = np.empty(cell.size)
+    for p, pair in enumerate(d.pairs):
+        for t, wave in enumerate(d.waves):
+            rows = (d.cell_pair[cell] == p) & (d.cell_wave[cell] == t)
+            log_m[rows] = model.predict_log_m(
+                theta, pair, wave, d.cell_age[cell][rows], d.row_b[rows], pop)
+    return log_m
+
+
 class TestGroupedLikelihood:
     """logp_grad runs the likelihood on predictor groups; minus the priors
     it equals the sum of ``pointwise_loglik`` over the rows (over the cells
@@ -608,25 +630,53 @@ class TestGroupedLikelihood:
                         rtol=1e-12, atol=1e-12)
 
     def test_brc_rows_read_their_pair_surface(self):
-        # a row's fitted predictor is the surface prediction of its own
-        # gender pair and wave plus the repeat effect
-        model, pop = _brc_model(pairs=GENDER_PAIRS)
+        # a cell's fitted log expected count is the log of its rows' sum
+        # of the surface predictions of its own gender pair and wave, plus
+        # the repeat effect and log N + log S
+        model, pop = brc_model(pairs=GENDER_PAIRS)
         d = model.data
-        cell = d.row_cell
         theta = np.random.default_rng(9).uniform(-0.5, 0.5,
                                                  model.layout.size)
         rho = np.concatenate([[0.0], model.layout.raw(theta, "rho")])
-        # the fitted rows include the offsets log P_b + log N + log S
-        fitted = (model.predict_log_intensity(theta)
-                  - d.log_offset_cell[cell])
-        for p, pair in enumerate(d.pairs):
-            for t, wave in enumerate(d.waves):
-                rows = (d.cell_pair[cell] == p) & (d.cell_wave[cell] == t)
-                expected = model.predict_log_m(
-                    theta, pair, wave, d.cell_age[cell][rows], d.row_b[rows],
-                    pop) + rho[d.cell_repeat[cell][rows]]
-                np.testing.assert_allclose(fitted[rows], expected,
-                                           rtol=1e-12, atol=1e-12)
+        log_m = _row_log_m(model, pop, theta)
+        expected = (np.log(np.bincount(d.row_cell, weights=np.exp(log_m)))
+                    + rho[d.cell_repeat] + d.log_offset_cell)
+        np.testing.assert_allclose(model.predict_log_intensity(theta),
+                                   expected, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("kind,pairs", [
+        ("none", ("all",)), ("independent", ("all",)),
+        ("independent", GENDER_PAIRS), ("variant_a", ("all",)),
+        ("variant_b", ("all",)), ("variant_c", ("all",))])
+    def test_brc_likelihood_equals_the_row_level_nb1(self, kind, pairs):
+        # the factored cell likelihood against its definition: each
+        # single-year row's mean from the surface prediction, the fatigue
+        # and log N + log S, summed over the cell's rows and scored by
+        # scipy's negative binomial (the variants' fatigue is read from
+        # the model's fatigue term on the cells)
+        model, pop = brc_model(kind, pairs=pairs)
+        d = model.data
+        cell = d.row_cell
+        rng = np.random.default_rng(19)
+        for _ in range(5):
+            theta = rng.uniform(-1.0, 1.0, model.layout.size)
+            log_m = _row_log_m(model, pop, theta)
+            if kind == "none":
+                fatigue = np.zeros(d.n_cells)
+            elif kind == "independent":
+                rho = model.layout.raw(theta, "rho")
+                fatigue = np.concatenate([[0.0], rho])[d.cell_repeat]
+            else:
+                term = next(t for t in model.terms if t.fatigue)
+                fatigue = term.values(model._natural(theta)[0])[0][
+                    model.group_of]
+            mu = np.bincount(cell, weights=np.exp(
+                log_m + (fatigue + d.log_offset_cell)[cell]))
+            nu = np.exp(model.layout.raw(theta, "nu")[0])
+            reference = stats.nbinom.logpmf(d.y, mu / nu,
+                                            1.0 / (1.0 + nu)).sum()
+            assert self._grouped(model, theta) == pytest.approx(
+                reference, rel=1e-12)
 
     @pytest.mark.parametrize("name", [n for n in ROW_LEVEL
                                       if "phi" in
@@ -645,7 +695,7 @@ class TestGroupedLikelihood:
 class TestFlowIdentity:
     def test_rate_consistency_exact(self):
         # P_a m(a,b) = P_b m(b,a) for every draw, algebraically
-        model, pop = _brc_model("independent")
+        model, pop = brc_model("independent")
         rng = np.random.default_rng(7)
         ages = np.arange(0, 85, 7, dtype=float)
         aa, bb = np.meshgrid(ages, ages)
@@ -662,7 +712,7 @@ class TestFlowIdentity:
 
     def test_cross_gender_flows_balance(self):
         # P^M_a m_MF(a,b) = P^F_b m_FM(b,a): "MF" reads the "FM" surface
-        model, pop = _brc_model(pairs=GENDER_PAIRS)
+        model, pop = brc_model(pairs=GENDER_PAIRS)
         rng = np.random.default_rng(8)
         ages = np.arange(0, 85, 7, dtype=float)
         aa, bb = np.meshgrid(ages, ages)
@@ -693,7 +743,7 @@ def _surface_term(model, block):
         a, b = np.meshgrid(np.unique(d.cell_age),
                            np.unique(mids[d.cell_band]), indexing="ij")
         return smooth.source, a.ravel(), b.ravel()
-    return model.surfaces[block[2:]].source, AGE_GRID_A, AGE_GRID_B
+    return model.surfaces[block[2:]], AGE_GRID_A, AGE_GRID_B
 
 
 class TestFactoredSurfaces:
@@ -721,12 +771,40 @@ class TestFactoredSurfaces:
         assert_matches_reference(grad[model.layout.sl(f"{block}_w")],
                                  sqrt_s * (phi.T @ g))
 
+    @pytest.mark.parametrize("name", ["brc-independent", "brc-gender-pairs"])
+    def test_band_sums_read_the_whole_grid(self, name):
+        # each surface is evaluated only on the sub-grid of its points, yet
+        # a cell's band sum is its rows' sum of exp(f + log P_b), f read
+        # on the whole 85 x 85 grid: symmetric surfaces ("all", "MM",
+        # "FF"), the unrestricted "FM" one and its transposed read by "MF"
+        model = MODELS[name]
+        d = model.data
+        cell = d.row_cell
+        band_sums = next(t for t in model.terms if hasattr(t, "surfaces"))
+        theta = np.random.default_rng(33).uniform(-1.0, 1.0,
+                                                  model.layout.size)
+        nat = model._natural(theta)[0]
+        f = np.empty(cell.size)
+        for p, pair in enumerate(d.pairs):
+            key, swap = _surface_of(pair)
+            grid = model.surfaces[key].values(nat)[0].reshape(85, 85)
+            rows = d.cell_pair[cell] == p
+            a, b = d.cell_age[cell][rows], d.row_b[rows]
+            f[rows] = grid[b, a] if swap else grid[a, b]
+        expected = np.log(np.bincount(cell, weights=np.exp(
+            f + d.log_pop_row)))
+        np.testing.assert_allclose(
+            band_sums.values(nat)[0][model.group_of], expected, rtol=1e-13,
+            atol=1e-13 * np.max(np.abs(expected)))
+        for sub, _ in band_sums.grids:
+            assert sub.basis.n_points < 85 * 85
+
     @pytest.mark.parametrize("pair", GENDER_PAIRS)
     def test_prediction_reads_the_dense_surface(self, pair):
         # "MF" reads the "FM" surface at (b, a)
-        model, pop = _brc_model(pairs=GENDER_PAIRS)
+        model, pop = brc_model(pairs=GENDER_PAIRS)
         key, swap = _surface_of(pair)
-        gp = model.surfaces[key].source
+        gp = model.surfaces[key]
         theta = np.random.default_rng(32).uniform(-1.0, 1.0,
                                                   model.layout.size)
         a, b = (AGE_GRID_B, AGE_GRID_A) if swap else (AGE_GRID_A, AGE_GRID_B)
@@ -741,14 +819,14 @@ class TestFactoredSurfaces:
     def test_surface_boxes_contain_the_age_grid(self, name):
         # the HSGP approximation holds inside its box only
         for term in MODELS[name].surfaces.values():
-            basis = term.source.basis
+            basis = term.basis
             for center, half in zip(basis.center, basis.half_width):
                 assert center - half <= AGE_GRID[0] / AGE_SD
                 assert center + half >= AGE_GRID[-1] / AGE_SD
 
     @pytest.mark.parametrize("age", [10.5, -1.0, 85.0])
     def test_prediction_takes_whole_years_on_the_grid(self, age):
-        model, pop = _brc_model()
+        model, pop = brc_model()
         theta = np.zeros(model.layout.size)
         for a, b in (([age], [3.0]), ([3.0], [age])):
             with pytest.raises(ValueError, match="whole years"):
@@ -760,7 +838,7 @@ class TestFactoredSurfaces:
 
     def test_surface_prediction_memory(self):
         # the dense basis on the 85 x 85 age grid at m = 40 is 47 MB
-        model, pop = _brc_model(m=40)
+        model, pop = brc_model(m=40)
         theta = np.random.default_rng(4).uniform(-0.5, 0.5,
                                                  model.layout.size)
         tracemalloc.start()

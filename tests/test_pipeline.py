@@ -9,16 +9,21 @@ from contactfatigue.models import FatigueSpec, ModelSpec, build_model
 from contactfatigue.pipeline import (WaveFit, bootstrap_mean, cell_weights,
                                      poststratified_mean)
 
-from conftest import SMALL_FEATURES, make_records
+from conftest import SMALL_FEATURES, brc_model, make_records
 
 
-def _hill_fit(records, n_draws=40, seed=0):
+def _hill_fit(records):
     """A Hill-fatigue additive model on ``records`` with draws spread
     around zero in place of a sampler run."""
-    model = build_model(ModelSpec(
+    return _fit(build_model(ModelSpec(
         family="individual_gam",
         fatigue=FatigueSpec(kind="hill_per_covariate")),
-        build_design(records, SMALL_FEATURES))
+        build_design(records, SMALL_FEATURES)))
+
+
+def _fit(model, n_draws=40, seed=0):
+    """``model`` with draws spread around zero in place of a sampler
+    run."""
     rng = np.random.default_rng(seed)
     draws = PosteriorDraws(
         layout=model.layout,
@@ -51,6 +56,17 @@ def test_debiased_mean_is_at_least_the_raw_mean():
     assert debiased.median > raw.median
     assert debiased.lower > raw.lower
     assert debiased.upper > raw.upper
+
+
+def test_poststratified_mean_of_a_brc_fit():
+    # one weight per coarse cell: the mean expected count of the cells
+    model, _ = brc_model()
+    fit = _fit(model)
+    n = model.data.n_cells
+    est = poststratified_mean(fit, np.full(n, 1.0 / n), debias=False)
+    means = [np.exp(model.predict_log_intensity(theta)).mean()
+             for theta in fit.draws.stacked()]
+    assert est.median == pytest.approx(np.median(means), rel=1e-12)
 
 
 def test_constant_counts_give_a_degenerate_bootstrap_interval():

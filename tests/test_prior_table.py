@@ -12,8 +12,7 @@ from contactfatigue.models.assemble import DISPERSION_PRIOR, _PriorPass
 from contactfatigue.models.params import Block, Layout
 from contactfatigue.priors import PriorSpec, RhsSpec
 
-from conftest import SMALL_FEATURES, make_records
-from test_models import _brc_model
+from conftest import SMALL_FEATURES, brc_model, make_records
 
 
 def _half_t(df, scale):
@@ -110,7 +109,7 @@ def _every_family():
         "phi": (_invgamma(1.0, 1.0), True)})
 
     half_cauchy = _halfcauchy
-    out["brc"] = (_brc_model("variant_b")[0], {
+    out["brc"] = (brc_model("variant_b")[0], {
         "beta0": (_norm(0.0, 10.0), False),
         "tau": (_norm(), False),
         **_hsgp_densities("f_all", half_cauchy, _invgamma(5.0, 5.0), dim=2),
