@@ -95,11 +95,16 @@ def read_config(path: str | None, overrides: dict) -> dict:
 
 
 def sampler_config(values: dict) -> SamplerConfig:
-    return SamplerConfig(
-        chains=values["chains"], warmup=values["warmup"],
-        sampling=values["sampling"], target_accept=values["target_accept"],
-        max_tree_depth=values["max_tree_depth"], seed=values["seed"],
-        threads=values["threads"])
+    """The sampler settings; a refused one is a ``ConfigError``."""
+    try:
+        return SamplerConfig(
+            chains=values["chains"], warmup=values["warmup"],
+            sampling=values["sampling"],
+            target_accept=values["target_accept"],
+            max_tree_depth=values["max_tree_depth"], seed=values["seed"],
+            threads=values["threads"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def atomic_write(path: str, write) -> None:
@@ -289,12 +294,12 @@ def _write_fit_outputs(out: str, fit, values: dict, model_name: str) -> None:
 
 
 def cmd_fit(args, values: dict) -> int:
+    cfg = sampler_config(values)
     records = _load_records(args.data, values["seed"])
     model_name = values["model"]
     spec = model_spec_for(model_name, values)
     feature_spec = (gam_feature_spec() if spec.family == "individual_gam"
                     else scenario_feature_spec())
-    cfg = sampler_config(values)
     with _Stage("fit"):
         fit = fit_wave(records, feature_spec, spec, cfg)
     with _Stage("write"):
@@ -315,12 +320,12 @@ def selection_groups(records, wave: int | None = None):
 
 
 def cmd_select(args, values: dict) -> int:
+    cfg = sampler_config(values)
     records = _load_records(args.data, values["seed"])
     first, repeat = selection_groups(records, args.wave)
     fs = scenario_feature_spec()
     design_first = build_design(first, fs)
     design_repeat = build_design(repeat, fs)
-    cfg = sampler_config(values)
     with _Stage("select"):
         stage1, stage2 = two_stage_select(design_first, design_repeat, cfg)
     for res, fname in ((stage1, "stage1.csv"), (stage2, "stage2.csv")):
@@ -332,11 +337,11 @@ def cmd_select(args, values: dict) -> int:
 
 
 def cmd_debias_sequence(args, values: dict) -> int:
+    cfg = sampler_config(values)
     records = _load_records(args.data, values["seed"])
     by_wave = [[r for r in records if r.wave == t]
                for t in sorted({r.wave for r in records})]
     fs = gam_feature_spec()
-    cfg = sampler_config(values)
     spec_hill = model_spec_for("gam-hill", values)
     spec_plain = model_spec_for("gam-plain", values)
 
@@ -373,10 +378,10 @@ def cmd_debias_sequence(args, values: dict) -> int:
 
 
 def cmd_study(args, values: dict) -> int:
+    cfg = sampler_config(values)
     records = _load_records(args.data, values["seed"])
     caps = [int(c) for c in str(values["caps"]).split(",") if c != ""]
     fs = gam_feature_spec()
-    cfg = sampler_config(values)
     rows: list[list] = []
     for name in ("gam-hill", "gam-plain"):
         spec = model_spec_for(name, values)

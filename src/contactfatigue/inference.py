@@ -39,6 +39,12 @@ class SamplerConfig:
             raise ValueError("need at least one chain")
         if self.warmup < 100:
             raise ValueError("warmup must be >= 100 for adaptation")
+        if self.sampling < 1:
+            raise ValueError("sampling must be >= 1")
+        if not 0.0 < self.target_accept < 1.0:
+            raise ValueError("target_accept must be in (0, 1)")
+        if self.max_tree_depth < 1:
+            raise ValueError("max_tree_depth must be >= 1")
 
 
 #: a fit has converged when every finite R-hat is below RHAT_LIMIT and at

@@ -22,6 +22,11 @@ keeps only the sines S_a[I] and S_b[J], so a realization read at a few
 participant ages costs S_a[I] C S_b[J]^T (8 x 85 on the benchmark's BRC
 cells); the whole grid is the sub-grid of all coordinates.
 
+A kernel is a family name (``KERNEL_FAMILIES``) plus its magnitude and
+lengthscale. The models pass the NumPy scalars of their state, so an
+overflowing square is inf, never an exception. ``spectral_density``
+gives the density and both partials in one pass, once per basis axis.
+
 Magnitude convention: ``magnitude`` is the marginal variance, k(0) = sigma.
 """
 
@@ -40,39 +45,30 @@ SQRT5 = np.sqrt(5.0)
 #: distance of its inputs from their center (Riutort-Mayol et al. 2023)
 BOUNDARY_FACTOR = 1.5
 
-_FAMILIES = ("se", "matern32", "matern52")
+#: the kernel families, by name
+KERNEL_FAMILIES = ("se", "matern32", "matern52")
 _NU = {"matern32": 1.5, "matern52": 2.5}
 
 
-@dataclass(frozen=True)
-class KernelSpec:
-    family: str
-    magnitude: float     # k(0) = magnitude
-    lengthscale: float
-
-    def __post_init__(self) -> None:
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown kernel family {self.family!r}")
-        if self.magnitude <= 0 or self.lengthscale <= 0:
-            raise ValueError("magnitude and lengthscale must be > 0")
-
-
-def kernel_eval(spec: KernelSpec, x: np.ndarray, x2: np.ndarray) -> np.ndarray:
+def kernel_eval(family: str, magnitude: float, lengthscale: float,
+                x: np.ndarray, x2: np.ndarray) -> np.ndarray:
     """Evaluate k(x, x') elementwise (broadcasting over inputs)."""
     r = np.abs(np.asarray(x, dtype=float) - np.asarray(x2, dtype=float))
-    s = r / spec.lengthscale
-    if spec.family == "se":
-        return spec.magnitude * np.exp(-0.5 * s**2)
-    if spec.family == "matern32":
-        return spec.magnitude * (1.0 + SQRT3 * s) * np.exp(-SQRT3 * s)
-    return spec.magnitude * (1.0 + SQRT5 * s + (5.0 / 3.0) * s**2) * np.exp(-SQRT5 * s)
+    s = r / lengthscale
+    if family == "se":
+        return magnitude * np.exp(-0.5 * s**2)
+    if family == "matern32":
+        return magnitude * (1.0 + SQRT3 * s) * np.exp(-SQRT3 * s)
+    return (magnitude * (1.0 + SQRT5 * s + (5.0 / 3.0) * s**2)
+            * np.exp(-SQRT5 * s))
 
 
-def gram_matrix(spec: KernelSpec, x: np.ndarray, y: np.ndarray | None = None
-                ) -> np.ndarray:
+def gram_matrix(family: str, magnitude: float, lengthscale: float,
+                x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     y = x if y is None else np.asarray(y, dtype=float)
-    return kernel_eval(spec, x[:, None], y[None, :])
+    return kernel_eval(family, magnitude, lengthscale, x[:, None],
+                       y[None, :])
 
 
 #: the constant C of each Matern family's spectral density,
@@ -82,35 +78,21 @@ _MATERN_CONST = {family: (2.0 * np.pi ** 0.5 * gamma_fn(nu + 0.5)
                  for family, nu in _NU.items()}
 
 
-def spectral_density(spec: KernelSpec, omega: np.ndarray) -> np.ndarray:
-    """1D spectral density S(omega) with the convention
-    k(r) = (2 pi)^-1 \\int S(w) exp(i w r) dw, so total power equals k(0).
-    A 2D basis multiplies the densities of its axes.
-    """
-    omega = np.asarray(omega, dtype=float)
+def spectral_density(family: str, sigma, ell, omega
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """1D spectral density and its partials (S, dS/dsigma, dS/dell), with
+    k(r) = (2 pi)^-1 \\int S(w) exp(i w r) dw, so total power equals
+    k(0) = sigma. A 2D basis multiplies the densities of its axes."""
     wsq = omega**2
-    sigma, ell = spec.magnitude, spec.lengthscale
-    if spec.family == "se":
-        return sigma * (2.0 * np.pi) ** 0.5 * ell * np.exp(-0.5 * ell**2 * wsq)
-    nu = _NU[spec.family]
-    return (sigma * _MATERN_CONST[spec.family] * ell
-            * (2.0 * nu + ell**2 * wsq) ** -(nu + 0.5))
-
-
-def spectral_density_grad(spec: KernelSpec, omega: np.ndarray
-                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """1D spectral density with partial derivatives (S, dS/dsigma, dS/dell)."""
-    omega = np.asarray(omega, dtype=float)
-    s = spectral_density(spec, omega)
-    d_sigma = s / spec.magnitude
-    ell = spec.lengthscale
-    if spec.family == "se":
-        d_ell = s * (1.0 / ell - ell * omega**2)
+    if family == "se":
+        s = sigma * (2.0 * np.pi) ** 0.5 * ell * np.exp(-0.5 * ell**2 * wsq)
+        d_ell = s * (1.0 / ell - ell * wsq)
     else:
-        nu = _NU[spec.family]
-        q = 2.0 * nu + ell**2 * omega**2
-        d_ell = s * (1.0 / ell - (nu + 0.5) * 2.0 * ell * omega**2 / q)
-    return s, d_sigma, d_ell
+        nu = _NU[family]
+        q = 2.0 * nu + ell**2 * wsq
+        s = sigma * _MATERN_CONST[family] * ell * q ** -(nu + 0.5)
+        d_ell = s * (1.0 / ell - (nu + 0.5) * 2.0 * ell * wsq / q)
+    return s, s / sigma, d_ell
 
 
 @dataclass(frozen=True)
@@ -160,26 +142,24 @@ class HsgpBasis:
             return self.phi.shape[0]
         return self.sines[0].shape[0] * self.sines[1].shape[0]
 
-    def spectral_weights(self, specs: KernelSpec | tuple[KernelSpec, ...]
-                         ) -> np.ndarray:
-        """Per-column variance weights for the given kernel(s)."""
-        return self.spectral_weights_grad(specs)[0]
+    def spectral_weights(self, family: str, hyper: np.ndarray) -> np.ndarray:
+        """Per-column variance weights of the ``family`` kernel with the
+        hyperparameters (sigma_1, ell_1[, sigma_2, ell_2])."""
+        return self.spectral_weights_grad(family, hyper)[0]
 
-    def spectral_weights_grad(self, specs: KernelSpec | tuple[KernelSpec, ...]
+    def spectral_weights_grad(self, family: str, hyper: np.ndarray
                               ) -> tuple[np.ndarray, tuple[tuple, ...]]:
         """Weights plus, per axis, the density at that axis's m
         frequencies with its partials (S, dS/dsigma, dS/dell).
 
-        A 2D column multiplies the densities of its two frequencies;
+        ``hyper`` holds (sigma, ell) of each axis in turn. A 2D column
+        multiplies the densities of its two frequencies;
         ``spectral_weights_vjp`` turns the per-axis partials into the
         gradient of the hyperparameters."""
+        axes = tuple(map(spectral_density, [family] * self.dim, hyper[::2],
+                         hyper[1::2], self.freqs.T))
         if self.dim == 1:
-            spec = specs if isinstance(specs, KernelSpec) else specs[0]
-            axis = spectral_density_grad(spec, self.freqs[:, 0])
-            return axis[0], (axis,)
-        spec_a, spec_b = specs if not isinstance(specs, KernelSpec) else (specs, specs)
-        axes = (spectral_density_grad(spec_a, self.freqs[:, 0]),
-                spectral_density_grad(spec_b, self.freqs[:, 1]))
+            return axes[0][0], axes
         # sa_j sb_k on each column (j, k), averaged with sa_k sb_j if
         # symmetric
         cols = (axes[0][0][:, None] * axes[1][0][None, :]).ravel()

@@ -103,7 +103,7 @@ from scipy.special import gammaln
 from .. import kernels
 from ..domain import (AGE_GRID, CoarseBandSet, DataError, DesignMatrix,
                       PopulationTable)
-from ..kernels import HsgpBasis, KernelSpec
+from ..kernels import KERNEL_FAMILIES, HsgpBasis
 from ..priors import (FORMULA, RHS_C2_PRIOR, RHS_ZETA_PRIOR, PriorSpec,
                       PriorTable, RhsSpec, rhs_coefficients, table_log_prior)
 from .fatigue import (FatigueSpec, HillPriors, hill_grad_log, log_repeats,
@@ -116,16 +116,20 @@ from .params import Block, Layout
 
 class RejectedState(ValueError):
     """The parameter vector lies where the model is not finite: a log-scale
-    parameter, or a kernel term of one, under- or overflows.
+    parameter under- or overflows, a kernel lengthscale or horseshoe scale
+    overflows its square, or a term comes out inf or NaN.
 
-    ``logp_grad`` gives such a state -inf mass. The prediction methods
-    (``predict_log_intensity``, ``pointwise_loglik``, ``replicate``,
-    ``age_curve``, ``fatigue_curve``, ``predict_log_m``) raise this error.
+    It is the one way a state is refused. ``logp_grad`` gives such a state
+    -inf mass. The prediction methods (``predict_log_intensity``,
+    ``pointwise_loglik``, ``replicate``, ``age_curve``, ``fatigue_curve``,
+    ``predict_log_m``) raise this error.
     """
 
 
 #: the largest u with a finite exp(u)
 _MAX_LOG = float(np.log(np.finfo(float).max))
+#: the largest x with a finite x**2
+_MAX_ROOT = float(np.sqrt(np.finfo(float).max))
 
 #: NumPy's floating-point warnings are off while a state is evaluated;
 #: the pass checks its results and rejects what is not finite instead
@@ -134,15 +138,14 @@ _QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
 
 def _guarded(fn):
     """Make ``logp_grad`` total. The whole pass runs under one
-    ``np.errstate``; a rejected state, a Python-float overflow in the
-    kernels or the horseshoe, or a non-finite result gives -inf and a zero
-    gradient."""
+    ``np.errstate``; a rejected state or a non-finite result gives -inf
+    and a zero gradient."""
     @functools.wraps(fn)
     def wrapper(self, theta):
         try:
             with np.errstate(**_QUIET):
                 logp, grad = fn(self, theta)
-        except (RejectedState, OverflowError):
+        except RejectedState:
             logp = -np.inf
         if np.isfinite(logp) and np.isfinite(grad).all():
             return logp, grad
@@ -151,17 +154,12 @@ def _guarded(fn):
 
 
 def _predicting(fn):
-    """A prediction at a state, under the ``np.errstate`` of ``logp_grad``.
-    The kernels and the horseshoe compute in Python floats, which raise
-    OverflowError where NumPy would return inf; that becomes
-    ``RejectedState``."""
+    """A prediction at a state, under the ``np.errstate`` of ``logp_grad``:
+    a state that ``logp_grad`` rejects raises ``RejectedState``."""
     @functools.wraps(fn)
     def wrapper(self, theta, *args, **kwargs):
-        try:
-            with np.errstate(**_QUIET):
-                return fn(self, theta, *args, **kwargs)
-        except OverflowError as exc:
-            raise RejectedState(str(exc)) from exc
+        with np.errstate(**_QUIET):
+            return fn(self, theta, *args, **kwargs)
     return wrapper
 
 
@@ -198,6 +196,10 @@ class HsgpConfig:
     m: int = 30
     magnitude_prior: PriorSpec = PriorSpec("invgamma", (5.0, 1.0))
     lengthscale_prior: PriorSpec = PriorSpec("invgamma", (5.0, 1.0))
+
+    def __post_init__(self) -> None:
+        if self.kernel not in KERNEL_FAMILIES:
+            raise ValueError(f"unknown kernel family {self.kernel!r}")
 
 
 def brc_surface_config(m: int = 40) -> HsgpConfig:
@@ -329,11 +331,13 @@ class _RhsTerm:
 
     def weights(self, nat: np.ndarray):
         """Coefficients plus the backprop cache. Scales past ~1e154
-        overflow their squares: NaN coefficients, or an OverflowError from
-        the Python-float eps and c2."""
+        overflow their squares: NaN coefficients from a local one, finite
+        zeros from a slab or global one, whose state is rejected first."""
+        c2, eps = nat[self.c2_at], nat[self.eps_at]
+        if not max(c2, eps) <= _MAX_ROOT:
+            raise RejectedState
         beta, partials = rhs_coefficients(
-            self.spec, nat[self.z_at], nat[self.zeta_at],
-            float(nat[self.c2_at]), float(nat[self.eps_at]))
+            self.spec, nat[self.z_at], nat[self.zeta_at], c2, eps)
         if not np.isfinite(beta).all():
             raise RejectedState
         return beta, partials
@@ -442,17 +446,14 @@ class _HsgpTerm:
         self.hyper_at = slice(layout.sl(self.block_names[1]).start,
                               layout.sl(self.block_names[-1]).stop)
 
-    def _specs(self, nat: np.ndarray):
-        """Kernel spec, one per axis in 2D."""
-        h = nat[self.hyper_at].tolist()
-        kernel = self.config.kernel
-        if self.basis.dim == 1:
-            return KernelSpec(kernel, h[0], h[1])
-        return KernelSpec(kernel, h[0], h[1]), KernelSpec(kernel, h[2], h[3])
-
     def weights(self, nat: np.ndarray) -> tuple[np.ndarray, tuple]:
-        """The column weights sqrt(S) w plus a backprop cache."""
-        s, axes = self.basis.spectral_weights_grad(self._specs(nat))
+        """The column weights sqrt(S) w plus a backprop cache. Past ~1e154
+        a lengthscale overflows ell^2 w^2 and the density would come out a
+        finite zero, so that state is rejected."""
+        hyper = nat[self.hyper_at]
+        if not max(hyper[1::2].tolist()) <= _MAX_ROOT:
+            raise RejectedState
+        s, axes = self.basis.spectral_weights_grad(self.config.kernel, hyper)
         sqrt_s = np.sqrt(s)
         w = nat[self.w_at]
         v = sqrt_s * w
@@ -1229,32 +1230,36 @@ def make_brc_data(*, y, wave, repeat, age, band, n_participants, s_prop,
     ``pair`` holds per-cell pair labels (defaults to a single shared
     surface); each pair label's rows take the population counts of its
     contact gender. A count or repeat that is not a whole number >= 0, a
-    participant age that is not a whole year in 0-84, or a band that is
-    not an index into ``bands`` raises ``DataError`` naming the cell.
+    wave that is not a whole number >= 1, a participant age that is not a
+    whole year in 0-84, a band that is not an index into ``bands``, a
+    participant count that is not > 0 or a reporting share S outside
+    (0, 1] raises ``DataError`` naming the cell.
     """
-    y = np.asarray(y, dtype=float)
-    repeat = np.asarray(repeat, dtype=float)
-    age = np.asarray(age, dtype=float)
-    band = np.asarray(band, dtype=float)
-    for what, x, stop in (("count", y, np.inf), ("repeat", repeat, np.inf),
-                          ("participant age", age, _N_AGE),
-                          ("band", band, len(bands))):
-        bad = _not_whole(x, stop)
+    y, wave, repeat, age, band, n_part, s_prop = (
+        np.asarray(x, dtype=float)
+        for x in (y, wave, repeat, age, band, n_participants, s_prop))
+    for what, x, start, stop in (
+            ("count", y, 0, np.inf), ("wave", wave, 1, np.inf),
+            ("repeat", repeat, 0, np.inf),
+            ("participant age", age, 0, _N_AGE),
+            ("band", band, 0, len(bands))):
+        bad = _not_whole(x - start, stop - start)
         if bad.any():
             i = int(np.argmax(bad))
             raise DataError(f"cell {i}: {what} {x[i]:g} is not a whole "
-                            f"number in [0, {stop})")
+                            f"number in [{start}, {stop})")
+    for what, x, bad, bounds in (
+            ("participant count", n_part, ~(n_part > 0), "> 0"),
+            ("S", s_prop, ~((s_prop > 0) & (s_prop <= 1)), "in (0, 1]")):
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise DataError(f"cell {i}: {what} {x[i]:g} is not {bounds}")
     n_cells = y.shape[0]
-    wave = np.asarray(wave, dtype=int)
-    waves = tuple(sorted(np.unique(wave)))
+    waves = tuple(sorted(np.unique(wave.astype(int))))
     wave_idx = np.searchsorted(np.asarray(waves), wave)
     pair_arr = (np.zeros(n_cells, dtype=int) if pair is None
                 else np.asarray([pairs.index(p) for p in pair]))
     band_idx = band.astype(int)
-    n_part = np.asarray(n_participants, dtype=float)
-    s_prop = np.asarray(s_prop, dtype=float)
-    if np.any(n_part <= 0) or np.any(s_prop <= 0) or np.any(s_prop > 1):
-        raise ValueError("participant counts must be > 0 and S in (0,1]")
 
     # each cell's rows are the single-year ages of its band, in order
     row_cell, row_b = np.divmod(

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import pytest
 
@@ -121,3 +122,33 @@ class TestStrict:
             code = _run_sampling(command, [], unconverged, out)
         assert code == cli.EXIT_OK
         assert list(out.glob("*.csv")) != []
+
+
+
+#: sampler settings that ``SamplerConfig`` refuses, as flags or config
+#: lines, each with the message that names it; every sampling command
+#: checks them before it reads its data
+BAD_SAMPLER_SETTINGS = [
+    ("fit", ["--warmup", "50"], "", "warmup must be >= 100"),
+    ("fit", ["--sampling", "0"], "", "sampling must be >= 1"),
+    ("fit", [], "target_accept = 1.5\n",
+     r"target_accept must be in \(0, 1\)"),
+    ("fit", [], "max_tree_depth = 0\n", "max_tree_depth must be >= 1"),
+] + [(command, ["--sampling", "0"], "", "sampling must be >= 1")
+     for command in SAMPLING_COMMANDS if command != "fit"]
+
+
+@pytest.mark.parametrize("command,flags,config,message", BAD_SAMPLER_SETTINGS)
+def test_invalid_sampler_settings_are_a_config_error(
+        command, flags, config, message, unconverged, tmp_path, caplog):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "out"
+    code = run(["--config", str(cfg)] + flags + SAMPLING_COMMANDS[command]
+               + ["--data", unconverged[1], "--out", str(out)])
+    assert code == cli.EXIT_CONFIG == 2
+    assert not out.exists()
+    assert any(r.levelname == "ERROR"
+               and r.getMessage().startswith("config error: ")
+               and re.search(message, r.getMessage())
+               for r in caplog.records)

@@ -249,3 +249,26 @@ def test_the_benchmark_tracer_finds_what_it_patches(monkeypatch):
     with tracing.instrument(tracing.Tracer()):
         assert assemble._HsgpTerm.values_at is not original
     assert assemble._HsgpTerm.values_at is original
+
+
+def test_the_benchmark_tracer_times_the_spectral_weights(monkeypatch):
+    # the per-layer kernel time of a traced run is read from these spans;
+    # one gradient of a 1D smooth (GAM) and of a 2D surface (BRC) must
+    # reach both
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import numpy as np
+    import tracing
+    from conftest import SMALL_FEATURES, brc_model, make_records
+    from contactfatigue.domain import build_design
+    from contactfatigue.models import ModelSpec, build_model
+
+    gam = build_model(ModelSpec(family="individual_gam"),
+                      build_design(make_records(), SMALL_FEATURES))
+    for model in (gam, brc_model()[0]):
+        tracer = tracing.Tracer()
+        with tracing.instrument(tracer):
+            logp, _ = model.logp_grad(np.zeros(model.layout.size))
+        assert np.isfinite(logp)
+        for span in ("kernels.spectral_density",
+                     "kernels.spectral_weights_vjp"):
+            assert tracer.stats[span][0] >= 1, span

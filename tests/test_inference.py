@@ -166,3 +166,25 @@ class TestConvergenceLimits:
         failure = self._diag(1.0, 11).convergence_failure(100)
         assert failure == "11 of 100 transitions were divergent"
         assert DIVERGENT_SHARE_LIMIT == 0.10
+
+
+class TestSamplerConfig:
+    @pytest.mark.parametrize("setting,message", [
+        ({"chains": 0}, "at least one chain"),
+        ({"warmup": 99}, "warmup must be >= 100"),
+        ({"sampling": 0}, "sampling must be >= 1"),
+        ({"max_tree_depth": 0}, "max_tree_depth must be >= 1"),
+        ({"target_accept": 0.0}, r"target_accept must be in \(0, 1\)"),
+        ({"target_accept": 1.0}, r"target_accept must be in \(0, 1\)"),
+        ({"target_accept": 1.5}, r"target_accept must be in \(0, 1\)"),
+        ({"target_accept": float("nan")}, "target_accept")])
+    def test_settings_that_cannot_run_are_refused(self, setting, message):
+        # zero draws, trees that never leave the start, or a step-size
+        # target no step size reaches
+        with pytest.raises(ValueError, match=message):
+            SamplerConfig(**setting)
+
+    def test_the_smallest_runnable_settings_are_kept(self):
+        cfg = SamplerConfig(chains=1, warmup=100, sampling=1,
+                            max_tree_depth=1, target_accept=0.5)
+        assert (cfg.sampling, cfg.max_tree_depth) == (1, 1)

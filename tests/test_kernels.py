@@ -3,11 +3,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, trapezoid
 
-from contactfatigue.kernels import (BOUNDARY_FACTOR, KernelSpec,
-                                    basis_at, build_hsgp_1d,
-                                    build_hsgp_2d, build_hsgp_2d_symmetric,
-                                    gram_matrix, kernel_eval,
-                                    spectral_density, spectral_density_grad,
+from contactfatigue.kernels import (BOUNDARY_FACTOR, basis_at,
+                                    build_hsgp_1d, build_hsgp_2d,
+                                    build_hsgp_2d_symmetric, gram_matrix,
+                                    kernel_eval, spectral_density,
                                     spectral_weights_vjp)
 
 from conftest import assert_matches_reference
@@ -15,20 +14,25 @@ from conftest import assert_matches_reference
 ALL_FAMILIES = ("se", "matern32", "matern52")
 
 
-def realized_covariance(basis, specs, *inputs):
-    """Phi S Phi^T at ``inputs``, from the dense reference basis."""
+def realized_covariance(basis, family, hyper, *inputs):
+    """Phi S Phi^T at ``inputs``, from the dense reference basis, for the
+    hyperparameters (sigma_1, ell_1[, sigma_2, ell_2])."""
     phi = basis_at(basis, *inputs)
-    return (phi * basis.spectral_weights(specs)) @ phi.T
+    return (phi * basis.spectral_weights(family, np.asarray(hyper))) @ phi.T
+
+
+def density(family, sigma, ell, omega):
+    """The spectral density S alone."""
+    return spectral_density(family, sigma, ell, omega)[0]
 
 
 class TestKernelEval:
     def test_magnitude_at_zero_distance(self):
-        spec = KernelSpec("matern32", magnitude=2.0, lengthscale=1.0)
-        assert kernel_eval(spec, 0.0, 0.0) == pytest.approx(2.0)
+        assert kernel_eval("matern32", 2.0, 1.0, 0.0, 0.0) == pytest.approx(
+            2.0)
 
     def test_se_plugin(self):
-        spec = KernelSpec("se", 1.0, 1.0)
-        assert kernel_eval(spec, 0.0, np.sqrt(2.0)) == pytest.approx(
+        assert kernel_eval("se", 1.0, 1.0, 0.0, np.sqrt(2.0)) == pytest.approx(
             np.exp(-1.0), rel=1e-12)
 
     def test_matern52_high_precision_oracle(self):
@@ -36,16 +40,14 @@ class TestKernelEval:
         mpmath.mp.dps = 50
         s5 = mpmath.sqrt(5)
         expected = float((1 + s5 + mpmath.mpf(5) / 3) * mpmath.exp(-s5))
-        spec = KernelSpec("matern52", 1.0, 1.0)
-        assert kernel_eval(spec, 0.0, 1.0) == pytest.approx(expected,
-                                                            rel=1e-14)
+        assert kernel_eval("matern52", 1.0, 1.0, 0.0, 1.0) == pytest.approx(
+            expected, rel=1e-14)
         assert expected == pytest.approx(0.52399, abs=5e-6)
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_symmetry(self, family):
-        spec = KernelSpec(family, 1.3, 2.1)
         x = np.linspace(-3, 7, 11)
-        k = gram_matrix(spec, x)
+        k = gram_matrix(family, 1.3, 2.1, x)
         np.testing.assert_allclose(k, k.T, rtol=1e-14)
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
@@ -53,55 +55,47 @@ class TestKernelEval:
         rng = np.random.default_rng(11)
         for trial in range(3):
             x = rng.uniform(0, 40, size=50)
-            spec = KernelSpec(family, 1.0 + trial, 3.0)
-            k = gram_matrix(spec, x) + 1e-10 * np.eye(50)
+            k = gram_matrix(family, 1.0 + trial, 3.0, x) + 1e-10 * np.eye(50)
             np.linalg.cholesky(k)  # raises if not PSD
 
 
 class TestSpectralDensity:
     def test_se_at_zero(self):
-        spec = KernelSpec("se", 1.0, 1.0)
-        assert spectral_density(spec, 0.0) == pytest.approx(
+        assert density("se", 1.0, 1.0, 0.0) == pytest.approx(
             np.sqrt(2 * np.pi), rel=1e-12)
 
     def test_matern32_at_zero(self):
-        spec = KernelSpec("matern32", 1.0, 1.0)
-        assert spectral_density(spec, 0.0) == pytest.approx(
+        assert density("matern32", 1.0, 1.0, 0.0) == pytest.approx(
             12 * np.sqrt(3) / 9, rel=1e-12)
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     @pytest.mark.parametrize("ell", [0.7, 2.0])
     def test_matches_numerical_fourier_transform(self, family, ell):
         # S(w) = int k(r) cos(w r) dr, trapezoid on [-40, 40]
-        spec = KernelSpec(family, 1.4, ell)
         r = np.linspace(-40, 40, 40001)
-        k = kernel_eval(spec, r, 0.0)
+        k = kernel_eval(family, 1.4, ell, r, 0.0)
         for omega in np.linspace(0.0, 10.0, 21):
             numeric = trapezoid(k * np.cos(omega * r), r)
-            analytic = spectral_density(spec, omega)
+            analytic = density(family, 1.4, ell, omega)
             if analytic > 1e-12:
                 assert analytic == pytest.approx(numeric, rel=1e-3,
                                                  abs=1e-9)
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_total_power_equals_magnitude_1d(self, family):
-        spec = KernelSpec(family, 1.7, 1.3)
-        total, _ = quad(lambda w: spectral_density(spec, w), -np.inf,
+        total, _ = quad(lambda w: density(family, 1.7, 1.3, w), -np.inf,
                         np.inf, limit=200)
         assert total / (2 * np.pi) == pytest.approx(1.7, abs=1e-4)
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_gradients_match_finite_differences(self, family):
         omega = np.linspace(0, 6, 13)
-        spec = KernelSpec(family, 1.2, 0.8)
-        s, d_sigma, d_ell = spectral_density_grad(spec, omega)
+        s, d_sigma, d_ell = spectral_density(family, 1.2, 0.8, omega)
         h = 1e-6
-        num_sigma = (spectral_density(KernelSpec(family, 1.2 + h, 0.8), omega)
-                     - spectral_density(KernelSpec(family, 1.2 - h, 0.8),
-                                        omega)) / (2 * h)
-        num_ell = (spectral_density(KernelSpec(family, 1.2, 0.8 + h), omega)
-                   - spectral_density(KernelSpec(family, 1.2, 0.8 - h),
-                                      omega)) / (2 * h)
+        num_sigma = (density(family, 1.2 + h, 0.8, omega)
+                     - density(family, 1.2 - h, 0.8, omega)) / (2 * h)
+        num_ell = (density(family, 1.2, 0.8 + h, omega)
+                   - density(family, 1.2, 0.8 - h, omega)) / (2 * h)
         np.testing.assert_allclose(d_sigma, num_sigma, rtol=1e-6)
         np.testing.assert_allclose(d_ell, num_ell, rtol=1e-5)
 
@@ -109,40 +103,36 @@ class TestSpectralDensity:
 class TestHsgp1d:
     def test_first_eigenfrequency(self):
         # inputs chosen so the box half-width is exactly 1
-        spec = KernelSpec("se", 1.0, 1.0)
         basis = build_hsgp_1d(np.array([-1.0, 1.0]) / BOUNDARY_FACTOR, m=4)
         assert basis.half_width[0] == pytest.approx(1.0)
         assert basis.freqs[0, 0] == pytest.approx(np.pi / 2)
 
     def test_se_covariance_error(self):
-        spec = KernelSpec("se", 1.0, 1.0)
         x = np.linspace(-5, 5, 41)
         basis = build_hsgp_1d(x, m=64)
-        exact = gram_matrix(spec, x)
-        approx = realized_covariance(basis, spec, x)
+        exact = gram_matrix("se", 1.0, 1.0, x)
+        approx = realized_covariance(basis, "se", (1.0, 1.0), x)
         assert np.max(np.abs(approx - exact)) < 1e-3
 
     def test_matern32_covariance_error(self):
-        spec = KernelSpec("matern32", 1.0, 1.0)
         x = np.linspace(-5, 5, 41)
         basis = build_hsgp_1d(x, m=128)
-        exact = gram_matrix(spec, x)
-        assert np.max(np.abs(realized_covariance(basis, spec, x)
+        exact = gram_matrix("matern32", 1.0, 1.0, x)
+        assert np.max(np.abs(realized_covariance(basis, "matern32",
+                                                 (1.0, 1.0), x)
                              - exact)) < 5e-3
 
     def test_error_monotone_in_basis_size(self):
-        spec = KernelSpec("se", 1.0, 1.0)
         x = np.linspace(-5, 5, 41)
-        exact = gram_matrix(spec, x)
+        exact = gram_matrix("se", 1.0, 1.0, x)
         errors = []
         for m in (8, 16, 32, 64):
             basis = build_hsgp_1d(x, m=m)
-            errors.append(np.max(np.abs(realized_covariance(basis, spec, x)
-                                        - exact)))
+            errors.append(np.max(np.abs(
+                realized_covariance(basis, "se", (1.0, 1.0), x) - exact)))
         assert all(a > b for a, b in zip(errors, errors[1:]))
 
     def test_columns_orthonormal_under_uniform_measure(self):
-        spec = KernelSpec("se", 1.0, 1.0)
         basis = build_hsgp_1d(np.linspace(-4, 4, 11), m=12)
         half = basis.half_width[0]
         grid = np.linspace(-half, half, 20001) + basis.center[0]
@@ -152,7 +142,6 @@ class TestHsgp1d:
         np.testing.assert_allclose(gram, np.eye(12), atol=1e-6)
 
     def test_invalid_args(self):
-        spec = KernelSpec("se", 1.0, 1.0)
         with pytest.raises(ValueError):
             build_hsgp_1d(np.arange(5.0), m=0)
 
@@ -177,38 +166,38 @@ class TestHsgp2dSymmetric:
         assert [s.shape for s in basis.sines] == [(4, 3), (7, 3)]
 
     def test_realizations_symmetric_to_machine_precision(self):
-        spec = KernelSpec("matern52", 1.0, 15.0)
         basis = build_hsgp_2d_symmetric(self.AGES[:8], m=6)
         rng = np.random.default_rng(0)
         for _ in range(5):
             w = rng.standard_normal(basis.n_basis)
-            s = basis.spectral_weights((spec, spec))
+            s = basis.spectral_weights("matern52",
+                                       np.array([1.0, 15.0, 1.0, 15.0]))
             f = basis.matvec(np.sqrt(s) * w).reshape(8, 8)
             np.testing.assert_array_equal(f, f.T)
 
     def test_covariance_matches_symmetrized_kernel(self):
         # oracle: dense product kernel, symmetrized over axis swap
-        spec = KernelSpec("se", 1.0, 12.0)
+        sigma, ell = 1.0, 12.0
         basis = build_hsgp_2d_symmetric(self.AGES, m=16)
         a, b = _grid_points(self.AGES, self.AGES)
-        k_a = kernel_eval(spec, a[:, None], a[None, :])
-        k_b = kernel_eval(spec, b[:, None], b[None, :])
-        k = k_a * k_b / spec.magnitude      # product kernel, k(0) = sigma
-        k_swap = (kernel_eval(spec, a[:, None], b[None, :])
-                  * kernel_eval(spec, b[:, None], a[None, :])
-                  / spec.magnitude)
+        k_a = kernel_eval("se", sigma, ell, a[:, None], a[None, :])
+        k_b = kernel_eval("se", sigma, ell, b[:, None], b[None, :])
+        k = k_a * k_b / sigma      # product kernel, k(0) = sigma
+        k_swap = (kernel_eval("se", sigma, ell, a[:, None], b[None, :])
+                  * kernel_eval("se", sigma, ell, b[:, None], a[None, :])
+                  / sigma)
         target = 0.5 * (k + k_swap)
-        approx = realized_covariance(basis, (spec, spec), a, b)
+        approx = realized_covariance(basis, "se", (sigma, ell) * 2, a, b)
         assert np.max(np.abs(approx - target)) < 5e-2
 
     def test_full_2d_covariance(self):
-        spec = KernelSpec("se", 1.0, 12.0)
+        sigma, ell = 1.0, 12.0
         ages = self.AGES[:9]
         basis = build_hsgp_2d(ages, ages, m=14)
         a, b = _grid_points(ages, ages)
-        k = (kernel_eval(spec, a[:, None], a[None, :])
-             * kernel_eval(spec, b[:, None], b[None, :]) / spec.magnitude)
-        approx = realized_covariance(basis, (spec, spec), a, b)
+        k = (kernel_eval("se", sigma, ell, a[:, None], a[None, :])
+             * kernel_eval("se", sigma, ell, b[:, None], b[None, :]) / sigma)
+        approx = realized_covariance(basis, "se", (sigma, ell) * 2, a, b)
         assert np.max(np.abs(approx - k)) < 5e-2
 
     def test_basis_at_matches_build_inputs(self):
@@ -303,21 +292,24 @@ def test_spectral_weights_equal_the_per_column_formula(kind):
     m = basis.m
     j, k = (np.triu_indices(m) if basis.symmetric
             else np.divmod(np.arange(m * m), m))
-    spec_a = KernelSpec("matern52", 0.7, 1.3)
-    spec_b = KernelSpec("matern52", 1.9, 0.4)
-    sa1, dsa1, dla1 = spectral_density_grad(spec_a, basis.freqs[j, 0])
-    sb1, dsb1, dlb1 = spectral_density_grad(spec_b, basis.freqs[k, 1])
+    hyper = np.array([0.7, 1.3, 1.9, 0.4])
+    sa1, dsa1, dla1 = spectral_density("matern52", *hyper[:2],
+                                       basis.freqs[j, 0])
+    sb1, dsb1, dlb1 = spectral_density("matern52", *hyper[2:],
+                                       basis.freqs[k, 1])
     s = sa1 * sb1
     grads = [dsa1 * sb1, dla1 * sb1, sa1 * dsb1, sa1 * dlb1]
     if basis.symmetric:
-        sa2, dsa2, dla2 = spectral_density_grad(spec_a, basis.freqs[k, 1])
-        sb2, dsb2, dlb2 = spectral_density_grad(spec_b, basis.freqs[j, 0])
+        sa2, dsa2, dla2 = spectral_density("matern52", *hyper[:2],
+                                           basis.freqs[k, 1])
+        sb2, dsb2, dlb2 = spectral_density("matern52", *hyper[2:],
+                                           basis.freqs[j, 0])
         s = 0.5 * (s + sa2 * sb2)
         grads = [0.5 * (grads[0] + dsa2 * sb2),
                  0.5 * (grads[1] + dla2 * sb2),
                  0.5 * (grads[2] + sa2 * dsb2),
                  0.5 * (grads[3] + sa2 * dlb2)]
-    weights, axes = basis.spectral_weights_grad((spec_a, spec_b))
+    weights, axes = basis.spectral_weights_grad("matern52", hyper)
     np.testing.assert_array_equal(weights, s)
     # the per-column partials enter only through the product with a
     # gradient on the columns
@@ -330,42 +322,28 @@ def test_spectral_weights_equal_the_per_column_formula(kind):
 
 class TestRealize:
     def test_zero_weights_zero_function(self):
-        spec = KernelSpec("se", 1.0, 1.0)
         basis = build_hsgp_1d(np.linspace(-3, 3, 15), m=8)
-        s = basis.spectral_weights(spec)
+        s = basis.spectral_weights("se", np.array([1.0, 1.0]))
         assert np.all(basis.matvec(np.sqrt(s) * np.zeros(8)) == 0.0)
 
     def test_monte_carlo_covariance(self):
-        spec = KernelSpec("se", 1.0, 1.5)
         x = np.linspace(-3, 3, 9)
         basis = build_hsgp_1d(x, m=16)
         rng = np.random.default_rng(42)
         n = 10_000
-        s = basis.spectral_weights(spec)
+        s = basis.spectral_weights("se", np.array([1.0, 1.5]))
         draws = np.stack([basis.matvec(np.sqrt(s) * rng.standard_normal(16))
                           for _ in range(n)])
         sample_cov = np.cov(draws.T)
-        target = realized_covariance(basis, spec, x)
+        target = realized_covariance(basis, "se", (1.0, 1.5), x)
         # MC error on covariance entries ~ sqrt(2/n)
         assert np.max(np.abs(sample_cov - target)) < 6 * np.sqrt(2.0 / n)
 
     def test_magnitude_scales_covariance_linearly(self):
         x = np.linspace(-3, 3, 9)
-        s1 = KernelSpec("matern52", 1.0, 1.5)
-        s4 = KernelSpec("matern52", 4.0, 1.5)
         basis = build_hsgp_1d(x, m=16)
-        np.testing.assert_allclose(realized_covariance(basis, s4, x),
-                                   4.0 * realized_covariance(basis, s1, x),
-                                   rtol=1e-12)
+        np.testing.assert_allclose(
+            realized_covariance(basis, "matern52", (4.0, 1.5), x),
+            4.0 * realized_covariance(basis, "matern52", (1.0, 1.5), x),
+            rtol=1e-12)
 
-
-class TestKernelSpecValidation:
-    def test_unknown_family(self):
-        with pytest.raises(ValueError):
-            KernelSpec("cubic", 1.0, 1.0)
-
-    def test_positive_params(self):
-        with pytest.raises(ValueError):
-            KernelSpec("se", -1.0, 1.0)
-        with pytest.raises(ValueError):
-            KernelSpec("se", 1.0, 0.0)

@@ -17,10 +17,12 @@ from contactfatigue.domain import (AGE_GRID, DataError, PopulationTable,
                                    SurveyRecord, build_design,
                                    default_coarse_bands)
 from contactfatigue.models import (FatigueSpec, HillCurve,
-                                   IndividualGamModel, LongitudinalNbModel,
-                                   ModelSpec, RejectedState,
+                                   HsgpConfig, IndividualGamModel,
+                                   LongitudinalNbModel, ModelSpec,
+                                   RejectedState,
                                    Stage1PoissonModel, Stage2PoissonModel,
-                                   build_model, hill, make_brc_data)
+                                   brc_surface_config, build_model, hill,
+                                   make_brc_data)
 from contactfatigue.kernels import basis_at
 from contactfatigue.models.assemble import AGE_SD, _HsgpTerm, _surface_of
 from contactfatigue.models.fatigue import hill_grad_log, log_repeats
@@ -270,7 +272,15 @@ class TestBrcData:
         ("band", [99, 3], "cell 0: band 99"),
         ("y", [3.0, -1.0], "cell 1: count -1"),
         ("y", [2.5, 5.0], r"cell 0: count 2\.5"),
-        ("repeat", [-1, 1], "cell 0: repeat -1")])
+        ("repeat", [-1, 1], "cell 0: repeat -1"),
+        ("wave", [1.5, 2], r"cell 0: wave 1\.5 is not a whole number in "
+                           r"\[1, inf\)"),
+        ("wave", [1, 0], "cell 1: wave 0"),
+        ("n_participants", [10.0, 0.0],
+         r"cell 1: participant count 0 is not > 0"),
+        ("n_participants", [np.nan, 10.0], "cell 0: participant count nan"),
+        ("s_prop", [0.9, 1.2], r"cell 1: S 1\.2 is not in \(0, 1\]"),
+        ("s_prop", [0.0, 0.9], "cell 0: S 0 ")])
     def test_out_of_contract_cells_are_refused_naming_the_cell(
             self, column, values, message):
         with pytest.raises(DataError, match=message):
@@ -358,13 +368,55 @@ class TestLogpGradIsTotal:
     @pytest.mark.parametrize("name,block", [
         ("gam-hill_per_covariate", "age_ell"), ("longitudinal-hill", "tau_ell")])
     def test_kernel_overflow_is_a_rejected_state(self, name, block):
-        # a lengthscale of e^400 overflows ell**2 in Python floats
+        # a lengthscale of e^400 overflows ell**2
         model = MODELS[name]
         theta = np.zeros(model.layout.size)
         theta[model.layout.sl(block)] = 400.0
         logp, grad = model.logp_grad(theta)
         assert logp == -np.inf
         np.testing.assert_array_equal(grad, 0.0)
+
+    @staticmethod
+    def _source(model, block):
+        """The source, or BRC surface, that owns ``block``."""
+        sources = ([s for s, _, _ in model.sources]
+                   + list(getattr(model, "surfaces", {}).values()))
+        return next(s for s in sources
+                    if block in [b.name for b in s.blocks()])
+
+    @pytest.mark.parametrize("name,block", [
+        ("gam-hill_per_covariate", "age_ell"),
+        ("longitudinal-hill", "tau_ell"), ("brc-independent", "f_all_ell2"),
+        ("stage1-rhs", "rhs_eps"), ("stage1-rhs", "rhs_c2"),
+        ("stage2-rhs", "rhs_eps")])
+    def test_weights_reject_a_scale_whose_square_overflows(self, name,
+                                                           block):
+        # e^400 is finite but its square is not; the density and the
+        # horseshoe coefficients would come out finite zeros there, so
+        # the source itself refuses the state
+        model = MODELS[name]
+        theta = np.zeros(model.layout.size)
+        theta[model.layout.sl(block)] = 400.0
+        source = self._source(model, block)
+        with pytest.raises(RejectedState):
+            source.weights(model._natural(theta)[0])
+
+    @pytest.mark.parametrize("name,block", [
+        ("gam-hill_per_covariate", "age_ell"), ("stage1-rhs", "rhs_eps")])
+    def test_the_largest_scale_with_a_finite_square_is_kept(self, name,
+                                                            block):
+        model = MODELS[name]
+        source = self._source(model, block)
+        nat = model._natural(np.zeros(model.layout.size))[0]
+        at = model.layout.sl(block)
+        edge = np.sqrt(np.finfo(float).max)
+        assert np.isfinite(edge**2)
+        with np.errstate(all="ignore"):
+            nat[at] = edge
+            source.weights(nat)
+            nat[at] = np.nextafter(edge, np.inf)
+            with pytest.raises(RejectedState):
+                source.weights(nat)
 
     @pytest.mark.parametrize("name,block", [
         ("stage1-rhs", "beta_zeta"), ("stage2-rhs", "gamma_zeta")])
@@ -427,12 +479,13 @@ class TestCallBudget:
     on the host, nor on NumPy's own Python wrappers. Before the group
     design, the seed-3 benchmark models took 64 (gam-hill), 67
     (longitudinal-hill) and 65 (independent-fatigue BRC). Each budget is
-    the count of the one flat pass (23, 23 and, with the BRC surfaces as
-    one band-sum term on the cells, 31) plus about 10 %, so that glue
-    does not creep back unnoticed."""
+    the count of the one flat pass (20, 20 and, with the BRC surfaces as
+    one band-sum term on the cells, 26; the spectral weights take one
+    frame per axis) plus about 10 %, so that glue does not creep back
+    unnoticed."""
 
-    BUDGET = {"gam-hill_per_covariate": 25, "longitudinal-hill": 25,
-              "brc-independent": 34}
+    BUDGET = {"gam-hill_per_covariate": 22, "longitudinal-hill": 22,
+              "brc-independent": 29}
 
     @pytest.mark.parametrize("name", sorted(BUDGET))
     def test_frames_per_gradient(self, name):
@@ -468,7 +521,7 @@ class TestPredictionsRaiseRejectedState:
         return theta
 
     def test_age_curve_at_kernel_overflow(self):
-        # a lengthscale of e^400 overflows ell**2 in Python floats
+        # a lengthscale of e^400 overflows ell**2
         model = MODELS["gam-hill_per_covariate"]
         theta = self._rejected(model, "age_ell", 400.0)
         with pytest.raises(RejectedState):
@@ -482,7 +535,7 @@ class TestPredictionsRaiseRejectedState:
             model.pointwise_loglik(theta)
 
     def test_pointwise_loglik_at_horseshoe_overflow(self):
-        # a global scale of e^400 overflows eps**2 in Python floats
+        # a global scale of e^400 overflows eps**2
         model = MODELS["stage1-rhs"]
         theta = self._rejected(model, "rhs_eps", 400.0)
         with pytest.raises(RejectedState):
@@ -543,6 +596,15 @@ class TestFamilies:
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="unknown model family"):
             ModelSpec(family="poisson")
+
+
+class TestHsgpConfig:
+    def test_unknown_family(self):
+        # refused when the config is made, not at the first gradient
+        with pytest.raises(ValueError, match="kernel family 'cubic'"):
+            HsgpConfig(kernel="cubic")
+        with pytest.raises(ValueError, match="unknown kernel family"):
+            dataclasses.replace(brc_surface_config(), kernel="cubic")
 
 
 ROW_LEVEL = sorted(name for name in MODELS if not name.startswith("brc"))
