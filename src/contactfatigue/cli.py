@@ -12,13 +12,14 @@ read or written).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import logging
 import os
 import sys
 import tempfile
 import time
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -31,9 +32,9 @@ from .inference import (DIVERGENT_SHARE_LIMIT, INTERVAL_95, RHAT_LIMIT,
                         summarize)
 from .models import FatigueSpec, ModelSpec
 from .models.assemble import AGE_GP
-from .pipeline import (bootstrap_mean, cell_weights, fit_independent,
-                       fit_sequence, fit_wave, incremental_inclusion_study,
-                       poststratified_mean)
+from .pipeline import (bootstrap_mean, cell_weights, check_resamples,
+                       fit_independent, fit_sequence, fit_wave,
+                       incremental_inclusion_study, poststratified_mean)
 from .selection import two_stage_select
 from .simulator import (AgeEffect, ScenarioConfig, TruthManifest,
                         panel_to_csv, simulate_panel)
@@ -94,17 +95,19 @@ def read_config(path: str | None, overrides: dict) -> dict:
     return values
 
 
-def sampler_config(values: dict) -> SamplerConfig:
-    """The sampler settings; a refused one is a ``ConfigError``."""
+@contextlib.contextmanager
+def settings():
+    """Where a command builds every setting it uses, before it reads any
+    data: a value that a setting refuses is a ``ConfigError``."""
     try:
-        return SamplerConfig(
-            chains=values["chains"], warmup=values["warmup"],
-            sampling=values["sampling"],
-            target_accept=values["target_accept"],
-            max_tree_depth=values["max_tree_depth"], seed=values["seed"],
-            threads=values["threads"])
+        yield
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def configured(cls, values: dict):
+    """A settings class built from the config values of its fields."""
+    return cls(**{f.name: values[f.name] for f in fields(cls)})
 
 
 def atomic_write(path: str, write) -> None:
@@ -225,10 +228,8 @@ def _load_records(path: str, seed: int):
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args, values: dict) -> int:
-    cfg = ScenarioConfig(waves=values["waves"],
-                         panel_size=values["panel_size"],
-                         retention=values["retention"], phi=values["phi"],
-                         seed=values["seed"])
+    with settings():
+        cfg = configured(ScenarioConfig, values)
     with _Stage("simulate"):
         records, manifest = simulate_panel(cfg)
     with _Stage("write"):
@@ -294,10 +295,11 @@ def _write_fit_outputs(out: str, fit, values: dict, model_name: str) -> None:
 
 
 def cmd_fit(args, values: dict) -> int:
-    cfg = sampler_config(values)
-    records = _load_records(args.data, values["seed"])
     model_name = values["model"]
-    spec = model_spec_for(model_name, values)
+    with settings():
+        cfg = configured(SamplerConfig, values)
+        spec = model_spec_for(model_name, values)
+    records = _load_records(args.data, values["seed"])
     feature_spec = (gam_feature_spec() if spec.family == "individual_gam"
                     else scenario_feature_spec())
     with _Stage("fit"):
@@ -320,7 +322,8 @@ def selection_groups(records, wave: int | None = None):
 
 
 def cmd_select(args, values: dict) -> int:
-    cfg = sampler_config(values)
+    with settings():
+        cfg = configured(SamplerConfig, values)
     records = _load_records(args.data, values["seed"])
     first, repeat = selection_groups(records, args.wave)
     fs = scenario_feature_spec()
@@ -337,13 +340,15 @@ def cmd_select(args, values: dict) -> int:
 
 
 def cmd_debias_sequence(args, values: dict) -> int:
-    cfg = sampler_config(values)
+    with settings():
+        cfg = configured(SamplerConfig, values)
+        spec_hill = model_spec_for("gam-hill", values)
+        spec_plain = model_spec_for("gam-plain", values)
+        check_resamples(values["bootstrap_resamples"])
     records = _load_records(args.data, values["seed"])
     by_wave = [[r for r in records if r.wave == t]
                for t in sorted({r.wave for r in records})]
     fs = gam_feature_spec()
-    spec_hill = model_spec_for("gam-hill", values)
-    spec_plain = model_spec_for("gam-plain", values)
 
     def estimate(fit, fit_records, debias: bool, method: str):
         return poststratified_mean(fit, cell_weights(fit_records),
@@ -378,13 +383,15 @@ def cmd_debias_sequence(args, values: dict) -> int:
 
 
 def cmd_study(args, values: dict) -> int:
-    cfg = sampler_config(values)
+    with settings():
+        cfg = configured(SamplerConfig, values)
+        caps = [int(c) for c in str(values["caps"]).split(",") if c != ""]
+        specs = {name: model_spec_for(name, values)
+                 for name in ("gam-hill", "gam-plain")}
     records = _load_records(args.data, values["seed"])
-    caps = [int(c) for c in str(values["caps"]).split(",") if c != ""]
     fs = gam_feature_spec()
     rows: list[list] = []
-    for name in ("gam-hill", "gam-plain"):
-        spec = model_spec_for(name, values)
+    for name, spec in specs.items():
         with _Stage(f"study {name}"):
             table = incremental_inclusion_study(records, caps, fs, spec, cfg)
         rows += [[r.cap, name, r.mape, r.coverage, r.n_records]

@@ -388,7 +388,6 @@ class DesignMatrix:
     y: np.ndarray                      # (n,) contact counts
     age: np.ndarray                    # (n,) integer years
     repeat: np.ndarray                 # (n,)
-    wave: np.ndarray                   # (n,)
     report_date: np.ndarray            # (n,)
     offsets: np.ndarray                # (n,) summed log offsets
 
@@ -441,7 +440,6 @@ def build_design(records: Sequence[SurveyRecord],
         y=np.array([r.contacts_total for r in records], dtype=float),
         age=np.array([r.age for r in records], dtype=float),
         repeat=np.array([r.repeat for r in records], dtype=float),
-        wave=np.array([r.wave for r in records], dtype=int),
         report_date=np.array([r.report_date for r in records], dtype=float),
         offsets=np.zeros(n),
     )

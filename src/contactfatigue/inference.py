@@ -45,6 +45,10 @@ class SamplerConfig:
             raise ValueError("target_accept must be in (0, 1)")
         if self.max_tree_depth < 1:
             raise ValueError("max_tree_depth must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if self.threads < 1:
+            raise ValueError("threads must be >= 1")
 
 
 #: a fit has converged when every finite R-hat is below RHAT_LIMIT and at

@@ -5,7 +5,7 @@ from .assemble import (AggregatedBrcModel, BrcData, HsgpConfig,
                        ModelSpec, RejectedState, Stage1PoissonModel,
                        Stage2PoissonModel, brc_surface_config, build_model,
                        make_brc_data)
-from .fatigue import FatigueSpec, HillCurve, HillPriors, hill, no_fatigue
+from .fatigue import FatigueSpec, HillCurve, HillPriors, hill
 from .likelihoods import (nb1_agg_loglik, nb1_rvs, nb2_loglik, nb2_rvs,
                           poisson_loglik)
 from .params import Block, Layout
@@ -16,6 +16,6 @@ __all__ = [
     "IndividualGamModel", "Layout", "LongitudinalNbModel", "Model",
     "ModelSpec", "RejectedState", "Stage1PoissonModel", "Stage2PoissonModel",
     "brc_surface_config", "build_model", "hill", "make_brc_data",
-    "nb1_agg_loglik", "nb1_rvs", "nb2_loglik", "nb2_rvs", "no_fatigue",
+    "nb1_agg_loglik", "nb1_rvs", "nb2_loglik", "nb2_rvs",
     "poisson_loglik",
 ]

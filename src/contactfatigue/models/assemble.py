@@ -24,9 +24,9 @@ Every family is one log-linear count regression, assembled from terms by
 * ``aggregated_brc``  -- NB1 counts of coarse contact bands, on the cells:
   intercept, wave effect, a fatigue term (independent, or -exp of a repeat
   table plus smooths), participant and detail offsets, and the log of
-  the cell's band sum, the sum over the contact ages b of its band of
-  exp(f_pair(a, b) + log P_b). So a cell's mean is the sum of its
-  single-year rows' means, through rate consistency. The 2D age surface
+  the cell's band sum, the sum over the contact ages b of its band (from
+  the band table) of exp(f_pair(a, b) + log P_b). So a cell's mean is the
+  sum of its single-year means, through rate consistency. The 2D age surface
   of each gender pair (symmetrized within a gender, read transposed by
   "MF", so that population flows balance exactly) is a function on the
   85 x 85 age grid, evaluated through per-axis sine factors, never as a
@@ -106,8 +106,7 @@ from ..domain import (AGE_GRID, CoarseBandSet, DataError, DesignMatrix,
 from ..kernels import KERNEL_FAMILIES, HsgpBasis
 from ..priors import (FORMULA, RHS_C2_PRIOR, RHS_ZETA_PRIOR, PriorSpec,
                       PriorTable, RhsSpec, rhs_coefficients, table_log_prior)
-from .fatigue import (FatigueSpec, HillPriors, hill_grad_log, log_repeats,
-                      no_fatigue)
+from .fatigue import FatigueSpec, HillPriors, hill_grad_log, log_repeats
 from .likelihoods import (GroupCounts, nb1_agg_loglik, nb1_rvs,
                           nb2_group_loglik, nb2_loglik, nb2_rvs,
                           poisson_group_loglik, poisson_loglik)
@@ -200,6 +199,8 @@ class HsgpConfig:
     def __post_init__(self) -> None:
         if self.kernel not in KERNEL_FAMILIES:
             raise ValueError(f"unknown kernel family {self.kernel!r}")
+        if self.m < 1:
+            raise ValueError("basis size m must be >= 1")
 
 
 def brc_surface_config(m: int = 40) -> HsgpConfig:
@@ -223,7 +224,7 @@ class ModelSpec:
     """Declarative description of a fit."""
 
     family: str
-    fatigue: FatigueSpec = field(default_factory=no_fatigue)
+    fatigue: FatigueSpec = field(default_factory=FatigueSpec)
     rhs: RhsSpec | None = None
     beta0_scale: float = 10.0
     beta_loc: tuple[float, ...] | float = 0.0
@@ -414,14 +415,6 @@ class _HsgpTerm:
                        else ["sigma1", "ell1", "sigma2", "ell2"])
         self.block_names = [f"{name}_w"] + [f"{name}_{h}" for h in hyper_names]
 
-    @classmethod
-    def on_axis(cls, name: str, points: np.ndarray, config: HsgpConfig,
-                m: int, center_weights: np.ndarray | None = None
-                ) -> _HsgpTerm:
-        """A 1D term on the basis of the standardized ``points``."""
-        return cls(name, kernels.build_hsgp_1d(points, m), config,
-                   center_weights)
-
     @property
     def size(self) -> int:
         return self.basis.n_points
@@ -544,10 +537,10 @@ class _Gather:
     @classmethod
     def on_axis(cls, name: str, grid: np.ndarray, index: np.ndarray,
                 config: HsgpConfig) -> _Gather:
-        """A 1D HSGP on the standardized points ``grid``, centered on the
-        rows."""
-        return cls(_HsgpTerm.on_axis(name, grid, config, config.m,
-                                     np.bincount(index, minlength=grid.size)),
+        """A 1D HSGP of ``config.m`` basis functions on the standardized
+        points ``grid``, centered on the rows."""
+        return cls(_HsgpTerm(name, kernels.build_hsgp_1d(grid, config.m),
+                             config, np.bincount(index, minlength=grid.size)),
                    index)
 
     def blocks(self) -> list[Block]:
@@ -707,10 +700,10 @@ class _BandSums:
     """The contact surfaces as one term on the cells: log K, K being the
     sum of exp(f_pair(a, b) + log P_b) over the contact ages b of the
     cell's band. So a cell's expected count, exp(its other terms + log N
-    + log S) K, is the sum of the single-year means of its rows.
+    + log S) K, is the sum of its single-year means over those ages.
 
     K depends on a cell only through its slot, the (pair, participant age,
-    band) it reports; a slot's points are the rows of one of its cells.
+    band) it reports; a slot's points are the contact ages of its band.
     A point reads its pair's surface at (a, b), or for "MF" the "FM"
     surface at (b, a), and each surface is evaluated only on the sub-grid
     of the coordinates its points read. Each slot's sum is taken after
@@ -723,27 +716,24 @@ class _BandSums:
 
     def __init__(self, data: BrcData, config: HsgpConfig):
         of_pair = [_surface_of(label) for label in data.pairs]
-        _, first, cell_slot = np.unique(
+        # each slot's (pair, age, band); return_index sorts faster here
+        slots, _, cell_slot = np.unique(
             np.column_stack([data.cell_pair, data.cell_age, data.cell_band]),
             axis=0, return_index=True, return_inverse=True)
-        # the points: the rows of each slot's first cell, slot by slot
-        pts = np.flatnonzero(np.isin(data.row_cell, first))
-        pts = pts[np.argsort(cell_slot[data.row_cell[pts]], kind="stable")]
-        pt_cell = data.row_cell[pts]
-        self.pt_slot = cell_slot[pt_cell]
-        self.starts = np.searchsorted(self.pt_slot, np.arange(first.size))
-        self.log_pop = data.log_pop_row[pts]
-        pair = data.cell_pair[pt_cell]
+        # the points: the contact ages of each slot's band, slot by slot
+        self.pt_slot, b = np.nonzero(data.bands.membership()[slots[:, 2]])
+        self.starts = np.searchsorted(self.pt_slot, np.arange(len(slots)))
+        pair, a = slots[self.pt_slot, :2].T
+        self.log_pop = data.log_pop[pair, b]
         key = np.array([k for k, _ in of_pair])[pair]
         swap = np.array([s for _, s in of_pair], dtype=bool)[pair]
-        a, b = data.cell_age[pt_cell], data.row_b[pts]
         x, y = np.where(swap, b, a), np.where(swap, a, b)
         # the rows that read a point: one per cell of its slot
         n_rows = np.bincount(cell_slot)[self.pt_slot]
         axis = AGE_GRID / AGE_SD
         self.surfaces: dict[str, _HsgpTerm] = {}
         self.grids = []
-        self.pos = np.empty(pts.size, dtype=int)
+        self.pos = np.empty(b.size, dtype=int)
         start = 0
         # one surface per pair; mixed pairs share one, read transposed
         for k in dict.fromkeys(k for k, _ in of_pair):
@@ -1120,10 +1110,11 @@ class LongitudinalNbModel(_AdditiveCountModel):
             fatigue = [_RepeatTable(_Coefficients(
                 Block("rho", size, prior=STD_NORMAL)), repeat)]
         elif fk == "gp":
-            grid = np.arange(1, r_max + 1)
-            fatigue = [_RepeatTable(_HsgpTerm.on_axis(
-                "rho_gp", (grid - repeat.mean()) / max(repeat.std(), 1e-8),
-                REPEAT_GP, REPEAT_GP.m), repeat)]
+            grid = ((np.arange(1, r_max + 1) - repeat.mean())
+                    / max(repeat.std(), 1e-8))
+            fatigue = [_RepeatTable(_HsgpTerm(
+                "rho_gp", kernels.build_hsgp_1d(grid, REPEAT_GP.m),
+                REPEAT_GP, None), repeat)]
         elif fk == "hill":
             fatigue = [_HillTerm(spec.fatigue.hill_priors_for(1), repeat)]
         elif fk == "none":
@@ -1186,15 +1177,14 @@ class IndividualGamModel(_AdditiveCountModel):
 
 @dataclass(frozen=True)
 class BrcData:
-    """Coarse-band cells plus their single-year row expansion.
+    """Coarse-band cells, their band table and the contacts' populations.
 
     Cells index observations Y over (wave, repeat, participant age, gender
-    pair, contact band). The rows expand each cell over the contact ages b
-    of its band, in order: a cell's expected count is the sum of its rows'
-    single-year means. The model takes that sum once per (pair,
-    participant age, band) as a band sum (``_BandSums``) and otherwise
-    runs on the cells, with the offsets log N + log S; log P_b enters the
-    band sums.
+    pair, contact band). A cell's expected count is the sum of single-year
+    means over the contact ages b of its band, which ``bands`` gives. The
+    model takes that sum once per (pair, participant age, band) as a band
+    sum (``_BandSums``), reading log P_b from ``log_pop``, and otherwise
+    runs on the cells, with the offsets log N + log S.
     """
 
     y: np.ndarray                 # (n_cells,)
@@ -1204,9 +1194,7 @@ class BrcData:
     cell_pair: np.ndarray         # (n_cells,) index into pair labels
     cell_band: np.ndarray         # (n_cells,) index into bands
     log_offset_cell: np.ndarray   # (n_cells,) log N + log S
-    row_cell: np.ndarray          # (n_rows,)
-    row_b: np.ndarray             # (n_rows,) contact age
-    log_pop_row: np.ndarray       # (n_rows,) log P_b for the contact gender
+    log_pop: np.ndarray           # (n_pairs, 85) log P_b, contact gender
     waves: tuple[int, ...]
     pairs: tuple[str, ...]
     bands: CoarseBandSet
@@ -1221,15 +1209,22 @@ class BrcData:
         """log N + log S on each cell."""
         return self.log_offset_cell
 
+    @property
+    def log_pop_row(self) -> np.ndarray:
+        """log P_b of each single-year row: the contact ages b of each
+        cell's band, cell by cell."""
+        cell, b = np.nonzero(self.bands.membership()[self.cell_band])
+        return self.log_pop[self.cell_pair[cell], b]
+
 
 def make_brc_data(*, y, wave, repeat, age, band, n_participants, s_prop,
                   population: PopulationTable, bands: CoarseBandSet,
                   pair=None, pairs: tuple[str, ...] = ("all",)) -> BrcData:
-    """Assemble BRC cells and their row expansion from per-cell arrays.
+    """Assemble BRC cells from per-cell arrays.
 
     ``pair`` holds per-cell pair labels (defaults to a single shared
-    surface); each pair label's rows take the population counts of its
-    contact gender. A count or repeat that is not a whole number >= 0, a
+    surface); each pair label takes the population counts of its contact
+    gender. A count or repeat that is not a whole number >= 0, a
     wave that is not a whole number >= 1, a participant age that is not a
     whole year in 0-84, a band that is not an index into ``bands``, a
     participant count that is not > 0 or a reporting share S outside
@@ -1259,19 +1254,12 @@ def make_brc_data(*, y, wave, repeat, age, band, n_participants, s_prop,
     wave_idx = np.searchsorted(np.asarray(waves), wave)
     pair_arr = (np.zeros(n_cells, dtype=int) if pair is None
                 else np.asarray([pairs.index(p) for p in pair]))
-    band_idx = band.astype(int)
-
-    # each cell's rows are the single-year ages of its band, in order
-    row_cell, row_b = np.divmod(
-        np.flatnonzero(bands.membership()[band_idx]), _N_AGE)
-    log_pop = np.log([population.get(_contact_gender(p)) for p in pairs])
     return BrcData(
         y=y, cell_wave=wave_idx, cell_repeat=repeat.astype(int),
         cell_age=age.astype(int), cell_pair=pair_arr,
-        cell_band=band_idx,
+        cell_band=band.astype(int),
         log_offset_cell=np.log(n_part) + np.log(s_prop),
-        row_cell=row_cell, row_b=row_b,
-        log_pop_row=log_pop[pair_arr[row_cell], row_b],
+        log_pop=np.log([population.get(_contact_gender(p)) for p in pairs]),
         waves=waves, pairs=pairs, bands=bands,
         max_repeat=int(np.max(repeat)))
 
@@ -1365,14 +1353,13 @@ def _variant_smooths(kind: str, data: BrcData) -> list[_Gather]:
         return [_Gather(_HsgpTerm(
             "fac", basis, vcfg,
             np.bincount(index, minlength=ages.size * mid.size)), index)]
-    smooths = [_Gather(_HsgpTerm.on_axis(
-        "fa", ages / AGE_SD, vcfg, min(vcfg.m, max(4, ages.size)),
-        np.bincount(age_idx)), age_idx)]
+    smooths = [_Gather.on_axis(
+        "fa", ages / AGE_SD, age_idx,
+        replace(vcfg, m=min(vcfg.m, max(4, ages.size))))]
     if kind == "variant_b":
-        smooths.append(_Gather(_HsgpTerm.on_axis(
-            "fc", mids / AGE_SD, vcfg, min(vcfg.m, mids.size),
-            np.bincount(data.cell_band, minlength=mids.size)),
-            data.cell_band))
+        smooths.append(_Gather.on_axis(
+            "fc", mids / AGE_SD, data.cell_band,
+            replace(vcfg, m=min(vcfg.m, mids.size))))
     return smooths
 
 

@@ -120,7 +120,3 @@ class FatigueSpec:
             return self.hill_priors * n_curves
         raise ValueError(
             f"expected 1 or {n_curves} Hill prior sets, got {len(self.hill_priors)}")
-
-
-def no_fatigue() -> FatigueSpec:
-    return FatigueSpec(kind="none")

@@ -151,13 +151,18 @@ def cell_weights(records: list[SurveyRecord]) -> np.ndarray:
     return np.full(n, 1.0 / n)
 
 
+def check_resamples(b: int) -> None:
+    """Refuse a bootstrap of fewer than 100 resamples."""
+    if b < 100:
+        raise ValueError("use at least 100 bootstrap resamples")
+
+
 def bootstrap_mean(records: list[SurveyRecord], b: int, *, seed: int = 0
                    ) -> PopulationEstimate:
     """Participant-level bootstrap of the mean contact count, with its
     median and 95% percentile interval over the resamples. Each resample's
     mean is the average with equal weights."""
-    if b < 100:
-        raise ValueError("use at least 100 bootstrap resamples")
+    check_resamples(b)
     y = np.array([r.contacts_total for r in records], dtype=float)
     # np.average rounds unlike ndarray.mean; it keeps estimates.csv's bytes
     w = np.full(y.size, 1.0 / y.size)

@@ -31,7 +31,6 @@ STAGE2_CUTOFF = float(np.log(0.95))
 
 @dataclass(frozen=True)
 class SelectionResult:
-    stage: int
     feature_names: tuple[str, ...]
     medians: np.ndarray
     lower50: np.ndarray
@@ -71,7 +70,7 @@ def stage1_select(design: DesignMatrix, rhs: RhsSpec,
     spec = ModelSpec(family="stage1_poisson", rhs=rhs, beta0_scale=100.0)
     med, lo, hi = _fit_coefficients(Stage1PoissonModel(spec, design), cfg, 1)
     selected = tuple(bool(m < STAGE1_LOWER or m > STAGE1_UPPER) for m in med)
-    return SelectionResult(1, names, med, lo, hi, selected)
+    return SelectionResult(names, med, lo, hi, selected)
 
 
 def stage1_refit_offsets(design_first: DesignMatrix,
@@ -107,7 +106,7 @@ def stage2_select(design: DesignMatrix, offsets: np.ndarray, rhs: RhsSpec,
     spec = ModelSpec(family="stage2_poisson", rhs=rhs)
     med, lo, hi = _fit_coefficients(Stage2PoissonModel(spec, data), cfg, 2)
     selected = tuple(bool(m < STAGE2_CUTOFF) for m in med)
-    return SelectionResult(2, names, med, lo, hi, selected)
+    return SelectionResult(names, med, lo, hi, selected)
 
 
 def replace_offsets(design: DesignMatrix, offsets: np.ndarray) -> DesignMatrix:

@@ -56,6 +56,8 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if not (0.0 <= self.retention <= 1.0):
             raise ValueError("retention must lie in [0, 1]")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass

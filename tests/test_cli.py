@@ -125,27 +125,43 @@ class TestStrict:
 
 
 
-#: sampler settings that ``SamplerConfig`` refuses, as flags or config
-#: lines, each with the message that names it; every sampling command
-#: checks them before it reads its data
-BAD_SAMPLER_SETTINGS = [
-    ("fit", ["--warmup", "50"], "", "warmup must be >= 100"),
-    ("fit", ["--sampling", "0"], "", "sampling must be >= 1"),
-    ("fit", [], "target_accept = 1.5\n",
-     r"target_accept must be in \(0, 1\)"),
-    ("fit", [], "max_tree_depth = 0\n", "max_tree_depth must be >= 1"),
-] + [(command, ["--sampling", "0"], "", "sampling must be >= 1")
+#: settings that a command refuses, as flags or config lines, each with
+#: the message that names it: the command line without --config, --data
+#: and --out, the config file and the message
+BAD_SETTINGS = [
+    (["--warmup", "50", "fit"], "", "warmup must be >= 100"),
+    (["--sampling", "0", "fit"], "", "sampling must be >= 1"),
+    (["fit"], "target_accept = 1.5\n", r"target_accept must be in \(0, 1\)"),
+    (["fit"], "max_tree_depth = 0\n", "max_tree_depth must be >= 1"),
+    (["--seed", "-1", "fit"], "", "seed must be >= 0"),
+    (["--threads", "0", "fit"], "", "threads must be >= 1"),
+    (["fit", "--model", "gam-plain"], "hsgp_m = 0\n",
+     "basis size m must be >= 1"),
+    (["fit", "--model", "gam-cubic"], "", "unknown model 'gam-cubic'"),
+    (["--seed", "-1", "simulate"], "", "seed must be >= 0"),
+    (["simulate"], "retention = 1.5\n", r"retention must lie in \[0, 1\]"),
+    (["study", "--caps", "x"], "", "invalid literal for int"),
+    (["debias-sequence"], "bootstrap_resamples = 10\n",
+     "at least 100 bootstrap resamples"),
+] + [(["--sampling", "0", *SAMPLING_COMMANDS[command]], "",
+      "sampling must be >= 1")
      for command in SAMPLING_COMMANDS if command != "fit"]
 
 
-@pytest.mark.parametrize("command,flags,config,message", BAD_SAMPLER_SETTINGS)
-def test_invalid_sampler_settings_are_a_config_error(
-        command, flags, config, message, unconverged, tmp_path, caplog):
+@pytest.mark.parametrize(
+    "argv,config,message", BAD_SETTINGS,
+    ids=[" ".join(argv) + (f" [{config.strip()}]" if config else "")
+         for argv, config, _ in BAD_SETTINGS])
+def test_invalid_settings_are_a_config_error(argv, config, message,
+                                             tmp_path, caplog):
+    # refused before any data are read: the data file does not exist,
+    # which would be a data error (exit 3)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config)
     out = tmp_path / "out"
-    code = run(["--config", str(cfg)] + flags + SAMPLING_COMMANDS[command]
-               + ["--data", unconverged[1], "--out", str(out)])
+    data = [] if "simulate" in argv else ["--data",
+                                          str(tmp_path / "missing.csv")]
+    code = run(["--config", str(cfg)] + argv + data + ["--out", str(out)])
     assert code == cli.EXIT_CONFIG == 2
     assert not out.exists()
     assert any(r.levelname == "ERROR"

@@ -13,9 +13,9 @@ from scipy import stats
 from scipy.special import expit
 
 import contactfatigue
-from contactfatigue.domain import (AGE_GRID, DataError, PopulationTable,
-                                   SurveyRecord, build_design,
-                                   default_coarse_bands)
+from contactfatigue.domain import (AGE_GRID, AgeBand, CoarseBandSet,
+                                   DataError, PopulationTable, SurveyRecord,
+                                   build_design, default_coarse_bands)
 from contactfatigue.models import (FatigueSpec, HillCurve,
                                    HsgpConfig, IndividualGamModel,
                                    LongitudinalNbModel, ModelSpec,
@@ -177,6 +177,10 @@ class TestGradientSuite:
         model, _ = brc_model(pairs=GENDER_PAIRS)
         self._check(model, n_points=3, h=1e-4, lo=-0.3, hi=0.3)
 
+    def test_brc_on_bands_with_gaps(self):
+        model, _ = _gapped_brc_model()
+        self._check(model, n_points=3, h=1e-4, lo=-0.3, hi=0.3)
+
 
 class TestLogPosteriorContracts:
     def test_zero_data_is_prior_only(self):
@@ -285,6 +289,19 @@ class TestBrcData:
             self, column, values, message):
         with pytest.raises(DataError, match=message):
             self._data(**{column: values})
+
+    def test_log_pop_row_expands_the_cells_over_their_bands(self):
+        # log P_b of the contact gender at each contact age of each cell's
+        # band, cell by cell
+        pop = PopulationTable({"M": np.linspace(300.0, 900.0, 85),
+                               "F": np.linspace(800.0, 400.0, 85)})
+        d = self._data(population=pop, pair=["MF", "FF"],
+                       pairs=GENDER_PAIRS, band=[2, 5])
+        bands = default_coarse_bands().bands
+        expected = np.concatenate([
+            np.log(pop.get(pair[1]))[bands[c].lo:bands[c].hi + 1]
+            for pair, c in (("MF", 2), ("FF", 5))])
+        np.testing.assert_array_equal(d.log_pop_row, expected)
 
     def test_a_surface_no_cell_reads_is_refused(self):
         # four gender pairs declared, cells of "MM" only: the "FM" and
@@ -643,18 +660,77 @@ def _row_reference(model, theta, debias):
                      for w, curve in zip(d.block("w").T, curves))
 
 
+def _single_year_rows(d):
+    """(cell, b) of each single-year row of the BRC cells ``d``: the
+    contact ages b of each cell's band, read from the band table, cell by
+    cell."""
+    return np.nonzero(d.bands.membership()[d.cell_band])
+
+
 def _row_log_m(model, pop, theta):
-    """log m(a, b) of each single-year row of a BRC model's cells, from the
-    surface prediction of the cell's own gender pair and wave."""
+    """The cell of each single-year row of a BRC model's cells and its
+    log m(a, b), from the surface prediction of the cell's own gender pair
+    and wave."""
     d = model.data
-    cell = d.row_cell
+    cell, b = _single_year_rows(d)
     log_m = np.empty(cell.size)
     for p, pair in enumerate(d.pairs):
         for t, wave in enumerate(d.waves):
             rows = (d.cell_pair[cell] == p) & (d.cell_wave[cell] == t)
             log_m[rows] = model.predict_log_m(
-                theta, pair, wave, d.cell_age[cell][rows], d.row_b[rows], pop)
-    return log_m
+                theta, pair, wave, d.cell_age[cell][rows], b[rows], pop)
+    return cell, log_m
+
+
+def _row_level_nb1(model, pop, theta):
+    """The BRC log likelihood from its definition: each single-year row's
+    mean from the surface prediction, the fatigue and log N + log S,
+    summed over the cell's rows and scored by scipy's negative binomial
+    (the variants' fatigue is read from the model's fatigue term on the
+    cells)."""
+    d = model.data
+    kind = model.spec.fatigue.kind
+    cell, log_m = _row_log_m(model, pop, theta)
+    if kind == "none":
+        fatigue = np.zeros(d.n_cells)
+    elif kind == "independent":
+        rho = model.layout.raw(theta, "rho")
+        fatigue = np.concatenate([[0.0], rho])[d.cell_repeat]
+    else:
+        term = next(t for t in model.terms if t.fatigue)
+        fatigue = term.values(model._natural(theta)[0])[0][model.group_of]
+    mu = np.bincount(cell, weights=np.exp(
+        log_m + (fatigue + d.log_offset_cell)[cell]))
+    nu = np.exp(model.layout.raw(theta, "nu")[0])
+    return stats.nbinom.logpmf(d.y, mu / nu, 1.0 / (1.0 + nu)).sum()
+
+
+#: contact bands that leave ages 5-9, 15-29 and 45-84 uncovered
+GAPPED_BANDS = CoarseBandSet((AgeBand(0, 4), AgeBand(10, 14),
+                              AgeBand(30, 44)))
+
+
+def _gapped_brc_model():
+    """A four-pair BRC model on ``GAPPED_BANDS`` whose participant ages
+    report different subsets of the bands."""
+    rng = np.random.default_rng(4)
+    pop = PopulationTable({"M": np.linspace(300.0, 900.0, 85),
+                           "F": np.linspace(800.0, 400.0, 85)})
+    reported = {10: (0, 1), 25: (1, 2), 40: (0, 2), 60: (2,)}
+    cells = np.array([(t, r, a, c, p) for t in (1, 2) for r in (0, 1, 2)
+                      for a, bands in reported.items() for c in bands
+                      for p in range(len(GENDER_PAIRS))])
+    data = make_brc_data(
+        y=rng.integers(0, 40, len(cells)), wave=cells[:, 0],
+        repeat=cells[:, 1], age=cells[:, 2], band=cells[:, 3],
+        n_participants=np.full(len(cells), 12.0),
+        s_prop=np.full(len(cells), 0.9), population=pop,
+        bands=GAPPED_BANDS, pair=[GENDER_PAIRS[p] for p in cells[:, 4]],
+        pairs=GENDER_PAIRS)
+    spec = ModelSpec(family="aggregated_brc",
+                     fatigue=FatigueSpec(kind="independent", max_repeat=2),
+                     hsgp_surface=brc_surface_config(6))
+    return build_model(spec, data), pop
 
 
 class TestGroupedLikelihood:
@@ -700,8 +776,8 @@ class TestGroupedLikelihood:
         theta = np.random.default_rng(9).uniform(-0.5, 0.5,
                                                  model.layout.size)
         rho = np.concatenate([[0.0], model.layout.raw(theta, "rho")])
-        log_m = _row_log_m(model, pop, theta)
-        expected = (np.log(np.bincount(d.row_cell, weights=np.exp(log_m)))
+        cell, log_m = _row_log_m(model, pop, theta)
+        expected = (np.log(np.bincount(cell, weights=np.exp(log_m)))
                     + rho[d.cell_repeat] + d.log_offset_cell)
         np.testing.assert_allclose(model.predict_log_intensity(theta),
                                    expected, rtol=1e-12, atol=1e-12)
@@ -711,34 +787,23 @@ class TestGroupedLikelihood:
         ("independent", GENDER_PAIRS), ("variant_a", ("all",)),
         ("variant_b", ("all",)), ("variant_c", ("all",))])
     def test_brc_likelihood_equals_the_row_level_nb1(self, kind, pairs):
-        # the factored cell likelihood against its definition: each
-        # single-year row's mean from the surface prediction, the fatigue
-        # and log N + log S, summed over the cell's rows and scored by
-        # scipy's negative binomial (the variants' fatigue is read from
-        # the model's fatigue term on the cells)
+        # the factored cell likelihood against its definition
         model, pop = brc_model(kind, pairs=pairs)
-        d = model.data
-        cell = d.row_cell
         rng = np.random.default_rng(19)
         for _ in range(5):
             theta = rng.uniform(-1.0, 1.0, model.layout.size)
-            log_m = _row_log_m(model, pop, theta)
-            if kind == "none":
-                fatigue = np.zeros(d.n_cells)
-            elif kind == "independent":
-                rho = model.layout.raw(theta, "rho")
-                fatigue = np.concatenate([[0.0], rho])[d.cell_repeat]
-            else:
-                term = next(t for t in model.terms if t.fatigue)
-                fatigue = term.values(model._natural(theta)[0])[0][
-                    model.group_of]
-            mu = np.bincount(cell, weights=np.exp(
-                log_m + (fatigue + d.log_offset_cell)[cell]))
-            nu = np.exp(model.layout.raw(theta, "nu")[0])
-            reference = stats.nbinom.logpmf(d.y, mu / nu,
-                                            1.0 / (1.0 + nu)).sum()
             assert self._grouped(model, theta) == pytest.approx(
-                reference, rel=1e-12)
+                _row_level_nb1(model, pop, theta), rel=1e-12)
+
+    def test_brc_on_bands_with_gaps_equals_the_row_level_nb1(self):
+        # bands that leave ages uncovered, and participant ages that
+        # report different subsets of them
+        model, pop = _gapped_brc_model()
+        rng = np.random.default_rng(21)
+        for _ in range(5):
+            theta = rng.uniform(-1.0, 1.0, model.layout.size)
+            assert self._grouped(model, theta) == pytest.approx(
+                _row_level_nb1(model, pop, theta), rel=1e-12)
 
     @pytest.mark.parametrize("name", [n for n in ROW_LEVEL
                                       if "phi" in
@@ -841,7 +906,8 @@ class TestFactoredSurfaces:
         # "FF"), the unrestricted "FM" one and its transposed read by "MF"
         model = MODELS[name]
         d = model.data
-        cell = d.row_cell
+        pop = brc_model(pairs=d.pairs)[1]
+        cell, b = _single_year_rows(d)
         band_sums = next(t for t in model.terms if hasattr(t, "surfaces"))
         theta = np.random.default_rng(33).uniform(-1.0, 1.0,
                                                   model.layout.size)
@@ -851,10 +917,10 @@ class TestFactoredSurfaces:
             key, swap = _surface_of(pair)
             grid = model.surfaces[key].values(nat)[0].reshape(85, 85)
             rows = d.cell_pair[cell] == p
-            a, b = d.cell_age[cell][rows], d.row_b[rows]
-            f[rows] = grid[b, a] if swap else grid[a, b]
-        expected = np.log(np.bincount(cell, weights=np.exp(
-            f + d.log_pop_row)))
+            a, c = d.cell_age[cell][rows], b[rows]
+            log_pop = np.log(pop.get(pair if pair == "all" else pair[1]))
+            f[rows] = (grid[c, a] if swap else grid[a, c]) + log_pop[c]
+        expected = np.log(np.bincount(cell, weights=np.exp(f)))
         np.testing.assert_allclose(
             band_sums.values(nat)[0][model.group_of], expected, rtol=1e-13,
             atol=1e-13 * np.max(np.abs(expected)))
