@@ -386,6 +386,8 @@ def cmd_study(args, values: dict) -> int:
     with settings():
         cfg = configured(SamplerConfig, values)
         caps = [int(c) for c in str(values["caps"]).split(",") if c != ""]
+        if any(cap < 0 for cap in caps):
+            raise ValueError("caps must be >= 0")
         specs = {name: model_spec_for(name, values)
                  for name in ("gam-hill", "gam-plain")}
     records = _load_records(args.data, values["seed"])

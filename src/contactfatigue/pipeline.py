@@ -17,7 +17,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .domain import AGE_GRID, FeatureSpec, SurveyRecord, build_design
+from .domain import (AGE_GRID, DataError, FeatureSpec, SurveyRecord,
+                     build_design)
 from .evaluation import interval_coverage, mape
 from .inference import (INTERVAL_95, Diagnostics, PosteriorDraws,
                         SamplerConfig, posterior_interval, sample_model)
@@ -68,6 +69,11 @@ def _propagated_spec(base: ModelSpec, means: dict[str, np.ndarray]
 
 def fit_wave(records: list[SurveyRecord], feature_spec: FeatureSpec,
              spec: ModelSpec, cfg: SamplerConfig) -> WaveFit:
+    """Sample the posterior of ``spec`` on the records of one wave. A model
+    built on no records is its prior alone; fitting one is a
+    ``DataError``."""
+    if not records:
+        raise DataError("no records to fit")
     design = build_design(records, feature_spec)
     model = build_model(spec, design)
     draws, diag = sample_model(model, cfg, compute_pointwise=False)

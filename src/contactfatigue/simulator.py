@@ -5,10 +5,14 @@ panel whose counts follow the additive count model (baseline + covariate
 effects + smooth age effect + per-covariate Hill fatigue, NB2 noise), and a
 coarse-band contact-surface dataset whose latent intensities satisfy the
 population flow identity exactly.
+
+The panel's intensities draw nothing, so they are computed once per wave
+in one array pass; only the draws run per record, in a fixed order.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import dataclass, asdict
 
@@ -54,8 +58,14 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.waves < 1:
+            raise ValueError("waves must be >= 1")
+        if self.panel_size < 1:
+            raise ValueError("panel_size must be >= 1")
         if not (0.0 <= self.retention <= 1.0):
             raise ValueError("retention must lie in [0, 1]")
+        if not 0.0 < self.phi < np.inf:
+            raise ValueError("phi must be finite and > 0")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -96,7 +106,7 @@ class _Participant:
     pid: str
     age: int
     sex: str
-    household: str
+    household_size: str
     employment: str
     preschool: str
     repeats: int = 0
@@ -109,13 +119,14 @@ _HOUSEHOLDS = ("1", "2", "3")
 _EMPLOYMENT = ("full_time", "student", "retired")
 
 
-def _covariate_value(participant: _Participant, column: str) -> float:
+def _indicator(participants: list[_Participant], column: str) -> np.ndarray:
+    """The 0/1 value of the covariate column "attribute:level" (the constant
+    "const:1" is 1) for each participant."""
     attribute, level = column.split(":")
     if attribute == "const":
-        return 1.0
-    value = {"sex": participant.sex, "household_size": participant.household,
-             "employment": participant.employment}[attribute]
-    return 1.0 if value == level else 0.0
+        return np.ones(len(participants))
+    return np.array([getattr(p, attribute) == level for p in participants],
+                    dtype=float)
 
 
 def _new_participant(idx: int, rng: np.random.Generator) -> _Participant:
@@ -127,7 +138,7 @@ def _new_participant(idx: int, rng: np.random.Generator) -> _Participant:
         pid=f"p{idx:06d}",
         age=age,
         sex="M" if rng.uniform() < 0.5 else "F",
-        household=_HOUSEHOLDS[rng.integers(0, len(_HOUSEHOLDS))],
+        household_size=_HOUSEHOLDS[rng.integers(0, len(_HOUSEHOLDS))],
         employment=("student" if age < 25 and rng.uniform() < 0.6
                     else _EMPLOYMENT[rng.integers(0, len(_EMPLOYMENT))]),
         preschool="yes" if age <= 5 and rng.uniform() < 0.7 else "no",
@@ -141,6 +152,13 @@ def simulate_panel(cfg: ScenarioConfig
     Repeat counters equal the number of prior waves each participant
     appears in. The truth manifest records the fatigue-free and realized
     intensities of every emitted record.
+
+    The draw order is the contract that keeps a seeded panel the same from
+    one version to the next. Each wave draws one retention uniform per
+    participant of the previous wave, then the new recruits (in
+    ``_new_participant``'s order), then for each participant in turn the
+    NB2 gamma, its Poisson and the report-date integer. Intensities draw
+    nothing, so each wave computes them in one array pass first.
     """
     rng = np.random.default_rng(cfg.seed)
     participants: list[_Participant] = []
@@ -159,30 +177,38 @@ def simulate_panel(cfg: ScenarioConfig
             kept.append(_new_participant(next_id, rng))
         participants = kept
 
-        for p in participants:
-            log_lam0 = BETA0 + float(AGE_EFFECT(p.age))
-            for column, effect in BETA.items():
-                log_lam0 += effect * _covariate_value(p, column)
-            rho = 0.0
-            for column, curve in HILL_CURVES.items():
-                rho += _covariate_value(p, column) * float(hill(curve, p.repeats))
-            lam = float(np.exp(log_lam0 + rho))
-            y = int(nb2_rvs(rng, np.array([lam]), cfg.phi)[0])
+        log_lam0 = BETA0 + AGE_EFFECT([p.age for p in participants])
+        for column, effect in BETA.items():
+            log_lam0 = log_lam0 + effect * _indicator(participants, column)
+        repeats = np.array([p.repeats for p in participants])
+        rho = np.zeros(len(participants))
+        for column, curve in HILL_CURVES.items():
+            rho = rho + (_indicator(participants, column)
+                         * hill(curve, repeats))
+        lam = np.exp(log_lam0 + rho).tolist()
+        manifest.lambda_fatigue_free += np.exp(log_lam0).tolist()
+        manifest.lambda_realized += lam
+
+        for p, lam_p in zip(participants, lam):
+            y = int(nb2_rvs(rng, lam_p, cfg.phi))
             records.append(SurveyRecord(
                 participant_id=p.pid, wave=wave, repeat=p.repeats, age=p.age,
-                sex=p.sex, household_size=p.household,
+                sex=p.sex, household_size=p.household_size,
                 covariates={"employment": p.employment,
                             "preschool": p.preschool},
                 contacts_total=y,
                 report_date=(wave - 1) * DAYS_PER_WAVE
                             + int(rng.integers(0, DAYS_PER_WAVE)),
             ))
-            manifest.lambda_fatigue_free.append(float(np.exp(log_lam0)))
-            manifest.lambda_realized.append(lam)
             manifest.record_keys.append([p.pid, wave])
             p.repeats += 1
 
     return records, manifest
+
+
+#: the child reporting band label of each age below 18
+_CHILD_BAND_LABEL = {age: next(b.label for b in CHILD_BANDS if age in b)
+                     for age in range(18)}
 
 
 def panel_to_csv(records: list[SurveyRecord], path: str) -> None:
@@ -192,24 +218,17 @@ def panel_to_csv(records: list[SurveyRecord], path: str) -> None:
     left blank and age_band carries the band, so loading exercises the
     uniform within-band imputation.
     """
-    import csv
-
     cov_keys = sorted({k for r in records for k in r.covariates})
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, SURVEY_COLUMNS + tuple(cov_keys),
-                                lineterminator="\n")
-        writer.writeheader()
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(SURVEY_COLUMNS + tuple(cov_keys))
         for r in records:
-            age_text, band_text = str(r.age), ""
-            if r.age < 18:
-                band = next(b for b in CHILD_BANDS if r.age in b)
-                age_text, band_text = "", band.label
-            writer.writerow({
-                **r.covariates, "participant_id": r.participant_id,
-                "wave": r.wave, "repeat": r.repeat, "age": age_text,
-                "age_band": band_text, "sex": r.sex,
-                "household_size": r.household_size,
-                "report_date": r.report_date, "y_total": r.contacts_total})
+            band_text = _CHILD_BAND_LABEL.get(r.age, "")
+            writer.writerow((
+                r.participant_id, r.wave, r.repeat,
+                "" if band_text else r.age, band_text, r.sex,
+                r.household_size, r.report_date, r.contacts_total,
+                *(r.covariates.get(k, "") for k in cov_keys)))
 
 
 # ---------------------------------------------------------------------------

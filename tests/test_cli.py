@@ -140,7 +140,12 @@ BAD_SETTINGS = [
     (["fit", "--model", "gam-cubic"], "", "unknown model 'gam-cubic'"),
     (["--seed", "-1", "simulate"], "", "seed must be >= 0"),
     (["simulate"], "retention = 1.5\n", r"retention must lie in \[0, 1\]"),
+    (["simulate", "--waves", "0"], "", "waves must be >= 1"),
+    (["simulate", "--panel-size", "0"], "", "panel_size must be >= 1"),
+] + [(["simulate"], f"phi = {phi}\n", "phi must be finite and > 0")
+     for phi in ("0", "-1", "nan", "inf")] + [
     (["study", "--caps", "x"], "", "invalid literal for int"),
+    (["study", "--caps=0,-1"], "", "caps must be >= 0"),
     (["debias-sequence"], "bootstrap_resamples = 10\n",
      "at least 100 bootstrap resamples"),
 ] + [(["--sampling", "0", *SAMPLING_COMMANDS[command]], "",

@@ -3,11 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from contactfatigue.domain import build_design
-from contactfatigue.inference import Diagnostics, PosteriorDraws
+from contactfatigue.domain import DataError, build_design
+from contactfatigue.inference import (Diagnostics, PosteriorDraws,
+                                      SamplerConfig)
 from contactfatigue.models import FatigueSpec, ModelSpec, build_model
 from contactfatigue.pipeline import (WaveFit, bootstrap_mean, cell_weights,
-                                     poststratified_mean)
+                                     fit_wave, poststratified_mean)
 
 from conftest import SMALL_FEATURES, brc_model, make_records
 
@@ -37,6 +38,15 @@ def _fit(model, n_draws=40, seed=0):
                    model=model, posterior_means=draws.point(np.mean),
                    posterior_medians=draws.point(np.median),
                    prior_provenance="initial")
+
+
+def test_fitting_no_records_is_a_data_error():
+    # a cap that keeps no record reached the Hill term's design with zero
+    # rows and failed there with a reshape error
+    spec = ModelSpec(family="individual_gam",
+                     fatigue=FatigueSpec(kind="hill_per_covariate"))
+    with pytest.raises(DataError, match="no records to fit"):
+        fit_wave([], SMALL_FEATURES, spec, SamplerConfig())
 
 
 def test_cell_weights_without_shares_are_uniform():
