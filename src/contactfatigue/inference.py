@@ -106,13 +106,11 @@ class PosteriorDraws:
 
     def constrained(self, name: str) -> np.ndarray:
         """(n_draws, block size) draws of one named block, natural scale."""
-        block = next(b for b in self.layout.blocks if b.name == name)
-        vals = self.stacked()[:, self.layout.sl(name)]
-        return np.exp(vals) if block.transform == "log" else vals
+        return self.layout.constrained(self.stacked())[name]
 
     def point(self, reducer=np.median) -> dict[str, np.ndarray]:
-        return {b.name: reducer(self.constrained(b.name), axis=0)
-                for b in self.layout.blocks}
+        return {name: reducer(v, axis=0) for name, v
+                in self.layout.constrained(self.stacked()).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -568,8 +566,8 @@ def summarize(draws: PosteriorDraws) -> list[dict[str, float]]:
     if draws.stacked().size == 0:
         raise ValueError("no draws to summarize")
     probs = sorted(INTERVAL_95 + INTERVAL_50)
-    natural = np.hstack([draws.constrained(b.name)
-                         for b in draws.layout.blocks])
+    natural = np.hstack(list(draws.layout.constrained(
+        draws.stacked()).values()))
     med, quantiles = posterior_interval(natural, probs)
     return [{"parameter": name, "median": float(med[j]),
              **{f"q{p}": float(q[j]) for p, q in zip(probs, quantiles)}}

@@ -5,14 +5,14 @@ from .assemble import (AggregatedBrcModel, BrcData, HsgpConfig,
                        ModelSpec, RejectedState, Stage1PoissonModel,
                        Stage2PoissonModel, brc_surface_config, build_model,
                        make_brc_data)
-from .fatigue import FatigueSpec, HillCurve, HillPriors, hill
+from .fatigue import FatigueSpec, HillCurve, hill
 from .likelihoods import (nb1_agg_loglik, nb1_rvs, nb2_loglik, nb2_rvs,
                           poisson_loglik)
 from .params import Block, Layout
 
 __all__ = [
     "AggregatedBrcModel", "Block", "BrcData", "FatigueSpec",
-    "HillCurve", "HillPriors", "HsgpConfig",
+    "HillCurve", "HsgpConfig",
     "IndividualGamModel", "Layout", "LongitudinalNbModel", "Model",
     "ModelSpec", "RejectedState", "Stage1PoissonModel", "Stage2PoissonModel",
     "brc_surface_config", "build_model", "hill", "make_brc_data",

@@ -106,7 +106,7 @@ from ..domain import (AGE_GRID, CoarseBandSet, DataError, DesignMatrix,
 from ..kernels import KERNEL_FAMILIES, HsgpBasis
 from ..priors import (FORMULA, RHS_C2_PRIOR, RHS_ZETA_PRIOR, PriorSpec,
                       PriorTable, RhsSpec, rhs_coefficients, table_log_prior)
-from .fatigue import FatigueSpec, HillPriors, hill_grad_log, log_repeats
+from .fatigue import FatigueSpec, hill_grad_log, log_repeats
 from .likelihoods import (GroupCounts, nb1_agg_loglik, nb1_rvs,
                           nb2_group_loglik, nb2_loglik, nb2_rvs,
                           poisson_group_loglik, poisson_loglik)
@@ -221,14 +221,18 @@ VARIANT_GP = replace(brc_surface_config(20), kernel="se")
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Declarative description of a fit."""
+    """Declarative description of a fit.
+
+    ``beta0_prior`` is the prior of the intercept block ``beta0``, and
+    ``beta_prior`` that of the GAM's covariate coefficients ``beta``; array
+    or tuple params give each coefficient its own.
+    """
 
     family: str
     fatigue: FatigueSpec = field(default_factory=FatigueSpec)
     rhs: RhsSpec | None = None
-    beta0_scale: float = 10.0
-    beta_loc: tuple[float, ...] | float = 0.0
-    beta_scale: tuple[float, ...] | float = 1.0
+    beta0_prior: PriorSpec = PriorSpec("normal", (0.0, 10.0))
+    beta_prior: PriorSpec = PriorSpec("normal", (0.0, 1.0))
     hsgp_age: HsgpConfig = AGE_GP
     hsgp_surface: HsgpConfig = field(default_factory=brc_surface_config)
 
@@ -254,11 +258,6 @@ HALF_CAUCHY = PriorSpec("cauchy_pos", (1.0,))
 DISPERSION_PRIOR = PriorSpec("invgamma", (1.0, 1.0))
 
 
-def _intercept(spec: ModelSpec) -> Block:
-    return Block("beta0", 1,
-                 prior=PriorSpec("normal", (0.0, spec.beta0_scale)))
-
-
 class _PriorPass:
     """Every block prior of a layout, evaluated in one call.
 
@@ -268,7 +267,7 @@ class _PriorPass:
     whole parameter vector. Log-scale elements take the prior at value =
     exp(raw) plus the change-of-variables Jacobian. An identity-scale block
     must have a prior on the real line: positives are carried on the log
-    scale.
+    scale. Each prior param is a scalar or holds one value per element.
     """
 
     def __init__(self, layout: Layout):
@@ -281,6 +280,12 @@ class _PriorPass:
                 raise ValueError(
                     f"block {b.name!r} has the positive {b.prior.family!r} "
                     "prior on the identity scale")
+            if any(np.ndim(p) > 1 or np.size(p) not in (1, b.size)
+                   for p in b.prior.params):
+                raise ValueError(
+                    f"block {b.name!r} has {b.size} elements, and its "
+                    f"{b.prior.family!r} prior params do not broadcast to "
+                    "them")
             sl = layout.sl(b.name)
             on_log[sl] = b.transform == "log"
             for name, value in b.prior.coefficients.items():
@@ -507,7 +512,8 @@ class _Linear:
 
     @classmethod
     def intercept(cls, spec: ModelSpec, n: int) -> _Linear:
-        return cls(np.ones((n, 1)), _Coefficients(_intercept(spec)))
+        return cls(np.ones((n, 1)),
+                   _Coefficients(Block("beta0", 1, prior=spec.beta0_prior)))
 
     def blocks(self) -> list[Block]:
         return self.source.blocks()
@@ -597,34 +603,23 @@ class _HillTerm:
     The term is its own source: its weights are the Q curves at the
     distinct repeat counts, on the log repeats that ``bind`` computes, and
     its design is each group's weight times the one-hot of its count.
+    ``spec`` gives the priors of its three blocks.
     """
 
     fatigue = True
 
-    def __init__(self, priors: tuple[HillPriors, ...], repeat: np.ndarray,
+    def __init__(self, spec: FatigueSpec, repeat: np.ndarray,
                  weights: np.ndarray | None = None):
-        if len({pr.eta_kind for pr in priors}) > 1:
-            raise ValueError("Hill curves must share one eta prior kind")
-        self.q = len(priors)
-        self.priors = priors
+        self.q = 1 if weights is None else weights.shape[1]
+        self.spec = spec
         self.weighted = weights is not None
         self.columns = [repeat] + ([] if weights is None else list(weights.T))
         self.source = self
 
     def blocks(self) -> list[Block]:
-        def per_curve(family: str, *attrs: str) -> PriorSpec:
-            return PriorSpec(family, tuple(
-                np.array([getattr(pr, a) for pr in self.priors])
-                for a in attrs))
-
-        eta = (per_curve("exponential", "eta_loc")
-               if self.priors[0].eta_kind == "exponential"
-               else per_curve("halfnormal_pos", "eta_loc", "eta_scale"))
-        return [Block("hill_gamma", self.q, "log", per_curve(
-                    "halfnormal_pos", "gamma_loc", "gamma_scale")),
-                Block("hill_zeta", self.q,
-                      prior=per_curve("normal", "zeta_loc", "zeta_scale")),
-                Block("hill_eta", self.q, "log", eta)]
+        return [Block("hill_gamma", self.q, "log", self.spec.gamma_prior),
+                Block("hill_zeta", self.q, prior=self.spec.zeta_prior),
+                Block("hill_eta", self.q, "log", self.spec.eta_prior)]
 
     def bind(self, g: np.ndarray, layout: Layout) -> None:
         counts, self.g_index = np.unique(g[:, 0].astype(int),
@@ -1116,7 +1111,7 @@ class LongitudinalNbModel(_AdditiveCountModel):
                 "rho_gp", kernels.build_hsgp_1d(grid, REPEAT_GP.m),
                 REPEAT_GP, None), repeat)]
         elif fk == "hill":
-            fatigue = [_HillTerm(spec.fatigue.hill_priors_for(1), repeat)]
+            fatigue = [_HillTerm(spec.fatigue, repeat)]
         elif fk == "none":
             fatigue = []
         else:
@@ -1152,15 +1147,13 @@ class IndividualGamModel(_AdditiveCountModel):
         age = _Gather.on_axis("age", AGE_GRID / AGE_SD, data.age.astype(int),
                               spec.hsgp_age)
         self.f_age = age.source
-        beta = Block("beta", u.shape[1], prior=PriorSpec(
-            "normal", (spec.beta_loc, spec.beta_scale)))
+        beta = Block("beta", u.shape[1], prior=spec.beta_prior)
         terms = [_Linear.intercept(spec, data.n),
                  _Linear(u, _Coefficients(beta)), age]
         if spec.fatigue.kind == "hill_per_covariate":
             if w.shape[1] == 0:
                 raise ValueError("hill_per_covariate requires a w block")
-            terms.append(_HillTerm(spec.fatigue.hill_priors_for(w.shape[1]),
-                                   data.repeat.astype(int), w))
+            terms.append(_HillTerm(spec.fatigue, data.repeat.astype(int), w))
         super().__init__(spec, data, terms)
 
     @_predicting
@@ -1311,7 +1304,7 @@ class AggregatedBrcModel(_AdditiveCountModel):
                  band_sums]
         if fk != "none":
             rho = _RepeatTable(_Coefficients(Block(
-                "rho", max(data.max_repeat, 1), prior=STD_NORMAL)),
+                "rho", spec.fatigue.max_repeat, prior=STD_NORMAL)),
                 data.cell_repeat)
             terms.append(rho if fk == "independent" else
                          _NegativeExp(rho, *_variant_smooths(fk, data)))

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
+from ..priors import PriorSpec
+
 
 @dataclass(frozen=True)
 class HillCurve:
@@ -67,28 +69,8 @@ def hill_grad_log(gamma, zeta, eta, positive: np.ndarray,
 
 _KINDS = ("none", "independent", "identical", "gp", "hill",
           "hill_per_covariate", "variant_a", "variant_b", "variant_c")
-
-
-@dataclass(frozen=True)
-class HillPriors:
-    """Priors for one set of Hill parameters.
-
-    ``gamma`` uses a positive half-normal, ``zeta`` a normal; ``eta`` is
-    exponential(rate) when ``eta_kind == 'exponential'`` (the base prior) or
-    positive half-normal otherwise (the informative, propagated prior).
-    """
-
-    gamma_loc: float = 0.0
-    gamma_scale: float = 1.0
-    zeta_loc: float = 0.0
-    zeta_scale: float = 1.0
-    eta_kind: str = "exponential"
-    eta_loc: float = 1.0          # rate when exponential, location otherwise
-    eta_scale: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.eta_kind not in ("exponential", "halfnormal"):
-            raise ValueError(f"unknown eta prior kind {self.eta_kind!r}")
+#: the kinds that size a table or grid over repeats 1..max_repeat
+_TABLE_KINDS = ("independent", "gp", "variant_a", "variant_b", "variant_c")
 
 
 @dataclass(frozen=True)
@@ -99,24 +81,25 @@ class FatigueSpec:
     independent (one effect per repeat 1..max_repeat); gp (smooth effect of
     standardized repeat count); hill (one Hill curve); hill_per_covariate
     (one Hill curve per fatigue covariate column); variant_a/b/c (the
-    strictly negative -exp(...) forms with age / age + contact-band /
-    age-by-contact-band smooths).
+    strictly negative -exp(...) forms of a table over repeats
+    1..max_repeat with age / age + contact-band / age-by-contact-band
+    smooths). A table's last entry also holds for repeats beyond it.
+
+    The Hill kinds take the priors of the ``hill_gamma``, ``hill_zeta``
+    and ``hill_eta`` blocks from ``gamma_prior``, ``zeta_prior`` and
+    ``eta_prior``, one prior over all Q curves; array or tuple params give
+    each curve its own.
     """
 
     kind: str = "none"
     max_repeat: int = 0
-    hill_priors: tuple[HillPriors, ...] = (HillPriors(),)
+    gamma_prior: PriorSpec = PriorSpec("halfnormal_pos", (0.0, 1.0))
+    zeta_prior: PriorSpec = PriorSpec("normal", (0.0, 1.0))
+    eta_prior: PriorSpec = PriorSpec("exponential", (1.0,))
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown fatigue kind {self.kind!r}")
-        if self.kind in ("independent", "gp") and self.max_repeat < 1:
-            raise ValueError(f"fatigue kind {self.kind!r} requires max_repeat >= 1")
-
-    def hill_priors_for(self, n_curves: int) -> tuple[HillPriors, ...]:
-        if len(self.hill_priors) == n_curves:
-            return self.hill_priors
-        if len(self.hill_priors) == 1:
-            return self.hill_priors * n_curves
-        raise ValueError(
-            f"expected 1 or {n_curves} Hill prior sets, got {len(self.hill_priors)}")
+        if self.kind in _TABLE_KINDS and self.max_repeat < 1:
+            raise ValueError(
+                f"fatigue kind {self.kind!r} requires max_repeat >= 1")

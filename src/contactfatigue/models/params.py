@@ -53,9 +53,11 @@ class Layout:
         return theta[self.slices[name]]
 
     def constrained(self, theta: np.ndarray) -> dict[str, np.ndarray]:
+        """Each block on its natural scale. ``theta`` may carry leading
+        axes, such as one row per draw; the blocks lie on the last."""
         out = {}
         for b in self.blocks:
-            v = theta[self.slices[b.name]]
+            v = theta[..., self.slices[b.name]]
             out[b.name] = np.exp(v) if b.transform == "log" else v.copy()
         return out
 

@@ -12,7 +12,6 @@ independently without any fatigue term.
 from __future__ import annotations
 
 import logging
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -22,7 +21,8 @@ from .domain import (AGE_GRID, DataError, FeatureSpec, SurveyRecord,
 from .evaluation import interval_coverage, mape
 from .inference import (INTERVAL_95, Diagnostics, PosteriorDraws,
                         SamplerConfig, posterior_interval, sample_model)
-from .models import HillPriors, IndividualGamModel, ModelSpec, build_model
+from .models import IndividualGamModel, ModelSpec, build_model
+from .priors import PriorSpec
 
 logger = logging.getLogger(__name__)
 
@@ -55,16 +55,15 @@ class PopulationEstimate:
 def _propagated_spec(base: ModelSpec, means: dict[str, np.ndarray]
                      ) -> ModelSpec:
     """Informative priors centered at the previous wave's posterior."""
-    beta_loc = tuple(float(v) for v in means["beta"])
-    n_q = means["hill_gamma"].size
-    hill_priors = tuple(
-        HillPriors(gamma_loc=float(means["hill_gamma"][q]), gamma_scale=0.3,
-                   zeta_loc=float(means["hill_zeta"][q]), zeta_scale=0.1,
-                   eta_kind="halfnormal", eta_loc=float(means["hill_eta"][q]),
-                   eta_scale=0.1)
-        for q in range(n_q))
-    fatigue = replace(base.fatigue, hill_priors=hill_priors)
-    return replace(base, beta_loc=beta_loc, beta_scale=0.3, fatigue=fatigue)
+    def at_mean(family: str, name: str, scale: float) -> PriorSpec:
+        return PriorSpec(family, (tuple(map(float, means[name])), scale))
+
+    fatigue = replace(base.fatigue,
+                      gamma_prior=at_mean("halfnormal_pos", "hill_gamma", 0.3),
+                      zeta_prior=at_mean("normal", "hill_zeta", 0.1),
+                      eta_prior=at_mean("halfnormal_pos", "hill_eta", 0.1))
+    return replace(base, beta_prior=at_mean("normal", "beta", 0.3),
+                   fatigue=fatigue)
 
 
 def fit_wave(records: list[SurveyRecord], feature_spec: FeatureSpec,
@@ -86,16 +85,13 @@ def fit_wave(records: list[SurveyRecord], feature_spec: FeatureSpec,
 
 def fit_sequence(waves: list[list[SurveyRecord]], feature_spec: FeatureSpec,
                  spec: ModelSpec, cfg: SamplerConfig) -> list[WaveFit]:
-    """Fit ordered waves, carrying posterior means forward as priors."""
+    """Fit ordered waves, carrying posterior means forward as priors. A
+    wave with no records is a ``DataError``, as in ``fit_wave``."""
     if spec.family != "individual_gam":
         raise ValueError("the sequential pipeline fits the additive model")
     fits: list[WaveFit] = []
     current = spec
-    for idx, records in enumerate(waves):
-        if not records:
-            warnings.warn(f"wave at position {idx} has no records; skipped",
-                          RuntimeWarning, stacklevel=2)
-            continue
+    for records in waves:
         fit = fit_wave(records, feature_spec, current, cfg)
         if fits:
             fit.prior_provenance = "propagated"
@@ -107,15 +103,9 @@ def fit_sequence(waves: list[list[SurveyRecord]], feature_spec: FeatureSpec,
 def fit_independent(waves: list[list[SurveyRecord]],
                     feature_spec: FeatureSpec, spec: ModelSpec,
                     cfg: SamplerConfig) -> list[WaveFit]:
-    """Comparator: fit each wave separately with the given spec."""
-    fits = []
-    for idx, records in enumerate(waves):
-        if not records:
-            warnings.warn(f"wave at position {idx} has no records; skipped",
-                          RuntimeWarning, stacklevel=2)
-            continue
-        fits.append(fit_wave(records, feature_spec, spec, cfg))
-    return fits
+    """Comparator: fit each wave separately with the given spec; a wave
+    with no records is a ``DataError``."""
+    return [fit_wave(records, feature_spec, spec, cfg) for records in waves]
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,8 @@ class PriorSpec:
     def coefficients(self) -> dict:
         """The family's coefficients of ``FORMULA`` by name; those it
         leaves out are 0."""
-        return _FAMILIES[self.family].coefficients(*self.params)
+        return _FAMILIES[self.family].coefficients(
+            *(np.asarray(p, dtype=float) for p in self.params))
 
     @property
     def on_real_line(self) -> bool:

@@ -19,7 +19,7 @@ from .domain import DesignMatrix
 from .inference import (INTERVAL_50, SamplerConfig, posterior_interval,
                         sample_model)
 from .models import ModelSpec, Stage1PoissonModel, Stage2PoissonModel
-from .priors import RhsSpec
+from .priors import PriorSpec, RhsSpec
 
 logger = logging.getLogger(__name__)
 
@@ -27,6 +27,8 @@ logger = logging.getLogger(__name__)
 STAGE1_LOWER = float(np.log(0.95))
 STAGE1_UPPER = float(np.log(1.05))
 STAGE2_CUTOFF = float(np.log(0.95))
+#: the intercept prior of both stage-1 fits
+STAGE1_INTERCEPT_PRIOR = PriorSpec("normal", (0.0, 100.0))
 
 
 @dataclass(frozen=True)
@@ -67,7 +69,8 @@ def stage1_select(design: DesignMatrix, rhs: RhsSpec,
     names = design.block_names("v")
     if len(names) == 0:
         raise ValueError("stage 1 requires a non-empty tested block")
-    spec = ModelSpec(family="stage1_poisson", rhs=rhs, beta0_scale=100.0)
+    spec = ModelSpec(family="stage1_poisson", rhs=rhs,
+                     beta0_prior=STAGE1_INTERCEPT_PRIOR)
     med, lo, hi = _fit_coefficients(Stage1PoissonModel(spec, design), cfg, 1)
     selected = tuple(bool(m < STAGE1_LOWER or m > STAGE1_UPPER) for m in med)
     return SelectionResult(names, med, lo, hi, selected)
@@ -82,7 +85,8 @@ def stage1_refit_offsets(design_first: DesignMatrix,
     medians of (beta0, alpha, beta) are frozen into per-row offsets for the
     target design (which must share the u and v blocks).
     """
-    spec = ModelSpec(family="stage1_poisson", rhs=None, beta0_scale=100.0)
+    spec = ModelSpec(family="stage1_poisson",
+                     beta0_prior=STAGE1_INTERCEPT_PRIOR)
     model = Stage1PoissonModel(spec, design_first)
     draws, _ = sample_model(model, cfg, compute_pointwise=False)
     med = draws.point(np.median)

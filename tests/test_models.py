@@ -28,6 +28,7 @@ from contactfatigue.models.assemble import AGE_SD, _HsgpTerm, _surface_of
 from contactfatigue.models.fatigue import hill_grad_log, log_repeats
 from contactfatigue.models.params import Block, Layout
 from contactfatigue.priors import RhsSpec
+from contactfatigue.selection import STAGE1_INTERCEPT_PRIOR
 
 from conftest import (SMALL_FEATURES, assert_matches_reference, brc_model,
                       make_records, max_rel_grad_error)
@@ -134,12 +135,14 @@ class TestGradientSuite:
     def test_stage1_rhs(self, small_design):
         rhs = RhsSpec(n_coef=2, p0=1.0, n_obs=small_design.n)
         model = build_model(ModelSpec(family="stage1_poisson", rhs=rhs,
-                                      beta0_scale=100.0), small_design)
+                                      beta0_prior=STAGE1_INTERCEPT_PRIOR),
+                            small_design)
         self._check(model)
 
     def test_stage1_plain(self, small_design):
         model = build_model(ModelSpec(family="stage1_poisson",
-                                      beta0_scale=100.0), small_design)
+                                      beta0_prior=STAGE1_INTERCEPT_PRIOR),
+                            small_design)
         self._check(model)
 
     def test_stage2_negative_rhs(self):
@@ -186,7 +189,8 @@ class TestLogPosteriorContracts:
     def test_zero_data_is_prior_only(self):
         design = build_design([], SMALL_FEATURES)
         model = build_model(ModelSpec(family="stage1_poisson",
-                                      beta0_scale=100.0), design)
+                                      beta0_prior=STAGE1_INTERCEPT_PRIOR),
+                            design)
         rng = np.random.default_rng(0)
         theta = rng.uniform(-1, 1, model.layout.size)
         logp, _ = model.logp_grad(theta)
@@ -205,7 +209,8 @@ class TestLogPosteriorContracts:
                                 {"employment": "retired"}, 3)]
         design = build_design(records, SMALL_FEATURES)
         model = build_model(ModelSpec(family="stage1_poisson",
-                                      beta0_scale=100.0), design)
+                                      beta0_prior=STAGE1_INTERCEPT_PRIOR),
+                            design)
         theta = model.layout.pack({
             "beta0": np.zeros(1), "alpha_raw": np.zeros(5),
             "sigma_alpha": np.ones(1), "beta": np.zeros(2)})
@@ -231,7 +236,7 @@ class TestLogPosteriorContracts:
             offsets=np.where(np.arange(small_design.n) == 7, np.nan, 0.0))
         with pytest.raises(DataError, match="row 7"):
             build_model(ModelSpec(family="stage1_poisson",
-                                  beta0_scale=100.0), bad)
+                                  beta0_prior=STAGE1_INTERCEPT_PRIOR), bad)
 
 
 class TestFatigueVariants:
@@ -251,6 +256,37 @@ class TestFatigueVariants:
             r = model.data.cell_repeat
             assert np.all(term[r >= 1] < 0.0)
             assert np.all(term[r == 0] == 0.0)
+
+    @pytest.mark.parametrize("kind", ["independent", "variant_a",
+                                      "variant_b", "variant_c"])
+    @pytest.mark.parametrize("max_repeat", [1, 2, 5])
+    def test_rho_follows_the_spec_max_repeat(self, kind, max_repeat):
+        # the data reach repeat 2; the table is as long as the spec says
+        base, _ = brc_model(kind)
+        model = build_model(dataclasses.replace(
+            base.spec, fatigue=FatigueSpec(kind, max_repeat=max_repeat)),
+            base.data)
+        rho = model.layout.sl("rho")
+        assert rho.stop - rho.start == max_repeat
+
+    def test_repeats_past_max_repeat_read_the_last_entry(self):
+        base, _ = brc_model("independent")
+        model = build_model(dataclasses.replace(
+            base.spec, fatigue=FatigueSpec("independent", max_repeat=1)),
+            base.data)
+        theta = np.random.default_rng(6).uniform(-1, 1, model.layout.size)
+        fatigue = next(t for t in model.terms if t.fatigue)
+        term = fatigue.values(model._natural(theta)[0])[0][model.group_of]
+        r = model.data.cell_repeat
+        assert r.max() == 2
+        np.testing.assert_array_equal(
+            term, np.where(r >= 1, model.layout.raw(theta, "rho")[0], 0.0))
+
+    @pytest.mark.parametrize("kind", ["independent", "gp", "variant_a",
+                                      "variant_b", "variant_c"])
+    def test_a_repeat_table_needs_max_repeat(self, kind):
+        with pytest.raises(ValueError, match="requires max_repeat >= 1"):
+            FatigueSpec(kind)
 
 
 class TestBrcData:
@@ -320,10 +356,11 @@ def _every_family_and_fatigue_kind():
         offsets=np.full(30, 1.1))
     models = {
         "stage1-rhs": build_model(ModelSpec(
-            family="stage1_poisson", beta0_scale=100.0,
+            family="stage1_poisson", beta0_prior=STAGE1_INTERCEPT_PRIOR,
             rhs=RhsSpec(n_coef=2, p0=1.0, n_obs=design.n)), design),
         "stage1-plain": build_model(ModelSpec(
-            family="stage1_poisson", beta0_scale=100.0), design),
+            family="stage1_poisson", beta0_prior=STAGE1_INTERCEPT_PRIOR),
+            design),
         "stage2-rhs": build_model(ModelSpec(
             family="stage2_poisson",
             rhs=RhsSpec(n_coef=3, p0=1.5, n_obs=30, sign="negative")),

@@ -8,7 +8,8 @@ from contactfatigue.inference import (Diagnostics, PosteriorDraws,
                                       SamplerConfig)
 from contactfatigue.models import FatigueSpec, ModelSpec, build_model
 from contactfatigue.pipeline import (WaveFit, bootstrap_mean, cell_weights,
-                                     fit_wave, poststratified_mean)
+                                     fit_independent, fit_sequence, fit_wave,
+                                     poststratified_mean)
 
 from conftest import SMALL_FEATURES, brc_model, make_records
 
@@ -47,6 +48,16 @@ def test_fitting_no_records_is_a_data_error():
                      fatigue=FatigueSpec(kind="hill_per_covariate"))
     with pytest.raises(DataError, match="no records to fit"):
         fit_wave([], SMALL_FEATURES, spec, SamplerConfig())
+
+
+@pytest.mark.parametrize("fit", [fit_sequence, fit_independent])
+def test_an_empty_wave_is_a_data_error(fit):
+    # an empty wave is refused as in fit_wave, not skipped with a warning
+    spec = ModelSpec(family="individual_gam",
+                     fatigue=FatigueSpec(kind="hill_per_covariate"))
+    cfg = SamplerConfig(chains=1, warmup=100, sampling=5)
+    with pytest.raises(DataError, match="no records to fit"):
+        fit([[], make_records(40)], SMALL_FEATURES, spec, cfg)
 
 
 def test_cell_weights_without_shares_are_uniform():

@@ -7,7 +7,7 @@ import pytest
 from scipy import stats
 
 from contactfatigue.domain import build_design
-from contactfatigue.models import FatigueSpec, HillPriors, ModelSpec, build_model
+from contactfatigue.models import FatigueSpec, ModelSpec, build_model
 from contactfatigue.models.assemble import DISPERSION_PRIOR, _PriorPass
 from contactfatigue.models.params import Block, Layout
 from contactfatigue.priors import PriorSpec, RhsSpec
@@ -67,7 +67,8 @@ def _every_family():
 
     rhs = RhsSpec(n_coef=2, p0=1.0, n_obs=design.n)
     out["stage1"] = (build_model(ModelSpec(
-        family="stage1_poisson", beta0_scale=100.0, rhs=rhs), design), {
+        family="stage1_poisson", beta0_prior=PriorSpec("normal", (0.0, 100.0)),
+        rhs=rhs), design), {
         "beta0": (_norm(0.0, 100.0), False),
         "alpha_raw": (_norm(), False),
         "sigma_alpha": (_halfcauchy, True),
@@ -88,24 +89,26 @@ def _every_family():
         "hill_eta": (lambda x: stats.expon.logpdf(x), True),
         "phi": (_invgamma(1.0, 1.0), True)})
 
-    # the propagated priors of a later wave: per-element locations and
-    # per-curve Hill priors with a half-normal eta
+    # the propagated priors of a later wave: per-element locations, one
+    # per coefficient and one per Hill curve, with a half-normal eta
     beta_loc = (0.1, -0.2, 0.3, 0.05, -0.4)
-    curves = tuple(HillPriors(gamma_loc=0.5 + 0.1 * q, gamma_scale=0.3,
-                              zeta_loc=-1.0 + 0.2 * q, zeta_scale=0.1,
-                              eta_kind="halfnormal", eta_loc=0.9 + 0.05 * q,
-                              eta_scale=0.1) for q in range(3))
+    gamma_loc, zeta_loc, eta_loc = ((0.5, 0.6, 0.7), (-1.0, -0.8, -0.6),
+                                    (0.9, 0.95, 1.0))
     out["gam"] = (build_model(ModelSpec(
-        family="individual_gam", beta_loc=beta_loc, beta_scale=0.3,
-        fatigue=FatigueSpec(kind="hill_per_covariate", hill_priors=curves)),
+        family="individual_gam",
+        beta_prior=PriorSpec("normal", (beta_loc, 0.3)),
+        fatigue=FatigueSpec(
+            kind="hill_per_covariate",
+            gamma_prior=PriorSpec("halfnormal_pos", (gamma_loc, 0.3)),
+            zeta_prior=PriorSpec("normal", (zeta_loc, 0.1)),
+            eta_prior=PriorSpec("halfnormal_pos", (eta_loc, 0.1)))),
         design), {
         "beta0": (_norm(0.0, 10.0), False),
         "beta": (_norm(np.array(beta_loc), 0.3), False),
         **_hsgp_densities("age", _invgamma(5.0, 1.0), _invgamma(5.0, 1.0)),
-        "hill_gamma": (_truncnorm([c.gamma_loc for c in curves], 0.3), True),
-        "hill_zeta": (_norm(np.array([c.zeta_loc for c in curves]), 0.1),
-                      False),
-        "hill_eta": (_truncnorm([c.eta_loc for c in curves], 0.1), True),
+        "hill_gamma": (_truncnorm(gamma_loc, 0.3), True),
+        "hill_zeta": (_norm(np.array(zeta_loc), 0.1), False),
+        "hill_eta": (_truncnorm(eta_loc, 0.1), True),
         "phi": (_invgamma(1.0, 1.0), True)})
 
     half_cauchy = _halfcauchy
@@ -196,18 +199,17 @@ class TestPriorTable:
     def test_prior_params_must_fit_the_block(self):
         layout = Layout([Block("a", 3, prior=PriorSpec(
             "normal", (np.zeros(2), 1.0)))])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="block 'a'"):
             _PriorPass(layout)
+        # one gamma location per Hill curve: two for the GAM's three curves
+        design = build_design(make_records(), SMALL_FEATURES)
+        fatigue = FatigueSpec(kind="hill_per_covariate",
+                              gamma_prior=PriorSpec("halfnormal_pos",
+                                                    ((0.5, 0.6), 0.3)))
+        with pytest.raises(ValueError, match="block 'hill_gamma'"):
+            build_model(ModelSpec(family="individual_gam", fatigue=fatigue),
+                        design)
 
     def test_array_scales_are_validated(self):
         with pytest.raises(ValueError):
             PriorSpec("normal", (0.0, np.array([1.0, -1.0])))
-
-    def test_mixed_eta_prior_kinds_refused(self):
-        design = build_design(make_records(), SMALL_FEATURES)
-        curves = (HillPriors(), HillPriors(eta_kind="halfnormal"), HillPriors())
-        with pytest.raises(ValueError, match="eta prior kind"):
-            build_model(ModelSpec(
-                family="individual_gam",
-                fatigue=FatigueSpec(kind="hill_per_covariate",
-                                    hill_priors=curves)), design)

@@ -1,0 +1,93 @@
+"""Two-stage selection: the design surgery and one small seeded run."""
+
+import numpy as np
+import pytest
+
+from contactfatigue.cli import scenario_feature_spec, selection_groups
+from contactfatigue.domain import build_design
+from contactfatigue.inference import SamplerConfig
+from contactfatigue.selection import (STAGE1_LOWER, STAGE1_UPPER,
+                                      STAGE2_CUTOFF, replace_offsets,
+                                      subset_v_block, two_stage_select)
+from contactfatigue.simulator import ScenarioConfig, simulate_panel
+
+from conftest import SMALL_FEATURES, make_records
+
+
+@pytest.fixture(scope="module")
+def designs():
+    """First-timers and repeaters of the seed-7 60-person panel, coded as
+    the ``select`` command codes them."""
+    panel = simulate_panel(ScenarioConfig(waves=3, panel_size=60, seed=7))[0]
+    fs = scenario_feature_spec()
+    return tuple(build_design(g, fs) for g in selection_groups(panel))
+
+
+class TestSubsetVBlock:
+    def test_keeps_u_the_named_v_columns_and_w(self):
+        design = build_design(make_records(), SMALL_FEATURES)
+        v_names = design.block_names("v")
+        # asked in reverse order, kept in v order, unknown names ignored
+        keep = (v_names[1], "no_such_column", v_names[0])
+        sub = subset_v_block(design, keep)
+        assert sub.block_names("u") == design.block_names("u")
+        assert sub.block_names("v") == v_names
+        assert sub.block_names("w") == design.block_names("w")
+        for block in ("u", "v", "w"):
+            np.testing.assert_array_equal(sub.block(block),
+                                          design.block(block))
+        assert sub.column_names == (design.block_names("u") + v_names
+                                    + design.block_names("w"))
+
+    def test_drops_the_v_columns_not_named(self):
+        design = build_design(make_records(), SMALL_FEATURES)
+        v_names = design.block_names("v")
+        sub = subset_v_block(design, (v_names[1],))
+        n_u, n_w = len(design.block_names("u")), len(design.block_names("w"))
+        assert sub.blocks == {"u": slice(0, n_u), "v": slice(n_u, n_u + 1),
+                              "w": slice(n_u + 1, n_u + 1 + n_w)}
+        assert sub.block_names("v") == (v_names[1],)
+        np.testing.assert_array_equal(sub.block("v")[:, 0],
+                                      design.block("v")[:, 1])
+        np.testing.assert_array_equal(sub.block("w"), design.block("w"))
+        assert sub.x.shape == (design.n, n_u + 1 + n_w)
+        assert len(sub.column_names) == sub.x.shape[1]
+
+
+def test_replace_offsets_refuses_a_wrong_length():
+    design = build_design(make_records(), SMALL_FEATURES)
+    with pytest.raises(ValueError, match="offset length"):
+        replace_offsets(design, np.zeros(design.n - 1))
+    out = replace_offsets(design, np.full(design.n, 0.5))
+    np.testing.assert_array_equal(out.offsets, 0.5)
+
+
+class TestTwoStageSelect:
+    CFG = SamplerConfig(chains=1, warmup=100, sampling=10, seed=7)
+
+    @pytest.fixture(scope="class")
+    def runs(self, designs):
+        return [two_stage_select(*designs, self.CFG) for _ in range(2)]
+
+    def test_names_the_candidate_columns(self, designs, runs):
+        first, repeat = designs
+        stage1, stage2 = runs[0]
+        assert stage1.feature_names == first.block_names("v")
+        kept = subset_v_block(repeat, stage1.selected_features())
+        assert stage2.feature_names == kept.block_names("w")
+        assert stage1.medians.shape == (len(stage1.feature_names),)
+        assert stage2.medians.shape == (len(stage2.feature_names),)
+
+    def test_selection_is_the_threshold_on_the_median(self, runs):
+        stage1, stage2 = runs[0]
+        assert stage1.selected == tuple(
+            bool(m < STAGE1_LOWER or m > STAGE1_UPPER)
+            for m in stage1.medians)
+        assert stage2.selected == tuple(bool(m < STAGE2_CUTOFF)
+                                        for m in stage2.medians)
+        assert np.log(0.95) == STAGE1_LOWER == STAGE2_CUTOFF
+        assert np.log(1.05) == STAGE1_UPPER
+
+    def test_two_runs_are_equal(self, runs):
+        for a, b in zip(*runs):
+            assert a.to_rows() == b.to_rows()
