@@ -17,7 +17,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .models.params import Layout
 
@@ -178,51 +177,63 @@ class _Welford:
         return (self.n / (self.n + 5.0)) * var + 1e-3 * (5.0 / (self.n + 5.0))
 
 
-def _kinetic(r, inv_mass):
-    return 0.5 * float(r @ (inv_mass * r))
+def _kinetic(r, p_sharp):
+    """The kinetic energy r^T M^-1 r / 2, from p_sharp = M^-1 r."""
+    return 0.5 * float(r @ p_sharp)
 
 
 class _TreeState:
-    """A trajectory segment: its two edges, (theta, r, grad) at the backward
-    end ``edges[0]`` and the forward end ``edges[1]``, the multinomial sample
-    drawn from it, the log of its total weight, and acceptance statistics."""
+    """A trajectory segment: its two edges, (theta, r, grad, p_sharp) at
+    the backward end ``edges[0]`` and the forward end ``edges[1]`` with
+    p_sharp = M^-1 r, the multinomial sample drawn from it, the log of its
+    total weight, and acceptance statistics."""
 
     __slots__ = ("edges", "theta", "logp", "grad", "log_w", "alpha",
                  "n_alpha", "divergent", "ok")
 
-    def __init__(self, theta, r, grad, logp, log_w, alpha, n_alpha,
-                 divergent):
-        self.edges = [(theta, r, grad)] * 2
-        self.theta, self.logp, self.grad = theta, logp, grad
+    def __init__(self, edge, logp, log_w, alpha, n_alpha, divergent):
+        self.edges = [edge] * 2
+        self.theta, self.logp, self.grad = edge[0], logp, edge[2]
         self.log_w, self.alpha, self.n_alpha = log_w, alpha, n_alpha
         self.divergent = divergent
         self.ok = not divergent
 
 
-def _leaf(target, point, eps, inv_mass, h0):
-    """One leapfrog step of size ``eps`` from ``point`` = (theta, r, grad),
-    as a one-leaf tree whose log weight is the energy error h - h0 (-inf
-    when not finite)."""
-    theta, r, grad = point
-    r1 = r + 0.5 * eps * grad
-    theta1 = theta + eps * inv_mass * r1
+def _moves(eps, inv_mass):
+    """The leapfrog steps of size ``eps`` backward and forward, each as
+    (eps / 2, eps M^-1, M^-1) with the sign of its direction."""
+    return ((0.5 * -eps, -eps * inv_mass, inv_mass),
+            (0.5 * eps, eps * inv_mass, inv_mass))
+
+
+def _leaf(target, edge, move, h0):
+    """One leapfrog step ``move`` of ``_moves`` from ``edge`` = (theta, r,
+    grad, p_sharp), as a one-leaf tree whose log weight is the energy
+    error h - h0 (-inf when not finite)."""
+    theta, r, grad, _ = edge
+    half, step, inv_mass = move
+    r1 = r + half * grad
+    theta1 = theta + step * r1
     logp1, grad1 = target(theta1)
-    r1 = r1 + 0.5 * eps * grad1
-    h1 = logp1 - _kinetic(r1, inv_mass) if math.isfinite(logp1) else -np.inf
+    r1 = r1 + half * grad1
+    p1 = inv_mass * r1
+    h1 = logp1 - _kinetic(r1, p1) if math.isfinite(logp1) else -np.inf
     delta = h1 - h0
     if not math.isfinite(delta):
         delta = -np.inf
-    return _TreeState(theta1, r1, grad1, logp1, delta,
+    return _TreeState((theta1, r1, grad1, p1), logp1, delta,
                       min(1.0, float(np.exp(min(delta, 0.0)))), 1,
                       -delta > DIVERGENCE_THRESHOLD)
 
 
 def _find_reasonable_epsilon(target, theta, logp, grad, inv_mass, rng):
     r = rng.standard_normal(theta.size) / np.sqrt(inv_mass)
-    h0 = logp - _kinetic(r, inv_mass)
+    p_sharp = inv_mass * r
+    h0 = logp - _kinetic(r, p_sharp)
 
     def delta_h(eps):
-        return _leaf(target, (theta, r, grad), eps, inv_mass, h0).log_w
+        return _leaf(target, (theta, r, grad, p_sharp),
+                     _moves(eps, inv_mass)[1], h0).log_w
 
     eps = 1.0
     direction = 1.0 if delta_h(eps) > np.log(0.5) else -1.0
@@ -246,7 +257,7 @@ def _logaddexp(x: float, y: float) -> float:
     return hi + math.log1p(math.exp(lo - hi))
 
 
-def _merge(tree, sub, side, inv_mass, rng, biased):
+def _merge(tree, sub, side, rng, biased):
     """Extend ``tree`` by the adjacent subtree ``sub`` on ``side`` (0 =
     backward, 1 = forward), in place.
 
@@ -271,9 +282,9 @@ def _merge(tree, sub, side, inv_mass, rng, biased):
         tree.theta, tree.logp, tree.grad = sub.theta, sub.logp, sub.grad
     tree.log_w = total
     tree.edges[side] = sub.edges[side]
-    (theta_minus, r_minus, _), (theta_plus, r_plus, _) = tree.edges
+    (theta_minus, _, _, p_minus), (theta_plus, _, _, p_plus) = tree.edges
     span = theta_plus - theta_minus
-    if (span @ (inv_mass * r_minus)) < 0 or (span @ (inv_mass * r_plus)) < 0:
+    if (span @ p_minus) < 0 or (span @ p_plus) < 0:
         tree.ok = False
 
 
@@ -290,17 +301,18 @@ def _transition(target, theta, logp, grad, eps, inv_mass, max_depth, rng):
     folds into the failed tree and no further leaf is built.
     """
     r0 = rng.standard_normal(theta.size) / np.sqrt(inv_mass)
-    h0 = logp - _kinetic(r0, inv_mass)
-    tree = _TreeState(theta, r0, grad, logp, 0.0, 0.0, 0, False)
+    p0 = inv_mass * r0
+    h0 = logp - _kinetic(r0, p0)
+    tree = _TreeState((theta, r0, grad, p0), logp, 0.0, 0.0, 0, False)
+    moves = _moves(eps, inv_mass)
     for depth in range(max_depth):
         side = int(rng.random() < 0.5)
         pending = [tree]
         for k in range(2 ** depth, 2 ** (depth + 1)):
-            sub = _leaf(target, pending[-1].edges[side],
-                        eps if side else -eps, inv_mass, h0)
+            sub = _leaf(target, pending[-1].edges[side], moves[side], h0)
             while pending and (k & 1 or not sub.ok):
                 left = pending.pop()
-                _merge(left, sub, side, inv_mass, rng, biased=not pending)
+                _merge(left, sub, side, rng, biased=not pending)
                 sub, k = left, k >> 1
             if not pending:
                 break
@@ -434,6 +446,10 @@ def _negative_logp(model):
 
 
 def _lbfgs(model, x0, max_iter):
+    # imported here, not with the module: SciPy's optimizers take a few
+    # hundred ms and about 24 MB to load, which only a MAP search needs
+    from scipy.optimize import minimize
+
     return minimize(_negative_logp(model), x0, jac=True, method="L-BFGS-B",
                     options={"maxiter": max_iter, "gtol": 1e-10,
                              "ftol": 1e-18, "maxls": 100})

@@ -25,7 +25,9 @@ cells); the whole grid is the sub-grid of all coordinates.
 A kernel is a family name (``KERNEL_FAMILIES``) plus its magnitude and
 lengthscale. The models pass the NumPy scalars of their state, so an
 overflowing square is inf, never an exception. ``spectral_density``
-gives the density and both partials in one pass, once per basis axis.
+gives the density and its log-derivative in the lengthscale in one pass,
+once per basis axis, at the squared frequencies that the basis keeps
+from its build.
 
 Magnitude convention: ``magnitude`` is the marginal variance, k(0) = sigma.
 """
@@ -78,32 +80,34 @@ _MATERN_CONST = {family: (2.0 * np.pi ** 0.5 * gamma_fn(nu + 0.5)
                  for family, nu in _NU.items()}
 
 
-def spectral_density(family: str, sigma, ell, omega
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """1D spectral density and its partials (S, dS/dsigma, dS/dell), with
-    k(r) = (2 pi)^-1 \\int S(w) exp(i w r) dw, so total power equals
-    k(0) = sigma. A 2D basis multiplies the densities of its axes."""
-    wsq = omega**2
+def spectral_density(family: str, sigma, ell, wsq
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """1D spectral density S at the squared frequencies ``wsq`` and its
+    log-derivative d log S / d ell, with k(r) = (2 pi)^-1 \\int S(w)
+    exp(i w r) dw, so total power equals k(0) = sigma. S is linear in
+    sigma, so d log S / d sigma = 1 / sigma. A 2D basis multiplies the
+    densities of its axes."""
     if family == "se":
         s = sigma * (2.0 * np.pi) ** 0.5 * ell * np.exp(-0.5 * ell**2 * wsq)
-        d_ell = s * (1.0 / ell - ell * wsq)
+        d_log_ell = 1.0 / ell - ell * wsq
     else:
         nu = _NU[family]
         q = 2.0 * nu + ell**2 * wsq
         s = sigma * _MATERN_CONST[family] * ell * q ** -(nu + 0.5)
-        d_ell = s * (1.0 / ell - (nu + 0.5) * 2.0 * ell * wsq / q)
-    return s, s / sigma, d_ell
+        d_log_ell = 1.0 / ell - (nu + 0.5) * 2.0 * ell * wsq / q
+    return s, d_log_ell
 
 
 @dataclass(frozen=True)
 class HsgpBasis:
     """Laplacian eigenfunctions of a box at a set of points.
 
-    ``freqs`` holds the eigenfrequencies of each axis, shape (m, dim). A 1D
-    basis keeps its (n, m) eigenfunction matrix ``phi``. Column (j, k) of a
-    2D basis pairs frequency j on the first axis with k on the second,
-    j-major; a symmetric basis keeps j <= k and averages the two tensor
-    orderings.
+    ``freqs`` holds the eigenfrequencies of each axis, shape (m, dim), and
+    ``freqs_sq`` their squares, at which the spectral densities are
+    evaluated. A 1D basis keeps its (n, m) eigenfunction matrix ``phi``.
+    Column (j, k) of a 2D basis pairs frequency j on the first axis with k
+    on the second, j-major; a symmetric basis keeps j <= k and averages
+    the two tensor orderings.
 
     A 2D basis is stored as per-axis factors, not as its (n, M) matrix,
     which an age surface (7225 points, 820 columns) would stream twice a
@@ -125,6 +129,7 @@ class HsgpBasis:
     half_width: tuple[float, ...]
     center: tuple[float, ...]
     freqs: np.ndarray                      # (m, dim)
+    freqs_sq: np.ndarray                   # (m, dim)
     phi: np.ndarray | None = None          # 1D: (n, m)
     sines: tuple[np.ndarray, ...] = ()     # 2D: (n_a, m), (n_b, m)
     symmetric: bool = False
@@ -148,25 +153,26 @@ class HsgpBasis:
         return self.spectral_weights_grad(family, hyper)[0]
 
     def spectral_weights_grad(self, family: str, hyper: np.ndarray
-                              ) -> tuple[np.ndarray, tuple[tuple, ...]]:
-        """Weights plus, per axis, the density at that axis's m
-        frequencies with its partials (S, dS/dsigma, dS/dell).
+                              ) -> tuple[np.ndarray, tuple]:
+        """Weights plus the partials that ``spectral_weights_vjp`` turns
+        into the gradient of the hyperparameters: ``hyper``, the weights,
+        and per axis the density at that axis's m frequencies with
+        d log S / d ell (``spectral_density``).
 
         ``hyper`` holds (sigma, ell) of each axis in turn. A 2D column
-        multiplies the densities of its two frequencies;
-        ``spectral_weights_vjp`` turns the per-axis partials into the
-        gradient of the hyperparameters."""
+        multiplies the densities of its two frequencies."""
         axes = tuple(map(spectral_density, [family] * self.dim, hyper[::2],
-                         hyper[1::2], self.freqs.T))
+                         hyper[1::2], self.freqs_sq.T))
         if self.dim == 1:
-            return axes[0][0], axes
-        # sa_j sb_k on each column (j, k), averaged with sa_k sb_j if
-        # symmetric
-        cols = (axes[0][0][:, None] * axes[1][0][None, :]).ravel()
-        if self.symmetric:
-            jk, kj, _ = _symmetric_columns(self.m)
-            cols = 0.5 * (cols.take(jk) + cols.take(kj))
-        return cols, axes
+            cols = axes[0][0]
+        else:
+            # sa_j sb_k on each column (j, k), averaged with sa_k sb_j if
+            # symmetric
+            cols = (axes[0][0][:, None] * axes[1][0][None, :]).ravel()
+            if self.symmetric:
+                jk, kj, _ = _symmetric_columns(self.m)
+                cols = 0.5 * (cols.take(jk) + cols.take(kj))
+        return cols, (hyper, cols, axes)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """Phi v at the basis points: the function with column weights v,
@@ -225,19 +231,25 @@ class HsgpBasis:
         return replace(self, col_means=col_means)
 
 
-def spectral_weights_vjp(basis: HsgpBasis, g_s: np.ndarray,
-                         axes: tuple[tuple, ...]) -> list[float]:
-    """g_s^T dS/d(sigma_1, ell_1[, sigma_2, ell_2]) for per-column
-    weights S, from the per-axis densities and partials ``axes`` of
-    ``spectral_weights_grad``.
+def spectral_weights_vjp(basis: HsgpBasis, g_log: np.ndarray,
+                         partials: tuple) -> list:
+    """The gradient of the hyperparameters (sigma_1, ell_1[, sigma_2,
+    ell_2]) from ``g_log``, the gradient in the log of each column's
+    weight S, and the ``partials`` of ``spectral_weights_grad``.
 
-    In 2D, g_s goes onto the m x m matrix G of the columns (j, k), half
+    Every column is linear in each sigma, so a sigma takes the sum of
+    g_log divided by sigma, and a 1D lengthscale takes
+    g_log^T d log S / d ell. In 2D, g_s = g_log / S, zero where S
+    underflows, goes onto the m x m matrix G of the columns (j, k), half
     to (j, k) and half to (k, j) for a symmetric basis. Since column
-    (j, k) of G weighs sa_j sb_k, the sigma_1 term is dsa^T G sb, the
-    sigma_2 term sa^T G dsb, and likewise for the lengthscales."""
+    (j, k) of G weighs sa_j sb_k, the ell_1 term is dsa^T G sb and the
+    ell_2 term sa^T G dsb, with dS/dell = S d log S / d ell on each
+    axis."""
+    hyper, cols, axes = partials
+    total = g_log.sum()
     if basis.dim == 1:
-        _, ds, dl = axes[0]
-        return [float(ds @ g_s), float(dl @ g_s)]
+        return [total / hyper[0], float(g_log @ axes[0][1])]
+    g_s = np.divide(g_log, cols, out=np.zeros(cols.size), where=cols > 0.0)
     m = basis.m
     if basis.symmetric:
         upper = np.zeros(m * m)
@@ -246,10 +258,9 @@ def spectral_weights_vjp(basis: HsgpBasis, g_s: np.ndarray,
         grid = grid + grid.T
     else:
         grid = g_s.reshape(m, m)
-    (sa, dsa, dla), (sb, dsb, dlb) = axes
-    g_b, g_a = grid @ sb, sa @ grid
-    return [float(dsa @ g_b), float(dla @ g_b), float(dsb @ g_a),
-            float(dlb @ g_a)]
+    (sa, qa), (sb, qb) = axes
+    return [total / hyper[0], float((sa * qa) @ (grid @ sb)),
+            total / hyper[2], float((sb * qb) @ (sa @ grid))]
 
 
 @functools.cache
@@ -287,7 +298,7 @@ def build_hsgp_1d(inputs: np.ndarray, m: int) -> HsgpBasis:
     inputs = np.asarray(inputs, dtype=float)
     center, half_width, freqs = _box(inputs, m)
     return HsgpBasis(dim=1, m=m, half_width=(half_width,), center=(center,),
-                     freqs=freqs[:, None],
+                     freqs=freqs[:, None], freqs_sq=freqs[:, None] ** 2,
                      phi=_sines(inputs, center, half_width, freqs))
 
 
@@ -296,8 +307,9 @@ def _build_hsgp_2d(axes: tuple[np.ndarray, ...], m: int,
     """The basis on the grid of the two ``axes``."""
     axes = tuple(np.asarray(x, dtype=float) for x in axes)
     center, half_width, freqs = zip(*(_box(x, m) for x in axes))
+    freqs_2d = np.column_stack(freqs)
     return HsgpBasis(dim=2, m=m, half_width=half_width, center=center,
-                     freqs=np.column_stack(freqs),
+                     freqs=freqs_2d, freqs_sq=freqs_2d**2,
                      sines=tuple(map(_sines, axes, center, half_width, freqs)),
                      symmetric=symmetric)
 

@@ -72,24 +72,27 @@ mean from its group.
 
 ``logp_grad`` is one flat pass under one ``np.errstate``. It checks and
 exponentiates every log-scale element of theta once, into one
-natural-scale vector that every source reads. Each backprop writes
-natural-scale partials into one gradient buffer through slices found when
-the model was built, and the log-scale chain rule is applied once, before
-the prior pass.
+natural-scale vector that every source and the prior pass read. Each
+backprop writes natural-scale partials into one gradient buffer through
+slices found when the model was built; the prior pass adds its own and
+applies the log-scale chain rule, once.
 
 Every parameter block declares its natural-scale prior (``Block.prior``).
 Every prior family is a case of one formula (``priors.FORMULA``). When a
 model is built, each element of its layout takes the coefficients of its
-block's prior, which form one table (``PriorTable``), and each
-``logp_grad`` ends with one call, ``table_log_prior``, that evaluates the
-table over the whole parameter vector with the log-scale Jacobians; the
-model code itself holds likelihood and backprop only.
+block's prior, which form one table (``PriorTable``) that holds only the
+terms some element has: the quadratic in L and Q over the whole
+natural-scale vector, and D and the E log1p(F v^2) tail each on a slice
+of the log-scale elements that hold it, or not at all. Each ``logp_grad``
+ends with one call, ``table_log_prior``, that evaluates the table with
+the log-scale Jacobians at the natural-scale values; the model code
+itself holds likelihood and backprop only.
 
 Whatever ``logp_grad`` needs that does not depend on the parameters is
 computed once, when the model is built: the group design, the prior
 table, the observation model's count terms (``GroupCounts``, and the
-cells' log-factorials of NB1) and the Hill terms' log repeat counts
-(``log_repeats``).
+cells' log-factorials of NB1), the Hill terms' log repeat counts
+(``log_repeats``) and each HSGP basis's squared frequencies.
 """
 
 from __future__ import annotations
@@ -263,11 +266,12 @@ class _PriorPass:
 
     Each element of the layout takes its block prior's coefficients of the
     one formula of ``priors.FORMULA``; built once, they form one
-    ``PriorTable``, and each call is one ``table_log_prior`` over the
-    whole parameter vector. Log-scale elements take the prior at value =
-    exp(raw) plus the change-of-variables Jacobian. An identity-scale block
-    must have a prior on the real line: positives are carried on the log
-    scale. Each prior param is a scalar or holds one value per element.
+    ``PriorTable`` that holds only the terms some element has, and each
+    call is one ``table_log_prior`` over the whole parameter vector.
+    Log-scale elements take the prior at value = exp(raw) plus the
+    change-of-variables Jacobian. An identity-scale block must have a
+    prior on the real line: positives are carried on the log scale. Each
+    prior param is a scalar or holds one value per element.
     """
 
     def __init__(self, layout: Layout):
@@ -290,18 +294,30 @@ class _PriorPass:
             on_log[sl] = b.transform == "log"
             for name, value in b.prior.coefficients.items():
                 coef[name][sl] = value
+        # the log-scale elements with D alone, D and the tail, the tail
+        # alone, and neither, in that order: D and the tail each read one
+        # slice of them
         logs = np.flatnonzero(on_log)
+        d_held = coef["D"][logs] != 0.0
+        tail_held = (coef["E"][logs] != 0.0) & (coef["F"][logs] != 0.0)
+        logs = logs[np.argsort(np.where(d_held, tail_held, 3 - tail_held),
+                               kind="stable")]
         at = {name: c[logs] for name, c in coef.items()}
+        n_d, n_tail = int(d_held.sum()), int(tail_held.sum())
+        d_only = n_d - int((d_held & tail_held).sum())
+        inverse, tail = slice(0, n_d), slice(d_only, d_only + n_tail)
+        e = at["E"][tail]
         self.table = PriorTable(
-            float(coef["K"].sum()), np.where(on_log, 0.0, coef["L"]),
-            np.where(on_log, 0.0, coef["Q"]), logs,
-            np.stack((at["A"], at["C"] + 1.0, at["D"], at["E"])),
-            (at["L"], at["Q"], at["F"], 2.0 * at["E"]))
+            float(coef["K"].sum()), coef["L"], coef["Q"], logs, at["A"],
+            at["C"] + 1.0, (inverse, at["D"][inverse]) if n_d else None,
+            (tail, at["F"][tail], e, 2.0 * e) if n_tail else None)
 
-    def __call__(self, theta: np.ndarray, grad: np.ndarray) -> float:
-        """Add the priors' gradients into ``grad``; return their log
-        density. Non-finite results are left to ``_guarded``."""
-        return table_log_prior(self.table, theta, grad)
+    def __call__(self, theta: np.ndarray, nat: np.ndarray,
+                 grad: np.ndarray) -> float:
+        """Add the priors' gradients into ``grad``, the gradient in
+        ``nat``, carry it to the scale of ``theta`` and return the priors'
+        log density. Non-finite results are left to ``_guarded``."""
+        return table_log_prior(self.table, theta, nat, grad)
 
 
 class _RhsTerm:
@@ -451,25 +467,24 @@ class _HsgpTerm:
         hyper = nat[self.hyper_at]
         if not max(hyper[1::2].tolist()) <= _MAX_ROOT:
             raise RejectedState
-        s, axes = self.basis.spectral_weights_grad(self.config.kernel, hyper)
+        s, partials = self.basis.spectral_weights_grad(self.config.kernel,
+                                                       hyper)
         sqrt_s = np.sqrt(s)
-        w = nat[self.w_at]
-        v = sqrt_s * w
+        v = sqrt_s * nat[self.w_at]
         if not np.isfinite(v).all():
             raise RejectedState
-        return v, (w, sqrt_s, axes)
+        return v, (v, sqrt_s, partials)
 
     def backprop_weights(self, grad: np.ndarray, d_v: np.ndarray,
                          cache: tuple) -> None:
         """Push d(logp)/d(column weights) into weight and hyper
         gradients."""
-        w, sqrt_s, axes = cache
+        v, sqrt_s, partials = cache
         grad[self.w_at] += sqrt_s * d_v
-        # d sqrt(S)/dS = 1 / (2 sqrt(S)); zero where S underflows
-        inv2 = np.divide(0.5, sqrt_s, out=np.zeros(sqrt_s.size),
-                         where=sqrt_s > 0.0)
+        # d(logp)/d(log S) = S dv/dS d(logp)/dv = v d(logp)/dv / 2, which
+        # stays finite, and 0, where S underflows to 0
         grad[self.hyper_at] += kernels.spectral_weights_vjp(
-            self.basis, d_v * w * inv2, axes)
+            self.basis, 0.5 * (d_v * v), partials)
 
     def values(self, nat: np.ndarray) -> tuple[np.ndarray, tuple]:
         """Realized values at the basis points plus a backprop cache."""
@@ -640,9 +655,8 @@ class _HillTerm:
     def weights(self, nat: np.ndarray):
         """The curves at the distinct repeat counts, curve by curve, plus
         their partials in (gamma, zeta, eta)."""
-        value, grads = hill_grad_log(*nat[self.at], *self.g_logs)
-        return value.ravel(), np.array((grads["gamma"], grads["zeta"],
-                                        grads["eta"]))
+        value, partials = hill_grad_log(*nat[self.at], *self.g_logs)
+        return value.ravel(), partials
 
     def backprop_weights(self, grad: np.ndarray, d_s: np.ndarray,
                          partials: np.ndarray) -> None:
@@ -896,10 +910,10 @@ class _AdditiveCountModel:
     gradient of every source is one product, X^T d_eta.
 
     ``logp_grad`` exponentiates every log-scale element once into one
-    natural-scale vector, from which every source reads. Each backprop
-    writes natural-scale partials into one gradient buffer through slices
-    found when the model was built; the log-scale chain rule is applied
-    once, before the prior pass adds its terms.
+    natural-scale vector, from which every source and the prior pass read.
+    Each backprop writes natural-scale partials into one gradient buffer
+    through slices found when the model was built; the prior pass adds its
+    terms and applies the log-scale chain rule, once.
     """
 
     def __init__(self, spec: ModelSpec, data, terms: list):
@@ -945,10 +959,10 @@ class _AdditiveCountModel:
             columns.append(x)
         self.design = np.column_stack(columns)
 
-    def _natural(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """theta with every log-scale element exponentiated, and those
-        values. Each must come out positive and finite, or the state is
-        rejected; overflow is caught before np.exp."""
+    def _natural(self, theta: np.ndarray) -> np.ndarray:
+        """theta with every log-scale element exponentiated. Each must
+        come out positive and finite, or the state is rejected; overflow
+        is caught before np.exp."""
         u = theta[self.logs]
         if not np.maximum.reduce(u, initial=-np.inf) <= _MAX_LOG:
             raise RejectedState
@@ -957,7 +971,7 @@ class _AdditiveCountModel:
             raise RejectedState
         nat = theta.copy()
         nat[self.logs] = v
-        return nat, v
+        return nat
 
     def _terms(self, nat: np.ndarray, debias: bool):
         """The sum of the terms on the groups, without offsets, plus the
@@ -984,7 +998,7 @@ class _AdditiveCountModel:
 
     @_guarded
     def logp_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
-        nat, v = self._natural(theta)
+        nat = self._natural(theta)
         eta, caches = self._terms(nat, False)
         eta += self.g_offsets
         logp, d_eta, *d_dispersion = self.obs.loglik(
@@ -998,19 +1012,18 @@ class _AdditiveCountModel:
             source.backprop_weights(grad, d_s[at], cache)
         for term, cache in zip(self.outside, caches[len(self.sources):]):
             term.backprop(grad, d_eta, cache)
-        grad[self.logs] *= v
-        logp += self.prior(theta, grad)
+        logp += self.prior(theta, nat, grad)
         return logp, grad
 
     @_predicting
     def pointwise_loglik(self, theta: np.ndarray) -> np.ndarray:
-        nat = self._natural(theta)[0]
+        nat = self._natural(theta)
         return self.obs.pointwise(self._eta(nat, False),
                                   *nat[self.disp_at].tolist())
 
     @_predicting
     def replicate(self, theta, rng: np.random.Generator) -> np.ndarray:
-        nat = self._natural(theta)[0]
+        nat = self._natural(theta)
         try:
             return self.obs.replicate(rng, self._eta(nat, False),
                                       *nat[self.disp_at].tolist())
@@ -1022,7 +1035,7 @@ class _AdditiveCountModel:
         """Log intensity on the fitted observations (the rows, or the
         BRC model's cells), offsets included; ``debias`` drops the fatigue
         terms."""
-        return self._eta(self._natural(theta)[0], debias)[self.group_of]
+        return self._eta(self._natural(theta), debias)[self.group_of]
 
 
 # ---------------------------------------------------------------------------
@@ -1057,7 +1070,7 @@ class Stage1PoissonModel(_AdditiveCountModel):
 
     @_predicting
     def coefficients(self, theta) -> np.ndarray:
-        return self.tested.source.weights(self._natural(theta)[0])[0]
+        return self.tested.source.weights(self._natural(theta))[0]
 
 
 class Stage2PoissonModel(_AdditiveCountModel):
@@ -1081,7 +1094,7 @@ class Stage2PoissonModel(_AdditiveCountModel):
 
     @_predicting
     def coefficients(self, theta) -> np.ndarray:
-        return self.rhs.weights(self._natural(theta)[0])[0]
+        return self.rhs.weights(self._natural(theta))[0]
 
 
 class LongitudinalNbModel(_AdditiveCountModel):
@@ -1130,7 +1143,7 @@ class LongitudinalNbModel(_AdditiveCountModel):
     def fatigue_curve(self, theta, r_grid: np.ndarray) -> np.ndarray:
         """rho(r) on a grid of repeat counts for one draw."""
         repeat = np.asarray(r_grid, dtype=int)
-        nat = self._natural(theta)[0]
+        nat = self._natural(theta)
         return sum((t.on_repeats(nat, repeat)
                     for t in self.terms if t.fatigue), np.zeros(repeat.size))
 
@@ -1160,7 +1173,7 @@ class IndividualGamModel(_AdditiveCountModel):
     def age_curve(self, theta, ages: np.ndarray) -> np.ndarray:
         """log intensity at reference covariates (u = w = 0), at whole-year
         ages in 0-84: the age GP read on its grid, AGE_GRID."""
-        f = self.f_age.values_at(self._natural(theta)[0], *_whole_years(ages))
+        f = self.f_age.values_at(self._natural(theta), *_whole_years(ages))
         return self.layout.raw(theta, "beta0")[0] + f
 
 
@@ -1322,7 +1335,7 @@ class AggregatedBrcModel(_AdditiveCountModel):
             raise ValueError(f"no surface for pair {pair!r}")
         a, b = _whole_years(a, b)
         index = b * _N_AGE + a if swap else a * _N_AGE + b
-        f = self.surfaces[key].values_at(self._natural(theta)[0], index)
+        f = self.surfaces[key].values_at(self._natural(theta), index)
         t_idx = self.data.waves.index(wave)
         tau = self.layout.raw(theta, "tau")[t_idx - 1] if t_idx else 0.0
         pop = population.get(_contact_gender(pair))

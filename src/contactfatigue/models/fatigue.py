@@ -50,25 +50,31 @@ def log_repeats(r) -> tuple[np.ndarray, np.ndarray]:
 
 
 def hill_grad_log(gamma, zeta, eta, positive: np.ndarray,
-                  log_r: np.ndarray
-                  ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+                  log_r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """rho(r) of the curve (gamma, zeta, eta) on ``log_repeats(r)`` and its
-    partial derivatives w.r.t. (gamma, zeta, eta). The parameters may be
-    arrays that broadcast against the repeats, such as (Q, 1) columns for
-    Q curves at once.
+    partial derivatives w.r.t. (gamma, zeta, eta), stacked on a leading
+    axis of 3. The parameters may be arrays that broadcast against the
+    repeats, such as (Q, 1) columns for Q curves at once.
 
     Written through the logistic of zeta + eta log(r), which stays finite
     for arbitrarily extreme parameters.
     """
     frac = expit(zeta + eta * log_r) * positive   # 0 at r = 0
     value = -gamma * frac
-    d_zeta = value * (1.0 - frac)
-    grads = {"gamma": -frac, "zeta": d_zeta, "eta": d_zeta * log_r}
-    return value, grads
+    # each partial written into its row, a view even where value is 0-d
+    partials = np.empty((3,) + value.shape)
+    np.negative(frac, out=partials[0, ...])
+    np.multiply(value, 1.0 - frac, out=partials[1, ...])
+    np.multiply(partials[1, ...], log_r, out=partials[2, ...])
+    return value, partials
 
 
-_KINDS = ("none", "independent", "identical", "gp", "hill",
-          "hill_per_covariate", "variant_a", "variant_b", "variant_c")
+#: the kinds that evaluate Hill curves, with blocks hill_gamma, hill_zeta
+#: and hill_eta
+HILL_KINDS = ("hill", "hill_per_covariate")
+
+_KINDS = ("none", "independent", "identical", "gp", *HILL_KINDS,
+          "variant_a", "variant_b", "variant_c")
 #: the kinds that size a table or grid over repeats 1..max_repeat
 _TABLE_KINDS = ("independent", "gp", "variant_a", "variant_b", "variant_c")
 

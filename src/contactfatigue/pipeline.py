@@ -22,6 +22,7 @@ from .evaluation import interval_coverage, mape
 from .inference import (INTERVAL_95, Diagnostics, PosteriorDraws,
                         SamplerConfig, posterior_interval, sample_model)
 from .models import IndividualGamModel, ModelSpec, build_model
+from .models.fatigue import HILL_KINDS
 from .priors import PriorSpec
 
 logger = logging.getLogger(__name__)
@@ -54,14 +55,17 @@ class PopulationEstimate:
 
 def _propagated_spec(base: ModelSpec, means: dict[str, np.ndarray]
                      ) -> ModelSpec:
-    """Informative priors centered at the previous wave's posterior."""
+    """Informative priors centered at the previous wave's posterior: of the
+    coefficients, and of the Hill curves where the spec has them."""
     def at_mean(family: str, name: str, scale: float) -> PriorSpec:
         return PriorSpec(family, (tuple(map(float, means[name])), scale))
 
-    fatigue = replace(base.fatigue,
-                      gamma_prior=at_mean("halfnormal_pos", "hill_gamma", 0.3),
-                      zeta_prior=at_mean("normal", "hill_zeta", 0.1),
-                      eta_prior=at_mean("halfnormal_pos", "hill_eta", 0.1))
+    fatigue = base.fatigue
+    if fatigue.kind in HILL_KINDS:
+        fatigue = replace(
+            fatigue, gamma_prior=at_mean("halfnormal_pos", "hill_gamma", 0.3),
+            zeta_prior=at_mean("normal", "hill_zeta", 0.1),
+            eta_prior=at_mean("halfnormal_pos", "hill_eta", 0.1))
     return replace(base, beta_prior=at_mean("normal", "beta", 0.3),
                    fatigue=fatigue)
 

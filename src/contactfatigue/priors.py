@@ -11,9 +11,12 @@ log-likelihood comparisons across model families remain meaningful. A
 ``PriorSpec`` names a family and its parameters, and its ``coefficients``
 are the family's one function of them. A model writes the priors of all
 its parameters into one ``PriorTable`` of per-element coefficients when it
-is built; ``table_log_prior`` then evaluates them all, with the log-scale
-Jacobians, in one call per gradient. Positive parameters are carried on
-the log scale, so the positive families are evaluated on v > 0 only.
+is built, and the table keeps only the terms that some element holds (D
+and the E log1p(F v^2) tail on the elements that hold them). One call of
+``table_log_prior`` per gradient then evaluates them all, with the
+log-scale Jacobians, at the natural-scale values that the model has
+already computed. Positive parameters are carried on the log scale, so
+the positive families are evaluated on v > 0 only.
 
 The regularized horseshoe (RHS) follows the global-local construction
 
@@ -53,6 +56,10 @@ class PriorSpec:
     def __post_init__(self) -> None:
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown prior family {self.family!r}")
+        for idx, p in enumerate(self.params):
+            if not np.isfinite(np.asarray(p, dtype=float)).all():
+                raise ValueError(
+                    f"{self.family} parameter {idx} must be finite")
         for idx in _FAMILIES[self.family].positive:
             if np.any(np.asarray(self.params[idx]) <= 0):
                 raise ValueError(
@@ -126,43 +133,58 @@ _FAMILIES = {
 
 class PriorTable(NamedTuple):
     """The priors of every element of a parameter vector as coefficients
-    of ``FORMULA``. ``const`` is the sum of K over the elements. ``loc``
-    and ``prec`` hold L and Q of the identity-scale elements, which are
-    all normal, over the whole vector, with Q = 0 on the log-scale ones.
-    ``logs`` indexes the log-scale elements: ``weights`` holds their A,
-    C + 1 (the 1 is the Jacobian of v = exp(u)), D and E, one row each,
-    and ``log_coef`` their L, Q, F and 2 E."""
+    of ``FORMULA``, built once; the terms that no element holds are left
+    out, so they cost nothing per call. ``const`` is the sum of K over the
+    elements. ``loc`` and ``prec`` hold L and Q of every element, read at
+    its natural-scale value, with Q = 0 where the prior has no quadratic
+    term. ``logs`` indexes the log-scale elements, and ``lin`` and
+    ``log_coef`` hold their A and C + 1 (the 1 is the Jacobian of
+    v = exp(u)). ``inverse`` is (at, D) and ``tail`` (at, F, E, 2 E) of
+    the log-scale elements that hold the term, the slice ``at`` of
+    ``logs``, or None where none does."""
 
     const: float
     loc: np.ndarray
     prec: np.ndarray
     logs: np.ndarray
-    weights: np.ndarray
-    log_coef: tuple
+    lin: np.ndarray
+    log_coef: np.ndarray
+    inverse: tuple | None
+    tail: tuple | None
 
 
-def table_log_prior(table: PriorTable, theta: np.ndarray,
+def table_log_prior(table: PriorTable, theta: np.ndarray, nat: np.ndarray,
                     grad: np.ndarray) -> float:
-    """Add the gradient of every element's log prior into ``grad`` and
-    return their sum: K - z^2 / 2 with z = (theta - L) Q on the identity
-    scale, ``FORMULA`` at v = exp(u) plus the Jacobian u on the log scale,
-    with log v taken as u. A v that underflows to 0, or whose square
-    overflows, gives a non-finite result."""
-    u = theta[table.logs]
-    loc, prec, tail_scale, tail2 = table.log_coef
-    lin, log_coef, inv, _ = table.weights
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        z = (theta - table.loc) * table.prec
-        grad -= z * table.prec
-        v = np.exp(u)
-        r = 1.0 / v
-        zl = (v - loc) * prec
-        fv2 = tail_scale * (v * v)
-        grad[table.logs] += ((lin - zl * prec) * v + log_coef - inv * r
-                             + tail2 * (fv2 / (1.0 + fv2)))
-        return (table.const - 0.5 * float(z @ z + zl @ zl)
-                + float(np.vdot(table.weights,
-                                np.stack((v, u, r, np.log1p(fv2))))))
+    """Return the sum of every element's log prior and carry ``grad`` to
+    the scale of ``theta``.
+
+    ``nat`` is ``theta`` with each log-scale element u carried to
+    v = exp(u), and ``grad`` holds the rest of the density's gradient in
+    ``nat``. The prior is K - z^2 / 2 with z = (nat - L) Q on every
+    element, plus A v + (C + 1) u + D / v + E log1p(F v^2) on the log
+    scale, log v taken as u; its gradient is added into ``grad``, whose
+    log-scale elements are then multiplied by v. The caller sets the
+    ``np.errstate``: a v whose inverse or whose square overflows where the
+    table holds that term gives a non-finite result."""
+    logs = table.logs
+    u, v = theta[logs], nat[logs]
+    z = (nat - table.loc) * table.prec
+    grad -= z * table.prec
+    g = (grad[logs] + table.lin) * v + table.log_coef
+    logp = (table.const - 0.5 * float(z @ z)
+            + float(table.lin @ v + table.log_coef @ u))
+    if table.inverse is not None:
+        at, d = table.inverse
+        r = 1.0 / v[at]
+        g[at] -= d * r
+        logp += float(d @ r)
+    if table.tail is not None:
+        at, f, e, e2 = table.tail
+        fv2 = f * np.square(v[at])
+        g[at] += e2 * (fv2 / (1.0 + fv2))
+        logp += float(e @ np.log1p(fv2))
+    grad[logs] = g
+    return logp
 
 
 # ---------------------------------------------------------------------------

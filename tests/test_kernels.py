@@ -22,8 +22,8 @@ def realized_covariance(basis, family, hyper, *inputs):
 
 
 def density(family, sigma, ell, omega):
-    """The spectral density S alone."""
-    return spectral_density(family, sigma, ell, omega)[0]
+    """The spectral density S alone, at the frequencies ``omega``."""
+    return spectral_density(family, sigma, ell, np.square(omega))[0]
 
 
 class TestKernelEval:
@@ -89,15 +89,16 @@ class TestSpectralDensity:
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_gradients_match_finite_differences(self, family):
+        # S and d log S / d ell; S is linear in sigma
         omega = np.linspace(0, 6, 13)
-        s, d_sigma, d_ell = spectral_density(family, 1.2, 0.8, omega)
+        s, d_log_ell = spectral_density(family, 1.2, 0.8, omega**2)
         h = 1e-6
         num_sigma = (density(family, 1.2 + h, 0.8, omega)
                      - density(family, 1.2 - h, 0.8, omega)) / (2 * h)
         num_ell = (density(family, 1.2, 0.8 + h, omega)
                    - density(family, 1.2, 0.8 - h, omega)) / (2 * h)
-        np.testing.assert_allclose(d_sigma, num_sigma, rtol=1e-6)
-        np.testing.assert_allclose(d_ell, num_ell, rtol=1e-5)
+        np.testing.assert_allclose(s / 1.2, num_sigma, rtol=1e-6)
+        np.testing.assert_allclose(s * d_log_ell, num_ell, rtol=1e-5)
 
 
 class TestHsgp1d:
@@ -293,31 +294,34 @@ def test_spectral_weights_equal_the_per_column_formula(kind):
     j, k = (np.triu_indices(m) if basis.symmetric
             else np.divmod(np.arange(m * m), m))
     hyper = np.array([0.7, 1.3, 1.9, 0.4])
-    sa1, dsa1, dla1 = spectral_density("matern52", *hyper[:2],
-                                       basis.freqs[j, 0])
-    sb1, dsb1, dlb1 = spectral_density("matern52", *hyper[2:],
-                                       basis.freqs[k, 1])
+
+    def density(sigma, ell, omega):
+        # S, dS/dsigma and dS/dell at the frequencies omega
+        s, d_log_ell = spectral_density("matern52", sigma, ell, omega**2)
+        return s, s / sigma, s * d_log_ell
+
+    sa1, dsa1, dla1 = density(*hyper[:2], basis.freqs[j, 0])
+    sb1, dsb1, dlb1 = density(*hyper[2:], basis.freqs[k, 1])
     s = sa1 * sb1
     grads = [dsa1 * sb1, dla1 * sb1, sa1 * dsb1, sa1 * dlb1]
     if basis.symmetric:
-        sa2, dsa2, dla2 = spectral_density("matern52", *hyper[:2],
-                                           basis.freqs[k, 1])
-        sb2, dsb2, dlb2 = spectral_density("matern52", *hyper[2:],
-                                           basis.freqs[j, 0])
+        sa2, dsa2, dla2 = density(*hyper[:2], basis.freqs[k, 1])
+        sb2, dsb2, dlb2 = density(*hyper[2:], basis.freqs[j, 0])
         s = 0.5 * (s + sa2 * sb2)
         grads = [0.5 * (grads[0] + dsa2 * sb2),
                  0.5 * (grads[1] + dla2 * sb2),
                  0.5 * (grads[2] + sa2 * dsb2),
                  0.5 * (grads[3] + sa2 * dlb2)]
-    weights, axes = basis.spectral_weights_grad("matern52", hyper)
+    weights, partials = basis.spectral_weights_grad("matern52", hyper)
     np.testing.assert_array_equal(weights, s)
     # the per-column partials enter only through the product with a
-    # gradient on the columns
+    # gradient on the columns, which the vjp takes in log S
     rng = np.random.default_rng(3)
     for _ in range(3):
         g = rng.standard_normal(weights.size)
-        np.testing.assert_allclose(spectral_weights_vjp(basis, g, axes),
-                                   [g @ want for want in grads], rtol=1e-12)
+        np.testing.assert_allclose(
+            spectral_weights_vjp(basis, g * weights, partials),
+            [g @ want for want in grads], rtol=1e-12)
 
 
 class TestRealize:

@@ -10,6 +10,7 @@ from contactfatigue.models import FatigueSpec, ModelSpec, build_model
 from contactfatigue.pipeline import (WaveFit, bootstrap_mean, cell_weights,
                                      fit_independent, fit_sequence, fit_wave,
                                      poststratified_mean)
+from contactfatigue.priors import PriorSpec
 
 from conftest import SMALL_FEATURES, brc_model, make_records
 
@@ -58,6 +59,21 @@ def test_an_empty_wave_is_a_data_error(fit):
     cfg = SamplerConfig(chains=1, warmup=100, sampling=5)
     with pytest.raises(DataError, match="no records to fit"):
         fit([[], make_records(40)], SMALL_FEATURES, spec, cfg)
+
+
+def test_a_plain_gam_sequence_propagates_its_coefficient_priors():
+    # a spec without Hill fatigue has no Hill blocks: the second wave
+    # failed with KeyError 'hill_gamma' when their priors were propagated
+    records = make_records(40, waves=2)
+    waves = [[r for r in records if r.wave == t] for t in (1, 2)]
+    spec = ModelSpec(family="individual_gam")
+    cfg = SamplerConfig(chains=1, warmup=100, sampling=5)
+    fits = fit_sequence(waves, SMALL_FEATURES, spec, cfg)
+    assert [f.prior_provenance for f in fits] == ["initial", "propagated"]
+    second = fits[1].model.spec
+    assert second.beta_prior == PriorSpec("normal", (tuple(
+        map(float, fits[0].posterior_means["beta"])), 0.3))
+    assert second.fatigue == spec.fatigue
 
 
 def test_cell_weights_without_shares_are_uniform():

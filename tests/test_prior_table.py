@@ -1,6 +1,7 @@
 """The prior pass against densities computed independently with scipy."""
 
 import dataclasses
+import types
 
 import numpy as np
 import pytest
@@ -139,7 +140,61 @@ def _scipy_log_priors(model, densities, theta):
     return out
 
 
+#: every family in one layout: normal on both scales and the positive
+#: families on the log scale, each with its scipy density. D (inverse
+#: Gamma), A (exponential) and the log-scale quadratic (half-normal) are
+#: each held by one element only, between elements that do not hold them.
+SIX_FAMILIES = (
+    (Block("normal", 3, prior=PriorSpec(
+        "normal", ((0.5, -1.0, 2.0), (1.0, 2.0, 0.5)))),
+     _norm(np.array([0.5, -1.0, 2.0]), np.array([1.0, 2.0, 0.5]))),
+    (Block("half_t", 2, "log", PriorSpec("student_t_pos", ((3.0, 5.0), 0.7))),
+     _half_t(np.array([3.0, 5.0]), 0.7)),
+    (Block("halfnormal", 1, "log", PriorSpec("halfnormal_pos", (0.8, 0.5))),
+     _truncnorm(0.8, 0.5)),
+    (Block("normal_log", 2, "log", PriorSpec("normal", (1.0, 2.0))),
+     _norm(1.0, 2.0)),
+    (Block("invgamma", 1, "log", PriorSpec("invgamma", (3.0, 2.0))),
+     _invgamma(3.0, 2.0)),
+    (Block("cauchy", 1, "log", PriorSpec("cauchy_pos", (1.5,))),
+     lambda x: stats.halfcauchy.logpdf(x, scale=1.5)),
+    (Block("exponential", 1, "log", PriorSpec("exponential", (2.0,))),
+     lambda x: stats.expon.logpdf(x, scale=0.5)),
+)
+
+#: the layout without the families that have a D or a tail term
+NO_INVERSE_OR_TAIL = tuple(
+    (b, f) for b, f in SIX_FAMILIES
+    if b.prior.family not in ("invgamma", "cauchy_pos", "student_t_pos"))
+
+
 class TestPriorTable:
+    @pytest.mark.parametrize("blocks", [SIX_FAMILIES, NO_INVERSE_OR_TAIL],
+                             ids=["six-families", "no-inverse-or-tail"])
+    def test_one_pass_over_every_family(self, blocks):
+        # the table holds a term on the elements that have it, and the one
+        # pass over the whole vector is the scipy-written density
+        layout = Layout([b for b, _ in blocks])
+        densities = {b.name: (f, b.transform == "log") for b, f in blocks}
+        prior = _PriorPass(layout)
+        held = {b.prior.family for b, _ in blocks}
+        assert (prior.table.inverse is None) == ("invgamma" not in held)
+        assert (prior.table.tail is None) == (
+            held.isdisjoint({"cauchy_pos", "student_t_pos"}))
+        bare = types.SimpleNamespace(layout=layout)
+        rng = np.random.default_rng(5)
+        for width in (1.0, 1.0, 8.0):
+            theta = rng.uniform(-width, width, layout.size)
+            nat = np.hstack(list(layout.constrained(theta).values()))
+            grad = np.zeros(layout.size)
+            logp = prior(theta, nat, grad)
+            expected = _scipy_log_priors(bare, densities, theta)
+            assert logp == pytest.approx(expected.sum(), rel=1e-12)
+            h = 1e-6
+            num = (_scipy_log_priors(bare, densities, theta + h)
+                   - _scipy_log_priors(bare, densities, theta - h)) / (2 * h)
+            np.testing.assert_allclose(grad, num, rtol=1e-6, atol=1e-6)
+
     @pytest.mark.parametrize("name", sorted(FAMILIES))
     def test_matches_scipy_densities(self, name):
         model, densities = FAMILIES[name]
@@ -149,7 +204,7 @@ class TestPriorTable:
         for width in (1.0, 1.0, 1.0, 8.0):
             theta = rng.uniform(-width, width, model.layout.size)
             grad = np.zeros(model.layout.size)
-            logp = model.prior(theta, grad)
+            logp = model.prior(theta, model._natural(theta), grad)
             expected = _scipy_log_priors(model, densities, theta)
             assert logp == pytest.approx(expected.sum(), rel=1e-10)
             # each element's prior depends on that element alone, so one
@@ -165,7 +220,7 @@ class TestPriorTable:
                             build_design([], SMALL_FEATURES))
         theta = np.random.default_rng(2).uniform(-1, 1, model.layout.size)
         grad = np.zeros(model.layout.size)
-        logp = model.prior(theta, grad)
+        logp = model.prior(theta, model._natural(theta), grad)
         lp, g = model.logp_grad(theta)
         assert lp == pytest.approx(logp, rel=1e-12)
         np.testing.assert_allclose(g, grad, rtol=1e-12, atol=1e-12)
@@ -175,7 +230,7 @@ class TestPriorTable:
         table = _PriorPass(Layout([Block("phi", 1, "log", DISPERSION_PRIOR)]))
         for u in np.linspace(-30.0, 30.0, 61):
             grad = np.zeros(1)
-            logp = table(np.array([u]), grad)
+            logp = table(np.array([u]), np.exp([u]), grad)
             assert logp == pytest.approx(-u - np.exp(-u), rel=1e-12, abs=1e-12)
             assert grad[0] == pytest.approx(np.exp(-u) - 1.0, rel=1e-12,
                                             abs=1e-12)

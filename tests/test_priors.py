@@ -80,12 +80,15 @@ def _formula(coefficients, v):
 def _prior_pass(spec, carried):
     """The log prior and its gradient that a model's prior pass gives a
     block of ``spec`` at the carried values: the values themselves for a
-    prior on the real line, their logs for a positive one."""
+    prior on the real line, their logs for a positive one. Like a model,
+    it runs the pass with NumPy's floating-point warnings off."""
     carried = np.atleast_1d(np.asarray(carried, dtype=float))
     transform = "identity" if spec.on_real_line else "log"
     prior = _PriorPass(Layout([Block("a", carried.size, transform, spec)]))
     grad = np.zeros(carried.size)
-    return prior(carried.copy(), grad), grad
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        nat = carried if spec.on_real_line else np.exp(carried)
+        return prior(carried.copy(), nat.copy(), grad), grad
 
 
 def _natural(spec, v):
@@ -151,6 +154,20 @@ class TestLogPrior:
         with pytest.raises(ValueError):
             PriorSpec("beta", (1.0, 1.0))
 
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.family)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_params_rejected(self, spec, bad):
+        # a NaN scale passed the > 0 check, and a NaN or infinite param
+        # made the density -inf or NaN everywhere; a scalar and a
+        # per-element param are refused, naming the family and the index
+        for idx in range(len(spec.params)):
+            for value in (bad, np.array([1.0, bad])):
+                params = list(spec.params)
+                params[idx] = value
+                with pytest.raises(ValueError, match=(
+                        f"{spec.family} parameter {idx} must be finite")):
+                    PriorSpec(spec.family, tuple(params))
+
 
 #: zero, subnormal, tiny, ordinary and huge values of both signs
 EDGE_VALUES = np.array([0.0, -0.0, 5e-324, 1e-300, 1e-8, 0.37, 2.5, 1e8,
@@ -165,18 +182,16 @@ class TestPriorTerms:
     """The prior pass adds up the terms of ``FORMULA`` at each element's
     coefficients: it equals the formula written out, plus the log-scale
     Jacobian, with scalar and per-element parameters, and is non-finite
-    where the written-out formula is."""
+    where the written-out formula is. The pass takes 1 / v and v^2 only
+    for the families that have those terms, as the formula does."""
 
     @staticmethod
     def _written_out(spec, carried):
-        """The formula at each carried value, plus the log-scale Jacobian;
-        NaN where v = exp(u) underflows to 0 or v^2 overflows, where the
-        pass, which takes 1 / v and v^2, is not finite."""
+        """The formula at each carried value, plus the log-scale
+        Jacobian."""
         if spec.on_real_line:
             return _formula(spec.coefficients, carried)
-        v = np.exp(carried)
-        terms = _formula(spec.coefficients, v) + carried
-        return np.where((v == 0.0) | np.isinf(v * v), np.nan, terms)
+        return _formula(spec.coefficients, np.exp(carried)) + carried
 
     def _assert_same(self, spec, carried):
         got, _ = _prior_pass(spec, carried)
