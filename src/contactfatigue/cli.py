@@ -312,18 +312,22 @@ def cmd_fit(args, values: dict) -> int:
 def selection_groups(records, wave: int | None = None):
     """First-timers and repeaters of ``wave``; by default of the first wave
     that has both (a panel's first wave holds first-timers only)."""
-    for t in [wave] if wave else sorted({r.wave for r in records}):
+    waves = sorted({r.wave for r in records}) if wave is None else [wave]
+    for t in waves:
         first = [r for r in records if r.wave == t and r.repeat == 0]
         repeat = [r for r in records if r.wave == t and r.repeat >= 1]
         if first and repeat:
             return first, repeat
-    raise DataError(f"wave {wave} lacks first-timers or repeaters" if wave
-                    else "no wave has both first-timers and repeaters")
+    raise DataError("no wave has both first-timers and repeaters"
+                    if wave is None
+                    else f"wave {wave} lacks first-timers or repeaters")
 
 
 def cmd_select(args, values: dict) -> int:
     with settings():
         cfg = configured(SamplerConfig, values)
+        if args.wave is not None and args.wave < 1:
+            raise ValueError(f"wave must be >= 1, got {args.wave}")
     records = _load_records(args.data, values["seed"])
     first, repeat = selection_groups(records, args.wave)
     fs = scenario_feature_spec()

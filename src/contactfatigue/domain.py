@@ -4,6 +4,10 @@ The contact-band age grid runs over single years 0..84. Participants report
 the ages of their contacts in coarse bands; participants under 18 report (or
 are reported) in child age bands and have their exact age imputed uniformly
 within the band.
+
+A design is three named blocks of indicator columns, u (baseline), v
+(tested) and w (fatigue), each coded from ``attribute_levels``, as are the
+simulator's true effects.
 """
 
 from __future__ import annotations
@@ -131,11 +135,11 @@ class SurveyRecord:
         if not (AGE_MIN <= self.age <= AGE_MAX):
             raise DataError(f"age out of range 0–84: {self.age}")
         if self.contacts_total < 0:
-            raise DataError("contacts_total must be >= 0")
+            raise DataError(f"negative contact count {self.contacts_total}")
         bands = self.contacts_by_band
         if bands is not None:
             if min(bands, default=0) < 0:
-                raise DataError("negative contacts_by_band count for "
+                raise DataError("negative band count for "
                                 f"participant {self.participant_id}")
             # a total at the cap no longer bounds the separately capped bands
             if (self.contacts_total < CONTACT_CAP
@@ -180,13 +184,6 @@ def impute_child_age(band: AgeBand, rng: np.random.Generator) -> int:
             f"band {band.label} is not a child band; adults report exact age"
         )
     return int(rng.integers(band.lo, band.hi + 1))
-
-
-def truncate_contacts(y: int) -> int:
-    """Cap a contact count at ``CONTACT_CAP`` to mitigate extreme outliers."""
-    if y < 0:
-        raise DataError(f"negative contact count {y}")
-    return min(y, CONTACT_CAP)
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +248,6 @@ def _read_row(row: Mapping[str, str], schema: CsvSchema,
     by_band = None
     if band_cols is not None:
         raw = [int(row[c] or 0) for c in band_cols]
-        if min(raw) < 0:
-            raise DataError("negative band count")
         if sum(raw) > y_raw:
             raise DataError(f"band counts sum to {sum(raw)}, "
                             f"more than y_total {y_raw}")
@@ -266,7 +261,7 @@ def _read_row(row: Mapping[str, str], schema: CsvSchema,
         sex=sex,
         household_size=household,
         covariates=covariates,
-        contacts_total=truncate_contacts(y_raw),
+        contacts_total=min(y_raw, CONTACT_CAP),
         contacts_by_band=by_band,
         report_date=int(date_text) if date_text else 0,
     )
@@ -284,10 +279,11 @@ def load_survey_csv(
     are dropped and counted in the returned report. Child rows carrying an
     ``age_band`` but no exact age have their age imputed uniformly within the
     band, which requires ``rng``. Band counts, when the file has a column
-    for every band of ``default_coarse_bands()``, must be non-negative and
-    sum to at most ``y_total``; both rules are checked before the total and
-    each band count are capped at ``CONTACT_CAP``. A row that breaks a rule
-    of the file or of ``SurveyRecord`` raises ``DataError`` naming
+    for every band of ``default_coarse_bands()``, must sum to at most
+    ``y_total``, as reported: the rule is checked before the total and each
+    band count are capped at ``CONTACT_CAP``. The cap keeps a negative count
+    negative, for ``SurveyRecord`` to refuse. A row that breaks a rule of
+    the file or of ``SurveyRecord`` raises ``DataError`` naming
     ``path:line``.
     """
     schema = schema or CsvSchema()
@@ -365,26 +361,33 @@ class FeatureSpec:
     w: tuple[FeatureBlock, ...] = ()
 
 
-def _record_level(record: SurveyRecord, attribute: str) -> str:
+def attribute_levels(records: Sequence, attribute: str) -> np.ndarray:
+    """Each record's level of ``attribute``: "1" for the constant "const",
+    the field itself for "sex" and "household_size", otherwise the entry of
+    the record's covariate map. Any object with those three fields is coded
+    as a record is."""
     if attribute == "const":
-        return "1"
-    if attribute == "sex":
-        return record.sex
-    if attribute == "household_size":
-        return record.household_size
+        return np.full(len(records), "1")
+    if attribute in ("sex", "household_size"):
+        return np.array([getattr(r, attribute) for r in records], dtype=str)
     try:
-        return record.covariates[attribute]
+        return np.array([r.covariates[attribute] for r in records],
+                        dtype=str)
     except KeyError as exc:
         raise DataError(f"record missing covariate {attribute!r}") from exc
 
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """Model-ready data bundle shared by all regression families."""
+    """Model-ready data bundle shared by all regression families.
 
-    column_names: tuple[str, ...]
-    x: np.ndarray                      # (n, p) indicator matrix
-    blocks: Mapping[str, slice]        # 'u' | 'v' | 'w' -> column range
+    ``blocks`` holds the (n, k) indicator columns of each role, u
+    (baseline), v (tested) and w (fatigue), and ``names`` their column
+    names "attribute:level"; ``x`` is the three side by side.
+    """
+
+    blocks: Mapping[str, np.ndarray]        # role -> (n, k) indicators
+    names: Mapping[str, tuple[str, ...]]    # role -> its k column names
     y: np.ndarray                      # (n,) contact counts
     age: np.ndarray                    # (n,) integer years
     repeat: np.ndarray                 # (n,)
@@ -393,50 +396,41 @@ class DesignMatrix:
 
     @property
     def n(self) -> int:
-        return self.x.shape[0]
+        return self.y.size
 
-    def block(self, name: str) -> np.ndarray:
-        return self.x[:, self.blocks[name]]
+    @property
+    def x(self) -> np.ndarray:
+        """The (n, p) columns u | v | w."""
+        return np.hstack([self.blocks[role] for role in "uvw"])
 
-    def block_names(self, name: str) -> tuple[str, ...]:
-        return self.column_names[self.blocks[name]]
+
+def _code(records: Sequence[SurveyRecord], blk: FeatureBlock) -> np.ndarray:
+    """The (n, k) indicator columns of one feature block."""
+    levels = attribute_levels(records, blk.attribute)
+    unknown = levels[~np.isin(levels, blk.levels)]
+    if unknown.size:
+        raise DataError(f"unknown {blk.attribute} level {str(unknown[0])!r}")
+    return (levels[:, None]
+            == np.array(blk.column_levels(), dtype=str)).astype(float)
 
 
 def build_design(records: Sequence[SurveyRecord],
                  feature_spec: FeatureSpec) -> DesignMatrix:
-    """Expand records into indicator columns ordered (u | v | w), with zero
-    offsets. Population offsets enter per contact age inside the
+    """Code records into the u, v and w blocks of ``feature_spec``, with
+    zero offsets. Population offsets enter per contact age inside the
     rate-consistency model, not per row here.
     """
     n = len(records)
-    columns: list[str] = []
-    pieces: list[np.ndarray] = []
-    block_slices: dict[str, slice] = {}
-    start = 0
-    for role, blocks in (("u", feature_spec.u), ("v", feature_spec.v),
-                         ("w", feature_spec.w)):
-        width = 0
-        for blk in blocks:
-            col_levels = blk.column_levels()
-            mat = np.zeros((n, len(col_levels)))
-            for i, rec in enumerate(records):
-                level = _record_level(rec, blk.attribute)
-                if level not in blk.levels:
-                    raise DataError(
-                        f"unknown {blk.attribute} level {level!r}")
-                if level in col_levels:
-                    mat[i, col_levels.index(level)] = 1.0
-            pieces.append(mat)
-            columns.extend(f"{blk.attribute}:{l}" for l in col_levels)
-            width += len(col_levels)
-        block_slices[role] = slice(start, start + width)
-        start += width
-
-    x = np.hstack(pieces) if pieces else np.zeros((n, 0))
+    blocks, names = {}, {}
+    for role in "uvw":
+        spec_blocks = getattr(feature_spec, role)
+        blocks[role] = np.hstack(
+            [np.zeros((n, 0))] + [_code(records, b) for b in spec_blocks])
+        names[role] = tuple(f"{b.attribute}:{l}" for b in spec_blocks
+                            for l in b.column_levels())
     return DesignMatrix(
-        column_names=tuple(columns),
-        x=x,
-        blocks=block_slices,
+        blocks=blocks,
+        names=names,
         y=np.array([r.contacts_total for r in records], dtype=float),
         age=np.array([r.age for r in records], dtype=float),
         repeat=np.array([r.repeat for r in records], dtype=float),

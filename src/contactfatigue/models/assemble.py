@@ -1054,23 +1054,26 @@ class Stage1PoissonModel(_AdditiveCountModel):
     observation = _PoissonGroups
 
     def __init__(self, spec: ModelSpec, data: DesignMatrix):
-        u, v = data.block("u"), data.block("v")
+        u, v = data.blocks["u"], data.blocks["v"]
         k = v.shape[1]
         if spec.rhs is not None and spec.rhs.n_coef != k:
             raise ValueError(f"rhs.n_coef must equal {k}")
-        self.tested = _Linear(v, (
-            _Coefficients(Block("beta", k, prior=STD_NORMAL))
-            if spec.rhs is None else _RhsTerm("beta", spec.rhs)))
         super().__init__(spec, data, [
             _Linear.intercept(spec, data.n),
             _Linear(u, _Coefficients(
                 Block("alpha_raw", u.shape[1], prior=STD_NORMAL),
                 "sigma_alpha")),
-            self.tested])
+            _Linear(v, (_Coefficients(Block("beta", k, prior=STD_NORMAL))
+                        if spec.rhs is None else _RhsTerm("beta", spec.rhs)))])
 
     @_predicting
+    def effects(self, theta) -> list[np.ndarray]:
+        """beta0, alpha = sigma_alpha * alpha_raw and beta of one draw."""
+        nat = self._natural(theta)
+        return [t.source.weights(nat)[0] for t in self.terms]
+
     def coefficients(self, theta) -> np.ndarray:
-        return self.tested.source.weights(self._natural(theta))[0]
+        return self.effects(theta)[2]
 
 
 class Stage2PoissonModel(_AdditiveCountModel):
@@ -1086,7 +1089,7 @@ class Stage2PoissonModel(_AdditiveCountModel):
     def __init__(self, spec: ModelSpec, data: DesignMatrix):
         if spec.rhs is None or spec.rhs.sign != "negative":
             raise ValueError("stage 2 requires a negative-sign RhsSpec")
-        w = data.block("w")
+        w = data.blocks["w"]
         if spec.rhs.n_coef != w.shape[1]:
             raise ValueError(f"rhs.n_coef must equal {w.shape[1]}")
         self.rhs = _RhsTerm("gamma", spec.rhs)
@@ -1130,10 +1133,11 @@ class LongitudinalNbModel(_AdditiveCountModel):
         else:
             raise ValueError(f"unsupported fatigue kind {fk!r} for "
                              "the longitudinal model")
+        x = data.x
         super().__init__(spec, data, [
             _Linear.intercept(spec, data.n),
-            _Linear(data.x, _Coefficients(
-                Block("beta_raw", data.x.shape[1], prior=STD_NORMAL),
+            _Linear(x, _Coefficients(
+                Block("beta_raw", x.shape[1], prior=STD_NORMAL),
                 "sigma_beta")),
             _Gather.on_axis("tau", times / max(times.std(), 1e-8), time_idx,
                             TIME_GP),
@@ -1156,7 +1160,7 @@ class IndividualGamModel(_AdditiveCountModel):
     def __init__(self, spec: ModelSpec, data: DesignMatrix):
         if spec.fatigue.kind not in ("none", "hill_per_covariate"):
             raise ValueError("GAM fatigue must be none or hill_per_covariate")
-        u, w = data.block("u"), data.block("w")
+        u, w = data.blocks["u"], data.blocks["w"]
         age = _Gather.on_axis("age", AGE_GRID / AGE_SD, data.age.astype(int),
                               spec.hsgp_age)
         self.f_age = age.source

@@ -66,7 +66,7 @@ def stage1_select(design: DesignMatrix, rhs: RhsSpec,
     """Select intensity determinants among the tested block of first-timers."""
     if np.any(design.repeat != 0):
         raise ValueError("stage 1 requires first-time participants only")
-    names = design.block_names("v")
+    names = design.names["v"]
     if len(names) == 0:
         raise ValueError("stage 1 requires a non-empty tested block")
     spec = ModelSpec(family="stage1_poisson", rhs=rhs,
@@ -81,21 +81,19 @@ def stage1_refit_offsets(design_first: DesignMatrix,
                          cfg: SamplerConfig) -> np.ndarray:
     """Stage-2 row offsets from a plain-prior stage-1 refit.
 
-    The refit replaces the horseshoe with standard normal priors; posterior
-    medians of (beta0, alpha, beta) are frozen into per-row offsets for the
-    target design (which must share the u and v blocks).
+    The refit replaces the horseshoe with standard normal priors; the
+    posterior medians of beta0, alpha = sigma_alpha * alpha_raw and beta,
+    each taken over the draws of that effect, are frozen into per-row
+    offsets for the target design (which must share the u and v blocks).
     """
     spec = ModelSpec(family="stage1_poisson",
                      beta0_prior=STAGE1_INTERCEPT_PRIOR)
     model = Stage1PoissonModel(spec, design_first)
     draws, _ = sample_model(model, cfg, compute_pointwise=False)
-    med = draws.point(np.median)
-    sigma_a = float(med["sigma_alpha"][0])
-    alpha = sigma_a * med["alpha_raw"]
-    n_v = design_target.block("v").shape[1]
-    beta = med.get("beta", np.zeros(n_v))
-    return (float(med["beta0"][0]) + design_target.block("u") @ alpha
-            + design_target.block("v") @ beta)
+    beta0, alpha, beta = (np.median(draws_of, axis=0) for draws_of in zip(
+        *(model.effects(t) for t in draws.stacked())))
+    return (beta0[0] + design_target.blocks["u"] @ alpha
+            + design_target.blocks["v"] @ beta)
 
 
 def stage2_select(design: DesignMatrix, offsets: np.ndarray, rhs: RhsSpec,
@@ -105,7 +103,7 @@ def stage2_select(design: DesignMatrix, offsets: np.ndarray, rhs: RhsSpec,
         raise ValueError("stage 2 requires repeating participants only")
     if rhs.sign != "negative":
         raise ValueError("stage 2 uses the negative-sign horseshoe")
-    names = design.block_names("w")
+    names = design.names["w"]
     data = replace_offsets(design, offsets)
     spec = ModelSpec(family="stage2_poisson", rhs=rhs)
     med, lo, hi = _fit_coefficients(Stage2PoissonModel(spec, data), cfg, 2)
@@ -123,21 +121,11 @@ def replace_offsets(design: DesignMatrix, offsets: np.ndarray) -> DesignMatrix:
 def subset_v_block(design: DesignMatrix, keep: tuple[str, ...]
                    ) -> DesignMatrix:
     """Restrict the tested block to the named columns (order preserved)."""
-    v_names = design.block_names("v")
-    keep_idx = [i for i, n in enumerate(v_names) if n in keep]
-    u_sl, v_sl, w_sl = (design.blocks[k] for k in ("u", "v", "w"))
-    cols = (list(range(u_sl.start, u_sl.stop))
-            + [v_sl.start + i for i in keep_idx]
-            + list(range(w_sl.start, w_sl.stop)))
-    n_u = u_sl.stop - u_sl.start
-    n_v = len(keep_idx)
-    n_w = w_sl.stop - w_sl.start
+    pick = [i for i, n in enumerate(design.names["v"]) if n in keep]
     return replace(
-        design,
-        x=design.x[:, cols],
-        column_names=tuple(design.column_names[c] for c in cols),
-        blocks={"u": slice(0, n_u), "v": slice(n_u, n_u + n_v),
-                "w": slice(n_u + n_v, n_u + n_v + n_w)})
+        design, blocks={**design.blocks, "v": design.blocks["v"][:, pick]},
+        names={**design.names,
+               "v": tuple(design.names["v"][i] for i in pick)})
 
 
 def two_stage_select(design_first: DesignMatrix, design_repeat: DesignMatrix,
@@ -145,14 +133,14 @@ def two_stage_select(design_first: DesignMatrix, design_repeat: DesignMatrix,
                      ) -> tuple[SelectionResult, SelectionResult]:
     """Run the full two-stage procedure for one wave. Each horseshoe's
     prior guess of non-zero coefficients is half its candidates."""
-    k1 = len(design_first.block_names("v"))
+    k1 = len(design_first.names["v"])
     rhs1 = RhsSpec(n_coef=k1, p0=k1 / 2.0, n_obs=design_first.n)
     stage1 = stage1_select(design_first, rhs1, cfg)
     keep = stage1.selected_features()
     first_sub = subset_v_block(design_first, keep)
     repeat_sub = subset_v_block(design_repeat, keep)
     offsets = stage1_refit_offsets(first_sub, repeat_sub, cfg)
-    k2 = len(repeat_sub.block_names("w"))
+    k2 = len(repeat_sub.names["w"])
     rhs2 = RhsSpec(n_coef=k2, p0=k2 / 2.0, n_obs=repeat_sub.n,
                    sign="negative")
     stage2 = stage2_select(repeat_sub, offsets, rhs2, cfg)

@@ -19,7 +19,8 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .domain import (AGE_GRID, AGE_MAX, CHILD_BANDS, SURVEY_COLUMNS,
-                     PopulationTable, SurveyRecord, default_coarse_bands)
+                     PopulationTable, SurveyRecord, attribute_levels,
+                     default_coarse_bands)
 from .models.fatigue import HillCurve, hill
 from .models.likelihoods import nb1_rvs, nb2_rvs
 
@@ -39,7 +40,9 @@ class AgeEffect:
         return out
 
 
-# The true effects of every simulated panel; its truth manifest records them
+# The true effects of every simulated panel, keyed by the design column
+# "attribute:level" that ``build_design`` codes; its truth manifest records
+# them
 BETA0 = 1.2
 BETA = {"sex:M": 0.12, "household_size:3": 0.25, "employment:student": 0.3}
 HILL_CURVES = {"const:1": HillCurve(0.88, -1.55, 0.94)}
@@ -107,8 +110,7 @@ class _Participant:
     age: int
     sex: str
     household_size: str
-    employment: str
-    preschool: str
+    covariates: dict[str, str]
     repeats: int = 0
 
 
@@ -120,13 +122,10 @@ _EMPLOYMENT = ("full_time", "student", "retired")
 
 
 def _indicator(participants: list[_Participant], column: str) -> np.ndarray:
-    """The 0/1 value of the covariate column "attribute:level" (the constant
-    "const:1" is 1) for each participant."""
+    """The 0/1 value of the design column "attribute:level" for each
+    participant, coded as ``build_design`` codes a record."""
     attribute, level = column.split(":")
-    if attribute == "const":
-        return np.ones(len(participants))
-    return np.array([getattr(p, attribute) == level for p in participants],
-                    dtype=float)
+    return (attribute_levels(participants, attribute) == level).astype(float)
 
 
 def _new_participant(idx: int, rng: np.random.Generator) -> _Participant:
@@ -139,9 +138,11 @@ def _new_participant(idx: int, rng: np.random.Generator) -> _Participant:
         age=age,
         sex="M" if rng.uniform() < 0.5 else "F",
         household_size=_HOUSEHOLDS[rng.integers(0, len(_HOUSEHOLDS))],
-        employment=("student" if age < 25 and rng.uniform() < 0.6
-                    else _EMPLOYMENT[rng.integers(0, len(_EMPLOYMENT))]),
-        preschool="yes" if age <= 5 and rng.uniform() < 0.7 else "no",
+        covariates={
+            "employment": (
+                "student" if age < 25 and rng.uniform() < 0.6
+                else _EMPLOYMENT[rng.integers(0, len(_EMPLOYMENT))]),
+            "preschool": "yes" if age <= 5 and rng.uniform() < 0.7 else "no"},
     )
 
 
@@ -194,8 +195,7 @@ def simulate_panel(cfg: ScenarioConfig
             records.append(SurveyRecord(
                 participant_id=p.pid, wave=wave, repeat=p.repeats, age=p.age,
                 sex=p.sex, household_size=p.household_size,
-                covariates={"employment": p.employment,
-                            "preschool": p.preschool},
+                covariates=dict(p.covariates),
                 contacts_total=y,
                 report_date=(wave - 1) * DAYS_PER_WAVE
                             + int(rng.integers(0, DAYS_PER_WAVE)),

@@ -148,6 +148,7 @@ BAD_SETTINGS = [
     (["study", "--caps=0,-1"], "", "caps must be >= 0"),
     (["debias-sequence"], "bootstrap_resamples = 10\n",
      "at least 100 bootstrap resamples"),
+    (["select", "--wave", "0"], "", "wave must be >= 1, got 0"),
 ] + [(["--sampling", "0", *SAMPLING_COMMANDS[command]], "",
       "sampling must be >= 1")
      for command in SAMPLING_COMMANDS if command != "fit"]

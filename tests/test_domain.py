@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from contactfatigue.cli import gam_feature_spec, scenario_feature_spec
 from contactfatigue.domain import (AgeBand, CoarseBandSet, DataError,
                                    FeatureBlock, FeatureSpec, PopulationTable,
                                    SurveyRecord, build_design,
                                    default_coarse_bands, impute_child_age,
-                                   load_survey_csv, truncate_contacts)
+                                   load_survey_csv)
+from contactfatigue.simulator import ScenarioConfig, simulate_panel
 
 from conftest import SMALL_FEATURES, make_records
 
@@ -60,16 +62,6 @@ class TestImputation:
         b = [impute_child_age(AgeBand(5, 9), np.random.default_rng(3))
              for _ in range(10)]
         assert a == b
-
-
-class TestTruncation:
-    @pytest.mark.parametrize("y,expected", [(45, 30), (30, 30), (0, 0)])
-    def test_cap(self, y, expected):
-        assert truncate_contacts(y) == expected
-
-    def test_negative_rejected(self):
-        with pytest.raises(DataError):
-            truncate_contacts(-1)
 
 
 class TestRecords:
@@ -174,7 +166,58 @@ class TestCsvLoading:
         assert records[0].contacts_total == 30
 
 
+def _reference_design(records, feature_spec):
+    """The columns u | v | w and their names, coded one record and one
+    level at a time."""
+
+    def level(record, attribute):
+        if attribute == "const":
+            return "1"
+        if attribute in ("sex", "household_size"):
+            return getattr(record, attribute)
+        return record.covariates[attribute]
+
+    names, columns = [], []
+    for blocks in (feature_spec.u, feature_spec.v, feature_spec.w):
+        for blk in blocks:
+            for col_level in blk.column_levels():
+                names.append(f"{blk.attribute}:{col_level}")
+                columns.append([1.0 if level(r, blk.attribute) == col_level
+                                else 0.0 for r in records])
+    return np.array(columns).T.reshape(len(records), len(names)), names
+
+
+REFERENCE_CODED = FeatureSpec(
+    u=(FeatureBlock("sex", ("M", "F"), reference="F"),
+       FeatureBlock("household_size", ("1", "2", "3"), reference="1")),
+    v=(FeatureBlock("employment", ("full_time", "student", "retired"),
+                    reference="full_time"),),
+    w=(FeatureBlock("const", ("1",)),))
+
+
 class TestDesignMatrix:
+    @pytest.mark.parametrize("feature_spec", [
+        gam_feature_spec(), scenario_feature_spec(), REFERENCE_CODED,
+        FeatureSpec()], ids=["gam", "scenario", "reference", "empty"])
+    def test_equals_the_record_by_record_reference(self, feature_spec):
+        records, _ = simulate_panel(ScenarioConfig(waves=3, panel_size=60,
+                                                   seed=7))
+        design = build_design(records, feature_spec)
+        x, names = _reference_design(records, feature_spec)
+        assert design.x.shape == x.shape
+        assert design.x.tobytes() == x.tobytes()
+        assert [n for role in "uvw" for n in design.names[role]] == names
+        widths = [len(design.names[role]) for role in "uvw"]
+        for role, block in zip("uvw", np.split(x, np.cumsum(widths)[:2],
+                                               axis=1)):
+            assert design.blocks[role].tobytes() == block.tobytes()
+
+    def test_missing_covariate_rejected(self):
+        records = [SurveyRecord("p", 1, 0, 30, "M", "1", {}, 1)]
+        fs = FeatureSpec(v=(FeatureBlock("employment", ("student",)),))
+        with pytest.raises(DataError, match="missing covariate 'employment'"):
+            build_design(records, fs)
+
     def test_reference_dropping(self):
         records = make_records(2, seed=1)
         records = [
@@ -183,7 +226,7 @@ class TestDesignMatrix:
         ]
         fs = FeatureSpec(u=(FeatureBlock("sex", ("M", "F"), reference="F"),))
         design = build_design(records, fs)
-        assert design.column_names == ("sex:M",)
+        assert design.names["u"] == ("sex:M",)
         assert design.x[:, 0].tolist() == [1.0, 0.0]
 
     def test_unknown_level_rejected(self):
@@ -194,7 +237,7 @@ class TestDesignMatrix:
 
     def test_one_hot_rows_sum_to_at_most_one(self, small_design):
         for role in ("u", "v", "w"):
-            block = small_design.block(role)
+            block = small_design.blocks[role]
             # full one-hot categorical blocks: each block sums to 1
             assert np.all(block.sum(axis=1) <= block.shape[1])
 
@@ -203,7 +246,7 @@ class TestDesignMatrix:
         a = build_design(records, SMALL_FEATURES)
         b = build_design(records, SMALL_FEATURES)
         assert a.x.tobytes() == b.x.tobytes()
-        assert a.column_names == b.column_names
+        assert a.names == b.names
 
 
 class TestAggregation:

@@ -672,12 +672,12 @@ def _row_reference(model, theta, debias):
         return layout.raw(theta, name)
 
     if isinstance(model, Stage2PoissonModel):
-        fatigue = d.block("w") @ model.coefficients(theta)
+        fatigue = d.blocks["w"] @ model.coefficients(theta)
         return d.offsets + (0.0 if debias else fatigue)
     if isinstance(model, Stage1PoissonModel):
         alpha = np.exp(raw("sigma_alpha")) * raw("alpha_raw")
-        return (raw("beta0") + d.block("u") @ alpha
-                + d.block("v") @ model.coefficients(theta))
+        return (raw("beta0") + d.blocks["u"] @ alpha
+                + d.blocks["v"] @ model.coefficients(theta))
     if isinstance(model, LongitudinalNbModel):
         tau = next(t.source for t in model.terms
                    if isinstance(getattr(t, "source", None), _HsgpTerm)
@@ -687,13 +687,13 @@ def _row_reference(model, theta, debias):
         eta = (raw("beta0") + d.x @ beta
                + tau.values_at(model._natural(theta), dates))
         return eta if debias else eta + model.fatigue_curve(theta, d.repeat)
-    eta = model.age_curve(theta, d.age) + d.block("u") @ raw("beta")
+    eta = model.age_curve(theta, d.age) + d.blocks["u"] @ raw("beta")
     if debias or model.spec.fatigue.kind == "none":
         return eta
     curves = map(HillCurve, np.exp(raw("hill_gamma")), raw("hill_zeta"),
                  np.exp(raw("hill_eta")))
     return eta + sum(w * hill(curve, d.repeat)
-                     for w, curve in zip(d.block("w").T, curves))
+                     for w, curve in zip(d.blocks["w"].T, curves))
 
 
 def _single_year_rows(d):
@@ -1045,7 +1045,7 @@ class TestPredictIntensity:
         raw = model.predict_log_intensity(theta, debias=False)
         deb = model.predict_log_intensity(theta, debias=True)
         np.testing.assert_allclose(np.exp(deb - raw),
-                                   np.exp(model.data.block("w") @ gammas),
+                                   np.exp(model.data.blocks["w"] @ gammas),
                                    rtol=1e-4)
 
 

@@ -5,9 +5,11 @@ import pytest
 
 from contactfatigue.cli import scenario_feature_spec, selection_groups
 from contactfatigue.domain import build_design
-from contactfatigue.inference import SamplerConfig
-from contactfatigue.selection import (STAGE1_LOWER, STAGE1_UPPER,
-                                      STAGE2_CUTOFF, replace_offsets,
+from contactfatigue.inference import SamplerConfig, sample_model
+from contactfatigue.models import ModelSpec, Stage1PoissonModel
+from contactfatigue.selection import (STAGE1_INTERCEPT_PRIOR, STAGE1_LOWER,
+                                      STAGE1_UPPER, STAGE2_CUTOFF,
+                                      replace_offsets, stage1_refit_offsets,
                                       subset_v_block, two_stage_select)
 from contactfatigue.simulator import ScenarioConfig, simulate_panel
 
@@ -26,32 +28,27 @@ def designs():
 class TestSubsetVBlock:
     def test_keeps_u_the_named_v_columns_and_w(self):
         design = build_design(make_records(), SMALL_FEATURES)
-        v_names = design.block_names("v")
+        v_names = design.names["v"]
         # asked in reverse order, kept in v order, unknown names ignored
         keep = (v_names[1], "no_such_column", v_names[0])
         sub = subset_v_block(design, keep)
-        assert sub.block_names("u") == design.block_names("u")
-        assert sub.block_names("v") == v_names
-        assert sub.block_names("w") == design.block_names("w")
+        assert sub.names == design.names
         for block in ("u", "v", "w"):
-            np.testing.assert_array_equal(sub.block(block),
-                                          design.block(block))
-        assert sub.column_names == (design.block_names("u") + v_names
-                                    + design.block_names("w"))
+            np.testing.assert_array_equal(sub.blocks[block],
+                                          design.blocks[block])
+        np.testing.assert_array_equal(sub.x, design.x)
 
     def test_drops_the_v_columns_not_named(self):
         design = build_design(make_records(), SMALL_FEATURES)
-        v_names = design.block_names("v")
+        v_names = design.names["v"]
         sub = subset_v_block(design, (v_names[1],))
-        n_u, n_w = len(design.block_names("u")), len(design.block_names("w"))
-        assert sub.blocks == {"u": slice(0, n_u), "v": slice(n_u, n_u + 1),
-                              "w": slice(n_u + 1, n_u + 1 + n_w)}
-        assert sub.block_names("v") == (v_names[1],)
-        np.testing.assert_array_equal(sub.block("v")[:, 0],
-                                      design.block("v")[:, 1])
-        np.testing.assert_array_equal(sub.block("w"), design.block("w"))
+        assert sub.names == {**design.names, "v": (v_names[1],)}
+        np.testing.assert_array_equal(sub.blocks["v"],
+                                      design.blocks["v"][:, [1]])
+        np.testing.assert_array_equal(sub.blocks["u"], design.blocks["u"])
+        np.testing.assert_array_equal(sub.blocks["w"], design.blocks["w"])
+        n_u, n_w = len(design.names["u"]), len(design.names["w"])
         assert sub.x.shape == (design.n, n_u + 1 + n_w)
-        assert len(sub.column_names) == sub.x.shape[1]
 
 
 def test_replace_offsets_refuses_a_wrong_length():
@@ -60,6 +57,24 @@ def test_replace_offsets_refuses_a_wrong_length():
         replace_offsets(design, np.zeros(design.n - 1))
     out = replace_offsets(design, np.full(design.n, 0.5))
     np.testing.assert_array_equal(out.offsets, 0.5)
+
+
+def test_stage2_offsets_are_the_medians_of_the_drawn_effects(designs):
+    # alpha = sigma_alpha * alpha_raw per draw, then the median; the
+    # product of the two medians is not the median of alpha
+    first, repeat = designs
+    cfg = SamplerConfig(chains=1, warmup=100, sampling=20, seed=7)
+    offsets = stage1_refit_offsets(first, repeat, cfg)
+    model = Stage1PoissonModel(ModelSpec(
+        family="stage1_poisson", beta0_prior=STAGE1_INTERCEPT_PRIOR), first)
+    draws, _ = sample_model(model, cfg, compute_pointwise=False)
+    coef = np.hstack([draws.constrained("sigma_alpha")
+                      * draws.constrained("alpha_raw"),
+                      draws.constrained("beta")])
+    expected = (np.median(draws.constrained("beta0"))
+                + np.hstack([repeat.blocks["u"], repeat.blocks["v"]])
+                @ np.median(coef, axis=0))
+    np.testing.assert_allclose(offsets, expected, rtol=1e-12, atol=1e-12)
 
 
 class TestTwoStageSelect:
@@ -72,9 +87,9 @@ class TestTwoStageSelect:
     def test_names_the_candidate_columns(self, designs, runs):
         first, repeat = designs
         stage1, stage2 = runs[0]
-        assert stage1.feature_names == first.block_names("v")
+        assert stage1.feature_names == first.names["v"]
         kept = subset_v_block(repeat, stage1.selected_features())
-        assert stage2.feature_names == kept.block_names("w")
+        assert stage2.feature_names == kept.names["w"]
         assert stage1.medians.shape == (len(stage1.feature_names),)
         assert stage2.medians.shape == (len(stage2.feature_names),)
 

@@ -3,7 +3,10 @@ import csv
 import numpy as np
 import pytest
 
-from contactfatigue.domain import CHILD_BANDS, SURVEY_COLUMNS, SurveyRecord
+from contactfatigue.cli import scenario_schema
+from contactfatigue.domain import (CHILD_BANDS, HOUSEHOLD_LEVELS, SEX_LEVELS,
+                                   SURVEY_COLUMNS, FeatureBlock, FeatureSpec,
+                                   SurveyRecord, build_design)
 from contactfatigue.models.fatigue import hill
 from contactfatigue.models.likelihoods import nb2_rvs
 from contactfatigue.simulator import (AGE_EFFECT, BETA, BETA0, DAYS_PER_WAVE,
@@ -26,7 +29,9 @@ def _reference_panel(cfg: ScenarioConfig
         attribute, level = column.split(":")
         if attribute == "const":
             return 1.0
-        return 1.0 if getattr(p, attribute) == level else 0.0
+        value = (p.covariates[attribute] if attribute in p.covariates
+                 else getattr(p, attribute))
+        return 1.0 if value == level else 0.0
 
     rng = np.random.default_rng(cfg.seed)
     participants, next_id = [], 0
@@ -49,8 +54,8 @@ def _reference_panel(cfg: ScenarioConfig
             records.append(SurveyRecord(
                 participant_id=p.pid, wave=wave, repeat=p.repeats, age=p.age,
                 sex=p.sex, household_size=p.household_size,
-                covariates={"employment": p.employment,
-                            "preschool": p.preschool},
+                covariates={"employment": p.covariates["employment"],
+                            "preschool": p.covariates["preschool"]},
                 contacts_total=y,
                 report_date=(wave - 1) * DAYS_PER_WAVE
                             + int(rng.integers(0, DAYS_PER_WAVE))))
@@ -123,6 +128,30 @@ def test_realized_intensity_is_the_fatigue_free_one_times_the_hill_curve():
     np.testing.assert_allclose(realized, expected, rtol=1e-14)
     first = repeats == 0
     np.testing.assert_array_equal(realized[first], free[first])
+
+
+@pytest.mark.parametrize("seed", [0, 7, 11])
+def test_the_truth_is_stated_in_design_columns(seed):
+    # BETA and HILL_CURVES are keyed by the columns that build_design codes
+    # from the simulated records, with blocks named by their attributes
+    records, manifest = simulate_panel(ScenarioConfig(waves=3, seed=seed))
+    levels = {"const": ("1",), "sex": SEX_LEVELS,
+              "household_size": HOUSEHOLD_LEVELS,
+              **scenario_schema().covariate_levels}
+
+    def blocks(columns):
+        attributes = dict.fromkeys(c.split(":")[0] for c in columns)
+        return tuple(FeatureBlock(a, levels[a]) for a in attributes)
+
+    design = build_design(records, FeatureSpec(u=blocks(BETA),
+                                               w=blocks(HILL_CURVES)))
+    assert set(BETA) <= set(design.names["u"])
+    assert set(HILL_CURVES) <= set(design.names["w"])
+    beta = np.array([BETA.get(c, 0.0) for c in design.names["u"]])
+    np.testing.assert_allclose(
+        manifest.lambda_fatigue_free,
+        np.exp(BETA0 + AGE_EFFECT(design.age) + design.blocks["u"] @ beta),
+        rtol=1e-13)
 
 
 @pytest.mark.parametrize("phi", [0.5, 8.0, 1e3])
