@@ -23,9 +23,8 @@ from dataclasses import fields, replace
 
 import numpy as np
 
-from .domain import (AGE_GRID, HOUSEHOLD_LEVELS, SEX_LEVELS, DataError,
-                     CsvSchema, FeatureBlock, FeatureSpec, build_design,
-                     load_survey_csv)
+from .domain import (AGE_GRID, DataError, FeatureBlock, FeatureSpec,
+                     build_design, load_survey_csv)
 from .evaluation import interval_coverage, mape
 from .inference import (DIVERGENT_SHARE_LIMIT, INTERVAL_95, RHAT_LIMIT,
                         ConvergenceWarning, SamplerConfig, posterior_interval,
@@ -37,7 +36,7 @@ from .pipeline import (bootstrap_mean, cell_weights, check_resamples,
                        incremental_inclusion_study, poststratified_mean)
 from .selection import two_stage_select
 from .simulator import (AgeEffect, ScenarioConfig, TruthManifest,
-                        panel_to_csv, simulate_panel)
+                        panel_to_csv, scenario_schema, simulate_panel)
 
 logger = logging.getLogger("contactfatigue")
 
@@ -162,34 +161,22 @@ class _Stage:
 # Survey feature layout for simulated panels
 # ---------------------------------------------------------------------------
 
-def scenario_schema() -> CsvSchema:
-    return CsvSchema(
-        covariate_columns=("employment", "preschool"),
-        covariate_levels={
-            "employment": ("full_time", "student", "retired"),
-            "preschool": ("yes", "no", "")})
-
-
-def _schema_blocks() -> tuple[FeatureBlock, FeatureBlock, FeatureBlock]:
-    """Sex, household and employment blocks with every level the schema
-    accepts, so any record that loads can be coded."""
-    return (FeatureBlock("sex", SEX_LEVELS),
-            FeatureBlock("household_size", HOUSEHOLD_LEVELS),
-            FeatureBlock("employment",
-                         scenario_schema().covariate_levels["employment"]))
+def _feature_spec(**roles: tuple[str, ...]) -> FeatureSpec:
+    """The blocks of each role's attributes, with every level that the
+    schema accepts, so any record that loads can be coded."""
+    levels = scenario_schema().levels
+    return FeatureSpec(**{role: tuple(FeatureBlock(a, levels[a])
+                                      for a in attributes)
+                          for role, attributes in roles.items()})
 
 
 def scenario_feature_spec() -> FeatureSpec:
-    sex, household, employment = _schema_blocks()
-    const = FeatureBlock("const", ("1",))
-    return FeatureSpec(u=(sex, household), v=(employment,),
-                       w=(const, employment))
+    return _feature_spec(u=("sex", "household_size"), v=("employment",),
+                         w=("const", "employment"))
 
 
 def gam_feature_spec() -> FeatureSpec:
-    sex, household, _ = _schema_blocks()
-    const = FeatureBlock("const", ("1",))
-    return FeatureSpec(u=(sex, household), w=(const,))
+    return _feature_spec(u=("sex", "household_size"), w=("const",))
 
 
 def model_spec_for(name: str, values: dict) -> ModelSpec:
@@ -215,9 +202,8 @@ def model_spec_for(name: str, values: dict) -> ModelSpec:
 
 def _load_records(path: str, seed: int):
     rng = np.random.default_rng([seed, 104729])
-    records, report = load_survey_csv(path, scenario_schema(), rng=rng)
-    logger.info("loaded %d records (%d dropped)", report.n_kept,
-                report.n_dropped_missing)
+    records, n_dropped = load_survey_csv(path, scenario_schema(), rng=rng)
+    logger.info("loaded %d records (%d dropped)", len(records), n_dropped)
     if not records:
         raise DataError(f"{path}: no usable records")
     return records

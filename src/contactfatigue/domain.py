@@ -5,6 +5,10 @@ the ages of their contacts in coarse bands; participants under 18 report (or
 are reported) in child age bands and have their exact age imputed uniformly
 within the band.
 
+A ``CsvSchema`` states the levels of every categorical column of a survey
+file once: the loader checks each row against them, and feature specs take
+their levels from them.
+
 A design is three named blocks of indicator columns, u (baseline), v
 (tested) and w (fatigue), each coded from ``attribute_levels``, as are the
 simulator's true effects.
@@ -192,42 +196,39 @@ def impute_child_age(band: AgeBand, rng: np.random.Generator) -> int:
 
 @dataclass(frozen=True)
 class CsvSchema:
-    """The covariate columns of a survey CSV file and their levels.
+    """The categorical columns of a survey CSV file and their levels.
 
-    Besides ``SURVEY_COLUMNS`` and the band counts ``y_<lo>_<hi>``,
-    ``covariate_columns`` names the extra columns to read, each checked
-    against ``covariate_levels`` when it lists them. Sex and household
-    size take the levels ``SEX_LEVELS`` and ``HOUSEHOLD_LEVELS``.
+    Besides ``SURVEY_COLUMNS`` and the band counts ``y_<lo>_<hi>``, a file
+    has the columns of ``covariates``, each mapped to the levels it
+    accepts. ``levels`` maps every attribute that a design can code to its
+    levels: "const" to "1", sex to ``SEX_LEVELS``, household size to
+    ``HOUSEHOLD_LEVELS`` and each covariate to its own.
     """
 
-    covariate_columns: tuple[str, ...] = ()
-    covariate_levels: Mapping[str, tuple[str, ...]] | None = None
+    covariates: Mapping[str, tuple[str, ...]]
+
+    @property
+    def levels(self) -> dict[str, tuple[str, ...]]:
+        return {"const": ("1",), "sex": SEX_LEVELS,
+                "household_size": HOUSEHOLD_LEVELS, **self.covariates}
 
 
-@dataclass
-class LoadReport:
-    """Row accounting for one CSV ingestion."""
-
-    n_read: int = 0
-    n_kept: int = 0
-    n_dropped_missing: int = 0
-
-
-def _read_row(row: Mapping[str, str], schema: CsvSchema,
+def _read_row(row: Mapping[str, str], levels: Mapping[str, tuple[str, ...]],
               band_cols: list[str] | None,
               rng: np.random.Generator | None) -> SurveyRecord | None:
     """One CSV row as a record, or None if it lacks sex or any age.
+    ``levels`` maps each categorical column to the levels it accepts, and
     ``band_cols`` names the band count columns, if the file has them."""
-    sex = (row.get("sex") or "").strip()
     age_text = (row.get("age") or "").strip()
     band_text = (row.get("age_band") or "").strip()
-    if not sex or (not age_text and not band_text):
+    if not (row.get("sex") or "").strip() or (not age_text and not band_text):
         return None
-    if sex not in SEX_LEVELS:
-        raise DataError(f"unknown sex level {sex!r}")
-    household = (row.get("household_size") or "").strip()
-    if household not in HOUSEHOLD_LEVELS:
-        raise DataError(f"unknown household_size level {household!r}")
+    values: dict[str, str] = {}
+    for column, allowed in levels.items():
+        value = (row.get(column) or "").strip()
+        if value not in allowed:
+            raise DataError(f"unknown {column} level {value!r}")
+        values[column] = value
     if age_text:
         age = int(age_text)
     else:
@@ -237,18 +238,11 @@ def _read_row(row: Mapping[str, str], schema: CsvSchema,
     y_raw = int(row["y_total"])
     date_text = (row.get("report_date") or "0").strip()
 
-    covariates: dict[str, str] = {}
-    for cov in schema.covariate_columns:
-        value = (row.get(cov) or "").strip()
-        allowed = (schema.covariate_levels or {}).get(cov)
-        if allowed is not None and value not in allowed:
-            raise DataError(f"unknown {cov} level {value!r}")
-        covariates[cov] = value
-
     by_band = None
     if band_cols is not None:
         raw = [int(row[c] or 0) for c in band_cols]
-        if sum(raw) > y_raw:
+        # a negative count is refused by SurveyRecord, under its own name
+        if min(raw + [y_raw]) >= 0 and sum(raw) > y_raw:
             raise DataError(f"band counts sum to {sum(raw)}, "
                             f"more than y_total {y_raw}")
         by_band = tuple(min(v, CONTACT_CAP) for v in raw)
@@ -258,9 +252,9 @@ def _read_row(row: Mapping[str, str], schema: CsvSchema,
         wave=int(row["wave"]),
         repeat=int(row["repeat"]),
         age=age,
-        sex=sex,
-        household_size=household,
-        covariates=covariates,
+        sex=values.pop("sex"),
+        household_size=values.pop("household_size"),
+        covariates=values,
         contacts_total=min(y_raw, CONTACT_CAP),
         contacts_by_band=by_band,
         report_date=int(date_text) if date_text else 0,
@@ -272,24 +266,27 @@ def load_survey_csv(
     schema: CsvSchema | None = None,
     *,
     rng: np.random.Generator | None = None,
-) -> tuple[list[SurveyRecord], LoadReport]:
-    """Read survey records from CSV.
+) -> tuple[list[SurveyRecord], int]:
+    """Read survey records from CSV, with the number of rows dropped.
 
     Rows missing participant age (with no child band to impute from) or sex
-    are dropped and counted in the returned report. Child rows carrying an
-    ``age_band`` but no exact age have their age imputed uniformly within the
-    band, which requires ``rng``. Band counts, when the file has a column
-    for every band of ``default_coarse_bands()``, must sum to at most
-    ``y_total``, as reported: the rule is checked before the total and each
-    band count are capped at ``CONTACT_CAP``. The cap keeps a negative count
-    negative, for ``SurveyRecord`` to refuse. A row that breaks a rule of
-    the file or of ``SurveyRecord`` raises ``DataError`` naming
-    ``path:line``.
+    are dropped and counted. Child rows carrying an ``age_band`` but no
+    exact age have their age imputed uniformly within the band, which
+    requires ``rng``. Sex, household size and each covariate of ``schema``
+    (by default none) must take a level that ``schema.levels`` lists. Band
+    counts, when the file has a column for every band of
+    ``default_coarse_bands()``, must be non-negative and, when they and
+    ``y_total`` are, sum to at most ``y_total``, as reported. Both rules
+    read the counts before the total and each band count are capped at
+    ``CONTACT_CAP``, which keeps a negative count negative for
+    ``SurveyRecord`` to refuse. A row that breaks a rule of the file or of
+    ``SurveyRecord`` raises ``DataError`` naming ``path:line``.
     """
-    schema = schema or CsvSchema()
+    levels = (schema or CsvSchema({})).levels
+    del levels["const"]
     band_cols = [f"y_{b.lo}_{b.hi}" for b in default_coarse_bands().bands]
-    report = LoadReport()
     records: list[SurveyRecord] = []
+    n_dropped = 0
 
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -303,9 +300,8 @@ def load_survey_csv(
         has_bands = all(c in reader.fieldnames for c in band_cols)
 
         for lineno, row in enumerate(reader, start=2):
-            report.n_read += 1
             try:
-                record = _read_row(row, schema,
+                record = _read_row(row, levels,
                                    band_cols if has_bands else None, rng)
             except DataError as exc:
                 raise DataError(f"{path}:{lineno}: {exc}") from exc
@@ -313,15 +309,14 @@ def load_survey_csv(
                 raise DataError(
                     f"{path}:{lineno}: malformed row ({exc})") from exc
             if record is None:
-                report.n_dropped_missing += 1
+                n_dropped += 1
             else:
                 records.append(record)
 
-    report.n_kept = len(records)
-    if report.n_dropped_missing:
+    if n_dropped:
         logger.info("dropped %d of %d rows with missing age or sex",
-                    report.n_dropped_missing, report.n_read)
-    return records, report
+                    n_dropped, n_dropped + len(records))
+    return records, n_dropped
 
 
 # ---------------------------------------------------------------------------

@@ -1037,6 +1037,13 @@ class _AdditiveCountModel:
         terms."""
         return self._eta(self._natural(theta), debias)[self.group_of]
 
+    @_predicting
+    def effects(self, theta) -> list[np.ndarray]:
+        """The weights of each source in the group design at one draw, in
+        term order: for the stage models the coefficients of each block."""
+        nat = self._natural(theta)
+        return [source.weights(nat)[0] for source, _, _ in self.sources]
+
 
 # ---------------------------------------------------------------------------
 # The four row-level families
@@ -1066,15 +1073,6 @@ class Stage1PoissonModel(_AdditiveCountModel):
             _Linear(v, (_Coefficients(Block("beta", k, prior=STD_NORMAL))
                         if spec.rhs is None else _RhsTerm("beta", spec.rhs)))])
 
-    @_predicting
-    def effects(self, theta) -> list[np.ndarray]:
-        """beta0, alpha = sigma_alpha * alpha_raw and beta of one draw."""
-        nat = self._natural(theta)
-        return [t.source.weights(nat)[0] for t in self.terms]
-
-    def coefficients(self, theta) -> np.ndarray:
-        return self.effects(theta)[2]
-
 
 class Stage2PoissonModel(_AdditiveCountModel):
     """log(lambda) = offset_i + w' gamma with gamma <= 0 via half-RHS.
@@ -1092,12 +1090,8 @@ class Stage2PoissonModel(_AdditiveCountModel):
         w = data.blocks["w"]
         if spec.rhs.n_coef != w.shape[1]:
             raise ValueError(f"rhs.n_coef must equal {w.shape[1]}")
-        self.rhs = _RhsTerm("gamma", spec.rhs)
-        super().__init__(spec, data, [_Linear(w, self.rhs, fatigue=True)])
-
-    @_predicting
-    def coefficients(self, theta) -> np.ndarray:
-        return self.rhs.weights(self._natural(theta))[0]
+        super().__init__(spec, data, [
+            _Linear(w, _RhsTerm("gamma", spec.rhs), fatigue=True)])
 
 
 class LongitudinalNbModel(_AdditiveCountModel):

@@ -56,7 +56,7 @@ def _fit_coefficients(model, cfg: SamplerConfig, stage: int):
     draws, diag = sample_model(model, cfg, compute_pointwise=False)
     logger.info("stage %d: max R-hat %.3f, %d divergences", stage,
                 diag.max_rhat(), diag.divergences)
-    coef = np.asarray([model.coefficients(t) for t in draws.stacked()])
+    coef = np.asarray([model.effects(t)[-1] for t in draws.stacked()])
     med, (lo, hi) = posterior_interval(coef, INTERVAL_50)
     return med, lo, hi
 

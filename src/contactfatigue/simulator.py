@@ -19,8 +19,8 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .domain import (AGE_GRID, AGE_MAX, CHILD_BANDS, SURVEY_COLUMNS,
-                     PopulationTable, SurveyRecord, attribute_levels,
-                     default_coarse_bands)
+                     CsvSchema, PopulationTable, SurveyRecord,
+                     attribute_levels, default_coarse_bands)
 from .models.fatigue import HillCurve, hill
 from .models.likelihoods import nb1_rvs, nb2_rvs
 
@@ -118,7 +118,13 @@ class _Participant:
 DAYS_PER_WAVE = 14
 
 _HOUSEHOLDS = ("1", "2", "3")
-_EMPLOYMENT = ("full_time", "student", "retired")
+
+
+def scenario_schema() -> CsvSchema:
+    """The covariate columns of a simulated panel's CSV file and their
+    levels; participants draw their employment from its levels."""
+    return CsvSchema({"employment": ("full_time", "student", "retired"),
+                      "preschool": ("yes", "no", "")})
 
 
 def _indicator(participants: list[_Participant], column: str) -> np.ndarray:
@@ -133,6 +139,7 @@ def _new_participant(idx: int, rng: np.random.Generator) -> _Participant:
         age = int(rng.integers(0, 18))
     else:
         age = int(rng.integers(18, AGE_MAX + 1))
+    employment = scenario_schema().covariates["employment"]
     return _Participant(
         pid=f"p{idx:06d}",
         age=age,
@@ -141,7 +148,7 @@ def _new_participant(idx: int, rng: np.random.Generator) -> _Participant:
         covariates={
             "employment": (
                 "student" if age < 25 and rng.uniform() < 0.6
-                else _EMPLOYMENT[rng.integers(0, len(_EMPLOYMENT))]),
+                else employment[rng.integers(0, len(employment))]),
             "preschool": "yes" if age <= 5 and rng.uniform() < 0.7 else "no"},
     )
 

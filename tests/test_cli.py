@@ -1,4 +1,5 @@
 import dataclasses
+import pathlib
 import re
 
 import pytest
@@ -174,3 +175,14 @@ def test_invalid_settings_are_a_config_error(argv, config, message,
                and r.getMessage().startswith("config error: ")
                and re.search(message, r.getMessage())
                for r in caplog.records)
+
+
+def test_the_run_config_table_lists_every_key_with_its_default():
+    text = (pathlib.Path(__file__).resolve().parents[1] / "docs"
+            / "formats.md").read_text(encoding="utf-8")
+    section = text.split("## Run config", 1)[1].split("\n## ", 1)[0]
+    rows = [[cell.strip().strip("`") for cell in line.strip("|").split("|")]
+            for line in section.splitlines() if line.startswith("| `")]
+    assert len(rows) == len(cli._DEFAULTS)
+    assert {key: default for key, default, *_ in rows} == {
+        key: str(value) for key, value in cli._DEFAULTS.items()}

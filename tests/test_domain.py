@@ -9,7 +9,8 @@ from contactfatigue.domain import (AgeBand, CoarseBandSet, DataError,
                                    SurveyRecord, build_design,
                                    default_coarse_bands, impute_child_age,
                                    load_survey_csv)
-from contactfatigue.simulator import ScenarioConfig, simulate_panel
+from contactfatigue.simulator import (ScenarioConfig, scenario_schema,
+                                      simulate_panel)
 
 from conftest import SMALL_FEATURES, make_records
 
@@ -90,15 +91,14 @@ class TestCsvLoading:
                         "a,1,0,30,,M,1,0,5\n"
                         "b,1,0,31,,,1,0,4\n"
                         "c,1,0,32,,F,2,0,3\n")
-        records, report = load_survey_csv(str(path))
+        records, n_dropped = load_survey_csv(str(path))
         assert len(records) == 2
-        assert report.n_dropped_missing == 1
+        assert n_dropped == 1
 
     def test_empty_file_with_header(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_text(self.HEADER + "\n")
-        records, report = load_survey_csv(str(path))
-        assert records == [] and report.n_read == 0
+        assert load_survey_csv(str(path)) == ([], 0)
 
     def test_age_out_of_range_is_error(self, tmp_path):
         path = tmp_path / "r.csv"
@@ -106,11 +106,18 @@ class TestCsvLoading:
         with pytest.raises(DataError, match="age out of range"):
             load_survey_csv(str(path))
 
-    def test_unknown_level_names_the_level(self, tmp_path):
+    @pytest.mark.parametrize("column", ["sex", "household_size",
+                                        "employment", "preschool"])
+    def test_unknown_level_names_the_level(self, tmp_path, column):
+        header = self.HEADER.split(",") + ["employment", "preschool"]
+        row = dict(zip(header, "a,1,0,30,,M,1,0,5,full_time,no".split(",")))
+        row[column] = "X"
         path = tmp_path / "r.csv"
-        path.write_text(self.HEADER + "\na,1,0,30,,X,1,0,5\n")
-        with pytest.raises(DataError, match="'X'"):
-            load_survey_csv(str(path))
+        path.write_text(",".join(header) + "\n" + ",".join(row.values())
+                        + "\n")
+        with pytest.raises(DataError,
+                           match=f"r.csv:2: unknown {column} level 'X'"):
+            load_survey_csv(str(path), scenario_schema())
 
     def test_malformed_row_reports_line(self, tmp_path):
         path = tmp_path / "r.csv"
@@ -121,10 +128,17 @@ class TestCsvLoading:
     @pytest.mark.parametrize("row,message", [
         ("a,0,0,30,,M,1,0,5", "wave must be >= 1, got 0"),
         ("a,1,-1,30,,M,1,0,5", "repeat must be >= 0, got -1"),
-        ("a,1,0,30,,M,1,0,-1", "negative contact count -1")])
+        ("a,1,0,30,,M,1,0,-1", "negative contact count -1"),
+        # the band-sum rule reads only counts that pass the sign rules
+        ("a,1,0,30,,M,1,0,20,-5,30" + ",0" * 11,
+         "negative band count for participant a"),
+        ("a,1,0,30,,M,1,0,-1" + ",0" * 13, "negative contact count -1")])
     def test_record_rules_name_the_line(self, tmp_path, row, message):
+        # a row of more than nine fields carries the band counts
+        cols = [f"y_{b.lo}_{b.hi}" for b in default_coarse_bands().bands]
+        header = ",".join([self.HEADER] + cols[:row.count(",") - 8])
         path = tmp_path / "r.csv"
-        path.write_text(self.HEADER + "\n" + row + "\n")
+        path.write_text(header + "\n" + row + "\n")
         with pytest.raises(DataError, match=f"r.csv:2: {message}"):
             load_survey_csv(str(path))
 

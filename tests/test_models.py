@@ -672,12 +672,12 @@ def _row_reference(model, theta, debias):
         return layout.raw(theta, name)
 
     if isinstance(model, Stage2PoissonModel):
-        fatigue = d.blocks["w"] @ model.coefficients(theta)
+        fatigue = d.blocks["w"] @ model.effects(theta)[-1]
         return d.offsets + (0.0 if debias else fatigue)
     if isinstance(model, Stage1PoissonModel):
         alpha = np.exp(raw("sigma_alpha")) * raw("alpha_raw")
         return (raw("beta0") + d.blocks["u"] @ alpha
-                + d.blocks["v"] @ model.coefficients(theta))
+                + d.blocks["v"] @ model.effects(theta)[-1])
     if isinstance(model, LongitudinalNbModel):
         tau = next(t.source for t in model.terms
                    if isinstance(getattr(t, "source", None), _HsgpTerm)

@@ -3,16 +3,15 @@ import csv
 import numpy as np
 import pytest
 
-from contactfatigue.cli import scenario_schema
-from contactfatigue.domain import (CHILD_BANDS, HOUSEHOLD_LEVELS, SEX_LEVELS,
-                                   SURVEY_COLUMNS, FeatureBlock, FeatureSpec,
-                                   SurveyRecord, build_design)
+from contactfatigue.domain import (CHILD_BANDS, SURVEY_COLUMNS, FeatureBlock,
+                                   FeatureSpec, SurveyRecord, build_design)
 from contactfatigue.models.fatigue import hill
 from contactfatigue.models.likelihoods import nb2_rvs
 from contactfatigue.simulator import (AGE_EFFECT, BETA, BETA0, DAYS_PER_WAVE,
                                       HILL_CURVES, ScenarioConfig,
                                       TruthManifest, _new_participant,
-                                      panel_to_csv, simulate_panel)
+                                      panel_to_csv, scenario_schema,
+                                      simulate_panel)
 
 #: panel shapes as (waves, panel_size, retention): the default panel, a
 #: small one, a long one, no retention, full retention and one participant
@@ -131,13 +130,26 @@ def test_realized_intensity_is_the_fatigue_free_one_times_the_hill_curve():
 
 
 @pytest.mark.parametrize("seed", [0, 7, 11])
+def test_a_written_panel_keeps_to_the_schema(seed, tmp_path):
+    records, _ = simulate_panel(ScenarioConfig(waves=3, seed=seed))
+    panel_to_csv(records, tmp_path / "r.csv")
+    schema = scenario_schema()
+    with open(tmp_path / "r.csv", newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    assert (tuple(reader.fieldnames)
+            == SURVEY_COLUMNS + tuple(schema.covariates))
+    for column, allowed in schema.levels.items():
+        if column != "const":
+            assert {row[column] for row in rows} <= set(allowed)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 11])
 def test_the_truth_is_stated_in_design_columns(seed):
     # BETA and HILL_CURVES are keyed by the columns that build_design codes
     # from the simulated records, with blocks named by their attributes
     records, manifest = simulate_panel(ScenarioConfig(waves=3, seed=seed))
-    levels = {"const": ("1",), "sex": SEX_LEVELS,
-              "household_size": HOUSEHOLD_LEVELS,
-              **scenario_schema().covariate_levels}
+    levels = scenario_schema().levels
 
     def blocks(columns):
         attributes = dict.fromkeys(c.split(":")[0] for c in columns)
