@@ -32,8 +32,8 @@ from .inference import (DIVERGENT_SHARE_LIMIT, INTERVAL_95, RHAT_LIMIT,
 from .models import FatigueSpec, ModelSpec
 from .models.assemble import AGE_GP
 from .pipeline import (bootstrap_mean, cell_weights, check_resamples,
-                       fit_independent, fit_sequence, fit_wave,
-                       incremental_inclusion_study, poststratified_mean)
+                       fit_sequence, fit_wave, incremental_inclusion_study,
+                       poststratified_mean)
 from .selection import two_stage_select
 from .simulator import (AgeEffect, ScenarioConfig, TruthManifest,
                         panel_to_csv, scenario_schema, simulate_panel)
@@ -143,18 +143,15 @@ def write_csv(path: str, header: list[str], rows: list[list]) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-class _Stage:
-    def __init__(self, name: str):
-        self.name = name
-
-    def __enter__(self):
-        self.t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        logger.info("stage %-18s %.2fs", self.name,
-                    time.perf_counter() - self.t0)
-        return False
+@contextlib.contextmanager
+def _stage(name: str):
+    """Log the wall time of the block as the named stage, however it
+    ends."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        logger.info("stage %-18s %.2fs", name, time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +213,9 @@ def _load_records(path: str, seed: int):
 def cmd_simulate(args, values: dict) -> int:
     with settings():
         cfg = configured(ScenarioConfig, values)
-    with _Stage("simulate"):
+    with _stage("simulate"):
         records, manifest = simulate_panel(cfg)
-    with _Stage("write"):
+    with _stage("write"):
         atomic_write(os.path.join(args.out, "records.csv"),
                      lambda tmp: panel_to_csv(records, tmp))
         atomic_write_text(os.path.join(args.out, "truth.manifest"),
@@ -288,9 +285,9 @@ def cmd_fit(args, values: dict) -> int:
     records = _load_records(args.data, values["seed"])
     feature_spec = (gam_feature_spec() if spec.family == "individual_gam"
                     else scenario_feature_spec())
-    with _Stage("fit"):
+    with _stage("fit"):
         fit = fit_wave(records, feature_spec, spec, cfg)
-    with _Stage("write"):
+    with _stage("write"):
         _write_fit_outputs(args.out, fit, values, model_name)
     return EXIT_OK
 
@@ -319,13 +316,14 @@ def cmd_select(args, values: dict) -> int:
     fs = scenario_feature_spec()
     design_first = build_design(first, fs)
     design_repeat = build_design(repeat, fs)
-    with _Stage("select"):
+    with _stage("select"):
         stage1, stage2 = two_stage_select(design_first, design_repeat, cfg)
     for res, fname in ((stage1, "stage1.csv"), (stage2, "stage2.csv")):
         write_csv(os.path.join(args.out, fname),
                   ["feature", "median", "lower50", "upper50", "selected"],
-                  [[r["feature"], r["median"], r["lower50"], r["upper50"],
-                    int(r["selected"])] for r in res.to_rows()])
+                  [[n, m, lo, hi, int(s)] for n, m, lo, hi, s in zip(
+                      res.feature_names, res.medians, res.lower50,
+                      res.upper50, res.selected)])
     return EXIT_OK
 
 
@@ -345,22 +343,23 @@ def cmd_debias_sequence(args, values: dict) -> int:
                                    debias=debias, method=method)
 
     estimates = []
-    with _Stage("sequential"):
+    with _stage("sequential"):
         fits = fit_sequence(by_wave, fs, spec_hill, cfg)
     estimates += [estimate(fit, wave_records, True, "bayes-debiased")
                   for fit, wave_records in zip(fits, by_wave)]
-    with _Stage("unadjusted"):
-        fits_u = fit_independent(by_wave, fs, spec_plain, cfg)
+    with _stage("unadjusted"):
+        fits_u = [fit_wave(wave_records, fs, spec_plain, cfg)
+                  for wave_records in by_wave]
     estimates += [estimate(fit, wave_records, False, "bayes-unadjusted")
                   for fit, wave_records in zip(fits_u, by_wave)]
-    with _Stage("first-time"):
+    with _stage("first-time"):
         for wave_records in by_wave:
             first = [r for r in wave_records if r.repeat == 0]
             if len(first) > values["min_first"]:
                 estimates.append(estimate(
                     fit_wave(first, fs, spec_hill, cfg), first, True,
                     "bayes-firsttime"))
-    with _Stage("bootstrap"):
+    with _stage("bootstrap"):
         estimates += [bootstrap_mean(wave_records,
                                      values["bootstrap_resamples"],
                                      seed=values["seed"])
@@ -384,7 +383,7 @@ def cmd_study(args, values: dict) -> int:
     fs = gam_feature_spec()
     rows: list[list] = []
     for name, spec in specs.items():
-        with _Stage(f"study {name}"):
+        with _stage(f"study {name}"):
             table = incremental_inclusion_study(records, caps, fs, spec, cfg)
         rows += [[r.cap, name, r.mape, r.coverage, r.n_records]
                  for r in table]

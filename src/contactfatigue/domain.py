@@ -215,7 +215,7 @@ class CsvSchema:
 
 def _read_row(row: Mapping[str, str], levels: Mapping[str, tuple[str, ...]],
               band_cols: list[str] | None,
-              rng: np.random.Generator | None) -> SurveyRecord | None:
+              rng: np.random.Generator) -> SurveyRecord | None:
     """One CSV row as a record, or None if it lacks sex or any age.
     ``levels`` maps each categorical column to the levels it accepts, and
     ``band_cols`` names the band count columns, if the file has them."""
@@ -232,8 +232,6 @@ def _read_row(row: Mapping[str, str], levels: Mapping[str, tuple[str, ...]],
     if age_text:
         age = int(age_text)
     else:
-        if rng is None:
-            raise DataError("child row requires an RNG for age imputation")
         age = impute_child_age(AgeBand.parse(band_text), rng)
     y_raw = int(row["y_total"])
     date_text = (row.get("report_date") or "0").strip()
@@ -261,19 +259,16 @@ def _read_row(row: Mapping[str, str], levels: Mapping[str, tuple[str, ...]],
     )
 
 
-def load_survey_csv(
-    path: str,
-    schema: CsvSchema | None = None,
-    *,
-    rng: np.random.Generator | None = None,
-) -> tuple[list[SurveyRecord], int]:
+def load_survey_csv(path: str, schema: CsvSchema, *,
+                    rng: np.random.Generator
+                    ) -> tuple[list[SurveyRecord], int]:
     """Read survey records from CSV, with the number of rows dropped.
 
     Rows missing participant age (with no child band to impute from) or sex
     are dropped and counted. Child rows carrying an ``age_band`` but no
-    exact age have their age imputed uniformly within the band, which
-    requires ``rng``. Sex, household size and each covariate of ``schema``
-    (by default none) must take a level that ``schema.levels`` lists. Band
+    exact age have their age imputed uniformly within the band, drawn
+    from ``rng``. Sex, household size and each covariate of ``schema`` must
+    take a level that ``schema.levels`` lists. Band
     counts, when the file has a column for every band of
     ``default_coarse_bands()``, must be non-negative and, when they and
     ``y_total`` are, sum to at most ``y_total``, as reported. Both rules
@@ -282,7 +277,7 @@ def load_survey_csv(
     ``SurveyRecord`` to refuse. A row that breaks a rule of the file or of
     ``SurveyRecord`` raises ``DataError`` naming ``path:line``.
     """
-    levels = (schema or CsvSchema({})).levels
+    levels = schema.levels
     del levels["const"]
     band_cols = [f"y_{b.lo}_{b.hi}" for b in default_coarse_bands().bands]
     records: list[SurveyRecord] = []

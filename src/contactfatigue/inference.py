@@ -505,7 +505,7 @@ def _ess_1d(x: np.ndarray) -> float:
     """Bulk ESS via Geyer's initial monotone sequence on split chains."""
     x = _split_chains(x)
     m, n = x.shape
-    if n < 4 or np.allclose(x, x.ravel()[0]):
+    if n < 4:
         return float("nan")
     acov = np.asarray([_autocov(x[c]) for c in range(m)])
     chain_means = x.mean(axis=1)
@@ -550,7 +550,7 @@ def rhat_ess(draws: PosteriorDraws) -> Diagnostics:
     constant = []
     for j, name in enumerate(draws.parameter_names):
         x = arr[:, :, j]
-        if np.allclose(x, x.ravel()[0]):
+        if np.ptp(x) == 0:
             rhat[name] = float("nan")
             ess[name] = float("nan")
             constant.append(name)

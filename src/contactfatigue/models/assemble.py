@@ -8,7 +8,9 @@ prediction on the fitted observations with an optional fatigue de-biasing
 switch.
 
 Every family is one log-linear count regression, assembled from terms by
-``_AdditiveCountModel``:
+``_AdditiveCountModel``; its docstring states how the terms form one group
+design X, read one natural-scale vector and share one prior pass
+(``_PriorPass``):
 
 * ``stage1_poisson``  -- first-time participants: intercept, a hierarchical
   baseline block, a tested block under the regularized horseshoe (or plain
@@ -33,60 +35,22 @@ Every family is one log-linear count regression, assembled from terms by
   dense points x columns basis, and in a gradient only on the sub-grid
   of the ages its cells read.
 
-A term declares its parameter blocks and the data columns it reads; rows
-that agree on all of them and on their offset form one predictor group.
-Most terms read a source: free coefficients (``_Coefficients``), the
-horseshoe (``_RhsTerm``), an HSGP (``_HsgpTerm``, whose weights are
-sqrt(S) w) or the Hill curves at the distinct repeat counts
-(``_HillTerm``). A source gives its ``weights`` from the natural-scale
-vector, and ``backprop_weights`` writes its blocks' gradient.
-
-Every term that is linear in its source gives its columns on the groups
-(``design()``), and the model stacks them, once, into one dense group
-design X: the intercept and indicator blocks (``_Linear``), a 1D HSGP read
-through ``_Gather`` (its basis rows at each group's index; the time, age
-and repeat-GP smooths), the repeat tables (``_RepeatTable``, one-hot rows)
-and the Hill curves (weight times one-hot rows). De-biased predictions
-leave the weights of the fatigue terms at zero and do not evaluate them.
-The terms that stay out of X are evaluated one by one on the groups: the
-BRC band sums (``_BandSums``), which read the 2D surfaces on the
-sub-grids of their points and scatter the gradient back with one
-``np.bincount``, and the -exp fatigue of the BRC variants
-(``_NegativeExp``), which is not linear in its sources. So
-
-    eta = X s(theta) + log band sums + -exp fatigue + offsets,
-
-and the gradient of every source in X comes from one product, X^T d_eta.
-``predict_log_intensity``, ``pointwise_loglik`` and ``replicate`` read
-eta, offsets included, from the same pass. The data are checked once, at
-build: a row whose columns or offset are not finite raises ``DataError``,
-so a non-finite predictor comes from theta and is a rejected state. A
-fitted GP is read on the points it was built on: ``age_curve`` and
-``predict_log_m`` take whole-year ages and index the age smooth on
-AGE_GRID and each surface on the 85 x 85 grid.
+A term declares its parameter blocks and the data columns it reads. Most
+terms read a source: free coefficients (``_Coefficients``), the horseshoe
+(``_RhsTerm``), an HSGP (``_HsgpTerm``) or the Hill curves at the distinct
+repeat counts (``_HillTerm``). The terms are the intercept and indicator
+blocks (``_Linear``), a 1D HSGP read through ``_Gather`` (the time, age
+and repeat-GP smooths), the repeat tables (``_RepeatTable``), the Hill
+curves, the BRC band sums (``_BandSums``, which scatter their gradient
+back with one ``np.bincount``) and the -exp fatigue of the BRC variants
+(``_NegativeExp``). A fitted GP is read on the points it was built on:
+``age_curve`` and ``predict_log_m`` take whole-year ages and index the age
+smooth on AGE_GRID and each surface on the 85 x 85 grid.
 
 One observation model per family runs on the groups: Poisson and NB2 on
 group sizes and count sums plus a count histogram, so their cost scales
 with distinct predictor cells, not rows; NB1 reads each coarse cell's
 mean from its group.
-
-``logp_grad`` is one flat pass under one ``np.errstate``. It checks and
-exponentiates every log-scale element of theta once, into one
-natural-scale vector that every source and the prior pass read. Each
-backprop writes natural-scale partials into one gradient buffer through
-slices found when the model was built; the prior pass adds its own and
-applies the log-scale chain rule, once.
-
-Every parameter block declares its natural-scale prior (``Block.prior``).
-Every prior family is a case of one formula (``priors.FORMULA``). When a
-model is built, each element of its layout takes the coefficients of its
-block's prior, which form one table (``PriorTable``) that holds only the
-terms some element has: the quadratic in L and Q over the whole
-natural-scale vector, and D and the E log1p(F v^2) tail each on a slice
-of the log-scale elements that hold it, or not at all. Each ``logp_grad``
-ends with one call, ``table_log_prior``, that evaluates the table with
-the log-scale Jacobians at the natural-scale values; the model code
-itself holds likelihood and backprop only.
 
 Whatever ``logp_grad`` needs that does not depend on the parameters is
 computed once, when the model is built: the group design, the prior
@@ -228,7 +192,9 @@ class ModelSpec:
 
     ``beta0_prior`` is the prior of the intercept block ``beta0``, and
     ``beta_prior`` that of the GAM's covariate coefficients ``beta``; array
-    or tuple params give each coefficient its own.
+    or tuple params give each coefficient its own. A fatigue kind that the
+    family's model class cannot fit (not in its ``fatigue_kinds``) is
+    refused.
     """
 
     family: str
@@ -242,6 +208,9 @@ class ModelSpec:
     def __post_init__(self) -> None:
         if self.family not in _FAMILY_CLASS:
             raise ValueError(f"unknown model family {self.family!r}")
+        if self.fatigue.kind not in _FAMILY_CLASS[self.family].fatigue_kinds:
+            raise ValueError(f"{self.family} cannot fit fatigue kind "
+                             f"{self.fatigue.kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -895,7 +864,8 @@ class _AdditiveCountModel:
     """A log-linear count regression: eta = sum of ``terms`` + offsets.
 
     Rows that agree on every column the terms read and on their offset form
-    one predictor group. The class's ``observation`` model runs on them.
+    one predictor group. The class's ``observation`` model runs on them;
+    ``ModelSpec`` refuses a fatigue kind not in its ``fatigue_kinds``.
     Every prediction includes the offsets. The model is built only on
     finite columns and offsets; a row that is not raises ``DataError``.
 
@@ -1059,6 +1029,7 @@ class Stage1PoissonModel(_AdditiveCountModel):
     """
 
     observation = _PoissonGroups
+    fatigue_kinds = ("none",)
 
     def __init__(self, spec: ModelSpec, data: DesignMatrix):
         u, v = data.blocks["u"], data.blocks["v"]
@@ -1083,6 +1054,7 @@ class Stage2PoissonModel(_AdditiveCountModel):
     """
 
     observation = _PoissonGroups
+    fatigue_kinds = ("none",)
 
     def __init__(self, spec: ModelSpec, data: DesignMatrix):
         if spec.rhs is None or spec.rhs.sign != "negative":
@@ -1103,6 +1075,7 @@ class LongitudinalNbModel(_AdditiveCountModel):
     """
 
     observation = _Nb2Groups
+    fatigue_kinds = ("none", "independent", "identical", "gp", "hill")
 
     def __init__(self, spec: ModelSpec, data: DesignMatrix):
         times, time_idx = np.unique(data.report_date, return_inverse=True)
@@ -1122,11 +1095,8 @@ class LongitudinalNbModel(_AdditiveCountModel):
                 REPEAT_GP, None), repeat)]
         elif fk == "hill":
             fatigue = [_HillTerm(spec.fatigue, repeat)]
-        elif fk == "none":
+        else:                   # "none"
             fatigue = []
-        else:
-            raise ValueError(f"unsupported fatigue kind {fk!r} for "
-                             "the longitudinal model")
         x = data.x
         super().__init__(spec, data, [
             _Linear.intercept(spec, data.n),
@@ -1150,10 +1120,9 @@ class IndividualGamModel(_AdditiveCountModel):
     """log(lambda) = beta0 + u' beta + f(age) + w' rho(r), NB2 counts."""
 
     observation = _Nb2Groups
+    fatigue_kinds = ("none", "hill_per_covariate")
 
     def __init__(self, spec: ModelSpec, data: DesignMatrix):
-        if spec.fatigue.kind not in ("none", "hill_per_covariate"):
-            raise ValueError("GAM fatigue must be none or hill_per_covariate")
         u, w = data.blocks["u"], data.blocks["w"]
         age = _Gather.on_axis("age", AGE_GRID / AGE_SD, data.age.astype(int),
                               spec.hsgp_age)
@@ -1231,8 +1200,9 @@ def make_brc_data(*, y, wave, repeat, age, band, n_participants, s_prop,
     gender. A count or repeat that is not a whole number >= 0, a
     wave that is not a whole number >= 1, a participant age that is not a
     whole year in 0-84, a band that is not an index into ``bands``, a
-    participant count that is not > 0 or a reporting share S outside
-    (0, 1] raises ``DataError`` naming the cell.
+    participant count that is not > 0, a reporting share S outside (0, 1]
+    or a pair label not in ``pairs`` raises ``DataError`` naming the
+    cell.
     """
     y, wave, repeat, age, band, n_part, s_prop = (
         np.asarray(x, dtype=float)
@@ -1256,8 +1226,14 @@ def make_brc_data(*, y, wave, repeat, age, band, n_participants, s_prop,
     n_cells = y.shape[0]
     waves = tuple(sorted(np.unique(wave.astype(int))))
     wave_idx = np.searchsorted(np.asarray(waves), wave)
-    pair_arr = (np.zeros(n_cells, dtype=int) if pair is None
-                else np.asarray([pairs.index(p) for p in pair]))
+    if pair is None:
+        pair_arr = np.zeros(n_cells, dtype=int)
+    else:
+        for i, p in enumerate(pair):
+            if p not in pairs:
+                raise DataError(f"cell {i}: pair {p!r} is not one of "
+                                f"{pairs}")
+        pair_arr = np.asarray([pairs.index(p) for p in pair])
     return BrcData(
         y=y, cell_wave=wave_idx, cell_repeat=repeat.astype(int),
         cell_age=age.astype(int), cell_pair=pair_arr,
@@ -1299,12 +1275,11 @@ class AggregatedBrcModel(_AdditiveCountModel):
     """
 
     observation = _Nb1Cells
+    fatigue_kinds = ("none", "independent", "variant_a", "variant_b",
+                     "variant_c")
 
     def __init__(self, spec: ModelSpec, data: BrcData):
         fk = spec.fatigue.kind
-        if fk not in ("none", "independent", "variant_a", "variant_b",
-                      "variant_c"):
-            raise ValueError(f"unsupported fatigue kind {fk!r} for BRC")
         band_sums = _BandSums(data, spec.hsgp_surface)
         self.surfaces = band_sums.surfaces
         later_wave = (data.cell_wave[:, None]
@@ -1376,6 +1351,7 @@ Model = _AdditiveCountModel
 
 
 #: the model class of each family; each class names its observation model
+#: and the fatigue kinds it fits
 _FAMILY_CLASS = {"stage1_poisson": Stage1PoissonModel,
                  "stage2_poisson": Stage2PoissonModel,
                  "longitudinal_nb": LongitudinalNbModel,

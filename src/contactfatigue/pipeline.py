@@ -5,8 +5,7 @@ parameters receive informative priors centered at the previous wave's
 posterior means (Normal(. , 0.3) for coefficients, half-Normal(. , 0.3) /
 Normal(. , 0.1) / half-Normal(. , 0.1) for gamma / zeta / eta). This
 resolves the confounding between baseline intensity and fatigue when a wave
-has no first-time participants. The unadjusted comparator refits each wave
-independently without any fatigue term.
+has no first-time participants.
 """
 
 from __future__ import annotations
@@ -104,14 +103,6 @@ def fit_sequence(waves: list[list[SurveyRecord]], feature_spec: FeatureSpec,
     return fits
 
 
-def fit_independent(waves: list[list[SurveyRecord]],
-                    feature_spec: FeatureSpec, spec: ModelSpec,
-                    cfg: SamplerConfig) -> list[WaveFit]:
-    """Comparator: fit each wave separately with the given spec; a wave
-    with no records is a ``DataError``."""
-    return [fit_wave(records, feature_spec, spec, cfg) for records in waves]
-
-
 # ---------------------------------------------------------------------------
 # Population-level estimates
 # ---------------------------------------------------------------------------
@@ -161,7 +152,10 @@ def bootstrap_mean(records: list[SurveyRecord], b: int, *, seed: int = 0
                    ) -> PopulationEstimate:
     """Participant-level bootstrap of the mean contact count, with its
     median and 95% percentile interval over the resamples. Each resample's
-    mean is the average with equal weights."""
+    mean is the average with equal weights. No records is a
+    ``DataError``."""
+    if not records:
+        raise DataError("no records to resample")
     check_resamples(b)
     y = np.array([r.contacts_total for r in records], dtype=float)
     # np.average rounds unlike ndarray.mean; it keeps estimates.csv's bytes
@@ -179,7 +173,7 @@ def bootstrap_mean(records: list[SurveyRecord], b: int, *, seed: int = 0
         means[k] = float(np.average(y[rows], weights=w[rows]))
     med, (lo, hi) = posterior_interval(means, INTERVAL_95)
     return PopulationEstimate(
-        wave=int(records[0].wave) if records else 0, method="bootstrap",
+        wave=int(records[0].wave), method="bootstrap",
         median=float(med), lower=float(lo), upper=float(hi))
 
 

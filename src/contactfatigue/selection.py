@@ -42,14 +42,6 @@ class SelectionResult:
     def selected_features(self) -> tuple[str, ...]:
         return tuple(n for n, s in zip(self.feature_names, self.selected) if s)
 
-    def to_rows(self) -> list[dict]:
-        return [
-            {"feature": n, "median": float(m), "lower50": float(lo),
-             "upper50": float(hi), "selected": bool(s)}
-            for n, m, lo, hi, s in zip(self.feature_names, self.medians,
-                                       self.lower50, self.upper50,
-                                       self.selected)]
-
 
 def _fit_coefficients(model, cfg: SamplerConfig, stage: int):
     """Posterior median and 50% bounds of the coefficients of ``model``."""

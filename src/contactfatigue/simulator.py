@@ -89,11 +89,7 @@ class TruthManifest:
     record_keys: list              # (participant_id, wave)
 
     def to_json(self) -> str:
-        payload = asdict(self)
-        payload["hill_curves"] = {
-            k: {"gamma": c.gamma, "zeta": c.zeta, "eta": c.eta}
-            for k, c in self.hill_curves.items()}
-        return json.dumps(payload, indent=1, sort_keys=True)
+        return json.dumps(asdict(self), indent=1, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "TruthManifest":

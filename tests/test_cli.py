@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import pathlib
 import re
 
@@ -38,17 +39,22 @@ class TestSelectionGroups:
             selection_groups([r for r in panel if r.wave == 1])
 
 
-def test_failed_simulate_write_leaves_no_file(tmp_path, monkeypatch):
+def test_failed_simulate_write_leaves_no_file(tmp_path, monkeypatch,
+                                             caplog):
     def failing_write(records, path):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("participant_id\n")
         raise OSError("disk full")
 
     monkeypatch.setattr(cli, "panel_to_csv", failing_write)
+    caplog.set_level(logging.INFO, logger="contactfatigue")
     out = tmp_path / "data"
     assert run(["simulate", "--waves", "2", "--panel-size", "10",
                 "--out", str(out)]) == cli.EXIT_IO
     assert list(out.iterdir()) == []
+    # the failed stage still logs its wall time
+    assert any(r.getMessage().startswith("stage write")
+               for r in caplog.records)
 
 
 class TestFitAcceptsEverySchemaLevel:

@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contactfatigue.cli import gam_feature_spec, scenario_feature_spec
-from contactfatigue.domain import (AgeBand, CoarseBandSet, DataError,
-                                   FeatureBlock, FeatureSpec, PopulationTable,
-                                   SurveyRecord, build_design,
-                                   default_coarse_bands, impute_child_age,
-                                   load_survey_csv)
+from contactfatigue.domain import (AgeBand, CoarseBandSet, CsvSchema,
+                                   DataError, FeatureBlock, FeatureSpec,
+                                   PopulationTable, SurveyRecord,
+                                   build_design, default_coarse_bands,
+                                   impute_child_age, load_survey_csv)
 from contactfatigue.simulator import (ScenarioConfig, scenario_schema,
                                       simulate_panel)
 
@@ -81,6 +81,12 @@ class TestRecords:
                          contacts_by_band=(-5, 3) + (0,) * 11)
 
 
+def _load(path, schema=CsvSchema({})):
+    """The records of a survey file and its count of dropped rows, child
+    ages drawn from a seeded RNG."""
+    return load_survey_csv(str(path), schema, rng=np.random.default_rng(0))
+
+
 class TestCsvLoading:
     HEADER = ("participant_id,wave,repeat,age,age_band,sex,household_size,"
               "report_date,y_total")
@@ -91,20 +97,20 @@ class TestCsvLoading:
                         "a,1,0,30,,M,1,0,5\n"
                         "b,1,0,31,,,1,0,4\n"
                         "c,1,0,32,,F,2,0,3\n")
-        records, n_dropped = load_survey_csv(str(path))
+        records, n_dropped = _load(path)
         assert len(records) == 2
         assert n_dropped == 1
 
     def test_empty_file_with_header(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_text(self.HEADER + "\n")
-        assert load_survey_csv(str(path)) == ([], 0)
+        assert _load(path) == ([], 0)
 
     def test_age_out_of_range_is_error(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_text(self.HEADER + "\na,1,0,90,,M,1,0,5\n")
         with pytest.raises(DataError, match="age out of range"):
-            load_survey_csv(str(path))
+            _load(path)
 
     @pytest.mark.parametrize("column", ["sex", "household_size",
                                         "employment", "preschool"])
@@ -117,13 +123,13 @@ class TestCsvLoading:
                         + "\n")
         with pytest.raises(DataError,
                            match=f"r.csv:2: unknown {column} level 'X'"):
-            load_survey_csv(str(path), scenario_schema())
+            _load(path, scenario_schema())
 
     def test_malformed_row_reports_line(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_text(self.HEADER + "\na,1,zero,30,,M,1,0,5\n")
         with pytest.raises(DataError, match=":2"):
-            load_survey_csv(str(path))
+            _load(path)
 
     @pytest.mark.parametrize("row,message", [
         ("a,0,0,30,,M,1,0,5", "wave must be >= 1, got 0"),
@@ -140,13 +146,12 @@ class TestCsvLoading:
         path = tmp_path / "r.csv"
         path.write_text(header + "\n" + row + "\n")
         with pytest.raises(DataError, match=f"r.csv:2: {message}"):
-            load_survey_csv(str(path))
+            _load(path)
 
     def test_child_age_imputed_within_band(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_text(self.HEADER + "\nkid,1,0,,5-9,F,2,0,3\n")
-        records, _ = load_survey_csv(str(path),
-                                     rng=np.random.default_rng(0))
+        records, _ = _load(path)
         assert 5 <= records[0].age <= 9
 
     def _band_file(self, tmp_path, y_total, first_bands):
@@ -161,22 +166,22 @@ class TestCsvLoading:
     def test_band_counts_checked_before_the_cap(self, tmp_path):
         # 25 + 25 = 50 is consistent with a total of 50 as reported; the
         # cap makes the total 30 and leaves each band at 25
-        records, _ = load_survey_csv(self._band_file(tmp_path, 50, [25, 25]))
+        records, _ = _load(self._band_file(tmp_path, 50, [25, 25]))
         assert records[0].contacts_total == 30
         assert records[0].contacts_by_band[:2] == (25, 25)
 
     def test_band_sum_above_total_is_error_above_the_cap(self, tmp_path):
         with pytest.raises(DataError, match=":2: band counts sum to 50"):
-            load_survey_csv(self._band_file(tmp_path, 40, [25, 25]))
+            _load(self._band_file(tmp_path, 40, [25, 25]))
 
     def test_negative_band_count_is_error(self, tmp_path):
         with pytest.raises(DataError, match=":2: negative band count"):
-            load_survey_csv(self._band_file(tmp_path, 5, [-5, 3]))
+            _load(self._band_file(tmp_path, 5, [-5, 3]))
 
     def test_contacts_truncated_on_load(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_text(self.HEADER + "\na,1,0,30,,M,1,0,95\n")
-        records, _ = load_survey_csv(str(path))
+        records, _ = _load(path)
         assert records[0].contacts_total == 30
 
 

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from contactfatigue.inference import (DIVERGENT_SHARE_LIMIT, RHAT_LIMIT,
-                                      Diagnostics, SamplerConfig, _Target,
-                                      _transition, sample_model)
+                                      Diagnostics, PosteriorDraws,
+                                      SamplerConfig, _Target, _transition,
+                                      rhat_ess, sample_model)
 from contactfatigue.models.params import Block, Layout
 
 
@@ -166,6 +167,31 @@ class TestConvergenceLimits:
         failure = self._diag(1.0, 11).convergence_failure(100)
         assert failure == "11 of 100 transitions were divergent"
         assert DIVERGENT_SHARE_LIMIT == 0.10
+
+    @staticmethod
+    def _draws(chains):
+        chains = np.asarray(chains, dtype=float)
+        return PosteriorDraws(
+            layout=Layout([Block("a", 1)]), draws=chains[:, :, None],
+            divergent=np.zeros(chains.shape, dtype=bool),
+            step_sizes=np.ones(len(chains)), grad_evals=np.zeros(len(chains)),
+            pointwise_loglik=None)
+
+    def test_chains_apart_near_a_large_value_fail(self):
+        # chains five SDs apart at 1e4 lie within np.allclose's relative
+        # tolerance of one value: they passed as constant, with R-hat NaN
+        rng = np.random.default_rng(0)
+        chains = 1e4 + np.array([[0.0], [0.05]]) + rng.normal(0, 0.01,
+                                                              (2, 200))
+        diag = rhat_ess(self._draws(chains))
+        assert diag.rhat["a"] > RHAT_LIMIT
+        assert np.isfinite(diag.ess_bulk["a"])
+        assert diag.convergence_failure(400).startswith("max R-hat")
+
+    def test_only_equal_draws_are_constant(self):
+        with pytest.warns(RuntimeWarning, match="constant chains: \\['a'\\]"):
+            diag = rhat_ess(self._draws(np.full((2, 8), 1e4)))
+        assert np.isnan(diag.rhat["a"]) and np.isnan(diag.ess_bulk["a"])
 
 
 class TestSamplerConfig:

@@ -319,7 +319,9 @@ class TestBrcData:
          r"cell 1: participant count 0 is not > 0"),
         ("n_participants", [np.nan, 10.0], "cell 0: participant count nan"),
         ("s_prop", [0.9, 1.2], r"cell 1: S 1\.2 is not in \(0, 1\]"),
-        ("s_prop", [0.0, 0.9], "cell 0: S 0 ")])
+        ("s_prop", [0.0, 0.9], "cell 0: S 0 "),
+        ("pair", ["all", "XY"],
+         r"cell 1: pair 'XY' is not one of \('all',\)")])
     def test_out_of_contract_cells_are_refused_naming_the_cell(
             self, column, values, message):
         with pytest.raises(DataError, match=message):
@@ -638,6 +640,20 @@ class TestFamilies:
                                                 family):
         with pytest.raises(ValueError, match="cannot fit a"):
             cls(ModelSpec(family=family), small_design)
+
+    @pytest.mark.parametrize("family,kind", [
+        ("individual_gam", "hill"), ("individual_gam", "gp"),
+        ("longitudinal_nb", "hill_per_covariate"),
+        ("longitudinal_nb", "variant_a"),
+        ("aggregated_brc", "hill"), ("aggregated_brc", "gp"),
+        ("stage1_poisson", "hill"), ("stage1_poisson", "independent"),
+        ("stage2_poisson", "hill"), ("stage2_poisson", "independent")])
+    def test_a_family_refuses_a_fatigue_kind_it_cannot_fit(self, family,
+                                                           kind):
+        # the stage models built such a spec and dropped its fatigue term
+        with pytest.raises(ValueError, match=f"{family} cannot fit fatigue "
+                                             f"kind '{kind}'"):
+            ModelSpec(family=family, fatigue=FatigueSpec(kind, max_repeat=3))
 
     @pytest.mark.parametrize("name,observation", [
         ("stage1-plain", "_PoissonGroups"), ("stage2-rhs", "_PoissonGroups"),

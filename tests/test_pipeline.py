@@ -8,7 +8,7 @@ from contactfatigue.inference import (Diagnostics, PosteriorDraws,
                                       SamplerConfig)
 from contactfatigue.models import FatigueSpec, ModelSpec, build_model
 from contactfatigue.pipeline import (WaveFit, bootstrap_mean, cell_weights,
-                                     fit_independent, fit_sequence, fit_wave,
+                                     fit_sequence, fit_wave,
                                      poststratified_mean)
 from contactfatigue.priors import PriorSpec
 
@@ -51,14 +51,13 @@ def test_fitting_no_records_is_a_data_error():
         fit_wave([], SMALL_FEATURES, spec, SamplerConfig())
 
 
-@pytest.mark.parametrize("fit", [fit_sequence, fit_independent])
-def test_an_empty_wave_is_a_data_error(fit):
+def test_an_empty_wave_is_a_data_error():
     # an empty wave is refused as in fit_wave, not skipped with a warning
     spec = ModelSpec(family="individual_gam",
                      fatigue=FatigueSpec(kind="hill_per_covariate"))
     cfg = SamplerConfig(chains=1, warmup=100, sampling=5)
     with pytest.raises(DataError, match="no records to fit"):
-        fit([[], make_records(40)], SMALL_FEATURES, spec, cfg)
+        fit_sequence([[], make_records(40)], SMALL_FEATURES, spec, cfg)
 
 
 def test_a_plain_gam_sequence_propagates_its_coefficient_priors():
@@ -124,3 +123,9 @@ def test_bootstrap_point_is_the_median_of_the_resampled_means():
     est = bootstrap_mean(records, 101, seed=1)
     assert est.median in {0.0, 10.0, 20.0, 30.0}
     assert est.lower <= est.median <= est.upper
+
+
+def test_bootstrapping_no_records_is_a_data_error():
+    # it divided by the zero participants first, a ZeroDivisionError
+    with pytest.raises(DataError, match="no records to resample"):
+        bootstrap_mean([], 100)

@@ -81,6 +81,13 @@ def test_panel_equals_the_record_by_record_reference(seed, waves, panel_size,
     assert manifest.to_json() == ref_manifest.to_json()
 
 
+@pytest.mark.parametrize("seed", [0, 7])
+def test_the_manifest_survives_its_json(seed):
+    _, manifest = simulate_panel(ScenarioConfig(waves=3, panel_size=40,
+                                                seed=seed))
+    assert TruthManifest.from_json(manifest.to_json()) == manifest
+
+
 def _reference_csv(records: list[SurveyRecord], path) -> None:
     """The documented CSV schema written one dict per record."""
     cov_keys = sorted({k for r in records for k in r.covariates})
