@@ -50,11 +50,11 @@ EXIT_IO = 5
 #: ``fatigue_curve.csv`` covers repeats 0..MAX_REPEAT
 MAX_REPEAT = 12
 
-#: every config key with its default, whose type a configured value takes
+#: every config key with its default, whose type a configured value takes:
+#: the settings classes' fields (both seeds are 0), then the commands' keys
 _DEFAULTS = {
-    "seed": 0, "chains": 4, "warmup": 300, "sampling": 300,
-    "target_accept": 0.8, "max_tree_depth": 10, "threads": 1,
-    "waves": 5, "panel_size": 300, "retention": 0.7, "phi": 8.0,
+    **{f.name: f.default for cls in (SamplerConfig, ScenarioConfig)
+       for f in fields(cls)},
     "min_first": 300, "caps": "0,1,2,4", "model": "gam-hill",
     "hsgp_m": AGE_GP.m, "bootstrap_resamples": 500,
 }

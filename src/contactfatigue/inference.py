@@ -25,9 +25,9 @@ DIVERGENCE_THRESHOLD = 1000.0
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    chains: int = 8
-    warmup: int = 500
-    sampling: int = 1000
+    chains: int = 4
+    warmup: int = 300
+    sampling: int = 300
     target_accept: float = 0.8
     max_tree_depth: int = 10
     seed: int = 0
@@ -67,7 +67,7 @@ class Diagnostics:
     divergences: int
 
     def max_rhat(self) -> float:
-        vals = [v for v in self.rhat.values() if np.isfinite(v)]
+        vals = [v for v in self.rhat.values() if not np.isnan(v)]
         return max(vals) if vals else float("nan")
 
     def convergence_failure(self, n_transitions: int) -> str | None:
@@ -341,20 +341,15 @@ def _run_chain(logp_grad, dim, cfg: SamplerConfig, chain_idx: int):
     eps0 = _find_reasonable_epsilon(target, theta, logp, grad, inv_mass, rng)
     adapt = _DualAveraging(eps0, cfg.target_accept)
 
-    # Warmup phases: step-size only, expanding variance windows, final
-    # step-size polish.
-    fast1 = max(1, int(round(0.15 * cfg.warmup)))
-    fast2 = max(1, int(round(0.10 * cfg.warmup)))
-    slow = cfg.warmup - fast1 - fast2
-    window_ends: list[int] = []
-    w = max(25, slow // 8)
-    pos = fast1
-    while slow > 0 and pos < fast1 + slow:
-        nxt = min(pos + w, fast1 + slow)
-        if (fast1 + slow) - nxt < w:
-            nxt = fast1 + slow
-        window_ends.append(nxt)
-        pos = nxt
+    # Warmup phases (each non-empty, as warmup >= 100): step-size only,
+    # expanding variance windows up to slow_end, final step-size polish.
+    fast1 = int(round(0.15 * cfg.warmup))
+    slow_end = cfg.warmup - int(round(0.10 * cfg.warmup))
+    window_ends = set()
+    end, w = fast1, max(25, (slow_end - fast1) // 8)
+    while end < slow_end:
+        end = end + w if slow_end - end >= 2 * w else slow_end
+        window_ends.add(end)
         w *= 2
     welford = _Welford(dim)
 
@@ -372,8 +367,7 @@ def _run_chain(logp_grad, dim, cfg: SamplerConfig, chain_idx: int):
         if it < cfg.warmup:
             adapt.update(accept_stat)
             eps = adapt.eps
-            in_slow = fast1 <= it < fast1 + slow
-            if in_slow:
+            if fast1 <= it < slow_end:
                 welford.push(theta)
                 if (it + 1) in window_ends:
                     inv_mass = welford.variance()
@@ -421,12 +415,7 @@ def sample_model(model, cfg: SamplerConfig,
     post = PosteriorDraws(layout=model.layout, draws=draws,
                           divergent=divergent, step_sizes=step_sizes,
                           grad_evals=grad_evals, pointwise_loglik=pointwise)
-    if cfg.chains >= 2 and cfg.sampling >= 4:
-        diag = rhat_ess(post)
-    else:
-        nan = {n: float("nan") for n in post.parameter_names}
-        diag = Diagnostics(rhat=dict(nan), ess_bulk=dict(nan),
-                           divergences=int(divergent.sum()))
+    diag = rhat_ess(post)
     if failure := diag.convergence_failure(divergent.size):
         warnings.warn(failure, ConvergenceWarning, stacklevel=2)
     return post, diag
@@ -436,33 +425,26 @@ def sample_model(model, cfg: SamplerConfig,
 # MAP optimization
 # ---------------------------------------------------------------------------
 
-def _negative_logp(model):
-    def objective(theta):
-        logp, grad = model.logp_grad(theta)
-        if not np.isfinite(logp):
-            return 1e30, np.zeros_like(theta)
-        return -logp, -grad
-    return objective
-
-
-def _lbfgs(model, x0, max_iter):
+def warm_start_point(model, seed: int = 0) -> np.ndarray | None:
+    """Best-effort posterior-mode (MAP) search by L-BFGS, from zero and
+    then from one uniform(-1, 1) point; None when both fail."""
     # imported here, not with the module: SciPy's optimizers take a few
     # hundred ms and about 24 MB to load, which only a MAP search needs
     from scipy.optimize import minimize
 
-    return minimize(_negative_logp(model), x0, jac=True, method="L-BFGS-B",
-                    options={"maxiter": max_iter, "gtol": 1e-10,
-                             "ftol": 1e-18, "maxls": 100})
+    def negative_logp(theta):
+        logp, grad = model.logp_grad(theta)
+        if not np.isfinite(logp):
+            return 1e30, np.zeros_like(theta)
+        return -logp, -grad
 
-
-def warm_start_point(model, seed: int = 0) -> np.ndarray | None:
-    """Best-effort posterior-mode (MAP) search by L-BFGS, from zero and
-    then from one uniform(-1, 1) point; None when both fail."""
     dim = model.layout.size
     rng = np.random.default_rng(seed)
     for attempt in range(2):
         x0 = np.zeros(dim) if attempt == 0 else rng.uniform(-1, 1, size=dim)
-        res = _lbfgs(model, x0, max_iter=500)
+        res = minimize(negative_logp, x0, jac=True, method="L-BFGS-B",
+                       options={"maxiter": 500, "gtol": 1e-10,
+                                "ftol": 1e-18, "maxls": 100})
         if np.isfinite(res.fun) and res.fun < 1e29:
             return res.x
     return None
@@ -472,47 +454,30 @@ def warm_start_point(model, seed: int = 0) -> np.ndarray | None:
 # Convergence diagnostics
 # ---------------------------------------------------------------------------
 
-def _split_chains(x: np.ndarray) -> np.ndarray:
-    n = x.shape[1] // 2
-    return np.vstack([x[:, :n], x[:, x.shape[1] - n:]])
-
-
-def _rhat_1d(x: np.ndarray) -> float:
-    """Split R-hat on a (chains, draws) array of one parameter."""
-    x = _split_chains(x)
-    m, n = x.shape
-    if n < 2:
-        return float("nan")
-    chain_means = x.mean(axis=1)
+def _rhat(x: np.ndarray) -> float:
+    """Split R-hat of one parameter's (split chains, draws) array; inf
+    when every split chain is constant but not all at one value."""
+    n = x.shape[1]
     within = x.var(axis=1, ddof=1).mean()
-    between = n * np.var(chain_means, ddof=1)
     if within == 0:
-        return float("nan")
+        return float("inf")
+    between = n * np.var(x.mean(axis=1), ddof=1)
     var_hat = (n - 1) / n * within + between / n
     return float(np.sqrt(var_hat / within))
 
 
-def _autocov(x: np.ndarray) -> np.ndarray:
-    n = x.size
-    xc = x - x.mean()
-    pad = int(2 ** np.ceil(np.log2(2 * n)))
-    f = np.fft.rfft(xc, pad)
-    acov = np.fft.irfft(f * np.conj(f), pad)[:n].real / n
-    return acov
-
-
-def _ess_1d(x: np.ndarray) -> float:
-    """Bulk ESS via Geyer's initial monotone sequence on split chains."""
-    x = _split_chains(x)
+def _ess(x: np.ndarray) -> float:
+    """Bulk ESS of one parameter's (split chains, draws) array, via
+    Geyer's initial monotone sequence."""
     m, n = x.shape
     if n < 4:
         return float("nan")
-    acov = np.asarray([_autocov(x[c]) for c in range(m)])
-    chain_means = x.mean(axis=1)
+    xc = x - x.mean(axis=1, keepdims=True)
+    pad = int(2 ** np.ceil(np.log2(2 * n)))
+    f = np.fft.rfft(xc, pad, axis=1)
+    acov = np.fft.irfft(f * np.conj(f), pad, axis=1)[:, :n] / n
     mean_var = acov[:, 0].mean() * n / (n - 1.0)
-    var_plus = mean_var * (n - 1.0) / n
-    if m > 1:
-        var_plus += np.var(chain_means, ddof=1)
+    var_plus = mean_var * (n - 1.0) / n + np.var(x.mean(axis=1), ddof=1)
     if var_plus == 0:
         return float("nan")
 
@@ -541,28 +506,30 @@ def _ess_1d(x: np.ndarray) -> float:
 
 
 def rhat_ess(draws: PosteriorDraws) -> Diagnostics:
-    """Split R-hat and bulk effective sample size per parameter."""
-    arr = draws.draws
-    if arr.shape[0] < 2 or arr.shape[1] < 4:
-        raise ValueError("diagnostics need >= 2 chains and >= 4 draws each")
-    rhat: dict[str, float] = {}
-    ess: dict[str, float] = {}
-    constant = []
-    for j, name in enumerate(draws.parameter_names):
-        x = arr[:, :, j]
-        if np.ptp(x) == 0:
-            rhat[name] = float("nan")
-            ess[name] = float("nan")
-            constant.append(name)
-            continue
-        rhat[name] = _rhat_1d(x)
-        ess[name] = _ess_1d(x)
-    if constant:
-        warnings.warn(
-            f"R-hat undefined for constant chains: {constant[:5]}",
-            RuntimeWarning, stacklevel=2)
-    return Diagnostics(rhat=rhat, ess_bulk=ess,
+    """Split R-hat and bulk effective sample size per parameter: NaN for
+    every parameter below 2 chains or 4 draws per chain, and for a
+    parameter whose draws are all equal."""
+    arr = draws.draws.transpose(2, 0, 1)     # (parameter, chain, draw)
+    names = draws.parameter_names
+    diag = Diagnostics(rhat=dict.fromkeys(names, float("nan")),
+                       ess_bulk=dict.fromkeys(names, float("nan")),
                        divergences=int(draws.divergent.sum()))
+    _, chains, n = arr.shape
+    if chains < 2 or n < 4:
+        return diag
+    # each parameter's split chains: every first half, then every second
+    half = n // 2
+    split = np.concatenate([arr[:, :, :half], arr[:, :, n - half:]], axis=1)
+    constant = []
+    for name, x, halves in zip(names, arr, split):
+        if np.ptp(x) == 0:
+            constant.append(name)
+        else:
+            diag.rhat[name], diag.ess_bulk[name] = _rhat(halves), _ess(halves)
+    if constant:
+        warnings.warn(f"R-hat undefined for constant chains: {constant[:5]}",
+                      RuntimeWarning, stacklevel=2)
+    return diag
 
 
 #: probabilities of the central 95% and 50% posterior intervals

@@ -20,7 +20,7 @@ from .domain import (AGE_GRID, DataError, FeatureSpec, SurveyRecord,
 from .evaluation import interval_coverage, mape
 from .inference import (INTERVAL_95, Diagnostics, PosteriorDraws,
                         SamplerConfig, posterior_interval, sample_model)
-from .models import IndividualGamModel, ModelSpec, build_model
+from .models import Model, ModelSpec, build_model
 from .models.fatigue import HILL_KINDS
 from .priors import PriorSpec
 
@@ -32,7 +32,7 @@ class WaveFit:
     wave: int
     draws: PosteriorDraws
     diagnostics: Diagnostics
-    model: IndividualGamModel
+    model: Model
     posterior_means: dict[str, np.ndarray]
     posterior_medians: dict[str, np.ndarray]
     prior_provenance: str      # "initial" or "propagated"

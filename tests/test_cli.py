@@ -8,7 +8,7 @@ import pytest
 from contactfatigue import cli
 from contactfatigue.cli import run, selection_groups
 from contactfatigue.domain import DataError
-from contactfatigue.inference import ConvergenceWarning
+from contactfatigue.inference import ConvergenceWarning, SamplerConfig
 from contactfatigue.simulator import (ScenarioConfig, panel_to_csv,
                                       simulate_panel)
 
@@ -192,3 +192,8 @@ def test_the_run_config_table_lists_every_key_with_its_default():
     assert len(rows) == len(cli._DEFAULTS)
     assert {key: default for key, default, *_ in rows} == {
         key: str(value) for key, value in cli._DEFAULTS.items()}
+
+
+@pytest.mark.parametrize("settings", [SamplerConfig, ScenarioConfig])
+def test_the_default_run_is_the_librarys(settings):
+    assert cli.configured(settings, cli.read_config(None, {})) == settings()

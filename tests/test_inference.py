@@ -4,7 +4,8 @@ import pytest
 from contactfatigue.inference import (DIVERGENT_SHARE_LIMIT, RHAT_LIMIT,
                                       Diagnostics, PosteriorDraws,
                                       SamplerConfig, _Target, _transition,
-                                      rhat_ess, sample_model)
+                                      rhat_ess, sample_model,
+                                      warm_start_point)
 from contactfatigue.models.params import Block, Layout
 
 
@@ -188,10 +189,54 @@ class TestConvergenceLimits:
         assert np.isfinite(diag.ess_bulk["a"])
         assert diag.convergence_failure(400).startswith("max R-hat")
 
+    def test_chains_stuck_apart_fail(self):
+        # each chain constant at its own value: no within-chain variance,
+        # so no finite R-hat, yet not constant as a whole
+        diag = rhat_ess(self._draws(np.repeat([[0.0], [1.0]], 200, axis=1)))
+        assert diag.rhat["a"] == np.inf
+        assert diag.convergence_failure(400).startswith("max R-hat")
+
+    @pytest.mark.parametrize("shape", [(1, 50), (2, 3)])
+    def test_too_few_draws_have_no_diagnostics(self, shape):
+        draws = np.random.default_rng(0).normal(size=shape)
+        diag = rhat_ess(self._draws(draws))
+        assert np.isnan(diag.rhat["a"]) and np.isnan(diag.ess_bulk["a"])
+        assert diag.convergence_failure(draws.size) is None
+
     def test_only_equal_draws_are_constant(self):
         with pytest.warns(RuntimeWarning, match="constant chains: \\['a'\\]"):
             diag = rhat_ess(self._draws(np.full((2, 8), 1e4)))
         assert np.isnan(diag.rhat["a"]) and np.isnan(diag.ess_bulk["a"])
+
+
+class Quadratic:
+    """A Gaussian log density with its mode at MODE and unequal scales."""
+
+    MODE = np.array([0.5, -1.5, 2.0])
+    PRECISION = np.array([0.1, 1.0, 30.0])
+    layout = Layout([Block("theta", 3)])
+
+    def logp_grad(self, theta):
+        d = theta - self.MODE
+        return -0.5 * float(d @ (self.PRECISION * d)), -self.PRECISION * d
+
+
+class Nowhere:
+    """A target that no state reaches."""
+
+    layout = Layout([Block("theta", 3)])
+
+    def logp_grad(self, theta):
+        return -np.inf, np.zeros_like(theta)
+
+
+class TestWarmStartPoint:
+    def test_finds_the_mode(self):
+        np.testing.assert_allclose(warm_start_point(Quadratic()),
+                                   Quadratic.MODE, rtol=0, atol=1e-6)
+
+    def test_an_unreachable_target_has_no_mode(self):
+        assert warm_start_point(Nowhere()) is None
 
 
 class TestSamplerConfig:

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Write the output tree of a small seeded CLI run into OUT: the README's
-# six commands on a small panel, plus a fit with every other model and a
-# two-chain fit. Two trees of one commit must be byte-identical under
+# six commands on a small panel, plus a fit with every other model, a
+# two-chain fit and a four-chain fit (eight split chains in its
+# diagnostics). Two trees of one commit must be byte-identical under
 # `diff -r`, and so must the trees of two commits whose outputs are meant
 # to stay the same.
 #
@@ -24,6 +25,9 @@ done
 cf --seed 7 --chains 2 --warmup 100 --sampling 20 fit \
   --model longitudinal-hill --data "$out/data/records.csv" \
   --out "$out/fit-2-chains"
+cf --seed 7 --chains 4 --warmup 100 --sampling 20 fit \
+  --model gam-hill --data "$out/data/records.csv" \
+  --out "$out/fit-4-chains"
 cf evaluate --fit "$out/fit" --truth "$out/data/truth.manifest" \
   --out "$out/eval"
 cf $fit select --data "$out/data/records.csv" --out "$out/sel"
