@@ -16,12 +16,22 @@ per distinct count; ``nb2_group_loglik`` sums over the groups in dot
 products, in the terms that ``nb2_loglik`` takes per row. A model builds
 its ``GroupCounts`` once: group sizes, count sums, the count histogram and
 the terms that depend on the counts alone (the groups with counts, the
-mean counts and the log-factorials), so a gradient computes only what
-depends on the parameters. The cell NB1 likelihood ``nb1_agg_loglik``
-likewise takes its cells' log-factorials from the model. The grouped
-likelihoods run under the ``np.errstate`` of their caller, ``logp_grad``;
-the row-level ones and the NB1 one, which predictions also call, set their
-own.
+mean counts, the log-factorials and the number of rows above each count),
+so a gradient computes only what depends on the parameters. The cell NB1
+likelihood ``nb1_agg_loglik`` likewise takes its cells' log-factorials
+from the model. The grouped likelihoods run under the ``np.errstate`` of
+their caller, ``logp_grad``; the row-level ones and the NB1 one, which
+predictions also call, set their own.
+
+NB2 takes the Gamma ratio of a count y as the exact finite sum
+
+    lnGamma(y + phi) - lnGamma(phi) - y log(phi) = sum_{k<y} log1p(k / phi),
+
+and its phi-derivative psi(y + phi) - psi(phi) as sum_{k<y} 1 / (phi + k),
+so both hold every digit at any phi: the Gamma and digamma functions of
+phi themselves, whose differences cancel to nothing as phi grows, are
+never formed. The counts are whole numbers, so the sums run over k below
+the largest count.
 """
 
 from __future__ import annotations
@@ -42,19 +52,22 @@ def poisson_loglik(y: np.ndarray, log_mu: np.ndarray) -> np.ndarray:
 
 
 def nb2_loglik(y: np.ndarray, log_mu: np.ndarray, phi: float) -> np.ndarray:
-    """Per-row NB2 log pmf, in the terms of ``nb2_group_loglik``: with
-    L = log1p(mu / phi), taken by ``logaddexp`` where mu / phi overflows,
-    lnGamma(y + phi) - lnGamma(phi) - lnGamma(y + 1) - phi L
-    + y (log mu - log(phi) - L)."""
+    """Per-row NB2 log pmf at whole counts y, in the terms of
+    ``nb2_group_loglik``: with L = log1p(mu / phi), taken by ``logaddexp``
+    where mu / phi overflows, sum_{k<y} log1p(k / phi) - lnGamma(y + 1)
+    - phi L + y (log mu - L)."""
     y = np.asarray(y, dtype=float)
-    log_phi = math.log(phi)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         log1p_r = np.log1p(np.exp(log_mu) / phi)
+        log_phi = math.log(phi)
         log1p_r = np.where(np.isinf(log1p_r),
                            np.logaddexp(log_phi, log_mu) - log_phi, log1p_r)
-        ll = (gammaln(y + phi) - gammaln(phi) - gammaln(y + 1.0)
-              - phi * log1p_r
-              + np.where(y > 0, y * (log_mu - log_phi - log1p_r), 0.0))
+        # sum_{k<y} log1p(k / phi), one cumulative sum read at each count;
+        # its k = 0 term is 0
+        steps = np.log1p(np.arange(int(y.max(initial=0.0))) / phi)
+        rising = np.concatenate(([0.0], np.cumsum(steps)))[y.astype(int)]
+        ll = (rising - gammaln(y + 1.0) - phi * log1p_r
+              + np.where(y > 0, y * (log_mu - log1p_r), 0.0))
     return np.where(np.isfinite(ll), ll, -np.inf)
 
 
@@ -67,9 +80,10 @@ class GroupCounts:
     through a histogram, ``hist_counts`` rows at each distinct count
     ``hist_vals``. Built once per model: ``has_y`` (sum_y > 0), the groups
     with counts ``with_y`` and their sums ``sum_y_pos``, the mean count
-    ``mean_y`` and the count total ``y_total``, the log-factorials
-    ``log_fact`` of the distinct counts and their total over the rows,
-    ``total_log_fact``.
+    ``mean_y``, the total of the log-factorials over the rows,
+    ``total_log_fact``, and for each k below the largest count (``k``) the
+    number of rows whose count exceeds it (``above``), which turns a sum
+    over k < y of every row into one dot product over k.
     """
 
     def __init__(self, y: np.ndarray, group_of: np.ndarray, n_groups: int):
@@ -79,11 +93,11 @@ class GroupCounts:
         self.with_y = np.flatnonzero(self.has_y)
         self.sum_y_pos = self.sum_y[self.with_y]
         self.mean_y = self.sum_y / self.n
-        self.y_total = float(self.sum_y.sum())
         self.hist_vals, counts = np.unique(y, return_counts=True)
         self.hist_counts = counts.astype(float)
-        self.log_fact = gammaln(self.hist_vals + 1.0)
-        self.total_log_fact = self.hist_counts @ self.log_fact
+        self.total_log_fact = self.hist_counts @ gammaln(self.hist_vals + 1.0)
+        self.k = np.arange(float(self.hist_vals.max(initial=0.0)))
+        self.above = (self.hist_vals > self.k[:, None]) @ self.hist_counts
 
 
 def poisson_group_loglik(counts: GroupCounts, eta: np.ndarray
@@ -107,29 +121,29 @@ def nb2_group_loglik(counts: GroupCounts, eta: np.ndarray, phi: float
     over the groups.
 
     With group sizes n, count sums sum_y and L = log1p(mu / phi) =
-    log(phi + mu) - log(phi), the log likelihood is the sum of the Gamma
-    ratios lnGamma(y + phi) - lnGamma(phi) over the distinct counts,
-    minus the log-factorials, plus -phi n . L + sum_y . (eta - log(phi) -
-    L), the eta term taken over the groups with counts only, and
-    d ll / d eta = phi (sum_y - n mu) / (phi + mu). It equals the sum of
-    ``nb2_loglik`` over the rows up to rounding; phi n L stays exact as
-    mu / phi -> 0, where n phi (log(phi) - log(phi + mu)) cancels. Where
-    mu / phi overflows, L is taken by ``logaddexp`` and the gradients in
-    forms that stay finite there, so the log likelihood stays finite as
-    mu -> inf.
+    log(phi + mu) - log(phi), the log likelihood is the sum over the rows
+    of sum_{k<y} log1p(k / phi), taken as one dot product of the number
+    of rows above each k, minus the log-factorials, plus -phi n . L +
+    sum_y . (eta - L), the eta term taken over the groups with counts
+    only, and d ll / d eta = phi (sum_y - n mu) / (phi + mu). It equals
+    the sum of ``nb2_loglik`` over the rows up to rounding; phi n L stays
+    exact as mu / phi -> 0, where n phi (log(phi) - log(phi + mu))
+    cancels, and the count terms stay exact as phi -> inf. Where mu / phi
+    overflows, L is taken by ``logaddexp`` and the gradients in forms that
+    stay finite there, so the log likelihood stays finite as mu -> inf.
 
     It runs under the caller's ``np.errstate``: ``logp_grad`` silences
     NumPy's floating-point warnings for its whole pass. Returns (total ll,
     d ll / d eta per group, d ll / d phi).
     """
     c = counts
-    log_phi = math.log(phi)
     mu = np.exp(eta)
     r = mu / phi
     q = 1.0 / (1.0 + r)
     log1p_r = np.log1p(r)
     n_log1p = c.n @ log1p_r
     if n_log1p == np.inf:     # mu / phi overflows
+        log_phi = math.log(phi)
         over = np.isinf(log1p_r)
         log1p_r[over] = np.logaddexp(log_phi, eta[over]) - log_phi
         n_log1p = c.n @ log1p_r
@@ -138,15 +152,13 @@ def nb2_group_loglik(counts: GroupCounts, eta: np.ndarray, phi: float
     else:
         rq = r * q
         d_eta = (c.mean_y - mu) * (c.n * q)
-    hist_phi = c.hist_vals + phi
-    total = (c.hist_counts @ (gammaln(hist_phi) - gammaln(phi))
-             - c.total_log_fact - phi * n_log1p
-             + c.sum_y_pos @ eta[c.with_y] - c.sum_y @ log1p_r
-             - c.y_total * log_phi)
+    total = (c.above @ np.log1p(c.k / phi) - c.total_log_fact
+             - phi * n_log1p + c.sum_y_pos @ eta[c.with_y]
+             - c.sum_y @ log1p_r)
     if not math.isfinite(total):
         return -np.inf, np.zeros_like(eta), 0.0
-    d_phi = (c.hist_counts @ (digamma(hist_phi) - digamma(phi))
-             + c.n @ rq - n_log1p - (c.sum_y @ q) / phi)
+    d_phi = (c.above @ (1.0 / (phi + c.k)) + c.n @ rq - n_log1p
+             - (c.sum_y @ q) / phi)
     return total, d_eta, d_phi
 
 

@@ -83,6 +83,48 @@ class TestNb2:
                 assert abs(got - total) <= 1e-13 * total_size
 
 
+class TestNb2AtLargePhi:
+    """Both NB2 likelihoods against a 60-digit reference written with the
+    Gamma and digamma functions, on eight groups of one row each, from a
+    moderate phi to one where NB2 is Poisson to the last digit."""
+
+    Y = np.array([0.0, 1.0, 3.0, 0.0, 7.0, 2.0, 12.0, 30.0])
+    ETA = np.array([-1.2, 0.3, 1.1, -0.4, 2.0, 0.8, 2.4, 3.3])
+
+    @classmethod
+    def _reference(cls, log_phi):
+        """(log likelihood, d ll / d log phi) at 60 digits."""
+        with mpmath.workdps(60):
+            p = mpmath.exp(mpmath.mpf(log_phi))
+            ll, d_log_phi = [], []
+            for y, eta in zip(cls.Y, cls.ETA):
+                mu = mpmath.exp(mpmath.mpf(eta))
+                log_q = mpmath.log(p / (p + mu))
+                ll.append(mpmath.loggamma(y + p) - mpmath.loggamma(p)
+                          - mpmath.loggamma(y + 1) + p * log_q
+                          + y * mpmath.log(mu / (p + mu)))
+                d_log_phi.append(p * (mpmath.digamma(y + p)
+                                      - mpmath.digamma(p) + log_q + 1
+                                      - (y + p) / (p + mu)))
+            return float(mpmath.fsum(ll)), float(mpmath.fsum(d_log_phi))
+
+    @pytest.mark.parametrize("log_phi", [2.0, 10.0, 20.0, 35.0, 50.0])
+    def test_grouped_matches_reference(self, log_phi):
+        ll, d_log_phi = self._reference(log_phi)
+        phi = np.exp(log_phi)
+        counts = GroupCounts(self.Y, np.arange(8), 8)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            total, _, d_phi = nb2_group_loglik(counts, self.ETA.copy(), phi)
+        assert total == pytest.approx(ll, rel=1e-13)
+        assert phi * d_phi == pytest.approx(d_log_phi, rel=1e-12, abs=1e-13)
+
+    @pytest.mark.parametrize("log_phi", [2.0, 10.0, 20.0, 35.0, 50.0])
+    def test_row_level_matches_reference(self, log_phi):
+        ll, _ = self._reference(log_phi)
+        rows = nb2_loglik(self.Y, self.ETA, np.exp(log_phi))
+        assert float(rows.sum()) == pytest.approx(ll, rel=1e-13)
+
+
 class TestNb1:
     def test_matches_scipy_nbinom(self):
         # NB1 with mean mu and odds nu is nbinom(n=mu/nu, p=1/(1+nu))
@@ -194,21 +236,26 @@ def _nb2_groups_inline(n_g, sum_y, eta, phi, hist_vals, hist_counts):
     return total, d_eta, d_phi
 
 
-def _nb2_groups_mp(n_g, sum_y, eta, phi, hist_vals, hist_counts):
-    """The grouped NB2 likelihood at 50 digits, in log1p(mu / phi).
+def _mp_digits(phi):
+    """Working digits for lnGamma(y + phi) - lnGamma(phi) to keep 50
+    digits: lnGamma(phi) ~ phi log(phi) has about log10(phi) more."""
+    return 50 + max(0, int(np.log10(phi)))
 
-    The Gamma and digamma ratios of the counts are taken in float64, as
-    the model takes them: past phi ~ 1e15 they round to zero, a loss of
-    digits this reference does not look at. Returns (total, the sum of the
-    absolute values of its terms, d ll / d eta, d ll / d phi, the sum of
-    the absolute values of its terms); a sum of floats is exact to
-    rounding relative to the sum of the absolute values of its terms."""
-    with mpmath.workdps(50):
+
+def _nb2_groups_mp(n_g, sum_y, eta, phi, hist_vals, hist_counts):
+    """The grouped NB2 likelihood at 50 digits, in log1p(mu / phi), the
+    Gamma and digamma ratios of the counts included. Returns (total, the
+    sum of the absolute values of its terms, d ll / d eta, d ll / d phi,
+    the sum of the absolute values of its terms); a sum of floats is exact
+    to rounding relative to the sum of the absolute values of its terms."""
+    with mpmath.workdps(_mp_digits(phi)):
         p = mpmath.mpf(phi)
-        lg_ratio = mpmath.mpf(float(hist_counts @ (gammaln(hist_vals + phi)
-                                                  - gammaln(phi))))
-        dg_ratio = mpmath.mpf(float(hist_counts @ (digamma(hist_vals + phi)
-                                                  - digamma(phi))))
+        lg_ratio = mpmath.fsum(
+            h * (mpmath.loggamma(v + p) - mpmath.loggamma(p))
+            for v, h in zip(hist_vals, hist_counts))
+        dg_ratio = mpmath.fsum(
+            h * (mpmath.digamma(v + p) - mpmath.digamma(p))
+            for v, h in zip(hist_vals, hist_counts))
         total = [lg_ratio] + [-h * mpmath.loggamma(v + 1.0)
                               for v, h in zip(hist_vals, hist_counts)]
         d_phi, d_eta = [dg_ratio], []
@@ -232,7 +279,7 @@ class TestGroupCounts:
     runs in dot products over the groups, in log1p(mu / phi), and rejects
     the same states; where phi is moderate it agrees with the per-group
     form up to rounding, and where phi is large, where that form loses
-    digits, with a 50-digit reference. Both run under the caller's
+    digits in its Gamma ratios, with a 50-digit reference. Both run under the caller's
     ``np.errstate``, as in ``logp_grad``."""
 
     @staticmethod
