@@ -323,68 +323,76 @@ def _transition(target, theta, logp, grad, eps, inv_mass, max_depth, rng):
 
 
 def _run_chain(logp_grad, dim, cfg: SamplerConfig, chain_idx: int):
-    rng = np.random.default_rng([cfg.seed, chain_idx])
-    target = _Target(logp_grad)
+    """One chain's draws, divergences, final step size and gradient count.
 
-    theta = None
-    for _ in range(100):
-        cand = rng.uniform(-2.0, 2.0, size=dim)
-        logp, grad = target(cand)
-        if np.isfinite(logp) and np.all(np.isfinite(grad)):
-            theta = cand
-            break
-    if theta is None:
-        raise RuntimeError(
-            "could not find a finite initial point in 100 attempts")
+    The chain runs under one ``np.errstate``: a trial step, such as a
+    doubling of the step-size search, can reach momenta whose kinetic
+    energy overflows. The leaf's energy is then taken as -inf, so the
+    overflow is expected, and NumPy's warning about it is off."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        rng = np.random.default_rng([cfg.seed, chain_idx])
+        target = _Target(logp_grad)
 
-    inv_mass = np.ones(dim)
-    eps0 = _find_reasonable_epsilon(target, theta, logp, grad, inv_mass, rng)
-    adapt = _DualAveraging(eps0, cfg.target_accept)
+        theta = None
+        for _ in range(100):
+            cand = rng.uniform(-2.0, 2.0, size=dim)
+            logp, grad = target(cand)
+            if np.isfinite(logp) and np.all(np.isfinite(grad)):
+                theta = cand
+                break
+        if theta is None:
+            raise RuntimeError(
+                "could not find a finite initial point in 100 attempts")
 
-    # Warmup phases (each non-empty, as warmup >= 100): step-size only,
-    # expanding variance windows up to slow_end, final step-size polish.
-    fast1 = int(round(0.15 * cfg.warmup))
-    slow_end = cfg.warmup - int(round(0.10 * cfg.warmup))
-    window_ends = set()
-    end, w = fast1, max(25, (slow_end - fast1) // 8)
-    while end < slow_end:
-        end = end + w if slow_end - end >= 2 * w else slow_end
-        window_ends.add(end)
-        w *= 2
-    welford = _Welford(dim)
+        inv_mass = np.ones(dim)
+        eps0 = _find_reasonable_epsilon(target, theta, logp, grad, inv_mass,
+                                        rng)
+        adapt = _DualAveraging(eps0, cfg.target_accept)
 
-    total = cfg.warmup + cfg.sampling
-    draws = np.zeros((cfg.sampling, dim))
-    divergent = np.zeros(cfg.sampling, dtype=bool)
+        # Warmup phases (each non-empty, as warmup >= 100): step-size only,
+        # expanding variance windows up to slow_end, final step-size polish.
+        fast1 = int(round(0.15 * cfg.warmup))
+        slow_end = cfg.warmup - int(round(0.10 * cfg.warmup))
+        window_ends = set()
+        end, w = fast1, max(25, (slow_end - fast1) // 8)
+        while end < slow_end:
+            end = end + w if slow_end - end >= 2 * w else slow_end
+            window_ends.add(end)
+            w *= 2
+        welford = _Welford(dim)
 
-    eps = adapt.eps
-    for it in range(total):
-        state = _transition(target, theta, logp, grad, eps, inv_mass,
-                            cfg.max_tree_depth, rng)
-        theta, logp, grad = state.theta, state.logp, state.grad
-        accept_stat = state.alpha / max(state.n_alpha, 1)
+        total = cfg.warmup + cfg.sampling
+        draws = np.zeros((cfg.sampling, dim))
+        divergent = np.zeros(cfg.sampling, dtype=bool)
 
-        if it < cfg.warmup:
-            adapt.update(accept_stat)
-            eps = adapt.eps
-            if fast1 <= it < slow_end:
-                welford.push(theta)
-                if (it + 1) in window_ends:
-                    inv_mass = welford.variance()
-                    welford = _Welford(dim)
-                    # restart dual averaging anchored at the matured
-                    # running average, which is stable against the
-                    # oscillation of the instantaneous step size
-                    adapt = _DualAveraging(max(adapt.eps_final, 1e-10),
-                                           cfg.target_accept)
-                    eps = adapt.eps
-            if it == cfg.warmup - 1:
-                eps = adapt.eps_final
-        else:
-            draws[it - cfg.warmup] = theta
-            divergent[it - cfg.warmup] = state.divergent
+        eps = adapt.eps
+        for it in range(total):
+            state = _transition(target, theta, logp, grad, eps, inv_mass,
+                                cfg.max_tree_depth, rng)
+            theta, logp, grad = state.theta, state.logp, state.grad
+            accept_stat = state.alpha / max(state.n_alpha, 1)
 
-    return draws, divergent, eps, target.evals
+            if it < cfg.warmup:
+                adapt.update(accept_stat)
+                eps = adapt.eps
+                if fast1 <= it < slow_end:
+                    welford.push(theta)
+                    if (it + 1) in window_ends:
+                        inv_mass = welford.variance()
+                        welford = _Welford(dim)
+                        # restart dual averaging anchored at the matured
+                        # running average, which is stable against the
+                        # oscillation of the instantaneous step size
+                        adapt = _DualAveraging(max(adapt.eps_final, 1e-10),
+                                               cfg.target_accept)
+                        eps = adapt.eps
+                if it == cfg.warmup - 1:
+                    eps = adapt.eps_final
+            else:
+                draws[it - cfg.warmup] = theta
+                divergent[it - cfg.warmup] = state.divergent
+
+        return draws, divergent, eps, target.evals
 
 
 def sample_model(model, cfg: SamplerConfig,

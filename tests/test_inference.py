@@ -1,11 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from contactfatigue.inference import (DIVERGENT_SHARE_LIMIT, RHAT_LIMIT,
-                                      Diagnostics, PosteriorDraws,
-                                      SamplerConfig, _Target, _transition,
-                                      rhat_ess, sample_model,
-                                      warm_start_point)
+                                      ConvergenceWarning, Diagnostics,
+                                      PosteriorDraws, SamplerConfig,
+                                      _Target, _transition, rhat_ess,
+                                      sample_model, warm_start_point)
 from contactfatigue.models.params import Block, Layout
 
 
@@ -207,6 +209,31 @@ class TestConvergenceLimits:
         with pytest.warns(RuntimeWarning, match="constant chains: \\['a'\\]"):
             diag = rhat_ess(self._draws(np.full((2, 8), 1e4)))
         assert np.isnan(diag.rhat["a"]) and np.isnan(diag.ess_bulk["a"])
+
+
+class SteepLog:
+    """-1e300 sum(log1p(|theta|)): finite everywhere, with gradients near
+    1e300 at the sampler's start. A leapfrog step of the first trial step
+    size reaches momenta near 1e300, whose kinetic energy overflows."""
+
+    layout = Layout([Block("theta", 2)])
+
+    def logp_grad(self, theta):
+        a = np.abs(theta)
+        return (-1e300 * float(np.log1p(a).sum()),
+                -1e300 * np.sign(theta) / (1.0 + a))
+
+
+class TestSteepTarget:
+    def test_step_size_search_is_silent(self):
+        # the overflowing kinetic energy is taken as -inf; NumPy's
+        # overflow warning reached the user from the step-size search
+        cfg = SamplerConfig(chains=1, warmup=100, sampling=10, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            warnings.filterwarnings("ignore", category=ConvergenceWarning)
+            post, _ = sample_model(SteepLog(), cfg)
+        assert np.isfinite(post.draws).all()
 
 
 class Quadratic:
