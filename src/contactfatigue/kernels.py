@@ -23,11 +23,12 @@ participant ages costs S_a[I] C S_b[J]^T (8 x 85 on the benchmark's BRC
 cells); the whole grid is the sub-grid of all coordinates.
 
 A kernel is a family name (``KERNEL_FAMILIES``) plus its magnitude and
-lengthscale. The models pass the NumPy scalars of their state, so an
-overflowing square is inf, never an exception. ``spectral_density``
-gives the density and its log-derivative in the lengthscale in one pass,
-once per basis axis, at the squared frequencies that the basis keeps
-from its build.
+lengthscale. The models pass them as Python floats and square them as
+products, never with ``**``, so an overflowing square is inf, never an
+exception. ``spectral_density`` gives the density and the part of its
+log-derivative in the lengthscale that depends on the frequency in one
+pass, once per basis axis, at the squared frequencies that the basis
+keeps from its build.
 
 Magnitude convention: ``magnitude`` is the marginal variance, k(0) = sigma.
 """
@@ -73,29 +74,32 @@ def gram_matrix(family: str, magnitude: float, lengthscale: float,
                        y[None, :])
 
 
-#: the constant C of each Matern family's spectral density,
-#: S(w) = sigma * ell * C * (2 nu + ell^2 w^2)^-(nu + 1/2)
-_MATERN_CONST = {family: (2.0 * np.pi ** 0.5 * gamma_fn(nu + 0.5)
-                          * (2.0 * nu) ** nu / gamma_fn(nu))
-                 for family, nu in _NU.items()}
+#: the constant C of each family's spectral density: the squared
+#: exponential's S(w) = sigma * ell * C * exp(-ell^2 w^2 / 2), and each
+#: Matern's S(w) = sigma * ell * C * (2 nu + ell^2 w^2)^-(nu + 1/2)
+_DENSITY_CONST = {"se": (2.0 * np.pi) ** 0.5,
+                  **{family: (2.0 * np.pi ** 0.5 * gamma_fn(nu + 0.5)
+                              * (2.0 * nu) ** nu / gamma_fn(nu))
+                     for family, nu in _NU.items()}}
 
 
-def spectral_density(family: str, sigma, ell, wsq
+def spectral_density(family: str, sigma: float, ell: float, wsq
                      ) -> tuple[np.ndarray, np.ndarray]:
-    """1D spectral density S at the squared frequencies ``wsq`` and its
-    log-derivative d log S / d ell, with k(r) = (2 pi)^-1 \\int S(w)
-    exp(i w r) dw, so total power equals k(0) = sigma. S is linear in
-    sigma, so d log S / d sigma = 1 / sigma. A 2D basis multiplies the
-    densities of its axes."""
+    """1D spectral density S at the squared frequencies ``wsq``, and h
+    such that d log S / d ell = 1 / ell - ell h, with k(r) = (2 pi)^-1
+    \\int S(w) exp(i w r) dw, so total power equals k(0) = sigma. S is
+    linear in sigma, so d log S / d sigma = 1 / sigma. A 2D basis
+    multiplies the densities of its axes.
+
+    The squared exponential's h is w^2 itself, so its gradient costs no
+    array beyond S; a Matern's is (2 nu + 1) w^2 / q, with q = 2 nu +
+    ell^2 w^2."""
+    scale = sigma * _DENSITY_CONST[family] * ell
     if family == "se":
-        s = sigma * (2.0 * np.pi) ** 0.5 * ell * np.exp(-0.5 * ell**2 * wsq)
-        d_log_ell = 1.0 / ell - ell * wsq
-    else:
-        nu = _NU[family]
-        q = 2.0 * nu + ell**2 * wsq
-        s = sigma * _MATERN_CONST[family] * ell * q ** -(nu + 0.5)
-        d_log_ell = 1.0 / ell - (nu + 0.5) * 2.0 * ell * wsq / q
-    return s, d_log_ell
+        return scale * np.exp(-0.5 * (ell * ell) * wsq), wsq
+    nu = _NU[family]
+    q = 2.0 * nu + (ell * ell) * wsq
+    return scale * q ** -(nu + 0.5), (2.0 * nu + 1.0) * wsq / q
 
 
 @dataclass(frozen=True)
@@ -103,8 +107,9 @@ class HsgpBasis:
     """Laplacian eigenfunctions of a box at a set of points.
 
     ``freqs`` holds the eigenfrequencies of each axis, shape (m, dim), and
-    ``freqs_sq`` their squares, at which the spectral densities are
-    evaluated. A 1D basis keeps its (n, m) eigenfunction matrix ``phi``.
+    ``freqs_sq`` their squares axis by axis, shape (dim, m), at which the
+    spectral densities are evaluated. A 1D basis keeps its (n, m)
+    eigenfunction matrix ``phi``.
     Column (j, k) of a 2D basis pairs frequency j on the first axis with k
     on the second, j-major; a symmetric basis keeps j <= k and averages
     the two tensor orderings.
@@ -129,7 +134,7 @@ class HsgpBasis:
     half_width: tuple[float, ...]
     center: tuple[float, ...]
     freqs: np.ndarray                      # (m, dim)
-    freqs_sq: np.ndarray                   # (m, dim)
+    freqs_sq: np.ndarray                   # (dim, m)
     phi: np.ndarray | None = None          # 1D: (n, m)
     sines: tuple[np.ndarray, ...] = ()     # 2D: (n_a, m), (n_b, m)
     symmetric: bool = False
@@ -147,28 +152,29 @@ class HsgpBasis:
             return self.phi.shape[0]
         return self.sines[0].shape[0] * self.sines[1].shape[0]
 
-    def spectral_weights(self, family: str, hyper: np.ndarray) -> np.ndarray:
+    def spectral_weights(self, family: str, hyper) -> np.ndarray:
         """Per-column variance weights of the ``family`` kernel with the
         hyperparameters (sigma_1, ell_1[, sigma_2, ell_2])."""
         return self.spectral_weights_grad(family, hyper)[0]
 
-    def spectral_weights_grad(self, family: str, hyper: np.ndarray
+    def spectral_weights_grad(self, family: str, hyper
                               ) -> tuple[np.ndarray, tuple]:
         """Weights plus the partials that ``spectral_weights_vjp`` turns
         into the gradient of the hyperparameters: ``hyper``, the weights,
-        and per axis the density at that axis's m frequencies with
-        d log S / d ell (``spectral_density``).
+        and per axis the density at that axis's m frequencies with h of
+        ``spectral_density``.
 
-        ``hyper`` holds (sigma, ell) of each axis in turn. A 2D column
-        multiplies the densities of its two frequencies."""
-        axes = tuple(map(spectral_density, [family] * self.dim, hyper[::2],
-                         hyper[1::2], self.freqs_sq.T))
+        ``hyper`` holds the Python floats (sigma, ell) of each axis in
+        turn. A 2D column multiplies the densities of its two
+        frequencies."""
+        axes = tuple(map(spectral_density, (family,) * self.dim, hyper[::2],
+                         hyper[1::2], self.freqs_sq))
         if self.dim == 1:
             cols = axes[0][0]
         else:
             # sa_j sb_k on each column (j, k), averaged with sa_k sb_j if
             # symmetric
-            cols = (axes[0][0][:, None] * axes[1][0][None, :]).ravel()
+            cols = np.multiply.outer(axes[0][0], axes[1][0]).ravel()
             if self.symmetric:
                 jk, kj, _ = _symmetric_columns(self.m)
                 cols = 0.5 * (cols.take(jk) + cols.take(kj))
@@ -232,23 +238,24 @@ class HsgpBasis:
 
 
 def spectral_weights_vjp(basis: HsgpBasis, g_log: np.ndarray,
-                         partials: tuple) -> list:
+                         partials: tuple) -> list[float]:
     """The gradient of the hyperparameters (sigma_1, ell_1[, sigma_2,
     ell_2]) from ``g_log``, the gradient in the log of each column's
     weight S, and the ``partials`` of ``spectral_weights_grad``.
 
     Every column is linear in each sigma, so a sigma takes the sum of
-    g_log divided by sigma, and a 1D lengthscale takes
-    g_log^T d log S / d ell. In 2D, g_s = g_log / S, zero where S
-    underflows, goes onto the m x m matrix G of the columns (j, k), half
-    to (j, k) and half to (k, j) for a symmetric basis. Since column
-    (j, k) of G weighs sa_j sb_k, the ell_1 term is dsa^T G sb and the
-    ell_2 term sa^T G dsb, with dS/dell = S d log S / d ell on each
-    axis."""
+    g_log divided by sigma, and a 1D lengthscale takes g_log^T d log S /
+    d ell = sum(g_log) / ell - ell g_log^T h. In 2D, g_s = g_log / S,
+    zero where S underflows, goes onto the m x m matrix G of the columns
+    (j, k), half to (j, k) and half to (k, j) for a symmetric basis.
+    Since column (j, k) of G weighs sa_j sb_k, the ell_1 term is dsa^T G
+    sb and the ell_2 term sa^T G dsb, with dS/dell = S d log S / d ell on
+    each axis."""
     hyper, cols, axes = partials
-    total = g_log.sum()
+    total = float(g_log.sum())
     if basis.dim == 1:
-        return [total / hyper[0], float(g_log @ axes[0][1])]
+        sigma, ell = hyper
+        return [total / sigma, total / ell - ell * float(g_log @ axes[0][1])]
     g_s = np.divide(g_log, cols, out=np.zeros(cols.size), where=cols > 0.0)
     m = basis.m
     if basis.symmetric:
@@ -258,9 +265,12 @@ def spectral_weights_vjp(basis: HsgpBasis, g_log: np.ndarray,
         grid = grid + grid.T
     else:
         grid = g_s.reshape(m, m)
-    (sa, qa), (sb, qb) = axes
-    return [total / hyper[0], float((sa * qa) @ (grid @ sb)),
-            total / hyper[2], float((sb * qb) @ (sa @ grid))]
+    sigma_a, ell_a, sigma_b, ell_b = hyper
+    (sa, ha), (sb, hb) = axes
+    dsa = sa * (1.0 / ell_a - ell_a * ha)
+    dsb = sb * (1.0 / ell_b - ell_b * hb)
+    return [total / sigma_a, float(dsa @ (grid @ sb)),
+            total / sigma_b, float(dsb @ (sa @ grid))]
 
 
 @functools.cache
@@ -298,7 +308,7 @@ def build_hsgp_1d(inputs: np.ndarray, m: int) -> HsgpBasis:
     inputs = np.asarray(inputs, dtype=float)
     center, half_width, freqs = _box(inputs, m)
     return HsgpBasis(dim=1, m=m, half_width=(half_width,), center=(center,),
-                     freqs=freqs[:, None], freqs_sq=freqs[:, None] ** 2,
+                     freqs=freqs[:, None], freqs_sq=freqs[None, :] ** 2,
                      phi=_sines(inputs, center, half_width, freqs))
 
 
@@ -309,7 +319,7 @@ def _build_hsgp_2d(axes: tuple[np.ndarray, ...], m: int,
     center, half_width, freqs = zip(*(_box(x, m) for x in axes))
     freqs_2d = np.column_stack(freqs)
     return HsgpBasis(dim=2, m=m, half_width=half_width, center=center,
-                     freqs=freqs_2d, freqs_sq=freqs_2d**2,
+                     freqs=freqs_2d, freqs_sq=np.square(freqs_2d.T, order="C"),
                      sines=tuple(map(_sines, axes, center, half_width, freqs)),
                      symmetric=symmetric)
 

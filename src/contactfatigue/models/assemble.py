@@ -62,6 +62,8 @@ cells' log-factorials of NB1), the Hill terms' log repeat counts
 from __future__ import annotations
 
 import functools
+import math
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -92,8 +94,6 @@ class RejectedState(ValueError):
     """
 
 
-#: the largest u with a finite exp(u)
-_MAX_LOG = float(np.log(np.finfo(float).max))
 #: the largest x with a finite x**2
 _MAX_ROOT = float(np.sqrt(np.finfo(float).max))
 
@@ -105,7 +105,9 @@ _QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
 def _guarded(fn):
     """Make ``logp_grad`` total. The whole pass runs under one
     ``np.errstate``; a rejected state or a non-finite result gives -inf
-    and a zero gradient."""
+    and a zero gradient. The gradient is checked by one dot product with
+    the model's zero vector: 0 g is 0 for every finite g and NaN for an
+    inf or NaN one."""
     @functools.wraps(fn)
     def wrapper(self, theta):
         try:
@@ -113,7 +115,7 @@ def _guarded(fn):
                 logp, grad = fn(self, theta)
         except RejectedState:
             logp = -np.inf
-        if np.isfinite(logp) and np.isfinite(grad).all():
+        if math.isfinite(logp) and math.isfinite(grad @ self.zeros):
             return logp, grad
         return -np.inf, np.zeros(self.layout.size)
     return wrapper
@@ -217,10 +219,12 @@ class ModelSpec:
 # Shared assembly helpers: the prior pass and the sources of the terms.
 # A source gives, from the natural-scale vector ``nat``, its ``weights``
 # with a backprop cache, and ``backprop_weights`` writes d(logp)/d(its
-# blocks), on the natural scale, into the gradient buffer. ``place`` finds
-# its blocks in the layout once, when the model is built. ``rows`` maps the
-# weights to the source's values at its points (None where only ``values``
-# evaluates it: a 2D surface).
+# blocks), on the natural scale, into the gradient buffer, which holds
+# zeros there: each block has one source. A source reads its scalars as
+# Python floats, once per gradient. ``place`` finds its blocks in the
+# layout once, when the model is built. ``rows`` maps the weights to the
+# source's values at its points (None where only ``values`` evaluates it:
+# a 2D surface).
 # ---------------------------------------------------------------------------
 
 STD_NORMAL = PriorSpec("normal", (0.0, 1.0))
@@ -235,12 +239,14 @@ class _PriorPass:
 
     Each element of the layout takes its block prior's coefficients of the
     one formula of ``priors.FORMULA``; built once, they form one
-    ``PriorTable`` that holds only the terms some element has, and each
-    call is one ``table_log_prior`` over the whole parameter vector.
-    Log-scale elements take the prior at value = exp(raw) plus the
-    change-of-variables Jacobian. An identity-scale block must have a
-    prior on the real line: positives are carried on the log scale. Each
-    prior param is a scalar or holds one value per element.
+    ``PriorTable``: the quadratic term of every element as two vectors,
+    and each log-scale element's other terms as a tuple of Python floats,
+    its tail (E, F) kept only where both are non-zero. Each call is one
+    ``table_log_prior`` over the whole parameter vector. Log-scale
+    elements take the prior at value = exp(raw) plus the change-of-variables
+    Jacobian. An identity-scale block must have a prior on the real line:
+    positives are carried on the log scale. Each prior param is a scalar
+    or holds one value per element.
     """
 
     def __init__(self, layout: Layout):
@@ -263,23 +269,14 @@ class _PriorPass:
             on_log[sl] = b.transform == "log"
             for name, value in b.prior.coefficients.items():
                 coef[name][sl] = value
-        # the log-scale elements with D alone, D and the tail, the tail
-        # alone, and neither, in that order: D and the tail each read one
-        # slice of them
         logs = np.flatnonzero(on_log)
-        d_held = coef["D"][logs] != 0.0
-        tail_held = (coef["E"][logs] != 0.0) & (coef["F"][logs] != 0.0)
-        logs = logs[np.argsort(np.where(d_held, tail_held, 3 - tail_held),
-                               kind="stable")]
         at = {name: c[logs] for name, c in coef.items()}
-        n_d, n_tail = int(d_held.sum()), int(tail_held.sum())
-        d_only = n_d - int((d_held & tail_held).sum())
-        inverse, tail = slice(0, n_d), slice(d_only, d_only + n_tail)
-        e = at["E"][tail]
+        tail = (at["E"] != 0.0) & (at["F"] != 0.0)
         self.table = PriorTable(
-            float(coef["K"].sum()), coef["L"], coef["Q"], logs, at["A"],
-            at["C"] + 1.0, (inverse, at["D"][inverse]) if n_d else None,
-            (tail, at["F"][tail], e, 2.0 * e) if n_tail else None)
+            float(coef["K"].sum()), coef["L"], np.square(coef["Q"]), logs,
+            tuple(zip(at["A"].tolist(), (at["C"] + 1.0).tolist(),
+                      at["D"].tolist(), np.where(tail, at["F"], 0.0).tolist(),
+                      np.where(tail, at["E"], 0.0).tolist())))
 
     def __call__(self, theta: np.ndarray, nat: np.ndarray,
                  grad: np.ndarray) -> float:
@@ -369,17 +366,17 @@ class _Coefficients:
         raw = nat[self.at]
         if self.scale_at is None:
             return raw, None
-        sigma = nat[self.scale_at]
+        sigma = nat.item(self.scale_at)
         return sigma * raw, (raw, sigma)
 
     def backprop_weights(self, grad: np.ndarray, g_beta: np.ndarray,
                          cache) -> None:
         if cache is None:
-            grad[self.at] += g_beta
+            grad[self.at] = g_beta
             return
         raw, sigma = cache
-        grad[self.at] += sigma * g_beta
-        grad[self.scale_at] += raw @ g_beta
+        grad[self.at] = sigma * g_beta
+        grad[self.scale_at] = raw @ g_beta
 
     values = weights
     backprop = backprop_weights
@@ -430,29 +427,33 @@ class _HsgpTerm:
                               layout.sl(self.block_names[-1]).stop)
 
     def weights(self, nat: np.ndarray) -> tuple[np.ndarray, tuple]:
-        """The column weights sqrt(S) w plus a backprop cache. Past ~1e154
-        a lengthscale overflows ell^2 w^2 and the density would come out a
-        finite zero, so that state is rejected."""
-        hyper = nat[self.hyper_at]
-        if not max(hyper[1::2].tolist()) <= _MAX_ROOT:
+        """The column weights sqrt(S) w plus a backprop cache, the
+        hyperparameters read as Python floats. Past ~1e154 a lengthscale
+        overflows ell^2 w^2 and the density would come out a finite zero,
+        and past sigma ell ~ 1e308 the density overflows, so those states
+        are rejected."""
+        hyper = nat[self.hyper_at].tolist()
+        if not max(hyper[1::2]) <= _MAX_ROOT:
             raise RejectedState
         s, partials = self.basis.spectral_weights_grad(self.config.kernel,
                                                        hyper)
+        # S falls with the frequency, and column 0 takes the lowest ones,
+        # so its weight is the largest
+        if not math.isfinite(s.item(0)):
+            raise RejectedState
         sqrt_s = np.sqrt(s)
         v = sqrt_s * nat[self.w_at]
-        if not np.isfinite(v).all():
-            raise RejectedState
         return v, (v, sqrt_s, partials)
 
     def backprop_weights(self, grad: np.ndarray, d_v: np.ndarray,
                          cache: tuple) -> None:
-        """Push d(logp)/d(column weights) into weight and hyper
+        """Write d(logp)/d(column weights) into weight and hyper
         gradients."""
         v, sqrt_s, partials = cache
-        grad[self.w_at] += sqrt_s * d_v
+        grad[self.w_at] = sqrt_s * d_v
         # d(logp)/d(log S) = S dv/dS d(logp)/dv = v d(logp)/dv / 2, which
         # stays finite, and 0, where S underflows to 0
-        grad[self.hyper_at] += kernels.spectral_weights_vjp(
+        grad[self.hyper_at] = kernels.spectral_weights_vjp(
             self.basis, 0.5 * (d_v * v), partials)
 
     def values(self, nat: np.ndarray) -> tuple[np.ndarray, tuple]:
@@ -587,7 +588,9 @@ class _HillTerm:
     The term is its own source: its weights are the Q curves at the
     distinct repeat counts, on the log repeats that ``bind`` computes, and
     its design is each group's weight times the one-hot of its count.
-    ``spec`` gives the priors of its three blocks.
+    ``spec`` gives the priors of its three blocks. A gradient reads the
+    curves' (gamma, zeta, eta) as Python floats and each partial's sum
+    over a curve's counts as a Python dot product.
     """
 
     fatigue = True
@@ -608,34 +611,49 @@ class _HillTerm:
     def bind(self, g: np.ndarray, layout: Layout) -> None:
         counts, self.g_index = np.unique(g[:, 0].astype(int),
                                          return_inverse=True)
-        self.g_logs = log_repeats(counts)
+        self.n_counts = counts.size
+        self.g_logs = [x.tolist() for x in log_repeats(counts)]
         self.g_weights = (g[:, 1:] if self.weighted
                           else np.ones((g.shape[0], 1)))
-        # gamma, zeta and eta, one (Q, 1) column each, follow one another
+        # gamma, zeta and eta, Q each, follow one another
         start = layout.sl("hill_gamma").start
-        self.at = np.arange(start, start + 3 * self.q).reshape(3, self.q, 1)
-        self.grad_at = slice(start, start + 3 * self.q)
+        self.at = slice(start, start + 3 * self.q)
 
     def design(self) -> np.ndarray:
-        onehot = self.g_index[:, None] == np.arange(self.g_logs[1].size)
+        onehot = self.g_index[:, None] == np.arange(self.n_counts)
         return (self.g_weights[:, :, None] * onehot[:, None, :]).reshape(
             self.g_index.size, -1)
 
     def weights(self, nat: np.ndarray):
         """The curves at the distinct repeat counts, curve by curve, plus
         their partials in (gamma, zeta, eta)."""
-        value, partials = hill_grad_log(*nat[self.at], *self.g_logs)
-        return value.ravel(), partials
+        params, q = nat[self.at].tolist(), self.q
+        values, partials = [], []
+        for i in range(q):
+            value, partial = hill_grad_log(params[i], params[q + i],
+                                           params[2 * q + i], *self.g_logs)
+            values += value
+            partials.append(partial)
+        return values, partials
 
     def backprop_weights(self, grad: np.ndarray, d_s: np.ndarray,
-                         partials: np.ndarray) -> None:
-        # one row-by-column product per (partial, curve) pair
-        grad[self.grad_at] += (partials[:, :, None, :]
-                               @ d_s.reshape(self.q, -1, 1)).ravel()
+                         partials: list) -> None:
+        # each partial of each curve, summed over the curve's counts;
+        # gamma of every curve first, then zeta, then eta
+        k, d = self.n_counts, d_s.tolist()
+        sums = ([], [], [])
+        for i, partial in enumerate(partials):
+            d_i = d[i * k:(i + 1) * k]
+            for out, p in zip(sums, partial):
+                out.append(sum(map(operator.mul, p, d_i)))
+        grad[self.at] = sums[0] + sums[1] + sums[2]
 
     def on_repeats(self, nat: np.ndarray, repeat: np.ndarray) -> np.ndarray:
         """The curve of an unweighted term (Q = 1) at each repeat count."""
-        return hill_grad_log(*nat[self.at], *log_repeats(repeat))[0][0]
+        gamma, zeta, eta = nat[self.at].tolist()
+        positive, log_r = log_repeats(repeat)
+        return np.array(hill_grad_log(gamma, zeta, eta, positive.tolist(),
+                                      log_r.tolist())[0])
 
 
 class _NegativeExp:
@@ -771,6 +789,15 @@ class _BandSums:
             gp.backprop(grad, d_f[sl], c)
 
 
+def _index(positions: list[int]) -> slice | np.ndarray:
+    """``positions`` as a slice where they are one increasing run (or
+    none), else as an integer array."""
+    start = positions[0] if positions else 0
+    if positions == list(range(start, start + len(positions))):
+        return slice(start, start + len(positions))
+    return np.array(positions)
+
+
 def _bind(terms: list, g: np.ndarray, layout: Layout) -> None:
     """Hand each term its own columns of ``g``, one row per group, and the
     layout."""
@@ -880,10 +907,13 @@ class _AdditiveCountModel:
     gradient of every source is one product, X^T d_eta.
 
     ``logp_grad`` exponentiates every log-scale element once into one
-    natural-scale vector, from which every source and the prior pass read.
-    Each backprop writes natural-scale partials into one gradient buffer
-    through slices found when the model was built; the prior pass adds its
-    terms and applies the log-scale chain rule, once.
+    natural-scale vector, from which every source and the prior pass read;
+    each source reads its scalars from it as Python floats. The plain
+    coefficient blocks (no scale, no fatigue) are their own weights: they
+    go into s, and their gradient out of X^T d_eta, through one slice or
+    index pair. Each other source writes natural-scale partials into one
+    gradient buffer through slices found when the model was built; the
+    prior pass adds its terms and applies the log-scale chain rule, once.
     """
 
     def __init__(self, spec: ModelSpec, data, terms: list):
@@ -899,6 +929,7 @@ class _AdditiveCountModel:
             blocks.append(Block(self.observation.dispersion, 1, "log",
                                 DISPERSION_PRIOR))
         self.layout = Layout(blocks)
+        self.zeros = np.zeros(self.layout.size)
         self.prior = _PriorPass(self.layout)
         self.logs = self.prior.table.logs
         self.disp_at = (slice(0, 0) if self.observation.dispersion is None
@@ -916,28 +947,34 @@ class _AdditiveCountModel:
         self.n_groups = first.size
         self.obs = self.observation(data, self.group_of, self.n_groups)
         columns, self.sources, self.outside = [], [], []
+        self.weighted, plain_s, plain_theta = [], [], []
         start = 0
         for term in terms:
             x = term.design()
             if x is None:
                 self.outside.append(term)
                 continue
-            self.sources.append((term.source,
-                                 slice(start, start + x.shape[1]),
-                                 term.fatigue))
-            start += x.shape[1]
+            at = slice(start, start + x.shape[1])
+            self.sources.append((term.source, at, term.fatigue))
+            if (isinstance(term.source, _Coefficients)
+                    and term.source.scale is None and not term.fatigue):
+                plain_s += range(at.start, at.stop)
+                plain_theta += range(term.source.at.start,
+                                     term.source.at.stop)
+            else:
+                self.weighted.append(self.sources[-1])
+            start = at.stop
             columns.append(x)
         self.design = np.column_stack(columns)
+        self.plain_s, self.plain_theta = _index(plain_s), _index(plain_theta)
 
     def _natural(self, theta: np.ndarray) -> np.ndarray:
         """theta with every log-scale element exponentiated. Each must
-        come out positive and finite, or the state is rejected; overflow
-        is caught before np.exp."""
-        u = theta[self.logs]
-        if not np.maximum.reduce(u, initial=-np.inf) <= _MAX_LOG:
-            raise RejectedState
-        v = np.exp(u)
-        if not np.minimum.reduce(v, initial=np.inf) > 0.0:
+        come out positive and finite, or the state is rejected."""
+        v = np.exp(theta[self.logs])
+        values = v.tolist()
+        if not (0.0 < min(values, default=1.0)
+                and max(values, default=1.0) < np.inf):
             raise RejectedState
         nat = theta.copy()
         nat[self.logs] = v
@@ -945,12 +982,13 @@ class _AdditiveCountModel:
 
     def _terms(self, nat: np.ndarray, debias: bool):
         """The sum of the terms on the groups, without offsets, plus the
-        backprop caches of the sources and then of the terms outside the
-        design. ``debias`` drops the fatigue terms: their sources are not
-        evaluated and their weights stay zero."""
+        backprop caches of the weighted sources and then of the terms
+        outside the design. ``debias`` drops the fatigue terms: their
+        sources are not evaluated and their weights stay zero."""
         s = np.zeros(self.design.shape[1])
+        s[self.plain_s] = nat[self.plain_theta]
         caches = []
-        for source, at, fatigue in self.sources:
+        for source, at, fatigue in self.weighted:
             if not (debias and fatigue):
                 s[at], cache = source.weights(nat)
                 caches.append(cache)
@@ -978,9 +1016,10 @@ class _AdditiveCountModel:
         grad = np.zeros(self.layout.size)
         grad[self.disp_at] = d_dispersion
         d_s = d_eta @ self.design
-        for (source, at, _), cache in zip(self.sources, caches):
+        grad[self.plain_theta] = d_s[self.plain_s]
+        for (source, at, _), cache in zip(self.weighted, caches):
             source.backprop_weights(grad, d_s[at], cache)
-        for term, cache in zip(self.outside, caches[len(self.sources):]):
+        for term, cache in zip(self.outside, caches[len(self.weighted):]):
             term.backprop(grad, d_eta, cache)
         logp += self.prior(theta, nat, grad)
         return logp, grad

@@ -7,17 +7,23 @@ The Hill curve treats each additional survey participation as a dose:
 so rho(0) = 0, rho is non-increasing in r, and rho(r) -> -gamma as r grows.
 The repeat counts of a model are fixed, so the mask r > 0 and log(r)
 (``log_repeats``) are computed once when the model is built, and each
-gradient evaluates the curve on them (``hill_grad_log``).
+gradient evaluates the curve on them (``hill_grad_log``). A model reads
+its curves at a handful of distinct repeat counts, so the curve is
+written in Python floats, element by element: there NumPy's cost per call
+would exceed the arithmetic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from ..priors import PriorSpec
+
+#: the largest x with a finite exp(x)
+_MAX_LOG = float(np.log(np.finfo(float).max))
 
 
 @dataclass(frozen=True)
@@ -33,8 +39,10 @@ class HillCurve:
 
 def hill(curve: HillCurve, r) -> np.ndarray:
     """Evaluate rho(r) for repeat counts r >= 0."""
-    return hill_grad_log(curve.gamma, curve.zeta, curve.eta,
-                         *log_repeats(r))[0]
+    positive, log_r = log_repeats(r)
+    value, _ = hill_grad_log(curve.gamma, curve.zeta, curve.eta,
+                             positive.ravel().tolist(), log_r.ravel().tolist())
+    return np.reshape(value, log_r.shape)
 
 
 def log_repeats(r) -> tuple[np.ndarray, np.ndarray]:
@@ -49,24 +57,31 @@ def log_repeats(r) -> tuple[np.ndarray, np.ndarray]:
                               0.0)
 
 
-def hill_grad_log(gamma, zeta, eta, positive: np.ndarray,
-                  log_r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """rho(r) of the curve (gamma, zeta, eta) on ``log_repeats(r)`` and its
-    partial derivatives w.r.t. (gamma, zeta, eta), stacked on a leading
-    axis of 3. The parameters may be arrays that broadcast against the
-    repeats, such as (Q, 1) columns for Q curves at once.
+def hill_grad_log(gamma: float, zeta: float, eta: float, positive,
+                  log_r) -> tuple[list, tuple[list, list, list]]:
+    """rho(r) of the curve (gamma, zeta, eta) at the repeat counts whose
+    ``log_repeats`` are the sequences ``positive`` and ``log_r``, and its
+    partial derivatives w.r.t. gamma, zeta and eta, each a list of Python
+    floats.
 
-    Written through the logistic of zeta + eta log(r), which stays finite
-    for arbitrarily extreme parameters.
+    Written through the logistic 1 / (1 + exp(-x)) of x = zeta + eta
+    log(r), the operations of ``scipy.special.expit``, with exp(-x) taken
+    as inf past the largest float, where the logistic is 0. So the curve
+    and its partials stay finite, without an exception or a NumPy warning,
+    for arbitrarily extreme zeta and eta.
     """
-    frac = expit(zeta + eta * log_r) * positive   # 0 at r = 0
-    value = -gamma * frac
-    # each partial written into its row, a view even where value is 0-d
-    partials = np.empty((3,) + value.shape)
-    np.negative(frac, out=partials[0, ...])
-    np.multiply(value, 1.0 - frac, out=partials[1, ...])
-    np.multiply(partials[1, ...], log_r, out=partials[2, ...])
-    return value, partials
+    value, d_gamma, d_zeta, d_eta = [], [], [], []
+    for pos, lr in zip(positive, log_r):
+        x = zeta + eta * lr
+        frac = (1.0 / (1.0 + (math.exp(-x) if x >= -_MAX_LOG else math.inf))
+                if pos else 0.0)
+        v = -gamma * frac
+        d = v * (1.0 - frac)
+        value.append(v)
+        d_gamma.append(-frac)
+        d_zeta.append(d)
+        d_eta.append(d * lr)
+    return value, (d_gamma, d_zeta, d_eta)
 
 
 #: the kinds that evaluate Hill curves, with blocks hill_gamma, hill_zeta

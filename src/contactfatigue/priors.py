@@ -11,12 +11,15 @@ log-likelihood comparisons across model families remain meaningful. A
 ``PriorSpec`` names a family and its parameters, and its ``coefficients``
 are the family's one function of them. A model writes the priors of all
 its parameters into one ``PriorTable`` of per-element coefficients when it
-is built, and the table keeps only the terms that some element holds (D
-and the E log1p(F v^2) tail on the elements that hold them). One call of
-``table_log_prior`` per gradient then evaluates them all, with the
+is built: the quadratic term of every element as two vectors, and the
+other terms of each log-scale element as one tuple of Python floats. One
+call of ``table_log_prior`` per gradient then evaluates them all, with the
 log-scale Jacobians, at the natural-scale values that the model has
-already computed. Positive parameters are carried on the log scale, so
-the positive families are evaluated on v > 0 only.
+already computed: the quadratic term in four whole-vector operations, and
+the few log-scale elements (the scales, the dispersion, and the Hill gamma
+and eta of the GAM and the longitudinal model) one by one in Python
+floats, each taking only the terms it holds. Positive parameters are carried on the log
+scale, so the positive families are evaluated on v > 0 only.
 
 The regularized horseshoe (RHS) follows the global-local construction
 
@@ -31,6 +34,7 @@ variance matches the unconstrained prior.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -133,24 +137,19 @@ _FAMILIES = {
 
 class PriorTable(NamedTuple):
     """The priors of every element of a parameter vector as coefficients
-    of ``FORMULA``, built once; the terms that no element holds are left
-    out, so they cost nothing per call. ``const`` is the sum of K over the
-    elements. ``loc`` and ``prec`` hold L and Q of every element, read at
-    its natural-scale value, with Q = 0 where the prior has no quadratic
-    term. ``logs`` indexes the log-scale elements, and ``lin`` and
-    ``log_coef`` hold their A and C + 1 (the 1 is the Jacobian of
-    v = exp(u)). ``inverse`` is (at, D) and ``tail`` (at, F, E, 2 E) of
-    the log-scale elements that hold the term, the slice ``at`` of
-    ``logs``, or None where none does."""
+    of ``FORMULA``, built once. ``const`` is the sum of K over the
+    elements. ``loc`` and ``prec_sq`` hold L and Q^2 of every element,
+    read at its natural-scale value, with Q = 0 where the prior has no
+    quadratic term. ``logs`` indexes the log-scale elements, and ``terms``
+    holds (A, C + 1, D, F, E) of each of them as Python floats, the 1
+    being the Jacobian of v = exp(u); F and E are both 0 where either
+    is."""
 
     const: float
     loc: np.ndarray
-    prec: np.ndarray
+    prec_sq: np.ndarray
     logs: np.ndarray
-    lin: np.ndarray
-    log_coef: np.ndarray
-    inverse: tuple | None
-    tail: tuple | None
+    terms: tuple
 
 
 def table_log_prior(table: PriorTable, theta: np.ndarray, nat: np.ndarray,
@@ -160,30 +159,36 @@ def table_log_prior(table: PriorTable, theta: np.ndarray, nat: np.ndarray,
 
     ``nat`` is ``theta`` with each log-scale element u carried to
     v = exp(u), and ``grad`` holds the rest of the density's gradient in
-    ``nat``. The prior is K - z^2 / 2 with z = (nat - L) Q on every
+    ``nat``. The prior is K - (nat - L) Q^2 (nat - L) / 2 on every
     element, plus A v + (C + 1) u + D / v + E log1p(F v^2) on the log
     scale, log v taken as u; its gradient is added into ``grad``, whose
-    log-scale elements are then multiplied by v. The caller sets the
-    ``np.errstate``: a v whose inverse or whose square overflows where the
-    table holds that term gives a non-finite result."""
+    log-scale elements are then multiplied by v. Each log-scale element
+    takes its terms in Python floats, whose products and quotients turn
+    an overflow into inf, never an exception; a v of 0 takes D / v as
+    D inf. So a v whose inverse or whose square overflows where the table
+    holds that term gives a non-finite result, which the caller
+    rejects."""
+    d = nat - table.loc
+    q2d = table.prec_sq * d
+    grad -= q2d
+    logp = table.const - 0.5 * float(d @ q2d)
     logs = table.logs
-    u, v = theta[logs], nat[logs]
-    z = (nat - table.loc) * table.prec
-    grad -= z * table.prec
-    g = (grad[logs] + table.lin) * v + table.log_coef
-    logp = (table.const - 0.5 * float(z @ z)
-            + float(table.lin @ v + table.log_coef @ u))
-    if table.inverse is not None:
-        at, d = table.inverse
-        r = 1.0 / v[at]
-        g[at] -= d * r
-        logp += float(d @ r)
-    if table.tail is not None:
-        at, f, e, e2 = table.tail
-        fv2 = f * np.square(v[at])
-        g[at] += e2 * (fv2 / (1.0 + fv2))
-        logp += float(e @ np.log1p(fv2))
-    grad[logs] = g
+    out = []
+    for u, v, g, (a, c1, d, f, e) in zip(theta[logs].tolist(),
+                                         nat[logs].tolist(),
+                                         grad[logs].tolist(), table.terms):
+        logp += a * v + c1 * u
+        g = (g + a) * v + c1
+        if d:
+            r = d / v if v else d * math.inf
+            logp += r
+            g -= r
+        if f:
+            fv2 = f * v * v
+            logp += e * math.log1p(fv2)
+            g += 2.0 * e * (fv2 / (1.0 + fv2))
+        out.append(g)
+    grad[logs] = out
     return logp
 
 

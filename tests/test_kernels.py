@@ -89,9 +89,11 @@ class TestSpectralDensity:
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_gradients_match_finite_differences(self, family):
-        # S and d log S / d ell; S is linear in sigma
+        # S and h, with d log S / d ell = 1 / ell - ell h; S is linear in
+        # sigma
         omega = np.linspace(0, 6, 13)
-        s, d_log_ell = spectral_density(family, 1.2, 0.8, omega**2)
+        s, h = spectral_density(family, 1.2, 0.8, omega**2)
+        d_log_ell = 1.0 / 0.8 - 0.8 * h
         h = 1e-6
         num_sigma = (density(family, 1.2 + h, 0.8, omega)
                      - density(family, 1.2 - h, 0.8, omega)) / (2 * h)
@@ -293,12 +295,12 @@ def test_spectral_weights_equal_the_per_column_formula(kind):
     m = basis.m
     j, k = (np.triu_indices(m) if basis.symmetric
             else np.divmod(np.arange(m * m), m))
-    hyper = np.array([0.7, 1.3, 1.9, 0.4])
+    hyper = [0.7, 1.3, 1.9, 0.4]
 
     def density(sigma, ell, omega):
         # S, dS/dsigma and dS/dell at the frequencies omega
-        s, d_log_ell = spectral_density("matern52", sigma, ell, omega**2)
-        return s, s / sigma, s * d_log_ell
+        s, h = spectral_density("matern52", sigma, ell, omega**2)
+        return s, s / sigma, s * (1.0 / ell - ell * h)
 
     sa1, dsa1, dla1 = density(*hyper[:2], basis.freqs[j, 0])
     sb1, dsb1, dlb1 = density(*hyper[2:], basis.freqs[k, 1])

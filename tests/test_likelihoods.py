@@ -279,8 +279,8 @@ class TestGroupCounts:
     runs in dot products over the groups, in log1p(mu / phi), and rejects
     the same states; where phi is moderate it agrees with the per-group
     form up to rounding, and where phi is large, where that form loses
-    digits in its Gamma ratios, with a 50-digit reference. Both run under the caller's
-    ``np.errstate``, as in ``logp_grad``."""
+    digits in its Gamma ratios, with a 50-digit reference. Both run under
+    the caller's ``np.errstate``, as in ``logp_grad``."""
 
     @staticmethod
     def _groups(seed):

@@ -178,9 +178,10 @@ class TestPriorTable:
         densities = {b.name: (f, b.transform == "log") for b, f in blocks}
         prior = _PriorPass(layout)
         held = {b.prior.family for b, _ in blocks}
-        assert (prior.table.inverse is None) == ("invgamma" not in held)
-        assert (prior.table.tail is None) == (
-            held.isdisjoint({"cauchy_pos", "student_t_pos"}))
+        assert any(d for _, _, d, _, _ in prior.table.terms) == (
+            "invgamma" in held)
+        assert any(f for _, _, _, f, _ in prior.table.terms) == (
+            not held.isdisjoint({"cauchy_pos", "student_t_pos"}))
         bare = types.SimpleNamespace(layout=layout)
         rng = np.random.default_rng(5)
         for width in (1.0, 1.0, 8.0):
