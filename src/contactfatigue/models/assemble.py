@@ -789,15 +789,6 @@ class _BandSums:
             gp.backprop(grad, d_f[sl], c)
 
 
-def _index(positions: list[int]) -> slice | np.ndarray:
-    """``positions`` as a slice where they are one increasing run (or
-    none), else as an integer array."""
-    start = positions[0] if positions else 0
-    if positions == list(range(start, start + len(positions))):
-        return slice(start, start + len(positions))
-    return np.array(positions)
-
-
 def _bind(terms: list, g: np.ndarray, layout: Layout) -> None:
     """Hand each term its own columns of ``g``, one row per group, and the
     layout."""
@@ -910,8 +901,8 @@ class _AdditiveCountModel:
     natural-scale vector, from which every source and the prior pass read;
     each source reads its scalars from it as Python floats. The plain
     coefficient blocks (no scale, no fatigue) are their own weights: they
-    go into s, and their gradient out of X^T d_eta, through one slice or
-    index pair. Each other source writes natural-scale partials into one
+    go into s, and their gradient out of X^T d_eta, through one index
+    pair. Each other source writes natural-scale partials into one
     gradient buffer through slices found when the model was built; the
     prior pass adds its terms and applies the log-scale chain rule, once.
     """
@@ -966,7 +957,8 @@ class _AdditiveCountModel:
             start = at.stop
             columns.append(x)
         self.design = np.column_stack(columns)
-        self.plain_s, self.plain_theta = _index(plain_s), _index(plain_theta)
+        self.plain_s = np.array(plain_s, dtype=int)
+        self.plain_theta = np.array(plain_theta, dtype=int)
 
     def _natural(self, theta: np.ndarray) -> np.ndarray:
         """theta with every log-scale element exponentiated. Each must
