@@ -57,9 +57,9 @@ def nb2_loglik(y: np.ndarray, log_mu: np.ndarray, phi: float) -> np.ndarray:
     where mu / phi overflows, sum_{k<y} log1p(k / phi) - lnGamma(y + 1)
     - phi L + y (log mu - L)."""
     y = np.asarray(y, dtype=float)
+    log_phi = math.log(phi)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         log1p_r = np.log1p(np.exp(log_mu) / phi)
-        log_phi = math.log(phi)
         log1p_r = np.where(np.isinf(log1p_r),
                            np.logaddexp(log_phi, log_mu) - log_phi, log1p_r)
         # sum_{k<y} log1p(k / phi), one cumulative sum read at each count;
@@ -77,13 +77,13 @@ class GroupCounts:
 
     Rows sharing one predictor value contribute through the group size
     ``n`` and count sum ``sum_y``; the count-dependent Gamma terms enter
-    through a histogram, ``hist_counts`` rows at each distinct count
-    ``hist_vals``. Built once per model: ``has_y`` (sum_y > 0), the groups
-    with counts ``with_y`` and their sums ``sum_y_pos``, the mean count
-    ``mean_y``, the total of the log-factorials over the rows,
-    ``total_log_fact``, and for each k below the largest count (``k``) the
-    number of rows whose count exceeds it (``above``), which turns a sum
-    over k < y of every row into one dot product over k.
+    through the histogram of the counts. Built once per model: ``has_y``
+    (sum_y > 0), the groups with counts ``with_y`` and their sums
+    ``sum_y_pos``, the mean count ``mean_y``, the total of the
+    log-factorials over the rows, ``total_log_fact``, and for each k below
+    the largest count (``k``) the number of rows whose count exceeds it
+    (``above``), which turns a sum over k < y of every row into one dot
+    product over k.
     """
 
     def __init__(self, y: np.ndarray, group_of: np.ndarray, n_groups: int):
@@ -93,11 +93,11 @@ class GroupCounts:
         self.with_y = np.flatnonzero(self.has_y)
         self.sum_y_pos = self.sum_y[self.with_y]
         self.mean_y = self.sum_y / self.n
-        self.hist_vals, counts = np.unique(y, return_counts=True)
-        self.hist_counts = counts.astype(float)
-        self.total_log_fact = self.hist_counts @ gammaln(self.hist_vals + 1.0)
-        self.k = np.arange(float(self.hist_vals.max(initial=0.0)))
-        self.above = (self.hist_vals > self.k[:, None]) @ self.hist_counts
+        values, rows = np.unique(y, return_counts=True)
+        rows = rows.astype(float)
+        self.total_log_fact = rows @ gammaln(values + 1.0)
+        self.k = np.arange(float(values.max(initial=0.0)))
+        self.above = (values > self.k[:, None]) @ rows
 
 
 def poisson_group_loglik(counts: GroupCounts, eta: np.ndarray

@@ -18,8 +18,9 @@ log-scale Jacobians, at the natural-scale values that the model has
 already computed: the quadratic term in four whole-vector operations, and
 the few log-scale elements (the scales, the dispersion, and the Hill gamma
 and eta of the GAM and the longitudinal model) one by one in Python
-floats, each taking only the terms it holds. Positive parameters are carried on the log
-scale, so the positive families are evaluated on v > 0 only.
+floats, each taking only the terms it holds. Positive parameters are
+carried on the log scale, so the positive families are evaluated on v > 0
+only.
 
 The regularized horseshoe (RHS) follows the global-local construction
 
@@ -162,16 +163,17 @@ def table_log_prior(table: PriorTable, theta: np.ndarray, nat: np.ndarray,
     ``nat``. The prior is K - (nat - L) Q^2 (nat - L) / 2 on every
     element, plus A v + (C + 1) u + D / v + E log1p(F v^2) on the log
     scale, log v taken as u; its gradient is added into ``grad``, whose
-    log-scale elements are then multiplied by v. Each log-scale element
-    takes its terms in Python floats, whose products and quotients turn
-    an overflow into inf, never an exception; a v of 0 takes D / v as
-    D inf. So a v whose inverse or whose square overflows where the table
-    holds that term gives a non-finite result, which the caller
+    log-scale elements are then multiplied by v. The caller sets the
+    ``np.errstate`` of the whole-vector terms; each log-scale element
+    takes its other terms in Python floats, whose products and quotients
+    turn an overflow into inf, never an exception, and a v of 0 takes
+    D / v as D inf. So a v whose inverse or whose square overflows where
+    the table holds that term gives a non-finite result, which the caller
     rejects."""
-    d = nat - table.loc
-    q2d = table.prec_sq * d
-    grad -= q2d
-    logp = table.const - 0.5 * float(d @ q2d)
+    off = nat - table.loc
+    q2_off = table.prec_sq * off
+    grad -= q2_off
+    logp = table.const - 0.5 * float(off @ q2_off)
     logs = table.logs
     out = []
     for u, v, g, (a, c1, d, f, e) in zip(theta[logs].tolist(),
