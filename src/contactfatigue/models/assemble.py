@@ -902,9 +902,10 @@ class _AdditiveCountModel:
     each source reads its scalars from it as Python floats. The plain
     coefficient blocks (no scale, no fatigue) are their own weights: they
     go into s, and their gradient out of X^T d_eta, through one index
-    pair. Each other source writes natural-scale partials into one
-    gradient buffer through slices found when the model was built; the
-    prior pass adds its terms and applies the log-scale chain rule, once.
+    pair. Each other source (``evaluated``) writes natural-scale partials
+    into one gradient buffer through slices found when the model was
+    built; the prior pass adds its terms and applies the log-scale chain
+    rule, once.
     """
 
     def __init__(self, spec: ModelSpec, data, terms: list):
@@ -938,7 +939,7 @@ class _AdditiveCountModel:
         self.n_groups = first.size
         self.obs = self.observation(data, self.group_of, self.n_groups)
         columns, self.sources, self.outside = [], [], []
-        self.weighted, plain_s, plain_theta = [], [], []
+        self.evaluated, plain_s, plain_theta = [], [], []
         start = 0
         for term in terms:
             x = term.design()
@@ -953,7 +954,7 @@ class _AdditiveCountModel:
                 plain_theta += range(term.source.at.start,
                                      term.source.at.stop)
             else:
-                self.weighted.append(self.sources[-1])
+                self.evaluated.append(self.sources[-1])
             start = at.stop
             columns.append(x)
         self.design = np.column_stack(columns)
@@ -974,13 +975,13 @@ class _AdditiveCountModel:
 
     def _terms(self, nat: np.ndarray, debias: bool):
         """The sum of the terms on the groups, without offsets, plus the
-        backprop caches of the weighted sources and then of the terms
+        backprop caches of the evaluated sources and then of the terms
         outside the design. ``debias`` drops the fatigue terms: their
         sources are not evaluated and their weights stay zero."""
         s = np.zeros(self.design.shape[1])
         s[self.plain_s] = nat[self.plain_theta]
         caches = []
-        for source, at, fatigue in self.weighted:
+        for source, at, fatigue in self.evaluated:
             if not (debias and fatigue):
                 s[at], cache = source.weights(nat)
                 caches.append(cache)
@@ -1009,9 +1010,9 @@ class _AdditiveCountModel:
         grad[self.disp_at] = d_dispersion
         d_s = d_eta @ self.design
         grad[self.plain_theta] = d_s[self.plain_s]
-        for (source, at, _), cache in zip(self.weighted, caches):
+        for (source, at, _), cache in zip(self.evaluated, caches):
             source.backprop_weights(grad, d_s[at], cache)
-        for term, cache in zip(self.outside, caches[len(self.weighted):]):
+        for term, cache in zip(self.outside, caches[len(self.evaluated):]):
             term.backprop(grad, d_eta, cache)
         logp += self.prior(theta, nat, grad)
         return logp, grad
