@@ -176,25 +176,24 @@ def gam_feature_spec() -> FeatureSpec:
     return _feature_spec(u=("sex", "household_size"), w=("const",))
 
 
+#: each ``fit --model`` name's family and FatigueSpec(kind, max_repeat)
+MODELS = {
+    "gam-hill": ("individual_gam", FatigueSpec("hill_per_covariate")),
+    "gam-plain": ("individual_gam", FatigueSpec()),
+    "longitudinal-hill": ("longitudinal_nb", FatigueSpec("hill")),
+    "longitudinal-gp": ("longitudinal_nb", FatigueSpec("gp", MAX_REPEAT)),
+    "longitudinal-indep": ("longitudinal_nb",
+                           FatigueSpec("independent", MAX_REPEAT)),
+}
+
+
 def model_spec_for(name: str, values: dict) -> ModelSpec:
-    age_cfg = replace(AGE_GP, m=values["hsgp_m"])
-    if name == "gam-hill":
-        return ModelSpec(family="individual_gam",
-                         fatigue=FatigueSpec(kind="hill_per_covariate"),
-                         hsgp_age=age_cfg)
-    if name == "gam-plain":
-        return ModelSpec(family="individual_gam", hsgp_age=age_cfg)
-    if name == "longitudinal-hill":
-        return ModelSpec(family="longitudinal_nb",
-                         fatigue=FatigueSpec(kind="hill"))
-    if name == "longitudinal-gp":
-        return ModelSpec(family="longitudinal_nb",
-                         fatigue=FatigueSpec(kind="gp", max_repeat=MAX_REPEAT))
-    if name == "longitudinal-indep":
-        return ModelSpec(family="longitudinal_nb",
-                         fatigue=FatigueSpec(kind="independent",
-                                             max_repeat=MAX_REPEAT))
-    raise ConfigError(f"unknown model {name!r}")
+    """The spec of ``MODELS[name]``; only the GAMs read its age GP."""
+    if name not in MODELS:
+        raise ConfigError(f"unknown model {name!r}")
+    family, fatigue = MODELS[name]
+    return ModelSpec(family=family, fatigue=fatigue,
+                     hsgp_age=replace(AGE_GP, m=values["hsgp_m"]))
 
 
 def _load_records(path: str, seed: int):
@@ -392,27 +391,32 @@ def cmd_study(args, values: dict) -> int:
     return EXIT_OK
 
 
+def _read_columns(path: str, *names: str) -> list[np.ndarray]:
+    """The named columns of a CSV table; a bad table is a ``DataError``."""
+    try:
+        rows = np.genfromtxt(path, delimiter=",", names=True)
+        return [np.atleast_1d(rows[name]) for name in names]
+    except ValueError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+
+
 def cmd_evaluate(args, values: dict) -> int:
-    with open(args.truth, encoding="utf-8") as fh:
-        manifest = TruthManifest.from_json(fh.read())
+    try:
+        with open(args.truth, encoding="utf-8") as fh:
+            manifest = TruthManifest.from_json(fh.read())
+    except (ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"{args.truth}: not a truth manifest: {exc}") from exc
     curve_path = os.path.join(args.fit, "age_curve.csv")
-    if not os.path.exists(curve_path):
-        raise DataError(f"fit directory lacks {curve_path}")
-    rows = np.genfromtxt(curve_path, delimiter=",", names=True)
-    ages = rows["age"]
+    ages, est, lower, upper = _read_columns(curve_path, "age", "median",
+                                            "lower", "upper")
     effect = AgeEffect(tuple(tuple(b) for b in manifest.age_bumps))
     truth_curve = np.exp(manifest.beta0 + effect(ages))
-    est = rows["median"]
-    metrics = [
-        ["age_mape_pct", mape(est, truth_curve)],
-        ["age_coverage", interval_coverage(truth_curve, rows["lower"],
-                                           rows["upper"])],
-    ]
+    metrics = [["age_mape_pct", mape(est, truth_curve)],
+               ["age_coverage", interval_coverage(truth_curve, lower, upper)]]
     hill_path = os.path.join(args.fit, "hill.csv")
     if os.path.exists(hill_path) and manifest.hill_curves:
-        hrows = np.genfromtxt(hill_path, delimiter=",", names=True)
+        gm = _read_columns(hill_path, "gamma_median")[0][0]
         true_gamma = next(iter(manifest.hill_curves.values())).gamma
-        gm = np.atleast_1d(hrows["gamma_median"])[0]
         metrics.append(["hill_gamma_median", float(gm)])
         metrics.append(["hill_gamma_abs_err", float(abs(gm - true_gamma))])
     write_csv(os.path.join(args.out, "metrics.csv"), ["metric", "value"],

@@ -170,8 +170,6 @@ class _Welford:
         self.m2 += delta * (x - self.mean)
 
     def variance(self) -> np.ndarray:
-        if self.n < 2:
-            return np.ones_like(self.mean)
         var = self.m2 / (self.n - 1)
         # shrink toward a small diagonal, as in standard warmup practice
         return (self.n / (self.n + 5.0)) * var + 1e-3 * (5.0 / (self.n + 5.0))
@@ -370,7 +368,7 @@ def _run_chain(logp_grad, dim, cfg: SamplerConfig, chain_idx: int):
             state = _transition(target, theta, logp, grad, eps, inv_mass,
                                 cfg.max_tree_depth, rng)
             theta, logp, grad = state.theta, state.logp, state.grad
-            accept_stat = state.alpha / max(state.n_alpha, 1)
+            accept_stat = state.alpha / state.n_alpha
 
             if it < cfg.warmup:
                 adapt.update(accept_stat)

@@ -75,7 +75,7 @@ from ..domain import (AGE_GRID, CoarseBandSet, DataError, DesignMatrix,
 from ..kernels import KERNEL_FAMILIES, HsgpBasis
 from ..priors import (FORMULA, RHS_C2_PRIOR, RHS_ZETA_PRIOR, PriorSpec,
                       PriorTable, RhsSpec, rhs_coefficients, table_log_prior)
-from .fatigue import FatigueSpec, hill_grad_log, log_repeats
+from .fatigue import FatigueSpec, HillCurve, hill, hill_grad_log, log_repeats
 from .likelihoods import (GroupCounts, nb1_agg_loglik, nb1_rvs,
                           nb2_group_loglik, nb2_loglik, nb2_rvs,
                           poisson_group_loglik, poisson_loglik)
@@ -542,7 +542,6 @@ class _Gather:
 
     def bind(self, g: np.ndarray, layout: Layout) -> None:
         self.g_index = self._to_index(g[:, 0].astype(int))
-        self.padded = bool((self.g_index == self.source.size).any())
         self.source.place(layout)
 
     def design(self) -> np.ndarray | None:
@@ -553,9 +552,7 @@ class _Gather:
 
     def values(self, nat: np.ndarray):
         v, cache = self.source.values(nat)
-        if self.padded:
-            v = np.append(v, 0.0)
-        return v[self.g_index], cache
+        return np.append(v, 0.0)[self.g_index], cache
 
     def backprop(self, grad: np.ndarray, d_eta: np.ndarray, cache) -> None:
         n = self.source.size
@@ -570,6 +567,11 @@ class _RepeatTable(_Gather):
 
     fatigue = True
 
+    @classmethod
+    def free(cls, size: int, repeat: np.ndarray) -> _RepeatTable:
+        """A table of ``size`` free standard-normal effects ``rho``."""
+        return cls(_Coefficients(Block("rho", size, prior=STD_NORMAL)), repeat)
+
     def _to_index(self, repeat: np.ndarray) -> np.ndarray:
         n = self.source.size
         return np.where(repeat >= 1, np.minimum(repeat, n) - 1, n)
@@ -581,9 +583,9 @@ class _RepeatTable(_Gather):
 
 
 class _HillTerm:
-    """Hill fatigue curves at each row's repeat count: one curve (Q=1), or
-    one per fatigue covariate with ``weights`` (n, Q) the covariate columns,
-    giving sum_q weights[:, q] rho_q(r).
+    """Hill fatigue curves at each row's repeat count, one per column of
+    ``weights`` (n, Q), giving sum_q weights[:, q] rho_q(r): one fatigue
+    covariate per curve, or a column of ones for one curve (Q = 1).
 
     The term is its own source: its weights are the Q curves at the
     distinct repeat counts, on the log repeats that ``bind`` computes, and
@@ -596,11 +598,10 @@ class _HillTerm:
     fatigue = True
 
     def __init__(self, spec: FatigueSpec, repeat: np.ndarray,
-                 weights: np.ndarray | None = None):
-        self.q = 1 if weights is None else weights.shape[1]
+                 weights: np.ndarray):
+        self.q = weights.shape[1]
         self.spec = spec
-        self.weighted = weights is not None
-        self.columns = [repeat] + ([] if weights is None else list(weights.T))
+        self.columns = [repeat, *weights.T]
         self.source = self
 
     def blocks(self) -> list[Block]:
@@ -613,8 +614,7 @@ class _HillTerm:
                                          return_inverse=True)
         self.n_counts = counts.size
         self.g_logs = [x.tolist() for x in log_repeats(counts)]
-        self.g_weights = (g[:, 1:] if self.weighted
-                          else np.ones((g.shape[0], 1)))
+        self.g_weights = g[:, 1:]
         # gamma, zeta and eta, Q each, follow one another
         start = layout.sl("hill_gamma").start
         self.at = slice(start, start + 3 * self.q)
@@ -649,11 +649,8 @@ class _HillTerm:
         grad[self.at] = sums[0] + sums[1] + sums[2]
 
     def on_repeats(self, nat: np.ndarray, repeat: np.ndarray) -> np.ndarray:
-        """The curve of an unweighted term (Q = 1) at each repeat count."""
-        gamma, zeta, eta = nat[self.at].tolist()
-        positive, log_r = log_repeats(repeat)
-        return np.array(hill_grad_log(gamma, zeta, eta, positive.tolist(),
-                                      log_r.tolist())[0])
+        """The curve of a one-curve term (Q = 1) at each repeat count."""
+        return hill(HillCurve(*nat[self.at].tolist()), repeat)
 
 
 class _NegativeExp:
@@ -1112,13 +1109,12 @@ class LongitudinalNbModel(_AdditiveCountModel):
     def __init__(self, spec: ModelSpec, data: DesignMatrix):
         times, time_idx = np.unique(data.report_date, return_inverse=True)
         if times.size < 2:
-            raise ValueError("longitudinal model needs >= 2 report dates")
+            raise DataError("longitudinal model needs >= 2 report dates")
         repeat = data.repeat.astype(int)
         fk, r_max = spec.fatigue.kind, spec.fatigue.max_repeat
         if fk in ("independent", "identical"):
-            size = r_max if fk == "independent" else 1
-            fatigue = [_RepeatTable(_Coefficients(
-                Block("rho", size, prior=STD_NORMAL)), repeat)]
+            fatigue = [_RepeatTable.free(r_max if fk == "independent" else 1,
+                                         repeat)]
         elif fk == "gp":
             grid = ((np.arange(1, r_max + 1) - repeat.mean())
                     / max(repeat.std(), 1e-8))
@@ -1126,7 +1122,7 @@ class LongitudinalNbModel(_AdditiveCountModel):
                 "rho_gp", kernels.build_hsgp_1d(grid, REPEAT_GP.m),
                 REPEAT_GP, None), repeat)]
         elif fk == "hill":
-            fatigue = [_HillTerm(spec.fatigue, repeat)]
+            fatigue = [_HillTerm(spec.fatigue, repeat, np.ones((data.n, 1)))]
         else:                   # "none"
             fatigue = []
         x = data.x
@@ -1321,9 +1317,7 @@ class AggregatedBrcModel(_AdditiveCountModel):
                      Block("tau", len(data.waves) - 1, prior=STD_NORMAL))),
                  band_sums]
         if fk != "none":
-            rho = _RepeatTable(_Coefficients(Block(
-                "rho", spec.fatigue.max_repeat, prior=STD_NORMAL)),
-                data.cell_repeat)
+            rho = _RepeatTable.free(spec.fatigue.max_repeat, data.cell_repeat)
             terms.append(rho if fk == "independent" else
                          _NegativeExp(rho, *_variant_smooths(fk, data)))
         super().__init__(spec, data, terms)

@@ -88,8 +88,6 @@ def hill_grad_log(gamma: float, zeta: float, eta: float, positive,
 #: and hill_eta
 HILL_KINDS = ("hill", "hill_per_covariate")
 
-_KINDS = ("none", "independent", "identical", "gp", *HILL_KINDS,
-          "variant_a", "variant_b", "variant_c")
 #: the kinds that size a table or grid over repeats 1..max_repeat
 _TABLE_KINDS = ("independent", "gp", "variant_a", "variant_b", "variant_c")
 
@@ -104,7 +102,9 @@ class FatigueSpec:
     (one Hill curve per fatigue covariate column); variant_a/b/c (the
     strictly negative -exp(...) forms of a table over repeats
     1..max_repeat with age / age + contact-band / age-by-contact-band
-    smooths). A table's last entry also holds for repeats beyond it.
+    smooths). A table's last entry also holds for repeats beyond it. Each
+    model family lists the kinds it fits, and ``ModelSpec`` refuses the
+    others.
 
     The Hill kinds take the priors of the ``hill_gamma``, ``hill_zeta``
     and ``hill_eta`` blocks from ``gamma_prior``, ``zeta_prior`` and
@@ -119,8 +119,6 @@ class FatigueSpec:
     eta_prior: PriorSpec = PriorSpec("exponential", (1.0,))
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown fatigue kind {self.kind!r}")
         if self.kind in _TABLE_KINDS and self.max_repeat < 1:
             raise ValueError(
                 f"fatigue kind {self.kind!r} requires max_repeat >= 1")

@@ -202,9 +202,9 @@ def incremental_inclusion_study(records: list[SurveyRecord],
     """
     first = [r for r in records if r.repeat == 0]
     if not first:
-        raise ValueError("study requires first-time participants")
+        raise DataError("study requires first-time participants")
     if not any(r.repeat >= 1 for r in records):
-        raise ValueError("study requires repeating participants")
+        raise DataError("study requires repeating participants")
     ages = AGE_GRID[::2]
 
     def age_curves(fit: WaveFit) -> np.ndarray:

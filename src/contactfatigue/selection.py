@@ -59,8 +59,6 @@ def stage1_select(design: DesignMatrix, rhs: RhsSpec,
     if np.any(design.repeat != 0):
         raise ValueError("stage 1 requires first-time participants only")
     names = design.names["v"]
-    if len(names) == 0:
-        raise ValueError("stage 1 requires a non-empty tested block")
     spec = ModelSpec(family="stage1_poisson", rhs=rhs,
                      beta0_prior=STAGE1_INTERCEPT_PRIOR)
     med, lo, hi = _fit_coefficients(Stage1PoissonModel(spec, design), cfg, 1)
@@ -93,8 +91,6 @@ def stage2_select(design: DesignMatrix, offsets: np.ndarray, rhs: RhsSpec,
     """Select fatigue determinants among repeating participants."""
     if np.any(design.repeat < 1):
         raise ValueError("stage 2 requires repeating participants only")
-    if rhs.sign != "negative":
-        raise ValueError("stage 2 uses the negative-sign horseshoe")
     names = design.names["w"]
     data = replace_offsets(design, offsets)
     spec = ModelSpec(family="stage2_poisson", rhs=rhs)

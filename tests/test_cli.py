@@ -197,3 +197,105 @@ def test_the_run_config_table_lists_every_key_with_its_default():
 @pytest.mark.parametrize("settings", [SamplerConfig, ScenarioConfig])
 def test_the_default_run_is_the_librarys(settings):
     assert cli.configured(settings, cli.read_config(None, {})) == settings()
+
+
+def test_the_fit_section_lists_every_model():
+    text = (pathlib.Path(__file__).resolve().parents[1] / "docs"
+            / "cli.md").read_text(encoding="utf-8")
+    section = text.split("### `fit ", 1)[1].split("\n### ", 1)[0]
+    names = [line.split("|")[1].strip().strip("`")
+             for line in section.splitlines() if line.startswith("| `")]
+    assert names == list(cli.MODELS)
+
+
+@pytest.fixture(scope="module")
+def small_run():
+    """The records and truth manifest of a small seeded panel."""
+    return simulate_panel(ScenarioConfig(waves=3, panel_size=40, seed=7))
+
+
+def _data_error_logged(caplog, start: str) -> bool:
+    return any(r.levelname == "ERROR"
+               and r.getMessage().startswith(f"data error: {start}")
+               for r in caplog.records)
+
+
+#: records that a command cannot fit: the command line without --data and
+#: --out, the edit of the panel's records and the message that names it
+UNFITTABLE = [
+    # a blank report date loads as 0
+    (["fit", "--model", "longitudinal-hill"],
+     lambda records: [dataclasses.replace(r, report_date=0)
+                      for r in records],
+     "longitudinal model needs >= 2 report dates"),
+    (["study"], lambda records: [r for r in records if r.repeat >= 1],
+     "study requires first-time participants"),
+    (["study"], lambda records: [r for r in records if r.repeat == 0],
+     "study requires repeating participants"),
+]
+
+
+@pytest.mark.parametrize("argv,edit,message", UNFITTABLE,
+                         ids=[message for *_, message in UNFITTABLE])
+def test_unfittable_records_are_a_data_error(argv, edit, message, small_run,
+                                             tmp_path, caplog):
+    path = tmp_path / "records.csv"
+    panel_to_csv(edit(small_run[0]), str(path))
+    out = tmp_path / "out"
+    code = run(["--seed", "7", "--chains", "1", "--warmup", "100",
+                "--sampling", "10"] + argv
+               + ["--data", str(path), "--out", str(out)])
+    assert code == cli.EXIT_DATA == 3
+    assert not out.exists()
+    assert _data_error_logged(caplog, message)
+
+
+class TestEvaluateRefusesUnreadableInputs:
+    TABLES = {
+        "age_curve.csv": "age,median,lower,upper\n0,6.4,1.3,16.3\n"
+                         "1,6.6,1.4,16.1\n",
+        "hill.csv": "q,gamma_median,zeta_median,eta_median,gamma_lower,"
+                    "gamma_upper\n0,0.38,0.17,0.83,0.18,0.81\n"}
+
+    @staticmethod
+    def _evaluate(tmp_path, truth_text, tables):
+        fit = tmp_path / "fit"
+        fit.mkdir()
+        for name, text in tables.items():
+            (fit / name).write_text(text)
+        truth = tmp_path / "truth.manifest"
+        truth.write_text(truth_text)
+        return run(["evaluate", "--fit", str(fit), "--truth", str(truth),
+                    "--out", str(tmp_path / "eval")])
+
+    def test_well_formed_inputs_are_scored(self, small_run, tmp_path):
+        code = self._evaluate(tmp_path, small_run[1].to_json(), self.TABLES)
+        assert code == cli.EXIT_OK
+        metrics = (tmp_path / "eval" / "metrics.csv").read_text()
+        assert [line.split(",")[0] for line in metrics.splitlines()] == [
+            "metric", "age_mape_pct", "age_coverage", "hill_gamma_median",
+            "hill_gamma_abs_err"]
+
+    def test_a_fit_without_an_age_curve(self, small_run, tmp_path, caplog):
+        # a longitudinal fit writes no age curve
+        code = self._evaluate(tmp_path, small_run[1].to_json(), {})
+        assert code == cli.EXIT_DATA
+        assert _data_error_logged(caplog,
+                                  f"{tmp_path / 'fit' / 'age_curve.csv'}")
+        assert not (tmp_path / "eval").exists()
+
+    def test_a_truth_file_that_is_not_json(self, tmp_path, caplog):
+        code = self._evaluate(tmp_path, "not json\n", self.TABLES)
+        assert code == cli.EXIT_DATA
+        assert _data_error_logged(
+            caplog, f"{tmp_path / 'truth.manifest'}: not a truth manifest")
+        assert not (tmp_path / "eval").exists()
+
+    @pytest.mark.parametrize("table", TABLES)
+    def test_a_table_with_a_short_row(self, table, small_run, tmp_path,
+                                      caplog):
+        tables = {**self.TABLES, table: self.TABLES[table] + "2,6.8\n"}
+        code = self._evaluate(tmp_path, small_run[1].to_json(), tables)
+        assert code == cli.EXIT_DATA
+        assert _data_error_logged(caplog, f"{tmp_path / 'fit' / table}: ")
+        assert not (tmp_path / "eval").exists()

@@ -664,7 +664,9 @@ class TestFamilies:
         ("longitudinal_nb", "variant_a"),
         ("aggregated_brc", "hill"), ("aggregated_brc", "gp"),
         ("stage1_poisson", "hill"), ("stage1_poisson", "independent"),
-        ("stage2_poisson", "hill"), ("stage2_poisson", "independent")])
+        ("stage2_poisson", "hill"), ("stage2_poisson", "independent"),
+        # a kind that no family lists
+        ("individual_gam", "cubic"), ("aggregated_brc", "cubic")])
     def test_a_family_refuses_a_fatigue_kind_it_cannot_fit(self, family,
                                                            kind):
         # the stage models built such a spec and dropped its fatigue term
@@ -1106,8 +1108,7 @@ class TestFatigueCurve:
                for b in ("hill_gamma", "hill_zeta", "hill_eta")}
         curve = HillCurve(np.exp(raw["hill_gamma"]), raw["hill_zeta"],
                           np.exp(raw["hill_eta"]))
-        np.testing.assert_allclose(rho, hill(curve, self.R), rtol=1e-14,
-                                   atol=0.0)
+        np.testing.assert_array_equal(rho, hill(curve, self.R))
 
     def test_independent_reads_the_table_up_to_max_repeat(self):
         model, theta, rho = self._curve("independent")

@@ -7,9 +7,11 @@ from contactfatigue.cli import scenario_feature_spec, selection_groups
 from contactfatigue.domain import build_design
 from contactfatigue.inference import SamplerConfig, sample_model
 from contactfatigue.models import ModelSpec, Stage1PoissonModel
+from contactfatigue.priors import RhsSpec
 from contactfatigue.selection import (STAGE1_INTERCEPT_PRIOR, STAGE1_LOWER,
                                       STAGE1_UPPER, STAGE2_CUTOFF,
                                       replace_offsets, stage1_refit_offsets,
+                                      stage1_select, stage2_select,
                                       subset_v_block, two_stage_select)
 from contactfatigue.simulator import ScenarioConfig, simulate_panel
 
@@ -57,6 +59,23 @@ def test_replace_offsets_refuses_a_wrong_length():
         replace_offsets(design, np.zeros(design.n - 1))
     out = replace_offsets(design, np.full(design.n, 0.5))
     np.testing.assert_array_equal(out.offsets, 0.5)
+
+
+def test_each_stage_refuses_a_horseshoe_it_cannot_fit(designs):
+    # refused by the horseshoe spec and the stage models, before sampling:
+    # no horseshoe has zero coefficients, so an empty tested block has
+    # none that fits, and stage 2 takes only the negative-sign one
+    first, repeat = designs
+    cfg = SamplerConfig(chains=1, warmup=100, sampling=1, seed=7)
+    with pytest.raises(ValueError, match="p0 must lie strictly between"):
+        RhsSpec(n_coef=0, p0=0.0, n_obs=first.n)
+    with pytest.raises(ValueError, match="rhs.n_coef must equal 0"):
+        stage1_select(subset_v_block(first, ()),
+                      RhsSpec(n_coef=1, p0=0.5, n_obs=first.n), cfg)
+    k = len(repeat.names["w"])
+    with pytest.raises(ValueError, match="negative-sign RhsSpec"):
+        stage2_select(repeat, np.zeros(repeat.n),
+                      RhsSpec(n_coef=k, p0=k / 2, n_obs=repeat.n), cfg)
 
 
 def test_stage2_offsets_are_the_medians_of_the_drawn_effects(designs):

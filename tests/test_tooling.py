@@ -37,3 +37,12 @@ def test_ci_compares_two_cli_trees():
     assert 'for run in a b; do\n' in workflow
     assert 'tools/cli_tree.sh "$RUNNER_TEMP/cli-$run"' in workflow
     assert 'diff -r "$RUNNER_TEMP/cli-a" "$RUNNER_TEMP/cli-b"' in workflow
+
+
+def test_ci_compares_two_gradient_files():
+    # the gradients of the benchmark's models, written twice and compared
+    # by the tool, which exits 1 when the files differ
+    workflow = WORKFLOW.read_text()
+    assert ('python tools/grad_states.py "$RUNNER_TEMP/grad-$run.npz"'
+            in workflow)
+    assert "python tools/grad_states.py --compare" in workflow

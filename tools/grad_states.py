@@ -1,20 +1,22 @@
-"""Write logp_grad of the benchmark-shaped models at fixed states, or
-compare two such files.
+"""Write logp_grad of the benchmark's models at fixed states, or compare
+two such files.
 
     PYTHONPATH=src python tools/grad_states.py OUT.npz
     python tools/grad_states.py --compare A.npz B.npz
 
-The models are built through the public calls, as the benchmark builds
-them: the seed-7 gam-hill and longitudinal-hill models of a 5-wave,
-300-participant panel after a CSV round trip, and the seed-7 BRC model
-with independent fatigue and 40 basis functions per surface axis. Each is
-evaluated at 500 seeded states in [-3, 3] and 500 in [-50, 50]. Run it
-once per checkout; ``--compare`` prints, per model, how many states only
-one side rejects and the largest |A - B| / max(1, |A|) of logp and of the
-gradient over the states both sides accept.
+The models are the benchmark's own, built by its seed-7 set-up of the
+full-size workloads (``perfbench/workloads.py``): gam-hill (gam-fit) and
+longitudinal-hill (longitudinal-fit) on a 5-wave, 300-participant panel
+after a CSV round trip, and the BRC model with independent fatigue and 40
+basis functions per surface axis (brc-map). Each is evaluated at 500
+seeded states in [-3, 3] and 500 in [-50, 50]. Run it once per checkout;
+``--compare`` prints, per model, how many states only one side rejects and
+the largest |A - B| / max(1, |A|) of logp and of the gradient over the
+states both sides accept, and exits 1 when the files differ, as ``diff``
+does.
 """
 
-import os
+import pathlib
 import sys
 import tempfile
 
@@ -22,38 +24,21 @@ import numpy as np
 
 STATES = ((3.0, 500), (50.0, 500))
 SEED = 7
+#: each model's name in the files, with the workload that builds it
+WORKLOADS = {"gam-hill": "gam-fit", "longitudinal-hill": "longitudinal-fit",
+             "brc-independent": "brc-map"}
 
 
 def build_models():
-    from contactfatigue import cli
-    from contactfatigue.domain import build_design, load_survey_csv
-    from contactfatigue.models import (FatigueSpec, ModelSpec,
-                                       brc_surface_config, build_model,
-                                       make_brc_data)
-    from contactfatigue.simulator import (ScenarioConfig, SurfaceScenario,
-                                          panel_to_csv, simulate_brc_surface,
-                                          simulate_panel)
+    sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]
+                           / "perfbench"))
+    import workloads
 
-    records, _ = simulate_panel(ScenarioConfig(waves=5, panel_size=300,
-                                               seed=SEED))
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "records.csv")
-        panel_to_csv(records, path)
-        loaded, _ = load_survey_csv(path, cli.scenario_schema(),
-                                    rng=np.random.default_rng([SEED, 104729]))
-    values = cli.read_config(None, {"seed": SEED})
-    for name, features in (("gam-hill", cli.gam_feature_spec()),
-                           ("longitudinal-hill", cli.scenario_feature_spec())):
-        yield name, build_model(cli.model_spec_for(name, values),
-                                build_design(loaded, features))
-    sim = simulate_brc_surface(SurfaceScenario(seed=SEED))
-    data = make_brc_data(**{k: sim[k] for k in (
-        "y", "wave", "repeat", "age", "band", "n_participants", "s_prop",
-        "population", "bands")})
-    yield "brc-independent", build_model(ModelSpec(
-        family="aggregated_brc",
-        fatigue=FatigueSpec(kind="independent", max_repeat=data.max_repeat),
-        hsgp_surface=brc_surface_config(40)), data)
+        for name, bench in WORKLOADS.items():
+            workload = workloads.make(bench, workloads.FULL, tmp)
+            workload.setup(SEED, workloads.Stages())
+            yield name, workload.model
 
 
 def write(out):
@@ -68,10 +53,16 @@ def write(out):
     np.savez(out, **arrays)
 
 
-def compare(path_a, path_b):
+def compare(path_a, path_b) -> bool:
     """Per model: the states A rejects, those only one side rejects, and
-    the largest relative differences where both accept."""
+    the largest relative differences where both accept. True when the
+    files hold the same models and values."""
     a, b = np.load(path_a), np.load(path_b)
+    if sorted(a.files) != sorted(b.files):
+        print(f"the files hold different arrays: {sorted(a.files)} and "
+              f"{sorted(b.files)}")
+        return False
+    same = True
     print("model              rejected  one-side  max-rel-logp  max-rel-grad")
     for name in sorted({k.split("/")[0] for k in a.files}):
         ok_a = np.isfinite(a[f"{name}/logp"])
@@ -79,17 +70,20 @@ def compare(path_a, path_b):
         both = ok_a & ok_b
         la, lb = a[f"{name}/logp"][both], b[f"{name}/logp"][both]
         ga, gb = a[f"{name}/grad"][both], b[f"{name}/grad"][both]
-        rel_logp = np.abs(la - lb) / np.maximum(1.0, np.abs(la))
-        rel_grad = np.abs(ga - gb) / np.maximum(1.0, np.abs(ga))
-        print(f"{name:18s} {int((~ok_a).sum()):8d}"
-              f"  {int((ok_a != ok_b).sum()):8d}"
-              f"  {rel_logp.max(initial=0.0):12.3e}"
-              f"  {rel_grad.max(initial=0.0):12.3e}")
+        rel_logp = (np.abs(la - lb) / np.maximum(1.0, np.abs(la))
+                    ).max(initial=0.0)
+        rel_grad = (np.abs(ga - gb) / np.maximum(1.0, np.abs(ga))
+                    ).max(initial=0.0)
+        one_side = int((ok_a != ok_b).sum())
+        same &= one_side == 0 and rel_logp == 0.0 and rel_grad == 0.0
+        print(f"{name:18s} {int((~ok_a).sum()):8d}  {one_side:8d}"
+              f"  {rel_logp:12.3e}  {rel_grad:12.3e}")
+    return same
 
 
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--compare"] and len(sys.argv) == 4:
-        compare(*sys.argv[2:])
+        sys.exit(0 if compare(*sys.argv[2:]) else 1)
     elif len(sys.argv) == 2:
         write(sys.argv[1])
     else:
