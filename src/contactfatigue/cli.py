@@ -392,12 +392,16 @@ def cmd_study(args, values: dict) -> int:
 
 
 def _read_columns(path: str, *names: str) -> list[np.ndarray]:
-    """The named columns of a CSV table; a bad table is a ``DataError``."""
+    """The named columns of a CSV table; a bad table, or one with no
+    rows, is a ``DataError``."""
     try:
         rows = np.genfromtxt(path, delimiter=",", names=True)
-        return [np.atleast_1d(rows[name]) for name in names]
+        columns = [np.atleast_1d(rows[name]) for name in names]
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from exc
+    if not columns[0].size:
+        raise DataError(f"{path}: no rows")
+    return columns
 
 
 def cmd_evaluate(args, values: dict) -> int:

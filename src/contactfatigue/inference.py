@@ -431,7 +431,7 @@ def sample_model(model, cfg: SamplerConfig,
 # MAP optimization
 # ---------------------------------------------------------------------------
 
-def warm_start_point(model, seed: int = 0) -> np.ndarray | None:
+def warm_start_point(model, seed: int) -> np.ndarray | None:
     """Best-effort posterior-mode (MAP) search by L-BFGS, from zero and
     then from one uniform(-1, 1) point; None when both fail."""
     # imported here, not with the module: SciPy's optimizers take a few

@@ -73,8 +73,9 @@ from .. import kernels
 from ..domain import (AGE_GRID, CoarseBandSet, DataError, DesignMatrix,
                       PopulationTable)
 from ..kernels import KERNEL_FAMILIES, HsgpBasis
-from ..priors import (FORMULA, RHS_C2_PRIOR, RHS_ZETA_PRIOR, PriorSpec,
-                      PriorTable, RhsSpec, rhs_coefficients, table_log_prior)
+from ..priors import (FORMULA, RHS_C2_PRIOR, RHS_NU3, RHS_ZETA_PRIOR,
+                      PriorSpec, PriorTable, rhs_coefficients,
+                      table_log_prior)
 from .fatigue import FatigueSpec, HillCurve, hill, hill_grad_log, log_repeats
 from .likelihoods import (GroupCounts, nb1_agg_loglik, nb1_rvs,
                           nb2_group_loglik, nb2_loglik, nb2_rvs,
@@ -194,14 +195,15 @@ class ModelSpec:
 
     ``beta0_prior`` is the prior of the intercept block ``beta0``, and
     ``beta_prior`` that of the GAM's covariate coefficients ``beta``; array
-    or tuple params give each coefficient its own. A fatigue kind that the
-    family's model class cannot fit (not in its ``fatigue_kinds``) is
-    refused.
+    or tuple params give each coefficient its own. ``horseshoe`` puts the
+    regularized horseshoe on stage 1's tested block, which otherwise takes
+    standard normal priors. A fatigue kind that the family's model class
+    cannot fit (not in its ``fatigue_kinds``) is refused.
     """
 
     family: str
     fatigue: FatigueSpec = field(default_factory=FatigueSpec)
-    rhs: RhsSpec | None = None
+    horseshoe: bool = False
     beta0_prior: PriorSpec = PriorSpec("normal", (0.0, 10.0))
     beta_prior: PriorSpec = PriorSpec("normal", (0.0, 1.0))
     hsgp_age: HsgpConfig = AGE_GP
@@ -292,15 +294,18 @@ class _RhsTerm:
     ``{prefix}_z`` holds the latents: standard normal, or for the
     negative-sign prior half-normal carried on the log scale.
     ``{prefix}_zeta`` (local scales), ``rhs_c2`` (slab) and ``rhs_eps``
-    (global scale) are log-scale blocks.
+    (global scale, half-t(nu3, 1/n) over the model's ``n_obs`` rows) are
+    log-scale blocks.
     """
 
-    def __init__(self, prefix: str, spec: RhsSpec):
-        self.spec = spec
-        self.size = spec.n_coef
+    def __init__(self, prefix: str, size: int, n_obs: int, negative: bool):
+        if size < 1:
+            raise ValueError("a horseshoe needs at least one coefficient")
+        self.size = size
+        self.n_obs = n_obs
+        self.negative = negative
         self.z_name = f"{prefix}_z"
         self.zeta_name = f"{prefix}_zeta"
-        self.negative = spec.sign == "negative"
 
     def blocks(self) -> list[Block]:
         k = self.size
@@ -309,7 +314,8 @@ class _RhsTerm:
              if self.negative else Block(self.z_name, k, prior=STD_NORMAL))
         return [z, Block(self.zeta_name, k, "log", RHS_ZETA_PRIOR),
                 Block("rhs_c2", 1, "log", RHS_C2_PRIOR),
-                Block("rhs_eps", 1, "log", self.spec.eps_prior_spec())]
+                Block("rhs_eps", 1, "log", PriorSpec(
+                    "student_t_pos", (RHS_NU3, 1.0 / self.n_obs)))]
 
     def place(self, layout: Layout) -> None:
         self.z_at = layout.sl(self.z_name)
@@ -325,7 +331,8 @@ class _RhsTerm:
         if not max(c2, eps) <= _MAX_ROOT:
             raise RejectedState
         beta, partials = rhs_coefficients(
-            self.spec, nat[self.z_at], nat[self.zeta_at], c2, eps)
+            nat[self.z_at], nat[self.zeta_at], c2, eps,
+            negative=self.negative)
         if not np.isfinite(beta).all():
             raise RejectedState
         return beta, partials
@@ -1052,9 +1059,9 @@ class Stage1PoissonModel(_AdditiveCountModel):
     """log(lambda) = beta0 + u' alpha + v' beta, Poisson counts.
 
     The baseline block gets a hierarchical normal prior with a half-Cauchy
-    scale; the tested block gets the regularized horseshoe, or plain
-    standard normal priors when ``spec.rhs`` is None (the refit used to
-    produce stage-2 offsets).
+    scale; the tested block gets the regularized horseshoe when
+    ``spec.horseshoe`` is set, or else plain standard normal priors (the
+    refit used to produce stage-2 offsets).
     """
 
     observation = _PoissonGroups
@@ -1063,15 +1070,14 @@ class Stage1PoissonModel(_AdditiveCountModel):
     def __init__(self, spec: ModelSpec, data: DesignMatrix):
         u, v = data.blocks["u"], data.blocks["v"]
         k = v.shape[1]
-        if spec.rhs is not None and spec.rhs.n_coef != k:
-            raise ValueError(f"rhs.n_coef must equal {k}")
         super().__init__(spec, data, [
             _Linear.intercept(spec, data.n),
             _Linear(u, _Coefficients(
                 Block("alpha_raw", u.shape[1], prior=STD_NORMAL),
                 "sigma_alpha")),
-            _Linear(v, (_Coefficients(Block("beta", k, prior=STD_NORMAL))
-                        if spec.rhs is None else _RhsTerm("beta", spec.rhs)))])
+            _Linear(v, (_RhsTerm("beta", k, data.n, negative=False)
+                        if spec.horseshoe else
+                        _Coefficients(Block("beta", k, prior=STD_NORMAL))))])
 
 
 class Stage2PoissonModel(_AdditiveCountModel):
@@ -1079,20 +1085,18 @@ class Stage2PoissonModel(_AdditiveCountModel):
 
     ``data.offsets`` must hold the frozen stage-1 predictor beta0_hat +
     u' alpha_hat + v' beta_hat per row; the fatigue term w' gamma is what
-    de-biasing drops.
+    de-biasing drops. The negative horseshoe is the only prior stage 2
+    fits, so ``spec.horseshoe`` is not read.
     """
 
     observation = _PoissonGroups
     fatigue_kinds = ("none",)
 
     def __init__(self, spec: ModelSpec, data: DesignMatrix):
-        if spec.rhs is None or spec.rhs.sign != "negative":
-            raise ValueError("stage 2 requires a negative-sign RhsSpec")
         w = data.blocks["w"]
-        if spec.rhs.n_coef != w.shape[1]:
-            raise ValueError(f"rhs.n_coef must equal {w.shape[1]}")
-        super().__init__(spec, data, [
-            _Linear(w, _RhsTerm("gamma", spec.rhs), fatigue=True)])
+        super().__init__(spec, data, [_Linear(
+            w, _RhsTerm("gamma", w.shape[1], data.n, negative=True),
+            fatigue=True)])
 
 
 class LongitudinalNbModel(_AdditiveCountModel):
@@ -1353,10 +1357,10 @@ def _variant_smooths(kind: str, data: BrcData) -> list[_Gather]:
         # on the grid of the cells' ages x the band midpoints present
         mid, mid_idx = np.unique(mids[data.cell_band], return_inverse=True)
         index = age_idx * mid.size + mid_idx
-        basis = kernels.build_hsgp_2d(ages / AGE_SD, mid / AGE_SD,
-                                      min(vcfg.m, 12))
+        config = replace(vcfg, m=min(vcfg.m, 12))
+        basis = kernels.build_hsgp_2d(ages / AGE_SD, mid / AGE_SD, config.m)
         return [_Gather(_HsgpTerm(
-            "fac", basis, vcfg,
+            "fac", basis, config,
             np.bincount(index, minlength=ages.size * mid.size)), index)]
     smooths = [_Gather.on_axis(
         "fa", ages / AGE_SD, age_idx,

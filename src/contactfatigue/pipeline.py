@@ -148,7 +148,7 @@ def check_resamples(b: int) -> None:
         raise ValueError("use at least 100 bootstrap resamples")
 
 
-def bootstrap_mean(records: list[SurveyRecord], b: int, *, seed: int = 0
+def bootstrap_mean(records: list[SurveyRecord], b: int, *, seed: int
                    ) -> PopulationEstimate:
     """Participant-level bootstrap of the mean contact count, with its
     median and 95% percentile interval over the resamples. Each resample's

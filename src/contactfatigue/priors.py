@@ -28,9 +28,12 @@ The regularized horseshoe (RHS) follows the global-local construction
     zeta_tilde_k^2 = c^2 zeta_k^2 / (c^2 + eps^2 zeta_k^2),
 
 with half-Student-t local/global scales and an inverse-Gamma slab, at the
-fixed hyperparameters below. The negatively-truncated variant draws z_k
-half-normal and rescales by sqrt((1 - 2/pi)^-1) so the conditional
-variance matches the unconstrained prior.
+fixed hyperparameters below. The global scale is half-t(nu3, eps0) with
+eps0 = p0 / (D - p0) / n for a guess of p0 non-zero among D coefficients
+over n rows; the guess is always half the candidates, p0 = D / 2, so
+eps0 = 1 / n. The negatively-truncated variant draws z_k half-normal and
+rescales by sqrt((1 - 2/pi)^-1) so the conditional variance matches the
+unconstrained prior.
 """
 
 from __future__ import annotations
@@ -206,33 +209,10 @@ RHS_NU3 = 4.0
 RHS_SLAB_SCALE_SQ = 2.0
 
 #: The local scales are half-t(nu1, 1) and the slab c^2 is
-#: inverse-Gamma(nu2, nu2 s^2 / 2).
+#: inverse-Gamma(nu2, nu2 s^2 / 2); the global scale is half-t(nu3, 1/n).
 RHS_ZETA_PRIOR = PriorSpec("student_t_pos", (RHS_NU1, 1.0))
 RHS_C2_PRIOR = PriorSpec("invgamma",
                          (RHS_NU2, RHS_NU2 * RHS_SLAB_SCALE_SQ / 2.0))
-
-
-@dataclass(frozen=True)
-class RhsSpec:
-    """Size, sparsity guess and sign of a regularized-horseshoe block."""
-
-    n_coef: int
-    p0: float                      # prior guess of non-zero coefficients
-    n_obs: int
-    sign: str = "unconstrained"    # or "negative"
-
-    def __post_init__(self) -> None:
-        if not (0 < self.p0 < self.n_coef):
-            raise ValueError("p0 must lie strictly between 0 and n_coef")
-        if self.sign not in ("unconstrained", "negative"):
-            raise ValueError(f"invalid sign {self.sign!r}")
-
-    @property
-    def eps0(self) -> float:
-        return self.p0 / (self.n_coef - self.p0) / self.n_obs
-
-    def eps_prior_spec(self) -> PriorSpec:
-        return PriorSpec("student_t_pos", (RHS_NU3, self.eps0))
 
 
 def regularized_scale(zeta: np.ndarray, c2: float, eps: float
@@ -252,8 +232,8 @@ def regularized_scale(zeta: np.ndarray, c2: float, eps: float
     return zt, partials
 
 
-def rhs_coefficients(spec: RhsSpec, z: np.ndarray, zeta: np.ndarray,
-                     c2: float, eps: float
+def rhs_coefficients(z: np.ndarray, zeta: np.ndarray, c2: float, eps: float,
+                     *, negative: bool
                      ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """Coefficients beta = eps * zeta_tilde * z (non-centered) and partials.
 
@@ -262,7 +242,7 @@ def rhs_coefficients(spec: RhsSpec, z: np.ndarray, zeta: np.ndarray,
     """
     z = np.asarray(z, dtype=float)
     zt, dzt = regularized_scale(zeta, c2, eps)
-    scale = -np.sqrt(HALF_NORMAL_VAR_ADJUST) if spec.sign == "negative" else 1.0
+    scale = -np.sqrt(HALF_NORMAL_VAR_ADJUST) if negative else 1.0
     beta = scale * eps * zt * z
     partials = {
         "z": scale * eps * zt,

@@ -19,7 +19,7 @@ from .domain import DesignMatrix
 from .inference import (INTERVAL_50, SamplerConfig, posterior_interval,
                         sample_model)
 from .models import ModelSpec, Stage1PoissonModel, Stage2PoissonModel
-from .priors import PriorSpec, RhsSpec
+from .priors import PriorSpec
 
 logger = logging.getLogger(__name__)
 
@@ -53,13 +53,13 @@ def _fit_coefficients(model, cfg: SamplerConfig, stage: int):
     return med, lo, hi
 
 
-def stage1_select(design: DesignMatrix, rhs: RhsSpec,
-                  cfg: SamplerConfig) -> SelectionResult:
+def stage1_select(design: DesignMatrix, cfg: SamplerConfig
+                  ) -> SelectionResult:
     """Select intensity determinants among the tested block of first-timers."""
     if np.any(design.repeat != 0):
         raise ValueError("stage 1 requires first-time participants only")
     names = design.names["v"]
-    spec = ModelSpec(family="stage1_poisson", rhs=rhs,
+    spec = ModelSpec(family="stage1_poisson", horseshoe=True,
                      beta0_prior=STAGE1_INTERCEPT_PRIOR)
     med, lo, hi = _fit_coefficients(Stage1PoissonModel(spec, design), cfg, 1)
     selected = tuple(bool(m < STAGE1_LOWER or m > STAGE1_UPPER) for m in med)
@@ -86,14 +86,14 @@ def stage1_refit_offsets(design_first: DesignMatrix,
             + design_target.blocks["v"] @ beta)
 
 
-def stage2_select(design: DesignMatrix, offsets: np.ndarray, rhs: RhsSpec,
+def stage2_select(design: DesignMatrix, offsets: np.ndarray,
                   cfg: SamplerConfig) -> SelectionResult:
     """Select fatigue determinants among repeating participants."""
     if np.any(design.repeat < 1):
         raise ValueError("stage 2 requires repeating participants only")
     names = design.names["w"]
     data = replace_offsets(design, offsets)
-    spec = ModelSpec(family="stage2_poisson", rhs=rhs)
+    spec = ModelSpec(family="stage2_poisson")
     med, lo, hi = _fit_coefficients(Stage2PoissonModel(spec, data), cfg, 2)
     selected = tuple(bool(m < STAGE2_CUTOFF) for m in med)
     return SelectionResult(names, med, lo, hi, selected)
@@ -121,15 +121,10 @@ def two_stage_select(design_first: DesignMatrix, design_repeat: DesignMatrix,
                      ) -> tuple[SelectionResult, SelectionResult]:
     """Run the full two-stage procedure for one wave. Each horseshoe's
     prior guess of non-zero coefficients is half its candidates."""
-    k1 = len(design_first.names["v"])
-    rhs1 = RhsSpec(n_coef=k1, p0=k1 / 2.0, n_obs=design_first.n)
-    stage1 = stage1_select(design_first, rhs1, cfg)
+    stage1 = stage1_select(design_first, cfg)
     keep = stage1.selected_features()
     first_sub = subset_v_block(design_first, keep)
     repeat_sub = subset_v_block(design_repeat, keep)
     offsets = stage1_refit_offsets(first_sub, repeat_sub, cfg)
-    k2 = len(repeat_sub.names["w"])
-    rhs2 = RhsSpec(n_coef=k2, p0=k2 / 2.0, n_obs=repeat_sub.n,
-                   sign="negative")
-    stage2 = stage2_select(repeat_sub, offsets, rhs2, cfg)
+    stage2 = stage2_select(repeat_sub, offsets, cfg)
     return stage1, stage2

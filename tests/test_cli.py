@@ -299,3 +299,16 @@ class TestEvaluateRefusesUnreadableInputs:
         assert code == cli.EXIT_DATA
         assert _data_error_logged(caplog, f"{tmp_path / 'fit' / table}: ")
         assert not (tmp_path / "eval").exists()
+
+    @pytest.mark.parametrize("table", TABLES)
+    def test_a_table_with_a_header_and_no_rows(self, table, small_run,
+                                               tmp_path, caplog):
+        # a header-only hill table ended in an IndexError, and a
+        # header-only age curve was scored as nan
+        header = self.TABLES[table].split("\n")[0] + "\n"
+        tables = {**self.TABLES, table: header}
+        code = self._evaluate(tmp_path, small_run[1].to_json(), tables)
+        assert code == cli.EXIT_DATA
+        assert _data_error_logged(caplog,
+                                  f"{tmp_path / 'fit' / table}: no rows")
+        assert not (tmp_path / "eval").exists()

@@ -259,11 +259,11 @@ class Nowhere:
 
 class TestWarmStartPoint:
     def test_finds_the_mode(self):
-        np.testing.assert_allclose(warm_start_point(Quadratic()),
+        np.testing.assert_allclose(warm_start_point(Quadratic(), seed=0),
                                    Quadratic.MODE, rtol=0, atol=1e-6)
 
     def test_an_unreachable_target_has_no_mode(self):
-        assert warm_start_point(Nowhere()) is None
+        assert warm_start_point(Nowhere(), seed=0) is None
 
 
 class TestSamplerConfig:

@@ -27,7 +27,6 @@ from contactfatigue.kernels import basis_at
 from contactfatigue.models.assemble import AGE_SD, _HsgpTerm, _surface_of
 from contactfatigue.models.fatigue import hill_grad_log, log_repeats
 from contactfatigue.models.params import Block, Layout
-from contactfatigue.priors import RhsSpec
 from contactfatigue.selection import STAGE1_INTERCEPT_PRIOR
 
 from conftest import (SMALL_FEATURES, assert_matches_reference, brc_model,
@@ -148,8 +147,7 @@ class TestGradientSuite:
             assert max_rel_grad_error(model, theta, h=h) < 1e-5
 
     def test_stage1_rhs(self, small_design):
-        rhs = RhsSpec(n_coef=2, p0=1.0, n_obs=small_design.n)
-        model = build_model(ModelSpec(family="stage1_poisson", rhs=rhs,
+        model = build_model(ModelSpec(family="stage1_poisson", horseshoe=True,
                                       beta0_prior=STAGE1_INTERCEPT_PRIOR),
                             small_design)
         self._check(model)
@@ -164,9 +162,7 @@ class TestGradientSuite:
         records = make_records(30, seed=2, min_repeat=1)
         design = build_design(records, SMALL_FEATURES)
         design = dataclasses.replace(design, offsets=np.full(30, 1.1))
-        rhs = RhsSpec(n_coef=3, p0=1.5, n_obs=30, sign="negative")
-        model = build_model(ModelSpec(family="stage2_poisson", rhs=rhs),
-                            design)
+        model = build_model(ModelSpec(family="stage2_poisson"), design)
         self._check(model)
 
     @pytest.mark.parametrize("kind,kw", [
@@ -374,14 +370,12 @@ def _every_family_and_fatigue_kind():
     models = {
         "stage1-rhs": build_model(ModelSpec(
             family="stage1_poisson", beta0_prior=STAGE1_INTERCEPT_PRIOR,
-            rhs=RhsSpec(n_coef=2, p0=1.0, n_obs=design.n)), design),
+            horseshoe=True), design),
         "stage1-plain": build_model(ModelSpec(
             family="stage1_poisson", beta0_prior=STAGE1_INTERCEPT_PRIOR),
             design),
-        "stage2-rhs": build_model(ModelSpec(
-            family="stage2_poisson",
-            rhs=RhsSpec(n_coef=3, p0=1.5, n_obs=30, sign="negative")),
-            repeaters),
+        "stage2-rhs": build_model(ModelSpec(family="stage2_poisson"),
+                                  repeaters),
     }
     for kind, kw in [("none", {}), ("independent", {"max_repeat": 3}),
                      ("identical", {}), ("gp", {"max_repeat": 3}),
@@ -400,6 +394,32 @@ def _every_family_and_fatigue_kind():
 
 
 MODELS = _every_family_and_fatigue_kind()
+
+
+def _gp_terms(model):
+    """Every ``_HsgpTerm`` that the model's terms hold, at any depth."""
+    found, stack, seen = [], list(model.terms), set()
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, _HsgpTerm):
+            found.append(obj)
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+        elif type(obj).__module__ == _HsgpTerm.__module__:
+            stack.extend(vars(obj).values())
+    return found
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_each_gp_keeps_the_config_of_its_basis(name):
+    # a GP term's config states its basis size, so the two cannot differ
+    for gp in _gp_terms(MODELS[name]):
+        assert gp.config.m == gp.basis.m, gp.block_names[0]
 
 
 class TestLogpGradIsTotal:

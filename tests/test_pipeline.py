@@ -128,4 +128,4 @@ def test_bootstrap_point_is_the_median_of_the_resampled_means():
 def test_bootstrapping_no_records_is_a_data_error():
     # it divided by the zero participants first, a ZeroDivisionError
     with pytest.raises(DataError, match="no records to resample"):
-        bootstrap_mean([], 100)
+        bootstrap_mean([], 100, seed=0)

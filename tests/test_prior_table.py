@@ -11,7 +11,7 @@ from contactfatigue.domain import build_design
 from contactfatigue.models import FatigueSpec, ModelSpec, build_model
 from contactfatigue.models.assemble import DISPERSION_PRIOR, _PriorPass
 from contactfatigue.models.params import Block, Layout
-from contactfatigue.priors import PriorSpec, RhsSpec
+from contactfatigue.priors import PriorSpec
 
 from conftest import SMALL_FEATURES, brc_model, make_records
 
@@ -38,14 +38,14 @@ def _halfcauchy(x):
     return stats.halfcauchy.logpdf(x)
 
 
-def _rhs_densities(prefix, rhs):
+def _rhs_densities(prefix, negative, n_obs):
     # nu1 = 3, nu2 = 2, nu3 = 4 and slab scale s^2 = 2: half-t(3, 1) local
-    # scales, an inverse-Gamma(nu2, nu2 s^2 / 2) slab, half-t(4, eps0)
-    z = (_truncnorm(0.0, 1.0) if rhs.sign == "negative" else _norm())
-    return {f"{prefix}_z": (z, rhs.sign == "negative"),
+    # scales, an inverse-Gamma(nu2, nu2 s^2 / 2) slab, half-t(4, 1/n)
+    z = _truncnorm(0.0, 1.0) if negative else _norm()
+    return {f"{prefix}_z": (z, negative),
             f"{prefix}_zeta": (_half_t(3.0, 1.0), True),
             "rhs_c2": (_invgamma(2.0, 2.0), True),
-            "rhs_eps": (_half_t(4.0, rhs.eps0), True)}
+            "rhs_eps": (_half_t(4.0, 1.0 / n_obs), True)}
 
 
 def _hsgp_densities(name, magnitude, lengthscale, dim=1):
@@ -66,18 +66,17 @@ def _every_family():
         offsets=np.full(30, 1.1))
     out = {}
 
-    rhs = RhsSpec(n_coef=2, p0=1.0, n_obs=design.n)
     out["stage1"] = (build_model(ModelSpec(
         family="stage1_poisson", beta0_prior=PriorSpec("normal", (0.0, 100.0)),
-        rhs=rhs), design), {
+        horseshoe=True), design), {
         "beta0": (_norm(0.0, 100.0), False),
         "alpha_raw": (_norm(), False),
         "sigma_alpha": (_halfcauchy, True),
-        **_rhs_densities("beta", rhs)})
+        **_rhs_densities("beta", False, design.n)})
 
-    rhs = RhsSpec(n_coef=3, p0=1.5, n_obs=30, sign="negative")
-    out["stage2"] = (build_model(ModelSpec(family="stage2_poisson", rhs=rhs),
-                                 repeaters), _rhs_densities("gamma", rhs))
+    out["stage2"] = (build_model(ModelSpec(family="stage2_poisson"),
+                                 repeaters),
+                     _rhs_densities("gamma", True, repeaters.n))
 
     out["longitudinal"] = (build_model(ModelSpec(
         family="longitudinal_nb", fatigue=FatigueSpec(kind="hill")), design), {
@@ -214,6 +213,19 @@ class TestPriorTable:
             num = (_scipy_log_priors(model, densities, theta + h)
                    - _scipy_log_priors(model, densities, theta - h)) / (2 * h)
             np.testing.assert_allclose(grad, num, rtol=1e-6, atol=1e-6)
+
+    def test_the_global_scale_is_half_t_4_over_the_rows(self):
+        # the guess of half the D candidates non-zero, p0 = D / 2, makes
+        # eps0 = p0 / (D - p0) / n exactly 1 / n
+        d = np.arange(1.0, 200.0)[:, None]
+        n = np.arange(1.0, 3000.0)
+        assert np.array_equal((d / 2.0) / (d - d / 2.0) / n,
+                              np.broadcast_to(1.0 / n, (d.size, n.size)))
+        for name in ("stage1", "stage2"):
+            model = FAMILIES[name][0]
+            (eps,) = [b for b in model.layout.blocks if b.name == "rhs_eps"]
+            assert eps.prior == PriorSpec("student_t_pos",
+                                          (4.0, 1.0 / model.data.n))
 
     def test_logp_grad_ends_with_the_pass(self):
         # a model with no data is its priors alone

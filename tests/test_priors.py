@@ -12,7 +12,7 @@ from scipy.integrate import quad
 from contactfatigue.models.assemble import _PriorPass
 from contactfatigue.models.params import Block, Layout
 from contactfatigue.priors import (HALF_NORMAL_VAR_ADJUST, PriorSpec,
-                                   RhsSpec, regularized_scale,
+                                   regularized_scale,
                                    rhs_coefficients)
 
 ALL_SPECS = [
@@ -238,16 +238,6 @@ class TestFormula:
             np.testing.assert_allclose(num, ref, rtol=1e-6, atol=1e-8)
 
 
-class TestRhsSpec:
-    def test_eps0_formula(self):
-        spec = RhsSpec(n_coef=16, p0=8.0, n_obs=100)
-        assert spec.eps0 == pytest.approx(0.01)
-
-    def test_p0_bounds(self):
-        with pytest.raises(ValueError):
-            RhsSpec(n_coef=4, p0=4.0, n_obs=10)
-
-
 class TestRegularizedScale:
     def test_large_slab_limit_recovers_plain_horseshoe(self):
         zeta = np.array([0.3, 1.0, 4.0])
@@ -272,22 +262,20 @@ class TestRegularizedScale:
 
 
 class TestRhsLogPrior:
-    def _spec(self, sign="unconstrained"):
-        return RhsSpec(n_coef=6, p0=2.0, n_obs=50, sign=sign)
-
     def test_coefficient_partials_match_finite_differences(self):
-        spec = self._spec()
         rng = np.random.default_rng(2)
         z = rng.normal(size=6)
         zeta = rng.uniform(0.3, 2.0, size=6)
         c2, eps = 1.2, 0.2
-        beta, partials = rhs_coefficients(spec, z, zeta, c2, eps)
+        beta, partials = rhs_coefficients(z, zeta, c2, eps, negative=False)
         h = 1e-6
-        num_eps = (rhs_coefficients(spec, z, zeta, c2, eps + h)[0]
-                   - rhs_coefficients(spec, z, zeta, c2, eps - h)[0]) / (2 * h)
+        num_eps = (rhs_coefficients(z, zeta, c2, eps + h, negative=False)[0]
+                   - rhs_coefficients(z, zeta, c2, eps - h, negative=False)[0]
+                   ) / (2 * h)
         np.testing.assert_allclose(partials["eps"], num_eps, rtol=1e-6)
-        num_c2 = (rhs_coefficients(spec, z, zeta, c2 + h, eps)[0]
-                  - rhs_coefficients(spec, z, zeta, c2 - h, eps)[0]) / (2 * h)
+        num_c2 = (rhs_coefficients(z, zeta, c2 + h, eps, negative=False)[0]
+                  - rhs_coefficients(z, zeta, c2 - h, eps, negative=False)[0]
+                  ) / (2 * h)
         np.testing.assert_allclose(partials["c2"], num_c2, rtol=1e-5,
                                    atol=1e-10)
 
@@ -298,7 +286,6 @@ class TestHalfRhsNeg:
 
     def test_conditional_variance_restored(self):
         # Var(gamma | eps, zeta_tilde) = eps^2 zeta_tilde^2 with the factor
-        spec = RhsSpec(n_coef=1, p0=0.5, n_obs=50, sign="negative")
         rng = np.random.default_rng(0)
         zeta = np.array([1.3])
         c2, eps = 2.0, 0.4
@@ -315,22 +302,20 @@ class TestHalfRhsNeg:
         assert unadjusted / target == pytest.approx(0.3634, abs=0.002)
 
     def test_draws_are_nonpositive(self):
-        spec = RhsSpec(n_coef=4, p0=2.0, n_obs=50, sign="negative")
         rng = np.random.default_rng(1)
         for _ in range(50):
             z = np.abs(rng.standard_normal(4))
-            gamma, _ = rhs_coefficients(spec, z, rng.uniform(0.2, 2, 4),
-                                        1.5, 0.3)
+            gamma, _ = rhs_coefficients(z, rng.uniform(0.2, 2, 4), 1.5, 0.3,
+                                        negative=True)
             assert np.all(gamma <= 0.0)
 
     def test_mean_shrinks_with_global_scale(self):
         # E(gamma | eps, zeta_tilde) -> 0 as eps -> 0
-        spec = RhsSpec(n_coef=1, p0=0.5, n_obs=50, sign="negative")
         zeta = np.array([1.0])
         z = np.array([np.sqrt(2 / np.pi)])  # E|N(0,1)|
         means = []
         for eps in (0.5, 0.05, 0.005):
-            gamma, _ = rhs_coefficients(spec, z, zeta, 2.0, eps)
+            gamma, _ = rhs_coefficients(z, zeta, 2.0, eps, negative=True)
             means.append(abs(float(gamma[0])))
         assert means[0] > means[1] > means[2]
         assert means[2] < 1e-2

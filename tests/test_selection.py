@@ -1,5 +1,7 @@
 """Two-stage selection: the design surgery and one small seeded run."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from contactfatigue.cli import scenario_feature_spec, selection_groups
 from contactfatigue.domain import build_design
 from contactfatigue.inference import SamplerConfig, sample_model
 from contactfatigue.models import ModelSpec, Stage1PoissonModel
-from contactfatigue.priors import RhsSpec
 from contactfatigue.selection import (STAGE1_INTERCEPT_PRIOR, STAGE1_LOWER,
                                       STAGE1_UPPER, STAGE2_CUTOFF,
                                       replace_offsets, stage1_refit_offsets,
@@ -62,20 +63,17 @@ def test_replace_offsets_refuses_a_wrong_length():
 
 
 def test_each_stage_refuses_a_horseshoe_it_cannot_fit(designs):
-    # refused by the horseshoe spec and the stage models, before sampling:
-    # no horseshoe has zero coefficients, so an empty tested block has
-    # none that fits, and stage 2 takes only the negative-sign one
+    # refused by the stage models, before sampling: no horseshoe has zero
+    # coefficients, so an empty candidate block has none that fits
     first, repeat = designs
     cfg = SamplerConfig(chains=1, warmup=100, sampling=1, seed=7)
-    with pytest.raises(ValueError, match="p0 must lie strictly between"):
-        RhsSpec(n_coef=0, p0=0.0, n_obs=first.n)
-    with pytest.raises(ValueError, match="rhs.n_coef must equal 0"):
-        stage1_select(subset_v_block(first, ()),
-                      RhsSpec(n_coef=1, p0=0.5, n_obs=first.n), cfg)
-    k = len(repeat.names["w"])
-    with pytest.raises(ValueError, match="negative-sign RhsSpec"):
-        stage2_select(repeat, np.zeros(repeat.n),
-                      RhsSpec(n_coef=k, p0=k / 2, n_obs=repeat.n), cfg)
+    with pytest.raises(ValueError, match="at least one coefficient"):
+        stage1_select(subset_v_block(first, ()), cfg)
+    no_w = replace(repeat, blocks={**repeat.blocks,
+                                   "w": repeat.blocks["w"][:, :0]},
+                   names={**repeat.names, "w": ()})
+    with pytest.raises(ValueError, match="at least one coefficient"):
+        stage2_select(no_w, np.zeros(repeat.n), cfg)
 
 
 def test_stage2_offsets_are_the_medians_of_the_drawn_effects(designs):
