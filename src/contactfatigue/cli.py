@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import logging
 import os
 import sys
@@ -24,7 +25,7 @@ from dataclasses import fields, replace
 import numpy as np
 
 from .domain import (AGE_GRID, DataError, FeatureBlock, FeatureSpec,
-                     build_design, load_survey_csv)
+                     build_design, load_survey_csv, read_text)
 from .evaluation import interval_coverage, mape
 from .inference import (DIVERGENT_SHARE_LIMIT, INTERVAL_95, RHAT_LIMIT,
                         ConvergenceWarning, SamplerConfig, posterior_interval,
@@ -70,7 +71,11 @@ def read_config(path: str | None, overrides: dict) -> dict:
     if path:
         if not os.path.exists(path):
             raise ConfigError(f"config file not found: {path}")
-        with open(path, encoding="utf-8") as fh:
+        try:
+            text = read_text(path)
+        except DataError as exc:
+            raise ConfigError(str(exc)) from exc
+        with io.StringIO(text, newline=None) as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.split("#", 1)[0].strip()
                 if not line:
@@ -178,7 +183,7 @@ def gam_feature_spec() -> FeatureSpec:
 
 #: each ``fit --model`` name's family and FatigueSpec(kind, max_repeat)
 MODELS = {
-    "gam-hill": ("individual_gam", FatigueSpec("hill_per_covariate")),
+    "gam-hill": ("individual_gam", FatigueSpec("hill")),
     "gam-plain": ("individual_gam", FatigueSpec()),
     "longitudinal-hill": ("longitudinal_nb", FatigueSpec("hill")),
     "longitudinal-gp": ("longitudinal_nb", FatigueSpec("gp", MAX_REPEAT)),
@@ -406,8 +411,7 @@ def _read_columns(path: str, *names: str) -> list[np.ndarray]:
 
 def cmd_evaluate(args, values: dict) -> int:
     try:
-        with open(args.truth, encoding="utf-8") as fh:
-            manifest = TruthManifest.from_json(fh.read())
+        manifest = TruthManifest.from_json(read_text(args.truth))
     except (ValueError, KeyError, TypeError) as exc:
         raise DataError(f"{args.truth}: not a truth manifest: {exc}") from exc
     curve_path = os.path.join(args.fit, "age_curve.csv")

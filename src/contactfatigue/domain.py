@@ -17,7 +17,9 @@ simulator's true effects.
 from __future__ import annotations
 
 import csv
+import io
 import logging
+import pathlib
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -259,6 +261,17 @@ def _read_row(row: Mapping[str, str], levels: Mapping[str, tuple[str, ...]],
     )
 
 
+def read_text(path: str) -> str:
+    """The text of the file ``path``; a byte that is not UTF-8 is a
+    ``DataError`` naming its line."""
+    raw = pathlib.Path(path).read_bytes()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path}:{line}: not UTF-8 text") from exc
+
+
 def load_survey_csv(path: str, schema: CsvSchema, *,
                     rng: np.random.Generator
                     ) -> tuple[list[SurveyRecord], int]:
@@ -275,7 +288,7 @@ def load_survey_csv(path: str, schema: CsvSchema, *,
     read the counts before the total and each band count are capped at
     ``CONTACT_CAP``, which keeps a negative count negative for
     ``SurveyRecord`` to refuse. A row that breaks a rule of the file or of
-    ``SurveyRecord`` raises ``DataError`` naming ``path:line``.
+    ``SurveyRecord``, or is not UTF-8 CSV, is a ``DataError`` at ``path:line``.
     """
     levels = schema.levels
     del levels["const"]
@@ -283,8 +296,8 @@ def load_survey_csv(path: str, schema: CsvSchema, *,
     records: list[SurveyRecord] = []
     n_dropped = 0
 
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
+    reader = csv.DictReader(io.StringIO(read_text(path), newline=""))
+    try:
         if reader.fieldnames is None:
             raise DataError(f"{path}: empty file without header")
         missing_cols = [c for c in SURVEY_COLUMNS
@@ -307,6 +320,9 @@ def load_survey_csv(path: str, schema: CsvSchema, *,
                 n_dropped += 1
             else:
                 records.append(record)
+    except csv.Error as exc:    # e.g. a field over csv.field_size_limit()
+        # the lines read; DictReader counts those of the rows it returned
+        raise DataError(f"{path}:{reader.reader.line_num}: {exc}") from exc
 
     if n_dropped:
         logger.info("dropped %d of %d rows with missing age or sex",

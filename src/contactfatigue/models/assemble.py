@@ -9,8 +9,8 @@ switch.
 
 Every family is one log-linear count regression, assembled from terms by
 ``_AdditiveCountModel``; its docstring states how the terms form one group
-design X, read one natural-scale vector and share one prior pass
-(``_PriorPass``):
+design X, read one natural-scale vector and share one prior table
+(``priors.prior_table``):
 
 * ``stage1_poisson``  -- first-time participants: intercept, a hierarchical
   baseline block, a tested block under the regularized horseshoe (or plain
@@ -19,7 +19,7 @@ design X, read one natural-scale vector and share one prior pass
   as offsets, fatigue candidates under the negatively-truncated horseshoe;
   Poisson counts.
 * ``longitudinal_nb`` -- intercept, hierarchical covariates, a Matern-3/2
-  calendar-time GP and a fatigue term (independent, identical,
+  calendar-time GP and a fatigue term (a free table over repeats,
   GP-on-repeats, Hill); NB2 counts.
 * ``individual_gam``  -- intercept, covariates, a squared-exponential age
   smooth, one Hill fatigue curve per selected covariate; NB2 counts.
@@ -73,9 +73,8 @@ from .. import kernels
 from ..domain import (AGE_GRID, CoarseBandSet, DataError, DesignMatrix,
                       PopulationTable)
 from ..kernels import KERNEL_FAMILIES, HsgpBasis
-from ..priors import (FORMULA, RHS_C2_PRIOR, RHS_NU3, RHS_ZETA_PRIOR,
-                      PriorSpec, PriorTable, rhs_coefficients,
-                      table_log_prior)
+from ..priors import (RHS_C2_PRIOR, RHS_NU3, RHS_ZETA_PRIOR, PriorSpec,
+                      prior_table, rhs_coefficients, table_log_prior)
 from .fatigue import FatigueSpec, HillCurve, hill, hill_grad_log, log_repeats
 from .likelihoods import (GroupCounts, nb1_agg_loglik, nb1_rvs,
                           nb2_group_loglik, nb2_loglik, nb2_rvs,
@@ -218,7 +217,7 @@ class ModelSpec:
 
 
 # ---------------------------------------------------------------------------
-# Shared assembly helpers: the prior pass and the sources of the terms.
+# Shared assembly helpers: the sources of the terms.
 # A source gives, from the natural-scale vector ``nat``, its ``weights``
 # with a backprop cache, and ``backprop_weights`` writes d(logp)/d(its
 # blocks), on the natural scale, into the gradient buffer, which holds
@@ -234,58 +233,6 @@ HALF_CAUCHY = PriorSpec("cauchy_pos", (1.0,))
 #: 1/value ~ Exponential(1) for the NB dispersions; in u = log(value) the
 #: density with its Jacobian is exp(-u - e^-u)
 DISPERSION_PRIOR = PriorSpec("invgamma", (1.0, 1.0))
-
-
-class _PriorPass:
-    """Every block prior of a layout, evaluated in one call.
-
-    Each element of the layout takes its block prior's coefficients of the
-    one formula of ``priors.FORMULA``; built once, they form one
-    ``PriorTable``: the quadratic term of every element as two vectors,
-    and each log-scale element's other terms as a tuple of Python floats,
-    its tail (E, F) kept only where both are non-zero. Each call is one
-    ``table_log_prior`` over the whole parameter vector. Log-scale
-    elements take the prior at value = exp(raw) plus the change-of-variables
-    Jacobian. An identity-scale block must have a prior on the real line:
-    positives are carried on the log scale. Each prior param is a scalar
-    or holds one value per element.
-    """
-
-    def __init__(self, layout: Layout):
-        coef = {name: np.zeros(layout.size) for name in FORMULA}
-        on_log = np.zeros(layout.size, dtype=bool)
-        for b in layout.blocks:
-            if b.prior is None:
-                raise ValueError(f"block {b.name!r} declares no prior")
-            if not (b.transform == "log" or b.prior.on_real_line):
-                raise ValueError(
-                    f"block {b.name!r} has the positive {b.prior.family!r} "
-                    "prior on the identity scale")
-            if any(np.ndim(p) > 1 or np.size(p) not in (1, b.size)
-                   for p in b.prior.params):
-                raise ValueError(
-                    f"block {b.name!r} has {b.size} elements, and its "
-                    f"{b.prior.family!r} prior params do not broadcast to "
-                    "them")
-            sl = layout.sl(b.name)
-            on_log[sl] = b.transform == "log"
-            for name, value in b.prior.coefficients.items():
-                coef[name][sl] = value
-        logs = np.flatnonzero(on_log)
-        at = {name: c[logs] for name, c in coef.items()}
-        tail = (at["E"] != 0.0) & (at["F"] != 0.0)
-        self.table = PriorTable(
-            float(coef["K"].sum()), coef["L"], np.square(coef["Q"]), logs,
-            tuple(zip(at["A"].tolist(), (at["C"] + 1.0).tolist(),
-                      at["D"].tolist(), np.where(tail, at["F"], 0.0).tolist(),
-                      np.where(tail, at["E"], 0.0).tolist())))
-
-    def __call__(self, theta: np.ndarray, nat: np.ndarray,
-                 grad: np.ndarray) -> float:
-        """Add the priors' gradients into ``grad``, the gradient in
-        ``nat``, carry it to the scale of ``theta`` and return the priors'
-        log density. Non-finite results are left to ``_guarded``."""
-        return table_log_prior(self.table, theta, nat, grad)
 
 
 class _RhsTerm:
@@ -902,14 +849,14 @@ class _AdditiveCountModel:
     gradient of every source is one product, X^T d_eta.
 
     ``logp_grad`` exponentiates every log-scale element once into one
-    natural-scale vector, from which every source and the prior pass read;
+    natural-scale vector, from which every source and the prior table read;
     each source reads its scalars from it as Python floats. The plain
     coefficient blocks (no scale, no fatigue) are their own weights: they
     go into s, and their gradient out of X^T d_eta, through one index
     pair. Each other source (``evaluated``) writes natural-scale partials
     into one gradient buffer through slices found when the model was
-    built; the prior pass adds its terms and applies the log-scale chain
-    rule, once.
+    built; ``table_log_prior`` adds the priors' terms and applies the
+    log-scale chain rule, once.
     """
 
     def __init__(self, spec: ModelSpec, data, terms: list):
@@ -926,8 +873,8 @@ class _AdditiveCountModel:
                                 DISPERSION_PRIOR))
         self.layout = Layout(blocks)
         self.zeros = np.zeros(self.layout.size)
-        self.prior = _PriorPass(self.layout)
-        self.logs = self.prior.table.logs
+        self.prior = prior_table(self.layout)
+        self.logs = self.prior.logs
         self.disp_at = (slice(0, 0) if self.observation.dispersion is None
                         else self.layout.sl(self.observation.dispersion))
         key = np.column_stack([c for t in terms for c in t.columns]
@@ -1018,7 +965,7 @@ class _AdditiveCountModel:
             source.backprop_weights(grad, d_s[at], cache)
         for term, cache in zip(self.outside, caches[len(self.evaluated):]):
             term.backprop(grad, d_eta, cache)
-        logp += self.prior(theta, nat, grad)
+        logp += table_log_prior(self.prior, theta, nat, grad)
         return logp, grad
 
     @_predicting
@@ -1103,12 +1050,12 @@ class LongitudinalNbModel(_AdditiveCountModel):
     """log(lambda) = beta0 + x' beta + tau(t) + rho(r), NB2 counts.
 
     tau is a GP over the distinct report dates; rho is a free table over
-    repeats (independent), one shared effect (identical), a GP table on
-    standardized repeat counts (gp) or a Hill curve (hill).
+    repeats (independent; a one-entry table is one shared effect), a GP
+    table on standardized repeat counts (gp) or a Hill curve (hill).
     """
 
     observation = _Nb2Groups
-    fatigue_kinds = ("none", "independent", "identical", "gp", "hill")
+    fatigue_kinds = ("none", "independent", "gp", "hill")
 
     def __init__(self, spec: ModelSpec, data: DesignMatrix):
         times, time_idx = np.unique(data.report_date, return_inverse=True)
@@ -1116,9 +1063,8 @@ class LongitudinalNbModel(_AdditiveCountModel):
             raise DataError("longitudinal model needs >= 2 report dates")
         repeat = data.repeat.astype(int)
         fk, r_max = spec.fatigue.kind, spec.fatigue.max_repeat
-        if fk in ("independent", "identical"):
-            fatigue = [_RepeatTable.free(r_max if fk == "independent" else 1,
-                                         repeat)]
+        if fk == "independent":
+            fatigue = [_RepeatTable.free(r_max, repeat)]
         elif fk == "gp":
             grid = ((np.arange(1, r_max + 1) - repeat.mean())
                     / max(repeat.std(), 1e-8))
@@ -1152,7 +1098,7 @@ class IndividualGamModel(_AdditiveCountModel):
     """log(lambda) = beta0 + u' beta + f(age) + w' rho(r), NB2 counts."""
 
     observation = _Nb2Groups
-    fatigue_kinds = ("none", "hill_per_covariate")
+    fatigue_kinds = ("none", "hill")
 
     def __init__(self, spec: ModelSpec, data: DesignMatrix):
         u, w = data.blocks["u"], data.blocks["w"]
@@ -1162,9 +1108,9 @@ class IndividualGamModel(_AdditiveCountModel):
         beta = Block("beta", u.shape[1], prior=spec.beta_prior)
         terms = [_Linear.intercept(spec, data.n),
                  _Linear(u, _Coefficients(beta)), age]
-        if spec.fatigue.kind == "hill_per_covariate":
+        if spec.fatigue.kind == "hill":
             if w.shape[1] == 0:
-                raise ValueError("hill_per_covariate requires a w block")
+                raise ValueError("hill fatigue requires a w block")
             terms.append(_HillTerm(spec.fatigue, data.repeat.astype(int), w))
         super().__init__(spec, data, terms)
 

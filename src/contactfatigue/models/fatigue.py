@@ -84,10 +84,6 @@ def hill_grad_log(gamma: float, zeta: float, eta: float, positive,
     return value, (d_gamma, d_zeta, d_eta)
 
 
-#: the kinds that evaluate Hill curves, with blocks hill_gamma, hill_zeta
-#: and hill_eta
-HILL_KINDS = ("hill", "hill_per_covariate")
-
 #: the kinds that size a table or grid over repeats 1..max_repeat
 _TABLE_KINDS = ("independent", "gp", "variant_a", "variant_b", "variant_c")
 
@@ -96,17 +92,18 @@ _TABLE_KINDS = ("independent", "gp", "variant_a", "variant_b", "variant_c")
 class FatigueSpec:
     """How reporting fatigue enters the linear predictor.
 
-    kinds: none; identical (one shared effect for every r >= 1);
-    independent (one effect per repeat 1..max_repeat); gp (smooth effect of
-    standardized repeat count); hill (one Hill curve); hill_per_covariate
-    (one Hill curve per fatigue covariate column); variant_a/b/c (the
+    kinds: none; independent (one effect per repeat 1..max_repeat, so one
+    shared effect for every r >= 1 at max_repeat 1); gp (smooth effect of
+    standardized repeat count); hill (one Hill curve per weight column of
+    the family: one in the longitudinal model, one per column of the
+    GAM's ``w``); variant_a/b/c (the
     strictly negative -exp(...) forms of a table over repeats
     1..max_repeat with age / age + contact-band / age-by-contact-band
     smooths). A table's last entry also holds for repeats beyond it. Each
     model family lists the kinds it fits, and ``ModelSpec`` refuses the
     others.
 
-    The Hill kinds take the priors of the ``hill_gamma``, ``hill_zeta``
+    The hill kind takes the priors of the ``hill_gamma``, ``hill_zeta``
     and ``hill_eta`` blocks from ``gamma_prior``, ``zeta_prior`` and
     ``eta_prior``, one prior over all Q curves; array or tuple params give
     each curve its own.

@@ -1,7 +1,7 @@
 """Flat unconstrained parameter vectors with named blocks.
 
 Positive parameters are carried on the log scale. Each block declares its
-natural-scale prior; the prior pass in ``assemble`` evaluates them all and
+natural-scale prior; the prior table of ``priors`` evaluates them all and
 adds the change-of-variables Jacobian of the log-scale blocks.
 """
 

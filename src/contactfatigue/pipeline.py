@@ -21,7 +21,6 @@ from .evaluation import interval_coverage, mape
 from .inference import (INTERVAL_95, Diagnostics, PosteriorDraws,
                         SamplerConfig, posterior_interval, sample_model)
 from .models import Model, ModelSpec, build_model
-from .models.fatigue import HILL_KINDS
 from .priors import PriorSpec
 
 logger = logging.getLogger(__name__)
@@ -60,7 +59,7 @@ def _propagated_spec(base: ModelSpec, means: dict[str, np.ndarray]
         return PriorSpec(family, (tuple(map(float, means[name])), scale))
 
     fatigue = base.fatigue
-    if fatigue.kind in HILL_KINDS:
+    if fatigue.kind == "hill":
         fatigue = replace(
             fatigue, gamma_prior=at_mean("halfnormal_pos", "hill_gamma", 0.3),
             zeta_prior=at_mean("normal", "hill_zeta", 0.1),

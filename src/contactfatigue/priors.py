@@ -156,6 +156,41 @@ class PriorTable(NamedTuple):
     terms: tuple
 
 
+def prior_table(layout) -> PriorTable:
+    """The ``PriorTable`` of every block prior of a ``models.params.Layout``:
+    each element takes its block prior's coefficients of ``FORMULA``, a
+    log-scale element its tail (E, F) only where both are non-zero. An
+    identity-scale block must have a prior on the real line, as positives
+    are carried on the log scale, and each prior param is a scalar or holds
+    one value per element."""
+    coef = {name: np.zeros(layout.size) for name in FORMULA}
+    on_log = np.zeros(layout.size, dtype=bool)
+    for b in layout.blocks:
+        if b.prior is None:
+            raise ValueError(f"block {b.name!r} declares no prior")
+        if not (b.transform == "log" or b.prior.on_real_line):
+            raise ValueError(
+                f"block {b.name!r} has the positive {b.prior.family!r} "
+                "prior on the identity scale")
+        if any(np.ndim(p) > 1 or np.size(p) not in (1, b.size)
+               for p in b.prior.params):
+            raise ValueError(
+                f"block {b.name!r} has {b.size} elements, and its "
+                f"{b.prior.family!r} prior params do not broadcast to them")
+        sl = layout.sl(b.name)
+        on_log[sl] = b.transform == "log"
+        for name, value in b.prior.coefficients.items():
+            coef[name][sl] = value
+    logs = np.flatnonzero(on_log)
+    at = {name: c[logs] for name, c in coef.items()}
+    tail = (at["E"] != 0.0) & (at["F"] != 0.0)
+    return PriorTable(
+        float(coef["K"].sum()), coef["L"], np.square(coef["Q"]), logs,
+        tuple(zip(at["A"].tolist(), (at["C"] + 1.0).tolist(),
+                  at["D"].tolist(), np.where(tail, at["F"], 0.0).tolist(),
+                  np.where(tail, at["E"], 0.0).tolist())))
+
+
 def table_log_prior(table: PriorTable, theta: np.ndarray, nat: np.ndarray,
                     grad: np.ndarray) -> float:
     """Return the sum of every element's log prior and carry ``grad`` to

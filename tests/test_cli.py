@@ -250,6 +250,46 @@ def test_unfittable_records_are_a_data_error(argv, edit, message, small_run,
     assert _data_error_logged(caplog, message)
 
 
+#: records files that Python's csv module cannot read: the line whose first
+#: field is replaced, that field and the start of the message
+UNREADABLE = {
+    "not-utf8": (4, b"p\xff", "not UTF-8 text"),
+    "field-over-the-csv-limit": (2, b'"' + b"x" * 200_000 + b'"',
+                                 "field larger than field limit"),
+}
+
+
+@pytest.mark.parametrize("line,field,message", UNREADABLE.values(),
+                         ids=list(UNREADABLE))
+def test_an_unreadable_records_file_is_a_data_error(line, field, message,
+                                                    small_run, tmp_path,
+                                                    caplog):
+    # each ended in a traceback and exit 1
+    path = tmp_path / "records.csv"
+    panel_to_csv(small_run[0], str(path))
+    lines = path.read_bytes().split(b"\n")
+    lines[line - 1] = field + lines[line - 1][lines[line - 1].index(b","):]
+    path.write_bytes(b"\n".join(lines))
+    out = tmp_path / "out"
+    code = run(["fit", "--model", "gam-plain", "--data", str(path),
+                "--out", str(out)])
+    assert code == cli.EXIT_DATA == 3
+    assert not out.exists()
+    assert _data_error_logged(caplog, f"{path}:{line}: {message}")
+
+
+def test_a_config_file_that_is_not_utf8_is_a_config_error(tmp_path, caplog):
+    # it ended in a traceback and exit 1
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"seed = 3\n# \xff\n")
+    code = run(["--config", str(cfg), "fit", "--data",
+                str(tmp_path / "missing.csv"), "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG == 2
+    assert any(r.levelname == "ERROR" and r.getMessage()
+               == f"config error: {cfg}:2: not UTF-8 text"
+               for r in caplog.records)
+
+
 class TestEvaluateRefusesUnreadableInputs:
     TABLES = {
         "age_curve.csv": "age,median,lower,upper\n0,6.4,1.3,16.3\n"

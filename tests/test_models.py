@@ -24,9 +24,11 @@ from contactfatigue.models import (FatigueSpec, HillCurve,
                                    brc_surface_config, build_model, hill,
                                    make_brc_data)
 from contactfatigue.kernels import basis_at
-from contactfatigue.models.assemble import AGE_SD, _HsgpTerm, _surface_of
+from contactfatigue.models.assemble import (_FAMILY_CLASS, AGE_SD,
+                                            _HsgpTerm, _surface_of)
 from contactfatigue.models.fatigue import hill_grad_log, log_repeats
 from contactfatigue.models.params import Block, Layout
+from contactfatigue.priors import table_log_prior
 from contactfatigue.selection import STAGE1_INTERCEPT_PRIOR
 
 from conftest import (SMALL_FEATURES, assert_matches_reference, brc_model,
@@ -167,13 +169,14 @@ class TestGradientSuite:
 
     @pytest.mark.parametrize("kind,kw", [
         ("hill", {}), ("independent", {"max_repeat": 3}),
-        ("identical", {}), ("gp", {"max_repeat": 3}), ("none", {})])
+        ("independent", {"max_repeat": 1}), ("gp", {"max_repeat": 3}),
+        ("none", {})])
     def test_longitudinal(self, small_design, kind, kw):
         spec = ModelSpec(family="longitudinal_nb",
                          fatigue=FatigueSpec(kind=kind, **kw))
         self._check(build_model(spec, small_design), n_points=4)
 
-    @pytest.mark.parametrize("kind", ["hill_per_covariate", "none"])
+    @pytest.mark.parametrize("kind", ["hill", "none"])
     def test_gam(self, small_design, kind):
         spec = ModelSpec(family="individual_gam",
                          fatigue=FatigueSpec(kind=kind))
@@ -231,7 +234,7 @@ class TestLogPosteriorContracts:
     def test_deterministic(self, small_design):
         model = build_model(ModelSpec(family="individual_gam",
                                       fatigue=FatigueSpec(
-                                          kind="hill_per_covariate")),
+                                          kind="hill")),
                             small_design)
         theta = np.random.default_rng(3).uniform(-0.5, 0.5,
                                                  model.layout.size)
@@ -377,15 +380,20 @@ def _every_family_and_fatigue_kind():
         "stage2-rhs": build_model(ModelSpec(family="stage2_poisson"),
                                   repeaters),
     }
-    for kind, kw in [("none", {}), ("independent", {"max_repeat": 3}),
-                     ("identical", {}), ("gp", {"max_repeat": 3}),
-                     ("hill", {})]:
-        models[f"longitudinal-{kind}"] = build_model(ModelSpec(
-            family="longitudinal_nb", fatigue=FatigueSpec(kind=kind, **kw)),
-            design)
-    for kind in ("none", "hill_per_covariate"):
-        models[f"gam-{kind}"] = build_model(ModelSpec(
-            family="individual_gam", fatigue=FatigueSpec(kind=kind)), design)
+    # each key names the model: "identical" is the one-entry table, one
+    # effect for every repeat, and the GAM's Hill term fits one curve per
+    # covariate of w
+    for label, fatigue in [("none", FatigueSpec()),
+                           ("independent", FatigueSpec("independent", 3)),
+                           ("identical", FatigueSpec("independent", 1)),
+                           ("gp", FatigueSpec("gp", 3)),
+                           ("hill", FatigueSpec("hill"))]:
+        models[f"longitudinal-{label}"] = build_model(ModelSpec(
+            family="longitudinal_nb", fatigue=fatigue), design)
+    for label, fatigue in [("none", FatigueSpec()),
+                           ("hill_per_covariate", FatigueSpec("hill"))]:
+        models[f"gam-{label}"] = build_model(ModelSpec(
+            family="individual_gam", fatigue=fatigue), design)
     for kind in ("none", "independent", "variant_a", "variant_b",
                  "variant_c"):
         models[f"brc-{kind}"] = brc_model(kind)[0]
@@ -570,14 +578,14 @@ class TestCallBudget:
     on the host, nor on NumPy's own Python wrappers. Before the group
     design, the seed-3 benchmark models took 64 (gam-hill), 67
     (longitudinal-hill) and 65 (independent-fatigue BRC). Each budget is
-    the count of the one flat pass (18, 18 and, with the BRC surfaces as
-    one band-sum term on the cells, 22; the plain coefficient blocks take
+    the count of the one flat pass (17, 17 and, with the BRC surfaces as
+    one band-sum term on the cells, 21; the plain coefficient blocks take
     none, the spectral weights one frame per axis, the Hill curves one per
-    curve, and the prior pass, with the log-scale chain rule, two) plus
-    about 10 %, so that glue does not creep back unnoticed."""
+    curve, and ``table_log_prior``, with the log-scale chain rule, one)
+    plus about 10 %, so that glue does not creep back unnoticed."""
 
-    BUDGET = {"gam-hill_per_covariate": 20, "longitudinal-hill": 20,
-              "brc-independent": 24}
+    BUDGET = {"gam-hill_per_covariate": 19, "longitudinal-hill": 19,
+              "brc-independent": 23}
 
     @pytest.mark.parametrize("name", sorted(BUDGET))
     def test_frames_per_gradient(self, name):
@@ -679,20 +687,39 @@ class TestFamilies:
             cls(ModelSpec(family=family), small_design)
 
     @pytest.mark.parametrize("family,kind", [
-        ("individual_gam", "hill"), ("individual_gam", "gp"),
-        ("longitudinal_nb", "hill_per_covariate"),
-        ("longitudinal_nb", "variant_a"),
+        ("individual_gam", "gp"), ("longitudinal_nb", "variant_a"),
         ("aggregated_brc", "hill"), ("aggregated_brc", "gp"),
         ("stage1_poisson", "hill"), ("stage1_poisson", "independent"),
         ("stage2_poisson", "hill"), ("stage2_poisson", "independent"),
-        # a kind that no family lists
-        ("individual_gam", "cubic"), ("aggregated_brc", "cubic")])
+        # kinds that no family lists: the hill kind fits one curve per
+        # weight column, and a one-entry independent table is one shared
+        # effect, so neither has a second name
+        ("individual_gam", "cubic"), ("aggregated_brc", "cubic"),
+        ("individual_gam", "hill_per_covariate"),
+        ("longitudinal_nb", "hill_per_covariate"),
+        ("longitudinal_nb", "identical")])
     def test_a_family_refuses_a_fatigue_kind_it_cannot_fit(self, family,
                                                            kind):
         # the stage models built such a spec and dropped its fatigue term
         with pytest.raises(ValueError, match=f"{family} cannot fit fatigue "
                                              f"kind '{kind}'"):
             ModelSpec(family=family, fatigue=FatigueSpec(kind, max_repeat=3))
+
+    @pytest.mark.parametrize("family,kind", sorted(
+        (family, kind) for family, cls in _FAMILY_CLASS.items()
+        for kind in cls.fatigue_kinds))
+    def test_every_listed_fatigue_kind_builds_its_term(self, family, kind):
+        # a kind that a family lists but does not handle would build no
+        # fatigue term and raise nothing; stage 2's model is its fatigue
+        # term w' gamma, whatever the kind
+        counts = [sum(t.fatigue for t in model.terms)
+                  for model in MODELS.values()
+                  if (model.spec.family, model.spec.fatigue.kind)
+                  == (family, kind)]
+        assert counts, "no model of this family and kind in MODELS"
+        always = int(family == "stage2_poisson")
+        for count in counts:
+            assert count == always if kind == "none" else count > always
 
     @pytest.mark.parametrize("name,observation", [
         ("stage1-plain", "_PoissonGroups"), ("stage2-rhs", "_PoissonGroups"),
@@ -832,8 +859,9 @@ class TestGroupedLikelihood:
     @staticmethod
     def _grouped(model, theta):
         logp, _ = model.logp_grad(theta)
-        return logp - model.prior(theta, model._natural(theta),
-                                  np.zeros(model.layout.size))
+        return logp - table_log_prior(model.prior, theta,
+                                      model._natural(theta),
+                                      np.zeros(model.layout.size))
 
     @pytest.mark.parametrize("name", sorted(MODELS))
     def test_equals_row_level(self, name):
@@ -1079,7 +1107,7 @@ class TestPredictIntensity:
         records = make_records(30, seed=seed, min_repeat=repeat,
                                max_repeat=repeat)
         spec = ModelSpec(family="individual_gam",
-                         fatigue=FatigueSpec(kind="hill_per_covariate"))
+                         fatigue=FatigueSpec(kind="hill"))
         return build_model(spec, build_design(records, SMALL_FEATURES))
 
     def test_debias_equals_raw_at_zero_repeats(self):
@@ -1105,22 +1133,22 @@ class TestPredictIntensity:
 
 
 class TestFatigueCurve:
-    """``LongitudinalNbModel.fatigue_curve`` for each fatigue kind, on
-    repeats past the largest one modelled (3)."""
+    """``LongitudinalNbModel.fatigue_curve`` for each longitudinal model
+    of ``MODELS``, on repeats past the largest one modelled (3)."""
 
     R = np.arange(8)
 
     @staticmethod
-    def _curve(kind):
-        model = MODELS[f"longitudinal-{kind}"]
+    def _curve(label):
+        model = MODELS[f"longitudinal-{label}"]
         theta = np.random.default_rng(41).uniform(-1.0, 1.0,
                                                   model.layout.size)
         return model, theta, model.fatigue_curve(theta, TestFatigueCurve.R)
 
-    @pytest.mark.parametrize("kind", ["hill", "independent", "identical",
-                                      "gp", "none"])
-    def test_zero_at_no_repeats(self, kind):
-        assert self._curve(kind)[2][0] == 0.0
+    @pytest.mark.parametrize("label", ["hill", "independent", "identical",
+                                       "gp", "none"])
+    def test_zero_at_no_repeats(self, label):
+        assert self._curve(label)[2][0] == 0.0
 
     def test_hill_is_the_curve(self):
         model, theta, rho = self._curve("hill")
@@ -1138,7 +1166,9 @@ class TestFatigueCurve:
             rho[1:], table[np.minimum(self.R[1:], r_max) - 1])
 
     def test_identical_is_one_value_for_every_repeat(self):
+        # the independent table with one entry
         model, theta, rho = self._curve("identical")
+        assert model.spec.fatigue == FatigueSpec("independent", 1)
         np.testing.assert_array_equal(rho[1:],
                                       model.layout.raw(theta, "rho")[0])
 

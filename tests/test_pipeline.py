@@ -19,8 +19,7 @@ def _hill_fit(records):
     """A Hill-fatigue additive model on ``records`` with draws spread
     around zero in place of a sampler run."""
     return _fit(build_model(ModelSpec(
-        family="individual_gam",
-        fatigue=FatigueSpec(kind="hill_per_covariate")),
+        family="individual_gam", fatigue=FatigueSpec(kind="hill")),
         build_design(records, SMALL_FEATURES)))
 
 
@@ -46,7 +45,7 @@ def test_fitting_no_records_is_a_data_error():
     # a cap that keeps no record reached the Hill term's design with zero
     # rows and failed there with a reshape error
     spec = ModelSpec(family="individual_gam",
-                     fatigue=FatigueSpec(kind="hill_per_covariate"))
+                     fatigue=FatigueSpec(kind="hill"))
     with pytest.raises(DataError, match="no records to fit"):
         fit_wave([], SMALL_FEATURES, spec, SamplerConfig())
 
@@ -54,7 +53,7 @@ def test_fitting_no_records_is_a_data_error():
 def test_an_empty_wave_is_a_data_error():
     # an empty wave is refused as in fit_wave, not skipped with a warning
     spec = ModelSpec(family="individual_gam",
-                     fatigue=FatigueSpec(kind="hill_per_covariate"))
+                     fatigue=FatigueSpec(kind="hill"))
     cfg = SamplerConfig(chains=1, warmup=100, sampling=5)
     with pytest.raises(DataError, match="no records to fit"):
         fit_sequence([[], make_records(40)], SMALL_FEATURES, spec, cfg)

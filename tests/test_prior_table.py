@@ -1,4 +1,4 @@
-"""The prior pass against densities computed independently with scipy."""
+"""The prior table against densities computed independently with scipy."""
 
 import dataclasses
 import types
@@ -9,9 +9,9 @@ from scipy import stats
 
 from contactfatigue.domain import build_design
 from contactfatigue.models import FatigueSpec, ModelSpec, build_model
-from contactfatigue.models.assemble import DISPERSION_PRIOR, _PriorPass
+from contactfatigue.models.assemble import DISPERSION_PRIOR
 from contactfatigue.models.params import Block, Layout
-from contactfatigue.priors import PriorSpec
+from contactfatigue.priors import PriorSpec, prior_table, table_log_prior
 
 from conftest import SMALL_FEATURES, brc_model, make_records
 
@@ -98,7 +98,7 @@ def _every_family():
         family="individual_gam",
         beta_prior=PriorSpec("normal", (beta_loc, 0.3)),
         fatigue=FatigueSpec(
-            kind="hill_per_covariate",
+            kind="hill",
             gamma_prior=PriorSpec("halfnormal_pos", (gamma_loc, 0.3)),
             zeta_prior=PriorSpec("normal", (zeta_loc, 0.1)),
             eta_prior=PriorSpec("halfnormal_pos", (eta_loc, 0.1)))),
@@ -175,11 +175,11 @@ class TestPriorTable:
         # pass over the whole vector is the scipy-written density
         layout = Layout([b for b, _ in blocks])
         densities = {b.name: (f, b.transform == "log") for b, f in blocks}
-        prior = _PriorPass(layout)
+        table = prior_table(layout)
         held = {b.prior.family for b, _ in blocks}
-        assert any(d for _, _, d, _, _ in prior.table.terms) == (
+        assert any(d for _, _, d, _, _ in table.terms) == (
             "invgamma" in held)
-        assert any(f for _, _, _, f, _ in prior.table.terms) == (
+        assert any(f for _, _, _, f, _ in table.terms) == (
             not held.isdisjoint({"cauchy_pos", "student_t_pos"}))
         bare = types.SimpleNamespace(layout=layout)
         rng = np.random.default_rng(5)
@@ -187,7 +187,7 @@ class TestPriorTable:
             theta = rng.uniform(-width, width, layout.size)
             nat = np.hstack(list(layout.constrained(theta).values()))
             grad = np.zeros(layout.size)
-            logp = prior(theta, nat, grad)
+            logp = table_log_prior(table, theta, nat, grad)
             expected = _scipy_log_priors(bare, densities, theta)
             assert logp == pytest.approx(expected.sum(), rel=1e-12)
             h = 1e-6
@@ -204,7 +204,8 @@ class TestPriorTable:
         for width in (1.0, 1.0, 1.0, 8.0):
             theta = rng.uniform(-width, width, model.layout.size)
             grad = np.zeros(model.layout.size)
-            logp = model.prior(theta, model._natural(theta), grad)
+            logp = table_log_prior(model.prior, theta,
+                                   model._natural(theta), grad)
             expected = _scipy_log_priors(model, densities, theta)
             assert logp == pytest.approx(expected.sum(), rel=1e-10)
             # each element's prior depends on that element alone, so one
@@ -233,17 +234,19 @@ class TestPriorTable:
                             build_design([], SMALL_FEATURES))
         theta = np.random.default_rng(2).uniform(-1, 1, model.layout.size)
         grad = np.zeros(model.layout.size)
-        logp = model.prior(theta, model._natural(theta), grad)
+        logp = table_log_prior(model.prior, theta, model._natural(theta),
+                               grad)
         lp, g = model.logp_grad(theta)
         assert lp == pytest.approx(logp, rel=1e-12)
         np.testing.assert_allclose(g, grad, rtol=1e-12, atol=1e-12)
 
     def test_dispersion_prior_is_exponential_precision(self):
         # invgamma(1, 1) on log(phi) is 1/phi ~ Exp(1): -u - e^-u
-        table = _PriorPass(Layout([Block("phi", 1, "log", DISPERSION_PRIOR)]))
+        table = prior_table(Layout([Block("phi", 1, "log",
+                                          DISPERSION_PRIOR)]))
         for u in np.linspace(-30.0, 30.0, 61):
             grad = np.zeros(1)
-            logp = table(np.array([u]), np.exp([u]), grad)
+            logp = table_log_prior(table, np.array([u]), np.exp([u]), grad)
             assert logp == pytest.approx(-u - np.exp(-u), rel=1e-12, abs=1e-12)
             assert grad[0] == pytest.approx(np.exp(-u) - 1.0, rel=1e-12,
                                             abs=1e-12)
@@ -252,7 +255,7 @@ class TestPriorTable:
         layout = Layout([Block("a", 2, prior=PriorSpec("normal", (0.0, 1.0))),
                          Block("b", 1, "log")])
         with pytest.raises(ValueError, match="'b' declares no prior"):
-            _PriorPass(layout)
+            prior_table(layout)
 
     @pytest.mark.parametrize("prior", [
         PriorSpec("halfnormal_pos", (0.0, 1.0)), PriorSpec("cauchy_pos", (1.0,)),
@@ -262,16 +265,16 @@ class TestPriorTable:
         # positives are carried on the log scale
         layout = Layout([Block("a", 2, prior=prior)])
         with pytest.raises(ValueError, match="'a' has the positive"):
-            _PriorPass(layout)
+            prior_table(layout)
 
     def test_prior_params_must_fit_the_block(self):
         layout = Layout([Block("a", 3, prior=PriorSpec(
             "normal", (np.zeros(2), 1.0)))])
         with pytest.raises(ValueError, match="block 'a'"):
-            _PriorPass(layout)
+            prior_table(layout)
         # one gamma location per Hill curve: two for the GAM's three curves
         design = build_design(make_records(), SMALL_FEATURES)
-        fatigue = FatigueSpec(kind="hill_per_covariate",
+        fatigue = FatigueSpec(kind="hill",
                               gamma_prior=PriorSpec("halfnormal_pos",
                                                     ((0.5, 0.6), 0.3)))
         with pytest.raises(ValueError, match="block 'hill_gamma'"):

@@ -1,6 +1,6 @@
 """Each prior family is one function from its parameters to coefficients
 of the one formula, ``FORMULA``; ``scipy.stats`` is the reference for the
-density that the coefficients give, and the prior pass of a model, the
+density that the coefficients give, and the prior table of a model, the
 one evaluation of the formula, is checked against the formula written
 out."""
 
@@ -9,11 +9,10 @@ import pytest
 from scipy import stats
 from scipy.integrate import quad
 
-from contactfatigue.models.assemble import _PriorPass
 from contactfatigue.models.params import Block, Layout
 from contactfatigue.priors import (HALF_NORMAL_VAR_ADJUST, PriorSpec,
-                                   regularized_scale,
-                                   rhs_coefficients)
+                                   prior_table, regularized_scale,
+                                   rhs_coefficients, table_log_prior)
 
 ALL_SPECS = [
     PriorSpec("normal", (0.5, 2.0)),
@@ -78,17 +77,18 @@ def _formula(coefficients, v):
 
 
 def _prior_pass(spec, carried):
-    """The log prior and its gradient that a model's prior pass gives a
+    """The log prior and its gradient that a model's prior table gives a
     block of ``spec`` at the carried values: the values themselves for a
     prior on the real line, their logs for a positive one. Like a model,
-    it runs the pass with NumPy's floating-point warnings off."""
+    it evaluates the table with NumPy's floating-point warnings off."""
     carried = np.atleast_1d(np.asarray(carried, dtype=float))
     transform = "identity" if spec.on_real_line else "log"
-    prior = _PriorPass(Layout([Block("a", carried.size, transform, spec)]))
+    table = prior_table(Layout([Block("a", carried.size, transform, spec)]))
     grad = np.zeros(carried.size)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         nat = carried if spec.on_real_line else np.exp(carried)
-        return prior(carried.copy(), nat.copy(), grad), grad
+        return (table_log_prior(table, carried.copy(), nat.copy(), grad),
+                grad)
 
 
 def _natural(spec, v):

@@ -1,7 +1,8 @@
 """The CI workflow installs what ``pyproject.toml`` declares: the package
 itself with its ``test`` extra, so that the dependency list lives in one
 place, and it runs the console script that the package declares, through
-``tools/cli_tree.sh``."""
+``tools/cli_tree.sh``. It also checks that the package functions no
+command runs are the ones ``tools/reach.expected`` lists."""
 
 import pathlib
 
@@ -46,3 +47,16 @@ def test_ci_compares_two_gradient_files():
     assert ('python tools/grad_states.py "$RUNNER_TEMP/grad-$run.npz"'
             in workflow)
     assert "python tools/grad_states.py --compare" in workflow
+
+
+def test_ci_compares_the_unrun_functions_with_their_list():
+    # the list that tools/reach.py prints is diffed against the committed
+    # one, which names only package functions, sorted
+    workflow = WORKFLOW.read_text()
+    assert 'python tools/reach.py > "$RUNNER_TEMP/reach.txt"' in workflow
+    assert ('diff tools/reach.expected "$RUNNER_TEMP/reach.txt"'
+            in workflow)
+    listed = (ROOT / "tools" / "reach.expected").read_text().splitlines()
+    assert listed == sorted(set(listed))
+    assert all(line.startswith("contactfatigue") and ":" in line
+               for line in listed)
